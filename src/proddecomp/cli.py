@@ -21,7 +21,7 @@ from .errors import (
     NotExtractable,
     OperatorMismatch,
 )
-from .fileio import dumps_canonical
+from .fileio import complex_json, dumps_canonical
 from .purification import purify
 from .subspace import ToleranceConfig
 from .tensor import FactoredDims, Ket, StateOperator, build_rho
@@ -50,19 +50,15 @@ def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> No
             print(line)
 
 
-def _complex_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
 def _match_payload(result: decomp.MatchResult) -> dict:
     return {
         "n": result.n,
         "permutation": list(result.permutation),
         "per_term": [
             {
-                "overlap_a": _complex_json(c.overlap_a),
-                "overlap_b": _complex_json(c.overlap_b),
-                "overlap_c": None if c.overlap_c is None else _complex_json(c.overlap_c),
+                "overlap_a": complex_json(c.overlap_a),
+                "overlap_b": complex_json(c.overlap_b),
+                "overlap_c": None if c.overlap_c is None else complex_json(c.overlap_c),
                 "weight_first": c.weight_first,
                 "weight_second": c.weight_second,
             }

@@ -15,7 +15,6 @@ from .errors import (
     NotExtractable,
     OperatorMismatch,
 )
-from .purification import purify, relating_unitary
 from .subspace import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -35,7 +34,7 @@ from .tensor import (
     build_rho,
     build_tri_vector,
     frobenius,
-    rho_matrix,
+    product_columns,
     tensor_product,
 )
 
@@ -118,6 +117,18 @@ class DegeneracyReport:
 # hypothesis checks
 
 
+def _slot_independence(
+    terms: Sequence[ProductTerm | TriTerm], tol: ToleranceConfig, label: str
+) -> tuple[bool, ...]:
+    """Per-slot independence flags; raises naming the first collinear pair."""
+    slot_sets = [[term.kets[s] for term in terms] for s in range(len(terms[0].kets))]
+    for s, kets in enumerate(slot_sets):
+        pairs = collinear_pairs(kets, tol)
+        if pairs:
+            raise HypothesisViolation(f"{label}: {_SLOT_NAMES[s]}-set collinear pair {pairs[0]}")
+    return tuple(rank_and_independence(kets, tol)[1] for kets in slot_sets)
+
+
 def check_product_hypotheses(
     d: ProductDecomposition, tol: ToleranceConfig = DEFAULT_TOL, label: str = "decomposition"
 ) -> tuple[bool, bool]:
@@ -127,18 +138,10 @@ def check_product_hypotheses(
     independent.  Returns the (a_independent, b_independent) flags; raises
     HypothesisViolation naming the offending set and pair otherwise.
     """
-    a_kets = [t.a for t in d.terms]
-    b_kets = [t.b for t in d.terms]
-    for name, kets in (("a", a_kets), ("b", b_kets)):
-        pairs = collinear_pairs(kets, tol)
-        if pairs:
-            i, j = pairs[0]
-            raise HypothesisViolation(f"{label}: {name}-set collinear pair ({i}, {j})")
-    _, a_ind = rank_and_independence(a_kets, tol)
-    _, b_ind = rank_and_independence(b_kets, tol)
-    if not (a_ind or b_ind):
+    flags = _slot_independence(d.terms, tol, label)
+    if not any(flags):
         raise HypothesisViolation(f"{label}: neither ket set is linearly independent")
-    return a_ind, b_ind
+    return flags  # type: ignore[return-value]
 
 
 def check_tri_hypotheses(
@@ -149,13 +152,7 @@ def check_tri_hypotheses(
     Every slot's ket set must be non-collinear and at least two of the
     three sets linearly independent.  Returns per-slot independence flags.
     """
-    slot_sets = [[term.kets[s] for term in t.terms] for s in range(3)]
-    for s, kets in enumerate(slot_sets):
-        pairs = collinear_pairs(kets, tol)
-        if pairs:
-            i, j = pairs[0]
-            raise HypothesisViolation(f"{label}: {_SLOT_NAMES[s]}-set collinear pair ({i}, {j})")
-    flags = tuple(rank_and_independence(kets, tol)[1] for kets in slot_sets)
+    flags = _slot_independence(t.terms, tol, label)
     if sum(flags) < 2:
         independent = [_SLOT_NAMES[s] for s in range(3) if flags[s]]
         raise HypothesisViolation(
@@ -231,45 +228,24 @@ def split_pair_terms(
 # matching
 
 
-def match_tridecomposition(
-    t1: TriDecomposition, t2: TriDecomposition, tol: ToleranceConfig = DEFAULT_TOL
+def _certify_in_slot(
+    terms1, terms2, mags1, mags2, slot: int, tol: ToleranceConfig, wscale=1.0, what="coefficient magnitude"
 ) -> MatchResult:
-    """Certify that two tridecompositions of the same vector are term-wise
-    collinear up to a permutation, with equal coefficient magnitudes.
+    """Certify term-wise equivalence by expansion in one independent slot.
 
-    Pipeline: verify hypotheses on both inputs and that the two global
-    vectors agree (including coefficient phases); pick a factor slot whose
-    ket sets are independent in both inputs (search order c, a, b); expand
-    the first decomposition's kets in that slot over the second's by least
-    squares; threshold each expansion column to its single significant
-    coefficient, which defines the permutation; then certify per-slot
-    collinearity and coefficient-magnitude equality.  The residual is the
+    Expand the first decomposition's kets in ``slot`` over the second's by
+    least squares; threshold each expansion column to its single significant
+    coefficient, which defines the permutation; then certify collinearity in
+    every slot and equality of the paired ``mags`` (weights or coefficient
+    magnitudes) to WEIGHT_ATOL * max(wscale, w1, w2).  The residual is the
     largest violation observed across all certified constraints.
     """
-    if t1.dims != t2.dims:
-        raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
-    ind1 = check_tri_hypotheses(t1, tol, label="first tridecomposition")
-    ind2 = check_tri_hypotheses(t2, tol, label="second tridecomposition")
+    if len(terms1) != len(terms2):
+        raise HypothesisViolation(f"term-count mismatch after rank analysis: {len(terms1)} vs {len(terms2)}")
+    n = len(terms1)
 
-    ket1, norm1 = build_tri_vector(t1)
-    ket2, norm2 = build_tri_vector(t2)
-    v1 = norm1 * ket1.amplitudes
-    v2 = norm2 * ket2.amplitudes
-    gap = float(np.linalg.norm(v1 - v2))
-    if gap > tol.eps_eq * max(1.0, norm1, norm2):
-        raise OperatorMismatch(
-            f"tripartite vectors differ by {gap:.3e} (coefficient phases included)"
-        )
-
-    slot = next((s for s in (2, 0, 1) if ind1[s] and ind2[s]), None)
-    if slot is None:
-        raise HypothesisViolation("no factor slot is linearly independent in both tridecompositions")
-    if t1.n != t2.n:
-        raise HypothesisViolation(f"term-count mismatch after rank analysis: {t1.n} vs {t2.n}")
-    n = t1.n
-
-    first = column_stack([term.kets[slot] for term in t1.terms])
-    second = column_stack([term.kets[slot] for term in t2.terms])
+    first = column_stack([term.kets[slot] for term in terms1])
+    second = column_stack([term.kets[slot] for term in terms2])
     sol, *_ = np.linalg.lstsq(second, first, rcond=None)
     gamma = sol.T  # gamma[j, k]: first_j = sum_k gamma[j, k] second_k
     residual = float(np.linalg.norm(second @ sol - first))
@@ -305,9 +281,9 @@ def match_tridecomposition(
                 f"has magnitude {abs(complex(gamma[j, k])):.12g}, expected 1"
             )
         residual = max(residual, gdev)
-        overlaps = []
-        for s in range(3):
-            o = t1.terms[j].kets[s].overlap(t2.terms[k].kets[s])
+        overlaps: list[complex | None] = []
+        for s, (x, y) in enumerate(zip(terms1[j].kets, terms2[k].kets)):
+            o = x.overlap(y)
             deviation = abs(abs(o) - 1.0)
             if deviation > tol.eps_col:
                 raise HypothesisViolation(
@@ -316,16 +292,62 @@ def match_tridecomposition(
                 )
             residual = max(residual, deviation)
             overlaps.append(o)
-        w1 = abs(t1.terms[j].coeff)
-        w2 = abs(t2.terms[k].coeff)
+        w1, w2 = float(mags1[j]), float(mags2[k])
         dw = abs(w1 - w2)
-        if dw > WEIGHT_ATOL * max(1.0, w1, w2):
-            raise HypothesisViolation(
-                f"coefficient magnitude mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}"
-            )
+        if dw > WEIGHT_ATOL * max(wscale, w1, w2):
+            raise HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
         residual = max(residual, dw)
-        certs.append(TermCertificate(overlaps[0], overlaps[1], overlaps[2], w1, w2))
+        overlaps += [None] * (3 - len(overlaps))
+        certs.append(TermCertificate(*overlaps, w1, w2))
     return MatchResult(n, tuple(perm), tuple(certs), residual)
+
+
+def match_tridecomposition(
+    t1: TriDecomposition, t2: TriDecomposition, tol: ToleranceConfig = DEFAULT_TOL
+) -> MatchResult:
+    """Certify that two tridecompositions of the same vector are term-wise
+    collinear up to a permutation, with equal coefficient magnitudes.
+
+    Pipeline: verify hypotheses on both inputs and that the two global
+    vectors agree (including coefficient phases); pick a factor slot whose
+    ket sets are independent in both inputs (search order c, a, b); then
+    certify in that slot (:func:`_certify_in_slot`).
+    """
+    if t1.dims != t2.dims:
+        raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
+    ind1 = check_tri_hypotheses(t1, tol, label="first tridecomposition")
+    ind2 = check_tri_hypotheses(t2, tol, label="second tridecomposition")
+
+    ket1, norm1 = build_tri_vector(t1)
+    ket2, norm2 = build_tri_vector(t2)
+    gap = float(np.linalg.norm(norm1 * ket1.amplitudes - norm2 * ket2.amplitudes))
+    if gap > tol.eps_eq * max(1.0, norm1, norm2):
+        raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
+
+    slot = next((s for s in (2, 0, 1) if ind1[s] and ind2[s]), None)
+    if slot is None:
+        raise HypothesisViolation("no factor slot is linearly independent in both tridecompositions")
+    mags1, mags2 = ([abs(term.coeff) for term in t.terms] for t in (t1, t2))
+    return _certify_in_slot(t1.terms, t2.terms, mags1, mags2, slot, tol)
+
+
+def _operator_gap(d1: ProductDecomposition, d2: ProductDecomposition) -> tuple[float, float]:
+    """Frobenius distance between the two decompositions' operators, and
+    the gate scale max(1, ||rho1||_F, ||rho2||_F), without forming either.
+
+    With [V1 V2] = Q R for the stacked product kets, rho1 - rho2 =
+    Q R diag(w1, -w2) R^dagger Q^dagger, so every norm is that of a small
+    matrix from R.  The Gram expansion of ||rho1 - rho2||_F^2 would instead
+    cancel to rounding noise, losing half the digits, when rho1 = rho2.
+    """
+    v1, w1 = product_columns(d1)
+    v2, w2 = product_columns(d2)
+    r = np.linalg.qr(np.hstack([v1, v2]), mode="r")
+    r1, r2 = r[:, : d1.n], r[:, d1.n :]
+    gap = frobenius((r * np.concatenate([w1, -w2])) @ r.conj().T)
+    norm1 = frobenius((r1 * w1) @ r1.conj().T)
+    norm2 = frobenius((r2 * w2) @ r2.conj().T)
+    return gap, max(1.0, norm1, norm2)
 
 
 def match_bidecomposition(
@@ -334,56 +356,30 @@ def match_bidecomposition(
     """Certify that two weighted product decompositions of the same operator
     are term-wise collinear up to a permutation, with equal weights.
 
-    Pipeline: check hypotheses and operator equality, lift both inputs to
-    tripartite vectors over an auxiliary factor, construct the unitary
-    relating the two purifications, map the second decomposition's
-    auxiliary kets through it, and certify with the tridecomposition
-    matcher.  The reported certificates carry the a/b-slot overlaps and
-    the raw weights; the auxiliary slot is construction detail and is not
-    reported.
+    Pipeline: check hypotheses on both inputs; gate operator equality
+    without forming either operator (:func:`_operator_gap`: O(N n^2) time,
+    O(N n) memory, so not bound by ``MAX_AMBIENT_DIM``); pick the ket slot
+    independent in both inputs (a, else b), which exists when the operators
+    agree, since the a-set is independent exactly when rank Tr_B rho =
+    rank rho; certify in that slot as :func:`match_tridecomposition` does,
+    with weights compared to WEIGHT_ATOL times the larger weight sum (at
+    least 1).  Certificates carry ``overlap_c = None``.
     """
     if d1.dims != d2.dims:
         raise DimensionMismatch(f"factor dims differ: {d1.dims.dims} vs {d2.dims.dims}")
-    check_product_hypotheses(d1, tol, label="first decomposition")
-    check_product_hypotheses(d2, tol, label="second decomposition")
+    ind1 = check_product_hypotheses(d1, tol, label="first decomposition")
+    ind2 = check_product_hypotheses(d2, tol, label="second decomposition")
 
-    # Hermitian PSD by construction once the hypotheses hold, so the bare
-    # matrices suffice for the equality gate
-    m1 = rho_matrix(d1)
-    m2 = rho_matrix(d2)
-    gap = frobenius(m1 - m2)
-    if gap > tol.eps_eq * max(1.0, frobenius(m1), frobenius(m2)):
+    gap, scale = _operator_gap(d1, d2)
+    if gap > tol.eps_eq * scale:
         raise OperatorMismatch(f"operators differ by {gap:.3e} in Frobenius norm")
 
-    dim3 = max(d1.n, d2.n)
-    p1 = purify(d1, dim3)
-    p2 = purify(d2, dim3)
-    psi, _ = build_tri_vector(p1)
-    phi, _ = build_tri_vector(p2)
-    split = FactoredDims((d1.dims.total, dim3))
-    u = relating_unitary(psi, phi, split, tol)
-    mapped = TriDecomposition(
-        p2.dims,
-        tuple(
-            TriTerm(term.coeff, term.a, term.b, Ket.normalize(u.matrix @ term.c.amplitudes))
-            for term in p2.terms
-        ),
-    )
-    tri = match_tridecomposition(p1, mapped, tol)
-
+    slot = next((s for s in (0, 1) if ind1[s] and ind2[s]), None)
+    if slot is None:
+        raise HypothesisViolation("no ket set is linearly independent in both decompositions")
     wscale = max(1.0, d1.weight_sum, d2.weight_sum)
-    residual = tri.residual
-    certs = []
-    for k, cert in enumerate(tri.per_term):
-        j = tri.permutation[k]
-        w1 = d1.terms[j].weight
-        w2 = d2.terms[k].weight
-        dw = abs(w1 - w2)
-        if dw > WEIGHT_ATOL * wscale:
-            raise HypothesisViolation(f"weight mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
-        residual = max(residual, dw)
-        certs.append(TermCertificate(cert.overlap_a, cert.overlap_b, None, w1, w2))
-    return MatchResult(tri.n, tri.permutation, tuple(certs), residual)
+    mags1, mags2 = ([t.weight for t in d.terms] for d in (d1, d2))
+    return _certify_in_slot(d1.terms, d2.terms, mags1, mags2, slot, tol, wscale, "weight")
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def _ket_json(k: Ket) -> dict:
     }
 
 
-def _complex_json(z: complex) -> dict:
+def complex_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
@@ -96,7 +96,7 @@ def decomposition_payload(obj: ProductDecomposition | TriDecomposition) -> dict:
     elif isinstance(obj, TriDecomposition):
         for t in obj.terms:
             terms.append(
-                {"coeff": _complex_json(t.coeff), "kets": [_ket_json(k) for k in t.kets]}
+                {"coeff": complex_json(t.coeff), "kets": [_ket_json(k) for k in t.kets]}
             )
     else:
         raise FileError(f"cannot serialize decomposition of type {type(obj).__name__}")

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
-from .tensor import Ket, StateOperator, partial_trace
+from .tensor import Ket, StateOperator, column_stack, partial_trace
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -60,9 +60,12 @@ class SubspaceBasis:
         for i, v in enumerate(vecs):
             if v.dim != self.ambient_dim:
                 raise DimensionMismatch(f"vector {i} has dim {v.dim}, ambient is {self.ambient_dim}")
-            for j in range(i):
-                if abs(vecs[j].overlap(v)) >= ORTHO_ATOL:
-                    raise DegenerateInput(f"basis vectors ({j}, {i}) are not orthogonal")
+        m = np.array([v.amplitudes for v in vecs], dtype=complex).reshape(-1, self.ambient_dim)
+        # row-major over the lower triangle: the first pair (j, i), j < i, by i
+        rows, cols = np.nonzero(np.abs(m.conj() @ m.T) >= ORTHO_ATOL)
+        pairs = [(j, i) for i, j in zip(rows.tolist(), cols.tolist()) if j < i]
+        if pairs:
+            raise DegenerateInput(f"basis vectors {pairs[0]} are not orthogonal")
         object.__setattr__(self, "vectors", vecs)
 
     @property
@@ -71,10 +74,8 @@ class SubspaceBasis:
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the spanned subspace."""
-        p = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        for v in self.vectors:
-            p += v.projector()
-        return p
+        m = np.array([v.amplitudes for v in self.vectors], dtype=complex).reshape(-1, self.ambient_dim)
+        return m.T @ m.conj()
 
 
 def fix_phase(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
@@ -85,16 +86,6 @@ def fix_phase(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
         return v.copy()
     pivot = v[nz[0]]
     return v * (abs(pivot) / pivot)
-
-
-def column_stack(kets: Sequence[Ket]) -> np.ndarray:
-    """Stack kets as the columns of a dense matrix."""
-    if not kets:
-        raise DegenerateInput("empty ket set")
-    dim = kets[0].dim
-    if any(k.dim != dim for k in kets):
-        raise DimensionMismatch("kets in a set must share one dimension")
-    return np.column_stack([k.amplitudes for k in kets])
 
 
 def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -108,13 +99,13 @@ def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def collinear_pairs(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
-    """All unordered index pairs that fail non-collinearity."""
-    out = []
-    for i in range(len(kets)):
-        for j in range(i + 1, len(kets)):
-            if is_collinear(kets[i], kets[j], tol):
-                out.append((i, j))
-    return out
+    """All unordered index pairs (i, j), i < j, that fail non-collinearity,
+    in lexicographic order; one Gram matrix instead of a pairwise loop."""
+    if len(kets) < 2:
+        return []
+    a = column_stack(kets)
+    rows, cols = np.nonzero(np.abs(a.conj().T @ a) >= 1.0 - tol.eps_col)
+    return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
 
 
 def is_noncollinear_set(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> bool:

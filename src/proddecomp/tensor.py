@@ -280,17 +280,30 @@ def tensor_product(x: Ket, y: Ket) -> Ket:
     return Ket(np.kron(x.amplitudes, y.amplitudes))
 
 
-def rho_matrix(d: ProductDecomposition) -> np.ndarray:
-    """Bare symmetrized matrix of the weighted sum of product projectors.
+def column_stack(kets: Sequence[Ket]) -> np.ndarray:
+    """Stack kets as the columns of a dense matrix."""
+    if not kets:
+        raise DegenerateInput("empty ket set")
+    dim = kets[0].dim
+    if any(k.dim != dim for k in kets):
+        raise DimensionMismatch("kets in a set must share one dimension")
+    return np.array([k.amplitudes for k in kets]).T
 
-    Hermitian PSD by construction; use :func:`build_rho` for the checked
-    operator value.
+
+def product_columns(d: ProductDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked product kets a_j (x) b_j as the columns of an N x n matrix, and the weights."""
+    a = column_stack([t.a for t in d.terms])
+    b = column_stack([t.b for t in d.terms])
+    return np.einsum("in,kn->ikn", a, b).reshape(-1, d.n), np.array([t.weight for t in d.terms])
+
+
+def rho_matrix(d: ProductDecomposition) -> np.ndarray:
+    """Bare symmetrized matrix (V w) V^dagger of the weighted sum of product
+    projectors.  Hermitian PSD by construction; use :func:`build_rho` for
+    the checked operator value.
     """
-    n = d.dims.total
-    m = np.zeros((n, n), dtype=complex)
-    for t in d.terms:
-        v = np.kron(t.a.amplitudes, t.b.amplitudes)
-        m += t.weight * np.outer(v, v.conj())
+    v, w = product_columns(d)
+    m = (v * w) @ v.conj().T
     return (m + m.conj().T) / 2.0
 
 
@@ -337,11 +350,11 @@ def build_tri_vector(t: TriDecomposition, zero_eps: float = 1e-8) -> tuple[Ket, 
     the returned raw norm.  A sum that cancels below ``zero_eps`` relative
     to the total coefficient weight signals degenerate input.
     """
-    v = np.zeros(t.dims.total, dtype=complex)
-    for term in t.terms:
-        v += term.coeff * np.kron(np.kron(term.a.amplitudes, term.b.amplitudes), term.c.amplitudes)
+    a, b, c = (column_stack([term.kets[s] for term in t.terms]) for s in range(3))
+    coeffs = np.array([term.coeff for term in t.terms])
+    v = (np.einsum("in,jn->ijn", a * coeffs, b).reshape(-1, t.n) @ c.T).reshape(-1)
     raw = float(np.linalg.norm(v))
-    scale = float(sum(abs(term.coeff) for term in t.terms))
+    scale = float(np.abs(coeffs).sum())
     if raw <= zero_eps * scale:
         raise DegenerateInput(f"tri vector cancels to norm {raw!r}; degenerate input")
     return Ket(v / raw), raw

@@ -1,11 +1,15 @@
 """Decomposition matchers, instance generators, and their error paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proddecomp as pd
+from proddecomp import decomp, purification, subspace, tensor
 
 
 def _random_ket(rng, dim):
@@ -256,3 +260,104 @@ class TestUniquenessProperty:
         other = pd.generate_instance(3, 5, 4, seed=seed + 1000)
         with pytest.raises(pd.OperatorMismatch):
             pd.match_bidecomposition(dec, other)
+
+
+class TestDenseFreeBipartiteMatching:
+    @staticmethod
+    def _certify_twin(dec, seed):
+        twin, perm = pd.phase_permuted_twin(dec, seed=seed)
+        assert pd.match_bidecomposition(dec, twin).permutation == perm
+        gap, scale = decomp._operator_gap(dec, twin)
+        return gap / scale
+
+    def test_factored_gate_is_exact_on_twins(self):
+        # the Gram expansion of ||rho1 - rho2||_F^2 cancels to ~1e-16 here,
+        # a relative gap near 1e-8; the QR-factored gate stays at rounding
+        worst = 0.0
+        for i in range(300):
+            profile = pd.BI_PROFILES[i % 3]
+            dec = pd.generate_instance(3 + i % 4, 8, 8, seed=i, profile=profile)
+            worst = max(worst, self._certify_twin(dec, seed=i + 1000))
+        for k, profile in enumerate(pd.BI_PROFILES):
+            dec = pd.generate_instance(16, 32, 32, seed=k, profile=profile)
+            worst = max(worst, self._certify_twin(dec, seed=k + 2000))
+        assert worst <= 1e-12
+
+    def test_factored_gate_measures_the_dense_distance(self):
+        for seed in range(6):
+            d1 = pd.generate_instance(3, 4, 5, seed=seed, profile=pd.BI_PROFILES[seed % 3])
+            d2 = pd.generate_instance(4, 4, 5, seed=seed + 50, profile=pd.BI_PROFILES[seed % 3])
+            m1, m2 = pd.rho_matrix(d1), pd.rho_matrix(d2)
+            gap, scale = decomp._operator_gap(d1, d2)
+            assert gap == pytest.approx(np.linalg.norm(m1 - m2), rel=1e-12)
+            assert scale == pytest.approx(max(1.0, np.linalg.norm(m1), np.linalg.norm(m2)), rel=1e-12)
+
+    def test_matches_beyond_the_dense_operator_cap(self):
+        dec = pd.generate_instance(4, 96, 96, seed=3)
+        assert dec.dims.total > tensor.MAX_AMBIENT_DIM
+        twin, perm = pd.phase_permuted_twin(dec, seed=4)
+        shifted = pd.ProductDecomposition(
+            dec.dims,
+            tuple(pd.ProductTerm(t.weight * (1.2 if j == 0 else 1.0), t.a, t.b) for j, t in enumerate(twin.terms)),
+        )
+        tracemalloc.start()
+        try:
+            assert pd.match_bidecomposition(dec, twin).permutation == perm
+            with pytest.raises(pd.OperatorMismatch, match="operators differ"):
+                pd.match_bidecomposition(dec, shifted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # one dense operator here would take 1.4 GB
+
+    @pytest.mark.parametrize("profile", pd.BI_PROFILES)
+    def test_match_path_uses_no_operator_or_purification(self, monkeypatch, profile):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense operator or purification on the match path")
+
+        for fn in (tensor.rho_matrix, tensor.build_tri_vector, purification.purify, purification.relating_unitary):
+            for mod in (pd, tensor, subspace, purification, decomp):
+                for name, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, name, forbidden)
+        dec = pd.generate_instance(4, 5, 5, seed=7, profile=profile)
+        twin, perm = pd.phase_permuted_twin(dec, seed=8)
+        assert pd.match_bidecomposition(dec, twin).permutation == perm
+
+    def test_no_shared_independent_slot_rejected(self):
+        # equal operators share their independent slot, so only a loose
+        # equality gate lets two decompositions without one through
+        a_only = pd.generate_instance(3, 4, 4, seed=1, profile="a-independent-only")
+        b_only = pd.generate_instance(3, 4, 4, seed=1, profile="b-independent-only")
+        loose = pd.ToleranceConfig(eps_eq=0.999)
+        with pytest.raises(pd.HypothesisViolation, match="no ket set is linearly independent in both"):
+            pd.match_bidecomposition(a_only, b_only, loose)
+
+
+@st.composite
+def _ket_sets(draw):
+    """Kets drawn from a small pool with random phases and tiny perturbations,
+    so exactly and nearly collinear pairs are common."""
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(draw(st.integers(1, 4)))]
+    kets = []
+    for _ in range(draw(st.integers(0, 7))):
+        v = pool[draw(st.integers(0, len(pool) - 1))] * np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+        v = v + draw(st.sampled_from([0.0, 1e-9, 1e-5, 1e-2])) * rng.standard_normal(dim)
+        kets.append(pd.Ket.normalize(v))
+    return kets
+
+
+class TestCollinearPairs:
+    @settings(deadline=None, max_examples=200)
+    @given(_ket_sets(), st.sampled_from([1e-8, 1e-4, 0.1, 0.5]))
+    def test_vectorized_equals_pairwise_loop(self, kets, eps_col):
+        tol = pd.ToleranceConfig(eps_col=eps_col)
+        loop = [
+            (i, j)
+            for i in range(len(kets))
+            for j in range(i + 1, len(kets))
+            if pd.is_collinear(kets[i], kets[j], tol)
+        ]
+        assert subspace.collinear_pairs(kets, tol) == loop

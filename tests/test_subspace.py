@@ -259,6 +259,14 @@ class TestSubspaceBasis:
         with pytest.raises(pd.DegenerateInput):
             pd.SubspaceBasis(2, (pd.Ket((1, 0)), pd.Ket((s, s))))
 
+    def test_names_first_non_orthogonal_pair(self):
+        # pairs (1, 2) and (0, 3) both fail; the check reports by the later index first
+        s = 1 / np.sqrt(2)
+        e = np.eye(4)
+        vecs = (e[0], e[1], s * (e[1] + e[2]), s * (e[0] + e[3]))
+        with pytest.raises(pd.DegenerateInput, match=r"basis vectors \(1, 2\) are not orthogonal"):
+            pd.SubspaceBasis(4, tuple(pd.Ket(v) for v in vecs))
+
     def test_rejects_overfull(self):
         with pytest.raises(pd.DimensionMismatch):
             pd.SubspaceBasis(1, (pd.Ket((1,)), pd.Ket((1,))))

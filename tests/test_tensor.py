@@ -149,6 +149,16 @@ class TestBuildRho:
         rho = pd.build_rho(dec)
         assert abs(rho.trace - dec.weight_sum) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_term_outer_product_sum(self, seed):
+        dec = pd.generate_instance(4, 5, 6, seed=seed, profile=pd.BI_PROFILES[seed % 3])
+        loop = np.zeros((30, 30), dtype=complex)
+        for t in dec.terms:
+            v = np.kron(t.a.amplitudes, t.b.amplitudes)
+            loop += t.weight * np.outer(v, v.conj())
+        # summation order differs from the loop: a few ulps per entry
+        assert np.abs(pd.rho_matrix(dec) - loop).max() < 1e-15
+
     def test_rejects_nonpositive_weight(self):
         a = pd.Ket.basis(2, 0)
         with pytest.raises(pd.DegenerateInput):
@@ -211,6 +221,15 @@ class TestBuildTriVector:
         chain = pd.tensor_product(pd.tensor_product(a, b), c)
         assert abs(norm - 1.0) < 1e-12
         assert np.allclose(ket.amplitudes, chain.amplitudes, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_term_kron_sum(self, seed):
+        tri = pd.generate_tri_instance(3, 4, 3, 5, seed=seed, profile=pd.TRI_PROFILES[seed])
+        loop = sum(
+            t.coeff * np.kron(np.kron(t.a.amplitudes, t.b.amplitudes), t.c.amplitudes) for t in tri.terms
+        )
+        ket, norm = pd.build_tri_vector(tri)
+        assert np.abs(norm * ket.amplitudes - loop).max() < 1e-14
 
     def test_orthonormal_pair_sum_has_unit_norm(self):
         e = [pd.Ket.basis(2, 0), pd.Ket.basis(2, 1)]
