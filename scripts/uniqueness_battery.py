@@ -57,10 +57,10 @@ def tri_battery(count: int, master_seed: int) -> tuple[int, float]:
     return ok, worst
 
 
-def extraction_battery(count: int, master_seed: int) -> tuple[int, float, int]:
+def extraction_battery(count: int, master_seed: int) -> tuple[int, float, dict[str, list[int]]]:
     rng = np.random.default_rng(master_seed)
     worst = 0.0
-    probes = 0
+    probes: dict[str, list[int]] = {profile: [] for profile in pd.BI_PROFILES}
     ok = 0
     for i in range(count):
         profile = pd.BI_PROFILES[i % 3]
@@ -70,7 +70,7 @@ def extraction_battery(count: int, master_seed: int) -> tuple[int, float, int]:
         seed = int(rng.integers(0, 2**31))
         dec = pd.generate_instance(n, d1, d2, seed=seed, profile=profile)
         report = pd.extract_decomposition(pd.build_rho(dec), seed=seed + 1)
-        probes += report.probes_used
+        probes[profile].append(report.probes_used)
         result = pd.match_bidecomposition(dec, report.decomposition)
         if result.n == n:
             ok += 1
@@ -90,9 +90,10 @@ def main() -> int:
     ok, worst = tri_battery(args.count, args.seed + 1)
     print(f"tripartite twins:  {ok}/{args.count} matched, worst residual {worst:.3e}")
     ok, worst, probes = extraction_battery(args.count, args.seed + 2)
+    mean_probes = ", ".join(f"{p} {np.mean(v):.2f}" for p, v in probes.items() if v)
     print(
         f"blind extraction:  {ok}/{args.count} certified, worst error {worst:.3e}, "
-        f"{probes} probes drawn"
+        f"{sum(sum(v) for v in probes.values())} probes drawn (mean per profile: {mean_probes})"
     )
     print(f"elapsed: {time.perf_counter() - start:.2f}s")
     return 0

@@ -22,6 +22,7 @@ from .subspace import (
     column_stack,
     fix_phase,
     rank_and_independence,
+    support_and_null,
 )
 from .tensor import (
     FactoredDims,
@@ -35,6 +36,7 @@ from .tensor import (
     build_tri_vector,
     frobenius,
     product_columns,
+    rho_matrix,
     tensor_product,
 )
 
@@ -45,8 +47,14 @@ WEIGHT_ATOL = 1e-6
 #: Relative reconstruction error required for a successful extraction.
 RECONSTRUCTION_RTOL = 1e-6
 
-#: Probe redraws per side before the factor roles are swapped.
+#: Probe pairs drawn before extraction gives up.
 EXTRACTION_RETRIES = 8
+
+#: Redraw a probe pair whose second contraction has smallest/largest singular value at most this.
+PROBE_CONDITION_MIN = 1e-10
+
+#: Redraw a probe pair with two ratios closer than this times eps_rank times max(1, largest ratio).
+RATIO_GAP_FACTOR = 1e3
 
 _SLOT_NAMES = ("a", "b", "c")
 
@@ -96,7 +104,7 @@ class ExtractionReport:
     decomposition: ProductDecomposition
     reconstruction_error: float
     probes_used: int
-    side: int  # factor index whose ket set came out linearly independent
+    side: int  # factor with the larger reduced support rank (0 on a tie): its ket set is independent
 
 
 @dataclass(frozen=True)
@@ -391,86 +399,6 @@ def _hermitian_probe(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def _try_extract_side(
-    matrix: np.ndarray,
-    d1: int,
-    d2: int,
-    rng: np.random.Generator,
-    tol: ToleranceConfig,
-    max_error: float,
-) -> tuple[list[tuple[float, Ket, Ket]] | None, float, int]:
-    """One-sided extraction assuming the first factor's kets are independent.
-
-    Returns (terms, relative error, probes drawn); terms is None when all
-    probe draws failed.
-    """
-    rho4 = matrix.reshape(d1, d2, d1, d2)
-    # support of the reduced operator on the first factor, computed directly
-    # (the input operator was validated once by the caller)
-    red = np.einsum("jkJk->jJ", rho4)
-    red = (red + red.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(red)
-    lam_max = max(float(evals[-1]), 0.0)
-    s = evecs[:, evals >= tol.eps_rank * lam_max]
-    r = s.shape[1]
-    probes = 0
-    if r == 0:
-        return None, np.inf, probes
-    scale = frobenius(matrix)
-
-    for _ in range(EXTRACTION_RETRIES):
-        x1 = _hermitian_probe(rng, d2)
-        x2 = _hermitian_probe(rng, d2)
-        probes += 2
-
-        m1 = np.einsum("jkJK,Kk->jJ", rho4, x1)
-        m2 = np.einsum("jkJK,Kk->jJ", rho4, x2)
-        mt1 = s.conj().T @ m1 @ s
-        mt2 = s.conj().T @ m2 @ s
-
-        sv = np.linalg.svd(mt2, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < 1e-10 * sv[0]:
-            continue  # unlucky probe: second contraction nearly singular
-        ratios, directions = np.linalg.eig(mt1 @ np.linalg.inv(mt2))
-
-        if r > 1:
-            gaps = [abs(ratios[i] - ratios[j]) for i in range(r) for j in range(i + 1, r)]
-            if min(gaps) < 1e3 * tol.eps_rank * max(1.0, float(np.abs(ratios).max())):
-                continue  # nearly degenerate probe responses: redraw
-
-        a_cols = s @ directions
-        a_cols /= np.linalg.norm(a_cols, axis=0, keepdims=True)
-        asv = np.linalg.svd(a_cols, compute_uv=False)
-        if asv[-1] < tol.eps_rank * asv[0]:
-            continue
-        duals = np.linalg.pinv(a_cols).conj().T
-
-        terms: list[tuple[float, Ket, Ket]] = []
-        ok = True
-        for t in range(r):
-            rt = np.einsum("j,jkJK,J->kK", duals[:, t].conj(), rho4, duals[:, t])
-            rt = (rt + rt.conj().T) / 2.0
-            w = float(np.trace(rt).real)
-            if w <= 0.0:
-                ok = False
-                break
-            _, bvecs = np.linalg.eigh(rt)
-            a_ket = Ket.normalize(fix_phase(a_cols[:, t], tol.eps_rank))
-            b_ket = Ket.normalize(fix_phase(bvecs[:, -1], tol.eps_rank))
-            terms.append((w, a_ket, b_ket))
-        if not ok:
-            continue
-
-        recon = np.zeros_like(matrix)
-        for w, a_ket, b_ket in terms:
-            v = np.kron(a_ket.amplitudes, b_ket.amplitudes)
-            recon += w * np.outer(v, v.conj())
-        err = frobenius(recon - matrix) / scale
-        if err <= max_error:
-            return terms, err, probes
-    return None, np.inf, probes
-
-
 def extract_decomposition(
     rho: StateOperator,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -479,45 +407,83 @@ def extract_decomposition(
 ) -> ExtractionReport:
     """Recover a weighted product decomposition from the operator alone.
 
-    Simultaneous-diagonalization scheme: draw two random Hermitian probes
-    X1, X2 on the second factor, contract M_i = Tr_2[rho (I (x) X_i)]
-    (each equals A diag(w_j <b_j|X_i|b_j>) A^dagger when the first
-    factor's kets are independent), and eigendecompose M1 M2^{-1} on the
-    first factor's support to recover the a-directions.  The dual basis
-    then isolates each w_j |b_j><b_j| slice of rho.  Unlucky or degenerate
-    probes are redrawn up to a cap; if the side fails the factor roles are
-    swapped.  Success requires relative Frobenius reconstruction error at
-    most ``max_error`` and a hypothesis-clean decomposition.
+    For rho = sum_j w_j |a_j b_j><a_j b_j| with w_j > 0, rank rho = n and
+    the reduced operator on a factor has the rank of that factor's ket set,
+    so the independent set the hypotheses ask for lies on the factor whose
+    reduced operator has the larger support rank (factor 0 on a tie, where
+    both sets are independent).  Only that factor is tried.  Call its kets
+    a_j and the other factor's b_j.  Simultaneous diagonalization
+    (Leurgans, Ross & Abel 1993): draw two random Hermitian probes X1, X2
+    on the other factor, contract M_i = Tr_other[rho (I (x) X_i)] =
+    A diag(w_j <b_j|X_i|b_j>) A^dagger, and eigendecompose M1 M2^{-1} on
+    the support to recover the a-directions.  The dual basis then isolates
+    each w_j |b_j><b_j| slice of rho.  Ill-conditioned or degenerate probe
+    pairs are redrawn, up to EXTRACTION_RETRIES pairs.  Success requires
+    relative Frobenius reconstruction error at most ``max_error`` and a
+    hypothesis-clean decomposition; otherwise NotExtractable names the
+    factor, both support ranks, the probes drawn and the best error reached.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
-    d1, d2 = rho.dims
-    rng = np.random.default_rng(seed)
+    supports = [support_and_null(rho, s, tol)[0] for s in (0, 1)]
+    side = int(supports[1].dim > supports[0].dim)
+    supp = supports[side].columns()
     matrix = (rho.matrix + rho.matrix.conj().T) / 2.0
-    probes_total = 0
+    rho4 = matrix.reshape(*rho.dims, *rho.dims)
+    if side == 1:
+        rho4 = rho4.transpose(1, 0, 3, 2)  # a view with factor 1 in the a-role
+    scale = frobenius(matrix)
+    rng = np.random.default_rng(seed)
+    probes, best = 0, np.inf
 
-    for side in (0, 1):
-        if side == 0:
-            mat, da, db = matrix, d1, d2
-        else:
-            mat = matrix.reshape(d1, d2, d1, d2).transpose(1, 0, 3, 2).reshape(d1 * d2, d1 * d2)
-            da, db = d2, d1
-        terms, err, probes = _try_extract_side(mat, da, db, rng, tol, max_error)
-        probes_total += probes
-        if terms is None:
+    def account() -> str:  # what was tried, for the failure message
+        reached = f"best reconstruction error {best:.3e}" if np.isfinite(best) else "every pair redrawn"
+        ranks = f"support ranks {supports[0].dim} and {supports[1].dim}"
+        return f"factor {side}, {ranks}, {probes} probes, {reached}"
+
+    for _ in range(EXTRACTION_RETRIES):
+        x1, x2 = (_hermitian_probe(rng, rho.dims[1 - side]) for _ in range(2))
+        probes += 2
+        mt1, mt2 = (supp.conj().T @ np.einsum("jkJK,Kk->jJ", rho4, x) @ supp for x in (x1, x2))
+
+        sv = np.linalg.svd(mt2, compute_uv=False)
+        if sv.size == 0 or sv[-1] <= PROBE_CONDITION_MIN * sv[0]:
+            continue  # unlucky probe: second contraction nearly singular
+        ratios, directions = np.linalg.eig(mt1 @ np.linalg.inv(mt2))
+        gap = np.abs(np.subtract.outer(ratios, ratios))[np.triu_indices(ratios.size, 1)].min(initial=np.inf)
+        if gap < RATIO_GAP_FACTOR * tol.eps_rank * max(1.0, float(np.abs(ratios).max())):
+            continue  # nearly degenerate probe responses: redraw
+
+        a_cols = supp @ directions
+        a_cols /= np.linalg.norm(a_cols, axis=0, keepdims=True)
+        asv = np.linalg.svd(a_cols, compute_uv=False)
+        if asv[-1] < tol.eps_rank * asv[0]:
             continue
-        if side == 1:
-            terms = [(w, b_ket, a_ket) for w, a_ket, b_ket in terms]
-        terms.sort(key=lambda t: -t[0])
-        dec = ProductDecomposition(rho.dims, tuple(ProductTerm(w, a, b) for w, a, b in terms))
-        try:
-            check_product_hypotheses(dec, tol, label="extracted decomposition")
-        except HypothesisViolation:
+        duals = np.linalg.pinv(a_cols).conj().T
+        slices = []
+        for t in range(duals.shape[1]):
+            rt = np.einsum("j,jkJK,J->kK", duals[:, t].conj(), rho4, duals[:, t])
+            slices.append((rt + rt.conj().T) / 2.0)
+        weights = [float(np.trace(rt).real) for rt in slices]
+        if min(weights) <= 0.0:
             continue
-        return ExtractionReport(dec, err, probes_total, side)
+
+        terms = []
+        for w, a, rt in sorted(zip(weights, a_cols.T, slices), key=lambda term: -term[0]):
+            a_ket = Ket.normalize(fix_phase(a, tol.eps_rank))
+            b_ket = Ket.normalize(fix_phase(np.linalg.eigh(rt)[1][:, -1], tol.eps_rank))
+            terms.append(ProductTerm(w, *((a_ket, b_ket) if side == 0 else (b_ket, a_ket))))
+        dec = ProductDecomposition(rho.dims, tuple(terms))
+        err = frobenius(rho_matrix(dec) - matrix) / scale
+        best = min(best, err)
+        if err <= max_error:
+            try:
+                check_product_hypotheses(dec, tol, label="extracted decomposition")
+            except HypothesisViolation as exc:
+                raise NotExtractable(f"not extractable under hypotheses: {exc} ({account()})") from exc
+            return ExtractionReport(dec, err, probes, side)
     raise NotExtractable(
-        "not extractable under hypotheses: no side produced a reconstruction within "
-        f"{max_error:g} after {probes_total} probes"
+        f"not extractable under hypotheses: no reconstruction within {max_error:g} ({account()})"
     )
 
 

@@ -136,9 +136,13 @@ def save_operator(path: str, op: StateOperator) -> None:
 def _load_json(path: str) -> dict:
     if not os.path.exists(path):
         raise FileError(f"no such file: {path}")
+
+    def reject_constant(literal: str):
+        raise FileError(f"{path}: non-finite number {literal} is not allowed")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileError(f"{path}: cannot parse JSON ({exc})") from exc
     if not isinstance(data, dict):

@@ -72,10 +72,14 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
+    def columns(self) -> np.ndarray:
+        """The basis vectors as the columns of an ambient_dim x dim matrix."""
+        return np.array([v.amplitudes for v in self.vectors], dtype=complex).reshape(-1, self.ambient_dim).T
+
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the spanned subspace."""
-        m = np.array([v.amplitudes for v in self.vectors], dtype=complex).reshape(-1, self.ambient_dim)
-        return m.T @ m.conj()
+        m = self.columns()
+        return m @ m.conj().T
 
 
 def fix_phase(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:

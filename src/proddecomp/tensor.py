@@ -50,7 +50,7 @@ class Ket:
         if amps.size > MAX_VECTOR_DIM:
             raise DimensionMismatch(f"ket dimension {amps.size} exceeds cap {MAX_VECTOR_DIM}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > KET_NORM_ATOL:
+        if not abs(norm - 1.0) <= KET_NORM_ATOL:  # NaN amplitudes fail too
             raise DegenerateInput(f"ket norm {norm!r} differs from 1 by more than {KET_NORM_ATOL}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -145,6 +145,8 @@ class StateOperator:
         if m.shape != (n, n):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match ambient dim {n}")
         scale = frobenius(m)
+        if not math.isfinite(scale):
+            raise DegenerateInput(f"matrix has non-finite entries (Frobenius norm {scale!r})")
         if frobenius(m - m.conj().T) > HERMITICITY_RTOL * scale:
             raise DegenerateInput("matrix is not Hermitian within tolerance")
         evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
@@ -304,7 +306,9 @@ def rho_matrix(d: ProductDecomposition) -> np.ndarray:
     """
     v, w = product_columns(d)
     m = (v * w) @ v.conj().T
-    return (m + m.conj().T) / 2.0
+    m += m.conj().T  # in place: one N x N temporary fewer at the peak
+    m /= 2.0
+    return m
 
 
 def build_rho(d: ProductDecomposition) -> StateOperator:

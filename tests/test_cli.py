@@ -224,6 +224,18 @@ class TestExtractCommand:
         assert report["reconstruction_error"] < 1e-6
         assert main(["match", dec_path, out_path, "--mode", "bi"]) == 0
 
+    def test_b_independent_input_reports_side_1_after_one_probe_pair(self, tmp_path, capsys):
+        dec_path = str(tmp_path / "dec.json")
+        op_path = str(tmp_path / "op.json")
+        gen = ["generate", "--n", "4", "--dims", "3,5", "--profile", "b-independent-only", "--seed", "2"]
+        assert main(gen + ["--out", dec_path]) == 0
+        assert main(["build", dec_path, "--out", op_path]) == 0
+        capsys.readouterr()
+        assert main(["extract", op_path, "--out", str(tmp_path / "out.json"), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["side"] == 1
+        assert report["probes_used"] == 2
+
     def test_rank_one_operator_gives_single_term(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         a = pd.Ket.normalize(rng.standard_normal(3) + 1j * rng.standard_normal(3))

@@ -60,10 +60,16 @@ class TestExtraction:
         result = pd.match_bidecomposition(r1.decomposition, r2.decomposition)
         assert result.residual < 1e-8
 
-    def test_side_swap_on_dependent_a_set(self):
-        dec = pd.generate_instance(4, 3, 5, seed=21, profile="b-independent-only")
+    @pytest.mark.parametrize(
+        "profile, side", [("both-independent", 0), ("a-independent-only", 0), ("b-independent-only", 1)]
+    )
+    def test_side_is_the_larger_support_rank(self, profile, side):
+        # the factor with the larger reduced support rank carries the
+        # independent set (factor 0 on a tie); one probe pair suffices there
+        dec = pd.generate_instance(4, 5, 5, seed=21, profile=profile)
         report = pd.extract_decomposition(pd.build_rho(dec), seed=1)
-        assert report.side == 1
+        assert report.side == side
+        assert report.probes_used == 2
         assert pd.match_bidecomposition(dec, report.decomposition).residual < 1e-8
 
     def test_weights_are_sorted_descending(self):
@@ -76,8 +82,12 @@ class TestExtraction:
         # no side can be linearly independent with rank-deficient structure:
         # any two-term reconstruction has rank 2 < 4
         rho = pd.StateOperator(pd.FactoredDims((2, 2)), np.eye(4, dtype=complex) / 4)
-        with pytest.raises(pd.NotExtractable):
+        with pytest.raises(pd.NotExtractable) as info:
             pd.extract_decomposition(rho, seed=0)
+        message = str(info.value)
+        assert "factor 0" in message
+        assert "support ranks 2 and 2" in message
+        assert "16 probes" in message
 
     def test_needs_two_factors(self):
         rho = pd.StateOperator(pd.FactoredDims((4,)), np.eye(4, dtype=complex) / 4)

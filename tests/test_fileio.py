@@ -102,6 +102,13 @@ class TestSchemaValidation:
         with pytest.raises(pd.FileError, match="cannot parse"):
             fileio.load_decomposition(str(path))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal(self, tmp_path, literal):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(self._minimal()).replace("1.0", literal, 1))
+        with pytest.raises(pd.FileError, match=f"non-finite number {literal}"):
+            fileio.load_decomposition(str(path))
+
     def test_wrong_format_version(self, tmp_path):
         payload = self._minimal()
         payload["format_version"] = "2"

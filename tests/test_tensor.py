@@ -36,6 +36,10 @@ class TestKet:
         with pytest.raises(pd.DegenerateInput):
             pd.Ket((1.0, 1.0))
 
+    def test_rejects_nan_amplitudes(self):
+        with pytest.raises(pd.DegenerateInput, match="norm"):
+            pd.Ket(np.array([np.nan, 0.0]))
+
     def test_normalize_rejects_zero(self):
         with pytest.raises(pd.DegenerateInput):
             pd.Ket.normalize(np.zeros(3))
@@ -79,6 +83,16 @@ class TestStateOperator:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(pd.DimensionMismatch):
             pd.StateOperator(pd.FactoredDims((2, 2)), np.eye(3, dtype=complex))
+
+    def test_rejects_infinite_entry(self):
+        with pytest.raises(pd.DegenerateInput, match="non-finite"):
+            pd.StateOperator(pd.FactoredDims((2, 1)), np.diag([np.inf, 0.0]).astype(complex))
+
+    def test_rejects_nan_entry(self):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = m[1, 0] = np.nan
+        with pytest.raises(pd.DegenerateInput, match="non-finite"):
+            pd.StateOperator(pd.FactoredDims((2, 1)), m)
 
     def test_rejects_ambient_above_operator_cap(self):
         # the cap check precedes any matrix work, so a placeholder suffices
