@@ -8,6 +8,7 @@ extractable, 4 hypothesis violation, 5 operator mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -324,6 +325,7 @@ def _add_common(p: argparse.ArgumentParser, *, seed: bool = False) -> None:
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proddecomp",

@@ -54,8 +54,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        rows = [f"{inner}{dumps_canonical(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            rows = map("{:.17g}".format, obj)  # a float array: one pass, no recursion
+        else:
+            rows = (dumps_canonical(v, indent + 1) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, bool):
@@ -74,10 +77,7 @@ def _write(path: str, payload: dict) -> None:
 
 
 def _ket_json(k: Ket) -> dict:
-    return {
-        "re": [float(v) for v in k.amplitudes.real],
-        "im": [float(v) for v in k.amplitudes.imag],
-    }
+    return {"re": k.amplitudes.real.tolist(), "im": k.amplitudes.imag.tolist()}
 
 
 def complex_json(z: complex) -> dict:
@@ -118,10 +118,7 @@ def operator_payload(op: StateOperator) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": "operator",
         "dims": list(op.dims.dims),
-        "matrix": {
-            "re": [float(v) for v in flat.real],
-            "im": [float(v) for v in flat.imag],
-        },
+        "matrix": {"re": flat.real.tolist(), "im": flat.imag.tolist()},
     }
 
 
@@ -164,17 +161,21 @@ def _parse_dims(data: dict, path: str, lengths: tuple[int, ...]) -> FactoredDims
         raise FileError(f"{path}: {exc}") from exc
 
 
+def _numeric_arrays(re, im, length: int) -> bool:
+    """Whether re and im are lists of JSON numbers (not booleans) of the given length."""
+    return (
+        isinstance(re, list)
+        and isinstance(im, list)
+        and len(re) == length == len(im)
+        and set(map(type, re)) | set(map(type, im)) <= {int, float}
+    )
+
+
 def _parse_ket(raw, path: str, where: str, dim: int) -> Ket:
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise FileError(f"{path}: {where} must be an object with re/im arrays")
     re, im = raw["re"], raw["im"]
-    if (
-        not isinstance(re, list)
-        or not isinstance(im, list)
-        or len(re) != dim
-        or len(im) != dim
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in re + im)
-    ):
+    if not _numeric_arrays(re, im, dim):
         raise FileError(f"{path}: {where} re/im must be numeric arrays of length {dim}")
     try:
         return Ket(np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
@@ -294,13 +295,7 @@ def load_operator(path: str) -> StateOperator:
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise FileError(f"{path}: matrix must be an object with re/im arrays")
     re, im = raw["re"], raw["im"]
-    if (
-        not isinstance(re, list)
-        or not isinstance(im, list)
-        or len(re) != size
-        or len(im) != size
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in re + im)
-    ):
+    if not _numeric_arrays(re, im, size):
         raise FileError(f"{path}: matrix re/im must be numeric arrays of length {size}")
     m = (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(
         dims.total, dims.total

@@ -130,9 +130,50 @@ class FactoredDims:
         return self.dims[i]
 
 
+def _hermitian_part(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(m + m^H)/2 written into ``out``, bit-identical to the out-of-place form."""
+    np.conjugate(m.T, out=out)
+    out += m
+    out *= 0.5
+    return out
+
+
+def _check_psd(m: np.ndarray, work: np.ndarray) -> None:
+    """Raise DegenerateInput unless lambda_min(h) >= -PSD_RTOL * max(lambda_max(h), 0)
+    for h = (m + m^H)/2; ``work`` is an N x N scratch array."""
+    h = _hermitian_part(m, work)
+    h.flat[:: h.shape[0] + 1] += PSD_RTOL * max(0.0, float(h.diagonal().real.max()))
+    try:
+        np.linalg.cholesky(h)
+        return  # the factor exists: lambda_min(h) >= -shift >= the bound
+    except np.linalg.LinAlgError:
+        pass
+    h = _hermitian_part(m, work)  # not certified; unshifted again, eigvalsh decides
+    try:
+        evals = np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInput(f"eigenvalues of the matrix did not converge ({exc})") from exc
+    lowest, bound = float(evals[0]), -PSD_RTOL * max(float(evals[-1]), 0.0)
+    if lowest < bound:
+        raise DegenerateInput(
+            f"matrix is not positive semidefinite: min eigenvalue {lowest!r} is below "
+            f"the bound {bound!r} (-PSD_RTOL * max eigenvalue)"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class StateOperator:
-    """Hermitian positive-semidefinite matrix on a factored space."""
+    """Hermitian positive-semidefinite matrix on a factored space.
+
+    The constructor accepts a finite matrix m when
+    ``||m - m^H||_F <= HERMITICITY_RTOL * ||m||_F`` and the Hermitian part
+    h = (m + m^H)/2 has ``lambda_min >= -PSD_RTOL * max(lambda_max, 0)``.
+    Positivity is certified by a Cholesky factor of h + delta*I with
+    delta = ``PSD_RTOL * max(0, max diag h)``: since max diag h <= lambda_max,
+    the factor exists only inside the accepted band.  When it does not
+    exist, ``eigvalsh`` of h decides and names the eigenvalue that failed.
+    The stored matrix is m itself, not h.
+    """
 
     dims: FactoredDims
     matrix: np.ndarray
@@ -147,13 +188,17 @@ class StateOperator:
         scale = frobenius(m)
         if not math.isfinite(scale):
             raise DegenerateInput(f"matrix has non-finite entries (Frobenius norm {scale!r})")
-        if frobenius(m - m.conj().T) > HERMITICITY_RTOL * scale:
-            raise DegenerateInput("matrix is not Hermitian within tolerance")
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if evals.size and evals[0] < -PSD_RTOL * max(float(evals[-1]), 0.0):
+        # the one N x N work array, in m's layout so the elementwise passes run
+        # contiguously: m^H, then m - m^H, then the Hermitian part
+        work = np.conjugate(m.T, out=np.empty_like(m))
+        np.subtract(m, work, out=work)
+        asymmetry = frobenius(work)
+        if asymmetry > HERMITICITY_RTOL * scale:
             raise DegenerateInput(
-                f"matrix is not positive semidefinite: min eigenvalue {evals[0]!r}"
+                f"matrix is not Hermitian within tolerance: ||m - m^H||_F = {asymmetry:.3e} "
+                f"exceeds HERMITICITY_RTOL * ||m||_F = {HERMITICITY_RTOL * scale:.3e}"
             )
+        _check_psd(m, work)
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property

@@ -8,7 +8,7 @@ import pytest
 
 import proddecomp as pd
 from proddecomp import fileio
-from proddecomp.cli import main
+from proddecomp.cli import build_parser, main
 
 
 def _ket_json(k):
@@ -335,3 +335,12 @@ class TestCheckCommand:
 
     def test_missing_file_exits_2(self):
         assert main(["check", "/nonexistent.json"]) == 2
+
+
+class TestParser:
+    def test_built_once_and_keeps_no_state_between_calls(self):
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(["demo", "--json", "--tol", "1e-6"])
+        second = build_parser().parse_args(["demo"])
+        assert (first.json, first.tol) == (True, 1e-6)
+        assert (second.json, second.tol) == (False, 1e-8)

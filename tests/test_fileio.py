@@ -14,6 +14,33 @@ def _ket_json(k):
     return {"re": [float(v) for v in k.amplitudes.real], "im": [float(v) for v in k.amplitudes.imag]}
 
 
+def _reference_dumps(obj, indent=0):
+    """The canonical writer as one recursive call and one format per number."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        rows = [f"{inner}{json.dumps(str(k))}: {_reference_dumps(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}" if obj else "{}"
+    if isinstance(obj, list):
+        rows = [f"{inner}{_reference_dumps(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if obj else "[]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    return format(float(obj), ".17g")
+
+
+def _reference_operator_text(op):
+    flat = op.matrix.reshape(-1)
+    payload = {
+        "format_version": "1",
+        "kind": "operator",
+        "dims": list(op.dims.dims),
+        "matrix": {"re": [float(v) for v in flat.real], "im": [float(v) for v in flat.imag]},
+    }
+    return _reference_dumps(payload) + "\n"
+
+
 @pytest.fixture
 def product_file(tmp_path):
     dec = pd.generate_instance(3, 4, 3, seed=7)
@@ -71,6 +98,27 @@ class TestRoundTrips:
         fileio.save_decomposition(str(path), dec)
         assert "0.33333333333333331" in open(path).read()
         assert fileio.load_decomposition(str(path)).product().terms[0].weight == third
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_operator_file_matches_the_per_number_writer(self, tmp_path, d):
+        rho = pd.build_rho(pd.generate_instance(d // 2 + 1, d, d, seed=d))
+        path = tmp_path / "op.json"
+        fileio.save_operator(str(path), rho)
+        assert path.read_text() == _reference_operator_text(rho)
+
+    def test_special_values_match_the_per_number_writer(self, tmp_path):
+        m = np.array([[1.0, -0.0 + 1e-300j], [-0.0 - 1e-300j, 5e-324]], dtype=complex)
+        op = pd.StateOperator(pd.FactoredDims((2,)), m)
+        path = tmp_path / "op.json"
+        fileio.save_operator(str(path), op)
+        text = path.read_text()
+        assert text == _reference_operator_text(op)
+        assert "-0," in text and "4.9406564584124654e-324" in text
+
+    def test_mixed_and_non_finite_lists(self):
+        assert fileio.dumps_canonical([1, 2.5, [0.1]]) == _reference_dumps([1, 2.5, [0.1]])
+        with pytest.raises(pd.FileError, match="cannot serialize number inf"):
+            fileio.dumps_canonical([0.5, math.inf])
 
     def test_canonical_writer_output_parses_as_json(self):
         payload = {"a": [1, 2.5], "b": {"c": "x"}, "d": True, "e": None}
@@ -166,6 +214,34 @@ class TestSchemaValidation:
         }
         with pytest.raises(pd.FileError, match="Hermitian"):
             fileio.load_operator(self._write(tmp_path, payload))
+
+    @pytest.mark.parametrize("bad", [True, "1", None])
+    def test_non_numeric_operator_entry(self, tmp_path, bad):
+        payload = {
+            "format_version": "1",
+            "kind": "operator",
+            "dims": [2, 1],
+            "matrix": {"re": [1.0, 0.0, 0.0, bad], "im": [0.0] * 4},
+        }
+        with pytest.raises(pd.FileError, match="numeric arrays"):
+            fileio.load_operator(self._write(tmp_path, payload))
+
+    @pytest.mark.parametrize("bad", [False, "0", None])
+    def test_non_numeric_ket_entry(self, tmp_path, bad):
+        payload = self._minimal()
+        payload["terms"][0]["kets"][0] = {"re": [1.0, 0.0], "im": [0, bad]}
+        with pytest.raises(pd.FileError, match="numeric arrays"):
+            fileio.load_decomposition(self._write(tmp_path, payload))
+
+    def test_integer_operator_entries_load(self, tmp_path):
+        payload = {
+            "format_version": "1",
+            "kind": "operator",
+            "dims": [2, 1],
+            "matrix": {"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+        }
+        op = fileio.load_operator(self._write(tmp_path, payload))
+        assert op.trace == 1.0
 
     def test_product_view_of_coeff_file(self, tmp_path):
         k = _ket_json(pd.Ket.basis(2, 0))

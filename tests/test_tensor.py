@@ -71,13 +71,14 @@ class TestFactoredDims:
 
 class TestStateOperator:
     def test_rejects_non_hermitian(self):
+        # ||m - m^H||_F = sqrt(2) against HERMITICITY_RTOL * ||m||_F = 1e-10
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(pd.DegenerateInput):
+        with pytest.raises(pd.DegenerateInput, match=r"= 1\.414e\+00 exceeds .* = 1\.000e-10"):
             pd.StateOperator(pd.FactoredDims((2, 1)), m)
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.0, -0.5]).astype(complex)
-        with pytest.raises(pd.DegenerateInput):
+        with pytest.raises(pd.DegenerateInput, match=r"min eigenvalue -0\.5 is below the bound -1e-10"):
             pd.StateOperator(pd.FactoredDims((2, 1)), m)
 
     def test_rejects_shape_mismatch(self):
@@ -98,6 +99,81 @@ class TestStateOperator:
         # the cap check precedes any matrix work, so a placeholder suffices
         with pytest.raises(pd.DimensionMismatch, match="cap"):
             pd.StateOperator(pd.FactoredDims((4096, 2)), np.eye(2, dtype=complex))
+
+
+def _spectrum_matrix(n, lowest, seed=0):
+    """Hermitian n x n matrix with eigenvalues 1 (largest), ``lowest`` and the rest in
+    (0, 0.1), in a random basis: its largest diagonal entry is well below 1."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    evals = np.concatenate(([lowest, 1.0], rng.uniform(0.0, 0.1, n - 2)))
+    return (q * evals) @ q.conj().T
+
+
+def _counting_eigvalsh(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+class TestValidationBand:
+    """The accepted band is lambda_min >= -PSD_RTOL * lambda_max; the Cholesky
+    certificate decides inside it and eigvalsh decides everything else."""
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_just_inside_the_band_is_accepted(self, n):
+        m = _spectrum_matrix(n, -0.5 * pd.tensor.PSD_RTOL)
+        op = pd.StateOperator(pd.FactoredDims((n,)), m)
+        assert np.array_equal(op.matrix, m)
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_just_outside_the_band_is_rejected(self, n):
+        m = _spectrum_matrix(n, -2.0 * pd.tensor.PSD_RTOL)
+        with pytest.raises(pd.DegenerateInput, match="not positive semidefinite"):
+            pd.StateOperator(pd.FactoredDims((n,)), m)
+
+    def test_inside_the_band_below_the_shift_goes_through_eigvalsh(self, monkeypatch):
+        # max diag < lambda_max, so the shift PSD_RTOL * max diag is smaller than
+        # -lambda_min: no Cholesky factor exists, and eigvalsh accepts
+        m = _spectrum_matrix(64, -0.5 * pd.tensor.PSD_RTOL)
+        assert m.diagonal().real.max() < 0.5
+        calls = _counting_eigvalsh(monkeypatch)
+        pd.StateOperator(pd.FactoredDims((64,)), m)
+        assert calls == [(64, 64)]
+
+    def test_zero_matrix_is_accepted_through_eigvalsh(self, monkeypatch):
+        calls = _counting_eigvalsh(monkeypatch)
+        op = pd.StateOperator(pd.FactoredDims((2, 2)), np.zeros((4, 4), dtype=complex))
+        assert op.trace == 0.0
+        assert calls == [(4, 4)]
+
+    def test_built_operator_needs_no_eigvalsh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on an operator that is PSD by construction")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rho = pd.build_rho(pd.generate_instance(16, 32, 32, seed=3))
+        assert rho.matrix.shape == (1024, 1024)
+
+    def test_eigvalsh_non_convergence_is_degenerate_input(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(pd.DegenerateInput, match="did not converge"):
+            pd.StateOperator(pd.FactoredDims((2, 1)), np.diag([1.0, -0.5]).astype(complex))
+
+    def test_stores_the_unsymmetrized_matrix(self):
+        m = np.asfortranarray(_spectrum_matrix(4, 0.25))
+        m[0, 1] += 1e-13  # within HERMITICITY_RTOL
+        op = pd.StateOperator(pd.FactoredDims((2, 2)), m)
+        assert np.array_equal(op.matrix, m)
 
 
 class TestTensorProduct:
