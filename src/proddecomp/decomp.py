@@ -36,7 +36,7 @@ from .tensor import (
     build_tri_vector,
     frobenius,
     product_columns,
-    rho_matrix,
+    rho_matrix,  # noqa: F401 -- unused here; perfbench's tracer test looks it up as decomp.rho_matrix
     tensor_product,
 )
 
@@ -47,14 +47,15 @@ WEIGHT_ATOL = 1e-6
 #: Relative reconstruction error required for a successful extraction.
 RECONSTRUCTION_RTOL = 1e-6
 
-#: Probe pairs drawn before extraction gives up.
+#: Probes drawn before extraction gives up (one probe per attempt).
 EXTRACTION_RETRIES = 8
 
-#: Redraw a probe pair whose second contraction has smallest/largest singular value at most this.
-PROBE_CONDITION_MIN = 1e-10
-
-#: Redraw a probe pair with two ratios closer than this times eps_rank times max(1, largest ratio).
+#: Redraw a probe with two whitened eigenvalues closer than this times eps_rank times
+#: max(1, largest magnitude).
 RATIO_GAP_FACTOR = 1e3
+
+#: Sketch columns drawn beyond the support rank n in the randomized range finder.
+SKETCH_OVERSAMPLING = 8
 
 _SLOT_NAMES = ("a", "b", "c")
 
@@ -246,7 +247,9 @@ def _certify_in_slot(
     coefficient, which defines the permutation; then certify collinearity in
     every slot and equality of the paired ``mags`` (weights or coefficient
     magnitudes) to WEIGHT_ATOL * max(wscale, w1, w2).  The residual is the
-    largest violation observed across all certified constraints.
+    largest violation observed across all certified constraints, with each
+    weight difference taken relative to max(wscale, w1, w2), so it does
+    not grow with the weight scale.
     """
     if len(terms1) != len(terms2):
         raise HypothesisViolation(f"term-count mismatch after rank analysis: {len(terms1)} vs {len(terms2)}")
@@ -301,10 +304,10 @@ def _certify_in_slot(
             residual = max(residual, deviation)
             overlaps.append(o)
         w1, w2 = float(mags1[j]), float(mags2[k])
-        dw = abs(w1 - w2)
-        if dw > WEIGHT_ATOL * max(wscale, w1, w2):
+        dw, wbound = abs(w1 - w2), max(wscale, w1, w2)
+        if dw > WEIGHT_ATOL * wbound:
             raise HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
-        residual = max(residual, dw)
+        residual = max(residual, dw / wbound)
         overlaps += [None] * (3 - len(overlaps))
         certs.append(TermCertificate(*overlaps, w1, w2))
     return MatchResult(n, tuple(perm), tuple(certs), residual)
@@ -394,9 +397,21 @@ def match_bidecomposition(
 # blind extraction
 
 
-def _hermitian_probe(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0
+def _rank_n_factor(rho: StateOperator, side: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A d_side x d_other x n tensor W with W W^dagger = rho on its top n eigenpairs.
+
+    Randomized range finder (Halko, Martinsson & Tropp 2011): sketch
+    Y = rho Omega with an N x (n + SKETCH_OVERSAMPLING) Gaussian Omega,
+    Q = qr(Y), B = Q^dagger rho Q, and W = Q U Lambda^{1/2} from the top n
+    eigenpairs of B.  Two GEMMs on the N x N matrix; nothing cubic in N.
+    """
+    big = rho.dims.total
+    k = min(n + SKETCH_OVERSAMPLING, big)
+    omega = rng.standard_normal((big, k)) + 1j * rng.standard_normal((big, k))
+    q = np.linalg.qr(rho.matrix @ omega)[0]
+    lam, u = np.linalg.eigh(q.conj().T @ rho.matrix @ q)
+    w = (q @ (u[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0)))).reshape(*rho.dims, n)
+    return w.transpose(1, 0, 2) if side == 1 else w
 
 
 def extract_decomposition(
@@ -410,71 +425,87 @@ def extract_decomposition(
     For rho = sum_j w_j |a_j b_j><a_j b_j| with w_j > 0, rank rho = n and
     the reduced operator on a factor has the rank of that factor's ket set,
     so the independent set the hypotheses ask for lies on the factor whose
-    reduced operator has the larger support rank (factor 0 on a tie, where
-    both sets are independent).  Only that factor is tried.  Call its kets
-    a_j and the other factor's b_j.  Simultaneous diagonalization
-    (Leurgans, Ross & Abel 1993): draw two random Hermitian probes X1, X2
-    on the other factor, contract M_i = Tr_other[rho (I (x) X_i)] =
-    A diag(w_j <b_j|X_i|b_j>) A^dagger, and eigendecompose M1 M2^{-1} on
-    the support to recover the a-directions.  The dual basis then isolates
-    each w_j |b_j><b_j| slice of rho.  Ill-conditioned or degenerate probe
-    pairs are redrawn, up to EXTRACTION_RETRIES pairs.  Success requires
-    relative Frobenius reconstruction error at most ``max_error`` and a
-    hypothesis-clean decomposition; otherwise NotExtractable names the
-    factor, both support ranks, the probes drawn and the best error reached.
+    reduced operator has the larger support rank n (factor 0 on a tie,
+    where both sets are independent).  Only that factor is tried.  Call its
+    kets a_j and the other factor's b_j.
+
+    Extraction runs on a rank-n factor W of rho (:func:`_rank_n_factor`),
+    never on a second N x N array.  The reduced operator
+    rho_A = A diag(w) A^dagger is whitened by W_A = U_A Lambda_A^{-1/2}
+    (Anandkumar et al. 2014, applied to the Leurgans, Ross & Abel 1993
+    scheme): for one random Hermitian probe X on the other factor,
+    T = W_A^dagger Tr_other[rho (I (x) X)] W_A is an n x n Hermitian matrix
+    with eigenvalues <b_j|X|b_j> and orthonormal eigenvectors v_t.  One
+    ``eigh`` gives the a-directions rho_A W_A v_t and the duals W_A v_t,
+    each rescaled so that <dual_t|a_t> = 1; the slice
+    G_t = (<dual_t| (x) I) W has ||G_t||_F^2 = w_t and top left singular
+    vector b_t.  A probe with nearly degenerate eigenvalues is redrawn, up
+    to EXTRACTION_RETRIES probes, so ``probes_used`` counts one probe per
+    attempt.  Success requires relative Frobenius reconstruction error at
+    most ``max_error`` against the stored matrix and a hypothesis-clean
+    decomposition; otherwise NotExtractable names the factor, both support
+    ranks, the probes drawn and the best error reached.  The zero operator
+    is rejected as rank 0 before any sketch.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
-    supports = [support_and_null(rho, s, tol)[0] for s in (0, 1)]
-    side = int(supports[1].dim > supports[0].dim)
-    supp = supports[side].columns()
-    matrix = (rho.matrix + rho.matrix.conj().T) / 2.0
-    rho4 = matrix.reshape(*rho.dims, *rho.dims)
-    if side == 1:
-        rho4 = rho4.transpose(1, 0, 3, 2)  # a view with factor 1 in the a-role
-    scale = frobenius(matrix)
-    rng = np.random.default_rng(seed)
+    ranks = [support_and_null(rho, s, tol)[0].dim for s in (0, 1)]
+    side = int(ranks[1] > ranks[0])
+    n = ranks[side]
     probes, best = 0, np.inf
 
     def account() -> str:  # what was tried, for the failure message
-        reached = f"best reconstruction error {best:.3e}" if np.isfinite(best) else "every pair redrawn"
-        ranks = f"support ranks {supports[0].dim} and {supports[1].dim}"
-        return f"factor {side}, {ranks}, {probes} probes, {reached}"
+        if np.isfinite(best):
+            reached = f"best reconstruction error {best:.3e}"
+        else:
+            reached = "every probe redrawn" if probes else "no probe drawn"
+        return f"factor {side}, support ranks {ranks[0]} and {ranks[1]}, {probes} probes, {reached}"
+
+    if n == 0:
+        raise NotExtractable(f"not extractable under hypotheses: the operator has rank 0 ({account()})")
+    rng = np.random.default_rng(seed)
+    w = _rank_n_factor(rho, side, n, rng)
+    da, db = w.shape[:2]
+    # rho_A = W W^dagger over the b and factor indices: its eigenvectors and
+    # square-root eigenvalues are the SVD of W, and Z = W_A^dagger W is vh
+    u_a, s_a, vh = np.linalg.svd(w.reshape(da, db * n), full_matrices=False)
+    r = int(np.count_nonzero(s_a[:n] >= np.sqrt(tol.eps_rank) * s_a[0]))
+    u_a, s_a, z = u_a[:, :r], s_a[:r], vh[:r]
+    scale = frobenius(rho.matrix)
 
     for _ in range(EXTRACTION_RETRIES):
-        x1, x2 = (_hermitian_probe(rng, rho.dims[1 - side]) for _ in range(2))
-        probes += 2
-        mt1, mt2 = (supp.conj().T @ np.einsum("jkJK,Kk->jJ", rho4, x) @ supp for x in (x1, x2))
-
-        sv = np.linalg.svd(mt2, compute_uv=False)
-        if sv.size == 0 or sv[-1] <= PROBE_CONDITION_MIN * sv[0]:
-            continue  # unlucky probe: second contraction nearly singular
-        ratios, directions = np.linalg.eig(mt1 @ np.linalg.inv(mt2))
-        gap = np.abs(np.subtract.outer(ratios, ratios))[np.triu_indices(ratios.size, 1)].min(initial=np.inf)
-        if gap < RATIO_GAP_FACTOR * tol.eps_rank * max(1.0, float(np.abs(ratios).max())):
+        g = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
+        probe = (g + g.conj().T) / 2.0
+        probes += 1
+        # T = W_A^dagger Tr_other[rho (I (x) X)] W_A = sum_m Z_m X^T Z_m^dagger
+        responses, v = np.linalg.eigh((probe @ z.reshape(r, db, n)).reshape(r, db * n) @ z.conj().T)
+        gap = np.diff(responses).min(initial=np.inf)  # eigh sorts, so adjacent gaps suffice
+        if gap < RATIO_GAP_FACTOR * tol.eps_rank * max(1.0, float(np.abs(responses).max())):
             continue  # nearly degenerate probe responses: redraw
 
-        a_cols = supp @ directions
+        a_cols = (u_a * s_a) @ v
         a_cols /= np.linalg.norm(a_cols, axis=0, keepdims=True)
-        asv = np.linalg.svd(a_cols, compute_uv=False)
-        if asv[-1] < tol.eps_rank * asv[0]:
-            continue
-        duals = np.linalg.pinv(a_cols).conj().T
-        slices = []
-        for t in range(duals.shape[1]):
-            rt = np.einsum("j,jkJK,J->kK", duals[:, t].conj(), rho4, duals[:, t])
-            slices.append((rt + rt.conj().T) / 2.0)
-        weights = [float(np.trace(rt).real) for rt in slices]
+        a_cols = np.column_stack([fix_phase(a, tol.eps_rank) for a in a_cols.T])
+        duals = (u_a / s_a) @ v
+        # G_t = (<dual_t| (x) I) W / conj(<dual_t|a_t>), and <dual_t| W = v_t^dagger Z
+        slices = (v.conj().T @ z) / np.einsum("jt,jt->t", duals.conj(), a_cols)[:, None]
+        slices = slices.reshape(r, db, n)
+        weights = np.einsum("tkm,tkm->t", slices.conj(), slices).real
         if min(weights) <= 0.0:
             continue
+        b_cols = np.linalg.svd(slices, full_matrices=False)[0][:, :, 0]
 
         terms = []
-        for w, a, rt in sorted(zip(weights, a_cols.T, slices), key=lambda term: -term[0]):
-            a_ket = Ket.normalize(fix_phase(a, tol.eps_rank))
-            b_ket = Ket.normalize(fix_phase(np.linalg.eigh(rt)[1][:, -1], tol.eps_rank))
-            terms.append(ProductTerm(w, *((a_ket, b_ket) if side == 0 else (b_ket, a_ket))))
+        for t in sorted(range(r), key=lambda t: -weights[t]):
+            a_ket = Ket.normalize(a_cols[:, t])
+            b_ket = Ket.normalize(fix_phase(b_cols[t], tol.eps_rank))
+            terms.append(ProductTerm(float(weights[t]), *((a_ket, b_ket) if side == 0 else (b_ket, a_ket))))
         dec = ProductDecomposition(rho.dims, tuple(terms))
-        err = frobenius(rho_matrix(dec) - matrix) / scale
+        cols, wts = product_columns(dec)
+        residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction
+        residual -= rho.matrix
+        err = frobenius(residual) / scale
+        del residual  # so that a redraw never holds two N x N arrays
         best = min(best, err)
         if err <= max_error:
             try:

@@ -138,9 +138,10 @@ def support_and_null(
     """Support and null space of an operator on one of its factors.
 
     Both are computed from the reduced operator on that factor: its
-    eigenvectors with eigenvalue below eps_rank * lambda_max span the null
-    space, the remaining ones the support.  Support vectors are returned
-    in descending-eigenvalue order.
+    eigenvectors with a positive eigenvalue of at least eps_rank * lambda_max
+    span the support, the remaining ones the null space, so the support of
+    the zero operator is empty.  Support vectors are returned in
+    descending-eigenvalue order.
     """
     nfac = len(rho.dims)
     if not 0 <= subsystem < nfac:
@@ -150,10 +151,9 @@ def support_and_null(
     else:
         reduced = partial_trace(rho, (subsystem,))
     evals, evecs = np.linalg.eigh(reduced.matrix)
-    lam_max = max(float(evals[-1]), 0.0)
-    cutoff = tol.eps_rank * lam_max
-    null_idx = [i for i in range(evals.size) if evals[i] < cutoff]
-    supp_idx = [i for i in range(evals.size) if evals[i] >= cutoff]
+    is_support = (evals > 0.0) & (evals >= tol.eps_rank * evals[-1])
+    null_idx = [i for i in range(evals.size) if not is_support[i]]
+    supp_idx = [i for i in range(evals.size) if is_support[i]]
     supp_idx.sort(key=lambda i: -evals[i])
     ambient = rho.dims[subsystem]
     support = SubspaceBasis(ambient, tuple(Ket(evecs[:, i]) for i in supp_idx))

@@ -23,8 +23,22 @@ PSD_RTOL = 1e-10
 
 
 def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm as a plain float, safe against overflow and underflow.
+
+    One ``np.linalg.norm`` decides when its result lies in [1e-150, 1e150]
+    or the array is exactly zero.  Otherwise the plain sum of squares may
+    have overflowed or underflowed, so the array is divided by its largest
+    |entry| first.  Non-finite entries give a non-finite result.
+    """
+    with np.errstate(over="ignore"):  # an overflow is caught by the range test
+        norm = float(np.linalg.norm(a))
+    if 1e-150 <= norm <= 1e150 or (norm == 0.0 and not np.any(a)):
+        return norm
+    mags = np.abs(a)  # real, so the division below cannot overflow
+    big = float(np.max(mags))
+    if not math.isfinite(big):
+        return big
+    return big * float(np.linalg.norm(mags / big))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

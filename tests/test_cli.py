@@ -234,7 +234,7 @@ class TestExtractCommand:
         assert main(["extract", op_path, "--out", str(tmp_path / "out.json"), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["side"] == 1
-        assert report["probes_used"] == 2
+        assert report["probes_used"] == 1
 
     def test_rank_one_operator_gives_single_term(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

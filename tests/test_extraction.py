@@ -1,9 +1,12 @@
 """Blind extraction of weighted product decompositions from operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import proddecomp as pd
+from proddecomp import decomp
 
 
 def _random_ket(rng, dim):
@@ -65,11 +68,11 @@ class TestExtraction:
     )
     def test_side_is_the_larger_support_rank(self, profile, side):
         # the factor with the larger reduced support rank carries the
-        # independent set (factor 0 on a tie); one probe pair suffices there
+        # independent set (factor 0 on a tie); one probe suffices there
         dec = pd.generate_instance(4, 5, 5, seed=21, profile=profile)
         report = pd.extract_decomposition(pd.build_rho(dec), seed=1)
         assert report.side == side
-        assert report.probes_used == 2
+        assert report.probes_used == 1
         assert pd.match_bidecomposition(dec, report.decomposition).residual < 1e-8
 
     def test_weights_are_sorted_descending(self):
@@ -87,7 +90,7 @@ class TestExtraction:
         message = str(info.value)
         assert "factor 0" in message
         assert "support ranks 2 and 2" in message
-        assert "16 probes" in message
+        assert "8 probes" in message
 
     def test_needs_two_factors(self):
         rho = pd.StateOperator(pd.FactoredDims((4,)), np.eye(4, dtype=complex) / 4)
@@ -108,5 +111,73 @@ class TestExtraction:
         dec = pd.generate_instance(2, 3, 3, seed=4)
         report = pd.extract_decomposition(pd.build_rho(dec), seed=0)
         assert report.side in (0, 1)
-        assert report.probes_used >= 2
+        assert report.probes_used == 1
         assert report.reconstruction_error >= 0.0
+
+    def test_zero_operator_is_rank_0_before_any_sketch(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sketched the zero operator")
+
+        monkeypatch.setattr(decomp, "_rank_n_factor", forbidden)
+        rho = pd.StateOperator(pd.FactoredDims((2, 2)), np.zeros((4, 4), dtype=complex))
+        with pytest.raises(pd.NotExtractable) as info:
+            pd.extract_decomposition(rho, seed=0)
+        message = str(info.value)
+        assert "rank 0" in message
+        assert "support ranks 0 and 0" in message
+        assert "0 probes" in message
+
+    @pytest.mark.parametrize("k", [-200, -100, 100, 200])
+    def test_scaled_operator_extracts_scaled_weights(self, k):
+        dec = pd.generate_instance(3, 4, 4, seed=11)
+        scaled = pd.ProductDecomposition(
+            dec.dims, tuple(pd.ProductTerm(t.weight * 10.0**k, t.a, t.b) for t in dec.terms)
+        )
+        report = pd.extract_decomposition(pd.build_rho(scaled), seed=1)
+        assert report.reconstruction_error < 1e-6
+        got = sorted(t.weight for t in report.decomposition.terms)
+        want = sorted(t.weight for t in scaled.terms)
+        assert all(abs(g - w) <= decomp.WEIGHT_ATOL * w for g, w in zip(got, want))
+        assert pd.match_bidecomposition(scaled, report.decomposition).n == 3
+
+    def test_extraction_allocates_no_second_dense_operator(self):
+        # one complex 1024 x 1024 array is 16.8 MB: the candidate residual
+        # fits under the bound, the symmetrized copy and 4-index probe
+        # contractions of earlier versions did not
+        dec = pd.generate_instance(16, 32, 32, seed=5)
+        rho = pd.build_rho(dec)
+        tracemalloc.start()
+        try:
+            pd.extract_decomposition(rho, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+class TestNoisyInput:
+    @staticmethod
+    def _noisy(dec, level, seed):
+        rho = pd.build_rho(dec).matrix
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
+        wishart = g @ g.conj().T
+        noisy = rho + level * np.linalg.norm(rho) / np.linalg.norm(wishart) * wishart
+        return pd.StateOperator(dec.dims, (noisy + noisy.conj().T) / 2.0)
+
+    @pytest.mark.parametrize("level", [1e-10, 1e-6, 1e-4])
+    @pytest.mark.parametrize("n, dim", [(3, 4), (8, 16)])
+    def test_ends_in_a_certified_report_or_an_explained_refusal(self, n, dim, level):
+        dec = pd.generate_instance(n, dim, dim, seed=n)
+        rho = self._noisy(dec, level, seed=dim)
+        ranks = [pd.support_and_null(rho, s)[0].dim for s in (0, 1)]
+        try:
+            report = pd.extract_decomposition(rho, seed=2)
+        except pd.NotExtractable as exc:
+            message = str(exc)
+            assert f"support ranks {ranks[0]} and {ranks[1]}" in message
+            assert "best reconstruction error" in message
+            return
+        assert report.reconstruction_error <= decomp.RECONSTRUCTION_RTOL
+        assert all(np.isfinite(t.weight) for t in report.decomposition.terms)
+        pd.check_product_hypotheses(report.decomposition)

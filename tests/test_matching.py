@@ -210,6 +210,20 @@ class TestMatchBidecomposition:
             assert result.permutation == (0, 1, 2)
             assert result.residual < 1e-10
 
+    def test_residual_does_not_grow_with_the_weight_scale(self):
+        dec = pd.generate_instance(4, 5, 5, seed=12)
+        twin, _ = pd.phase_permuted_twin(dec, seed=13)
+
+        def scaled(d, factor):
+            return pd.ProductDecomposition(d.dims, tuple(pd.ProductTerm(t.weight * factor, t.a, t.b) for t in d.terms))
+
+        # the twin's weights drift by 1e-9 relative, inside WEIGHT_ATOL
+        residuals = [
+            pd.match_bidecomposition(scaled(dec, s), scaled(twin, s * (1 + 1e-9))).residual for s in (1.0, 1e100)
+        ]
+        assert residuals[0] < 1e-8
+        assert residuals[1] == pytest.approx(residuals[0], abs=1e-12)
+
     def test_different_operators_rejected(self):
         d1 = pd.generate_instance(3, 4, 3, seed=1)
         d2 = pd.generate_instance(3, 4, 3, seed=2)

@@ -213,6 +213,12 @@ class TestSupportAndNull:
         with pytest.raises(pd.DimensionMismatch):
             pd.support_and_null(rho, 2)
 
+    def test_zero_operator_has_empty_support(self):
+        rho = pd.StateOperator(pd.FactoredDims((2, 3)), np.zeros((6, 6), dtype=complex))
+        for factor, dim in ((0, 2), (1, 3)):
+            support, null = pd.support_and_null(rho, factor)
+            assert (support.dim, null.dim) == (0, dim)
+
 
 class TestDualBasis:
     def test_orthonormal_set_is_self_dual(self):

@@ -249,6 +249,16 @@ class TestBuildRho:
         # summation order differs from the loop: a few ulps per entry
         assert np.abs(pd.rho_matrix(dec) - loop).max() < 1e-15
 
+    def test_builds_at_extreme_weight_scales(self):
+        # the plain sum of squares overflows at 1e300; every entry is finite
+        dec = pd.generate_instance(3, 4, 4, seed=2)
+        for scale in (1e200, 1e300):
+            scaled = pd.ProductDecomposition(
+                dec.dims, tuple(pd.ProductTerm(t.weight * scale, t.a, t.b) for t in dec.terms)
+            )
+            rho = pd.build_rho(scaled)
+            assert rho.trace == pytest.approx(scaled.weight_sum, rel=1e-12)
+
     def test_rejects_nonpositive_weight(self):
         a = pd.Ket.basis(2, 0)
         with pytest.raises(pd.DegenerateInput):
