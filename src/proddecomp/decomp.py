@@ -32,6 +32,7 @@ from .tensor import (
     StateOperator,
     TriDecomposition,
     TriTerm,
+    _root_tensor,
     build_rho,
     build_tri_vector,
     frobenius,
@@ -331,7 +332,7 @@ def match_tridecomposition(
 
     ket1, norm1 = build_tri_vector(t1)
     ket2, norm2 = build_tri_vector(t2)
-    gap = float(np.linalg.norm(norm1 * ket1.amplitudes - norm2 * ket2.amplitudes))
+    gap = frobenius(norm1 * ket1.amplitudes - norm2 * ket2.amplitudes)
     if gap > tol.eps_eq * max(1.0, norm1, norm2):
         raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
 
@@ -342,22 +343,29 @@ def match_tridecomposition(
     return _certify_in_slot(t1.terms, t2.terms, mags1, mags2, slot, tol)
 
 
+def _factored_gap(
+    first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, float, float]:
+    """||rho1 - rho2||_F, ||rho1||_F and ||rho2||_F for rho_i = V_i diag(w_i) V_i^dagger,
+    given as (columns, weights) pairs, without forming either operator.
+
+    With [V1 V2] = Q R, rho1 - rho2 = Q R diag(w1, -w2) R^dagger Q^dagger,
+    so every norm is that of a small matrix from R: O(N k^2) time and
+    O(N k) memory for k columns in all.  The Gram expansion of
+    ||rho1 - rho2||_F^2 would instead cancel to rounding noise, losing half
+    the digits, when rho1 = rho2.
+    """
+    (v1, w1), (v2, w2) = first, second
+    r = np.linalg.qr(np.hstack([v1, v2]), mode="r")
+    r1, r2 = r[:, : w1.size], r[:, w1.size :]
+    gap = frobenius((r * np.concatenate([w1, -w2])) @ r.conj().T)
+    return gap, frobenius((r1 * w1) @ r1.conj().T), frobenius((r2 * w2) @ r2.conj().T)
+
+
 def _operator_gap(d1: ProductDecomposition, d2: ProductDecomposition) -> tuple[float, float]:
     """Frobenius distance between the two decompositions' operators, and
-    the gate scale max(1, ||rho1||_F, ||rho2||_F), without forming either.
-
-    With [V1 V2] = Q R for the stacked product kets, rho1 - rho2 =
-    Q R diag(w1, -w2) R^dagger Q^dagger, so every norm is that of a small
-    matrix from R.  The Gram expansion of ||rho1 - rho2||_F^2 would instead
-    cancel to rounding noise, losing half the digits, when rho1 = rho2.
-    """
-    v1, w1 = product_columns(d1)
-    v2, w2 = product_columns(d2)
-    r = np.linalg.qr(np.hstack([v1, v2]), mode="r")
-    r1, r2 = r[:, : d1.n], r[:, d1.n :]
-    gap = frobenius((r * np.concatenate([w1, -w2])) @ r.conj().T)
-    norm1 = frobenius((r1 * w1) @ r1.conj().T)
-    norm2 = frobenius((r2 * w2) @ r2.conj().T)
+    the gate scale max(1, ||rho1||_F, ||rho2||_F) (:func:`_factored_gap`)."""
+    gap, norm1, norm2 = _factored_gap(product_columns(d1), product_columns(d2))
     return gap, max(1.0, norm1, norm2)
 
 
@@ -397,8 +405,8 @@ def match_bidecomposition(
 # blind extraction
 
 
-def _rank_n_factor(rho: StateOperator, side: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """A d_side x d_other x n tensor W with W W^dagger = rho on its top n eigenpairs.
+def _rank_n_factor(rho: StateOperator, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A d1 x d2 x n tensor W with W W^dagger = rho on its top n eigenpairs.
 
     Randomized range finder (Halko, Martinsson & Tropp 2011): sketch
     Y = rho Omega with an N x (n + SKETCH_OVERSAMPLING) Gaussian Omega,
@@ -410,8 +418,7 @@ def _rank_n_factor(rho: StateOperator, side: int, n: int, rng: np.random.Generat
     omega = rng.standard_normal((big, k)) + 1j * rng.standard_normal((big, k))
     q = np.linalg.qr(rho.matrix @ omega)[0]
     lam, u = np.linalg.eigh(q.conj().T @ rho.matrix @ q)
-    w = (q @ (u[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0)))).reshape(*rho.dims, n)
-    return w.transpose(1, 0, 2) if side == 1 else w
+    return (q @ (u[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0)))).reshape(*rho.dims, n)
 
 
 def extract_decomposition(
@@ -429,8 +436,13 @@ def extract_decomposition(
     where both sets are independent).  Only that factor is tried.  Call its
     kets a_j and the other factor's b_j.
 
-    Extraction runs on a rank-n factor W of rho (:func:`_rank_n_factor`),
-    never on a second N x N array.  The reduced operator
+    Extraction runs on a factor W of rho (rho = W W^dagger, d_side x
+    d_other x k), taken from the operator's form.  A factored operator
+    (:meth:`StateOperator.from_columns`, which :func:`build_rho` returns)
+    gives W = V diag(w)^{1/2} with k its column count, and no N x N array
+    is formed, validated or read.  A dense one is sketched to rank k = n
+    (:func:`_rank_n_factor`).  Everything below depends on rho only, not on
+    which factor W is.  The reduced operator
     rho_A = A diag(w) A^dagger is whitened by W_A = U_A Lambda_A^{-1/2}
     (Anandkumar et al. 2014, applied to the Leurgans, Ross & Abel 1993
     scheme): for one random Hermitian probe X on the other factor,
@@ -442,10 +454,12 @@ def extract_decomposition(
     vector b_t.  A probe with nearly degenerate eigenvalues is redrawn, up
     to EXTRACTION_RETRIES probes, so ``probes_used`` counts one probe per
     attempt.  Success requires relative Frobenius reconstruction error at
-    most ``max_error`` against the stored matrix and a hypothesis-clean
-    decomposition; otherwise NotExtractable names the factor, both support
-    ranks, the probes drawn and the best error reached.  The zero operator
-    is rejected as rank 0 before any sketch.
+    most ``max_error`` and a hypothesis-clean decomposition.  The error is
+    measured against the stored matrix of a dense operator, and exactly,
+    from one QR factor of the stacked columns (:func:`_factored_gap`), for
+    a factored one.  Otherwise NotExtractable names the factor, both
+    support ranks, the probes drawn and the best error reached.  The zero
+    operator is rejected as rank 0 before any sketch.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
@@ -464,21 +478,24 @@ def extract_decomposition(
     if n == 0:
         raise NotExtractable(f"not extractable under hypotheses: the operator has rank 0 ({account()})")
     rng = np.random.default_rng(seed)
-    w = _rank_n_factor(rho, side, n, rng)
-    da, db = w.shape[:2]
+    if rho.factor is None:
+        w, scale = _rank_n_factor(rho, n, rng), frobenius(rho.matrix)
+    else:
+        w = _root_tensor(rho)
+    w = w.transpose(1, 0, 2) if side == 1 else w
+    da, db, k = w.shape
     # rho_A = W W^dagger over the b and factor indices: its eigenvectors and
     # square-root eigenvalues are the SVD of W, and Z = W_A^dagger W is vh
-    u_a, s_a, vh = np.linalg.svd(w.reshape(da, db * n), full_matrices=False)
+    u_a, s_a, vh = np.linalg.svd(w.reshape(da, db * k), full_matrices=False)
     r = int(np.count_nonzero(s_a[:n] >= np.sqrt(tol.eps_rank) * s_a[0]))
     u_a, s_a, z = u_a[:, :r], s_a[:r], vh[:r]
-    scale = frobenius(rho.matrix)
 
     for _ in range(EXTRACTION_RETRIES):
         g = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
         probe = (g + g.conj().T) / 2.0
         probes += 1
         # T = W_A^dagger Tr_other[rho (I (x) X)] W_A = sum_m Z_m X^T Z_m^dagger
-        responses, v = np.linalg.eigh((probe @ z.reshape(r, db, n)).reshape(r, db * n) @ z.conj().T)
+        responses, v = np.linalg.eigh((probe @ z.reshape(r, db, k)).reshape(r, db * k) @ z.conj().T)
         gap = np.diff(responses).min(initial=np.inf)  # eigh sorts, so adjacent gaps suffice
         if gap < RATIO_GAP_FACTOR * tol.eps_rank * max(1.0, float(np.abs(responses).max())):
             continue  # nearly degenerate probe responses: redraw
@@ -489,7 +506,7 @@ def extract_decomposition(
         duals = (u_a / s_a) @ v
         # G_t = (<dual_t| (x) I) W / conj(<dual_t|a_t>), and <dual_t| W = v_t^dagger Z
         slices = (v.conj().T @ z) / np.einsum("jt,jt->t", duals.conj(), a_cols)[:, None]
-        slices = slices.reshape(r, db, n)
+        slices = slices.reshape(r, db, k)
         weights = np.einsum("tkm,tkm->t", slices.conj(), slices).real
         if min(weights) <= 0.0:
             continue
@@ -501,11 +518,15 @@ def extract_decomposition(
             b_ket = Ket.normalize(fix_phase(b_cols[t], tol.eps_rank))
             terms.append(ProductTerm(float(weights[t]), *((a_ket, b_ket) if side == 0 else (b_ket, a_ket))))
         dec = ProductDecomposition(rho.dims, tuple(terms))
-        cols, wts = product_columns(dec)
-        residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction
-        residual -= rho.matrix
-        err = frobenius(residual) / scale
-        del residual  # so that a redraw never holds two N x N arrays
+        if rho.factor is None:
+            cols, wts = product_columns(dec)
+            residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction
+            residual -= rho.matrix
+            err = frobenius(residual) / scale
+            del residual  # so that a redraw never holds two N x N arrays
+        else:
+            gap, norm, _ = _factored_gap(rho.factor, product_columns(dec))
+            err = gap / norm
         best = min(best, err)
         if err <= max_error:
             try:

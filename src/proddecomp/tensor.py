@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
 
-#: Ambient-dimension cap for dense operators (quadratic storage).
+#: Ambient-dimension cap for operators of both forms (a dense one stores N^2 entries).
 MAX_AMBIENT_DIM = 4096
 
 #: Dimension cap for bare vectors; purified vectors live on an ambient
@@ -175,11 +175,10 @@ def _check_psd(m: np.ndarray, work: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class StateOperator:
-    """Hermitian positive-semidefinite matrix on a factored space.
+    """Hermitian positive-semidefinite operator on a factored space, in one of two forms.
 
-    The constructor accepts a finite matrix m when
+    Dense: ``StateOperator(dims, m)`` accepts a finite matrix m when
     ``||m - m^H||_F <= HERMITICITY_RTOL * ||m||_F`` and the Hermitian part
     h = (m + m^H)/2 has ``lambda_min >= -PSD_RTOL * max(lambda_max, 0)``.
     Positivity is certified by a Cholesky factor of h + delta*I with
@@ -187,40 +186,135 @@ class StateOperator:
     the factor exists only inside the accepted band.  When it does not
     exist, ``eigvalsh`` of h decides and names the eigenvalue that failed.
     The stored matrix is m itself, not h.
+
+    Factored: :meth:`from_columns` stores rho = V diag(w) V^H for N x k
+    columns V and k weights w, and checks it in O(N k).  ``factor`` holds
+    the read-only pair (columns, weights), None for a dense operator;
+    ``matrix`` assembles the N x N array on first use, and ``trace`` and
+    :func:`partial_trace` never do.
+
+    Both forms run one ``__post_init__``, which enforces ``MAX_AMBIENT_DIM``.
+    Instances are immutable.
     """
 
     dims: FactoredDims
-    matrix: np.ndarray
+    factor: tuple[np.ndarray, np.ndarray] | None
+
+    def __init__(self, dims: FactoredDims, matrix: np.ndarray) -> None:
+        self._set(dims, matrix, None)
+
+    @classmethod
+    def from_columns(cls, dims: FactoredDims, columns: np.ndarray, weights: np.ndarray) -> "StateOperator":
+        """The operator V diag(w) V^H, stored as its factor.
+
+        V must be N x k with k >= 1 and finite entries, and w must hold k
+        finite weights > 0.  Hermiticity and positivity need no check: for
+        every x, <x|V diag(w) V^H|x> = sum_j w_j |<v_j|x>|^2 >= 0, and the
+        operator equals its own adjoint term by term.  The trace
+        sum_j w_j ||v_j||^2 must be finite; it bounds every entry
+        (|rho_il| <= sqrt(rho_ii rho_ll)) and the Frobenius norm.
+        """
+        op = cls.__new__(cls)
+        op._set(dims, None, (columns, weights))
+        return op
+
+    def _set(self, dims, matrix, factor) -> None:
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "factor", factor)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __post_init__(self) -> None:
         n = self.dims.total
         if n > MAX_AMBIENT_DIM:
             raise DimensionMismatch(f"operator ambient dimension {n} exceeds cap {MAX_AMBIENT_DIM}")
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (n, n):
-            raise DimensionMismatch(f"matrix shape {m.shape} does not match ambient dim {n}")
-        scale = frobenius(m)
-        if not math.isfinite(scale):
-            raise DegenerateInput(f"matrix has non-finite entries (Frobenius norm {scale!r})")
-        # the one N x N work array, in m's layout so the elementwise passes run
-        # contiguously: m^H, then m - m^H, then the Hermitian part
-        work = np.conjugate(m.T, out=np.empty_like(m))
-        np.subtract(m, work, out=work)
-        asymmetry = frobenius(work)
-        if asymmetry > HERMITICITY_RTOL * scale:
-            raise DegenerateInput(
-                f"matrix is not Hermitian within tolerance: ||m - m^H||_F = {asymmetry:.3e} "
-                f"exceeds HERMITICITY_RTOL * ||m||_F = {HERMITICITY_RTOL * scale:.3e}"
-            )
-        _check_psd(m, work)
-        object.__setattr__(self, "matrix", _freeze(m))
+        if self.factor is None:
+            object.__setattr__(self, "_matrix", _freeze(_checked_matrix(self._matrix, n)))
+        else:
+            object.__setattr__(self, "factor", tuple(map(_freeze, _checked_factor(*self.factor, n))))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The N x N matrix, read-only; a factored operator assembles it once, on first use."""
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", _freeze(_assemble(*self.factor)))
+        return self._matrix
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        if self.factor is None:
+            return float(np.trace(self._matrix).real)
+        return _factor_trace(*self.factor)
 
     def __repr__(self) -> str:
         return f"StateOperator(dims={self.dims.dims}, trace={self.trace:.6g})"
+
+
+def _checked_matrix(matrix, n: int) -> np.ndarray:
+    """A copy of ``matrix`` as a validated dense operator (see :class:`StateOperator`)."""
+    m = np.array(matrix, dtype=complex)
+    if m.shape != (n, n):
+        raise DimensionMismatch(f"matrix shape {m.shape} does not match ambient dim {n}")
+    scale = frobenius(m)
+    if not math.isfinite(scale):
+        raise DegenerateInput(f"matrix has non-finite entries (Frobenius norm {scale!r})")
+    # the one N x N work array, in m's layout so the elementwise passes run
+    # contiguously: m^H, then m - m^H, then the Hermitian part
+    work = np.conjugate(m.T, out=np.empty_like(m))
+    np.subtract(m, work, out=work)
+    asymmetry = frobenius(work)
+    if asymmetry > HERMITICITY_RTOL * scale:
+        raise DegenerateInput(
+            f"matrix is not Hermitian within tolerance: ||m - m^H||_F = {asymmetry:.3e} "
+            f"exceeds HERMITICITY_RTOL * ||m||_F = {HERMITICITY_RTOL * scale:.3e}"
+        )
+    _check_psd(m, work)
+    return m
+
+
+def _checked_factor(columns, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of ``columns`` and ``weights`` as a validated factor (see
+    :meth:`StateOperator.from_columns`); O(N k)."""
+    v = np.array(columns, dtype=complex)
+    if v.ndim != 2 or v.shape[0] != n:
+        raise DimensionMismatch(f"columns shape {v.shape} is not {n} x k for ambient dim {n}")
+    k = v.shape[1]
+    if k < 1:
+        raise DegenerateInput("a factored operator needs at least one column")
+    w = np.asarray(weights)
+    if w.dtype.kind not in "iuf":
+        raise DegenerateInput(f"weights must be real numbers, got dtype {w.dtype}")
+    w = np.array(w, dtype=float)
+    if w.shape != (k,):
+        raise DimensionMismatch(f"weights shape {w.shape} does not match {k} columns")
+    scale = frobenius(v)
+    if not math.isfinite(scale):
+        raise DegenerateInput(f"columns have non-finite entries (Frobenius norm {scale!r})")
+    bad = np.flatnonzero(~(w > 0.0) | ~np.isfinite(w))
+    if bad.size:
+        raise DegenerateInput(f"weight {bad[0]} must be positive and finite, got {w[bad[0]]!r}")
+    trace = _factor_trace(v, w)
+    if not math.isfinite(trace):
+        raise DegenerateInput(f"operator trace overflows ({trace!r})")
+    return v, w
+
+
+def _root_tensor(rho: StateOperator) -> np.ndarray:
+    """W = V diag(w)^{1/2} of a factored operator, shaped (*dims, k): rho = W W^dagger."""
+    v, w = rho.factor
+    return (v * np.sqrt(w)).reshape(*rho.dims, w.size)
+
+
+def _factor_trace(v: np.ndarray, w: np.ndarray) -> float:
+    """Trace of V diag(w) V^H: sum_j w_j ||v_j||^2."""
+    with np.errstate(over="ignore"):  # an overflow is reported by the caller's check
+        return float(w @ np.einsum("ij,ij->j", v.conj(), v).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,31 +452,41 @@ def product_columns(d: ProductDecomposition) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("in,kn->ikn", a, b).reshape(-1, d.n), np.array([t.weight for t in d.terms])
 
 
-def rho_matrix(d: ProductDecomposition) -> np.ndarray:
-    """Bare symmetrized matrix (V w) V^dagger of the weighted sum of product
-    projectors.  Hermitian PSD by construction; use :func:`build_rho` for
-    the checked operator value.
-    """
-    v, w = product_columns(d)
+def _assemble(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Symmetrized matrix (V w) V^dagger: the one way a factor becomes an N x N array."""
     m = (v * w) @ v.conj().T
     m += m.conj().T  # in place: one N x N temporary fewer at the peak
     m /= 2.0
     return m
 
 
-def build_rho(d: ProductDecomposition) -> StateOperator:
-    """Assemble the weighted sum of product projectors as a dense operator.
-
-    The result is symmetrized before construction to suppress rounding
-    drift; its trace equals the sum of the weights.
+def rho_matrix(d: ProductDecomposition) -> np.ndarray:
+    """Bare symmetrized matrix (V w) V^dagger of the weighted sum of product
+    projectors.  Hermitian PSD by construction; bit-identical to
+    ``build_rho(d).matrix``.
     """
-    return StateOperator(d.dims, rho_matrix(d))
+    return _assemble(*product_columns(d))
+
+
+def build_rho(d: ProductDecomposition) -> StateOperator:
+    """The weighted sum of product projectors as a factored operator.
+
+    It stores the product kets a_j (x) b_j and the weights
+    (:meth:`StateOperator.from_columns`), so building costs O(N n) and no
+    N x N array exists until ``.matrix`` is read; that array is
+    :func:`rho_matrix`, symmetrized to suppress rounding drift.  The trace
+    equals the sum of the weights.
+    """
+    return StateOperator.from_columns(d.dims, *product_columns(d))
 
 
 def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     """Trace out all factors not listed in ``keep`` (kept factors stay in order).
 
-    ``keep`` must be a nonempty proper subset of the factor indices.
+    ``keep`` must be a nonempty proper subset of the factor indices.  A
+    factored operator is reduced from its factor, O(N k d) for k columns
+    and kept dimension d, without its N x N matrix.  The result is a
+    validated dense operator.
     """
     dims = rho.dims.dims
     nfac = len(dims)
@@ -392,16 +496,21 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     if any(k < 0 or k >= nfac for k in kept):
         raise DimensionMismatch(f"invalid subsystem indices {keep} for {nfac} factors")
 
-    letters = "abcdef"
-    row = list(letters[:nfac])
-    col = [letters[nfac + i] if i in kept else row[i] for i in range(nfac)]
-    out = [row[i] for i in kept] + [col[i] for i in kept]
-    subscripts = "".join(row) + "".join(col) + "->" + "".join(out)
-
-    t = rho.matrix.reshape(*dims, *dims)
     kept_dims = tuple(dims[i] for i in kept)
     size = math.prod(kept_dims)
-    reduced = np.einsum(subscripts, t).reshape(size, size)
+    if rho.factor is None:
+        letters = "abcdef"
+        row = list(letters[:nfac])
+        col = [letters[nfac + i] if i in kept else row[i] for i in range(nfac)]
+        out = [row[i] for i in kept] + [col[i] for i in kept]
+        subscripts = "".join(row) + "".join(col) + "->" + "".join(out)
+        reduced = np.einsum(subscripts, rho.matrix.reshape(*dims, *dims)).reshape(size, size)
+    else:
+        # rho = W W^H for W = V diag(w)^{1/2}: with W's kept indices as rows
+        # and the traced and term indices as columns, the reduction is M M^H
+        traced = tuple(i for i in range(nfac) if i not in kept)
+        m = _root_tensor(rho).transpose(*kept, *traced, nfac).reshape(size, -1)
+        reduced = m @ m.conj().T
     reduced = (reduced + reduced.conj().T) / 2.0
     return StateOperator(FactoredDims(kept_dims), reduced)
 
@@ -416,7 +525,7 @@ def build_tri_vector(t: TriDecomposition, zero_eps: float = 1e-8) -> tuple[Ket, 
     a, b, c = (column_stack([term.kets[s] for term in t.terms]) for s in range(3))
     coeffs = np.array([term.coeff for term in t.terms])
     v = (np.einsum("in,jn->ijn", a * coeffs, b).reshape(-1, t.n) @ c.T).reshape(-1)
-    raw = float(np.linalg.norm(v))
+    raw = frobenius(v)
     scale = float(np.abs(coeffs).sum())
     if raw <= zero_eps * scale:
         raise DegenerateInput(f"tri vector cancels to norm {raw!r}; degenerate input")

@@ -7,6 +7,7 @@ import pytest
 
 import proddecomp as pd
 from proddecomp import decomp
+from test_acceptance import _bi_cases
 
 
 def _random_ket(rng, dim):
@@ -145,7 +146,7 @@ class TestExtraction:
         # fits under the bound, the symmetrized copy and 4-index probe
         # contractions of earlier versions did not
         dec = pd.generate_instance(16, 32, 32, seed=5)
-        rho = pd.build_rho(dec)
+        rho = pd.StateOperator(dec.dims, pd.rho_matrix(dec))
         tracemalloc.start()
         try:
             pd.extract_decomposition(rho, seed=0)
@@ -153,6 +154,84 @@ class TestExtraction:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+def _dense(dec):
+    return pd.StateOperator(dec.dims, pd.rho_matrix(dec))
+
+
+def _random_unitary(rng, k):
+    return np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+
+
+class TestFactoredExtraction:
+    """``build_rho`` gives a factored operator: extraction runs on its stored
+    columns and measures the residual from a QR factor, never from an N x N array."""
+
+    def test_dense_and_factored_forms_agree(self):
+        # the criterion-4 case list of the acceptance suite, generator and seeds included
+        for n, d1, d2, profile, seed in _bi_cases(200, master_seed=40_000):
+            dec = pd.generate_instance(n, d1, d2, seed=seed, profile=profile)
+            factored = pd.extract_decomposition(pd.build_rho(dec), seed=seed + 1)
+            dense = pd.extract_decomposition(_dense(dec), seed=seed + 1)
+            assert factored.side == dense.side
+            assert pd.match_bidecomposition(dec, factored.decomposition).n == n
+            assert pd.match_bidecomposition(dec, dense.decomposition).n == n
+            assert pd.match_bidecomposition(factored.decomposition, dense.decomposition).residual < 1e-8
+
+    def test_allocates_no_dense_operator(self):
+        # one complex 1024 x 1024 array is 16.8 MB
+        dec = pd.generate_instance(16, 32, 32, seed=5)
+        tracemalloc.start()
+        try:
+            report = pd.extract_decomposition(pd.build_rho(dec), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert report.reconstruction_error < 1e-12
+
+    def test_never_assembles_the_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("assembled an N x N operator")
+
+        monkeypatch.setattr(pd.tensor, "_assemble", forbidden)
+        monkeypatch.setattr(pd.tensor, "rho_matrix", forbidden)
+        monkeypatch.setattr(decomp, "rho_matrix", forbidden)
+        dec = pd.generate_instance(16, 32, 32, seed=5)
+        report = pd.extract_decomposition(pd.build_rho(dec), seed=0)
+        assert pd.match_bidecomposition(dec, report.decomposition).n == 16
+
+    @pytest.mark.parametrize("profile", pd.BI_PROFILES)
+    @pytest.mark.parametrize("pad", [0, 3])
+    def test_reads_only_the_operator_off_the_factor(self, profile, pad):
+        # F U and [F 0] U are factors of the same operator as F = V diag(w)^{1/2}
+        # but carry none of its product kets as columns
+        rng = np.random.default_rng(pad)
+        for i in range(20):
+            n = 3 + i % 4
+            dec = pd.generate_instance(n, 7, 7, seed=i, profile=profile)
+            v, w = pd.tensor.product_columns(dec)
+            f = np.hstack([v * np.sqrt(w), np.zeros((v.shape[0], pad))])
+            rho = pd.StateOperator.from_columns(dec.dims, f @ _random_unitary(rng, n + pad), np.ones(n + pad))
+            report = pd.extract_decomposition(rho, seed=i)
+            assert report.reconstruction_error < 1e-12
+            assert pd.match_bidecomposition(dec, report.decomposition).n == n
+
+    @pytest.mark.parametrize("k", [-300, -200, -100, 100, 200, 300])
+    @pytest.mark.parametrize("form", [pd.build_rho, _dense])
+    def test_extreme_weight_scales_extract_in_both_forms(self, k, form):
+        for profile in pd.BI_PROFILES:
+            dec = pd.generate_instance(4, 5, 5, seed=11, profile=profile)
+            scaled = pd.ProductDecomposition(
+                dec.dims, tuple(pd.ProductTerm(t.weight * 10.0**k, t.a, t.b) for t in dec.terms)
+            )
+            report = pd.extract_decomposition(form(scaled), seed=1)
+            assert report.reconstruction_error < 1e-12
+            got = sorted(t.weight for t in report.decomposition.terms)
+            want = sorted(t.weight for t in scaled.terms)
+            assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
+            assert pd.match_bidecomposition(scaled, report.decomposition).n == 4
 
 
 class TestNoisyInput:

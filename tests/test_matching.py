@@ -178,6 +178,20 @@ class TestMatchTridecomposition:
         with pytest.raises(pd.DimensionMismatch):
             pd.match_tridecomposition(t1, t2)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_certifies_at_extreme_coefficient_scales(self, scale):
+        # the plain sum of squares of the tri vector underflows or overflows here
+        tri = pd.generate_tri_instance(4, 4, 5, 4, seed=3, profile="b-dependent")
+        scaled = pd.TriDecomposition(
+            tri.dims, tuple(pd.TriTerm(t.coeff * scale, t.a, t.b, t.c) for t in tri.terms)
+        )
+        twin, perm = pd.phase_permuted_twin(scaled, seed=9)
+        result = pd.match_tridecomposition(scaled, twin)
+        assert result.permutation == perm
+        assert result.residual < 1e-8
+        _, norm = pd.build_tri_vector(scaled)
+        assert norm == pytest.approx(pd.build_tri_vector(tri)[1] * scale, rel=1e-12)
+
 
 class TestMatchBidecomposition:
     def test_half_half_identity_match(self):

@@ -176,6 +176,108 @@ class TestValidationBand:
         assert np.array_equal(op.matrix, m)
 
 
+def _factor(n=3, dims=(4, 3), seed=0):
+    dec = pd.generate_instance(n, *dims, seed=seed)
+    return dec, *pd.tensor.product_columns(dec)
+
+
+class TestFactoredOperator:
+    """``StateOperator.from_columns``: the form ``build_rho`` returns."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_columns(self, bad):
+        dec, v, w = _factor()
+        v[5, 1] = bad
+        with pytest.raises(pd.DegenerateInput, match="non-finite"):
+            pd.StateOperator.from_columns(dec.dims, v, w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.25])
+    def test_rejects_weights_that_are_not_positive_and_finite(self, bad):
+        dec, v, w = _factor()
+        w[2] = bad
+        with pytest.raises(pd.DegenerateInput, match="weight 2"):
+            pd.StateOperator.from_columns(dec.dims, v, w)
+
+    def test_rejects_complex_weights(self):
+        dec, v, w = _factor()
+        with pytest.raises(pd.DegenerateInput, match="real"):
+            pd.StateOperator.from_columns(dec.dims, v, w + 1j)
+
+    def test_rejects_an_empty_factor(self):
+        with pytest.raises(pd.DegenerateInput, match="at least one column"):
+            pd.StateOperator.from_columns(pd.FactoredDims((2, 2)), np.zeros((4, 0)), np.zeros(0))
+
+    def test_rejects_a_trace_that_overflows(self):
+        dec, v, w = _factor()
+        with pytest.raises(pd.DegenerateInput, match="overflows"):
+            pd.StateOperator.from_columns(dec.dims, v * 1e160, w)
+
+    @pytest.mark.parametrize(
+        "columns, weights",
+        [((11, 3), (3,)), ((12,), (1,)), ((12, 3), (2,)), ((12, 3), (3, 1))],
+    )
+    def test_rejects_shape_mismatches(self, columns, weights):
+        with pytest.raises(pd.DimensionMismatch):
+            pd.StateOperator.from_columns(pd.FactoredDims((4, 3)), np.ones(columns), np.ones(weights))
+
+    def test_rejects_ambient_above_operator_cap(self):
+        with pytest.raises(pd.DimensionMismatch, match="cap"):
+            pd.StateOperator.from_columns(pd.FactoredDims((4096, 2)), np.ones((8192, 1)), np.ones(1))
+
+    @pytest.mark.parametrize("dims", [(4, 4), (16, 16)])
+    def test_matrix_is_rho_matrix_and_read_only(self, dims):
+        for profile in pd.BI_PROFILES:
+            dec = pd.generate_instance(3, *dims, seed=8, profile=profile)
+            rho = pd.build_rho(dec)
+            assert np.array_equal(rho.matrix, pd.rho_matrix(dec))
+            assert rho.matrix is rho.matrix  # assembled once
+            with pytest.raises(ValueError):
+                rho.matrix[0, 0] = 0.0
+
+    def test_stores_read_only_copies(self):
+        dec, v, w = _factor()
+        rho = pd.StateOperator.from_columns(dec.dims, v, w)
+        v[0, 0] = w[0] = 7.0
+        columns, weights = rho.factor
+        assert columns[0, 0] != 7.0 and weights[0] != 7.0
+        with pytest.raises(ValueError):
+            columns[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+    def test_trace_and_repr_do_not_assemble(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("assembled the N x N matrix")
+
+        monkeypatch.setattr(pd.tensor, "_assemble", forbidden)
+        dec = pd.generate_instance(3, 4, 3, seed=1)
+        rho = pd.build_rho(dec)
+        assert rho.trace == pytest.approx(dec.weight_sum, rel=1e-14)
+        assert repr(rho) == "StateOperator(dims=(4, 3), trace=1)"
+
+    def test_is_immutable(self):
+        rho = pd.build_rho(pd.generate_instance(2, 3, 3, seed=1))
+        with pytest.raises(AttributeError):
+            rho.dims = pd.FactoredDims((9,))
+
+    @pytest.mark.parametrize("profile", pd.BI_PROFILES)
+    def test_partial_trace_equals_the_dense_one(self, profile):
+        dec = pd.generate_instance(4, 5, 6, seed=2, profile=profile)
+        dense = pd.StateOperator(dec.dims, pd.rho_matrix(dec))
+        for keep in ((0,), (1,)):
+            reduced = pd.partial_trace(pd.build_rho(dec), keep)
+            assert np.abs(reduced.matrix - pd.partial_trace(dense, keep).matrix).max() < 1e-14
+
+    @pytest.mark.parametrize("keep", [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)])
+    def test_partial_trace_of_a_three_factor_factor(self, keep):
+        tri = pd.generate_tri_instance(3, 3, 4, 3, seed=6)
+        psi, norm = pd.build_tri_vector(tri)
+        factored = pd.StateOperator.from_columns(tri.dims, psi.amplitudes[:, None], np.array([norm**2]))
+        dense = pd.StateOperator(tri.dims, norm**2 * psi.projector())
+        reduced = pd.partial_trace(factored, keep)
+        assert np.abs(reduced.matrix - pd.partial_trace(dense, keep).matrix).max() < 1e-14
+
+
 class TestTensorProduct:
     def test_standard_basis(self):
         out = pd.tensor_product(pd.Ket((1, 0)), pd.Ket((0, 1)))
