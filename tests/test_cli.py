@@ -138,16 +138,19 @@ class TestBuildCommand:
 
     @pytest.mark.parametrize("n, dims", [(3, (4, 4)), (8, (16, 16))])
     @pytest.mark.parametrize("profile", pd.BI_PROFILES)
-    def test_operator_file_bytes_are_those_of_the_dense_operator(self, tmp_path, n, dims, profile):
+    def test_operator_file_bytes_are_those_of_the_dense_operator(self, tmp_path, capsys, n, dims, profile):
         # build stores a factor and assembles the matrix only to write it, by
         # the arithmetic of rho_matrix, so the file is unchanged byte for byte
+        # and the reported trace is that of the dense matrix
         dec = pd.generate_instance(n, *dims, seed=17, profile=profile)
         dec_path, out, ref = (str(tmp_path / name) for name in ("d.json", "out.json", "ref.json"))
         fileio.save_decomposition(dec_path, dec)
-        assert main(["build", dec_path, "--out", out]) == 0
+        assert main(["build", dec_path, "--out", out, "--json"]) == 0
         loaded = fileio.load_decomposition(dec_path).product()
-        fileio.save_operator(ref, pd.StateOperator(dec.dims, pd.rho_matrix(loaded)))
+        dense = pd.StateOperator(dec.dims, pd.rho_matrix(loaded))
+        fileio.save_operator(ref, dense)
         assert (tmp_path / "out.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert json.loads(capsys.readouterr().out)["trace"] == dense.trace
 
     def test_coeff_file_builds_projector(self, tmp_path):
         tri = pd.generate_tri_instance(2, 2, 2, 2, seed=3)

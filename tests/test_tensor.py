@@ -158,7 +158,8 @@ class TestValidationBand:
             raise AssertionError("eigvalsh ran on an operator that is PSD by construction")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        rho = pd.build_rho(pd.generate_instance(16, 32, 32, seed=3))
+        dec = pd.generate_instance(16, 32, 32, seed=3)
+        rho = pd.StateOperator(dec.dims, pd.rho_matrix(dec))
         assert rho.matrix.shape == (1024, 1024)
 
     def test_eigvalsh_non_convergence_is_degenerate_input(self, monkeypatch):
@@ -358,8 +359,8 @@ class TestBuildRho:
             scaled = pd.ProductDecomposition(
                 dec.dims, tuple(pd.ProductTerm(t.weight * scale, t.a, t.b) for t in dec.terms)
             )
-            rho = pd.build_rho(scaled)
-            assert rho.trace == pytest.approx(scaled.weight_sum, rel=1e-12)
+            for rho in (pd.build_rho(scaled), pd.StateOperator(scaled.dims, pd.rho_matrix(scaled))):
+                assert rho.trace == pytest.approx(scaled.weight_sum, rel=1e-12)
 
     def test_rejects_nonpositive_weight(self):
         a = pd.Ket.basis(2, 0)
