@@ -6,6 +6,9 @@ Runs three experiments and prints per-battery statistics:
   * tripartite matching across independence profiles,
   * blind extraction checked against the planted ground truth.
 
+Exits 1, naming the battery, when any battery matches fewer than --count
+instances, and 0 otherwise.
+
 Example:
     python scripts/uniqueness_battery.py --count 500 --seed 1
 """
@@ -85,18 +88,25 @@ def main() -> int:
     args = parser.parse_args()
 
     start = time.perf_counter()
+    matched = {}
     ok, worst = bi_battery(args.count, args.seed)
+    matched["bipartite twins"] = ok
     print(f"bipartite twins:   {ok}/{args.count} matched, worst residual {worst:.3e}")
     ok, worst = tri_battery(args.count, args.seed + 1)
+    matched["tripartite twins"] = ok
     print(f"tripartite twins:  {ok}/{args.count} matched, worst residual {worst:.3e}")
     ok, worst, probes = extraction_battery(args.count, args.seed + 2)
+    matched["blind extraction"] = ok
     mean_probes = ", ".join(f"{p} {np.mean(v):.2f}" for p, v in probes.items() if v)
     print(
         f"blind extraction:  {ok}/{args.count} certified, worst error {worst:.3e}, "
         f"{sum(sum(v) for v in probes.values())} probes drawn (mean per profile: {mean_probes})"
     )
     print(f"elapsed: {time.perf_counter() - start:.2f}s")
-    return 0
+    short = [name for name, ok in matched.items() if ok < args.count]
+    for name in short:
+        print(f"FAILED: {name}: {matched[name]}/{args.count} instances")
+    return 1 if short else 0
 
 
 if __name__ == "__main__":

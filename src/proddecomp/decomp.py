@@ -18,11 +18,9 @@ from .errors import (
 from .subspace import (
     DEFAULT_TOL,
     ToleranceConfig,
-    collinear_pairs,
-    column_stack,
     fix_phase,
-    rank_and_independence,
-    support_and_null,
+    stack_collinear_pairs,
+    stack_rank,
 )
 from .tensor import (
     FactoredDims,
@@ -36,6 +34,7 @@ from .tensor import (
     build_rho,
     build_tri_vector,
     frobenius,
+    partial_trace,
     product_columns,
     rho_matrix,  # noqa: F401 -- unused here; perfbench's tracer test looks it up as decomp.rho_matrix
     tensor_product,
@@ -128,15 +127,20 @@ class DegeneracyReport:
 
 
 def _slot_independence(
-    terms: Sequence[ProductTerm | TriTerm], tol: ToleranceConfig, label: str
+    d: ProductDecomposition | TriDecomposition, tol: ToleranceConfig, label: str
 ) -> tuple[bool, ...]:
-    """Per-slot independence flags; raises naming the first collinear pair."""
-    slot_sets = [[term.kets[s] for term in terms] for s in range(len(terms[0].kets))]
-    for s, kets in enumerate(slot_sets):
-        pairs = collinear_pairs(kets, tol)
+    """Per-slot independence flags read off the decomposition's ``stacks``.
+
+    Every slot is first checked for collinear pairs, from one Gram matrix
+    per slot, raising on the first slot that has one and naming its first
+    pair; then each slot's rank is taken from the singular values of its
+    stack (:func:`~proddecomp.subspace.stack_rank`).
+    """
+    for s, a in enumerate(d.stacks):
+        pairs = stack_collinear_pairs(a, tol)
         if pairs:
             raise HypothesisViolation(f"{label}: {_SLOT_NAMES[s]}-set collinear pair {pairs[0]}")
-    return tuple(rank_and_independence(kets, tol)[1] for kets in slot_sets)
+    return tuple(stack_rank(a, tol) == d.n for a in d.stacks)
 
 
 def check_product_hypotheses(
@@ -148,7 +152,7 @@ def check_product_hypotheses(
     independent.  Returns the (a_independent, b_independent) flags; raises
     HypothesisViolation naming the offending set and pair otherwise.
     """
-    flags = _slot_independence(d.terms, tol, label)
+    flags = _slot_independence(d, tol, label)
     if not any(flags):
         raise HypothesisViolation(f"{label}: neither ket set is linearly independent")
     return flags  # type: ignore[return-value]
@@ -162,7 +166,7 @@ def check_tri_hypotheses(
     Every slot's ket set must be non-collinear and at least two of the
     three sets linearly independent.  Returns per-slot independence flags.
     """
-    flags = _slot_independence(t.terms, tol, label)
+    flags = _slot_independence(t, tol, label)
     if sum(flags) < 2:
         independent = [_SLOT_NAMES[s] for s in range(3) if flags[s]]
         raise HypothesisViolation(
@@ -239,78 +243,87 @@ def split_pair_terms(
 
 
 def _certify_in_slot(
-    terms1, terms2, mags1, mags2, slot: int, tol: ToleranceConfig, wscale=1.0, what="coefficient magnitude"
+    d1: ProductDecomposition | TriDecomposition,
+    d2: ProductDecomposition | TriDecomposition,
+    slot: int,
+    tol: ToleranceConfig,
+    wscale=1.0,
+    what="coefficient magnitude",
 ) -> MatchResult:
     """Certify term-wise equivalence by expansion in one independent slot.
 
-    Expand the first decomposition's kets in ``slot`` over the second's by
-    least squares; threshold each expansion column to its single significant
-    coefficient, which defines the permutation; then certify collinearity in
-    every slot and equality of the paired ``mags`` (weights or coefficient
-    magnitudes) to WEIGHT_ATOL * max(wscale, w1, w2).  The residual is the
+    Reads only the decompositions' ``stacks`` and ``values``.  Expand the
+    first decomposition's kets in ``slot`` over the second's by least
+    squares on the two stored stacks; threshold each expansion column to
+    its single significant coefficient, which defines the permutation; then
+    certify collinearity in every slot and equality of the paired
+    magnitudes |values| (weights or coefficient magnitudes) to
+    WEIGHT_ATOL * max(wscale, w1, w2).  Each slot's overlaps
+    <first_perm[k]|second_k> are one column-wise product over the permuted
+    first stack.  Failures name the first failing term k of the second
+    decomposition and, within it, check the expansion coefficient, then
+    the overlaps slot by slot, then the magnitudes.  The residual is the
     largest violation observed across all certified constraints, with each
-    weight difference taken relative to max(wscale, w1, w2), so it does
-    not grow with the weight scale.
+    weight difference taken relative to max(wscale, w1, w2), so it does not
+    grow with the weight scale.
     """
-    if len(terms1) != len(terms2):
-        raise HypothesisViolation(f"term-count mismatch after rank analysis: {len(terms1)} vs {len(terms2)}")
-    n = len(terms1)
+    if d1.n != d2.n:
+        raise HypothesisViolation(f"term-count mismatch after rank analysis: {d1.n} vs {d2.n}")
+    n = d1.n
+    name = _SLOT_NAMES[slot]
 
-    first = column_stack([term.kets[slot] for term in terms1])
-    second = column_stack([term.kets[slot] for term in terms2])
+    first, second = d1.stacks[slot], d2.stacks[slot]
     sol, *_ = np.linalg.lstsq(second, first, rcond=None)
-    gamma = sol.T  # gamma[j, k]: first_j = sum_k gamma[j, k] second_k
     residual = float(np.linalg.norm(second @ sol - first))
 
+    # row k of |sol| is column k of |gamma| for first_j = sum_k gamma[j, k] second_k;
+    # n is small, so these checks run on Python floats, not on tiny arrays
     perm: list[int] = []
-    for k in range(n):
-        col = np.abs(gamma[:, k])
-        j = int(np.argmax(col))
-        if col[j] == 0.0:
+    tops: list[float] = []
+    for k, col in enumerate(np.abs(sol).tolist()):
+        top = max(col)
+        j = col.index(top)
+        if top == 0.0:
             raise HypothesisViolation(
-                f"factorability hypothesis violated: {_SLOT_NAMES[slot]}-slot expansion column {k} vanishes"
+                f"factorability hypothesis violated: {name}-slot expansion column {k} vanishes"
             )
-        significant = int(np.count_nonzero(col >= tol.eps_rank * col[j]))
+        significant = sum(x >= tol.eps_rank * top for x in col)
         if significant != 1:
             raise HypothesisViolation(
-                f"factorability hypothesis violated: {_SLOT_NAMES[slot]}-slot expansion column {k} "
+                f"factorability hypothesis violated: {name}-slot expansion column {k} "
                 f"has {significant} significant coefficients"
             )
-        rest = np.delete(col, j)
-        if rest.size:
-            residual = max(residual, float(rest.max()))
+        residual = max([residual, *col[:j], *col[j + 1 :]])
         perm.append(j)
+        tops.append(top)
     if len(set(perm)) != n:
         raise HypothesisViolation(f"candidate permutation {perm} is not a bijection")
 
+    overlaps = [np.einsum("ij,ij->j", a1[:, perm].conj(), a2).tolist() for a1, a2 in zip(d1.stacks, d2.stacks)]
+    mags1, mags2 = ([abs(v) for v in d.values.tolist()] for d in (d1, d2))
     certs = []
-    for k in range(n):
-        j = perm[k]
-        gdev = abs(abs(complex(gamma[j, k])) - 1.0)
+    for k, j in enumerate(perm):
+        gdev = abs(tops[k] - 1.0)
         if gdev > tol.eps_col:
             raise HypothesisViolation(
-                f"{_SLOT_NAMES[slot]}-slot expansion coefficient for term pair ({j}, {k}) "
-                f"has magnitude {abs(complex(gamma[j, k])):.12g}, expected 1"
+                f"{name}-slot expansion coefficient for term pair ({j}, {k}) "
+                f"has magnitude {tops[k]:.12g}, expected 1"
             )
         residual = max(residual, gdev)
-        overlaps: list[complex | None] = []
-        for s, (x, y) in enumerate(zip(terms1[j].kets, terms2[k].kets)):
-            o = x.overlap(y)
-            deviation = abs(abs(o) - 1.0)
+        for s, o in enumerate(overlaps):
+            deviation = abs(abs(o[k]) - 1.0)
             if deviation > tol.eps_col:
                 raise HypothesisViolation(
                     f"collinearity certificate failed in slot {_SLOT_NAMES[s]} for term pair "
-                    f"({j}, {k}): overlap magnitude {abs(o):.12g}"
+                    f"({j}, {k}): overlap magnitude {abs(o[k]):.12g}"
                 )
             residual = max(residual, deviation)
-            overlaps.append(o)
-        w1, w2 = float(mags1[j]), float(mags2[k])
+        w1, w2 = mags1[j], mags2[k]
         dw, wbound = abs(w1 - w2), max(wscale, w1, w2)
         if dw > WEIGHT_ATOL * wbound:
             raise HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
         residual = max(residual, dw / wbound)
-        overlaps += [None] * (3 - len(overlaps))
-        certs.append(TermCertificate(*overlaps, w1, w2))
+        certs.append(TermCertificate(*(o[k] for o in overlaps), *[None] * (3 - len(overlaps)), w1, w2))
     return MatchResult(n, tuple(perm), tuple(certs), residual)
 
 
@@ -339,8 +352,7 @@ def match_tridecomposition(
     slot = next((s for s in (2, 0, 1) if ind1[s] and ind2[s]), None)
     if slot is None:
         raise HypothesisViolation("no factor slot is linearly independent in both tridecompositions")
-    mags1, mags2 = ([abs(term.coeff) for term in t.terms] for t in (t1, t2))
-    return _certify_in_slot(t1.terms, t2.terms, mags1, mags2, slot, tol)
+    return _certify_in_slot(t1, t2, slot, tol)
 
 
 def _factored_gap(
@@ -397,8 +409,7 @@ def match_bidecomposition(
     if slot is None:
         raise HypothesisViolation("no ket set is linearly independent in both decompositions")
     wscale = max(1.0, d1.weight_sum, d2.weight_sum)
-    mags1, mags2 = ([t.weight for t in d.terms] for d in (d1, d2))
-    return _certify_in_slot(d1.terms, d2.terms, mags1, mags2, slot, tol, wscale, "weight")
+    return _certify_in_slot(d1, d2, slot, tol, wscale, "weight")
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +430,12 @@ def _rank_n_factor(rho: StateOperator, n: int, rng: np.random.Generator) -> np.n
     q = np.linalg.qr(rho.matrix @ omega)[0]
     lam, u = np.linalg.eigh(q.conj().T @ rho.matrix @ q)
     return (q @ (u[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0)))).reshape(*rho.dims, n)
+
+
+def _support_rank(lam: np.ndarray, tol: ToleranceConfig) -> int:
+    """Support rank of a reduced operator from its eigenvalues ``lam``: those
+    > 0 and >= eps_rank times the largest, so the zero operator has rank 0."""
+    return int(np.count_nonzero((lam > 0.0) & (lam >= tol.eps_rank * lam.max())))
 
 
 def extract_decomposition(
@@ -460,10 +477,28 @@ def extract_decomposition(
     a factored one.  Otherwise NotExtractable names the factor, both
     support ranks, the probes drawn and the best error reached.  The zero
     operator is rejected as rank 0 before any sketch.
+
+    The support ranks count eigenvalues lambda > 0 with
+    lambda >= eps_rank * lambda_max of each reduced operator, and build no
+    ``Ket`` or ``SubspaceBasis``.  A factored operator takes them from the
+    singular values s of W reshaped each way (lambda = s^2); the SVD of
+    factor 0 is the one the probe step needs when factor 0 is the side, so
+    the other factor costs one ``compute_uv=False`` call.  A dense operator
+    takes them from ``eigvalsh`` of its two d x d partial traces.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
-    ranks = [support_and_null(rho, s, tol)[0].dim for s in (0, 1)]
+    if rho.factor is None:
+        ranks = [_support_rank(np.linalg.eigvalsh(partial_trace(rho, (s,)).matrix), tol) for s in (0, 1)]
+    else:
+        # the singular values of W reshaped each way are the square roots of
+        # the reduced operators' eigenvalues; factor 0's SVD is kept for its
+        # vectors, used below when it is the side
+        w = _root_tensor(rho)
+        d1, d2, k = w.shape
+        side_svd = np.linalg.svd(w.reshape(d1, d2 * k), full_matrices=False)
+        s1 = np.linalg.svd(w.transpose(1, 0, 2).reshape(d2, d1 * k), compute_uv=False)
+        ranks = [_support_rank(s * s, tol) for s in (side_svd[1], s1)]
     side = int(ranks[1] > ranks[0])
     n = ranks[side]
     probes, best = 0, np.inf
@@ -480,13 +515,13 @@ def extract_decomposition(
     rng = np.random.default_rng(seed)
     if rho.factor is None:
         w, scale = _rank_n_factor(rho, n, rng), frobenius(rho.matrix)
-    else:
-        w = _root_tensor(rho)
     w = w.transpose(1, 0, 2) if side == 1 else w
     da, db, k = w.shape
     # rho_A = W W^dagger over the b and factor indices: its eigenvectors and
     # square-root eigenvalues are the SVD of W, and Z = W_A^dagger W is vh
-    u_a, s_a, vh = np.linalg.svd(w.reshape(da, db * k), full_matrices=False)
+    if rho.factor is None or side == 1:
+        side_svd = np.linalg.svd(w.reshape(da, db * k), full_matrices=False)
+    u_a, s_a, vh = side_svd
     r = int(np.count_nonzero(s_a[:n] >= np.sqrt(tol.eps_rank) * s_a[0]))
     u_a, s_a, z = u_a[:, :r], s_a[:r], vh[:r]
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
-from .tensor import Ket, StateOperator, column_stack, partial_trace
+from .tensor import Ket, StateOperator, _freeze, column_stack, partial_trace
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -46,10 +46,16 @@ DEFAULT_TOL = ToleranceConfig()
 
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Orthonormal set of kets spanning a subspace of a factor space."""
+    """Orthonormal set of kets spanning a subspace of a factor space.
+
+    The constructor stacks the validated vectors once, as the columns of
+    a read-only ambient_dim x dim matrix that :meth:`columns` returns and
+    :meth:`projector` reads.
+    """
 
     ambient_dim: int
     vectors: tuple[Ket, ...]
+    _columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vecs = tuple(self.vectors)
@@ -67,18 +73,19 @@ class SubspaceBasis:
         if pairs:
             raise DegenerateInput(f"basis vectors {pairs[0]} are not orthogonal")
         object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "_columns", _freeze(m.T))
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     def columns(self) -> np.ndarray:
-        """The basis vectors as the columns of an ambient_dim x dim matrix."""
-        return np.array([v.amplitudes for v in self.vectors], dtype=complex).reshape(-1, self.ambient_dim).T
+        """The basis vectors as the columns of a read-only ambient_dim x dim matrix."""
+        return self._columns
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the spanned subspace."""
-        m = self.columns()
+        m = self._columns
         return m @ m.conj().T
 
 
@@ -102,14 +109,34 @@ def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return abs(x.overlap(y)) >= 1.0 - tol.eps_col
 
 
-def collinear_pairs(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
-    """All unordered index pairs (i, j), i < j, that fail non-collinearity,
-    in lexicographic order; one Gram matrix instead of a pairwise loop."""
-    if len(kets) < 2:
-        return []
-    a = column_stack(kets)
+def stack_collinear_pairs(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
+    """All index pairs (i, j), i < j, of unit columns of ``a`` that fail
+    non-collinearity, |<a_i|a_j>| >= 1 - eps_col, in lexicographic order;
+    read off one Gram matrix."""
     rows, cols = np.nonzero(np.abs(a.conj().T @ a) >= 1.0 - tol.eps_col)
     return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
+
+
+def stack_rank(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Numerical rank of the columns of ``a``: its singular values >= eps_rank
+    times the largest one, 0 when that one is 0.
+
+    Taken from the singular values of ``a``, not from the eigenvalues of its
+    Gram matrix: a relative singular value of eps_rank = 1e-8 is a relative
+    Gram eigenvalue of 1e-16, below double precision.
+    """
+    s = np.linalg.svd(a, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s >= tol.eps_rank * s[0]))
+
+
+def collinear_pairs(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
+    """All unordered index pairs (i, j), i < j, that fail non-collinearity,
+    in lexicographic order (:func:`stack_collinear_pairs` of the stacked set)."""
+    if len(kets) < 2:
+        return []
+    return stack_collinear_pairs(column_stack(kets), tol)
 
 
 def is_noncollinear_set(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -120,15 +147,9 @@ def is_noncollinear_set(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL)
 
 
 def rank_and_independence(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, bool]:
-    """Numerical rank of the stacked set and whether it is linearly independent.
-
-    Rank counts singular values >= eps_rank times the largest one.
-    """
-    a = column_stack(kets)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, False
-    rank = int(np.count_nonzero(s >= tol.eps_rank * s[0]))
+    """Numerical rank of the stacked set (:func:`stack_rank`) and whether it
+    is linearly independent."""
+    rank = stack_rank(column_stack(kets), tol)
     return rank, rank == len(kets)
 
 
@@ -169,9 +190,9 @@ def dual_basis(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[
     (equivalently A (A^dagger A)^{-1}).  The duals are generally not
     normalized.
     """
-    rank, independent = rank_and_independence(kets, tol)
-    if not independent:
-        raise DegenerateInput(f"no dual basis: set has rank {rank} < {len(kets)}")
     a = column_stack(kets)
+    rank = stack_rank(a, tol)
+    if rank != len(kets):
+        raise DegenerateInput(f"no dual basis: set has rank {rank} < {len(kets)}")
     duals = np.linalg.pinv(a).conj().T
     return [duals[:, i].copy() for i in range(duals.shape[1])]

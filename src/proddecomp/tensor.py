@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -336,6 +336,15 @@ class ProductTerm:
         return (self.a, self.b)
 
 
+def _set_stacks(dec, terms: tuple, values: list) -> None:
+    """Store a decomposition's validated terms and, built from them once, its
+    read-only per-slot ket stacks (d_s x n) and value vector."""
+    object.__setattr__(dec, "terms", terms)
+    stacks = tuple(_freeze(np.array([t.kets[s].amplitudes for t in terms]).T) for s in range(len(dec.dims)))
+    object.__setattr__(dec, "stacks", stacks)
+    object.__setattr__(dec, "values", _freeze(np.array(values)))
+
+
 @dataclass(frozen=True, eq=False)
 class ProductDecomposition:
     """Weighted sum of products of rank-1 projectors on a two-factor space.
@@ -345,10 +354,17 @@ class ProductDecomposition:
     (non-collinear ket sets, at least one set linearly independent) are
     tolerance-dependent and are checked by
     :func:`proddecomp.decomp.check_product_hypotheses`.
+
+    ``terms`` is the per-term view.  The constructor also builds, once,
+    the array view every hot path reads: ``stacks`` holds the read-only
+    d1 x n and d2 x n matrices whose columns are the a- and b-kets, and
+    ``values`` the read-only vector of the n weights, both in term order.
     """
 
     dims: FactoredDims
     terms: tuple[ProductTerm, ...]
+    stacks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         terms = tuple(self.terms)
@@ -361,7 +377,7 @@ class ProductDecomposition:
                 raise DimensionMismatch(
                     f"term {i} ket dims ({t.a.dim}, {t.b.dim}) do not match factors {self.dims.dims}"
                 )
-        object.__setattr__(self, "terms", terms)
+        _set_stacks(self, terms, [t.weight for t in terms])
 
     @property
     def n(self) -> int:
@@ -369,7 +385,7 @@ class ProductDecomposition:
 
     @property
     def weight_sum(self) -> float:
-        return float(sum(t.weight for t in self.terms))
+        return float(self.values.sum())
 
     def normalized(self) -> "ProductDecomposition":
         """Rescale weights to sum to 1 (a presentation choice, not required)."""
@@ -406,10 +422,16 @@ class TriDecomposition:
     Structural invariants only; the tolerance-dependent hypotheses
     (per-slot non-collinearity, two independent slots) are checked by
     :func:`proddecomp.decomp.check_tri_hypotheses`.
+
+    As for :class:`ProductDecomposition`, ``terms`` is the per-term view,
+    ``stacks`` the three read-only d_s x n ket matrices and ``values`` the
+    read-only vector of the n complex coefficients, built once here.
     """
 
     dims: FactoredDims
     terms: tuple[TriTerm, ...]
+    stacks: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         terms = tuple(self.terms)
@@ -423,7 +445,7 @@ class TriDecomposition:
                 raise DimensionMismatch(
                     f"term {i} ket dims {got} do not match factors {self.dims.dims}"
                 )
-        object.__setattr__(self, "terms", terms)
+        _set_stacks(self, terms, [t.coeff for t in terms])
 
     @property
     def n(self) -> int:
@@ -446,10 +468,9 @@ def column_stack(kets: Sequence[Ket]) -> np.ndarray:
 
 
 def product_columns(d: ProductDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked product kets a_j (x) b_j as the columns of an N x n matrix, and the weights."""
-    a = column_stack([t.a for t in d.terms])
-    b = column_stack([t.b for t in d.terms])
-    return np.einsum("in,kn->ikn", a, b).reshape(-1, d.n), np.array([t.weight for t in d.terms])
+    """Stacked product kets a_j (x) b_j as the columns of an N x n matrix, and a copy of the weights."""
+    a, b = d.stacks
+    return np.einsum("in,kn->ikn", a, b).reshape(-1, d.n), d.values.copy()
 
 
 def _assemble(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -522,8 +543,8 @@ def build_tri_vector(t: TriDecomposition, zero_eps: float = 1e-8) -> tuple[Ket, 
     the returned raw norm.  A sum that cancels below ``zero_eps`` relative
     to the total coefficient weight signals degenerate input.
     """
-    a, b, c = (column_stack([term.kets[s] for term in t.terms]) for s in range(3))
-    coeffs = np.array([term.coeff for term in t.terms])
+    a, b, c = t.stacks
+    coeffs = t.values
     v = (np.einsum("in,jn->ijn", a * coeffs, b).reshape(-1, t.n) @ c.T).reshape(-1)
     raw = frobenius(v)
     scale = float(np.abs(coeffs).sum())

@@ -1,5 +1,6 @@
 """Blind extraction of weighted product decompositions from operators."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -260,3 +261,77 @@ class TestNoisyInput:
         assert report.reconstruction_error <= decomp.RECONSTRUCTION_RTOL
         assert all(np.isfinite(t.weight) for t in report.decomposition.terms)
         pd.check_product_hypotheses(report.decomposition)
+
+
+def _factored_zero(dims):
+    return pd.StateOperator.from_columns(dims, np.zeros((dims.total, 2)), np.ones(2))
+
+
+def _rank_deficient_factor(dec):
+    # four columns spanning two product kets: repeated and zero columns
+    v, w = pd.tensor.product_columns(dec)
+    columns = np.column_stack([v, v[:, :1], np.zeros(v.shape[0])])
+    return pd.StateOperator.from_columns(dec.dims, columns, [*w, 0.5, 1.0])
+
+
+class TestSupportRanks:
+    """Extraction takes both support ranks from the singular values of the
+    factor, or from eigvalsh of the partial traces, not from ``support_and_null``."""
+
+    @pytest.mark.parametrize("form", [pd.build_rho, _dense])
+    def test_extracts_without_support_and_null(self, monkeypatch, form):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("support_and_null on the extraction path")
+
+        original = pd.subspace.support_and_null
+        for mod in (pd, pd.subspace, decomp):
+            for name, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, name, forbidden)
+        for profile in pd.BI_PROFILES:
+            dec = pd.generate_instance(4, 5, 5, seed=21, profile=profile)
+            report = pd.extract_decomposition(form(dec), seed=1)
+            assert pd.match_bidecomposition(dec, report.decomposition).n == 4
+
+    @staticmethod
+    def _reported_ranks(monkeypatch, rho):
+        # with no probe allowed, every extraction ends in NotExtractable, which names both ranks
+        monkeypatch.setattr(decomp, "EXTRACTION_RETRIES", 0)
+        with pytest.raises(pd.NotExtractable) as info:
+            pd.extract_decomposition(rho, seed=0)
+        ranks = re.search(r"factor (\d), support ranks (\d+) and (\d+), 0 probes", str(info.value))
+        return int(ranks[1]), [int(ranks[2]), int(ranks[3])]
+
+    def _check(self, monkeypatch, rho):
+        side, ranks = self._reported_ranks(monkeypatch, rho)
+        assert ranks == [pd.support_and_null(rho, s)[0].dim for s in (0, 1)]
+        assert side == int(ranks[1] > ranks[0])
+
+    @pytest.mark.parametrize("master_seed", [20_000, 40_000])
+    @pytest.mark.parametrize("form", [pd.build_rho, _dense])
+    def test_ranks_equal_support_and_null_on_the_acceptance_cases(self, monkeypatch, master_seed, form):
+        # the criterion-2 and criterion-4 case lists of the acceptance suite
+        for n, d1, d2, profile, seed in _bi_cases(200, master_seed=master_seed):
+            self._check(monkeypatch, form(pd.generate_instance(n, d1, d2, seed=seed, profile=profile)))
+
+    def test_ranks_equal_support_and_null_on_edge_operators(self, monkeypatch):
+        dims = pd.FactoredDims((3, 4))
+        dec = pd.generate_instance(2, 3, 4, seed=8)
+        for rho in (
+            pd.StateOperator(dims, np.zeros((12, 12), dtype=complex)),
+            _factored_zero(dims),
+            _rank_deficient_factor(dec),
+            _dense(dec),
+            pd.StateOperator(dims, np.eye(12, dtype=complex) / 12),
+        ):
+            self._check(monkeypatch, rho)
+
+    def test_factored_zero_operator_is_rank_0(self):
+        with pytest.raises(pd.NotExtractable, match=r"rank 0 \(factor 0, support ranks 0 and 0, 0 probes"):
+            pd.extract_decomposition(_factored_zero(pd.FactoredDims((2, 3))), seed=0)
+
+    def test_rank_deficient_factor_extracts(self):
+        dec = pd.generate_instance(2, 3, 4, seed=8)
+        report = pd.extract_decomposition(_rank_deficient_factor(dec), seed=0)
+        assert report.decomposition.n == 2
+        assert report.reconstruction_error < 1e-12

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import proddecomp as pd
 from proddecomp import decomp, purification, subspace, tensor
+from test_subspace import near_threshold_decompositions, random_decompositions
 
 
 def _random_ket(rng, dim):
@@ -389,3 +390,176 @@ class TestCollinearPairs:
             if pd.is_collinear(kets[i], kets[j], tol)
         ]
         assert subspace.collinear_pairs(kets, tol) == loop
+
+
+def _reference_certify(terms1, terms2, mags1, mags2, slot, tol, wscale=1.0, what="coefficient magnitude"):
+    """The per-Ket certification loop: kets stacked anew, one expansion column
+    and one ``Ket.overlap`` per term at a time."""
+    n = len(terms1)
+    first = np.column_stack([t.kets[slot].amplitudes for t in terms1])
+    second = np.column_stack([t.kets[slot].amplitudes for t in terms2])
+    sol, *_ = np.linalg.lstsq(second, first, rcond=None)
+    gamma = sol.T
+    residual = float(np.linalg.norm(second @ sol - first))
+    name = "abc"[slot]
+    perm = []
+    for k in range(n):
+        col = np.abs(gamma[:, k])
+        j = int(np.argmax(col))
+        if col[j] == 0.0:
+            raise pd.HypothesisViolation(
+                f"factorability hypothesis violated: {name}-slot expansion column {k} vanishes"
+            )
+        significant = int(np.count_nonzero(col >= tol.eps_rank * col[j]))
+        if significant != 1:
+            raise pd.HypothesisViolation(
+                f"factorability hypothesis violated: {name}-slot expansion column {k} "
+                f"has {significant} significant coefficients"
+            )
+        rest = np.delete(col, j)
+        if rest.size:
+            residual = max(residual, float(rest.max()))
+        perm.append(j)
+    if len(set(perm)) != n:
+        raise pd.HypothesisViolation(f"candidate permutation {perm} is not a bijection")
+    overlaps = []
+    for k in range(n):
+        j = perm[k]
+        gdev = abs(abs(complex(gamma[j, k])) - 1.0)
+        if gdev > tol.eps_col:
+            raise pd.HypothesisViolation(
+                f"{name}-slot expansion coefficient for term pair ({j}, {k}) "
+                f"has magnitude {abs(complex(gamma[j, k])):.12g}, expected 1"
+            )
+        residual = max(residual, gdev)
+        row = []
+        for s, (x, y) in enumerate(zip(terms1[j].kets, terms2[k].kets)):
+            o = x.overlap(y)
+            deviation = abs(abs(o) - 1.0)
+            if deviation > tol.eps_col:
+                raise pd.HypothesisViolation(
+                    f"collinearity certificate failed in slot {'abc'[s]} for term pair "
+                    f"({j}, {k}): overlap magnitude {abs(o):.12g}"
+                )
+            residual = max(residual, deviation)
+            row.append(o)
+        w1, w2 = float(mags1[j]), float(mags2[k])
+        dw, wbound = abs(w1 - w2), max(wscale, w1, w2)
+        if dw > decomp.WEIGHT_ATOL * wbound:
+            raise pd.HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
+        residual = max(residual, dw / wbound)
+        overlaps.append(row + [w1, w2])
+    return tuple(perm), overlaps, residual
+
+
+def _certify_both(d1, d2, slot, tol=pd.DEFAULT_TOL):
+    """(stacked result, reference result), each a tuple or the raised message."""
+    if isinstance(d1, pd.ProductDecomposition):
+        mags = [[t.weight for t in d.terms] for d in (d1, d2)]
+        wscale, what = max(1.0, *map(sum, mags)), "weight"
+    else:
+        mags = [[abs(t.coeff) for t in d.terms] for d in (d1, d2)]
+        wscale, what = 1.0, "coefficient magnitude"
+    try:
+        ref = _reference_certify(d1.terms, d2.terms, *mags, slot, tol, wscale, what)
+    except pd.HypothesisViolation as exc:
+        ref = str(exc)
+    try:
+        got = decomp._certify_in_slot(d1, d2, slot, tol, wscale, what)
+    except pd.HypothesisViolation as exc:
+        return str(exc), ref
+    rows = [
+        [o for o in (c.overlap_a, c.overlap_b, c.overlap_c) if o is not None] + [c.weight_first, c.weight_second]
+        for c in got.per_term
+    ]
+    return (got.permutation, rows, got.residual), ref
+
+
+def _assert_same_certificate(got, ref):
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert not isinstance(got, str), got
+    assert got[0] == ref[0]
+    assert np.abs(np.array(got[1]) - np.array(ref[1])).max() <= 1e-14
+    assert got[2] == pytest.approx(ref[2], abs=1e-14)
+
+
+def _replace(dec, j, slot=None, ket=None, scale=1.0):
+    """``dec`` with term j's ket in ``slot`` replaced, or its weight / coefficient scaled."""
+    term = dec.terms[j]
+    parts = list(term.kets)
+    if ket is not None:
+        parts[slot] = ket
+    if isinstance(dec, pd.ProductDecomposition):
+        new = pd.ProductTerm(term.weight * scale, *parts)
+    else:
+        new = pd.TriTerm(term.coeff * scale, *parts)
+    return type(dec)(dec.dims, dec.terms[:j] + (new,) + dec.terms[j + 1 :])
+
+
+class TestStackedCertification:
+    """``_certify_in_slot`` reads the stored stacks and values; the per-Ket loop is the oracle."""
+
+    @staticmethod
+    def _cases():
+        return random_decompositions(seed=5) + [case[0] for case in near_threshold_decompositions(seed=5)]
+
+    def test_twins_certify_as_the_per_ket_loop(self):
+        certified = 0
+        for i, dec in enumerate(self._cases()):
+            twin, perm = pd.phase_permuted_twin(dec, seed=i)
+            for slot in range(len(dec.dims)):
+                got, ref = _certify_both(dec, twin, slot)
+                _assert_same_certificate(got, ref)
+                if not isinstance(ref, str):
+                    certified += 1
+                    assert got[0] == perm
+        assert certified > 100
+
+    def test_mutations_raise_the_per_ket_messages(self):
+        # a shifted weight, and a ket rotated towards another term's in a slot
+        # that does not certify, on twins of every profile
+        seen = set()
+        for i, dec in enumerate(self._cases()):
+            twin, _ = pd.phase_permuted_twin(dec, seed=i)
+            k, last = i % dec.n, len(dec.dims) - 1
+            mutants = [_replace(twin, k, scale=1.5)]
+            if dec.n > 1:
+                towards = twin.terms[(k + 1) % dec.n].kets[last].amplitudes
+                rotated = pd.Ket.normalize(twin.terms[k].kets[last].amplitudes + 1e-3 * (1 + i % 3) * towards)
+                mutants.append(_replace(twin, k, slot=last, ket=rotated))
+            for mutant in mutants:
+                for slot in range(last):
+                    got, ref = _certify_both(dec, mutant, slot)
+                    _assert_same_certificate(got, ref)
+                    if isinstance(ref, str):
+                        seen.add(ref.split(" for term pair")[0])
+        assert {"weight mismatch", "coefficient magnitude mismatch"} <= seen
+        assert {"collinearity certificate failed in slot b", "collinearity certificate failed in slot c"} <= seen
+
+        # a vanishing expansion column and one with two significant coefficients
+        e = [pd.Ket.basis(3, i) for i in range(3)]
+        b = [pd.Ket.basis(2, i) for i in range(2)]
+        plus = pd.Ket.normalize(e[0].amplitudes + e[1].amplitudes)
+        first = pd.ProductDecomposition(
+            pd.FactoredDims((3, 2)), (pd.ProductTerm(1.0, e[0], b[0]), pd.ProductTerm(1.0, e[1], b[1]))
+        )
+        mutations = (((e[0], e[2]), "column 1 vanishes"), ((e[0], plus), "column 0 has 2 significant coefficients"))
+        for kets, expected in mutations:
+            second = pd.ProductDecomposition(
+                first.dims, tuple(pd.ProductTerm(1.0, a, t.b) for a, t in zip(kets, first.terms))
+            )
+            got, ref = _certify_both(second, first, 0)
+            assert got == ref and ref.endswith(expected), (got, ref)
+
+    def test_stacks_and_values_are_read_only_copies_of_the_terms(self):
+        for dec in self._cases():
+            assert len(dec.stacks) == len(dec.dims)
+            for s, stack in enumerate(dec.stacks):
+                assert np.array_equal(stack, np.column_stack([t.kets[s].amplitudes for t in dec.terms]))
+                assert not stack.flags.writeable
+            raw = [t.weight if isinstance(dec, pd.ProductDecomposition) else t.coeff for t in dec.terms]
+            assert np.array_equal(dec.values, np.array(raw)) and not dec.values.flags.writeable
+            with pytest.raises(ValueError):
+                dec.values[0] = 1.0

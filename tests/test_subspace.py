@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import proddecomp as pd
+from proddecomp import decomp, subspace
 from proddecomp.subspace import ORTHO_ATOL, column_stack
 
 
@@ -281,9 +282,169 @@ class TestSubspaceBasis:
         basis = pd.SubspaceBasis(3, ())
         assert np.array_equal(basis.projector(), np.zeros((3, 3), dtype=complex))
 
+    def test_stores_its_column_matrix_once(self):
+        e = np.eye(3, dtype=complex)
+        basis = pd.SubspaceBasis(3, (pd.Ket(e[2]), pd.Ket(e[0])))
+        m = basis.columns()
+        assert m is basis.columns() and not m.flags.writeable
+        assert np.array_equal(m, np.column_stack([e[2], e[0]]))
+        assert np.array_equal(basis.projector(), np.diag([1.0, 0.0, 1.0]))
+
     def test_orthonormality_tolerance_matches_contract(self):
         assert ORTHO_ATOL == 1e-10
 
     def test_column_stack_requires_common_dim(self):
         with pytest.raises(pd.DimensionMismatch):
             column_stack([pd.Ket.basis(2, 0), pd.Ket.basis(3, 0)])
+
+
+# ---------------------------------------------------------------------------
+# the array cores against a per-Ket reference
+
+
+def _near_collinear_pair(rng, dim, factor, eps):
+    """Two unit kets with |<x|y>| = 1 - factor * eps, in a random frame and phase."""
+    u = _random_unitary(rng, dim)
+    c = 1.0 - factor * eps
+    y = (c * u[:, 0] + np.sqrt(1.0 - c * c) * u[:, 1]) * np.exp(2j * np.pi * rng.uniform())
+    return [pd.Ket(u[:, 0]), pd.Ket(y)]
+
+
+def _near_rank_set(rng, dim, factor, eps):
+    """Three unit kets whose smallest relative singular value is factor * eps
+    to first order: u0, u1 and cos(phi) (u0 + u1)/sqrt2 + sin(phi) u2 with
+    sin(phi) = 2 factor eps, in a random frame (dim >= 3)."""
+    u = _random_unitary(rng, dim)
+    phi = np.arcsin(2.0 * factor * eps)
+    third = np.cos(phi) * (u[:, 0] + u[:, 1]) / np.sqrt(2.0) + np.sin(phi) * u[:, 2]
+    return [pd.Ket(v * np.exp(2j * np.pi * rng.uniform())) for v in (u[:, 0], u[:, 1], third)]
+
+
+def _with_slot(dec, slot, kets):
+    """``dec`` with the first len(kets) terms' kets in ``slot`` replaced by ``kets``."""
+    terms = list(dec.terms)
+    for j, ket in enumerate(kets):
+        parts = list(terms[j].kets)
+        parts[slot] = ket
+        if isinstance(dec, pd.ProductDecomposition):
+            terms[j] = pd.ProductTerm(terms[j].weight, *parts)
+        else:
+            terms[j] = pd.TriTerm(terms[j].coeff, *parts)
+    return type(dec)(dec.dims, tuple(terms))
+
+
+def random_decompositions(seed=0):
+    """Bipartite and tripartite decompositions of every profile, several sizes each."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(24):
+        profile = pd.BI_PROFILES[i % 3]
+        n = int(rng.integers(3 if profile != "both-independent" else 1, 7))
+        dims = [int(rng.integers(n, 9)), int(rng.integers(n, 9))]
+        if profile != "both-independent":  # the dependent slot may be smaller than n
+            dims[1 if profile == "a-independent-only" else 0] = int(rng.integers(2, 9))
+        out.append(pd.generate_instance(n, *dims, seed=i, profile=profile))
+    for i in range(24):
+        profile = pd.TRI_PROFILES[i % 4]
+        dep = pd.TRI_PROFILES.index(profile) - 1  # the dependent slot, -1 for "all-independent"
+        n = int(rng.integers(3 if dep >= 0 else 1, 7))
+        dims = [int(rng.integers(2 if s == dep else n, 9)) for s in range(3)]
+        out.append(pd.generate_tri_instance(n, *dims, seed=i, profile=profile))
+    return out
+
+
+def near_threshold_decompositions(seed=0, tol=pd.DEFAULT_TOL):
+    """Decompositions with one slot near a threshold: a pair at |<x|y>| =
+    1 - eps_col (1 -/+ 0.5), or a set whose smallest relative singular value
+    is eps_rank (1 -/+ 0.5), in every slot of a bipartite and a tripartite
+    instance.  Returns (decomposition, slot, kind, factor) tuples."""
+    rng = np.random.default_rng(seed)
+    bases = [pd.generate_instance(4, 5, 6, seed=seed), pd.generate_tri_instance(4, 5, 6, 4, seed=seed)]
+    out = []
+    for base in bases:
+        for slot, dim in enumerate(base.dims):
+            for factor in (0.5, 1.5):
+                pair = _near_collinear_pair(rng, dim, factor, tol.eps_col)
+                out.append((_with_slot(base, slot, pair), slot, "pair", factor))
+                kets = _near_rank_set(rng, dim, factor, tol.eps_rank)
+                out.append((_with_slot(base, slot, kets), slot, "rank", factor))
+    return out
+
+
+def reference_slot_independence(terms, tol, label):
+    """The per-Ket hypothesis check: pairwise overlaps of every slot, then
+    each slot's rank from the SVD of its kets stacked anew."""
+    slots = len(terms[0].kets)
+    for s in range(slots):
+        kets = [t.kets[s] for t in terms]
+        for i in range(len(kets)):
+            for j in range(i + 1, len(kets)):
+                if abs(kets[i].overlap(kets[j])) >= 1.0 - tol.eps_col:
+                    raise pd.HypothesisViolation(f"{label}: {'abc'[s]}-set collinear pair {(i, j)}")
+    return tuple(_reference_rank([t.kets[s] for t in terms], tol) == len(terms) for s in range(slots))
+
+
+def _reference_rank(kets, tol):
+    sv = np.linalg.svd(np.column_stack([k.amplitudes for k in kets]), compute_uv=False)
+    return int(np.count_nonzero(sv >= tol.eps_rank * sv[0])) if sv[0] > 0.0 else 0
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except pd.HypothesisViolation as exc:
+        return str(exc)
+
+
+class TestArrayCores:
+    """``collinear_pairs``, ``rank_and_independence`` and the hypothesis check
+    read one Gram matrix and one SVD per stack; a per-Ket loop is the oracle."""
+
+    CASES = random_decompositions() + [case[0] for case in near_threshold_decompositions()]
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-4])
+    def test_wrappers_and_cores_match_the_per_ket_reference(self, eps):
+        tol = pd.ToleranceConfig(eps_col=eps, eps_rank=eps)
+        for dec in self.CASES:
+            for s, stack in enumerate(dec.stacks):
+                kets = [t.kets[s] for t in dec.terms]
+                pairs = [
+                    (i, j)
+                    for i in range(len(kets))
+                    for j in range(i + 1, len(kets))
+                    if abs(kets[i].overlap(kets[j])) >= 1.0 - tol.eps_col
+                ]
+                assert subspace.collinear_pairs(kets, tol) == pairs
+                assert subspace.stack_collinear_pairs(stack, tol) == pairs
+                assert pd.is_noncollinear_set(kets, tol) == (not pairs)
+                rank = _reference_rank(kets, tol)
+                assert subspace.stack_rank(stack, tol) == rank
+                assert pd.rank_and_independence(kets, tol) == (rank, rank == len(kets))
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-4])
+    def test_hypothesis_check_matches_the_per_ket_reference(self, eps):
+        tol = pd.ToleranceConfig(eps_col=eps, eps_rank=eps)
+        for dec in self.CASES:
+            want = _outcome(reference_slot_independence, dec.terms, tol, "label")
+            assert _outcome(decomp._slot_independence, dec, tol, "label") == want
+
+    def test_near_threshold_cases_fall_on_the_expected_side(self):
+        tol = pd.DEFAULT_TOL
+        for dec, slot, kind, factor in near_threshold_decompositions():
+            kets = [t.kets[slot] for t in dec.terms]
+            if kind == "pair":
+                assert (subspace.collinear_pairs(kets, tol) == [(0, 1)]) == (factor < 1.0)
+            else:
+                sv = np.linalg.svd(dec.stacks[slot][:, :3], compute_uv=False)
+                assert sv[-1] / sv[0] == pytest.approx(factor * tol.eps_rank, rel=1e-3)
+                assert (subspace.stack_rank(dec.stacks[slot][:, :3], tol) == 3) == (factor > 1.0)
+            outcome = _outcome(decomp._slot_independence, dec, tol, "near")
+            if kind == "pair" and factor < 1.0:
+                assert outcome == f"near: {'abc'[slot]}-set collinear pair (0, 1)"
+
+    def test_dual_basis_reads_the_same_rank(self):
+        kets = _near_rank_set(np.random.default_rng(3), 4, 0.5, pd.DEFAULT_TOL.eps_rank)
+        with pytest.raises(pd.DegenerateInput, match="no dual basis: set has rank 2 < 3"):
+            pd.dual_basis(kets)
+        duals = pd.dual_basis(_near_rank_set(np.random.default_rng(3), 4, 1e4, pd.DEFAULT_TOL.eps_rank))
+        assert len(duals) == 3
