@@ -16,11 +16,11 @@ import numpy as np
 from . import decomp, fileio
 from .errors import (
     DegenerateInput,
-    DimensionMismatch,
     FileError,
     HypothesisViolation,
     NotExtractable,
     OperatorMismatch,
+    ProddecompError,
 )
 from .fileio import complex_json, dumps_canonical
 from .purification import purify
@@ -32,6 +32,13 @@ EXIT_INPUT = 2
 EXIT_NOT_EXTRACTABLE = 3
 EXIT_HYPOTHESIS = 4
 EXIT_OPERATOR_MISMATCH = 5
+
+#: Exit codes of the errors that are not input errors; every other error exits EXIT_INPUT.
+_EXIT_CODES = (
+    (NotExtractable, EXIT_NOT_EXTRACTABLE),
+    (HypothesisViolation, EXIT_HYPOTHESIS),
+    (OperatorMismatch, EXIT_OPERATOR_MISMATCH),
+)
 
 
 def _tol(args: argparse.Namespace) -> ToleranceConfig:
@@ -102,15 +109,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     dims = args.dims
+    bipartite = len(dims) == 2
     profile = args.profile
     if profile is None:
-        profile = "both-independent" if len(dims) == 2 else "all-independent"
-    if len(dims) == 2:
-        dec = decomp.generate_instance(args.n, dims[0], dims[1], seed=args.seed, profile=profile)
-    else:
-        dec = decomp.generate_tri_instance(
-            args.n, dims[0], dims[1], dims[2], seed=args.seed, profile=profile
-        )
+        profile = "both-independent" if bipartite else "all-independent"
+    generate = decomp.generate_instance if bipartite else decomp.generate_tri_instance
+    dec = generate(args.n, *dims, seed=args.seed, profile=profile)
     fileio.save_decomposition(args.out, dec)
     _emit(
         args,
@@ -409,18 +413,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileError, DimensionMismatch, DegenerateInput, ValueError) as exc:
+    # ValueError too: a negative --seed reaches np.random.default_rng as one
+    except (ProddecompError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotExtractable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_EXTRACTABLE
-    except HypothesisViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except OperatorMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPERATOR_MISMATCH
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), EXIT_INPUT)
 
 
 def entry() -> None:

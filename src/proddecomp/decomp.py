@@ -3,6 +3,7 @@ generation, and the degenerate-eigenbasis demonstration."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,7 @@ from .errors import (
 from .subspace import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _support_mask,
     fix_phase,
     stack_collinear_pairs,
     stack_rank,
@@ -432,12 +434,6 @@ def _rank_n_factor(rho: StateOperator, n: int, rng: np.random.Generator) -> np.n
     return (q @ (u[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0)))).reshape(*rho.dims, n)
 
 
-def _support_rank(lam: np.ndarray, tol: ToleranceConfig) -> int:
-    """Support rank of a reduced operator from its eigenvalues ``lam``: those
-    > 0 and >= eps_rank times the largest, so the zero operator has rank 0."""
-    return int(np.count_nonzero((lam > 0.0) & (lam >= tol.eps_rank * lam.max())))
-
-
 def extract_decomposition(
     rho: StateOperator,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -489,7 +485,7 @@ def extract_decomposition(
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
     if rho.factor is None:
-        ranks = [_support_rank(np.linalg.eigvalsh(partial_trace(rho, (s,)).matrix), tol) for s in (0, 1)]
+        lams = [np.linalg.eigvalsh(partial_trace(rho, (s,)).matrix) for s in (0, 1)]
     else:
         # the singular values of W reshaped each way are the square roots of
         # the reduced operators' eigenvalues; factor 0's SVD is kept for its
@@ -498,7 +494,8 @@ def extract_decomposition(
         d1, d2, k = w.shape
         side_svd = np.linalg.svd(w.reshape(d1, d2 * k), full_matrices=False)
         s1 = np.linalg.svd(w.transpose(1, 0, 2).reshape(d2, d1 * k), compute_uv=False)
-        ranks = [_support_rank(s * s, tol) for s in (side_svd[1], s1)]
+        lams = [s * s for s in (side_svd[1], s1)]
+    ranks = [int(np.count_nonzero(_support_mask(lam, tol))) for lam in lams]
     side = int(ranks[1] > ranks[0])
     n = ranks[side]
     probes, best = 0, np.inf
@@ -610,15 +607,11 @@ def _independent_kets(rng: np.random.Generator, dim: int, count: int) -> list[Ke
 def _dependent_noncollinear_kets(rng: np.random.Generator, dim: int, count: int) -> list[Ket]:
     """Non-collinear unit kets that are necessarily linearly dependent.
 
-    The kets span a subspace of dimension min(dim, count - 1) >= 2, so
+    The kets span a subspace of dimension min(dim, count - 1), at least 2
+    for count >= 3 and dim >= 2 (the caller's feasibility check), so
     dependence is forced while every pair stays well separated.
     """
     span = min(dim, count - 1)
-    if count < 3 or span < 2:
-        raise DegenerateInput(
-            f"cannot build {count} dependent non-collinear kets in dim {dim} "
-            "(a dependent pair of unit kets is collinear)"
-        )
     basis, _ = np.linalg.qr(rng.standard_normal((dim, span)) + 1j * rng.standard_normal((dim, span)))
     for _ in range(_GEN_ATTEMPTS):
         cols = []
@@ -635,6 +628,43 @@ def _dependent_noncollinear_kets(rng: np.random.Generator, dim: int, count: int)
 
 BI_PROFILES = ("both-independent", "a-independent-only", "b-independent-only")
 TRI_PROFILES = ("all-independent", "a-dependent", "b-dependent", "c-dependent")
+
+#: The one slot whose ket set each profile makes dependent (None: every set independent).
+_DEPENDENT_SLOT = {
+    "both-independent": None,
+    "a-independent-only": 1,
+    "b-independent-only": 0,
+    "all-independent": None,
+    "a-dependent": 0,
+    "b-dependent": 1,
+    "c-dependent": 2,
+}
+
+
+def _slot_kets(
+    n: int, dims: tuple[int, ...], seed: int, profile: str, profiles: tuple[str, ...]
+) -> tuple[np.random.Generator, list[list[Ket]]]:
+    """The seeded generator and n kets per slot of ``dims``: dependent
+    non-collinear ones in the profile's dependent slot, independent ones in
+    every other.  Every slot is checked feasible before the first draw; the
+    sets are drawn in slot order, and the caller draws the values next."""
+    if profile not in profiles:
+        raise ValueError(f"unknown profile {profile!r}; choose from {profiles}")
+    if n < 1:
+        raise ValueError(f"term count must be positive, got {n}")
+    rng = np.random.default_rng(seed)
+    dep = _DEPENDENT_SLOT[profile]
+    for s, dim in enumerate(dims):
+        if s == dep:
+            if n < 3 or dim < 2:
+                raise ValueError(
+                    f"infeasible: a dependent non-collinear {_SLOT_NAMES[s]}-set needs n >= 3 and dim >= 2"
+                )
+        elif n > dim:
+            raise ValueError(f"infeasible: {n} independent kets do not fit {_SLOT_NAMES[s]}-slot dim {dim}")
+    return rng, [
+        (_dependent_noncollinear_kets if s == dep else _independent_kets)(rng, dim, n) for s, dim in enumerate(dims)
+    ]
 
 
 def generate_instance(
@@ -653,36 +683,7 @@ def generate_instance(
     normalized to sum 1.  Generated sets keep safety margins (pairwise
     overlap and conditioning) well inside the default tolerances.
     """
-    if profile not in BI_PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; choose from {BI_PROFILES}")
-    if n < 1:
-        raise ValueError(f"term count must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-
-    if profile == "both-independent":
-        if n > min(d1, d2):
-            raise ValueError(f"infeasible: {n} independent kets do not fit dims ({d1}, {d2})")
-        a_kets = _independent_kets(rng, d1, n)
-        b_kets = _independent_kets(rng, d2, n)
-    elif profile == "a-independent-only":
-        if n > d1:
-            raise ValueError(f"infeasible: {n} independent kets do not fit dim {d1}")
-        if n < 3 or d2 < 2:
-            raise ValueError(
-                f"infeasible: a dependent non-collinear b-set needs n >= 3 and d2 >= 2, got n={n}, d2={d2}"
-            )
-        a_kets = _independent_kets(rng, d1, n)
-        b_kets = _dependent_noncollinear_kets(rng, d2, n)
-    else:  # b-independent-only
-        if n > d2:
-            raise ValueError(f"infeasible: {n} independent kets do not fit dim {d2}")
-        if n < 3 or d1 < 2:
-            raise ValueError(
-                f"infeasible: a dependent non-collinear a-set needs n >= 3 and d1 >= 2, got n={n}, d1={d1}"
-            )
-        a_kets = _dependent_noncollinear_kets(rng, d1, n)
-        b_kets = _independent_kets(rng, d2, n)
-
+    rng, (a_kets, b_kets) = _slot_kets(n, (d1, d2), seed, profile, BI_PROFILES)
     weights = rng.uniform(0.5, 1.5, n)
     weights /= weights.sum()
     dec = ProductDecomposition(
@@ -708,37 +709,13 @@ def generate_tri_instance(
     dependent (requires n >= 3) while the other two stay independent.
     Coefficients are nonzero complex with random phases.
     """
-    if profile not in TRI_PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; choose from {TRI_PROFILES}")
-    if n < 1:
-        raise ValueError(f"term count must be positive, got {n}")
-    rng = np.random.default_rng(seed)
     dims = (d1, d2, d3)
-    dep_slot = {"all-independent": None, "a-dependent": 0, "b-dependent": 1, "c-dependent": 2}[profile]
-
-    slot_kets: list[list[Ket]] = []
-    for s in range(3):
-        if s == dep_slot:
-            if n < 3 or dims[s] < 2:
-                raise ValueError(
-                    f"infeasible: a dependent non-collinear {_SLOT_NAMES[s]}-set needs n >= 3 and dim >= 2"
-                )
-            slot_kets.append(_dependent_noncollinear_kets(rng, dims[s], n))
-        else:
-            if n > dims[s]:
-                raise ValueError(
-                    f"infeasible: {n} independent kets do not fit {_SLOT_NAMES[s]}-slot dim {dims[s]}"
-                )
-            slot_kets.append(_independent_kets(rng, dims[s], n))
-
+    rng, kets = _slot_kets(n, dims, seed, profile, TRI_PROFILES)
     mags = rng.uniform(0.5, 1.2, n)
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
     tri = TriDecomposition(
         FactoredDims(dims),
-        tuple(
-            TriTerm(complex(m * p), slot_kets[0][j], slot_kets[1][j], slot_kets[2][j])
-            for j, (m, p) in enumerate(zip(mags, phases))
-        ),
+        tuple(TriTerm(complex(m * p), *ks) for m, p, *ks in zip(mags, phases, *kets)),
     )
     check_tri_hypotheses(tri, tol, label="generated tridecomposition")
     return tri
@@ -751,26 +728,20 @@ def phase_permuted_twin(
 
     Returns (twin, perm) with twin.terms[j] built from dec.terms[perm[j]],
     so matching the twin (second) against the original (first) recovers
-    exactly ``perm``.  For tridecompositions the coefficient absorbs the
-    inverse of the product of ket phases, keeping the global vector fixed
-    including its phase.
+    exactly ``perm``.  A bipartite twin keeps each weight; a tripartite
+    twin's coefficient absorbs the inverse of the product of its ket
+    phases, keeping the global vector fixed including its phase.
     """
     rng = np.random.default_rng(seed)
-    n = dec.n
-    perm = tuple(int(i) for i in rng.permutation(n))
-    if isinstance(dec, ProductDecomposition):
-        terms = []
-        for j in range(n):
-            src = dec.terms[perm[j]]
-            pa, pb = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 2))
-            terms.append(ProductTerm(src.weight, src.a.phased(pa), src.b.phased(pb)))
-        return ProductDecomposition(dec.dims, tuple(terms)), perm
+    perm = tuple(int(i) for i in rng.permutation(dec.n))
+    bipartite = isinstance(dec, ProductDecomposition)
     terms = []
-    for j in range(n):
-        src = dec.terms[perm[j]]
-        pa, pb, pc = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 3))
-        terms.append(TriTerm(src.coeff / (pa * pb * pc), src.a.phased(pa), src.b.phased(pb), src.c.phased(pc)))
-    return TriDecomposition(dec.dims, tuple(terms)), perm
+    for j in perm:
+        src = dec.terms[j]
+        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(src.kets)))
+        value = src.weight if bipartite else src.coeff / math.prod(phases)
+        terms.append(type(src)(value, *(k.phased(p) for k, p in zip(src.kets, phases))))
+    return type(dec)(dec.dims, tuple(terms)), perm
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
 def _write(path: str, payload: dict) -> None:
     text = dumps_canonical(payload) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileError(f"{path}: cannot write ({exc})") from exc
 
 
 def _ket_json(k: Ket) -> dict:

@@ -153,6 +153,12 @@ def rank_and_independence(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TO
     return rank, rank == len(kets)
 
 
+def _support_mask(lam: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Which eigenvalues ``lam`` of a reduced operator belong to its support:
+    those > 0 and >= eps_rank times the largest, so the zero operator has none."""
+    return (lam > 0.0) & (lam >= tol.eps_rank * lam.max())
+
+
 def support_and_null(
     rho: StateOperator, subsystem: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -172,7 +178,7 @@ def support_and_null(
     else:
         reduced = partial_trace(rho, (subsystem,))
     evals, evecs = np.linalg.eigh(reduced.matrix)
-    is_support = (evals > 0.0) & (evals >= tol.eps_rank * evals[-1])
+    is_support = _support_mask(evals, tol)
     null_idx = [i for i in range(evals.size) if not is_support[i]]
     supp_idx = [i for i in range(evals.size) if is_support[i]]
     supp_idx.sort(key=lambda i: -evals[i])

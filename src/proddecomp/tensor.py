@@ -21,6 +21,10 @@ KET_NORM_ATOL = 1e-12
 HERMITICITY_RTOL = 1e-10
 PSD_RTOL = 1e-10
 
+#: A tri vector whose norm is at most this times its coefficients' total
+#: magnitude has cancelled: degenerate input.
+_TRI_CANCEL_RTOL = 1e-8
+
 
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm as a plain float, safe against overflow and underflow.
@@ -336,13 +340,22 @@ class ProductTerm:
         return (self.a, self.b)
 
 
-def _set_stacks(dec, terms: tuple, values: list) -> None:
-    """Store a decomposition's validated terms and, built from them once, its
-    read-only per-slot ket stacks (d_s x n) and value vector."""
+def _set_terms(dec, value: str) -> None:
+    """Check a decomposition's terms (at least one; ket dims equal to the
+    factor dims) and store them with, built once, its read-only per-slot ket
+    stacks (d_s x n) and the vector of the terms' ``value`` attribute."""
+    terms = tuple(dec.terms)
+    if not terms:
+        raise DegenerateInput("a decomposition needs at least one term")
+    dims = dec.dims.dims
+    for i, t in enumerate(terms):
+        got = tuple(k.dim for k in t.kets)
+        if got != dims:
+            raise DimensionMismatch(f"term {i} ket dims {got} do not match factors {dims}")
     object.__setattr__(dec, "terms", terms)
-    stacks = tuple(_freeze(np.array([t.kets[s].amplitudes for t in terms]).T) for s in range(len(dec.dims)))
+    stacks = tuple(_freeze(np.array([t.kets[s].amplitudes for t in terms]).T) for s in range(len(dims)))
     object.__setattr__(dec, "stacks", stacks)
-    object.__setattr__(dec, "values", _freeze(np.array(values)))
+    object.__setattr__(dec, "values", _freeze(np.array([getattr(t, value) for t in terms])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,17 +380,9 @@ class ProductDecomposition:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        terms = tuple(self.terms)
         if len(self.dims) != 2:
             raise DimensionMismatch("a product decomposition needs exactly 2 factors")
-        if not terms:
-            raise DegenerateInput("a decomposition needs at least one term")
-        for i, t in enumerate(terms):
-            if t.a.dim != self.dims[0] or t.b.dim != self.dims[1]:
-                raise DimensionMismatch(
-                    f"term {i} ket dims ({t.a.dim}, {t.b.dim}) do not match factors {self.dims.dims}"
-                )
-        _set_stacks(self, terms, [t.weight for t in terms])
+        _set_terms(self, "weight")
 
     @property
     def n(self) -> int:
@@ -434,18 +439,9 @@ class TriDecomposition:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        terms = tuple(self.terms)
         if len(self.dims) != 3:
             raise DimensionMismatch("a tridecomposition needs exactly 3 factors")
-        if not terms:
-            raise DegenerateInput("a decomposition needs at least one term")
-        for i, t in enumerate(terms):
-            got = (t.a.dim, t.b.dim, t.c.dim)
-            if got != self.dims.dims:
-                raise DimensionMismatch(
-                    f"term {i} ket dims {got} do not match factors {self.dims.dims}"
-                )
-        _set_stacks(self, terms, [t.coeff for t in terms])
+        _set_terms(self, "coeff")
 
     @property
     def n(self) -> int:
@@ -536,19 +532,20 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     return StateOperator(FactoredDims(kept_dims), reduced)
 
 
-def build_tri_vector(t: TriDecomposition, zero_eps: float = 1e-8) -> tuple[Ket, float]:
+def build_tri_vector(t: TriDecomposition) -> tuple[Ket, float]:
     """Sum coeff_j * a_j (x) b_j (x) c_j; return the normalized ket and the raw norm.
 
     Callers needing the unnormalized vector multiply the ket amplitudes by
-    the returned raw norm.  A sum that cancels below ``zero_eps`` relative
-    to the total coefficient weight signals degenerate input.
+    the returned raw norm.  A sum whose norm is at most ``_TRI_CANCEL_RTOL``
+    times the total coefficient weight sum_j |coeff_j| signals degenerate
+    input.
     """
     a, b, c = t.stacks
     coeffs = t.values
     v = (np.einsum("in,jn->ijn", a * coeffs, b).reshape(-1, t.n) @ c.T).reshape(-1)
     raw = frobenius(v)
     scale = float(np.abs(coeffs).sum())
-    if raw <= zero_eps * scale:
+    if raw <= _TRI_CANCEL_RTOL * scale:
         raise DegenerateInput(f"tri vector cancels to norm {raw!r}; degenerate input")
     return Ket(v / raw), raw
 

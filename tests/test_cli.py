@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +84,31 @@ class TestGenerate:
 
     def test_bad_dims_argument_exit_2(self, tmp_path):
         assert main(["generate", "--dims", "2", "--out", str(tmp_path / "x.json")]) == 2
+
+
+class TestWriteFailures:
+    """An --out in a missing directory is an input error: exit 2 and one
+    ``error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["generate", "--n", "2", "--dims", "2,2"],
+            ["generate", "--twin-of", "{dec}"],
+            ["build", "{dec}"],
+            ["extract", "{op}"],
+            ["purify", "{dec}"],
+        ],
+    )
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys, command):
+        paths = {"dec": str(tmp_path / "dec.json"), "op": str(tmp_path / "op.json")}
+        assert main(["generate", "--n", "2", "--dims", "3,3", "--out", paths["dec"]]) == 0
+        assert main(["build", paths["dec"], "--out", paths["op"]]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "missing" / "x.json")
+        assert main([part.format(**paths) for part in command] + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: cannot write") and err.count("\n") == 1
 
 
 class TestRoundTrip:
@@ -322,6 +351,18 @@ class TestDemoCommand:
         assert main(["demo", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["eigenvalues"] == [0.5, 0.5, 0.0, 0.0]
+
+    def test_module_entry_point(self):
+        # the package as imported here, found by the child through PYTHONPATH
+        src = str(Path(pd.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "proddecomp", "demo"], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert "eigenvalues: 0.5 0.5 0 0" in done.stdout
+        assert "0.70710678 0.70710678" in done.stdout
+        assert "q1 factorable: no" in done.stdout
 
 
 class TestCheckCommand:

@@ -144,6 +144,14 @@ class TestSchemaValidation:
         with pytest.raises(pd.FileError, match="no such file"):
             fileio.load_decomposition("/nonexistent/file.json")
 
+    def test_unwritable_path(self, product_file, tmp_path):
+        path = str(tmp_path / "missing" / "dec.json")
+        with pytest.raises(pd.FileError, match="cannot write") as info:
+            fileio.save_decomposition(path, product_file[1])
+        assert str(info.value).startswith(path)
+        with pytest.raises(pd.FileError, match="cannot write"):
+            fileio.save_operator(str(tmp_path), pd.build_rho(product_file[1]))  # a directory
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json {")

@@ -189,3 +189,91 @@ class TestTwoLabelings:
             psi.amplitudes - pd.apply_on_factor(u, phi, split, 1).amplitudes
         )
         assert residual < RESIDUAL_ATOL
+
+
+def _reference_relating_unitary(psi, phi, split, tol=pd.DEFAULT_TOL):
+    """The four-step construction the Procrustes factor replaced: a pinv solve
+    on the row support, a rank comparison, two complement QRs and a polar
+    projection, with the same gates."""
+    m_psi, m_phi = pd.bipartite_matrix(psi, split), pd.bipartite_matrix(phi, split)
+    red_psi, red_phi = m_psi @ m_psi.conj().T, m_phi @ m_phi.conj().T
+    gap = pd.frobenius(red_psi - red_phi)
+    if gap > tol.eps_eq * max(1.0, pd.frobenius(red_psi), pd.frobenius(red_phi)):
+        raise pd.OperatorMismatch("not co-purifications: reduced operators differ")
+    _, s_psi, vh_psi = np.linalg.svd(m_psi)
+    _, s_phi, vh_phi = np.linalg.svd(m_phi)
+    r_psi = int(np.count_nonzero(s_psi >= tol.eps_rank * s_psi[0]))
+    r_phi = int(np.count_nonzero(s_phi >= tol.eps_rank * s_phi[0]))
+    if r_psi != r_phi:
+        raise pd.OperatorMismatch("not co-purifications: support ranks differ")
+    d2 = split[1]
+
+    def complement(v):
+        return np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :] if v.shape[1] else np.eye(d2, dtype=complex)
+
+    restricted = np.linalg.pinv(m_phi, rcond=tol.eps_rank) @ m_psi
+    completed = restricted + complement(vh_phi[:r_phi].conj().T) @ complement(vh_psi[:r_psi].conj().T).conj().T
+    a, _, bh = np.linalg.svd(completed)
+    u_t = a @ bh
+    if np.linalg.norm(psi.amplitudes - (m_phi @ u_t).reshape(-1)) > RESIDUAL_ATOL:
+        raise pd.OperatorMismatch("unitary completion failed")
+    return pd.UnitaryMatrix(u_t.T)
+
+
+def _copurification_pair(rng, sigma_min, flat):
+    """psi = (I (x) U) phi for a random unitary U, where M_phi has rank r and
+    smallest nonzero singular value ``sigma_min``.  ``flat``: r in [14, 26]
+    with near-equal singular values, so the largest lies below 10^-0.5;
+    otherwise r in [2, 5] with singular values spread over a decade."""
+    if flat:
+        r = int(rng.integers(14, 27))
+        others = rng.uniform(0.9, 1.0, r - 1)
+    else:
+        r = int(rng.integers(2, 6))
+        others = 10.0 ** rng.uniform(-1.0, 0.0, r - 1)
+    d1, d2 = r + int(rng.integers(0, 3)), r + int(rng.integers(0, 3))
+    others *= np.sqrt(1.0 - sigma_min**2) / np.linalg.norm(others)
+    s = np.append(others, sigma_min)
+    m_phi = (_random_unitary(rng, d1)[:, :r] * s) @ _random_unitary(rng, d2)[:, :r].conj().T
+    m_psi = m_phi @ _random_unitary(rng, d2).T
+    return pd.Ket(m_psi.reshape(-1)), pd.Ket(m_phi.reshape(-1)), pd.FactoredDims((d1, d2))
+
+
+def _pairs(band, count, seed):
+    lo, hi = band
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        yield _copurification_pair(rng, 10.0 ** rng.uniform(lo, hi), flat=i % 2 == 1)
+
+
+def _certified(u, psi, phi, split):
+    """Residual and unitarity defect of ``u``, each below 1e-8."""
+    residual = np.linalg.norm(psi.amplitudes - pd.apply_on_factor(u, phi, split, 1).amplitudes)
+    defect = pd.frobenius(u.matrix.conj().T @ u.matrix - np.eye(u.dim))
+    return residual < 1e-8 and defect < 1e-8
+
+
+class TestRelatingUnitaryConditioning:
+    """Bands of sigma_min, the smallest nonzero singular value of M_phi.  In
+    [10^-8.5, 10^-7.5] sigma_min^2 is at rounding level in M_phi^dagger M_psi."""
+
+    @pytest.mark.parametrize(
+        "band, count, seed",
+        [((-14.0, -9.5), 200, 11), ((-9.5, -8.5), 2000, 12), ((-7.5, -6.5), 600, 13), ((-6.5, -1.0), 200, 14)],
+    )
+    def test_every_pair_outside_the_rounding_band_certifies(self, band, count, seed):
+        for psi, phi, split in _pairs(band, count, seed):
+            assert _certified(pd.relating_unitary(psi, phi, split), psi, phi, split)
+
+    def test_inside_the_band_every_outcome_is_certified_or_refused(self):
+        refused = reference_refused = 0
+        for psi, phi, split in _pairs((-8.5, -7.5), 600, 15):
+            try:
+                assert _certified(pd.relating_unitary(psi, phi, split), psi, phi, split)
+            except pd.OperatorMismatch:
+                refused += 1
+            try:
+                _reference_relating_unitary(psi, phi, split)
+            except pd.OperatorMismatch:
+                reference_refused += 1
+        assert refused <= reference_refused
