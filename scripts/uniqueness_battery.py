@@ -6,6 +6,9 @@ Runs three experiments and prints per-battery statistics:
   * tripartite matching across independence profiles,
   * blind extraction checked against the planted ground truth.
 
+The case lists come from bi_cases and tri_cases, which the acceptance
+suite (tests/test_acceptance.py) also draws its batteries from.
+
 Exits 1, naming the battery, when any battery matches fewer than --count
 instances, and 0 otherwise.
 
@@ -22,16 +25,40 @@ import numpy as np
 import proddecomp as pd
 
 
-def bi_battery(count: int, master_seed: int) -> tuple[int, float]:
+def bi_cases(count: int, master_seed: int) -> list[tuple[int, int, int, str, int]]:
+    """Deterministic (n, d1, d2, profile, seed) cases with n <= 6 and dims <= 8,
+    cycling the bipartite profiles; the slot that must hold n independent
+    kets draws its dim first."""
     rng = np.random.default_rng(master_seed)
-    worst = 0.0
-    ok = 0
+    cases = []
     for i in range(count):
         profile = pd.BI_PROFILES[i % 3]
-        n = int(rng.integers(3 if profile != "both-independent" else 2, 7))
-        d1 = int(rng.integers(n if profile != "b-independent-only" else 2, 9))
-        d2 = int(rng.integers(n if profile != "a-independent-only" else 2, 9))
-        seed = int(rng.integers(0, 2**31))
+        n = int(rng.integers(2 if profile == "both-independent" else 3, 7))
+        first = int(rng.integers(n, 9))
+        second = int(rng.integers(n if profile == "both-independent" else 2, 9))
+        d1, d2 = (second, first) if profile == "b-independent-only" else (first, second)
+        cases.append((n, d1, d2, profile, int(rng.integers(0, 2**31))))
+    return cases
+
+
+def tri_cases(count: int, master_seed: int) -> list[tuple[int, tuple[int, int, int], str, int]]:
+    """Deterministic (n, dims, profile, seed) cases with n <= 6 and dims <= 8,
+    cycling the tripartite profiles."""
+    rng = np.random.default_rng(master_seed)
+    cases = []
+    for i in range(count):
+        profile = pd.TRI_PROFILES[i % 4]
+        dep = {"all-independent": None, "a-dependent": 0, "b-dependent": 1, "c-dependent": 2}[profile]
+        n = int(rng.integers(2 if dep is None else 3, 7))
+        dims = tuple(int(rng.integers(2 if s == dep else n, 9)) for s in range(3))
+        cases.append((n, dims, profile, int(rng.integers(0, 2**31))))
+    return cases
+
+
+def bi_battery(count: int, master_seed: int) -> tuple[int, float]:
+    worst = 0.0
+    ok = 0
+    for n, d1, d2, profile, seed in bi_cases(count, master_seed):
         dec = pd.generate_instance(n, d1, d2, seed=seed, profile=profile)
         twin, perm = pd.phase_permuted_twin(dec, seed=seed + 1)
         result = pd.match_bidecomposition(dec, twin)
@@ -42,15 +69,9 @@ def bi_battery(count: int, master_seed: int) -> tuple[int, float]:
 
 
 def tri_battery(count: int, master_seed: int) -> tuple[int, float]:
-    rng = np.random.default_rng(master_seed)
     worst = 0.0
     ok = 0
-    for i in range(count):
-        profile = pd.TRI_PROFILES[i % 4]
-        dep = {"all-independent": None, "a-dependent": 0, "b-dependent": 1, "c-dependent": 2}[profile]
-        n = int(rng.integers(2 if dep is None else 3, 7))
-        dims = tuple(int(rng.integers(2 if s == dep else n, 9)) for s in range(3))
-        seed = int(rng.integers(0, 2**31))
+    for n, dims, profile, seed in tri_cases(count, master_seed):
         tri = pd.generate_tri_instance(n, *dims, seed=seed, profile=profile)
         twin, perm = pd.phase_permuted_twin(tri, seed=seed + 1)
         result = pd.match_tridecomposition(tri, twin)
@@ -61,16 +82,10 @@ def tri_battery(count: int, master_seed: int) -> tuple[int, float]:
 
 
 def extraction_battery(count: int, master_seed: int) -> tuple[int, float, dict[str, list[int]]]:
-    rng = np.random.default_rng(master_seed)
     worst = 0.0
     probes: dict[str, list[int]] = {profile: [] for profile in pd.BI_PROFILES}
     ok = 0
-    for i in range(count):
-        profile = pd.BI_PROFILES[i % 3]
-        n = int(rng.integers(3 if profile != "both-independent" else 2, 7))
-        d1 = int(rng.integers(n if profile != "b-independent-only" else 2, 9))
-        d2 = int(rng.integers(n if profile != "a-independent-only" else 2, 9))
-        seed = int(rng.integers(0, 2**31))
+    for n, d1, d2, profile, seed in bi_cases(count, master_seed):
         dec = pd.generate_instance(n, d1, d2, seed=seed, profile=profile)
         report = pd.extract_decomposition(pd.build_rho(dec), seed=seed + 1)
         probes[profile].append(report.probes_used)

@@ -8,6 +8,7 @@ extractable, 4 hypothesis violation, 5 operator mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -15,14 +16,13 @@ import numpy as np
 
 from . import decomp, fileio
 from .errors import (
-    DegenerateInput,
     FileError,
     HypothesisViolation,
     NotExtractable,
     OperatorMismatch,
     ProddecompError,
 )
-from .fileio import complex_json, dumps_canonical
+from .fileio import _ket_json, dumps_canonical
 from .purification import purify
 from .subspace import ToleranceConfig
 from .tensor import FactoredDims, Ket, StateOperator, build_rho
@@ -56,24 +56,6 @@ def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> No
     else:
         for line in human_lines:
             print(line)
-
-
-def _match_payload(result: decomp.MatchResult) -> dict:
-    return {
-        "n": result.n,
-        "permutation": list(result.permutation),
-        "per_term": [
-            {
-                "overlap_a": complex_json(c.overlap_a),
-                "overlap_b": complex_json(c.overlap_b),
-                "overlap_c": None if c.overlap_c is None else complex_json(c.overlap_c),
-                "weight_first": c.weight_first,
-                "weight_second": c.weight_second,
-            }
-            for c in result.per_term
-        ],
-        "residual": result.residual,
-    }
 
 
 def _match_lines(result: decomp.MatchResult) -> list[str]:
@@ -133,10 +115,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         op = build_rho(dec)
     else:
         vec, norm = loaded.vector()
-        if norm < 1e-12:
-            raise DegenerateInput("file's global vector cancels to zero")
-        unit = vec / norm
-        op = StateOperator(loaded.dims, np.outer(unit, unit.conj()))
+        op = StateOperator.from_columns(loaded.dims, (vec / norm)[:, None], np.ones(1))
     fileio.save_operator(args.out, op)
     # the trace of the matrix written, not of the stored factor: the two can
     # differ in the last ulp, and the file is what the report describes
@@ -201,7 +180,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         t1 = _load_tri_operand(first, second, tol)
         t2 = _load_tri_operand(second, first, tol)
         result = decomp.match_tridecomposition(t1, t2, tol)
-    _emit(args, _match_payload(result), _match_lines(result))
+    _emit(args, dataclasses.asdict(result), _match_lines(result))
     return EXIT_OK
 
 
@@ -223,8 +202,6 @@ def cmd_factorable(args: argparse.Namespace) -> int:
     if len(loaded.dims) != 2:
         raise FileError("factorable needs a 2-factor coefficient file")
     vec, norm = loaded.vector()
-    if norm < 1e-12:
-        raise DegenerateInput("file's global vector cancels to zero")
     ket = Ket(vec / norm)
     tol = _tol(args)
     verdict, factors = decomp.is_factorable(ket, loaded.dims, tol)
@@ -238,26 +215,13 @@ def cmd_factorable(args: argparse.Namespace) -> int:
         "schmidt values: " + " ".join(_fmt(float(v)) for v in schmidt),
     ]
     if factors is not None:
-        payload["factors"] = [
-            {"re": [float(v) for v in f.amplitudes.real], "im": [float(v) for v in f.amplitudes.imag]}
-            for f in factors
-        ]
+        payload["factors"] = [_ket_json(f) for f in factors]
     _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     report = decomp.demo_degeneracy()
-    payload = {
-        "eigenvalues": list(report.eigenvalues),
-        "qform_residual": report.qform_residual,
-        "q1_schmidt": list(report.q1_schmidt),
-        "q2_schmidt": list(report.q2_schmidt),
-        "q1_factorable": report.q1_factorable,
-        "q2_factorable": report.q2_factorable,
-        "tri_qform_residual": report.tri_qform_residual,
-        "notes": list(report.notes),
-    }
     lines = [
         "degenerate-eigenbasis demonstration",
         "eigenvalues: " + " ".join(_fmt(v) for v in report.eigenvalues),
@@ -269,7 +233,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         "tripartite q-form residual: " + _fmt(report.tri_qform_residual),
     ]
     lines += [f"note: {n}" for n in report.notes]
-    _emit(args, payload, lines)
+    _emit(args, dataclasses.asdict(report), lines)
     return EXIT_OK
 
 

@@ -33,6 +33,7 @@ from .tensor import (
     TriDecomposition,
     TriTerm,
     _root_tensor,
+    bipartite_matrix,
     build_rho,
     build_tri_vector,
     frobenius,
@@ -183,9 +184,7 @@ def check_tri_hypotheses(
 
 def schmidt_values(x: Ket, split: FactoredDims) -> np.ndarray:
     """Singular values of the ket's coefficient matrix under the split."""
-    if len(split) != 2 or split.total != x.dim:
-        raise DimensionMismatch(f"split {split.dims} does not factor a dim-{x.dim} ket")
-    return np.linalg.svd(x.amplitudes.reshape(split[0], split[1]), compute_uv=False)
+    return np.linalg.svd(bipartite_matrix(x, split), compute_uv=False)
 
 
 def is_factorable(
@@ -198,9 +197,7 @@ def is_factorable(
     singular vectors are returned as the factors, each phased so that its
     first significant component is real positive.
     """
-    if len(split) != 2 or split.total != x.dim:
-        raise DimensionMismatch(f"split {split.dims} does not factor a dim-{x.dim} ket")
-    u, s, vh = np.linalg.svd(x.amplitudes.reshape(split[0], split[1]))
+    u, s, vh = np.linalg.svd(bipartite_matrix(x, split))
     second = float(s[1]) if s.size > 1 else 0.0
     if second >= tol.eps_rank * float(s[0]):
         return False, None
@@ -376,13 +373,6 @@ def _factored_gap(
     return gap, frobenius((r1 * w1) @ r1.conj().T), frobenius((r2 * w2) @ r2.conj().T)
 
 
-def _operator_gap(d1: ProductDecomposition, d2: ProductDecomposition) -> tuple[float, float]:
-    """Frobenius distance between the two decompositions' operators, and
-    the gate scale max(1, ||rho1||_F, ||rho2||_F) (:func:`_factored_gap`)."""
-    gap, norm1, norm2 = _factored_gap(product_columns(d1), product_columns(d2))
-    return gap, max(1.0, norm1, norm2)
-
-
 def match_bidecomposition(
     d1: ProductDecomposition, d2: ProductDecomposition, tol: ToleranceConfig = DEFAULT_TOL
 ) -> MatchResult:
@@ -390,7 +380,7 @@ def match_bidecomposition(
     are term-wise collinear up to a permutation, with equal weights.
 
     Pipeline: check hypotheses on both inputs; gate operator equality
-    without forming either operator (:func:`_operator_gap`: O(N n^2) time,
+    without forming either operator (:func:`_factored_gap`: O(N n^2) time,
     O(N n) memory, so not bound by ``MAX_AMBIENT_DIM``); pick the ket slot
     independent in both inputs (a, else b), which exists when the operators
     agree, since the a-set is independent exactly when rank Tr_B rho =
@@ -403,8 +393,8 @@ def match_bidecomposition(
     ind1 = check_product_hypotheses(d1, tol, label="first decomposition")
     ind2 = check_product_hypotheses(d2, tol, label="second decomposition")
 
-    gap, scale = _operator_gap(d1, d2)
-    if gap > tol.eps_eq * scale:
+    gap, norm1, norm2 = _factored_gap(product_columns(d1), product_columns(d2))
+    if gap > tol.eps_eq * max(1.0, norm1, norm2):
         raise OperatorMismatch(f"operators differ by {gap:.3e} in Frobenius norm")
 
     slot = next((s for s in (0, 1) if ind1[s] and ind2[s]), None)

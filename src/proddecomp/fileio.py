@@ -25,6 +25,7 @@ from .tensor import (
     StateOperator,
     TriDecomposition,
     TriTerm,
+    _expansion,
 )
 
 FORMAT_VERSION = "1"
@@ -43,7 +44,8 @@ def _fmt_number(x: float) -> str:
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
-    """Deterministic JSON text: insertion-ordered keys, 17-digit floats."""
+    """Deterministic JSON text: insertion-ordered keys, 17-digit floats, and
+    a complex number as the object {"re": ..., "im": ...}."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -59,6 +61,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         else:
             rows = (dumps_canonical(v, indent + 1) for v in obj)
         return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
+    if isinstance(obj, complex):
+        return dumps_canonical({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, bool):
@@ -83,31 +87,22 @@ def _ket_json(k: Ket) -> dict:
     return {"re": k.amplitudes.real.tolist(), "im": k.amplitudes.imag.tolist()}
 
 
-def complex_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
 # ---------------------------------------------------------------------------
 # saving
 
 
 def decomposition_payload(obj: ProductDecomposition | TriDecomposition) -> dict:
-    terms = []
-    if isinstance(obj, ProductDecomposition):
-        for t in obj.terms:
-            terms.append({"w": t.weight, "kets": [_ket_json(t.a), _ket_json(t.b)]})
-    elif isinstance(obj, TriDecomposition):
-        for t in obj.terms:
-            terms.append(
-                {"coeff": complex_json(t.coeff), "kets": [_ket_json(k) for k in t.kets]}
-            )
-    else:
+    if not isinstance(obj, (ProductDecomposition, TriDecomposition)):
         raise FileError(f"cannot serialize decomposition of type {type(obj).__name__}")
+    key = "w" if isinstance(obj, ProductDecomposition) else "coeff"
     return {
         "format_version": FORMAT_VERSION,
         "kind": "decomposition",
         "dims": list(obj.dims.dims),
-        "terms": terms,
+        "terms": [
+            {key: v, "kets": [_ket_json(k) for k in t.kets]}
+            for v, t in zip(obj.values.tolist(), obj.terms)
+        ],
     }
 
 
@@ -247,16 +242,12 @@ class LoadedDecomposition:
         )
 
     def vector(self) -> tuple[np.ndarray, float]:
-        """Raw global vector sum_j value_j (x)kets_j and its norm (coeff form only)."""
+        """Raw global vector sum_j value_j (x)kets_j and its norm (coeff form
+        only); a cancelled vector raises DegenerateInput (``tensor._expansion``)."""
         if self.form != "coeff":
             raise FileError("only coefficient-form files define a global vector")
-        out = np.zeros(self.dims.total, dtype=complex)
-        for v, ks in zip(self.values, self.kets):
-            acc = ks[0].amplitudes
-            for k in ks[1:]:
-                acc = np.kron(acc, k.amplitudes)
-            out += v * acc
-        return out, float(np.linalg.norm(out))
+        stacks = [np.array([ks[s].amplitudes for ks in self.kets]).T for s in range(len(self.dims))]
+        return _expansion(stacks, np.array(self.values))
 
 
 def load_decomposition(path: str) -> LoadedDecomposition:

@@ -21,8 +21,8 @@ KET_NORM_ATOL = 1e-12
 HERMITICITY_RTOL = 1e-10
 PSD_RTOL = 1e-10
 
-#: A tri vector whose norm is at most this times its coefficients' total
-#: magnitude has cancelled: degenerate input.
+#: A coefficient expansion sum_j c_j (x)kets_j whose norm is at most this
+#: times sum_j |c_j| has cancelled: degenerate input.
 _TRI_CANCEL_RTOL = 1e-8
 
 
@@ -74,11 +74,12 @@ class Ket:
 
     @classmethod
     def normalize(cls, amplitudes) -> "Ket":
-        """Scale amplitudes to unit norm; a near-zero vector is rejected."""
+        """Scale amplitudes to unit norm at any finite scale; a zero or
+        non-finite vector is rejected."""
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
-            raise DegenerateInput("cannot normalize a near-zero vector")
+        norm = frobenius(amps)
+        if not 0.0 < norm < math.inf:  # NaN fails too
+            raise DegenerateInput(f"cannot normalize a vector of norm {norm!r}")
         return cls(amps / norm)
 
     @classmethod
@@ -532,21 +533,37 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     return StateOperator(FactoredDims(kept_dims), reduced)
 
 
+def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Raw vector sum_j values_j (x)_s stacks_s[:, j] over 2 or 3 slots, and its norm.
+
+    The slots are combined pairwise (one ``einsum``) and the last one by a
+    GEMM, in row-major Kronecker order.  A vector whose norm is at most
+    ``_TRI_CANCEL_RTOL`` times sum_j |values_j| has cancelled and raises
+    DegenerateInput; both sides of that rule are scale-safe.
+    """
+    n = values.size
+    acc = stacks[0] * values
+    for s in stacks[1:-1]:
+        acc = np.einsum("in,jn->ijn", acc, s).reshape(-1, n)
+    v = (acc @ stacks[-1].T).reshape(-1)
+    raw = frobenius(v)
+    bound = _TRI_CANCEL_RTOL * float(np.abs(values).sum())
+    if raw <= bound:
+        raise DegenerateInput(
+            f"expansion vector cancels: norm {raw!r} is at most {bound!r} "
+            f"(_TRI_CANCEL_RTOL * sum of coefficient magnitudes); degenerate input"
+        )
+    return v, raw
+
+
 def build_tri_vector(t: TriDecomposition) -> tuple[Ket, float]:
     """Sum coeff_j * a_j (x) b_j (x) c_j; return the normalized ket and the raw norm.
 
     Callers needing the unnormalized vector multiply the ket amplitudes by
-    the returned raw norm.  A sum whose norm is at most ``_TRI_CANCEL_RTOL``
-    times the total coefficient weight sum_j |coeff_j| signals degenerate
-    input.
+    the returned raw norm.  A cancelled sum signals degenerate input
+    (:func:`_expansion`).
     """
-    a, b, c = t.stacks
-    coeffs = t.values
-    v = (np.einsum("in,jn->ijn", a * coeffs, b).reshape(-1, t.n) @ c.T).reshape(-1)
-    raw = frobenius(v)
-    scale = float(np.abs(coeffs).sum())
-    if raw <= _TRI_CANCEL_RTOL * scale:
-        raise DegenerateInput(f"tri vector cancels to norm {raw!r}; degenerate input")
+    v, raw = _expansion(t.stacks, t.values)
     return Ket(v / raw), raw
 
 

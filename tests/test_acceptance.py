@@ -5,14 +5,23 @@ The batteries are seeded and deterministic; the whole module stays well
 under a minute on a laptop.
 """
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 import proddecomp as pd
 from proddecomp import fileio
 from proddecomp.cli import main
+
+# the case generators shared with the battery script, loaded as tests/test_scripts.py loads it
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "uniqueness_battery.py"
+_spec = importlib.util.spec_from_file_location("uniqueness_battery", _SCRIPT)
+_battery = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_battery)
+_bi_cases, _tri_cases = _battery.bi_cases, _battery.tri_cases
 
 
 def _report(num: int, description: str, ok: bool) -> None:
@@ -27,43 +36,6 @@ def _random_ket(rng, dim):
 def _span_projector(kets):
     a = np.column_stack([k.amplitudes for k in kets])
     return a @ np.linalg.pinv(a)
-
-
-def _bi_cases(count, master_seed):
-    """Deterministic (n, d1, d2, profile, seed) tuples with n <= 6, dims <= 8."""
-    rng = np.random.default_rng(master_seed)
-    cases = []
-    for i in range(count):
-        profile = pd.BI_PROFILES[i % 3]
-        if profile == "both-independent":
-            n = int(rng.integers(2, 7))
-            d1 = int(rng.integers(n, 9))
-            d2 = int(rng.integers(n, 9))
-        elif profile == "a-independent-only":
-            n = int(rng.integers(3, 7))
-            d1 = int(rng.integers(n, 9))
-            d2 = int(rng.integers(2, 9))
-        else:
-            n = int(rng.integers(3, 7))
-            d2 = int(rng.integers(n, 9))
-            d1 = int(rng.integers(2, 9))
-        cases.append((n, d1, d2, profile, int(rng.integers(0, 2**31))))
-    return cases
-
-
-def _tri_cases(count, master_seed):
-    rng = np.random.default_rng(master_seed)
-    cases = []
-    for i in range(count):
-        profile = pd.TRI_PROFILES[i % 4]
-        dep = {"all-independent": None, "a-dependent": 0, "b-dependent": 1, "c-dependent": 2}[profile]
-        n = int(rng.integers(2, 7)) if dep is None else int(rng.integers(3, 7))
-        dims = []
-        for s in range(3):
-            low = 2 if s == dep else n
-            dims.append(int(rng.integers(low, 9)))
-        cases.append((n, tuple(dims), profile, int(rng.integers(0, 2**31))))
-    return cases
 
 
 def test_criterion_1_degenerate_eigenbasis_reproduction():

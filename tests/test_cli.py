@@ -401,3 +401,219 @@ class TestParser:
         second = build_parser().parse_args(["demo"])
         assert (first.json, first.tol) == (True, 1e-6)
         assert (second.json, second.tol) == (False, 1e-8)
+
+
+
+def _coeff_file(tmp_path, nfac, terms):
+    """A coefficient file on nfac qubits with one term coeff |i..i> per (coeff, i) pair."""
+    e = [_ket_json(pd.Ket.basis(2, i)) for i in range(2)]
+    payload = {
+        "format_version": "1",
+        "kind": "decomposition",
+        "dims": [2] * nfac,
+        "terms": [{"coeff": z, "kets": [e[i]] * nfac} for z, i in terms],
+    }
+    return _write_payload(tmp_path / f"coeff{nfac}.json", payload)
+
+
+def _balanced(scale=1.0):
+    return [(scale / math.sqrt(2), 0), (scale / math.sqrt(2), 1)]
+
+
+class TestCancellationRule:
+    """One rule for coefficient files: a global vector of norm at most
+    _TRI_CANCEL_RTOL * sum_j |c_j| has cancelled (exit 2), at any scale."""
+
+    @staticmethod
+    def _build(tmp_path, path):
+        out = str(tmp_path / "op.json")
+        code = main(["build", path, "--out", out])
+        return code, (fileio.load_operator(out).matrix if code == 0 else None)
+
+    @pytest.mark.parametrize("nfac", [2, 3])
+    @pytest.mark.parametrize("k", [-200, -170, 170, 200])
+    def test_build_at_every_scale(self, tmp_path, nfac, k):
+        _, reference = self._build(tmp_path, _coeff_file(tmp_path, nfac, _balanced()))
+        code, m = self._build(tmp_path, _coeff_file(tmp_path, nfac, _balanced(10.0**k)))
+        assert code == 0
+        assert np.abs(m - reference).max() <= 1e-15
+
+    @pytest.mark.parametrize("k", [-200, -170, 0, 170, 200])
+    def test_factorable_at_every_scale(self, tmp_path, capsys, k):
+        assert main(["factorable", _coeff_file(tmp_path, 2, _balanced(10.0**k)), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["factorable"] is False
+        assert np.abs(np.array(report["schmidt_values"]) - 1 / math.sqrt(2)).max() <= 1e-15
+
+    @pytest.mark.parametrize("nfac", [2, 3])
+    def test_exact_cancellation_exits_2(self, tmp_path, capsys, nfac):
+        path = _coeff_file(tmp_path, nfac, _balanced() + _balanced(-1.0))
+        assert self._build(tmp_path, path)[0] == 2
+        assert "cancels: norm 0.0" in capsys.readouterr().err
+        if nfac == 2:
+            assert main(["factorable", path]) == 2
+
+    @pytest.mark.parametrize("nfac", [2, 3])
+    @pytest.mark.parametrize("ratio, code", [(0.5, 2), (2.0, 0)])
+    def test_either_side_of_the_bound(self, tmp_path, nfac, ratio, code):
+        # c|0..0> + |1..1> - |1..1> has norm c and sum of magnitudes 2 + c, so
+        # c = ratio * RTOL * (2 + c) puts it at ratio times the bound; the
+        # 0.5 case (norm 1e-8) exited 0 under the former absolute 1e-12 check
+        rtol = pd.tensor._TRI_CANCEL_RTOL
+        c = 2.0 * ratio * rtol / (1.0 - ratio * rtol)
+        path = _coeff_file(tmp_path, nfac, [(c, 0), (1.0, 1), (-1.0, 1)])
+        assert self._build(tmp_path, path)[0] == code
+        if nfac == 2:
+            assert main(["factorable", path]) == code
+
+
+# The writers that restated each record field by field; kept as the oracles
+# for dumps_canonical writing the records and complex numbers as they are.
+def _reference_complex(z):
+    return {"re": float(z.real), "im": float(z.imag)}
+
+
+def _reference_match_payload(result):
+    return {
+        "n": result.n,
+        "permutation": list(result.permutation),
+        "per_term": [
+            {
+                "overlap_a": _reference_complex(c.overlap_a),
+                "overlap_b": _reference_complex(c.overlap_b),
+                "overlap_c": None if c.overlap_c is None else _reference_complex(c.overlap_c),
+                "weight_first": c.weight_first,
+                "weight_second": c.weight_second,
+            }
+            for c in result.per_term
+        ],
+        "residual": result.residual,
+    }
+
+
+def _reference_demo_payload(report):
+    return {
+        "eigenvalues": list(report.eigenvalues),
+        "qform_residual": report.qform_residual,
+        "q1_schmidt": list(report.q1_schmidt),
+        "q2_schmidt": list(report.q2_schmidt),
+        "q1_factorable": report.q1_factorable,
+        "q2_factorable": report.q2_factorable,
+        "tri_qform_residual": report.tri_qform_residual,
+        "notes": list(report.notes),
+    }
+
+
+def _reference_decomposition_payload(obj):
+    if isinstance(obj, pd.ProductDecomposition):
+        terms = [{"w": t.weight, "kets": [_ket_json(t.a), _ket_json(t.b)]} for t in obj.terms]
+    else:
+        terms = [{"coeff": _reference_complex(t.coeff), "kets": [_ket_json(k) for k in t.kets]} for t in obj.terms]
+    return {"format_version": "1", "kind": "decomposition", "dims": list(obj.dims.dims), "terms": terms}
+
+
+class TestJsonRecords:
+    @pytest.mark.parametrize(
+        "profile, dims", [(p, "5,4") for p in pd.BI_PROFILES] + [(p, "4,5,4") for p in pd.TRI_PROFILES]
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_match_json_is_the_reference_payload(self, tmp_path, capsys, profile, dims, seed):
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        base = ["--n", "3", "--dims", dims, "--profile", profile, "--seed", str(seed)]
+        assert main(["generate", *base, "--out", first]) == 0
+        assert main(["generate", "--twin-of", first, "--seed", str(seed + 10), "--out", second]) == 0
+        mode = "bi" if dims.count(",") == 1 else "tri"
+        capsys.readouterr()
+        assert main(["match", first, second, "--mode", mode, "--json"]) == 0
+        out = capsys.readouterr().out
+        d1, d2 = fileio.load_decomposition(first), fileio.load_decomposition(second)
+        tol = pd.ToleranceConfig(eps_col=1e-8, eps_rank=1e-8, eps_eq=1e-8)
+        if mode == "bi":
+            result = pd.match_bidecomposition(d1.product(), d2.product(), tol)
+        else:
+            result = pd.match_tridecomposition(d1.tri(), d2.tri(), tol)
+        assert out == fileio.dumps_canonical(_reference_match_payload(result)) + "\n"
+
+    def test_demo_json_is_the_reference_payload(self, capsys):
+        assert main(["demo", "--json"]) == 0
+        expected = fileio.dumps_canonical(_reference_demo_payload(pd.demo_degeneracy())) + "\n"
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("profile", pd.TRI_PROFILES)
+    def test_complex_coefficient_files_are_the_reference_bytes(self, tmp_path, profile):
+        for seed in range(3):
+            tri = pd.generate_tri_instance(4, 4, 5, 4, seed=seed, profile=profile)
+            twin, _ = pd.phase_permuted_twin(tri, seed=seed + 1)  # coefficients with phases
+            purified = pd.purify(pd.generate_instance(3, 4, 4, seed=seed), 3)
+            for dec in (tri, twin, purified):
+                path = tmp_path / "d.json"
+                fileio.save_decomposition(str(path), dec)
+                expected = fileio.dumps_canonical(_reference_decomposition_payload(dec)) + "\n"
+                assert path.read_text() == expected
+
+    def test_weight_files_are_the_reference_bytes(self, tmp_path):
+        for profile in pd.BI_PROFILES:
+            dec = pd.generate_instance(4, 5, 5, seed=3, profile=profile)
+            path = tmp_path / "d.json"
+            fileio.save_decomposition(str(path), dec)
+            assert path.read_text() == fileio.dumps_canonical(_reference_decomposition_payload(dec)) + "\n"
+
+    def test_factorable_factors_are_the_reference_kets(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        a = pd.Ket.normalize(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        b = pd.Ket.normalize(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        path = _write_payload(
+            tmp_path / "prod.json",
+            {
+                "format_version": "1",
+                "kind": "decomposition",
+                "dims": [3, 2],
+                "terms": [{"coeff": {"re": 0.5, "im": -0.25}, "kets": [_ket_json(a), _ket_json(b)]}],
+            },
+        )
+        assert main(["factorable", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        loaded = fileio.load_decomposition(path)
+        vec, norm = loaded.vector()
+        _, factors = pd.is_factorable(pd.Ket(vec / norm), loaded.dims, pd.ToleranceConfig())
+        assert report["factors"] == [_ket_json(f) for f in factors]
+
+    def test_complex_numbers_are_written_as_re_im_objects(self):
+        z = complex(-0.0, 1e-300)
+        assert fileio.dumps_canonical([z]) == fileio.dumps_canonical([_reference_complex(z)])
+        assert fileio.dumps_canonical(np.complex128(z)) == fileio.dumps_canonical(_reference_complex(z))
+
+
+class TestCoefficientBuild:
+    @pytest.mark.parametrize("nfac", [2, 3])
+    def test_projector_is_factored_and_skips_dense_validation(self, tmp_path, monkeypatch, nfac):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validated an N x N matrix")
+
+        tri = pd.generate_tri_instance(3, 4, 3, 4, seed=2)
+        path = str(tmp_path / "t.json")
+        if nfac == 3:
+            fileio.save_decomposition(path, tri)
+        else:  # the same vector as a 2-factor file, pairing the first two slots
+            path = _write_payload(
+                tmp_path / "pair.json",
+                {
+                    "format_version": "1",
+                    "kind": "decomposition",
+                    "dims": [12, 4],
+                    "terms": [
+                        {
+                            "coeff": {"re": t.coeff.real, "im": t.coeff.imag},
+                            "kets": [_ket_json(pd.tensor_product(t.a, t.b)), _ket_json(t.c)],
+                        }
+                        for t in tri.terms
+                    ],
+                },
+            )
+        ket, _ = pd.build_tri_vector(tri)
+        monkeypatch.setattr(pd.tensor, "_checked_matrix", forbidden)
+        out = str(tmp_path / "op.json")
+        assert main(["build", path, "--out", out]) == 0
+        monkeypatch.undo()
+        m = fileio.load_operator(out).matrix
+        assert np.abs(m - np.outer(ket.amplitudes, ket.amplitudes.conj())).max() <= 1e-15

@@ -276,3 +276,65 @@ class TestSchemaValidation:
         }
         loaded = fileio.load_decomposition(self._write(tmp_path, payload))
         assert loaded.values[0] == complex(1 / math.sqrt(2))
+
+
+class TestGlobalVector:
+    """``LoadedDecomposition.vector`` runs the expansion core of ``build_tri_vector``."""
+
+    @pytest.mark.parametrize("profile", pd.TRI_PROFILES)
+    def test_equals_build_tri_vector_on_three_factor_files(self, tmp_path, profile):
+        for seed in range(5):
+            tri = pd.generate_tri_instance(4, 5, 4, 6, seed=seed, profile=profile)
+            path = str(tmp_path / f"t{seed}.json")
+            fileio.save_decomposition(path, tri)
+            vec, norm = fileio.load_decomposition(path).vector()
+            ket, raw = pd.build_tri_vector(tri)
+            assert abs(norm - raw) <= 1e-15 * raw
+            assert np.abs(vec - raw * ket.amplitudes).max() <= 1e-15 * raw
+
+    def test_two_factor_vector_is_the_kron_sum(self, tmp_path):
+        rng = np.random.default_rng(11)
+        kets = [(pd.Ket.normalize(rng.standard_normal(3)), pd.Ket.normalize(rng.standard_normal(4))) for _ in range(3)]
+        coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        payload = {
+            "format_version": "1",
+            "kind": "decomposition",
+            "dims": [3, 4],
+            "terms": [
+                {"coeff": {"re": z.real, "im": z.imag}, "kets": [_ket_json(a), _ket_json(b)]}
+                for z, (a, b) in zip(coeffs, kets)
+            ],
+        }
+        path = tmp_path / "pair.json"
+        path.write_text(fileio.dumps_canonical(payload) + "\n")
+        vec, norm = fileio.load_decomposition(str(path)).vector()
+        loop = sum(z * np.kron(a.amplitudes, b.amplitudes) for z, (a, b) in zip(coeffs, kets))
+        assert np.abs(vec - loop).max() <= 1e-15 * norm
+        assert norm == pytest.approx(np.linalg.norm(loop), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [-200, -170, 170, 200])
+    def test_norm_is_scale_safe(self, tmp_path, k):
+        e = [_ket_json(pd.Ket.basis(2, i)) for i in range(2)]
+        payload = {
+            "format_version": "1",
+            "kind": "decomposition",
+            "dims": [2, 2],
+            "terms": [{"coeff": 10.0**k, "kets": [e[i], e[i]]} for i in range(2)],
+        }
+        path = tmp_path / "scaled.json"
+        path.write_text(fileio.dumps_canonical(payload) + "\n")
+        _, norm = fileio.load_decomposition(str(path)).vector()
+        assert norm == pytest.approx(10.0**k * math.sqrt(2), rel=1e-15)
+
+    def test_cancelled_vector_is_degenerate_input(self, tmp_path):
+        e = _ket_json(pd.Ket.basis(2, 0))
+        payload = {
+            "format_version": "1",
+            "kind": "decomposition",
+            "dims": [2, 2, 2],
+            "terms": [{"coeff": z, "kets": [e, e, e]} for z in (1.0, -1.0)],
+        }
+        path = tmp_path / "zero.json"
+        path.write_text(fileio.dumps_canonical(payload) + "\n")
+        with pytest.raises(pd.DegenerateInput, match="cancels: norm 0.0 is at most 2e-08"):
+            fileio.load_decomposition(str(path)).vector()

@@ -296,8 +296,8 @@ class TestDenseFreeBipartiteMatching:
     def _certify_twin(dec, seed):
         twin, perm = pd.phase_permuted_twin(dec, seed=seed)
         assert pd.match_bidecomposition(dec, twin).permutation == perm
-        gap, scale = decomp._operator_gap(dec, twin)
-        return gap / scale
+        gap, norm1, norm2 = decomp._factored_gap(tensor.product_columns(dec), tensor.product_columns(twin))
+        return gap / max(1.0, norm1, norm2)
 
     def test_factored_gate_is_exact_on_twins(self):
         # the Gram expansion of ||rho1 - rho2||_F^2 cancels to ~1e-16 here,
@@ -317,7 +317,8 @@ class TestDenseFreeBipartiteMatching:
             d1 = pd.generate_instance(3, 4, 5, seed=seed, profile=pd.BI_PROFILES[seed % 3])
             d2 = pd.generate_instance(4, 4, 5, seed=seed + 50, profile=pd.BI_PROFILES[seed % 3])
             m1, m2 = pd.rho_matrix(d1), pd.rho_matrix(d2)
-            gap, scale = decomp._operator_gap(d1, d2)
+            gap, norm1, norm2 = decomp._factored_gap(tensor.product_columns(d1), tensor.product_columns(d2))
+            scale = max(1.0, norm1, norm2)
             assert gap == pytest.approx(np.linalg.norm(m1 - m2), rel=1e-12)
             assert scale == pytest.approx(max(1.0, np.linalg.norm(m1), np.linalg.norm(m2)), rel=1e-12)
 

@@ -1,11 +1,14 @@
 """Core tensor algebra: kets, operators, products, partial traces."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import proddecomp as pd
+from proddecomp import tensor
 
 
 def _random_ket(rng, dim):
@@ -43,6 +46,17 @@ class TestKet:
     def test_normalize_rejects_zero(self):
         with pytest.raises(pd.DegenerateInput):
             pd.Ket.normalize(np.zeros(3))
+
+    @pytest.mark.parametrize("k", range(-300, 301, 50))
+    def test_normalize_at_every_finite_scale(self, k):
+        # a plain sum of squares underflows below ~1e-154 and overflows above ~1e154
+        ket = pd.Ket.normalize(10.0**k * np.array([3.0, 4.0j]))
+        assert np.abs(ket.amplitudes - np.array([0.6, 0.8j])).max() <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.zeros(2), [np.nan, 1.0], [np.inf, 1.0], [1.0, 1j * np.inf]])
+    def test_normalize_rejects_zero_and_non_finite(self, bad):
+        with pytest.raises(pd.DegenerateInput, match="cannot normalize a vector of norm"):
+            pd.Ket.normalize(bad)
 
     def test_amplitudes_are_immutable(self):
         k = pd.Ket.basis(3, 0)
@@ -453,3 +467,50 @@ class TestBuildTriVector:
         )
         with pytest.raises(pd.DegenerateInput):
             pd.build_tri_vector(tri)
+
+
+class TestExpansion:
+    """``tensor._expansion``, the one core for coefficient-form vectors."""
+
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 5), (3, 2, 4)])
+    def test_matches_per_term_kron_sum(self, dims):
+        rng = np.random.default_rng(len(dims))
+        stacks = [np.column_stack([_random_ket(rng, d).amplitudes for _ in range(3)]) for d in dims]
+        values = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        loop = 0
+        for j in range(3):
+            term = values[j]
+            for stack in stacks:
+                term = np.kron(term, stack[:, j])
+            loop = loop + term
+        v, norm = tensor._expansion(stacks, values)
+        assert np.abs(v - loop).max() < 1e-14
+        assert norm == pytest.approx(np.linalg.norm(loop), rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_build_tri_vector_bit_for_bit(self, seed):
+        tri = pd.generate_tri_instance(3, 4, 3, 5, seed=seed, profile=pd.TRI_PROFILES[seed])
+        v, norm = tensor._expansion(tri.stacks, tri.values)
+        ket, raw = pd.build_tri_vector(tri)
+        assert raw == norm
+        assert np.array_equal(ket.amplitudes, v / norm)
+
+    @pytest.mark.parametrize("k", [-300, -170, 170, 300])
+    def test_norm_is_scale_safe(self, k):
+        e = np.eye(2)
+        v, norm = tensor._expansion([e, e], 10.0**k * np.ones(2))
+        assert norm == pytest.approx(10.0**k * np.sqrt(2), rel=1e-15)
+
+    @pytest.mark.parametrize("ratio, cancels", [(0.5, True), (2.0, False)])
+    def test_one_rule_names_the_norm_and_the_bound(self, ratio, cancels):
+        # c|00> - c|00> + eps|11>: norm eps against the bound RTOL * (2c + eps)
+        e = np.eye(2)
+        stacks = [e[:, [0, 0, 1]]] * 2
+        eps = ratio * tensor._TRI_CANCEL_RTOL * 2.0
+        values = np.array([1.0, -1.0, eps])
+        if cancels:
+            bound = tensor._TRI_CANCEL_RTOL * (2.0 + eps)
+            with pytest.raises(pd.DegenerateInput, match=re.escape(f"norm {eps!r} is at most {bound!r}")):
+                tensor._expansion(stacks, values)
+        else:
+            assert tensor._expansion(stacks, values)[1] == eps
