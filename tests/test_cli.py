@@ -527,11 +527,10 @@ class TestJsonRecords:
         assert main(["match", first, second, "--mode", mode, "--json"]) == 0
         out = capsys.readouterr().out
         d1, d2 = fileio.load_decomposition(first), fileio.load_decomposition(second)
-        tol = pd.ToleranceConfig(eps_col=1e-8, eps_rank=1e-8, eps_eq=1e-8)
-        if mode == "bi":
-            result = pd.match_bidecomposition(d1.product(), d2.product(), tol)
+        if mode == "bi":  # the default --tol 1e-8 is the default ToleranceConfig
+            result = pd.match_bidecomposition(d1.product(), d2.product())
         else:
-            result = pd.match_tridecomposition(d1.tri(), d2.tri(), tol)
+            result = pd.match_tridecomposition(d1.tri(), d2.tri())
         assert out == fileio.dumps_canonical(_reference_match_payload(result)) + "\n"
 
     def test_demo_json_is_the_reference_payload(self, capsys):
