@@ -457,8 +457,7 @@ class TestCancellationRule:
     @pytest.mark.parametrize("ratio, code", [(0.5, 2), (2.0, 0)])
     def test_either_side_of_the_bound(self, tmp_path, nfac, ratio, code):
         # c|0..0> + |1..1> - |1..1> has norm c and sum of magnitudes 2 + c, so
-        # c = ratio * RTOL * (2 + c) puts it at ratio times the bound; the
-        # 0.5 case (norm 1e-8) exited 0 under the former absolute 1e-12 check
+        # c = ratio * RTOL * (2 + c) puts it at ratio times the bound
         rtol = pd.tensor._TRI_CANCEL_RTOL
         c = 2.0 * ratio * rtol / (1.0 - ratio * rtol)
         path = _coeff_file(tmp_path, nfac, [(c, 0), (1.0, 1), (-1.0, 1)])
