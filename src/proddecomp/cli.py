@@ -215,7 +215,7 @@ def cmd_factorable(args: argparse.Namespace) -> int:
         "schmidt values: " + " ".join(_fmt(float(v)) for v in schmidt),
     ]
     if factors is not None:
-        payload["factors"] = [_ket_json(f) for f in factors]
+        payload["factors"] = [_ket_json(f.amplitudes) for f in factors]
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -3,7 +3,6 @@ generation, and the degenerate-eigenbasis demonstration."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,14 +27,13 @@ from .tensor import (
     FactoredDims,
     Ket,
     ProductDecomposition,
-    ProductTerm,
     StateOperator,
     TriDecomposition,
     TriTerm,
+    _expansion,
     _root_tensor,
     bipartite_matrix,
     build_rho,
-    build_tri_vector,
     frobenius,
     partial_trace,
     product_columns,
@@ -342,9 +340,8 @@ def match_tridecomposition(
     ind1 = check_tri_hypotheses(t1, tol, label="first tridecomposition")
     ind2 = check_tri_hypotheses(t2, tol, label="second tridecomposition")
 
-    ket1, norm1 = build_tri_vector(t1)
-    ket2, norm2 = build_tri_vector(t2)
-    gap = frobenius(norm1 * ket1.amplitudes - norm2 * ket2.amplitudes)
+    (v1, norm1), (v2, norm2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
+    gap = frobenius(v1 - v2)
     if gap > tol.eps_eq * max(1.0, norm1, norm2):
         raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
 
@@ -534,12 +531,12 @@ def extract_decomposition(
             continue
         b_cols = np.linalg.svd(slices, full_matrices=False)[0][:, :, 0]
 
-        terms = []
-        for t in sorted(range(r), key=lambda t: -weights[t]):
-            a_ket = Ket.normalize(a_cols[:, t])
-            b_ket = Ket.normalize(fix_phase(b_cols[t], tol.eps_rank))
-            terms.append(ProductTerm(float(weights[t]), *((a_ket, b_ket) if side == 0 else (b_ket, a_ket))))
-        dec = ProductDecomposition(rho.dims, tuple(terms))
+        # heaviest term first; each ket divided by its own frobenius norm, as Ket.normalize does
+        order = sorted(range(r), key=lambda t: -weights[t])
+        kets = ([a_cols[:, t] for t in order], [fix_phase(b_cols[t], tol.eps_rank) for t in order])
+        a_stack, b_stack = (np.array([c / frobenius(c) for c in cols]).T for cols in kets)
+        stacks = (a_stack, b_stack) if side == 0 else (b_stack, a_stack)
+        dec = ProductDecomposition._from_stacks(rho.dims, stacks, weights[order])
         if rho.factor is None:
             cols, wts = product_columns(dec)
             residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction
@@ -574,8 +571,8 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _independent_kets(rng: np.random.Generator, dim: int, count: int) -> list[Ket]:
-    """Well-conditioned, well-separated linearly independent unit kets."""
+def _independent_kets(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """Well-conditioned, well-separated, linearly independent unit columns of a dim x count matrix."""
     for _ in range(_GEN_ATTEMPTS):
         g = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
         q, _ = np.linalg.qr(g)
@@ -590,12 +587,12 @@ def _independent_kets(rng: np.random.Generator, dim: int, count: int) -> list[Ke
         gram = np.abs(a.conj().T @ a - np.eye(count))
         if count > 1 and gram.max() > 1.0 - _GEN_MAX_OVERLAP:
             continue
-        return [Ket(a[:, i]) for i in range(count)]
+        return a
     raise DegenerateInput(f"failed to generate {count} independent kets in dim {dim}")
 
 
-def _dependent_noncollinear_kets(rng: np.random.Generator, dim: int, count: int) -> list[Ket]:
-    """Non-collinear unit kets that are necessarily linearly dependent.
+def _dependent_noncollinear_kets(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """Non-collinear unit columns of a dim x count matrix, necessarily linearly dependent.
 
     The kets span a subspace of dimension min(dim, count - 1), at least 2
     for count >= 3 and dim >= 2 (the caller's feasibility check), so
@@ -604,15 +601,12 @@ def _dependent_noncollinear_kets(rng: np.random.Generator, dim: int, count: int)
     span = min(dim, count - 1)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, span)) + 1j * rng.standard_normal((dim, span)))
     for _ in range(_GEN_ATTEMPTS):
-        cols = []
-        for _ in range(count):
-            cols.append(basis[:, :span] @ _random_unit(rng, span))
-        a = np.column_stack(cols)
+        a = np.column_stack([basis[:, :span] @ _random_unit(rng, span) for _ in range(count)])
         a /= np.linalg.norm(a, axis=0, keepdims=True)
         gram = np.abs(a.conj().T @ a - np.eye(count))
         if gram.max() > 1.0 - _GEN_MAX_OVERLAP:
             continue
-        return [Ket(a[:, i]) for i in range(count)]
+        return a
     raise DegenerateInput(f"failed to generate {count} dependent non-collinear kets in dim {dim}")
 
 
@@ -633,8 +627,8 @@ _DEPENDENT_SLOT = {
 
 def _slot_kets(
     n: int, dims: tuple[int, ...], seed: int, profile: str, profiles: tuple[str, ...]
-) -> tuple[np.random.Generator, list[list[Ket]]]:
-    """The seeded generator and n kets per slot of ``dims``: dependent
+) -> tuple[np.random.Generator, list[np.ndarray]]:
+    """The seeded generator and a d_s x n ket stack per slot of ``dims``: dependent
     non-collinear ones in the profile's dependent slot, independent ones in
     every other.  Every slot is checked feasible before the first draw; the
     sets are drawn in slot order, and the caller draws the values next."""
@@ -673,13 +667,10 @@ def generate_instance(
     normalized to sum 1.  Generated sets keep safety margins (pairwise
     overlap and conditioning) well inside the default tolerances.
     """
-    rng, (a_kets, b_kets) = _slot_kets(n, (d1, d2), seed, profile, BI_PROFILES)
+    rng, stacks = _slot_kets(n, (d1, d2), seed, profile, BI_PROFILES)
     weights = rng.uniform(0.5, 1.5, n)
     weights /= weights.sum()
-    dec = ProductDecomposition(
-        FactoredDims((d1, d2)),
-        tuple(ProductTerm(float(w), a, b) for w, a, b in zip(weights, a_kets, b_kets)),
-    )
+    dec = ProductDecomposition._from_stacks(FactoredDims((d1, d2)), stacks, weights)
     check_product_hypotheses(dec, tol, label="generated decomposition")
     return dec
 
@@ -700,13 +691,10 @@ def generate_tri_instance(
     Coefficients are nonzero complex with random phases.
     """
     dims = (d1, d2, d3)
-    rng, kets = _slot_kets(n, dims, seed, profile, TRI_PROFILES)
+    rng, stacks = _slot_kets(n, dims, seed, profile, TRI_PROFILES)
     mags = rng.uniform(0.5, 1.2, n)
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-    tri = TriDecomposition(
-        FactoredDims(dims),
-        tuple(TriTerm(complex(m * p), *ks) for m, p, *ks in zip(mags, phases, *kets)),
-    )
+    tri = TriDecomposition._from_stacks(FactoredDims(dims), stacks, mags * phases)
     check_tri_hypotheses(tri, tol, label="generated tridecomposition")
     return tri
 
@@ -716,22 +704,21 @@ def phase_permuted_twin(
 ) -> tuple[ProductDecomposition | TriDecomposition, tuple[int, ...]]:
     """Equivalent twin: terms permuted and each ket multiplied by a random phase.
 
-    Returns (twin, perm) with twin.terms[j] built from dec.terms[perm[j]],
+    Returns (twin, perm) with twin term j built from term perm[j] of dec,
     so matching the twin (second) against the original (first) recovers
     exactly ``perm``.  A bipartite twin keeps each weight; a tripartite
     twin's coefficient absorbs the inverse of the product of its ket
     phases, keeping the global vector fixed including its phase.
     """
     rng = np.random.default_rng(seed)
-    perm = tuple(int(i) for i in rng.permutation(dec.n))
-    bipartite = isinstance(dec, ProductDecomposition)
-    terms = []
-    for j in perm:
-        src = dec.terms[j]
-        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(src.kets)))
-        value = src.weight if bipartite else src.coeff / math.prod(phases)
-        terms.append(type(src)(value, *(k.phased(p) for k, p in zip(src.kets, phases))))
-    return type(dec)(dec.dims, tuple(terms)), perm
+    perm = rng.permutation(dec.n)
+    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (dec.n, len(dec.stacks))))
+    # each ket times its phase as a row of the transposed stack: Ket.phased's product, bit for bit
+    stacks = [(s.T[perm] * p[:, None]).T for s, p in zip(dec.stacks, phases.T)]
+    values = dec.values[perm]
+    if isinstance(dec, TriDecomposition):
+        values = values / np.prod(phases, axis=1)
+    return type(dec)._from_stacks(dec.dims, stacks, values), tuple(int(i) for i in perm)
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +739,7 @@ def demo_degeneracy(tol: ToleranceConfig = DEFAULT_TOL) -> DegeneracyReport:
     a = [Ket.basis(2, 0), Ket.basis(2, 1)]
     b = [Ket.basis(2, 0), Ket.basis(2, 1)]
     dims = FactoredDims((2, 2))
-    dec = ProductDecomposition(
-        dims, (ProductTerm(0.5, a[0], b[0]), ProductTerm(0.5, a[1], b[1]))
-    )
+    dec = ProductDecomposition._from_stacks(dims, (np.eye(2), np.eye(2)), [0.5, 0.5])
     rho = build_rho(dec)
     evals = tuple(float(v) for v in sorted(np.linalg.eigvalsh(rho.matrix), reverse=True))
 

@@ -21,10 +21,8 @@ from .tensor import (
     FactoredDims,
     Ket,
     ProductDecomposition,
-    ProductTerm,
     StateOperator,
     TriDecomposition,
-    TriTerm,
     _expansion,
 )
 
@@ -83,8 +81,8 @@ def _write(path: str, payload: dict) -> None:
         raise FileError(f"{path}: cannot write ({exc})") from exc
 
 
-def _ket_json(k: Ket) -> dict:
-    return {"re": k.amplitudes.real.tolist(), "im": k.amplitudes.imag.tolist()}
+def _ket_json(amplitudes: np.ndarray) -> dict:
+    return {"re": amplitudes.real.tolist(), "im": amplitudes.imag.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +98,8 @@ def decomposition_payload(obj: ProductDecomposition | TriDecomposition) -> dict:
         "kind": "decomposition",
         "dims": list(obj.dims.dims),
         "terms": [
-            {key: v, "kets": [_ket_json(k) for k in t.kets]}
-            for v, t in zip(obj.values.tolist(), obj.terms)
+            {key: v, "kets": [_ket_json(k) for k in kets]}
+            for v, *kets in zip(obj.values.tolist(), *(s.T for s in obj.stacks))
         ],
     }
 
@@ -225,10 +223,7 @@ class LoadedDecomposition:
             raise FileError(f"expected a 2-factor decomposition, file has {len(self.dims)} factors")
         if self.form != "weight":
             raise FileError("expected weight-form terms ('w'), file carries coefficients")
-        return ProductDecomposition(
-            self.dims,
-            tuple(ProductTerm(v.real, ks[0], ks[1]) for v, ks in zip(self.values, self.kets)),
-        )
+        return ProductDecomposition._from_stacks(self.dims, self._stacks(), np.array(self.values).real)
 
     def tri(self) -> TriDecomposition:
         """Interpret as a coefficient tridecomposition (3 factors)."""
@@ -236,18 +231,17 @@ class LoadedDecomposition:
             raise FileError(f"expected a 3-factor decomposition, file has {len(self.dims)} factors")
         if self.form != "coeff":
             raise FileError("expected coefficient-form terms ('coeff'), file carries weights")
-        return TriDecomposition(
-            self.dims,
-            tuple(TriTerm(v, ks[0], ks[1], ks[2]) for v, ks in zip(self.values, self.kets)),
-        )
+        return TriDecomposition._from_stacks(self.dims, self._stacks(), self.values)
 
     def vector(self) -> tuple[np.ndarray, float]:
         """Raw global vector sum_j value_j (x)kets_j and its norm (coeff form
         only); a cancelled vector raises DegenerateInput (``tensor._expansion``)."""
         if self.form != "coeff":
             raise FileError("only coefficient-form files define a global vector")
-        stacks = [np.array([ks[s].amplitudes for ks in self.kets]).T for s in range(len(self.dims))]
-        return _expansion(stacks, np.array(self.values))
+        return _expansion(self._stacks(), np.array(self.values))
+
+    def _stacks(self) -> list[np.ndarray]:  # one d_s x n matrix of the file's kets per factor
+        return [np.array([ks[s].amplitudes for ks in self.kets]).T for s in range(len(self.dims))]
 
 
 def load_decomposition(path: str) -> LoadedDecomposition:

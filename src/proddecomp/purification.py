@@ -3,7 +3,6 @@ unitary acting on the auxiliary factor that relates two co-purifications."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,6 @@ from .tensor import (
     Ket,
     ProductDecomposition,
     TriDecomposition,
-    TriTerm,
     _freeze,
     bipartite_matrix,
     frobenius,
@@ -67,10 +65,7 @@ def purify(d: ProductDecomposition, dim3: int) -> TriDecomposition:
     if dim3 < n:
         raise DimensionMismatch(f"auxiliary dimension {dim3} is below the term count {n}")
     dims = FactoredDims((d.dims[0], d.dims[1], int(dim3)))
-    terms = tuple(
-        TriTerm(math.sqrt(t.weight), t.a, t.b, Ket.basis(dim3, j)) for j, t in enumerate(d.terms)
-    )
-    return TriDecomposition(dims, terms)
+    return TriDecomposition._from_stacks(dims, (*d.stacks, np.eye(dim3, n)), np.sqrt(d.values))
 
 
 def relating_unitary(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -292,22 +293,28 @@ def _checked_factor(columns, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
     k = v.shape[1]
     if k < 1:
         raise DegenerateInput("a factored operator needs at least one column")
-    w = np.asarray(weights)
-    if w.dtype.kind not in "iuf":
-        raise DegenerateInput(f"weights must be real numbers, got dtype {w.dtype}")
-    w = np.array(w, dtype=float)
+    w = _checked_weights(weights)
     if w.shape != (k,):
         raise DimensionMismatch(f"weights shape {w.shape} does not match {k} columns")
     scale = frobenius(v)
     if not math.isfinite(scale):
         raise DegenerateInput(f"columns have non-finite entries (Frobenius norm {scale!r})")
-    bad = np.flatnonzero(~(w > 0.0) | ~np.isfinite(w))
-    if bad.size:
-        raise DegenerateInput(f"weight {bad[0]} must be positive and finite, got {w[bad[0]]!r}")
     trace = _factor_trace(v, w)
     if not math.isfinite(trace):
         raise DegenerateInput(f"operator trace overflows ({trace!r})")
     return v, w
+
+
+def _checked_weights(weights) -> np.ndarray:
+    """A float copy of ``weights``, each real, positive and finite (factors and decompositions)."""
+    w = np.asarray(weights)
+    if w.dtype.kind not in "iuf":
+        raise DegenerateInput(f"weights must be real numbers, got dtype {w.dtype}")
+    w = np.array(w, dtype=float)
+    bad = np.flatnonzero(~(w > 0.0) | ~np.isfinite(w))
+    if bad.size:
+        raise DegenerateInput(f"weight {bad[0]} must be positive and finite, got {float(w[bad[0]])!r}")
+    return w
 
 
 def _root_tensor(rho: StateOperator) -> np.ndarray:
@@ -331,74 +338,14 @@ class ProductTerm:
     b: Ket
 
     def __post_init__(self) -> None:
-        w = float(self.weight)
+        w = math.nan if np.iscomplexobj(self.weight) else float(self.weight)
         if not math.isfinite(w) or w <= 0.0:
-            raise DegenerateInput(f"term weight must be positive and finite, got {self.weight!r}")
+            raise DegenerateInput(f"term weight must be real, positive and finite, got {self.weight!r}")
         object.__setattr__(self, "weight", w)
 
     @property
     def kets(self) -> tuple[Ket, Ket]:
         return (self.a, self.b)
-
-
-def _set_terms(dec, value: str) -> None:
-    """Check a decomposition's terms (at least one; ket dims equal to the
-    factor dims) and store them with, built once, its read-only per-slot ket
-    stacks (d_s x n) and the vector of the terms' ``value`` attribute."""
-    terms = tuple(dec.terms)
-    if not terms:
-        raise DegenerateInput("a decomposition needs at least one term")
-    dims = dec.dims.dims
-    for i, t in enumerate(terms):
-        got = tuple(k.dim for k in t.kets)
-        if got != dims:
-            raise DimensionMismatch(f"term {i} ket dims {got} do not match factors {dims}")
-    object.__setattr__(dec, "terms", terms)
-    stacks = tuple(_freeze(np.array([t.kets[s].amplitudes for t in terms]).T) for s in range(len(dims)))
-    object.__setattr__(dec, "stacks", stacks)
-    object.__setattr__(dec, "values", _freeze(np.array([getattr(t, value) for t in terms])))
-
-
-@dataclass(frozen=True, eq=False)
-class ProductDecomposition:
-    """Weighted sum of products of rank-1 projectors on a two-factor space.
-
-    The constructor enforces the structural invariants (positive weights,
-    matching dimensions).  The geometric hypotheses behind uniqueness
-    (non-collinear ket sets, at least one set linearly independent) are
-    tolerance-dependent and are checked by
-    :func:`proddecomp.decomp.check_product_hypotheses`.
-
-    ``terms`` is the per-term view.  The constructor also builds, once,
-    the array view every hot path reads: ``stacks`` holds the read-only
-    d1 x n and d2 x n matrices whose columns are the a- and b-kets, and
-    ``values`` the read-only vector of the n weights, both in term order.
-    """
-
-    dims: FactoredDims
-    terms: tuple[ProductTerm, ...]
-    stacks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.dims) != 2:
-            raise DimensionMismatch("a product decomposition needs exactly 2 factors")
-        _set_terms(self, "weight")
-
-    @property
-    def n(self) -> int:
-        return len(self.terms)
-
-    @property
-    def weight_sum(self) -> float:
-        return float(self.values.sum())
-
-    def normalized(self) -> "ProductDecomposition":
-        """Rescale weights to sum to 1 (a presentation choice, not required)."""
-        s = self.weight_sum
-        return ProductDecomposition(
-            self.dims, tuple(ProductTerm(t.weight / s, t.a, t.b) for t in self.terms)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,32 +368,106 @@ class TriTerm:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True, eq=False)
-class TriDecomposition:
+@dataclass(frozen=True, eq=False, init=False)
+class _Decomposition:
+    """The one stored form of both decomposition types: ``stacks`` holds one
+    read-only d_s x n matrix per factor, whose columns are that factor's kets
+    in term order, and ``values`` the read-only vector of the n term values;
+    ``terms`` is derived from them.  ``cls(dims, terms)`` stacks its terms, the
+    private array door :meth:`_from_stacks` takes arrays; both go through :meth:`_store`."""
+
+    dims: FactoredDims
+    stacks: tuple[np.ndarray, ...] = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def __init__(self, dims: FactoredDims, terms: Sequence) -> None:
+        # with the wrong factor count no term is read, so _store names the count first
+        terms = tuple(terms) if len(dims) == self._nfac else ()
+        for i, t in enumerate(terms):
+            got = tuple(k.dim for k in t.kets)
+            if got != dims.dims:
+                raise DimensionMismatch(f"term {i} ket dims {got} do not match factors {dims.dims}")
+        stacks = [np.array([t.kets[s].amplitudes for t in terms]).T for s in range(len(dims))]
+        self._store(dims, stacks, np.array([getattr(t, self._value) for t in terms]))
+
+    @classmethod
+    def _from_stacks(cls, dims: FactoredDims, stacks: Sequence[np.ndarray], values) -> "_Decomposition":
+        return cls.__new__(cls)._store(dims, stacks, values)
+
+    def _store(self, dims: FactoredDims, stacks: Sequence[np.ndarray], values) -> "_Decomposition":
+        """Check the factor count, n >= 1 valid values, one d_s x n stack per factor and
+        |norm - 1| <= ``KET_NORM_ATOL`` for every column (NaN and inf fail, as in ``Ket``)."""
+        if len(dims) != self._nfac:
+            raise DimensionMismatch(f"{self._noun} needs exactly {self._nfac} factors")
+        if not np.size(values):
+            raise DegenerateInput("a decomposition needs at least one term")
+        values = self._checked_values(values)
+        stacks = [np.array(a, dtype=complex, order="F") for a in stacks]
+        shapes = [a.shape for a in stacks]
+        if values.ndim != 1 or shapes != [(d, values.size) for d in dims]:
+            raise DimensionMismatch(f"ket stacks {shapes} do not match factors {dims.dims} x {values.size} terms")
+        for s, a in enumerate(stacks):
+            norms = np.sqrt(np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag))
+            bad = np.flatnonzero(~(np.abs(norms - 1.0) <= KET_NORM_ATOL))
+            if bad.size:
+                raise DegenerateInput(f"stack {s} column {bad[0]} has norm {float(norms[bad[0]])!r}, not 1")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "stacks", tuple(map(_freeze, stacks)))
+        object.__setattr__(self, "values", _freeze(values))
+        return self
+
+    @cached_property
+    def terms(self) -> tuple:
+        """One ``ProductTerm``/``TriTerm`` of ``Ket``\\ s per term, built from the stack columns on first read."""
+        columns = (s.T for s in self.stacks)
+        return tuple(self._term(v, *map(Ket, kets)) for v, *kets in zip(self.values.tolist(), *columns))
+
+    @property
+    def n(self) -> int:
+        return self.values.size
+
+
+class ProductDecomposition(_Decomposition):
+    """Weighted sum of products of rank-1 projectors on a two-factor space.
+
+    The constructors enforce the structural invariants (positive weights,
+    matching dimensions).  The geometric hypotheses behind uniqueness
+    (non-collinear ket sets, at least one set linearly independent) are
+    tolerance-dependent and are checked by
+    :func:`proddecomp.decomp.check_product_hypotheses`.  ``stacks`` holds
+    the a- and b-kets, ``values`` the weights.
+    """
+
+    _nfac, _noun, _term, _value = 2, "a product decomposition", ProductTerm, "weight"
+    _checked_values = staticmethod(_checked_weights)
+
+    @property
+    def weight_sum(self) -> float:
+        return float(self.values.sum())
+
+    def normalized(self) -> "ProductDecomposition":
+        """Rescale weights to sum to 1 (a presentation choice, not required)."""
+        return ProductDecomposition._from_stacks(self.dims, self.stacks, self.values / self.weight_sum)
+
+
+class TriDecomposition(_Decomposition):
     """Coefficient-weighted sum of product kets on a three-factor space.
 
     Structural invariants only; the tolerance-dependent hypotheses
     (per-slot non-collinearity, two independent slots) are checked by
-    :func:`proddecomp.decomp.check_tri_hypotheses`.
-
-    As for :class:`ProductDecomposition`, ``terms`` is the per-term view,
-    ``stacks`` the three read-only d_s x n ket matrices and ``values`` the
-    read-only vector of the n complex coefficients, built once here.
+    :func:`proddecomp.decomp.check_tri_hypotheses`.  ``stacks`` holds the
+    a-, b- and c-kets, ``values`` the complex coefficients.
     """
 
-    dims: FactoredDims
-    terms: tuple[TriTerm, ...]
-    stacks: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
-    values: np.ndarray = field(init=False, repr=False)
+    _nfac, _noun, _term, _value = 3, "a tridecomposition", TriTerm, "coeff"
 
-    def __post_init__(self) -> None:
-        if len(self.dims) != 3:
-            raise DimensionMismatch("a tridecomposition needs exactly 3 factors")
-        _set_terms(self, "coeff")
-
-    @property
-    def n(self) -> int:
-        return len(self.terms)
+    @staticmethod
+    def _checked_values(values) -> np.ndarray:
+        z = np.array(values, dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(z) | (z == 0))
+        if bad.size:
+            raise DegenerateInput(f"coefficient {bad[0]} must be nonzero and finite, got {complex(z[bad[0]])!r}")
+        return z
 
 
 def tensor_product(x: Ket, y: Ket) -> Ket:
@@ -539,15 +560,20 @@ def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.nda
     The slots are combined pairwise (one ``einsum``) and the last one by a
     GEMM, in row-major Kronecker order.  A vector whose norm is at most
     ``_TRI_CANCEL_RTOL`` times sum_j |values_j| has cancelled and raises
-    DegenerateInput; both sides of that rule are scale-safe.
+    DegenerateInput; both sides of that rule are scale-safe.  So does a norm
+    or a sum that overflows: that is an overflow, not a cancellation.
     """
     n = values.size
-    acc = stacks[0] * values
-    for s in stacks[1:-1]:
-        acc = np.einsum("in,jn->ijn", acc, s).reshape(-1, n)
-    v = (acc @ stacks[-1].T).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        total = float(np.abs(values).sum())
+        acc = stacks[0] * values
+        for s in stacks[1:-1]:
+            acc = np.einsum("in,jn->ijn", acc, s).reshape(-1, n)
+        v = (acc @ stacks[-1].T).reshape(-1)
     raw = frobenius(v)
-    bound = _TRI_CANCEL_RTOL * float(np.abs(values).sum())
+    if not (math.isfinite(raw) and math.isfinite(total)):
+        raise DegenerateInput(f"expansion vector overflows: norm {raw!r}, sum of coefficient magnitudes {total!r}")
+    bound = _TRI_CANCEL_RTOL * total
     if raw <= bound:
         raise DegenerateInput(
             f"expansion vector cancels: norm {raw!r} is at most {bound!r} "

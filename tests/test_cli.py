@@ -454,6 +454,17 @@ class TestCancellationRule:
             assert main(["factorable", path]) == 2
 
     @pytest.mark.parametrize("nfac", [2, 3])
+    def test_overflow_exits_2_with_one_error_line(self, tmp_path, capsys, nfac):
+        path = _coeff_file(tmp_path, nfac, [(1.5e308, 0), (1.5e308, 1)])
+        commands = [["build", path, "--out", str(tmp_path / "op.json")]] + [["factorable", path]] * (nfac == 2)
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: expansion vector overflows: norm inf, sum of coefficient magnitudes inf\n"
+
+    @pytest.mark.parametrize("nfac", [2, 3])
     @pytest.mark.parametrize("ratio, code", [(0.5, 2), (2.0, 0)])
     def test_either_side_of_the_bound(self, tmp_path, nfac, ratio, code):
         # c|0..0> + |1..1> - |1..1> has norm c and sum of magnitudes 2 + c, so

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 import proddecomp as pd
-from proddecomp.decomp import _dependent_noncollinear_kets, _independent_kets
+from proddecomp import decomp
+
+
+# The generators' draws, as the lists of Kets the reference generators build from
+def _independent_kets(rng, dim, count):
+    return [pd.Ket(c) for c in decomp._independent_kets(rng, dim, count).T]
+
+
+def _dependent_noncollinear_kets(rng, dim, count):
+    return [pd.Ket(c) for c in decomp._dependent_noncollinear_kets(rng, dim, count).T]
 
 
 def _reference_generate_instance(n, d1, d2, seed=0, profile="both-independent"):
@@ -191,3 +200,100 @@ class TestSharedConstructor:
             pd.TriDecomposition(pd.FactoredDims((2, 2, 2)), (pd.ProductTerm(1.0, e, e),))
         with pytest.raises(pd.DimensionMismatch):
             pd.ProductDecomposition(pd.FactoredDims((2, 2)), (pd.TriTerm(1.0, e, e, e),))
+
+    @staticmethod
+    def _case(cls, fault):
+        """(dims, stacks, values) of a valid two-term decomposition of ``cls``, with one fault."""
+        bipartite = cls is pd.ProductDecomposition
+        dims = (2, 3) if bipartite else (2, 3, 2)
+        stacks = [np.eye(d, 2, dtype=complex) for d in dims]
+        values = np.array([0.5, 0.25]) if bipartite else np.array([0.5j, -0.25])
+        if fault == "no terms":
+            stacks, values = [s[:, :0] for s in stacks], values[:0]
+        elif fault == "wrong slot dims":
+            stacks[1] = np.eye(dims[1] + 1, 2, dtype=complex)
+        elif fault in ("non-unit column", "nan column", "inf column"):
+            stacks[-1][1, 1] = {"non-unit": 2.0, "nan": np.nan, "inf": np.inf}[fault.split()[0]]
+        elif fault == "stack count":  # the kets of a term of the other kind
+            values = np.array([0.5, 0.25])
+            stacks = stacks + [np.eye(2, 2, dtype=complex)] if bipartite else stacks[:-1]
+        elif fault == "factor count":
+            dims = (2, 3, 2) if bipartite else (2, 3)
+            values, stacks = np.array([0.5, 0.25]), [np.eye(d, 2, dtype=complex) for d in dims]
+        elif fault is not None:  # a bad value in term 1
+            values = values.astype(complex if np.iscomplexobj(fault) else values.dtype)
+            values[1] = fault
+        return pd.FactoredDims(dims), stacks, values
+
+    @staticmethod
+    def _via_terms(cls, dims, stacks, values):
+        term = pd.ProductTerm if len(stacks) == 2 else pd.TriTerm
+        kets = [[pd.Ket(c) for c in s.T] for s in stacks]
+        return cls(dims, [term(v, *ks) for v, *ks in zip(values, *kets)])
+
+    @pytest.mark.parametrize(
+        "cls, fault",
+        [
+            (cls, fault)
+            for cls in (pd.ProductDecomposition, pd.TriDecomposition)
+            for fault in [
+                "no terms", "wrong slot dims", "non-unit column", "nan column", "inf column",
+                "stack count", "factor count", 0.0, np.nan, np.inf, complex(np.inf, 1.0),
+            ]
+        ]
+        + [(pd.ProductDecomposition, fault) for fault in (-0.25, -np.inf, 0.25 + 0.5j, 0.25 + 0j)],
+    )
+    def test_both_doors_reject_alike(self, cls, fault):
+        dims, stacks, values = self._case(cls, fault)
+        via_terms = _outcome(self._via_terms, cls, dims, stacks, values)
+        via_arrays = _outcome(cls._from_stacks, dims, stacks, values)
+        assert isinstance(via_terms, type) and issubclass(via_terms, pd.ProddecompError), via_terms
+        assert via_arrays is via_terms
+
+    @pytest.mark.parametrize("cls", [pd.ProductDecomposition, pd.TriDecomposition])
+    def test_both_doors_store_the_same_read_only_copies(self, cls):
+        dims, stacks, values = self._case(cls, None)
+        dec = cls._from_stacks(dims, stacks, values)
+        _assert_bit_identical(dec, self._via_terms(cls, dims, stacks, values))
+        first, value = dec.stacks[0].copy(), dec.values[0]
+        stacks[0][:] = 0.0
+        values[0] = 7.0
+        assert np.array_equal(dec.stacks[0], first) and dec.values[0] == value
+        for a in (*dec.stacks, dec.values):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert dec.terms is dec.terms  # built once, on first read
+
+
+class TestArrayPaths:
+    """Generation, twins, build and extraction, matching and purification run
+    on the stored arrays alone."""
+
+    def test_hot_paths_build_no_kets_or_terms(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        for cls in (pd.Ket, pd.ProductTerm, pd.TriTerm):
+            monkeypatch.setattr(cls, "__post_init__", forbidden)
+        made = []
+        for profile in pd.BI_PROFILES:
+            dec = pd.generate_instance(4, 5, 5, seed=1, profile=profile)
+            twin, _ = pd.phase_permuted_twin(dec, seed=2)
+            pd.match_bidecomposition(dec, twin)
+            report = pd.extract_decomposition(pd.build_rho(dec), seed=3)
+            pd.match_bidecomposition(dec, report.decomposition)
+            purified = pd.purify(dec, 5)
+            tri_twin, _ = pd.phase_permuted_twin(purified, seed=4)
+            pd.match_tridecomposition(purified, tri_twin)
+            made += [dec, twin, report.decomposition, purified, tri_twin]
+        for profile in pd.TRI_PROFILES:
+            tri = pd.generate_tri_instance(4, 5, 5, 5, seed=1, profile=profile)
+            twin, _ = pd.phase_permuted_twin(tri, seed=2)
+            pd.match_tridecomposition(tri, twin)
+            made += [tri, twin]
+        monkeypatch.undo()
+        for dec in made:
+            for j, term in enumerate(dec.terms):
+                assert (term.weight if isinstance(term, pd.ProductTerm) else term.coeff) == dec.values[j]
+                for s, ket in enumerate(term.kets):
+                    assert ket.amplitudes.tobytes() == dec.stacks[s][:, j].tobytes()

@@ -1,6 +1,7 @@
 """Core tensor algebra: kets, operators, products, partial traces."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -514,3 +515,15 @@ class TestExpansion:
                 tensor._expansion(stacks, values)
         else:
             assert tensor._expansion(stacks, values)[1] == eps
+
+    @pytest.mark.parametrize("nfac", [2, 3])
+    @pytest.mark.parametrize("signs, norm", [((1, 1), "inf"), ((1, -1), "0.0")])
+    def test_overflow_is_refused_as_an_overflow(self, nfac, signs, norm):
+        # two coefficients of 1.5e308 on |0..0> and |1..1> (signs 1, 1), or twice
+        # on |0..0> with opposite signs: their magnitudes sum past the largest float
+        e = np.eye(2)[:, [0, 1 if signs[1] > 0 else 0]]
+        message = f"expansion vector overflows: norm {norm}, sum of coefficient magnitudes inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            with pytest.raises(pd.DegenerateInput, match=re.escape(message)):
+                tensor._expansion([e] * nfac, 1.5e308 * np.array(signs, dtype=float))
