@@ -534,8 +534,7 @@ def extract_decomposition(
         # heaviest term first; each ket divided by its own frobenius norm, as Ket.normalize does
         order = sorted(range(r), key=lambda t: -weights[t])
         kets = ([a_cols[:, t] for t in order], [fix_phase(b_cols[t], tol.eps_rank) for t in order])
-        a_stack, b_stack = (np.array([c / frobenius(c) for c in cols]).T for cols in kets)
-        stacks = (a_stack, b_stack) if side == 0 else (b_stack, a_stack)
+        stacks = [np.array([c / frobenius(c) for c in cols]).T for cols in (kets if side == 0 else kets[::-1])]
         dec = ProductDecomposition._from_stacks(rho.dims, stacks, weights[order])
         if rho.factor is None:
             cols, wts = product_columns(dec)
@@ -715,9 +714,7 @@ def phase_permuted_twin(
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (dec.n, len(dec.stacks))))
     # each ket times its phase as a row of the transposed stack: Ket.phased's product, bit for bit
     stacks = [(s.T[perm] * p[:, None]).T for s, p in zip(dec.stacks, phases.T)]
-    values = dec.values[perm]
-    if isinstance(dec, TriDecomposition):
-        values = values / np.prod(phases, axis=1)
+    values = dec.values[perm] / np.prod(phases, axis=1) if isinstance(dec, TriDecomposition) else dec.values[perm]
     return type(dec)._from_stacks(dec.dims, stacks, values), tuple(int(i) for i in perm)
 
 

@@ -240,7 +240,7 @@ class LoadedDecomposition:
             raise FileError("only coefficient-form files define a global vector")
         return _expansion(self._stacks(), np.array(self.values))
 
-    def _stacks(self) -> list[np.ndarray]:  # one d_s x n matrix of the file's kets per factor
+    def _stacks(self) -> list[np.ndarray]:
         return [np.array([ks[s].amplitudes for ks in self.kets]).T for s in range(len(self.dims))]
 
 

@@ -338,7 +338,7 @@ class ProductTerm:
     b: Ket
 
     def __post_init__(self) -> None:
-        w = math.nan if np.iscomplexobj(self.weight) else float(self.weight)
+        w = math.nan if isinstance(self.weight, (complex, np.complexfloating)) else float(self.weight)
         if not math.isfinite(w) or w <= 0.0:
             raise DegenerateInput(f"term weight must be real, positive and finite, got {self.weight!r}")
         object.__setattr__(self, "weight", w)
@@ -368,13 +368,19 @@ class TriTerm:
         return (self.a, self.b, self.c)
 
 
+def _column_ket(column: np.ndarray) -> Ket:
+    """A ``Ket`` over a read-only stack column as it is: ``_store`` checked its norm as ``Ket`` does."""
+    ket = object.__new__(Ket)
+    object.__setattr__(ket, "amplitudes", column)
+    return ket
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class _Decomposition:
-    """The one stored form of both decomposition types: ``stacks`` holds one
-    read-only d_s x n matrix per factor, whose columns are that factor's kets
-    in term order, and ``values`` the read-only vector of the n term values;
-    ``terms`` is derived from them.  ``cls(dims, terms)`` stacks its terms, the
-    private array door :meth:`_from_stacks` takes arrays; both go through :meth:`_store`."""
+    """The one stored form of both decomposition types: ``stacks``, one read-only d_s x n
+    matrix per factor whose columns are its kets in term order, and ``values``, the read-only
+    n term values; ``terms`` is derived.  ``cls(dims, terms)`` stacks its terms, the private
+    array door :meth:`_from_stacks` takes arrays, and both go through :meth:`_store`."""
 
     dims: FactoredDims
     stacks: tuple[np.ndarray, ...] = field(repr=False)
@@ -395,8 +401,7 @@ class _Decomposition:
         return cls.__new__(cls)._store(dims, stacks, values)
 
     def _store(self, dims: FactoredDims, stacks: Sequence[np.ndarray], values) -> "_Decomposition":
-        """Check the factor count, n >= 1 valid values, one d_s x n stack per factor and
-        |norm - 1| <= ``KET_NORM_ATOL`` for every column (NaN and inf fail, as in ``Ket``)."""
+        """Check the factor count, n >= 1 valid values, d_s x n stacks and unit columns, as ``Ket`` does."""
         if len(dims) != self._nfac:
             raise DimensionMismatch(f"{self._noun} needs exactly {self._nfac} factors")
         if not np.size(values):
@@ -420,7 +425,7 @@ class _Decomposition:
     def terms(self) -> tuple:
         """One ``ProductTerm``/``TriTerm`` of ``Ket``\\ s per term, built from the stack columns on first read."""
         columns = (s.T for s in self.stacks)
-        return tuple(self._term(v, *map(Ket, kets)) for v, *kets in zip(self.values.tolist(), *columns))
+        return tuple(self._term(v, *map(_column_ket, kets)) for v, *kets in zip(self.values.tolist(), *columns))
 
     @property
     def n(self) -> int:
@@ -433,9 +438,8 @@ class ProductDecomposition(_Decomposition):
     The constructors enforce the structural invariants (positive weights,
     matching dimensions).  The geometric hypotheses behind uniqueness
     (non-collinear ket sets, at least one set linearly independent) are
-    tolerance-dependent and are checked by
-    :func:`proddecomp.decomp.check_product_hypotheses`.  ``stacks`` holds
-    the a- and b-kets, ``values`` the weights.
+    tolerance-dependent and are checked by :func:`proddecomp.decomp.check_product_hypotheses`.
+    ``stacks`` holds the a- and b-kets, ``values`` the weights.
     """
 
     _nfac, _noun, _term, _value = 2, "a product decomposition", ProductTerm, "weight"
@@ -453,10 +457,9 @@ class ProductDecomposition(_Decomposition):
 class TriDecomposition(_Decomposition):
     """Coefficient-weighted sum of product kets on a three-factor space.
 
-    Structural invariants only; the tolerance-dependent hypotheses
-    (per-slot non-collinearity, two independent slots) are checked by
-    :func:`proddecomp.decomp.check_tri_hypotheses`.  ``stacks`` holds the
-    a-, b- and c-kets, ``values`` the complex coefficients.
+    Structural invariants only; the tolerance-dependent hypotheses (per-slot non-collinearity,
+    two independent slots) are checked by :func:`proddecomp.decomp.check_tri_hypotheses`.
+    ``stacks`` holds the a-, b- and c-kets, ``values`` the complex coefficients.
     """
 
     _nfac, _noun, _term, _value = 3, "a tridecomposition", TriTerm, "coeff"
@@ -560,8 +563,8 @@ def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.nda
     The slots are combined pairwise (one ``einsum``) and the last one by a
     GEMM, in row-major Kronecker order.  A vector whose norm is at most
     ``_TRI_CANCEL_RTOL`` times sum_j |values_j| has cancelled and raises
-    DegenerateInput; both sides of that rule are scale-safe.  So does a norm
-    or a sum that overflows: that is an overflow, not a cancellation.
+    DegenerateInput; both sides of that rule are scale-safe.  An overflowing norm or sum
+    raises before it, as an overflow.
     """
     n = values.size
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
