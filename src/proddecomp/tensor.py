@@ -407,15 +407,15 @@ class _Decomposition:
         if not np.size(values):
             raise DegenerateInput("a decomposition needs at least one term")
         values = self._checked_values(values)
-        stacks = [np.array(a, dtype=complex, order="F") for a in stacks]
+        stacks = [np.array(a, dtype=complex, order="F") for a in stacks]  # the layout stacked terms had
         shapes = [a.shape for a in stacks]
         if values.ndim != 1 or shapes != [(d, values.size) for d in dims]:
             raise DimensionMismatch(f"ket stacks {shapes} do not match factors {dims.dims} x {values.size} terms")
-        for s, a in enumerate(stacks):
-            norms = np.sqrt(np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag))
-            bad = np.flatnonzero(~(np.abs(norms - 1.0) <= KET_NORM_ATOL))
-            if bad.size:
-                raise DegenerateInput(f"stack {s} column {bad[0]} has norm {float(norms[bad[0]])!r}, not 1")
+        norms = np.sqrt([np.einsum("ij,ij->i", f, f) for f in (a.T.view(float) for a in stacks)])
+        bad = np.argwhere(~(np.abs(norms - 1.0) <= KET_NORM_ATOL))
+        if bad.size:
+            s, j = bad[0]
+            raise DegenerateInput(f"stack {s} column {j} has norm {float(norms[s, j])!r}, not 1")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "stacks", tuple(map(_freeze, stacks)))
         object.__setattr__(self, "values", _freeze(values))
