@@ -29,7 +29,6 @@ from .tensor import (
     ProductDecomposition,
     StateOperator,
     TriDecomposition,
-    TriTerm,
     _expansion,
     _root_tensor,
     bipartite_matrix,
@@ -219,8 +218,10 @@ def split_pair_terms(
     """
     if not (len(coeffs) == len(pair_kets) == len(third_kets)):
         raise DimensionMismatch("coeffs, pair kets, and third kets must have equal lengths")
-    terms = []
-    for k, (z, q, d) in enumerate(zip(coeffs, pair_kets, third_kets)):
+    if len({d.dim for d in third_kets}) > 1:
+        raise DimensionMismatch("third kets must share one dimension")
+    a_cols, b_cols, values = [], [], []
+    for k, (z, q) in enumerate(zip(coeffs, pair_kets)):
         ok, factors = is_factorable(q, split, tol)
         if not ok:
             sv = schmidt_values(q, split)
@@ -228,11 +229,13 @@ def split_pair_terms(
                 f"factorability hypothesis violated: term {k} first-slot ket is not a product "
                 f"across factors {split.dims} (schmidt values {sv[0]:.6g}, {sv[1]:.6g})"
             )
-        a, b = factors
-        lam = complex(np.vdot(np.kron(a.amplitudes, b.amplitudes), q.amplitudes))
-        terms.append(TriTerm(complex(z) * lam, a, b, d))
+        a, b = (f.amplitudes for f in factors)
+        a_cols.append(a)
+        b_cols.append(b)
+        values.append(complex(z) * complex(np.vdot(np.kron(a, b), q.amplitudes)))
+    stacks = [np.array(cols).T for cols in (a_cols, b_cols, [d.amplitudes for d in third_kets])]
     dims = FactoredDims((split[0], split[1], third_kets[0].dim))
-    return TriDecomposition(dims, tuple(terms))
+    return TriDecomposition._from_stacks(dims, stacks, values)
 
 
 # ---------------------------------------------------------------------------
@@ -442,35 +445,51 @@ def extract_decomposition(
     gives W = V diag(w)^{1/2} with k its column count, and no N x N array
     is formed, validated or read.  A dense one is sketched to rank k = n
     (:func:`_rank_n_factor`).  Everything below depends on rho only, not on
-    which factor W is.  The reduced operator
-    rho_A = A diag(w) A^dagger is whitened by W_A = U_A Lambda_A^{-1/2}
-    (Anandkumar et al. 2014, applied to the Leurgans, Ross & Abel 1993
-    scheme): for one random Hermitian probe X on the other factor,
+    which factor W is.  W reshaped to d_side x (d_other k) is wide; its SVD
+    U_A S_A Z is read off that of its tall conjugate transpose,
+    W^dagger = Z^dagger S_A U_A^dagger.  The reduced operator
+    rho_A = A diag(w) A^dagger = U_A S_A^2 U_A^dagger is whitened by
+    W_A = U_A S_A^{-1} (Anandkumar et al. 2014, applied to the Leurgans,
+    Ross & Abel 1993 scheme), and Z = W_A^dagger W: for one random
+    Hermitian probe X on the other factor,
     T = W_A^dagger Tr_other[rho (I (x) X)] W_A is an n x n Hermitian matrix
     with eigenvalues <b_j|X|b_j> and orthonormal eigenvectors v_t.  One
     ``eigh`` gives the a-directions rho_A W_A v_t and the duals W_A v_t,
     each rescaled so that <dual_t|a_t> = 1; the slice
     G_t = (<dual_t| (x) I) W has ||G_t||_F^2 = w_t and top left singular
-    vector b_t.  A probe with nearly degenerate eigenvalues is redrawn, up
-    to EXTRACTION_RETRIES probes, so ``probes_used`` counts one probe per
-    attempt.  Success requires relative Frobenius reconstruction error at
-    most ``max_error`` and a hypothesis-clean decomposition.  The error is
-    measured against the stored matrix of a dense operator, and exactly,
-    from one QR factor of the stacked columns (:func:`_factored_gap`), for
-    a factored one.  Otherwise NotExtractable names the factor, both
-    support ranks, the probes drawn and the best error reached.  The zero
-    operator is rejected as rank 0 before any sketch.
+    vector b_t.  The terms are handled as whole d x n stacks: one
+    column-norm pass normalizes each, :func:`~proddecomp.subspace.fix_phase`
+    phases every column at once, and one stable ``argsort`` puts the
+    heaviest term first.  A probe with nearly degenerate eigenvalues is
+    redrawn, up to EXTRACTION_RETRIES probes, so ``probes_used`` counts one
+    probe per attempt.  Success requires relative Frobenius reconstruction
+    error at most ``max_error`` and a hypothesis-clean decomposition.  The
+    error is measured against the stored matrix of a dense operator, and
+    exactly, from one QR factor of the stacked columns
+    (:func:`_factored_gap`), for a factored one.  Otherwise NotExtractable
+    names the factor, both support ranks, the probes drawn and the best
+    error reached.  The zero operator is rejected as rank 0 before any
+    sketch, and a linear-algebra routine that does not converge raises
+    DegenerateInput.
 
     The support ranks count eigenvalues lambda > 0 with
     lambda >= eps_rank * lambda_max of each reduced operator, and build no
     ``Ket`` or ``SubspaceBasis``.  A factored operator takes them from the
-    singular values s of W reshaped each way (lambda = s^2); the SVD of
-    factor 0 is the one the probe step needs when factor 0 is the side, so
-    the other factor costs one ``compute_uv=False`` call.  A dense operator
-    takes them from ``eigvalsh`` of its two d x d partial traces.
+    singular values s of W reshaped each way (lambda = s^2), each from the
+    tall transpose; factor 0's SVD is a full one, kept for the probe step
+    when factor 0 is the side, and factor 1's is values-only.  A dense
+    operator takes them from ``eigvalsh`` of its two d x d partial traces.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
+    try:
+        return _extract(rho, tol, seed, max_error)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInput(f"extraction failed: a linear-algebra routine did not converge ({exc})") from exc
+
+
+def _extract(rho: StateOperator, tol: ToleranceConfig, seed: int, max_error: float) -> ExtractionReport:
+    """The body of :func:`extract_decomposition`, which maps its ``LinAlgError``."""
     if rho.factor is None:
         lams = [np.linalg.eigvalsh(partial_trace(rho, (s,)).matrix) for s in (0, 1)]
     else:
@@ -479,8 +498,8 @@ def extract_decomposition(
         # vectors, used below when it is the side
         w = _root_tensor(rho)
         d1, d2, k = w.shape
-        side_svd = np.linalg.svd(w.reshape(d1, d2 * k), full_matrices=False)
-        s1 = np.linalg.svd(w.transpose(1, 0, 2).reshape(d2, d1 * k), compute_uv=False)
+        side_svd = np.linalg.svd(w.reshape(d1, d2 * k).conj().T, full_matrices=False)
+        s1 = np.linalg.svd(w.transpose(0, 2, 1).reshape(d1 * k, d2), compute_uv=False)
         lams = [s * s for s in (side_svd[1], s1)]
     ranks = [int(np.count_nonzero(_support_mask(lam, tol))) for lam in lams]
     side = int(ranks[1] > ranks[0])
@@ -501,13 +520,13 @@ def extract_decomposition(
         w, scale = _rank_n_factor(rho, n, rng), frobenius(rho.matrix)
     w = w.transpose(1, 0, 2) if side == 1 else w
     da, db, k = w.shape
-    # rho_A = W W^dagger over the b and factor indices: its eigenvectors and
-    # square-root eigenvalues are the SVD of W, and Z = W_A^dagger W is vh
+    # rho_A = W W^dagger over the b and factor indices: with W = U_A S_A Z,
+    # the SVD of the tall W^dagger is (Z^dagger, S_A, U_A^dagger)
     if rho.factor is None or side == 1:
-        side_svd = np.linalg.svd(w.reshape(da, db * k), full_matrices=False)
-    u_a, s_a, vh = side_svd
+        side_svd = np.linalg.svd(w.reshape(da, db * k).conj().T, full_matrices=False)
+    zh, s_a, u_ah = side_svd
     r = int(np.count_nonzero(s_a[:n] >= np.sqrt(tol.eps_rank) * s_a[0]))
-    u_a, s_a, z = u_a[:, :r], s_a[:r], vh[:r]
+    u_a, s_a, z = u_ah[:r].conj().T, s_a[:r], zh[:, :r].conj().T
 
     for _ in range(EXTRACTION_RETRIES):
         g = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
@@ -520,21 +539,20 @@ def extract_decomposition(
             continue  # nearly degenerate probe responses: redraw
 
         a_cols = (u_a * s_a) @ v
-        a_cols /= np.linalg.norm(a_cols, axis=0, keepdims=True)
-        a_cols = np.column_stack([fix_phase(a, tol.eps_rank) for a in a_cols.T])
+        a_cols = fix_phase(a_cols / np.linalg.norm(a_cols, axis=0), tol.eps_rank)
         duals = (u_a / s_a) @ v
         # G_t = (<dual_t| (x) I) W / conj(<dual_t|a_t>), and <dual_t| W = v_t^dagger Z
         slices = (v.conj().T @ z) / np.einsum("jt,jt->t", duals.conj(), a_cols)[:, None]
         slices = slices.reshape(r, db, k)
         weights = np.einsum("tkm,tkm->t", slices.conj(), slices).real
-        if min(weights) <= 0.0:
+        if weights.min() <= 0.0:
             continue
-        b_cols = np.linalg.svd(slices, full_matrices=False)[0][:, :, 0]
+        b_cols = fix_phase(np.linalg.svd(slices, full_matrices=False)[0][:, :, 0].T, tol.eps_rank)
 
-        # heaviest term first; each ket divided by its own frobenius norm, as Ket.normalize does
-        order = sorted(range(r), key=lambda t: -weights[t])
-        kets = ([a_cols[:, t] for t in order], [fix_phase(b_cols[t], tol.eps_rank) for t in order])
-        stacks = [np.array([c / frobenius(c) for c in cols]).T for cols in (kets if side == 0 else kets[::-1])]
+        # heaviest term first, ties in eigenvalue order; each stack's columns renormalized, as Ket.normalize does
+        order = np.argsort(-weights, kind="stable")
+        stacks = [c[:, order] for c in ((a_cols, b_cols) if side == 0 else (b_cols, a_cols))]
+        stacks = [c / np.linalg.norm(c, axis=0) for c in stacks]
         dec = ProductDecomposition._from_stacks(rho.dims, stacks, weights[order])
         if rho.factor is None:
             cols, wts = product_columns(dec)

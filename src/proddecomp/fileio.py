@@ -179,7 +179,18 @@ def _parse_ket(raw, path: str, where: str, dim: int) -> Ket:
         raise FileError(f"{path}: {where}: {exc}") from exc
 
 
+def _finite(x: int | float) -> bool:
+    """Whether a JSON number is finite as a float: ``json`` parses the literal
+    1e400 as inf, and an integer literal can lie beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _parse_value(term: dict, path: str, where: str) -> tuple[str, complex]:
+    """The term's form and value, every number checked finite here, where
+    the file and the term can still be named."""
     has_w = "w" in term
     has_coeff = "coeff" in term
     if has_w == has_coeff:
@@ -188,14 +199,20 @@ def _parse_value(term: dict, path: str, where: str) -> tuple[str, complex]:
         w = term["w"]
         if not isinstance(w, (int, float)) or isinstance(w, bool) or not w > 0:
             raise FileError(f"{path}: {where} weight must be a positive number, got {w!r}")
+        if not _finite(w):
+            raise FileError(f"{path}: {where} weight must be finite, got {w!r}")
         return "weight", complex(float(w))
     z = term["coeff"]
     if isinstance(z, (int, float)) and not isinstance(z, bool):
+        if not _finite(z):
+            raise FileError(f"{path}: {where} coeff must be finite, got {z!r}")
         val = complex(float(z))
     elif isinstance(z, dict) and set(z) == {"re", "im"}:
         re, im = z["re"], z["im"]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
             raise FileError(f"{path}: {where} coeff re/im must be numbers")
+        if not (_finite(re) and _finite(im)):
+            raise FileError(f"{path}: {where} coeff re/im must be finite, got {re!r}, {im!r}")
         val = complex(float(re), float(im))
     else:
         raise FileError(f"{path}: {where} coeff must be a number or a re/im object")

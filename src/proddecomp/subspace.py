@@ -90,13 +90,20 @@ class SubspaceBasis:
 
 
 def fix_phase(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    """Rotate a vector by a global phase so its first significant entry is real positive."""
+    """Rotate a vector by a global phase so its first entry of magnitude above
+    ``eps`` is real positive; a vector with no such entry is returned as it is.
+
+    A d x n stack has each column rotated, bit for bit as that column alone.
+    """
     v = np.asarray(v, dtype=complex)
-    nz = np.nonzero(np.abs(v) > eps)[0]
-    if nz.size == 0:
+    if not v.size:
         return v.copy()
-    pivot = v[nz[0]]
-    return v * (abs(pivot) / pivot)
+    big = np.abs(v) > eps
+    found = big.any(axis=0)
+    pivot = np.where(found, np.take_along_axis(v, big.argmax(axis=0)[None], axis=0)[0], 1.0)
+    # hypot, not np.abs: numpy's complex abs of an array can differ in the last
+    # bit from that of the 0-d pivot a lone vector has
+    return np.where(found, v * (np.hypot(pivot.real, pivot.imag) / pivot), v)
 
 
 def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -243,6 +243,24 @@ class TestMatchErrors:
         assert main(["match", str(bad), str(bad), "--mode", "bi"]) == 2
 
 
+class TestOverflowingLiterals:
+    """A weight or coefficient literal beyond the float range is an input
+    error naming the file: exit 2 and one ``error:`` line."""
+
+    @pytest.mark.parametrize("value", ['"w": 1e400', '"coeff": 1e400', '"coeff": {"re": 0, "im": 1e400}'])
+    def test_build_exits_2_naming_the_file(self, tmp_path, capsys, value):
+        k = _ket_json(pd.Ket.basis(2, 0))
+        term = {"w": 1.0, "kets": [k, k]}
+        payload = {"format_version": "1", "kind": "decomposition", "dims": [2, 2], "terms": [term]}
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(payload).replace('"w": 1.0', value))
+        assert main(["build", str(path), "--out", str(tmp_path / "op.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: term 0 ") and "must be finite" in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestExtractCommand:
     def test_maximally_mixed_exits_3(self, tmp_path):
         # recorded branch: reconstruction from the rank-2 reduced support

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import proddecomp as pd
-from proddecomp import decomp
+from proddecomp import decomp, fileio
+from proddecomp.cli import main
 from test_acceptance import _bi_cases
 
 
@@ -233,6 +234,51 @@ class TestFactoredExtraction:
             want = sorted(t.weight for t in scaled.terms)
             assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
             assert pd.match_bidecomposition(scaled, report.decomposition).n == 4
+
+
+class TestIllConditionedWeights:
+    """Weights spread over five decades, a grid on which whitening by the
+    eigenvectors of a Gram matrix refuses cases that the SVD certifies."""
+
+    def test_every_case_matches_its_source_in_both_forms(self):
+        failures = []
+        for i in range(150):
+            base = pd.generate_instance(6, 8, 8, seed=i, profile=pd.BI_PROFILES[i % 3])
+            dec = pd.ProductDecomposition._from_stacks(base.dims, base.stacks, np.geomspace(1, 1e-5, 6))
+            for rho in (pd.build_rho(dec), _dense(dec)):
+                try:
+                    pd.match_bidecomposition(dec, pd.extract_decomposition(rho, seed=i).decomposition)
+                except pd.ProddecompError as exc:
+                    failures.append((i, "dense" if rho.factor is None else "factored", str(exc)))
+        assert failures == []
+
+
+class TestLinAlgFailures:
+    """A linear-algebra routine that does not converge is DegenerateInput, not
+    a raw ``LinAlgError``, in both forms."""
+
+    @staticmethod
+    def _failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    @pytest.mark.parametrize("routine", ["svd", "eigh"])
+    @pytest.mark.parametrize("form", [pd.build_rho, _dense])
+    def test_maps_to_degenerate_input(self, monkeypatch, routine, form):
+        rho = form(pd.generate_instance(3, 4, 4, seed=1))
+        monkeypatch.setattr(np.linalg, routine, self._failing)
+        with pytest.raises(pd.DegenerateInput, match="did not converge") as info:
+            pd.extract_decomposition(rho, seed=0)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_cli_extract_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        op_path = str(tmp_path / "op.json")
+        fileio.save_operator(op_path, pd.build_rho(pd.generate_instance(3, 4, 4, seed=1)))
+        monkeypatch.setattr(np.linalg, "eigh", self._failing)
+        assert main(["extract", op_path, "--out", str(tmp_path / "out.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "did not converge" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestNoisyInput:

@@ -165,6 +165,25 @@ class TestSchemaValidation:
         with pytest.raises(pd.FileError, match=f"non-finite number {literal}"):
             fileio.load_decomposition(str(path))
 
+    @pytest.mark.parametrize(
+        "value, what",
+        [
+            ('"w": 1e400', "weight"),
+            ('"w": 1' + "0" * 400, "weight"),
+            ('"coeff": 1e400', "coeff"),
+            ('"coeff": -1e400', "coeff"),
+            ('"coeff": {"re": 0.5, "im": -1e400}', "coeff re/im"),
+            ('"coeff": {"re": 1e400, "im": 0}', "coeff re/im"),
+        ],
+    )
+    def test_overflowing_literal_names_file_and_term(self, tmp_path, value, what):
+        # json parses 1e400 as inf, so no non-finite constant is seen
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(self._minimal()).replace('"w": 1.0', value, 1))
+        with pytest.raises(pd.FileError) as info:
+            fileio.load_decomposition(str(path))
+        assert str(info.value).startswith(f"{path}: term 0 {what} must be finite, got ")
+
     def test_wrong_format_version(self, tmp_path):
         payload = self._minimal()
         payload["format_version"] = "2"

@@ -150,6 +150,19 @@ class TestMatchTridecomposition:
         )
         assert np.linalg.norm(norm * psi.amplitudes - pair_vec) < 1e-12
 
+    def test_phased_product_pairs_split_into_the_same_tridecomposition(self):
+        tri = pd.generate_tri_instance(4, 5, 4, 5, seed=6)
+        a, b, c = tri.stacks
+        phases = np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=4))
+        pair_kets = [pd.Ket(np.kron(a[:, j], b[:, j]) * phases[j]) for j in range(4)]
+        third = [pd.Ket(c[:, j]) for j in range(4)]
+        split = pd.split_pair_terms(tri.values / phases, pair_kets, third, pd.FactoredDims((5, 4)))
+        assert split.dims == tri.dims
+        assert np.abs(split.stacks[2] - c).max() == 0.0
+        assert pd.match_tridecomposition(tri, split).permutation == (0, 1, 2, 3)
+        with pytest.raises(pd.DimensionMismatch):
+            pd.split_pair_terms(tri.values, pair_kets, third[:3] + [pd.Ket.basis(4, 0)], pd.FactoredDims((5, 4)))
+
     def test_different_vectors_rejected(self):
         t1 = pd.generate_tri_instance(3, 4, 4, 4, seed=10)
         t2 = pd.generate_tri_instance(3, 4, 4, 4, seed=11)

@@ -51,6 +51,51 @@ class TestToleranceConfig:
             pd.ToleranceConfig(eps_rank=1e-15)
 
 
+def _reference_fix_phase(v, eps=1e-8):
+    # the one-vector rule, entry by entry: the first entry above eps in
+    # magnitude, rotated by its conjugate phase
+    v = np.asarray(v, dtype=complex)
+    nz = np.nonzero(np.abs(v) > eps)[0]
+    if nz.size == 0:
+        return v.copy()
+    pivot = v[nz[0]]
+    return v * (abs(pivot) / pivot)
+
+
+class TestFixPhase:
+    @staticmethod
+    def _stack(rng, d, n):
+        a = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+        a[:, 0] = 0.0  # no significant entry: left as it is
+        a[:2, -1] *= 1e-12  # leading entries below eps at any scale below: the pivot is the third
+        return a * 10.0 ** rng.uniform(-3, 3, n)
+
+    def test_a_stack_is_phased_column_by_column_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for d, n in [(3, 2), (5, 4), (8, 6), (32, 16), (17, 33)]:
+            for eps in (1e-8, 1e-4):
+                a = self._stack(rng, d, n)
+                out = pd.fix_phase(a, eps)
+                assert out.shape == a.shape
+                for j in range(n):
+                    column = pd.fix_phase(a[:, j], eps)
+                    assert out[:, j].tobytes() == column.tobytes()
+                    assert column.tobytes() == _reference_fix_phase(a[:, j], eps).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_input_is_returned_as_it_is(self, shape):
+        assert pd.fix_phase(np.zeros(shape)).shape == shape
+
+    def test_pivot_is_real_positive_and_zero_column_unchanged(self):
+        a = self._stack(np.random.default_rng(1), 6, 4)
+        out = pd.fix_phase(a)
+        assert out[:, 0].tobytes() == a[:, 0].tobytes()
+        assert not np.shares_memory(out, a)
+        for j, pivot in ((1, 0), (2, 0), (3, 2)):
+            assert out[pivot, j].real > 0.0 and abs(out[pivot, j].imag) <= 1e-15 * out[pivot, j].real
+            assert np.abs(out[:, j]).tolist() == pytest.approx(np.abs(a[:, j]).tolist(), rel=1e-15)
+
+
 class TestIsCollinear:
     def test_pure_phase_is_collinear(self):
         x = pd.Ket((1, 0))
