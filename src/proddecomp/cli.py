@@ -157,16 +157,15 @@ def _load_tri_operand(own: fileio.LoadedDecomposition, other: fileio.LoadedDecom
     # two-factor coefficient expansion: recast by factoring the first slot
     # across the other file's leading factor pair
     if own.form != "coeff":
-        raise FileError("tri mode needs coefficient-form terms in a 2-factor file")
+        raise FileError(f"{own.path}: tri mode needs coefficient-form terms in a 2-factor file")
     if len(other.dims) != 3:
-        raise FileError("tri mode needs at least one 3-factor file")
+        raise FileError(f"{own.path}, {other.path}: tri mode needs at least one 3-factor file")
     split = FactoredDims((other.dims[0], other.dims[1]))
     if split.total != own.dims[0] or other.dims[2] != own.dims[1]:
         raise FileError(
-            f"cannot recast dims {own.dims.dims} against {other.dims.dims}: factor sizes disagree"
+            f"{own.path}: cannot recast dims {own.dims.dims} against {other.dims.dims}: factor sizes disagree"
         )
-    pair_kets = [ks[0] for ks in own.kets]
-    third_kets = [ks[1] for ks in own.kets]
+    pair_kets, third_kets = ([Ket(c) for c in s.T] for s in own.stacks)
     return decomp.split_pair_terms(own.values, pair_kets, third_kets, split, tol)
 
 
@@ -200,7 +199,7 @@ def cmd_purify(args: argparse.Namespace) -> int:
 def cmd_factorable(args: argparse.Namespace) -> int:
     loaded = fileio.load_decomposition(args.infile)
     if len(loaded.dims) != 2:
-        raise FileError("factorable needs a 2-factor coefficient file")
+        raise FileError(f"{loaded.path}: factorable needs a 2-factor coefficient file")
     vec, norm = loaded.vector()
     ket = Ket(vec / norm)
     tol = _tol(args)
@@ -238,17 +237,15 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    kind = fileio.detect_kind(args.infile)
+    loaded = fileio.load(args.infile)
     tol = _tol(args)
-    if kind == "operator":
-        op = fileio.load_operator(args.infile)
+    if isinstance(loaded, StateOperator):
         _emit(
             args,
-            {"kind": "operator", "dims": list(op.dims.dims), "trace": op.trace, "ok": True},
-            [f"operator file ok: dims {list(op.dims.dims)}, trace {op.trace:.10g}"],
+            {"kind": "operator", "dims": list(loaded.dims.dims), "trace": loaded.trace, "ok": True},
+            [f"operator file ok: dims {list(loaded.dims.dims)}, trace {loaded.trace:.10g}"],
         )
         return EXIT_OK
-    loaded = fileio.load_decomposition(args.infile)
     detail: dict = {"kind": "decomposition", "dims": list(loaded.dims.dims), "n": loaded.n, "form": loaded.form}
     if loaded.form == "weight" and len(loaded.dims) == 2:
         a_ind, b_ind = decomp.check_product_hypotheses(loaded.product(), tol, label=args.infile)

@@ -12,18 +12,21 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, FileError
 from .tensor import (
     FactoredDims,
-    Ket,
     ProductDecomposition,
     StateOperator,
     TriDecomposition,
+    _checked_coeffs,
+    _checked_weights,
     _expansion,
+    _freeze,
+    _non_unit_column,
 )
 
 FORMAT_VERSION = "1"
@@ -157,26 +160,23 @@ def _parse_dims(data: dict, path: str, lengths: tuple[int, ...]) -> FactoredDims
         raise FileError(f"{path}: {exc}") from exc
 
 
-def _numeric_arrays(re, im, length: int) -> bool:
-    """Whether re and im are lists of JSON numbers (not booleans) of the given length."""
-    return (
-        isinstance(re, list)
-        and isinstance(im, list)
-        and len(re) == length == len(im)
-        and set(map(type, re)) | set(map(type, im)) <= {int, float}
-    )
-
-
-def _parse_ket(raw, path: str, where: str, dim: int) -> Ket:
+def _complex_array(raw, path: str, where: str, length: int) -> np.ndarray:
+    """The complex array re + 1j*im of a {"re": [...], "im": [...]} object of JSON numbers
+    (not booleans), each array of the given length and each literal finite as a float."""
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise FileError(f"{path}: {where} must be an object with re/im arrays")
     re, im = raw["re"], raw["im"]
-    if not _numeric_arrays(re, im, dim):
-        raise FileError(f"{path}: {where} re/im must be numeric arrays of length {dim}")
-    try:
-        return Ket(np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
-    except (DegenerateInput, DimensionMismatch) as exc:
-        raise FileError(f"{path}: {where}: {exc}") from exc
+    arrays = isinstance(re, list) and isinstance(im, list) and len(re) == length == len(im)
+    if not arrays or not set(map(type, re)) | set(map(type, im)) <= {int, float}:
+        raise FileError(f"{path}: {where} re/im must be numeric arrays of length {length}")
+    try:  # an integer literal beyond the float range overflows here; 1e400 parses as inf
+        z = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        finite = np.isfinite(z).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise FileError(f"{path}: {where} re/im must be finite, got a literal beyond the float range")
+    return z
 
 
 def _finite(x: int | float) -> bool:
@@ -188,83 +188,74 @@ def _finite(x: int | float) -> bool:
         return False
 
 
-def _parse_value(term: dict, path: str, where: str) -> tuple[str, complex]:
-    """The term's form and value, every number checked finite here, where
-    the file and the term can still be named."""
-    has_w = "w" in term
-    has_coeff = "coeff" in term
-    if has_w == has_coeff:
+def _parse_value(term: dict, path: str, where: str) -> tuple[str, float | complex]:
+    """The term's form and value, checked here to be finite numbers, where the file and the
+    term can still be named; the rules on their values are the decompositions' own."""
+    if ("w" in term) == ("coeff" in term):
         raise FileError(f"{path}: {where} must carry exactly one of 'w' or 'coeff'")
-    if has_w:
+    if "w" in term:
         w = term["w"]
-        if not isinstance(w, (int, float)) or isinstance(w, bool) or not w > 0:
-            raise FileError(f"{path}: {where} weight must be a positive number, got {w!r}")
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            raise FileError(f"{path}: {where} weight must be a number, got {w!r}")
         if not _finite(w):
             raise FileError(f"{path}: {where} weight must be finite, got {w!r}")
-        return "weight", complex(float(w))
+        return "weight", float(w)
     z = term["coeff"]
     if isinstance(z, (int, float)) and not isinstance(z, bool):
         if not _finite(z):
             raise FileError(f"{path}: {where} coeff must be finite, got {z!r}")
-        val = complex(float(z))
-    elif isinstance(z, dict) and set(z) == {"re", "im"}:
+        return "coeff", complex(float(z))
+    if isinstance(z, dict) and set(z) == {"re", "im"}:
         re, im = z["re"], z["im"]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
             raise FileError(f"{path}: {where} coeff re/im must be numbers")
         if not (_finite(re) and _finite(im)):
             raise FileError(f"{path}: {where} coeff re/im must be finite, got {re!r}, {im!r}")
-        val = complex(float(re), float(im))
-    else:
-        raise FileError(f"{path}: {where} coeff must be a number or a re/im object")
-    if abs(val) == 0.0:
-        raise FileError(f"{path}: {where} coefficient must be nonzero")
-    return "coeff", val
+        return "coeff", complex(float(re), float(im))
+    raise FileError(f"{path}: {where} coeff must be a number or a re/im object")
 
 
 @dataclass(frozen=True, eq=False)
 class LoadedDecomposition:
-    """Schema-validated decomposition file, not yet committed to a core type."""
+    """The checked decomposition file at ``path`` in the decompositions' stored form, not yet
+    committed to a core type: read-only ``stacks`` (d_s x n, kets as columns) and ``values``,
+    float weights (``form`` "weight") or complex coefficients ("coeff")."""
 
+    path: str
     dims: FactoredDims
     form: str  # "weight" | "coeff"
-    values: tuple[complex, ...]
-    kets: tuple[tuple[Ket, ...], ...]  # terms x factors
+    stacks: tuple[np.ndarray, ...] = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     def product(self) -> ProductDecomposition:
         """Interpret as a weighted product-projector decomposition (2 factors)."""
         if len(self.dims) != 2:
-            raise FileError(f"expected a 2-factor decomposition, file has {len(self.dims)} factors")
+            raise FileError(f"{self.path}: expected a 2-factor decomposition, file has {len(self.dims)} factors")
         if self.form != "weight":
-            raise FileError("expected weight-form terms ('w'), file carries coefficients")
-        return ProductDecomposition._from_stacks(self.dims, self._stacks(), np.array(self.values).real)
+            raise FileError(f"{self.path}: expected weight-form terms ('w'), file carries coefficients")
+        return ProductDecomposition._from_stacks(self.dims, self.stacks, self.values)
 
     def tri(self) -> TriDecomposition:
         """Interpret as a coefficient tridecomposition (3 factors)."""
         if len(self.dims) != 3:
-            raise FileError(f"expected a 3-factor decomposition, file has {len(self.dims)} factors")
+            raise FileError(f"{self.path}: expected a 3-factor decomposition, file has {len(self.dims)} factors")
         if self.form != "coeff":
-            raise FileError("expected coefficient-form terms ('coeff'), file carries weights")
-        return TriDecomposition._from_stacks(self.dims, self._stacks(), self.values)
+            raise FileError(f"{self.path}: expected coefficient-form terms ('coeff'), file carries weights")
+        return TriDecomposition._from_stacks(self.dims, self.stacks, self.values)
 
     def vector(self) -> tuple[np.ndarray, float]:
-        """Raw global vector sum_j value_j (x)kets_j and its norm (coeff form
-        only); a cancelled vector raises DegenerateInput (``tensor._expansion``)."""
+        """Raw global vector sum_j value_j (x)kets_j and its norm (coeff form only); DegenerateInput if cancelled."""
         if self.form != "coeff":
-            raise FileError("only coefficient-form files define a global vector")
-        return _expansion(self._stacks(), np.array(self.values))
-
-    def _stacks(self) -> list[np.ndarray]:
-        return [np.array([ks[s].amplitudes for ks in self.kets]).T for s in range(len(self.dims))]
+            raise FileError(f"{self.path}: only coefficient-form files define a global vector")
+        return _expansion(self.stacks, self.values)
 
 
-def load_decomposition(path: str) -> LoadedDecomposition:
-    data = _load_json(path)
-    if data.get("kind") != "decomposition":
-        raise FileError(f"{path}: expected kind 'decomposition', got {data.get('kind')!r}")
+def _decomposition(data: dict, path: str) -> LoadedDecomposition:
+    """Check the schema here and the kets and values by the decompositions' own rules."""
     dims = _parse_dims(data, path, (2, 3))
     raw_terms = data.get("terms")
     if not isinstance(raw_terms, list) or not raw_terms:
@@ -279,41 +270,45 @@ def load_decomposition(path: str) -> LoadedDecomposition:
         if not isinstance(raw_kets, list) or len(raw_kets) != len(dims):
             raise FileError(f"{path}: term {i} must carry one ket per factor ({len(dims)})")
         values.append(value)
-        kets.append(
-            tuple(
-                _parse_ket(raw, path, f"term {i} factor {f}", dims[f])
-                for f, raw in enumerate(raw_kets)
-            )
-        )
+        kets.append([_complex_array(raw, path, f"term {i} factor {f}", dims[f]) for f, raw in enumerate(raw_kets)])
     if len(forms) != 1:
         raise FileError(f"{path}: terms mix 'w' and 'coeff' forms")
-    return LoadedDecomposition(dims, forms.pop(), tuple(values), tuple(kets))
-
-
-def load_operator(path: str) -> StateOperator:
-    data = _load_json(path)
-    if data.get("kind") != "operator":
-        raise FileError(f"{path}: expected kind 'operator', got {data.get('kind')!r}")
-    dims = _parse_dims(data, path, (1, 2, 3))
-    raw = data.get("matrix")
-    size = dims.total * dims.total
-    if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
-        raise FileError(f"{path}: matrix must be an object with re/im arrays")
-    re, im = raw["re"], raw["im"]
-    if not _numeric_arrays(re, im, size):
-        raise FileError(f"{path}: matrix re/im must be numeric arrays of length {size}")
-    m = (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(
-        dims.total, dims.total
-    )
+    form = forms.pop()
+    stacks = tuple(_freeze(np.array(columns).T) for columns in zip(*kets))  # F order, as stored
     try:
-        return StateOperator(dims, m)
+        values = _checked_weights(values) if form == "weight" else _checked_coeffs(values)
+    except DegenerateInput as exc:
+        raise FileError(f"{path}: {exc}") from exc
+    if bad := _non_unit_column(stacks):
+        raise FileError(f"{path}: term {bad[1]} factor {bad[0]} ket has norm {bad[2]!r}, not 1")
+    return LoadedDecomposition(path, dims, form, stacks, _freeze(values))
+
+
+def _operator(data: dict, path: str) -> StateOperator:
+    dims = _parse_dims(data, path, (1, 2, 3))
+    m = _complex_array(data.get("matrix"), path, "matrix", dims.total * dims.total)
+    try:
+        return StateOperator(dims, m.reshape(dims.total, dims.total))
     except (DegenerateInput, DimensionMismatch) as exc:
         raise FileError(f"{path}: {exc}") from exc
 
 
-def detect_kind(path: str) -> str:
-    """'decomposition' or 'operator' per the file's kind field."""
-    kind = _load_json(path).get("kind")
-    if kind not in ("decomposition", "operator"):
-        raise FileError(f"{path}: unknown kind {kind!r}")
-    return str(kind)
+def _read(path: str, *kinds: str):
+    data = _load_json(path)
+    kind = data.get("kind")
+    if kind not in kinds:
+        raise FileError(f"{path}: expected kind {' or '.join(map(repr, kinds))}, got {kind!r}")
+    return _operator(data, path) if kind == "operator" else _decomposition(data, path)
+
+
+def load(path: str) -> StateOperator | LoadedDecomposition:
+    """The operator or the decomposition a file holds, per its kind field, from one parse."""
+    return _read(path, "decomposition", "operator")
+
+
+def load_decomposition(path: str) -> LoadedDecomposition:
+    return _read(path, "decomposition")
+
+
+def load_operator(path: str) -> StateOperator:
+    return _read(path, "operator")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
@@ -68,9 +69,8 @@ class Ket:
             raise DimensionMismatch("a ket needs at least one amplitude")
         if amps.size > MAX_VECTOR_DIM:
             raise DimensionMismatch(f"ket dimension {amps.size} exceeds cap {MAX_VECTOR_DIM}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= KET_NORM_ATOL:  # NaN amplitudes fail too
-            raise DegenerateInput(f"ket norm {norm!r} differs from 1 by more than {KET_NORM_ATOL}")
+        if bad := _non_unit_column((amps[:, None],)):
+            raise DegenerateInput(f"ket norm {bad[2]!r} differs from 1 by more than {KET_NORM_ATOL}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     @classmethod
@@ -306,15 +306,38 @@ def _checked_factor(columns, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_weights(weights) -> np.ndarray:
-    """A float copy of ``weights``, each real, positive and finite (factors and decompositions)."""
+    """A float copy of ``weights``, each real, positive and finite (factors, decompositions and their terms)."""
     w = np.asarray(weights)
     if w.dtype.kind not in "iuf":
         raise DegenerateInput(f"weights must be real numbers, got dtype {w.dtype}")
     w = np.array(w, dtype=float)
-    bad = np.flatnonzero(~(w > 0.0) | ~np.isfinite(w))
-    if bad.size:
-        raise DegenerateInput(f"weight {bad[0]} must be positive and finite, got {float(w[bad[0]])!r}")
+    for j, x in enumerate(w.ravel().tolist()):
+        if not 0.0 < x < math.inf:  # NaN fails too
+            raise DegenerateInput(f"weight {j} must be positive and finite, got {x!r}")
     return w
+
+
+def _checked_coeffs(values) -> np.ndarray:
+    """A complex copy of ``values``, each a nonzero finite number (tridecompositions and their terms)."""
+    z = np.asarray(values)
+    if z.dtype.kind not in "iufc":
+        raise DegenerateInput(f"coefficients must be numbers, got dtype {z.dtype}")
+    z = np.array(z, dtype=complex)
+    for j, x in enumerate(z.ravel().tolist()):
+        if not (cmath.isfinite(x) and x != 0):
+            raise DegenerateInput(f"coefficient {j} must be nonzero and finite, got {x!r}")
+    return z
+
+
+def _non_unit_column(stacks: Sequence[np.ndarray]) -> tuple[int, int, float] | None:
+    """The first (stack, column, norm) whose norm is not within ``KET_NORM_ATOL`` of 1 (NaN included),
+    or None: the unit rule of every ket, for complex d x n stacks in F order (columns are float rows)."""
+    for s, a in enumerate(stacks):
+        f = a.T.view(float)
+        for j, norm in enumerate(map(math.sqrt, np.einsum("ij,ij->i", f, f).tolist())):
+            if not abs(norm - 1.0) <= KET_NORM_ATOL:  # NaN fails too
+                return s, j, norm
+    return None
 
 
 def _root_tensor(rho: StateOperator) -> np.ndarray:
@@ -338,10 +361,7 @@ class ProductTerm:
     b: Ket
 
     def __post_init__(self) -> None:
-        w = math.nan if isinstance(self.weight, (complex, np.complexfloating)) else float(self.weight)
-        if not math.isfinite(w) or w <= 0.0:
-            raise DegenerateInput(f"term weight must be real, positive and finite, got {self.weight!r}")
-        object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "weight", float(_checked_weights(self.weight)))
 
     @property
     def kets(self) -> tuple[Ket, Ket]:
@@ -358,10 +378,7 @@ class TriTerm:
     c: Ket
 
     def __post_init__(self) -> None:
-        z = complex(self.coeff)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) == 0.0:
-            raise DegenerateInput(f"term coefficient must be nonzero and finite, got {self.coeff!r}")
-        object.__setattr__(self, "coeff", z)
+        object.__setattr__(self, "coeff", complex(_checked_coeffs(self.coeff)))
 
     @property
     def kets(self) -> tuple[Ket, Ket, Ket]:
@@ -411,11 +428,8 @@ class _Decomposition:
         shapes = [a.shape for a in stacks]
         if values.ndim != 1 or shapes != [(d, values.size) for d in dims]:
             raise DimensionMismatch(f"ket stacks {shapes} do not match factors {dims.dims} x {values.size} terms")
-        norms = np.sqrt([np.einsum("ij,ij->i", f, f) for f in (a.T.view(float) for a in stacks)])
-        bad = np.argwhere(~(np.abs(norms - 1.0) <= KET_NORM_ATOL))
-        if bad.size:
-            s, j = bad[0]
-            raise DegenerateInput(f"stack {s} column {j} has norm {float(norms[s, j])!r}, not 1")
+        if bad := _non_unit_column(stacks):
+            raise DegenerateInput("stack {} column {} has norm {!r}, not 1".format(*bad))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "stacks", tuple(map(_freeze, stacks)))
         object.__setattr__(self, "values", _freeze(values))
@@ -463,14 +477,7 @@ class TriDecomposition(_Decomposition):
     """
 
     _nfac, _noun, _term, _value = 3, "a tridecomposition", TriTerm, "coeff"
-
-    @staticmethod
-    def _checked_values(values) -> np.ndarray:
-        z = np.array(values, dtype=complex)
-        bad = np.flatnonzero(~np.isfinite(z) | (z == 0))
-        if bad.size:
-            raise DegenerateInput(f"coefficient {bad[0]} must be nonzero and finite, got {complex(z[bad[0]])!r}")
-        return z
+    _checked_values = staticmethod(_checked_coeffs)
 
 
 def tensor_product(x: Ket, y: Ket) -> Ket:

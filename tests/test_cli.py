@@ -242,6 +242,17 @@ class TestMatchErrors:
         bad.write_text("{")
         assert main(["match", str(bad), str(bad), "--mode", "bi"]) == 2
 
+    @pytest.mark.parametrize("mode", ["bi", "tri"])
+    def test_a_file_of_the_wrong_kind_is_named(self, tmp_path, capsys, mode):
+        pair, tri = str(tmp_path / "pair.json"), str(tmp_path / "tri.json")
+        main(["generate", "--n", "2", "--dims", "2,2", "--out", pair])
+        main(["generate", "--n", "2", "--dims", "2,2,2", "--out", tri])
+        capsys.readouterr()
+        assert main(["match", pair, tri, "--mode", mode]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tri if mode == 'bi' else pair}: ")
+        assert main(["factorable", tri]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tri}: ")
+
 
 class TestOverflowingLiterals:
     """A weight or coefficient literal beyond the float range is an input
@@ -259,6 +270,56 @@ class TestOverflowingLiterals:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: term 0 ") and "must be finite" in captured.err
         assert captured.err.count("\n") == 1
+
+
+    def test_integer_ket_literal_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        k = _ket_json(pd.Ket.basis(2, 0))
+        term = {"w": 1.0, "kets": [k, k]}
+        payload = {"format_version": "1", "kind": "decomposition", "dims": [2, 2], "terms": [term]}
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(payload).replace('"re": [1.0, 0.0]', '"re": [1' + "0" * 400 + ", 0.0]", 1))
+        assert main(["build", str(path), "--out", str(tmp_path / "op.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: term 0 factor 0 re/im must be finite")
+
+    @pytest.mark.parametrize("command", ["check", "extract"])
+    def test_integer_matrix_literal_beyond_the_float_range_exits_2(self, tmp_path, capsys, command):
+        payload = {
+            "format_version": "1",
+            "kind": "operator",
+            "dims": [2, 1],
+            "matrix": {"re": [1, 0, 0, 0], "im": [0] * 4},
+        }
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(payload).replace("[1, 0, 0, 0]", "[1" + "0" * 400 + ", 0, 0, 0]"))
+        argv = [command, str(path)] + (["--out", str(tmp_path / "dec.json")] if command == "extract" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: matrix re/im must be finite")
+
+
+class TestCheckParsesOnce:
+    """``check`` reads its file with one ``json.load``, whatever its kind."""
+
+    def test_one_parse_per_kind(self, tmp_path, monkeypatch, capsys):
+        dec = pd.generate_instance(3, 4, 3, seed=7)
+        dec_path, op_path = str(tmp_path / "dec.json"), str(tmp_path / "op.json")
+        fileio.save_decomposition(dec_path, dec)
+        fileio.save_operator(op_path, pd.build_rho(dec))
+        calls, load = [], json.load
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counted)
+        for path in (op_path, dec_path):
+            calls.clear()
+            assert main(["check", path]) == 0
+            assert len(calls) == 1, path
+        assert "file ok" in capsys.readouterr().out
 
 
 class TestExtractCommand:
@@ -332,7 +393,7 @@ class TestFactorableCommand:
         qform = _rotated_pair_file(tmp_path)
         # reuse the first q ket alone as a 2,2 coefficient file
         loaded = fileio.load_decomposition(qform)
-        q1 = loaded.kets[0][0]
+        q1 = pd.Ket(loaded.stacks[0][:, 0])
         path = _write_payload(
             tmp_path / "ent.json",
             {

@@ -184,6 +184,28 @@ class TestSchemaValidation:
             fileio.load_decomposition(str(path))
         assert str(info.value).startswith(f"{path}: term 0 {what} must be finite, got ")
 
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-1" + "0" * 400, "1e400"], ids=["int", "-int", "1e400"])
+    def test_ket_literal_beyond_the_float_range_names_file_and_place(self, tmp_path, literal):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(self._minimal()).replace('"re": [1.0, 0.0]', f'"re": [{literal}, 0.0]', 1))
+        with pytest.raises(pd.FileError) as info:
+            fileio.load_decomposition(str(path))
+        assert str(info.value).startswith(f"{path}: term 0 factor 0 re/im must be finite")
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-1" + "0" * 400, "1e400"], ids=["int", "-int", "1e400"])
+    def test_matrix_literal_beyond_the_float_range_names_file(self, tmp_path, literal):
+        path = tmp_path / "op.json"
+        payload = {
+            "format_version": "1",
+            "kind": "operator",
+            "dims": [2, 1],
+            "matrix": {"re": [1, 0, 0, 0], "im": [0] * 4},
+        }
+        path.write_text(json.dumps(payload).replace("[1, 0, 0, 0]", f"[{literal}, 0, 0, 0]"))
+        with pytest.raises(pd.FileError) as info:
+            fileio.load_operator(str(path))
+        assert str(info.value).startswith(f"{path}: matrix re/im must be finite")
+
     def test_wrong_format_version(self, tmp_path):
         payload = self._minimal()
         payload["format_version"] = "2"
@@ -295,6 +317,37 @@ class TestSchemaValidation:
         }
         loaded = fileio.load_decomposition(self._write(tmp_path, payload))
         assert loaded.values[0] == complex(1 / math.sqrt(2))
+
+
+class TestLoadByKind:
+    """``fileio.load`` reads either kind of file from one parse."""
+
+    def test_returns_what_the_kind_names(self, product_file, tmp_path):
+        path, dec = product_file
+        loaded = fileio.load(path)
+        assert isinstance(loaded, fileio.LoadedDecomposition) and loaded.path == path and loaded.form == "weight"
+        for got, want in zip(loaded.stacks + (loaded.values,), dec.stacks + (dec.values,), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+        op_path = str(tmp_path / "op.json")
+        fileio.save_operator(op_path, pd.build_rho(dec))
+        op = fileio.load(op_path)
+        assert isinstance(op, pd.StateOperator) and np.array_equal(op.matrix, fileio.load_operator(op_path).matrix)
+
+    def test_unknown_kind(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"format_version": "1", "kind": "spectrum"}')
+        with pytest.raises(pd.FileError, match="expected kind 'decomposition' or 'operator', got 'spectrum'"):
+            fileio.load(str(path))
+
+    def test_errors_after_loading_name_the_file(self, product_file):
+        path, _ = product_file
+        loaded = fileio.load_decomposition(path)
+        for view in (loaded.tri, loaded.vector):
+            with pytest.raises(pd.FileError) as info:
+                view()
+            assert str(info.value).startswith(f"{path}: ")
 
 
 class TestGlobalVector:

@@ -2,13 +2,15 @@
 per-profile generators and the two-branch twin it replaced, kept here as
 the oracle."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
 import proddecomp as pd
-from proddecomp import decomp
+from proddecomp import decomp, fileio
+from proddecomp.cli import main
 
 
 # The generators' draws, as the lists of Kets the reference generators build from
@@ -182,6 +184,17 @@ class TestOracle:
         assert _outcome(make, *args, **kwargs) is expected
 
 
+#: (class, fault) cases of ``TestSharedConstructor._case`` that every door refuses
+_FAULTS = [
+    (cls, fault)
+    for cls in (pd.ProductDecomposition, pd.TriDecomposition)
+    for fault in [
+        "no terms", "wrong slot dims", "non-unit column", "nan column", "inf column",
+        "stack count", "factor count", 0.0, np.nan, np.inf, complex(np.inf, 1.0), "0.5", True,
+    ]
+] + [(pd.ProductDecomposition, fault) for fault in (-0.25, -np.inf, 0.25 + 0.5j, 0.25 + 0j)]
+
+
 class TestSharedConstructor:
     @pytest.mark.parametrize("dims, terms_of", [((2, 3), "bi"), ((2, 3, 2), "tri")])
     def test_structure_errors(self, dims, terms_of):
@@ -220,6 +233,9 @@ class TestSharedConstructor:
         elif fault == "factor count":
             dims = (2, 3, 2) if bipartite else (2, 3)
             values, stacks = np.array([0.5, 0.25]), [np.eye(d, 2, dtype=complex) for d in dims]
+        elif isinstance(fault, (str, bool)):  # a value in term 1 that is not a number
+            values = values.astype(object)
+            values[1] = fault
         elif fault is not None:  # a bad value in term 1
             values = values.astype(complex if np.iscomplexobj(fault) else values.dtype)
             values[1] = fault
@@ -231,24 +247,46 @@ class TestSharedConstructor:
         kets = [[pd.Ket(c) for c in s.T] for s in stacks]
         return cls(dims, [term(v, *ks) for v, *ks in zip(values, *kets)])
 
-    @pytest.mark.parametrize(
-        "cls, fault",
-        [
-            (cls, fault)
-            for cls in (pd.ProductDecomposition, pd.TriDecomposition)
-            for fault in [
-                "no terms", "wrong slot dims", "non-unit column", "nan column", "inf column",
-                "stack count", "factor count", 0.0, np.nan, np.inf, complex(np.inf, 1.0),
-            ]
-        ]
-        + [(pd.ProductDecomposition, fault) for fault in (-0.25, -np.inf, 0.25 + 0.5j, 0.25 + 0j)],
-    )
+    @staticmethod
+    def _via_file(cls, dims, stacks, values, path):
+        """Write the case by hand as a decomposition file, JSON's NaN and Infinity included, and load it as ``cls``."""
+        key = "w" if cls is pd.ProductDecomposition else "coeff"
+        payload = {
+            "format_version": "1",
+            "kind": "decomposition",
+            "dims": list(dims),
+            "terms": [
+                {
+                    key: {"re": v.real, "im": v.imag} if isinstance(v, complex) else v,
+                    "kets": [{"re": c.real.tolist(), "im": c.imag.tolist()} for c in columns],
+                }
+                for v, *columns in zip(values, *(s.T for s in stacks))
+            ],
+        }
+        path.write_text(json.dumps(payload))
+        loaded = fileio.load_decomposition(str(path))
+        return loaded.product() if cls is pd.ProductDecomposition else loaded.tri()
+
+    @pytest.mark.parametrize("cls, fault", _FAULTS)
     def test_both_doors_reject_alike(self, cls, fault):
         dims, stacks, values = self._case(cls, fault)
         via_terms = _outcome(self._via_terms, cls, dims, stacks, values)
         via_arrays = _outcome(cls._from_stacks, dims, stacks, values)
         assert isinstance(via_terms, type) and issubclass(via_terms, pd.ProddecompError), via_terms
         assert via_arrays is via_terms
+
+    @pytest.mark.parametrize("cls, fault", _FAULTS)
+    def test_a_file_is_refused_naming_its_path(self, tmp_path, cls, fault):
+        path = tmp_path / "case.json"
+        with pytest.raises(pd.FileError) as info:
+            self._via_file(cls, *self._case(cls, fault), path)
+        assert str(info.value).startswith(f"{path}: "), str(info.value)
+
+    @pytest.mark.parametrize("cls", [pd.ProductDecomposition, pd.TriDecomposition])
+    def test_a_file_stores_what_the_array_door_stores(self, tmp_path, cls):
+        dims, stacks, values = self._case(cls, None)
+        via_file = self._via_file(cls, dims, stacks, values, tmp_path / "case.json")
+        _assert_bit_identical(via_file, cls._from_stacks(dims, stacks, values))
 
     @pytest.mark.parametrize("cls", [pd.ProductDecomposition, pd.TriDecomposition])
     def test_both_doors_store_the_same_read_only_copies(self, cls):
@@ -297,3 +335,25 @@ class TestArrayPaths:
                 assert (term.weight if isinstance(term, pd.ProductTerm) else term.coeff) == dec.values[j]
                 for s, ket in enumerate(term.kets):
                     assert ket.amplitudes.tobytes() == dec.stacks[s][:, j].tobytes()
+
+    def test_file_paths_build_no_kets_or_terms(self, tmp_path, monkeypatch):
+        def forbidden(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        files = {}
+        for mode, dec in [
+            ("bi", pd.generate_instance(4, 5, 5, seed=1)),
+            ("tri", pd.generate_tri_instance(4, 5, 5, 5, seed=1)),
+        ]:
+            files[mode] = [str(tmp_path / f"{mode}{i}.json") for i in range(2)]
+            fileio.save_decomposition(files[mode][0], dec)
+            fileio.save_decomposition(files[mode][1], pd.phase_permuted_twin(dec, seed=2)[0])
+        for cls in (pd.Ket, pd.ProductTerm, pd.TriTerm):
+            monkeypatch.setattr(cls, "__post_init__", forbidden)
+        fileio.load_decomposition(files["bi"][0]).product()
+        tri = fileio.load_decomposition(files["tri"][0])
+        tri.tri()
+        tri.vector()
+        for mode, (source, twin) in files.items():
+            assert main(["build", source, "--out", str(tmp_path / f"{mode}-op.json")]) == 0
+            assert main(["match", source, twin, "--mode", mode]) == 0
