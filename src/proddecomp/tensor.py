@@ -334,9 +334,9 @@ def _non_unit_column(stacks: Sequence[np.ndarray]) -> tuple[int, int, float] | N
     or None: the unit rule of every ket, for complex d x n stacks in F order (columns are float rows)."""
     for s, a in enumerate(stacks):
         f = a.T.view(float)
-        for j, norm in enumerate(map(math.sqrt, np.einsum("ij,ij->i", f, f).tolist())):
-            if not abs(norm - 1.0) <= KET_NORM_ATOL:  # NaN fails too
-                return s, j, norm
+        for j, sq in enumerate(np.add.reduce(f * f, axis=1).tolist()):
+            if not abs(math.sqrt(sq) - 1.0) <= KET_NORM_ATOL:  # NaN fails too
+                return s, j, math.sqrt(sq)
     return None
 
 
