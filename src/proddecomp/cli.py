@@ -25,7 +25,7 @@ from .errors import (
 from .fileio import _ket_json, dumps_canonical
 from .purification import purify
 from .subspace import ToleranceConfig
-from .tensor import FactoredDims, Ket, StateOperator, build_rho
+from .tensor import FactoredDims, StateOperator, build_rho
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -165,8 +165,7 @@ def _load_tri_operand(own: fileio.LoadedDecomposition, other: fileio.LoadedDecom
         raise FileError(
             f"{own.path}: cannot recast dims {own.dims.dims} against {other.dims.dims}: factor sizes disagree"
         )
-    pair_kets, third_kets = ([Ket(c) for c in s.T] for s in own.stacks)
-    return decomp.split_pair_terms(own.values, pair_kets, third_kets, split, tol)
+    return decomp._split_pairs(own.stacks, own.values, split, tol)
 
 
 def cmd_match(args: argparse.Namespace) -> int:
@@ -201,20 +200,15 @@ def cmd_factorable(args: argparse.Namespace) -> int:
     if len(loaded.dims) != 2:
         raise FileError(f"{loaded.path}: factorable needs a 2-factor coefficient file")
     vec, norm = loaded.vector()
-    ket = Ket(vec / norm)
-    tol = _tol(args)
-    verdict, factors = decomp.is_factorable(ket, loaded.dims, tol)
-    schmidt = decomp.schmidt_values(ket, loaded.dims)
-    payload: dict = {
-        "factorable": verdict,
-        "schmidt_values": [float(v) for v in schmidt],
-    }
+    s, product, factors = decomp._schmidt((vec / norm)[:, None], loaded.dims, _tol(args))
+    verdict, schmidt = bool(product[0]), s[0].tolist()
+    payload: dict = {"factorable": verdict, "schmidt_values": schmidt}
     lines = [
         f"factorable: {'yes' if verdict else 'no'}",
-        "schmidt values: " + " ".join(_fmt(float(v)) for v in schmidt),
+        "schmidt values: " + " ".join(_fmt(v) for v in schmidt),
     ]
-    if factors is not None:
-        payload["factors"] = [_ket_json(f.amplitudes) for f in factors]
+    if verdict:
+        payload["factors"] = [_ket_json(f[:, 0]) for f in factors]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -374,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # ValueError too: a negative --seed reaches np.random.default_rng as one
+    # ValueError too: a negative --seed, an infeasible --n or --dims, and numpy's LinAlgError
     except (ProddecompError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), EXIT_INPUT)

@@ -29,15 +29,15 @@ from .tensor import (
     ProductDecomposition,
     StateOperator,
     TriDecomposition,
+    _checked_coeffs,
     _expansion,
     _root_tensor,
-    bipartite_matrix,
     build_rho,
+    column_stack,
     frobenius,
     partial_trace,
     product_columns,
     rho_matrix,  # noqa: F401 -- unused here; perfbench's tracer test looks it up as decomp.rho_matrix
-    tensor_product,
 )
 
 #: Absolute tolerance for matched weights / coefficient magnitudes
@@ -179,28 +179,43 @@ def check_tri_hypotheses(
 # factorability (Schmidt rank 1)
 
 
+def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Schmidt values, product mask and leading factors of the n kets of an N x n stack.
+
+    One batched SVD of the n d1 x d2 coefficient matrices gives the n x min(d1, d2)
+    Schmidt values s; ket k is a product when s[k, 1] < eps_rank * s[k, 0].  The
+    principal left and right singular vectors come back as d1 x n and d2 x n stacks,
+    each column phased by :func:`~proddecomp.subspace.fix_phase`.  An SVD that does
+    not converge raises DegenerateInput.
+    """
+    if len(split) != 2 or split.total != q.shape[0]:
+        raise DimensionMismatch(f"split {split.dims} does not factor a dim-{q.shape[0]} ket")
+    try:
+        u, s, vh = np.linalg.svd(q.T.reshape(-1, *split))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInput(f"Schmidt decomposition did not converge ({exc})") from exc
+    second = s[:, 1] if s.shape[1] > 1 else 0.0
+    factors = (fix_phase(u[:, :, 0].T, tol.eps_rank), fix_phase(vh[:, 0].T, tol.eps_rank))
+    return s, second < tol.eps_rank * s[:, 0], factors
+
+
 def schmidt_values(x: Ket, split: FactoredDims) -> np.ndarray:
-    """Singular values of the ket's coefficient matrix under the split."""
-    return np.linalg.svd(bipartite_matrix(x, split), compute_uv=False)
+    """Singular values of the ket's coefficient matrix under the split (:func:`_schmidt`)."""
+    return _schmidt(x.amplitudes[:, None], split, DEFAULT_TOL)[0][0]
 
 
 def is_factorable(
     x: Ket, split: FactoredDims, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[bool, tuple[Ket, Ket] | None]:
-    """Decide whether a bipartite ket is a single tensor product.
+    """Decide whether a bipartite ket is a single tensor product (:func:`_schmidt`).
 
     The ket is factorable when its second Schmidt value is below
     eps_rank times the first.  On success the principal left/right
     singular vectors are returned as the factors, each phased so that its
     first significant component is real positive.
     """
-    u, s, vh = np.linalg.svd(bipartite_matrix(x, split))
-    second = float(s[1]) if s.size > 1 else 0.0
-    if second >= tol.eps_rank * float(s[0]):
-        return False, None
-    left = Ket(fix_phase(u[:, 0], tol.eps_rank))
-    right = Ket(fix_phase(vh[0, :], tol.eps_rank))
-    return True, (left, right)
+    _, product, factors = _schmidt(x.amplitudes[:, None], split, tol)
+    return (True, tuple(Ket(f[:, 0]) for f in factors)) if product[0] else (False, None)
 
 
 def split_pair_terms(
@@ -215,27 +230,28 @@ def split_pair_terms(
 
     A non-factorable q_k is a hypothesis violation: the expansion cannot
     be compared term-by-term against genuine product-ket decompositions.
+    The ket lists are stacked and recast by :func:`_split_pairs`.
     """
     if not (len(coeffs) == len(pair_kets) == len(third_kets)):
         raise DimensionMismatch("coeffs, pair kets, and third kets must have equal lengths")
-    if len({d.dim for d in third_kets}) > 1:
-        raise DimensionMismatch("third kets must share one dimension")
-    a_cols, b_cols, values = [], [], []
-    for k, (z, q) in enumerate(zip(coeffs, pair_kets)):
-        ok, factors = is_factorable(q, split, tol)
-        if not ok:
-            sv = schmidt_values(q, split)
-            raise HypothesisViolation(
-                f"factorability hypothesis violated: term {k} first-slot ket is not a product "
-                f"across factors {split.dims} (schmidt values {sv[0]:.6g}, {sv[1]:.6g})"
-            )
-        a, b = (f.amplitudes for f in factors)
-        a_cols.append(a)
-        b_cols.append(b)
-        values.append(complex(z) * complex(np.vdot(np.kron(a, b), q.amplitudes)))
-    stacks = [np.array(cols).T for cols in (a_cols, b_cols, [d.amplitudes for d in third_kets])]
-    dims = FactoredDims((split[0], split[1], third_kets[0].dim))
-    return TriDecomposition._from_stacks(dims, stacks, values)
+    stacks = (column_stack(pair_kets), column_stack(third_kets))
+    return _split_pairs(stacks, _checked_coeffs(coeffs), split, tol)
+
+
+def _split_pairs(stacks, values: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> TriDecomposition:
+    """:func:`split_pair_terms` on an N x n pair stack q and a d x n third stack: one :func:`_schmidt`
+    call factors every q_k into a_k (x) b_k, coefficient k becomes values_k <a_k (x) b_k|q_k>, and a
+    failure quotes the Schmidt values that the verdict compared."""
+    q, d = stacks
+    s, product, (a, b) = _schmidt(q, split, tol)
+    if not product.all():
+        k = int(np.argmin(product))
+        raise HypothesisViolation(
+            f"factorability hypothesis violated: term {k} first-slot ket is not a product "
+            f"across factors {split.dims} (schmidt values {s[k, 0]:.6g}, {s[k, 1]:.6g})"
+        )
+    overlaps = np.einsum("ik,jk,ijk->k", a.conj(), b.conj(), q.reshape(*split, -1))
+    return TriDecomposition._from_stacks(FactoredDims((*split, d.shape[0])), (a, b, d), values * overlaps)
 
 
 # ---------------------------------------------------------------------------
@@ -751,35 +767,26 @@ def demo_degeneracy(tol: ToleranceConfig = DEFAULT_TOL) -> DegeneracyReport:
     weighted product decomposition.  The same rotation applied to the
     tripartite lift hits the same obstruction.
     """
-    a = [Ket.basis(2, 0), Ket.basis(2, 1)]
-    b = [Ket.basis(2, 0), Ket.basis(2, 1)]
     dims = FactoredDims((2, 2))
     dec = ProductDecomposition._from_stacks(dims, (np.eye(2), np.eye(2)), [0.5, 0.5])
     rho = build_rho(dec)
     evals = tuple(float(v) for v in sorted(np.linalg.eigvalsh(rho.matrix), reverse=True))
 
-    ab1 = tensor_product(a[0], b[0])
-    ab2 = tensor_product(a[1], b[1])
-    q1 = Ket.normalize(ab1.amplitudes + ab2.amplitudes)
-    q2 = Ket.normalize(ab1.amplitudes - ab2.amplitudes)
-    qform = 0.5 * q1.projector() + 0.5 * q2.projector()
-    qform_residual = frobenius(qform - rho.matrix)
+    # the columns |a1 b1>, |a2 b2> of ab, rotated into the columns q1, q2 of q
+    ab = product_columns(dec)[0]
+    rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    q = ab @ rotation
+    qform_residual = frobenius(0.5 * (q @ q.conj().T) - rho.matrix)
 
-    q1_fact, _ = is_factorable(q1, dims, tol)
-    q2_fact, _ = is_factorable(q2, dims, tol)
-    q1_schmidt = tuple(float(v) for v in schmidt_values(q1, dims))
-    q2_schmidt = tuple(float(v) for v in schmidt_values(q2, dims))
+    schmidt, product, _ = _schmidt(q, dims, tol)
+    q1_fact, q2_fact = product.tolist()
+    q1_schmidt, q2_schmidt = (tuple(row) for row in schmidt.tolist())
 
-    c = [Ket.basis(2, 0), Ket.basis(2, 1)]
-    psi = Ket.normalize(
-        np.kron(ab1.amplitudes, c[0].amplitudes) + np.kron(ab2.amplitudes, c[1].amplitudes)
-    )
-    dplus = Ket.normalize(c[0].amplitudes + c[1].amplitudes)
-    dminus = Ket.normalize(c[0].amplitudes - c[1].amplitudes)
-    psi_q = Ket.normalize(
-        np.kron(q1.amplitudes, dplus.amplitudes) + np.kron(q2.amplitudes, dminus.amplitudes)
-    )
-    tri_qform_residual = float(np.linalg.norm(psi.amplitudes - psi_q.amplitudes))
+    # the lift (|a1 b1 c1> + |a2 b2 c2>)/sqrt(2) against (|q1 d1> + |q2 d2>)/sqrt(2), d = c rotated
+    c = np.eye(2)
+    psi = (ab @ c.T).reshape(-1) / np.sqrt(2.0)
+    psi_q = (q @ (c @ rotation).T).reshape(-1) / np.sqrt(2.0)
+    tri_qform_residual = float(np.linalg.norm(psi - psi_q))
 
     notes = (
         "the rotated eigenvectors q1, q2 reproduce the operator but are entangled across "

@@ -93,7 +93,8 @@ def fix_phase(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     """Rotate a vector by a global phase so its first entry of magnitude above
     ``eps`` is real positive; a vector with no such entry is returned as it is.
 
-    A d x n stack has each column rotated, bit for bit as that column alone.
+    A d x n stack has each column rotated, bit for bit as that column alone
+    when d > 1; a 1-entry column can differ from it in the last bit.
     """
     v = np.asarray(v, dtype=complex)
     if not v.size:

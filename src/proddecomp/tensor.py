@@ -305,12 +305,21 @@ def _checked_factor(columns, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
+def _source_dtype(values) -> np.dtype:
+    """The dtype of ``np.asarray(values)``, but bool for a list or tuple that holds a bool, which
+    asarray casts to a number; an ndarray or a scalar takes no extra pass."""
+    if isinstance(values, (list, tuple)):
+        if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(values, object).flat):
+            return np.dtype(bool)
+    return np.asarray(values).dtype
+
+
 def _checked_weights(weights) -> np.ndarray:
     """A float copy of ``weights``, each real, positive and finite (factors, decompositions and their terms)."""
-    w = np.asarray(weights)
-    if w.dtype.kind not in "iuf":
-        raise DegenerateInput(f"weights must be real numbers, got dtype {w.dtype}")
-    w = np.array(w, dtype=float)
+    dtype = _source_dtype(weights)
+    if dtype.kind not in "iuf":
+        raise DegenerateInput(f"weights must be real numbers, got dtype {dtype}")
+    w = np.array(weights, dtype=float)
     for j, x in enumerate(w.ravel().tolist()):
         if not 0.0 < x < math.inf:  # NaN fails too
             raise DegenerateInput(f"weight {j} must be positive and finite, got {x!r}")
@@ -319,10 +328,10 @@ def _checked_weights(weights) -> np.ndarray:
 
 def _checked_coeffs(values) -> np.ndarray:
     """A complex copy of ``values``, each a nonzero finite number (tridecompositions and their terms)."""
-    z = np.asarray(values)
-    if z.dtype.kind not in "iufc":
-        raise DegenerateInput(f"coefficients must be numbers, got dtype {z.dtype}")
-    z = np.array(z, dtype=complex)
+    dtype = _source_dtype(values)
+    if dtype.kind not in "iufc":
+        raise DegenerateInput(f"coefficients must be numbers, got dtype {dtype}")
+    z = np.array(values, dtype=complex)
     for j, x in enumerate(z.ravel().tolist()):
         if not (cmath.isfinite(x) and x != 0):
             raise DegenerateInput(f"coefficient {j} must be nonzero and finite, got {x!r}")

@@ -1,11 +1,14 @@
 """Factorability (Schmidt rank 1) and its brute-force equivalences."""
 
+import contextlib
 import itertools
 
 import numpy as np
 import pytest
 
 import proddecomp as pd
+from proddecomp import fileio
+from proddecomp.cli import main
 
 
 def _random_ket(rng, dim):
@@ -130,3 +133,90 @@ class TestFactorabilityRuleExhaustive:
                             assert verdict == (size == 1), (n, d1, d2, support)
                             checked += 1
         assert checked == 35  # 9 (n=1) + 12 (n=2) + 14 (n=3) cases
+
+
+def _reference_split(coeffs, pair_amps, split):
+    """The per-term recast the Schmidt core replaced: one full SVD per pair ket, its leading
+    vectors phased alone, and coefficient z_k <a_k (x) b_k|q_k> from ``np.vdot``."""
+    a_cols, b_cols, values = [], [], []
+    for z, q in zip(coeffs, pair_amps):
+        u, _, vh = np.linalg.svd(q.reshape(split))
+        a, b = pd.fix_phase(u[:, 0]), pd.fix_phase(vh[0, :])
+        a_cols.append(a)
+        b_cols.append(b)
+        values.append(complex(z) * complex(np.vdot(np.kron(a, b), q)))
+    return np.array(a_cols).T, np.array(b_cols).T, np.array(values)
+
+
+class TestSchmidtCore:
+    @pytest.mark.parametrize("profile", pd.TRI_PROFILES)
+    def test_recast_matches_the_per_term_reference(self, profile):
+        # the stacks are the reference's bit for bit; the coefficients sum in another order
+        for seed in range(6):
+            tri = pd.generate_tri_instance(4, 4, 5, 4, seed=seed, profile=profile)
+            a, b, c = tri.stacks
+            phases = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=4))
+            pair_amps = [np.kron(a[:, j], b[:, j]) * phases[j] for j in range(4)]
+            coeffs, third = tri.values / phases, [pd.Ket(x) for x in c.T]
+            got = pd.split_pair_terms(coeffs, [pd.Ket(q) for q in pair_amps], third, pd.FactoredDims((4, 5)))
+            ref_a, ref_b, ref_values = _reference_split(coeffs, pair_amps, (4, 5))
+            assert got.stacks[0].tobytes() == np.asfortranarray(ref_a).tobytes()
+            assert got.stacks[1].tobytes() == np.asfortranarray(ref_b).tobytes()
+            assert np.array_equal(got.stacks[2], c)
+            assert np.abs(got.values - ref_values).max() <= 1e-15 * np.abs(ref_values).min()
+            for j, q in enumerate(pair_amps):
+                _, factors = pd.is_factorable(pd.Ket(q), pd.FactoredDims((4, 5)))
+                assert [f.amplitudes.tobytes() for f in factors] == [ref_a[:, j].tobytes(), ref_b[:, j].tobytes()]
+
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-4])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_verdict_flips_at_the_rank_cutoff(self, eps, factor):
+        # Schmidt values proportional to (1, factor * eps_rank), in random local bases
+        rng = np.random.default_rng(7)
+        u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        v = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        x = pd.Ket.normalize((u @ np.diag([1.0, factor * eps]) @ v[:2]).reshape(-1))
+        split, tol = pd.FactoredDims((2, 3)), pd.ToleranceConfig(eps_rank=eps)
+        s = pd.schmidt_values(x, split)
+        assert abs(s[1] / s[0] / (factor * eps) - 1.0) < 1e-6
+        assert pd.is_factorable(x, split, tol)[0] is (factor < 1.0)
+        refused = pytest.raises(pd.HypothesisViolation, match="not a product")
+        with refused if factor > 1.0 else contextlib.nullcontext():
+            pd.split_pair_terms([1.0], [x], [pd.Ket.basis(2, 0)], split, tol)
+
+
+class TestLinAlgFailures:
+    """A Schmidt SVD that does not converge is DegenerateInput, not a raw ``LinAlgError``."""
+
+    @staticmethod
+    def _failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, split: pd.is_factorable(x, split),
+            lambda x, split: pd.schmidt_values(x, split),
+            lambda x, split: pd.split_pair_terms([1.0], [x], [pd.Ket.basis(3, 0)], split),
+        ],
+        ids=["is_factorable", "schmidt_values", "split_pair_terms"],
+    )
+    def test_maps_to_degenerate_input(self, monkeypatch, call):
+        x = pd.tensor_product(pd.Ket.basis(2, 0), pd.Ket.basis(2, 1))
+        monkeypatch.setattr(np.linalg, "svd", self._failing)
+        with pytest.raises(pd.DegenerateInput, match="did not converge") as info:
+            call(x, pd.FactoredDims((2, 2)))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_cli_factorable_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "pair.json"
+        ket = {"re": [1.0, 0.0], "im": [0.0, 0.0]}
+        payload = {"format_version": "1", "kind": "decomposition", "dims": [2, 2]}
+        path.write_text(fileio.dumps_canonical({**payload, "terms": [{"coeff": 1.0, "kets": [ket, ket]}]}))
+        monkeypatch.setattr(np.linalg, "svd", self._failing)
+        assert main(["factorable", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "did not converge" in captured.err

@@ -11,6 +11,7 @@ import pytest
 import proddecomp as pd
 from proddecomp import decomp, fileio
 from proddecomp.cli import main
+from proddecomp.tensor import _checked_coeffs
 
 
 # The generators' draws, as the lists of Kets the reference generators build from
@@ -107,6 +108,18 @@ def _reference_twin(dec, seed=0):
     return pd.TriDecomposition(dec.dims, tuple(terms)), perm
 
 
+def _pair_form_file(path, tri):
+    """``tri`` written as a 2-factor coefficient file whose term j pairs a_j (x) b_j with c_j."""
+    a, b, c = tri.stacks
+    terms = [
+        {"coeff": z, "kets": [fileio._ket_json(np.kron(a[:, j], b[:, j])), fileio._ket_json(c[:, j])]}
+        for j, z in enumerate(tri.values.tolist())
+    ]
+    payload = {"format_version": "1", "kind": "decomposition", "dims": [a.shape[0] * b.shape[0], c.shape[0]]}
+    path.write_text(fileio.dumps_canonical({**payload, "terms": terms}) + "\n")
+    return str(path)
+
+
 def _outcome(make, *args, **kwargs):
     """The decomposition ``make`` returns, or the type of the error it raises."""
     try:
@@ -191,6 +204,7 @@ _FAULTS = [
     for fault in [
         "no terms", "wrong slot dims", "non-unit column", "nan column", "inf column",
         "stack count", "factor count", 0.0, np.nan, np.inf, complex(np.inf, 1.0), "0.5", True,
+        "True in a list",
     ]
 ] + [(pd.ProductDecomposition, fault) for fault in (-0.25, -np.inf, 0.25 + 0.5j, 0.25 + 0j)]
 
@@ -233,6 +247,9 @@ class TestSharedConstructor:
         elif fault == "factor count":
             dims = (2, 3, 2) if bipartite else (2, 3)
             values, stacks = np.array([0.5, 0.25]), [np.eye(d, 2, dtype=complex) for d in dims]
+        elif fault == "True in a list":  # np.asarray casts the list to numbers
+            values = values.tolist()
+            values[1] = True
         elif isinstance(fault, (str, bool)):  # a value in term 1 that is not a number
             values = values.astype(object)
             values[1] = fault
@@ -274,6 +291,19 @@ class TestSharedConstructor:
         via_arrays = _outcome(cls._from_stacks, dims, stacks, values)
         assert isinstance(via_terms, type) and issubclass(via_terms, pd.ProddecompError), via_terms
         assert via_arrays is via_terms
+
+    def test_a_bool_in_a_list_is_refused_by_every_value_rule(self):
+        # np.asarray casts [0.5, True] to floats; a bool array is refused, and so is this list
+        for weights in ([0.5, True], (0.5, np.True_), [[0.5, True]]):
+            with pytest.raises(pd.DegenerateInput, match="dtype bool"):
+                pd.StateOperator.from_columns(pd.FactoredDims((2,)), np.eye(2), weights)
+        with pytest.raises(pd.DegenerateInput, match="dtype bool"):
+            _checked_coeffs([1j, True])
+        # the Ket-list door of the tri-mode recast takes its coefficients by the same rule
+        x, e = pd.tensor_product(pd.Ket.basis(2, 0), pd.Ket.basis(2, 1)), pd.Ket.basis(2, 0)
+        for coeffs in ([1.0, True], [1.0, "1"]):
+            with pytest.raises(pd.DegenerateInput, match="coefficients must be numbers"):
+                pd.split_pair_terms(coeffs, [x, x], [e, e], pd.FactoredDims((2, 2)))
 
     @pytest.mark.parametrize("cls, fault", _FAULTS)
     def test_a_file_is_refused_naming_its_path(self, tmp_path, cls, fault):
@@ -348,6 +378,7 @@ class TestArrayPaths:
             files[mode] = [str(tmp_path / f"{mode}{i}.json") for i in range(2)]
             fileio.save_decomposition(files[mode][0], dec)
             fileio.save_decomposition(files[mode][1], pd.phase_permuted_twin(dec, seed=2)[0])
+        pair = _pair_form_file(tmp_path / "pair.json", pd.generate_tri_instance(4, 5, 5, 5, seed=1))
         for cls in (pd.Ket, pd.ProductTerm, pd.TriTerm):
             monkeypatch.setattr(cls, "__post_init__", forbidden)
         fileio.load_decomposition(files["bi"][0]).product()
@@ -357,3 +388,35 @@ class TestArrayPaths:
         for mode, (source, twin) in files.items():
             assert main(["build", source, "--out", str(tmp_path / f"{mode}-op.json")]) == 0
             assert main(["match", source, twin, "--mode", mode]) == 0
+        # the tri-mode recast of a 2-factor coefficient file, and the factorability verdict
+        assert main(["match", pair, files["tri"][1], "--mode", "tri"]) == 0
+        assert main(["factorable", pair]) == 0
+
+    def test_each_factorability_job_makes_one_svd(self, tmp_path, monkeypatch):
+        tri = pd.generate_tri_instance(4, 5, 5, 5, seed=1)
+        pair, source = _pair_form_file(tmp_path / "pair.json", tri), str(tmp_path / "tri.json")
+        fileio.save_decomposition(source, tri)
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        def forbidden(self):
+            raise AssertionError("built a Ket")
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(pd.Ket, "__post_init__", forbidden)
+        counts = {}
+        for job, run in [
+            ("factorable", lambda: main(["factorable", pair])),
+            ("match tri", lambda: main(["match", source, source, "--mode", "tri"])),
+            ("match recast", lambda: main(["match", pair, source, "--mode", "tri"])),
+            ("demo", lambda: main(["demo"])),
+        ]:
+            calls.clear()
+            assert run() == 0, job
+            counts[job] = len(calls)
+        # the recast adds one SVD of all 4 terms to the rank checks of a 3-factor match
+        assert counts.pop("match recast") - counts.pop("match tri") == 1
+        assert counts == {"factorable": 1, "demo": 1}
