@@ -31,11 +31,11 @@ from .tensor import (
     TriDecomposition,
     _checked_coeffs,
     _expansion,
+    _reduced,
     _root_tensor,
     build_rho,
     column_stack,
     frobenius,
-    partial_trace,
     product_columns,
     rho_matrix,  # noqa: F401 -- unused here; perfbench's tracer test looks it up as decomp.rho_matrix
 )
@@ -488,13 +488,9 @@ def extract_decomposition(
     sketch, and a linear-algebra routine that does not converge raises
     DegenerateInput.
 
-    The support ranks count eigenvalues lambda > 0 with
-    lambda >= eps_rank * lambda_max of each reduced operator, and build no
-    ``Ket`` or ``SubspaceBasis``.  A factored operator takes them from the
-    singular values s of W reshaped each way (lambda = s^2), each from the
-    tall transpose; factor 0's SVD is a full one, kept for the probe step
-    when factor 0 is the side, and factor 1's is values-only.  A dense
-    operator takes them from ``eigvalsh`` of its two d x d partial traces.
+    Both support ranks count the eigenvalues lambda > 0 with
+    lambda >= eps_rank * lambda_max of ``eigvalsh`` of the unvalidated d x d
+    reduced operators (:func:`~proddecomp.tensor._reduced`), in either form.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
@@ -506,18 +502,7 @@ def extract_decomposition(
 
 def _extract(rho: StateOperator, tol: ToleranceConfig, seed: int, max_error: float) -> ExtractionReport:
     """The body of :func:`extract_decomposition`, which maps its ``LinAlgError``."""
-    if rho.factor is None:
-        lams = [np.linalg.eigvalsh(partial_trace(rho, (s,)).matrix) for s in (0, 1)]
-    else:
-        # the singular values of W reshaped each way are the square roots of
-        # the reduced operators' eigenvalues; factor 0's SVD is kept for its
-        # vectors, used below when it is the side
-        w = _root_tensor(rho)
-        d1, d2, k = w.shape
-        side_svd = np.linalg.svd(w.reshape(d1, d2 * k).conj().T, full_matrices=False)
-        s1 = np.linalg.svd(w.transpose(0, 2, 1).reshape(d1 * k, d2), compute_uv=False)
-        lams = [s * s for s in (side_svd[1], s1)]
-    ranks = [int(np.count_nonzero(_support_mask(lam, tol))) for lam in lams]
+    ranks = [int(np.count_nonzero(_support_mask(np.linalg.eigvalsh(_reduced(rho, (s,))), tol))) for s in (0, 1)]
     side = int(ranks[1] > ranks[0])
     n = ranks[side]
     probes, best = 0, np.inf
@@ -534,13 +519,13 @@ def _extract(rho: StateOperator, tol: ToleranceConfig, seed: int, max_error: flo
     rng = np.random.default_rng(seed)
     if rho.factor is None:
         w, scale = _rank_n_factor(rho, n, rng), frobenius(rho.matrix)
+    else:
+        w = _root_tensor(rho)
     w = w.transpose(1, 0, 2) if side == 1 else w
     da, db, k = w.shape
     # rho_A = W W^dagger over the b and factor indices: with W = U_A S_A Z,
     # the SVD of the tall W^dagger is (Z^dagger, S_A, U_A^dagger)
-    if rho.factor is None or side == 1:
-        side_svd = np.linalg.svd(w.reshape(da, db * k).conj().T, full_matrices=False)
-    zh, s_a, u_ah = side_svd
+    zh, s_a, u_ah = np.linalg.svd(w.reshape(da, db * k).conj().T, full_matrices=False)
     r = int(np.count_nonzero(s_a[:n] >= np.sqrt(tol.eps_rank) * s_a[0]))
     u_a, s_a, z = u_ah[:r].conj().T, s_a[:r], zh[:, :r].conj().T
 

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch
-from .tensor import Ket, StateOperator, _freeze, column_stack, partial_trace
+from .tensor import Ket, StateOperator, _freeze, _reduced, column_stack
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -172,7 +172,8 @@ def support_and_null(
 ) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Support and null space of an operator on one of its factors.
 
-    Both are computed from the reduced operator on that factor: its
+    Both are computed from the reduced operator on that factor
+    (:func:`~proddecomp.tensor._reduced`, which extraction reads too): its
     eigenvectors with a positive eigenvalue of at least eps_rank * lambda_max
     span the support, the remaining ones the null space, so the support of
     the zero operator is empty.  Support vectors are returned in
@@ -181,11 +182,7 @@ def support_and_null(
     nfac = len(rho.dims)
     if not 0 <= subsystem < nfac:
         raise DimensionMismatch(f"subsystem {subsystem} out of range for {nfac} factors")
-    if nfac == 1:
-        reduced = rho
-    else:
-        reduced = partial_trace(rho, (subsystem,))
-    evals, evecs = np.linalg.eigh(reduced.matrix)
+    evals, evecs = np.linalg.eigh(rho.matrix if nfac == 1 else _reduced(rho, (subsystem,)))
     is_support = _support_mask(evals, tol)
     null_idx = [i for i in range(evals.size) if not is_support[i]]
     supp_idx = [i for i in range(evals.size) if is_support[i]]

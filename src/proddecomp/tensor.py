@@ -541,10 +541,11 @@ def build_rho(d: ProductDecomposition) -> StateOperator:
 def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     """Trace out all factors not listed in ``keep`` (kept factors stay in order).
 
-    ``keep`` must be a nonempty proper subset of the factor indices.  A
-    factored operator is reduced from its factor, O(N k d) for k columns
-    and kept dimension d, without its N x N matrix.  The result is a
-    validated dense operator.
+    ``keep`` must be a nonempty proper subset of the factor indices.  The
+    result is :func:`_reduced` validated as a dense operator; the package's
+    own readers take the unvalidated matrix, since validating it again can
+    refuse an operator that was accepted (the trace adds up the small
+    negative eigenvalues the operator's check allows).
     """
     dims = rho.dims.dims
     nfac = len(dims)
@@ -553,9 +554,18 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
         raise DimensionMismatch(f"keep must be a nonempty proper subset of factors, got {keep}")
     if any(k < 0 or k >= nfac for k in kept):
         raise DimensionMismatch(f"invalid subsystem indices {keep} for {nfac} factors")
+    return StateOperator(FactoredDims(tuple(dims[i] for i in kept)), _reduced(rho, kept))
 
-    kept_dims = tuple(dims[i] for i in kept)
-    size = math.prod(kept_dims)
+
+def _reduced(rho: StateOperator, kept: tuple[int, ...]) -> np.ndarray:
+    """The symmetrized reduced matrix of ``rho`` on the sorted factor indices ``kept``, unvalidated.
+
+    A factored operator is reduced from its factor, O(N k d) for k columns
+    and kept dimension d, without its N x N matrix.
+    """
+    dims = rho.dims.dims
+    nfac = len(dims)
+    size = math.prod(dims[i] for i in kept)
     if rho.factor is None:
         letters = "abcdef"
         row = list(letters[:nfac])
@@ -569,8 +579,7 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
         traced = tuple(i for i in range(nfac) if i not in kept)
         m = _root_tensor(rho).transpose(*kept, *traced, nfac).reshape(size, -1)
         reduced = m @ m.conj().T
-    reduced = (reduced + reduced.conj().T) / 2.0
-    return StateOperator(FactoredDims(kept_dims), reduced)
+    return (reduced + reduced.conj().T) / 2.0
 
 
 def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -261,7 +261,7 @@ class TestLinAlgFailures:
     def _failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    @pytest.mark.parametrize("routine", ["svd", "eigh"])
+    @pytest.mark.parametrize("routine", ["svd", "eigh", "eigvalsh"])
     @pytest.mark.parametrize("form", [pd.build_rho, _dense])
     def test_maps_to_degenerate_input(self, monkeypatch, routine, form):
         rho = form(pd.generate_instance(3, 4, 4, seed=1))
@@ -321,8 +321,8 @@ def _rank_deficient_factor(dec):
 
 
 class TestSupportRanks:
-    """Extraction takes both support ranks from the singular values of the
-    factor, or from eigvalsh of the partial traces, not from ``support_and_null``."""
+    """Extraction takes both support ranks from ``eigvalsh`` of the unvalidated
+    reduced operators in either form, not from ``support_and_null``."""
 
     @pytest.mark.parametrize("form", [pd.build_rho, _dense])
     def test_extracts_without_support_and_null(self, monkeypatch, form):
@@ -371,6 +371,45 @@ class TestSupportRanks:
             pd.StateOperator(dims, np.eye(12, dtype=complex) / 12),
         ):
             self._check(monkeypatch, rho)
+
+    @staticmethod
+    def _edge_operator():
+        # accepted (lambda_min = -0.8e-10 >= -PSD_RTOL * lambda_max), but its trace
+        # over B adds the two negative eigenvalues: -1.6e-10 would fail a second check
+        return pd.StateOperator(pd.FactoredDims((2, 2)), np.diag([1.0, 0.0, -8e-11, -8e-11]).astype(complex))
+
+    def test_accepted_edge_operator_extracts_one_term(self):
+        report = pd.extract_decomposition(self._edge_operator(), seed=0)
+        assert report.decomposition.n == 1
+        assert report.reconstruction_error < 1e-9
+
+    def test_accepted_edge_operator_has_support_rank_1_on_each_factor(self):
+        rho = self._edge_operator()
+        assert [pd.support_and_null(rho, s)[0].dim for s in (0, 1)] == [1, 1]
+
+    def test_one_rank_rule_for_both_sides_and_forms(self, monkeypatch):
+        # a first-probe extraction costs the same linear algebra whichever form
+        # the operator has and whichever factor is the side
+        counts = {}
+        for routine in ("svd", "eigvalsh"):
+            original = getattr(np.linalg, routine)
+
+            def counted(*args, _routine=routine, _original=original, **kwargs):
+                counts[_routine] = counts.get(_routine, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, routine, counted)
+        seen = {}
+        for profile, side in (("both-independent", 0), ("b-independent-only", 1)):
+            dec = pd.generate_instance(4, 5, 5, seed=21, profile=profile)
+            for form in (pd.build_rho, _dense):
+                rho = form(dec)
+                counts.clear()
+                report = pd.extract_decomposition(rho, seed=1)
+                assert (report.side, report.probes_used) == (side, 1)
+                seen[profile, form.__name__] = dict(counts)
+        assert len({tuple(sorted(c.items())) for c in seen.values()}) == 1, seen
+        assert next(iter(seen.values()))["eigvalsh"] == 2
 
     def test_factored_zero_operator_is_rank_0(self):
         with pytest.raises(pd.NotExtractable, match=r"rank 0 \(factor 0, support ranks 0 and 0, 0 probes"):
