@@ -91,20 +91,24 @@ class SubspaceBasis:
 
 def fix_phase(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     """Rotate a vector by a global phase so its first entry of magnitude above
-    ``eps`` is real positive; a vector with no such entry is returned as it is.
+    ``eps`` is real positive, that entry exactly |entry|; a vector with no such
+    entry is returned as it is.
 
-    A d x n stack has each column rotated, bit for bit as that column alone
-    when d > 1; a 1-entry column can differ from it in the last bit.
+    A d x n stack has each column rotated, bit for bit as that column alone.
     """
     v = np.asarray(v, dtype=complex)
     if not v.size:
         return v.copy()
     big = np.abs(v) > eps
     found = big.any(axis=0)
-    pivot = np.where(found, np.take_along_axis(v, big.argmax(axis=0)[None], axis=0)[0], 1.0)
+    at = big.argmax(axis=0)[None]
+    pivot = np.take_along_axis(v, at, axis=0)[0]
     # hypot, not np.abs: numpy's complex abs of an array can differ in the last
     # bit from that of the 0-d pivot a lone vector has
-    return np.where(found, v * (np.hypot(pivot.real, pivot.imag) / pivot), v)
+    mag = np.hypot(pivot.real, pivot.imag)
+    out = np.where(found, v * (mag / np.where(found, pivot, 1.0)), v)
+    np.put_along_axis(out, at, np.where(found, mag, pivot)[None], axis=0)
+    return out
 
 
 def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -53,13 +53,15 @@ class TestToleranceConfig:
 
 def _reference_fix_phase(v, eps=1e-8):
     # the one-vector rule, entry by entry: the first entry above eps in
-    # magnitude, rotated by its conjugate phase
+    # magnitude, rotated by its conjugate phase, is set to its magnitude
     v = np.asarray(v, dtype=complex)
     nz = np.nonzero(np.abs(v) > eps)[0]
     if nz.size == 0:
         return v.copy()
     pivot = v[nz[0]]
-    return v * (abs(pivot) / pivot)
+    out = v * (abs(pivot) / pivot)
+    out[nz[0]] = abs(pivot)
+    return out
 
 
 class TestFixPhase:
@@ -82,6 +84,14 @@ class TestFixPhase:
                     assert out[:, j].tobytes() == column.tobytes()
                     assert column.tobytes() == _reference_fix_phase(a[:, j], eps).tobytes()
 
+    def test_a_one_entry_column_is_phased_as_the_entry_alone(self):
+        a = self._stack(np.random.default_rng(2), 1, 64)
+        out = pd.fix_phase(a)
+        for j in range(a.shape[1]):
+            assert out[:, j].tobytes() == pd.fix_phase(a[:, j]).tobytes()
+        found = np.abs(a[0]) > 1e-8
+        assert np.array_equal(out[0, found], np.hypot(a[0].real, a[0].imag)[found])
+
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
     def test_empty_input_is_returned_as_it_is(self, shape):
         assert pd.fix_phase(np.zeros(shape)).shape == shape
@@ -92,7 +102,7 @@ class TestFixPhase:
         assert out[:, 0].tobytes() == a[:, 0].tobytes()
         assert not np.shares_memory(out, a)
         for j, pivot in ((1, 0), (2, 0), (3, 2)):
-            assert out[pivot, j].real > 0.0 and abs(out[pivot, j].imag) <= 1e-15 * out[pivot, j].real
+            assert out[pivot, j].real > 0.0 and out[pivot, j].imag == 0.0
             assert np.abs(out[:, j]).tolist() == pytest.approx(np.abs(a[:, j]).tolist(), rel=1e-15)
 
 
