@@ -368,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # ValueError too: a negative --seed, an infeasible --n or --dims, and numpy's LinAlgError
+    # ValueError too: a negative --seed and an infeasible --n or --dims (the library's entry
+    # points raise numpy's LinAlgError as DegenerateInput)
     except (ProddecompError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), EXIT_INPUT)

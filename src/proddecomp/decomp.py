@@ -14,6 +14,7 @@ from .errors import (
     HypothesisViolation,
     NotExtractable,
     OperatorMismatch,
+    _nonconvergence,
 )
 from .subspace import (
     DEFAULT_TOL,
@@ -143,6 +144,7 @@ def _slot_independence(
     return tuple(stack_rank(a, tol) == d.n for a in d.stacks)
 
 
+@_nonconvergence("hypothesis check: a rank SVD")
 def check_product_hypotheses(
     d: ProductDecomposition, tol: ToleranceConfig = DEFAULT_TOL, label: str = "decomposition"
 ) -> tuple[bool, bool]:
@@ -158,6 +160,7 @@ def check_product_hypotheses(
     return flags  # type: ignore[return-value]
 
 
+@_nonconvergence("hypothesis check: a rank SVD")
 def check_tri_hypotheses(
     t: TriDecomposition, tol: ToleranceConfig = DEFAULT_TOL, label: str = "tridecomposition"
 ) -> tuple[bool, bool, bool]:
@@ -179,6 +182,7 @@ def check_tri_hypotheses(
 # factorability (Schmidt rank 1)
 
 
+@_nonconvergence("Schmidt decomposition")
 def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Schmidt values, product mask and leading factors of the n kets of an N x n stack.
 
@@ -190,10 +194,7 @@ def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[
     """
     if len(split) != 2 or split.total != q.shape[0]:
         raise DimensionMismatch(f"split {split.dims} does not factor a dim-{q.shape[0]} ket")
-    try:
-        u, s, vh = np.linalg.svd(q.T.reshape(-1, *split))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateInput(f"Schmidt decomposition did not converge ({exc})") from exc
+    u, s, vh = np.linalg.svd(q.T.reshape(-1, *split))
     second = s[:, 1] if s.shape[1] > 1 else 0.0
     factors = (fix_phase(u[:, :, 0].T, tol.eps_rank), fix_phase(vh[:, 0].T, tol.eps_rank))
     return s, second < tol.eps_rank * s[:, 0], factors
@@ -343,6 +344,7 @@ def _certify_in_slot(
     return MatchResult(n, tuple(perm), tuple(certs), residual)
 
 
+@_nonconvergence("matching: a linear-algebra routine")
 def match_tridecomposition(
     t1: TriDecomposition, t2: TriDecomposition, tol: ToleranceConfig = DEFAULT_TOL
 ) -> MatchResult:
@@ -389,6 +391,7 @@ def _factored_gap(
     return gap, frobenius((r1 * w1) @ r1.conj().T), frobenius((r2 * w2) @ r2.conj().T)
 
 
+@_nonconvergence("matching: a linear-algebra routine")
 def match_bidecomposition(
     d1: ProductDecomposition, d2: ProductDecomposition, tol: ToleranceConfig = DEFAULT_TOL
 ) -> MatchResult:
@@ -440,6 +443,7 @@ def _rank_n_factor(rho: StateOperator, n: int, rng: np.random.Generator) -> np.n
     return (q @ (u[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0)))).reshape(*rho.dims, n)
 
 
+@_nonconvergence("extraction failed: a linear-algebra routine")
 def extract_decomposition(
     rho: StateOperator,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -494,14 +498,6 @@ def extract_decomposition(
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
-    try:
-        return _extract(rho, tol, seed, max_error)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateInput(f"extraction failed: a linear-algebra routine did not converge ({exc})") from exc
-
-
-def _extract(rho: StateOperator, tol: ToleranceConfig, seed: int, max_error: float) -> ExtractionReport:
-    """The body of :func:`extract_decomposition`, which maps its ``LinAlgError``."""
     ranks = [int(np.count_nonzero(_support_mask(np.linalg.eigvalsh(_reduced(rho, (s,))), tol))) for s in (0, 1)]
     side = int(ranks[1] > ranks[0])
     n = ranks[side]
@@ -669,6 +665,7 @@ def _slot_kets(
     ]
 
 
+@_nonconvergence("generation: a linear-algebra routine")
 def generate_instance(
     n: int,
     d1: int,
@@ -693,6 +690,7 @@ def generate_instance(
     return dec
 
 
+@_nonconvergence("generation: a linear-algebra routine")
 def generate_tri_instance(
     n: int,
     d1: int,

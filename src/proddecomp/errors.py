@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that maps numpy's
+non-convergence onto them."""
+
+import functools
+
+import numpy as np
 
 
 class ProddecompError(Exception):
@@ -27,3 +32,20 @@ class NotExtractable(ProddecompError):
 
 class FileError(ProddecompError):
     """A data file is missing, malformed, or violates its schema."""
+
+
+def _nonconvergence(what: str):
+    """Decorator: a ``LinAlgError`` raised inside the function becomes DegenerateInput,
+    "<what> did not converge (...)", with the ``LinAlgError`` as its cause."""
+
+    def wrap(func):
+        @functools.wraps(func)
+        def mapped(*args, **kwargs):
+            try:
+                return func(*args, **kwargs)
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateInput(f"{what} did not converge ({exc})") from exc
+
+        return mapped
+
+    return wrap

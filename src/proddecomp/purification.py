@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, OperatorMismatch
+from .errors import DegenerateInput, DimensionMismatch, OperatorMismatch, _nonconvergence
 from .subspace import DEFAULT_TOL, ToleranceConfig
 from .tensor import (
     FactoredDims,
@@ -68,6 +68,7 @@ def purify(d: ProductDecomposition, dim3: int) -> TriDecomposition:
     return TriDecomposition._from_stacks(dims, (*d.stacks, np.eye(dim3, n)), np.sqrt(d.values))
 
 
+@_nonconvergence("relating_unitary: its SVD")
 def relating_unitary(
     psi: Ket, phi: Ket, split: FactoredDims, tol: ToleranceConfig = DEFAULT_TOL
 ) -> UnitaryMatrix:

@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch
+from .errors import DegenerateInput, DimensionMismatch, _nonconvergence
 
 #: Ambient-dimension cap for operators of both forms (a dense one stores N^2 entries).
 MAX_AMBIENT_DIM = 4096
@@ -158,6 +158,7 @@ def _hermitian_part(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@_nonconvergence("eigenvalues of the matrix")
 def _check_psd(m: np.ndarray, work: np.ndarray) -> None:
     """Raise DegenerateInput unless lambda_min(h) >= -PSD_RTOL * max(lambda_max(h), 0)
     for h = (m + m^H)/2; ``work`` is an N x N scratch array."""
@@ -168,11 +169,7 @@ def _check_psd(m: np.ndarray, work: np.ndarray) -> None:
         return  # the factor exists: lambda_min(h) >= -shift >= the bound
     except np.linalg.LinAlgError:
         pass
-    h = _hermitian_part(m, work)  # not certified; unshifted again, eigvalsh decides
-    try:
-        evals = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateInput(f"eigenvalues of the matrix did not converge ({exc})") from exc
+    evals = np.linalg.eigvalsh(_hermitian_part(m, work))  # not certified; unshifted again, eigvalsh decides
     lowest, bound = float(evals[0]), -PSD_RTOL * max(float(evals[-1]), 0.0)
     if lowest < bound:
         raise DegenerateInput(

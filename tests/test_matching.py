@@ -577,3 +577,51 @@ class TestStackedCertification:
             assert np.array_equal(dec.values, np.array(raw)) and not dec.values.flags.writeable
             with pytest.raises(ValueError):
                 dec.values[0] = 1.0
+
+
+class TestLinAlgFailures:
+    """A linear-algebra routine that does not converge inside a public entry
+    point is DegenerateInput naming the non-convergence, not a raw ``LinAlgError``."""
+
+    @staticmethod
+    def _calls():
+        dec = pd.generate_instance(3, 4, 4, seed=1)
+        tri = pd.generate_tri_instance(3, 3, 3, 3, seed=1)
+        psi = _random_ket(np.random.default_rng(3), 4)
+        return {
+            "match_bidecomposition": lambda: pd.match_bidecomposition(dec, pd.phase_permuted_twin(dec, seed=2)[0]),
+            "match_tridecomposition": lambda: pd.match_tridecomposition(tri, pd.phase_permuted_twin(tri, seed=2)[0]),
+            "check_product_hypotheses": lambda: pd.check_product_hypotheses(dec),
+            "check_tri_hypotheses": lambda: pd.check_tri_hypotheses(tri),
+            "relating_unitary": lambda: pd.relating_unitary(psi, psi, pd.FactoredDims((2, 2))),
+            "generate_instance": lambda: pd.generate_instance(3, 4, 4, seed=1),
+            "generate_tri_instance": lambda: pd.generate_tri_instance(3, 3, 3, 3, seed=1),
+        }
+
+    @staticmethod
+    def _failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge in the test")
+
+    @pytest.mark.parametrize(
+        "entry, routine",
+        [
+            ("match_bidecomposition", "svd"),
+            ("match_bidecomposition", "qr"),
+            ("match_bidecomposition", "lstsq"),
+            ("match_tridecomposition", "svd"),
+            ("match_tridecomposition", "lstsq"),
+            ("check_product_hypotheses", "svd"),
+            ("check_tri_hypotheses", "svd"),
+            ("relating_unitary", "svd"),
+            ("generate_instance", "svd"),
+            ("generate_instance", "qr"),
+            ("generate_tri_instance", "svd"),
+            ("generate_tri_instance", "qr"),
+        ],
+    )
+    def test_maps_to_degenerate_input(self, monkeypatch, entry, routine):
+        call = self._calls()[entry]
+        monkeypatch.setattr(np.linalg, routine, self._failing)
+        with pytest.raises(pd.DegenerateInput, match="did not converge") as info:
+            call()
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
