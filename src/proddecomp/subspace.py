@@ -99,16 +99,18 @@ def fix_phase(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if not v.size:
         return v.copy()
-    big = np.abs(v) > eps
-    found = big.any(axis=0)
-    at = big.argmax(axis=0)[None]
-    pivot = np.take_along_axis(v, at, axis=0)[0]
+    m = v.reshape(len(v), -1)  # a lone vector as one column
+    cols = np.arange(m.shape[1])
+    big = np.abs(m) > eps
+    at = big.argmax(axis=0)
+    found = big[at, cols]
+    pivot = np.where(found, m[at, cols], 1.0)
     # hypot, not np.abs: numpy's complex abs of an array can differ in the last
-    # bit from that of the 0-d pivot a lone vector has
+    # bit from abs() of one of its entries
     mag = np.hypot(pivot.real, pivot.imag)
-    out = np.where(found, v * (mag / np.where(found, pivot, 1.0)), v)
-    np.put_along_axis(out, at, np.where(found, mag, pivot)[None], axis=0)
-    return out
+    out = m * (mag / pivot)
+    out[at, cols] = mag
+    return np.where(found, out, m).reshape(v.shape)
 
 
 def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
