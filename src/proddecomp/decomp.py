@@ -144,7 +144,6 @@ def _slot_independence(
     return tuple(stack_rank(a, tol) == d.n for a in d.stacks)
 
 
-@_nonconvergence("hypothesis check: a rank SVD")
 def check_product_hypotheses(
     d: ProductDecomposition, tol: ToleranceConfig = DEFAULT_TOL, label: str = "decomposition"
 ) -> tuple[bool, bool]:
@@ -160,7 +159,6 @@ def check_product_hypotheses(
     return flags  # type: ignore[return-value]
 
 
-@_nonconvergence("hypothesis check: a rank SVD")
 def check_tri_hypotheses(
     t: TriDecomposition, tol: ToleranceConfig = DEFAULT_TOL, label: str = "tridecomposition"
 ) -> tuple[bool, bool, bool]:
@@ -739,6 +737,7 @@ def phase_permuted_twin(
 # degenerate-eigenbasis demonstration
 
 
+@_nonconvergence("demonstration: a linear-algebra routine")
 def demo_degeneracy(tol: ToleranceConfig = DEFAULT_TOL) -> DegeneracyReport:
     """Why a degenerate eigenbasis does not break uniqueness.
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch
+from .errors import DegenerateInput, DimensionMismatch, _nonconvergence
 from .tensor import Ket, StateOperator, _freeze, _reduced, column_stack
 
 _MACHINE_EPS = float(np.finfo(float).eps)
@@ -131,6 +131,7 @@ def stack_collinear_pairs(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> 
     return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
 
 
+@_nonconvergence("rank SVD")
 def stack_rank(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank of the columns of ``a``: its singular values >= eps_rank
     times the largest one, 0 when that one is 0.
@@ -173,6 +174,7 @@ def _support_mask(lam: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return (lam > 0.0) & (lam >= tol.eps_rank * lam.max())
 
 
+@_nonconvergence("support eigendecomposition")
 def support_and_null(
     rho: StateOperator, subsystem: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -199,6 +201,7 @@ def support_and_null(
     return support, null
 
 
+@_nonconvergence("dual basis: a linear-algebra routine")
 def dual_basis(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Biorthogonal duals of a linearly independent set.
 

@@ -596,6 +596,9 @@ class TestLinAlgFailures:
             "relating_unitary": lambda: pd.relating_unitary(psi, psi, pd.FactoredDims((2, 2))),
             "generate_instance": lambda: pd.generate_instance(3, 4, 4, seed=1),
             "generate_tri_instance": lambda: pd.generate_tri_instance(3, 3, 3, 3, seed=1),
+            "support_and_null": lambda: pd.support_and_null(pd.build_rho(dec), 0),
+            "dual_basis": lambda: pd.dual_basis([t.a for t in dec.terms]),
+            "demo_degeneracy": pd.demo_degeneracy,
         }
 
     @staticmethod
@@ -617,6 +620,9 @@ class TestLinAlgFailures:
             ("generate_instance", "qr"),
             ("generate_tri_instance", "svd"),
             ("generate_tri_instance", "qr"),
+            ("support_and_null", "eigh"),
+            ("dual_basis", "svd"),
+            ("demo_degeneracy", "eigvalsh"),
         ],
     )
     def test_maps_to_degenerate_input(self, monkeypatch, entry, routine):
