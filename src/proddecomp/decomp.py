@@ -441,6 +441,19 @@ def _rank_n_factor(rho: StateOperator, n: int, rng: np.random.Generator) -> np.n
     return (q @ (u[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0)))).reshape(*rho.dims, n)
 
 
+def _leading_left(slices: np.ndarray) -> np.ndarray:
+    """Unit leading left vectors of r slices G_t (r x d x k), as a d x r stack.
+
+    One power step G_t G_t^dagger e_i from each slice's heaviest row i: exact
+    when G_t has rank 1.  The start row is normalized before the product, so
+    the product carries the slice scale once, not squared.
+    """
+    rows = np.einsum("tkm,tkm->tk", slices.conj(), slices).real.argmax(axis=1)
+    start = slices[np.arange(len(slices)), rows].conj()
+    cols = (slices @ (start / np.linalg.norm(start, axis=1)[:, None])[:, :, None])[:, :, 0].T
+    return cols / np.linalg.norm(cols, axis=0)
+
+
 @_nonconvergence("extraction failed: a linear-algebra routine")
 def extract_decomposition(
     rho: StateOperator,
@@ -474,8 +487,11 @@ def extract_decomposition(
     with eigenvalues <b_j|X|b_j> and orthonormal eigenvectors v_t.  One
     ``eigh`` gives the a-directions rho_A W_A v_t and the duals W_A v_t,
     each rescaled so that <dual_t|a_t> = 1; the slice
-    G_t = (<dual_t| (x) I) W has ||G_t||_F^2 = w_t and top left singular
-    vector b_t.  The terms are handled as whole d x n stacks: one
+    G_t = (<dual_t| (x) I) W has ||G_t||_F^2 = w_t and, for a clean
+    operator, rank 1 with left vector b_t, so one power step from its
+    heaviest row (:func:`_leading_left`) reads b_t exactly; a slice that is
+    not rank 1 is left to the reconstruction and hypothesis gates below.
+    The terms are handled as whole d x n stacks: one
     column-norm pass normalizes each, :func:`~proddecomp.subspace.fix_phase`
     phases every column at once, and one stable ``argsort`` puts the
     heaviest term first.  A probe with nearly degenerate eigenvalues is
@@ -542,7 +558,7 @@ def extract_decomposition(
         weights = np.einsum("tkm,tkm->t", slices.conj(), slices).real
         if weights.min() <= 0.0:
             continue
-        b_cols = fix_phase(np.linalg.svd(slices, full_matrices=False)[0][:, :, 0].T, tol.eps_rank)
+        b_cols = fix_phase(_leading_left(slices), tol.eps_rank)
 
         # heaviest term first, ties in eigenvalue order; each stack's columns renormalized, as Ket.normalize does
         order = np.argsort(-weights, kind="stable")

@@ -261,7 +261,7 @@ class TestLinAlgFailures:
     def _failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    @pytest.mark.parametrize("routine", ["svd", "eigh", "eigvalsh"])
+    @pytest.mark.parametrize("routine", ["svd", "eigh", "eigvalsh", "qr"])
     @pytest.mark.parametrize("form", [pd.build_rho, _dense])
     def test_maps_to_degenerate_input(self, monkeypatch, routine, form):
         rho = form(pd.generate_instance(3, 4, 4, seed=1))
@@ -410,6 +410,8 @@ class TestSupportRanks:
                 seen[profile, form.__name__] = dict(counts)
         assert len({tuple(sorted(c.items())) for c in seen.values()}) == 1, seen
         assert next(iter(seen.values()))["eigvalsh"] == 2
+        # the side SVD and the final check's two stack_rank calls; no SVD of the slices
+        assert next(iter(seen.values()))["svd"] == 3
 
     def test_factored_zero_operator_is_rank_0(self):
         with pytest.raises(pd.NotExtractable, match=r"rank 0 \(factor 0, support ranks 0 and 0, 0 probes"):
@@ -420,3 +422,38 @@ class TestSupportRanks:
         report = pd.extract_decomposition(_rank_deficient_factor(dec), seed=0)
         assert report.decomposition.n == 2
         assert report.reconstruction_error < 1e-12
+
+
+def _top_left_singular(slices):
+    # the rule the power step replaced: each slice's top left singular vector, unit norm
+    return np.linalg.svd(slices, full_matrices=False)[0][:, :, 0].T
+
+
+class TestLeadingLeftVectors:
+    """One power step per slice reads the b-kets that the top left singular
+    vectors of the slices give."""
+
+    @pytest.mark.parametrize("form", [pd.build_rho, _dense])
+    def test_agrees_with_the_singular_vectors_on_the_criterion_4_list(self, monkeypatch, form):
+        worst = 0.0
+        for n, d1, d2, profile, seed in _bi_cases(200, master_seed=40_000):
+            rho = form(pd.generate_instance(n, d1, d2, seed=seed, profile=profile))
+            with monkeypatch.context() as patched:
+                patched.setattr(decomp, "_leading_left", _top_left_singular)
+                reference = pd.extract_decomposition(rho, seed=seed + 1)
+            report = pd.extract_decomposition(rho, seed=seed + 1)
+            assert (report.side, report.probes_used) == (reference.side, reference.probes_used)
+            assert np.array_equal(report.decomposition.values, reference.decomposition.values)
+            for ours, theirs in zip(report.decomposition.stacks, reference.decomposition.stacks):
+                worst = max(worst, float(np.abs(ours - theirs).max()))
+        assert worst < 1e-12
+
+    def test_rank_one_slices_are_read_exactly(self):
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        slices = np.einsum("tk,tm->tkm", b, x) * np.array([1e-150, 1e-3, 1.0, 1e150])[:, None, None]
+        cols = decomp._leading_left(slices)
+        assert np.allclose(np.linalg.norm(cols, axis=0), 1.0, rtol=0, atol=1e-15)
+        for t in range(4):
+            assert abs(abs(np.vdot(cols[:, t], b[t])) / np.linalg.norm(b[t]) - 1.0) < 1e-14
