@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Same-answers harness for blind extraction: dump every answer of fixed
-case lists, then compare two dumps field by field.
+"""Same-answers harness: dump every answer of fixed case lists (blind
+extraction, twin matching and a grid of CLI commands), then compare two dumps
+field by field.
 
 ``dump OUT.npz`` runs three extraction lists and stores, per case, the side,
 probes used, term count, reconstruction error, the a and b stacks and the
@@ -16,7 +17,19 @@ weights (keys ``<case>/<field>``):
     extraction seed i, plus ``certified``: 1 when the extraction matches its
     source under ``match_bidecomposition``.
 A refused extraction stores ``refused`` (the error message) in place of the
-extraction's fields.
+extraction's fields.  It then runs two twin lists and stores, per case, the
+permutation, the residual, the per-slot |overlap|s (n x slots) and both
+weights of each matched pair:
+  * ``twin-bi/<k>``: the criterion-2 list (``bi_cases(--count)`` at master
+    seed 20000), each instance matched against its twin of seed + 1;
+  * ``twin-tri/<k>``: the criterion-3 list (``tri_cases(--count)`` at master
+    seed 30000), likewise.
+Last, ``cli/<k>`` runs ``cli.main`` in-process on a grid of commands over
+every subcommand and profile, ``--twin-of``, ``--json``, the refusals and
+``--tol`` on every subcommand, for ``--cli-seeds`` seeds.  The commands run in
+a fresh temporary directory with relative paths, so the paths they print are
+the same in every dump.  Each stores its argv, exit code, stdout, stderr and
+``files``: every file the command wrote or changed, as "name" and its text.
 
 ``compare A B`` prints, per case list and field, "identical" or the largest
 entrywise and relative deviation, and names the cases that only one dump
@@ -30,13 +43,19 @@ Example:
 """
 
 import argparse
+import contextlib
 import importlib.util
+import io
+import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import proddecomp as pd
+from proddecomp import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MASTER_SEEDS = (20_000, 40_000)
@@ -78,8 +97,196 @@ def _extract(out: dict, key: str, rho: pd.StateOperator, seed: int):
     return report
 
 
-def dump(path: str, count: int, seeds: int, bench_seeds: list[int]) -> None:
-    bi_cases = _load(ROOT / "scripts" / "uniqueness_battery.py").bi_cases
+def _twins(out: dict, count: int, battery) -> int:
+    """Match each instance of the criterion-2 and criterion-3 lists against its twin."""
+    lists = {
+        "twin-bi": (
+            pd.match_bidecomposition,
+            [
+                (pd.generate_instance(n, d1, d2, seed=seed, profile=profile), seed)
+                for n, d1, d2, profile, seed in battery.bi_cases(count, 20_000)
+            ],
+        ),
+        "twin-tri": (
+            pd.match_tridecomposition,
+            [
+                (pd.generate_tri_instance(n, *dims, seed=seed, profile=profile), seed)
+                for n, dims, profile, seed in battery.tri_cases(count, 30_000)
+            ],
+        ),
+    }
+    done = 0
+    for group, (match, cases) in lists.items():
+        for k, (dec, seed) in enumerate(cases):
+            key = f"{group}/{k}"
+            twin, _ = pd.phase_permuted_twin(dec, seed=seed + 1)
+            try:
+                result = match(dec, twin)
+            except pd.ProddecompError as exc:
+                out[f"{key}/refused"] = np.array(str(exc))
+                continue
+            overlaps = [[c.overlap_a, c.overlap_b, c.overlap_c][: len(dec.stacks)] for c in result.per_term]
+            fields = {
+                "perm": result.permutation,
+                "residual": result.residual,
+                "overlaps": np.abs(np.array(overlaps)),
+                "weight_first": [c.weight_first for c in result.per_term],
+                "weight_second": [c.weight_second for c in result.per_term],
+            }
+            out.update({f"{key}/{name}": np.asarray(value) for name, value in fields.items()})
+            done += 1
+    return done
+
+
+def _ket(*amplitudes: complex) -> dict:
+    return {"re": [z.real for z in map(complex, amplitudes)], "im": [z.imag for z in map(complex, amplitudes)]}
+
+
+def _term(value: float | complex, kets: tuple) -> dict:
+    """A file term: a float value as a weight "w", a complex one as a coefficient "coeff"."""
+    if isinstance(value, complex):
+        return {"coeff": {"re": value.real, "im": value.imag}, "kets": list(kets)}
+    return {"w": value, "kets": list(kets)}
+
+
+def _decomposition(dims: list[int], terms: list[tuple]) -> dict:
+    return {"format_version": "1", "kind": "decomposition", "dims": dims, "terms": [_term(*t) for t in terms]}
+
+
+#: Fixed input files of the CLI grid, written before its first command.
+_E0, _E1 = _ket(1, 0), _ket(0, 1)
+GRID_FILES = {
+    # 0.6|00> + 0.8|11>: not factorable
+    "ent.json": _decomposition([2, 2], [(0.6 + 0j, (_E0, _E0)), (0.8 + 0j, (_E1, _E1))]),
+    # one product term with a complex coefficient: factorable
+    "prod.json": _decomposition([1, 2], [(0.6 + 0.8j, (_ket(1), _ket(0.6, 0.8j)))]),
+    # 0.6|000> + 0.8|111>, and its 2-factor recasts: product pair kets, and an entangled one
+    "tri3.json": _decomposition([2, 2, 2], [(0.6 + 0j, (_E0, _E0, _E0)), (0.8 + 0j, (_E1, _E1, _E1))]),
+    "pair4.json": _decomposition([4, 2], [(0.6 + 0j, (_ket(1, 0, 0, 0), _E0)), (0.8 + 0j, (_ket(0, 0, 0, 1), _E1))]),
+    "ent4.json": _decomposition(
+        [4, 2], [(0.6 + 0j, (_ket(0.5**0.5, 0, 0, 0.5**0.5), _E0)), (0.8 + 0j, (_ket(0, 0, 0, 1), _E1))]
+    ),
+    # a collinear a-set: the hypotheses fail
+    "collinear.json": _decomposition([2, 2], [(0.5, (_E0, _E0)), (0.5, (_E0, _E1))]),
+    # the maximally mixed operator on 2 x 2: not extractable
+    "mixed.json": {
+        "format_version": "1",
+        "kind": "operator",
+        "dims": [2, 2],
+        "matrix": {"re": (np.eye(4) / 4).ravel().tolist(), "im": [0.0] * 16},
+    },
+}
+
+#: (n, dims) of the generated instances, per profile
+GRID_SIZES = {
+    "both-independent": (3, "4,3"),
+    "a-independent-only": (3, "4,2"),
+    "b-independent-only": (3, "2,4"),
+    "all-independent": (3, "4,3,4"),
+    "a-dependent": (3, "2,4,4"),
+    "b-dependent": (3, "4,2,4"),
+    "c-dependent": (3, "4,4,2"),
+}
+
+
+def cli_grid(cli_seeds: int) -> list[str]:
+    """The CLI commands, one string each; every path is relative to the work directory."""
+    grid = []
+    for seed in range(cli_seeds):
+        for profile, (n, dims) in GRID_SIZES.items():
+            dec, mode = f"{profile}-{seed}.json", "bi" if profile in pd.BI_PROFILES else "tri"
+            grid += [
+                f"generate --n {n} --dims {dims} --profile {profile} --seed {seed} --out {dec}",
+                f"generate --n {n} --dims {dims} --profile {profile} --seed {seed} --out {dec} --json",
+                f"build {dec} --out op-{dec}",
+                f"generate --twin-of {dec} --seed {seed + 1} --out twin-{dec}",
+                f"match {dec} twin-{dec} --mode {mode}",
+                f"match {dec} twin-{dec} --mode {mode} --json",
+                f"check {dec}",
+                f"check op-{dec} --json",
+            ]
+            if mode == "bi":
+                grid += [
+                    f"build {dec} --normalize --out op-{dec}",
+                    f"extract op-{dec} --seed {seed + 2} --out ext-{dec}",
+                    f"extract op-{dec} --seed {seed + 2} --out ext-{dec} --json",
+                    f"match {dec} ext-{dec} --mode bi",
+                    f"purify {dec} --out pur-{dec}",
+                    f"purify {dec} --dim3 {n + 1} --out pur-{dec} --json",
+                    f"check pur-{dec}",
+                ]
+    grid += [
+        "generate --n 3 --dims 4,3 --seed 99 --out other.json",
+        "match both-independent-0.json other.json --mode bi",
+        "match both-independent-0.json a-independent-only-0.json --mode bi",
+        "demo",
+        "demo --json",
+        "factorable ent.json",
+        "factorable prod.json --json",
+        "match pair4.json tri3.json --mode tri",
+        "match ent4.json tri3.json --mode tri",
+        "build tri3.json --out op-tri3.json",
+        "check collinear.json",
+        "match collinear.json collinear.json --mode bi",
+        "extract mixed.json --out mixed-ext.json",
+        "check missing.json",
+        # refusals: sizes, profiles and seeds
+        "generate --n 0 --dims 2,2 --out x.json",
+        "generate --n 5 --dims 2,2 --out x.json",
+        "generate --n 4 --dims 3,4,4 --out x.json",
+        "generate --n 2 --dims 2,2 --profile c-dependent --out x.json",
+        "generate --n 2 --dims 2,2,2 --profile both-independent --out x.json",
+        "generate --n 2 --dims 2,2 --seed -1 --out x.json",
+        "generate --twin-of both-independent-0.json --seed -1 --out x.json",
+        "extract op-both-independent-0.json --seed -1 --out x.json",
+        # --tol on every subcommand
+        "generate --n 2 --dims 2,2 --out tol-dec.json --tol 1e-6",
+        "build both-independent-0.json --out tol-op.json --tol 1e-6",
+        "extract op-both-independent-0.json --out tol-ext.json --tol 1e-6",
+        "match both-independent-0.json twin-both-independent-0.json --mode bi --tol 1e-6",
+        "purify both-independent-0.json --out tol-pur.json --tol 1e-6",
+        "factorable ent.json --tol 1e-6",
+        "demo --tol 1e-6",
+        "check both-independent-0.json --tol 1e-6",
+    ]
+    return grid
+
+
+def _snapshot() -> dict[str, tuple[int, bytes]]:
+    return {name: (os.stat(name).st_mtime_ns, Path(name).read_bytes()) for name in sorted(os.listdir("."))}
+
+
+def _cli(out: dict, cli_seeds: int) -> dict[int, int]:
+    """Run the CLI grid in a fresh work directory; returns the count of each exit code."""
+    codes: dict[int, int] = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, payload in GRID_FILES.items():
+                Path(name).write_text(json.dumps(payload) + "\n")
+            for k, command in enumerate(cli_grid(cli_seeds)):
+                before = _snapshot()
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(command.split())
+                written = [
+                    f"{name}\n{data.decode('latin-1')}"
+                    for name, (stamp, data) in _snapshot().items()
+                    if before.get(name) != (stamp, data)
+                ]
+                fields = {"argv": command, "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+                out.update({f"cli/{k}/{name}": np.asarray(value) for name, value in fields.items()})
+                out[f"cli/{k}/files"] = np.array(written, dtype=str)
+                codes[code] = codes.get(code, 0) + 1
+        finally:
+            os.chdir(home)
+    return codes
+
+
+def dump(path: str, count: int, seeds: int, bench_seeds: list[int], cli_seeds: int) -> None:
+    battery = _load(ROOT / "scripts" / "uniqueness_battery.py")
+    bi_cases = battery.bi_cases
     out: dict = {}
     errors = []
     for master in MASTER_SEEDS:
@@ -118,6 +325,10 @@ def dump(path: str, count: int, seeds: int, bench_seeds: list[int]) -> None:
     for form in ("factored", "dense"):
         counts = "/".join(str(certified.get((form, s), 0)) for s in SPREADS)
         print(f"ill-conditioned, {form}: {counts} of {seeds} certified at spreads {spreads}")
+    print(f"{_twins(out, count, battery)} of {2 * count} twins matched")
+    codes = _cli(out, cli_seeds)
+    tally = ", ".join(f"{codes[c]} exit {c}" for c in sorted(codes))
+    print(f"{sum(codes.values())} CLI commands: {tally}")
     np.savez_compressed(path, **out)
 
 
@@ -128,24 +339,30 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return diff, diff / scale if scale else np.inf
 
 
+def _few(cases: list[str]) -> str:
+    return ", ".join(cases[:5]) + (f" and {len(cases) - 5} more" if len(cases) > 5 else "")
+
+
 def compare(first: str, second: str) -> int:
     with np.load(first) as fa, np.load(second) as fb:
         a, b = dict(fa), dict(fb)
     same = True
-    # one line per case list (the key's first part: bi, bench, ill) and field
+    # one line per case list (the key's first part: bi, bench, ill, twin-bi, twin-tri, cli) and field
     groups: dict[tuple[str, str], list[str]] = {}
     for key in sorted(a.keys() | b.keys()):
         case, field = key.rsplit("/", 1)
         groups.setdefault((case.split("/")[0], field), []).append(case)
     for (group, field), cases in groups.items():
-        worst, worst_rel, differ, apart = 0.0, 0.0, 0, []
+        worst, worst_rel, differ, texts, apart = 0.0, 0.0, 0, [], []
         for case in cases:
             x, y = a.get(f"{case}/{field}"), b.get(f"{case}/{field}")
             if x is None or y is None or x.shape != y.shape:
                 apart.append(case)  # refused by one, or a different term count
             elif not np.array_equal(x, y):
                 differ += 1
-                if x.dtype.kind != "U":
+                if x.dtype.kind == "U":
+                    texts.append(case)
+                else:
                     diff, rel = _deviation(x, y)
                     worst, worst_rel = max(worst, diff), max(worst_rel, rel)
         if not differ and not apart:
@@ -155,9 +372,10 @@ def compare(first: str, second: str) -> int:
         line = f"{group} {field}: {differ} of {len(cases)} cases differ"
         if worst:
             line += f", largest deviation {worst:.3g}, relative {worst_rel:.3g}"
+        if texts:
+            line += f"; text differs in {_few(texts)}"
         if apart:
-            line += f"; in one dump only or shaped differently: {', '.join(apart[:5])}"
-            line += f" and {len(apart) - 5} more" if len(apart) > 5 else ""
+            line += f"; in one dump only or shaped differently: {_few(apart)}"
         print(line)
     return 0 if same else 1
 
@@ -172,13 +390,14 @@ def main() -> int:
     d.add_argument(
         "--bench-seeds", default="1,3,7", help="comma-separated seeds of the benchmark's dense instances ('' for none)"
     )
+    d.add_argument("--cli-seeds", type=int, default=3, help="seeds of the CLI grid's generated instances")
     c = sub.add_parser("compare", help="compare two dumps field by field")
     c.add_argument("first")
     c.add_argument("second")
     args = parser.parse_args()
     if args.command == "compare":
         return compare(args.first, args.second)
-    dump(args.out, args.count, args.seeds, [int(s) for s in args.bench_seeds.split(",") if s])
+    dump(args.out, args.count, args.seeds, [int(s) for s in args.bench_seeds.split(",") if s], args.cli_seeds)
     return 0
 
 

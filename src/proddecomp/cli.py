@@ -280,8 +280,9 @@ def _dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed: bool = False) -> None:
-    p.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance (default 1e-8)")
+def _add_common(p: argparse.ArgumentParser, *, seed: bool = False, tol: bool = False) -> None:
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance (default 1e-8)")
     p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -326,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="operator file -> decomposition file (blind extraction)")
     p.add_argument("infile")
     p.add_argument("--out", required=True)
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, tol=True)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("match", help="certify equivalence of two decomposition files")
     p.add_argument("infile1")
     p.add_argument("infile2")
     p.add_argument("--mode", required=True, choices=("bi", "tri"))
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("purify", help="lift a weighted decomposition to a tripartite vector file")
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorable", help="test a 2-factor coefficient file for product form")
     p.add_argument("infile")
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=cmd_factorable)
 
     p = sub.add_parser("demo", help="run the degenerate-eigenbasis demonstration")
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="audit a file against its invariants")
     p.add_argument("infile")
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=cmd_check)
 
     return parser
@@ -368,9 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # ValueError too: a negative --seed and an infeasible --n or --dims (the library's entry
-    # points raise numpy's LinAlgError as DegenerateInput)
-    except (ProddecompError, ValueError) as exc:
+    except ProddecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), EXIT_INPUT)
 

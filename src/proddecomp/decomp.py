@@ -61,6 +61,14 @@ SKETCH_OVERSAMPLING = 8
 _SLOT_NAMES = ("a", "b", "c")
 
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator for ``seed``; a seed numpy refuses is DegenerateInput."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DegenerateInput(f"seed must be a non-negative integer, got {seed!r}") from exc
+
+
 @dataclass(frozen=True)
 class TermCertificate:
     """Per-term evidence for a matched pair of decomposition terms.
@@ -526,7 +534,7 @@ def extract_decomposition(
 
     if n == 0:
         raise NotExtractable(f"not extractable under hypotheses: the operator has rank 0 ({account()})")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if rho.factor is None:
         w, scale = _rank_n_factor(rho, n, rng), frobenius(rho.matrix)
     else:
@@ -661,19 +669,19 @@ def _slot_kets(
     every other.  Every slot is checked feasible before the first draw; the
     sets are drawn in slot order, and the caller draws the values next."""
     if profile not in profiles:
-        raise ValueError(f"unknown profile {profile!r}; choose from {profiles}")
+        raise DimensionMismatch(f"unknown profile {profile!r}; choose from {profiles}")
     if n < 1:
-        raise ValueError(f"term count must be positive, got {n}")
-    rng = np.random.default_rng(seed)
+        raise DimensionMismatch(f"term count must be positive, got {n}")
+    rng = _rng(seed)
     dep = _DEPENDENT_SLOT[profile]
     for s, dim in enumerate(dims):
         if s == dep:
             if n < 3 or dim < 2:
-                raise ValueError(
+                raise DimensionMismatch(
                     f"infeasible: a dependent non-collinear {_SLOT_NAMES[s]}-set needs n >= 3 and dim >= 2"
                 )
         elif n > dim:
-            raise ValueError(f"infeasible: {n} independent kets do not fit {_SLOT_NAMES[s]}-slot dim {dim}")
+            raise DimensionMismatch(f"infeasible: {n} independent kets do not fit {_SLOT_NAMES[s]}-slot dim {dim}")
     return rng, [
         (_dependent_noncollinear_kets if s == dep else _independent_kets)(rng, dim, n) for s, dim in enumerate(dims)
     ]
@@ -686,7 +694,6 @@ def generate_instance(
     d2: int,
     seed: int = 0,
     profile: str = "both-independent",
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> ProductDecomposition:
     """Random hypothesis-satisfying product decomposition, deterministic under seed.
 
@@ -694,13 +701,16 @@ def generate_instance(
     "...-independent-only" profile makes the other set non-collinear but
     necessarily dependent (requires n >= 3).  Weights are positive and
     normalized to sum 1.  Generated sets keep safety margins (pairwise
-    overlap and conditioning) well inside the default tolerances.
+    overlap and conditioning) well inside the default tolerances, and the
+    hypothesis check at DEFAULT_TOL is a post-condition.  An unknown
+    profile or an infeasible size raises DimensionMismatch, a seed numpy
+    refuses DegenerateInput.
     """
     rng, stacks = _slot_kets(n, (d1, d2), seed, profile, BI_PROFILES)
     weights = rng.uniform(0.5, 1.5, n)
     weights /= weights.sum()
     dec = ProductDecomposition._from_stacks(FactoredDims((d1, d2)), stacks, weights)
-    check_product_hypotheses(dec, tol, label="generated decomposition")
+    check_product_hypotheses(dec, label="generated decomposition")
     return dec
 
 
@@ -712,20 +722,20 @@ def generate_tri_instance(
     d3: int,
     seed: int = 0,
     profile: str = "all-independent",
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> TriDecomposition:
     """Random hypothesis-satisfying tridecomposition, deterministic under seed.
 
     A "<slot>-dependent" profile makes that slot's set non-collinear but
     dependent (requires n >= 3) while the other two stay independent.
-    Coefficients are nonzero complex with random phases.
+    Coefficients are nonzero complex with random phases.  Margins, the
+    post-condition and the refusals are those of :func:`generate_instance`.
     """
     dims = (d1, d2, d3)
     rng, stacks = _slot_kets(n, dims, seed, profile, TRI_PROFILES)
     mags = rng.uniform(0.5, 1.2, n)
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
     tri = TriDecomposition._from_stacks(FactoredDims(dims), stacks, mags * phases)
-    check_tri_hypotheses(tri, tol, label="generated tridecomposition")
+    check_tri_hypotheses(tri, label="generated tridecomposition")
     return tri
 
 
@@ -740,7 +750,7 @@ def phase_permuted_twin(
     twin's coefficient absorbs the inverse of the product of its ket
     phases, keeping the global vector fixed including its phase.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     perm = rng.permutation(dec.n)
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (dec.n, len(dec.stacks))))
     # each ket times its phase as a row of the transposed stack: Ket.phased's product, bit for bit
@@ -754,7 +764,7 @@ def phase_permuted_twin(
 
 
 @_nonconvergence("demonstration: a linear-algebra routine")
-def demo_degeneracy(tol: ToleranceConfig = DEFAULT_TOL) -> DegeneracyReport:
+def demo_degeneracy() -> DegeneracyReport:
     """Why a degenerate eigenbasis does not break uniqueness.
 
     Build the two-term half/half operator over orthonormal pairs, whose
@@ -776,7 +786,7 @@ def demo_degeneracy(tol: ToleranceConfig = DEFAULT_TOL) -> DegeneracyReport:
     q = ab @ rotation
     qform_residual = frobenius(0.5 * (q @ q.conj().T) - rho.matrix)
 
-    schmidt, product, _ = _schmidt(q, dims, tol)
+    schmidt, product, _ = _schmidt(q, dims, DEFAULT_TOL)
     q1_fact, q2_fact = product.tolist()
     q1_schmidt, q2_schmidt = (tuple(row) for row in schmidt.tolist())
 

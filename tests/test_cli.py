@@ -86,6 +86,50 @@ class TestGenerate:
         assert main(["generate", "--dims", "2", "--out", str(tmp_path / "x.json")]) == 2
 
 
+class TestOneRefusalChannel:
+    """Every refusal of a size, a profile or a seed is a ProddecompError in the
+    library, and one ``error:`` line with exit 2 at the command line."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["generate", "--n", "0", "--dims", "2,2"], "term count must be positive, got 0"),
+            (["generate", "--n", "3", "--dims", "2,2"], "infeasible: 3 independent kets do not fit a-slot dim 2"),
+            (
+                ["generate", "--n", "2", "--dims", "4,4", "--profile", "c-dependent"],
+                "unknown profile 'c-dependent'; choose from "
+                "('both-independent', 'a-independent-only', 'b-independent-only')",
+            ),
+            (["generate", "--n", "2", "--dims", "2,2", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["generate", "--twin-of", "{dec}", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["extract", "{op}", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, message):
+        paths = {"dec": str(tmp_path / "dec.json"), "op": str(tmp_path / "op.json")}
+        assert main(["generate", "--n", "2", "--dims", "3,3", "--out", paths["dec"]]) == 0
+        assert main(["build", paths["dec"], "--out", paths["op"]]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "x.json")
+        assert main([part.format(**paths) for part in command] + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: pd.generate_tri_instance(2, 2, 2, 2, seed=-1),
+            lambda: pd.phase_permuted_twin(pd.generate_instance(2, 2, 2), seed=-1),
+            lambda: pd.extract_decomposition(pd.build_rho(pd.generate_instance(2, 2, 2)), seed=-1),
+            lambda: pd.extract_decomposition(pd.build_rho(pd.generate_instance(2, 2, 2)), seed=0.5),
+        ],
+    )
+    def test_a_seed_numpy_refuses_is_degenerate_input(self, call):
+        # the generators' size and profile refusals are TestOracle's reference cases
+        with pytest.raises(pd.DegenerateInput, match="^seed must be a non-negative integer, got "):
+            call()
+
+
 class TestWriteFailures:
     """An --out in a missing directory is an input error: exit 2 and one
     ``error:`` line, not a traceback."""
@@ -476,8 +520,8 @@ class TestCheckCommand:
 class TestParser:
     def test_built_once_and_keeps_no_state_between_calls(self):
         assert build_parser() is build_parser()
-        first = build_parser().parse_args(["demo", "--json", "--tol", "1e-6"])
-        second = build_parser().parse_args(["demo"])
+        first = build_parser().parse_args(["check", "f.json", "--json", "--tol", "1e-6"])
+        second = build_parser().parse_args(["check", "f.json"])
         assert (first.json, first.tol) == (True, 1e-6)
         assert (second.json, second.tol) == (False, 1e-8)
 

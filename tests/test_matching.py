@@ -76,7 +76,7 @@ class TestGenerators:
         ],
     )
     def test_infeasible_combinations(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(pd.DimensionMismatch):
             pd.generate_instance(kwargs.pop("n"), kwargs.pop("d1"), kwargs.pop("d2"), seed=0, **kwargs)
 
     def test_deterministic_under_seed(self):
@@ -97,9 +97,9 @@ class TestGenerators:
             assert flags[s] == (s != dep)
 
     def test_tri_infeasible(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(pd.DimensionMismatch):
             pd.generate_tri_instance(4, 3, 4, 4, seed=0)  # n > d1 for independent slot
-        with pytest.raises(ValueError):
+        with pytest.raises(pd.DimensionMismatch):
             pd.generate_tri_instance(2, 4, 4, 4, seed=0, profile="c-dependent")
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import proddecomp as pd
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "uniqueness_battery.py"
 
 
@@ -31,24 +33,52 @@ def test_exits_1_naming_the_battery_that_fell_short(battery, monkeypatch, capsys
     assert "FAILED: bipartite" not in out and "FAILED: blind" not in out
 
 
-def test_same_answers_compares_dumps(tmp_path, capsys):
+@pytest.fixture
+def same_answers():
     spec = importlib.util.spec_from_file_location("same_answers", SCRIPT.parent / "same_answers.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_same_answers_compares_dumps(same_answers, tmp_path, capsys):
+    module = same_answers
     first, second, moved = (str(tmp_path / name) for name in ("first.npz", "second.npz", "moved.npz"))
     for path in (first, second):
-        module.dump(path, count=2, seeds=2, bench_seeds=[])
+        module.dump(path, count=2, seeds=2, bench_seeds=[], cli_seeds=1)
     capsys.readouterr()
     assert module.compare(first, second) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(": identical (" in line for line in lines)
+    for group, fields in [
+        ("twin-bi", ("perm", "residual", "overlaps", "weight_first", "weight_second")),
+        ("twin-tri", ("perm", "residual", "overlaps", "weight_first", "weight_second")),
+        ("cli", ("argv", "code", "stdout", "stderr", "files")),
+    ]:
+        for field in fields:
+            assert f"{group} {field}: identical (" in "\n".join(lines)
 
     with np.load(first) as f:
         answers = dict(f)
     key = next(k for k in sorted(answers) if k.endswith("/b"))
     answers[key] = answers[key] + 1e-9
+    answers["twin-tri/1/residual"] = answers["twin-tri/1/residual"] + 1e-9
+    answers["cli/0/stdout"] = np.array("moved")
     np.savez(moved, **answers)
     assert module.compare(first, moved) == 1
     out = capsys.readouterr().out
     assert "bi b: 1 of " in out and "largest deviation 1e-09" in out
     assert "bi a: identical" in out and "bi values: identical" in out
+    assert "twin-tri residual: 1 of 2 cases differ, largest deviation 1e-09" in out
+    assert "cli stdout: 1 of " in out and "text differs in cli/0" in out
+    assert "cli stderr: identical" in out
+
+
+def test_the_cli_grid_runs_every_subcommand_and_profile(same_answers):
+    grid = [command.split() for command in same_answers.cli_grid(1)]
+    subcommands = {"generate", "build", "extract", "match", "purify", "factorable", "demo", "check"}
+    assert {argv[0] for argv in grid} == subcommands
+    assert {argv[0] for argv in grid if "--tol" in argv} == {argv[0] for argv in grid}
+    assert {"--twin-of", "--json"} <= {part for argv in grid for part in argv}
+    profiles = {argv[argv.index("--profile") + 1] for argv in grid if "--profile" in argv}
+    assert profiles == set(pd.BI_PROFILES + pd.TRI_PROFILES)

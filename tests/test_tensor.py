@@ -420,6 +420,30 @@ class TestPartialTrace:
         reduced = pd.partial_trace(rho, keep)
         assert abs(reduced.trace - rho.trace) < 1e-12
 
+    def test_reduction_of_an_accepted_edge_operator_is_returned(self):
+        # accepted (lambda_min = -0.8e-10 >= -PSD_RTOL), but the trace over B
+        # adds the two negative eigenvalues: the reduction's lambda_min is -1.6e-10
+        rho = pd.StateOperator(pd.FactoredDims((2, 2)), np.diag([1.0, 0.0, -8e-11, -8e-11]).astype(complex))
+        reduced = pd.partial_trace(rho, (0,))
+        assert np.array_equal(reduced.matrix, pd.tensor._reduced(rho, (0,)))
+        assert np.linalg.eigvalsh(reduced.matrix)[0] == pytest.approx(-1.6e-10, rel=1e-6)
+
+    def test_a_users_matrix_keeps_the_operator_band(self):
+        with pytest.raises(pd.DegenerateInput, match="-PSD_RTOL"):
+            pd.StateOperator(pd.FactoredDims((2,)), np.diag([1.0, -1.6e-10]).astype(complex))
+
+    @pytest.mark.parametrize("keep", [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)])
+    def test_reductions_at_the_edge_of_the_band_are_returned(self, keep):
+        # every eigenvalue but the largest at -0.99 PSD_RTOL * lambda_max: the
+        # reduction's lambda_min is d_T times that, outside the operator band
+        dims = pd.FactoredDims((2, 3, 2))
+        m = np.diag([1.0] + [-0.99 * pd.tensor.PSD_RTOL] * (dims.total - 1)).astype(complex)
+        rho = pd.StateOperator(dims, m)
+        reduced = pd.partial_trace(rho, keep)
+        assert np.array_equal(reduced.matrix, pd.tensor._reduced(rho, keep))
+        with pytest.raises(pd.DegenerateInput, match="not positive semidefinite"):
+            pd.StateOperator(reduced.dims, reduced.matrix)
+
     def test_rejects_invalid_subsets(self):
         rho = pd.StateOperator(pd.FactoredDims((2, 2)), np.eye(4, dtype=complex) / 4)
         with pytest.raises(pd.DimensionMismatch):
