@@ -139,7 +139,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_constant=reject_constant)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers a JSONDecodeError, bytes that are not UTF-8 and an
+    # integer literal over Python's digit limit
+    except (OSError, ValueError) as exc:
         raise FileError(f"{path}: cannot parse JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise FileError(f"{path}: top-level value must be an object")

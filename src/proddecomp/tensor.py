@@ -159,22 +159,22 @@ def _hermitian_part(m: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 @_nonconvergence("eigenvalues of the matrix")
-def _check_psd(m: np.ndarray, work: np.ndarray, rtol: float) -> None:
-    """Raise DegenerateInput unless lambda_min(h) >= -rtol * max(lambda_max(h), 0)
+def _check_psd(m: np.ndarray, work: np.ndarray) -> None:
+    """Raise DegenerateInput unless lambda_min(h) >= -PSD_RTOL * max(lambda_max(h), 0)
     for h = (m + m^H)/2; ``work`` is an N x N scratch array."""
     h = _hermitian_part(m, work)
-    h.flat[:: h.shape[0] + 1] += rtol * max(0.0, float(h.diagonal().real.max()))
+    h.flat[:: h.shape[0] + 1] += PSD_RTOL * max(0.0, float(h.diagonal().real.max()))
     try:
         np.linalg.cholesky(h)
         return  # the factor exists: lambda_min(h) >= -shift >= the bound
     except np.linalg.LinAlgError:
         pass
     evals = np.linalg.eigvalsh(_hermitian_part(m, work))  # not certified; unshifted again, eigvalsh decides
-    lowest, bound = float(evals[0]), -rtol * max(float(evals[-1]), 0.0)
+    lowest, bound = float(evals[0]), -PSD_RTOL * max(float(evals[-1]), 0.0)
     if lowest < bound:
         raise DegenerateInput(
             f"matrix is not positive semidefinite: min eigenvalue {lowest!r} is below "
-            f"the bound {bound!r} (-{'PSD_RTOL' if rtol == PSD_RTOL else repr(rtol)} * max eigenvalue)"
+            f"the bound {bound!r} (-PSD_RTOL * max eigenvalue)"
         )
 
 
@@ -202,17 +202,18 @@ class StateOperator:
 
     dims: FactoredDims
     factor: tuple[np.ndarray, np.ndarray] | None
-    _psd_rtol: float = PSD_RTOL  # the dense check's PSD band; wider for a reduction
 
     def __init__(self, dims: FactoredDims, matrix: np.ndarray) -> None:
         self._set(dims, matrix, None)
 
     @classmethod
-    def _reduction(cls, dims: FactoredDims, matrix: np.ndarray, psd_rtol: float) -> "StateOperator":
-        """A dense operator checked against the wider PSD band ``psd_rtol`` (see :func:`partial_trace`)."""
+    def _reduction(cls, dims: FactoredDims, matrix: np.ndarray) -> "StateOperator":
+        """The dense operator ``matrix``, stored without the dense check: it is
+        the package's own :func:`_reduced` of an accepted operator (see :func:`partial_trace`)."""
         op = cls.__new__(cls)
-        object.__setattr__(op, "_psd_rtol", psd_rtol)
-        op._set(dims, matrix, None)
+        object.__setattr__(op, "dims", dims)
+        object.__setattr__(op, "_matrix", _freeze(matrix))
+        object.__setattr__(op, "factor", None)
         return op
 
     @classmethod
@@ -247,7 +248,7 @@ class StateOperator:
         if n > MAX_AMBIENT_DIM:
             raise DimensionMismatch(f"operator ambient dimension {n} exceeds cap {MAX_AMBIENT_DIM}")
         if self.factor is None:
-            object.__setattr__(self, "_matrix", _freeze(_checked_matrix(self._matrix, n, self._psd_rtol)))
+            object.__setattr__(self, "_matrix", _freeze(_checked_matrix(self._matrix, n)))
         else:
             object.__setattr__(self, "factor", tuple(map(_freeze, _checked_factor(*self.factor, n))))
 
@@ -268,7 +269,7 @@ class StateOperator:
         return f"StateOperator(dims={self.dims.dims}, trace={self.trace:.6g})"
 
 
-def _checked_matrix(matrix, n: int, psd_rtol: float) -> np.ndarray:
+def _checked_matrix(matrix, n: int) -> np.ndarray:
     """A copy of ``matrix`` as a validated dense operator (see :class:`StateOperator`)."""
     m = np.array(matrix, dtype=complex)
     if m.shape != (n, n):
@@ -286,7 +287,7 @@ def _checked_matrix(matrix, n: int, psd_rtol: float) -> np.ndarray:
             f"matrix is not Hermitian within tolerance: ||m - m^H||_F = {asymmetry:.3e} "
             f"exceeds HERMITICITY_RTOL * ||m||_F = {HERMITICITY_RTOL * scale:.3e}"
         )
-    _check_psd(m, work, psd_rtol)
+    _check_psd(m, work)
     return m
 
 
@@ -548,9 +549,9 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     """Trace out all factors not listed in ``keep`` (kept factors stay in order).
 
     ``keep`` must be a nonempty proper subset of the factor indices.  The
-    result is :func:`_reduced`, validated as a dense operator against the
-    band that the reduction of an accepted operator provably meets; the
-    package's own readers take the unvalidated matrix.
+    result is the dense operator :func:`_reduced`, stored without the dense
+    check, since the reduction of an accepted operator is positive up to a
+    band that follows from rho's own check.
 
     The band: write h for the Hermitian part of rho, N = d_K d_T for the
     ambient dimension (kept times traced), eps = PSD_RTOL and R = Tr_T h.
@@ -558,9 +559,11 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     lambda_min(h) >= -d_T eps lambda_max(h).  And Tr R = Tr h >=
     lambda_max(h) + (N - 1) lambda_min(h) >= lambda_max(h) (1 - eps (N - 1)),
     while Tr R <= d_K lambda_max(R).  Together, lambda_min(R) >=
-    -eps N / (1 - eps (N - 1)) lambda_max(R).  Checked at PSD_RTOL itself,
-    the reduction would be refused when the trace adds up the small
-    negative eigenvalues that rho's own check allows.
+    -eps N / (1 - eps (N - 1)) lambda_max(R).  The trace adds up the small
+    negative eigenvalues that rho's check allows, so R can fall outside the
+    band -PSD_RTOL lambda_max(R) of a user's matrix: such a reduction is
+    returned here, but :class:`StateOperator` refuses its matrix, and so
+    does :func:`~proddecomp.fileio.load_operator` once it is saved.
     """
     dims = rho.dims.dims
     nfac = len(dims)
@@ -569,9 +572,7 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
         raise DimensionMismatch(f"keep must be a nonempty proper subset of factors, got {keep}")
     if any(k < 0 or k >= nfac for k in kept):
         raise DimensionMismatch(f"invalid subsystem indices {keep} for {nfac} factors")
-    big = rho.dims.total
-    band = PSD_RTOL * big / (1.0 - PSD_RTOL * (big - 1))
-    return StateOperator._reduction(FactoredDims(tuple(dims[i] for i in kept)), _reduced(rho, kept), band)
+    return StateOperator._reduction(FactoredDims(tuple(dims[i] for i in kept)), _reduced(rho, kept))
 
 
 def _reduced(rho: StateOperator, kept: tuple[int, ...]) -> np.ndarray:

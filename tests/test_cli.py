@@ -116,6 +116,25 @@ class TestOneRefusalChannel:
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"format_version": "1", "kind": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+            (b'{"format_version": "1", "n": ' + b"7" * 5000 + b"}", "Exceeds the limit"),
+        ],
+        ids=["byte-0xff", "5000-digit-integer"],
+    )
+    @pytest.mark.parametrize("subcommand", ["check", "build"])
+    def test_an_unreadable_file_exits_2_with_one_error_line(self, tmp_path, capsys, subcommand, content, reason):
+        # json.load raises a ValueError that is not a JSONDecodeError for both
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        extra = ["--out", str(tmp_path / "x.json")] if subcommand == "build" else []
+        assert main([subcommand, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot parse JSON (") and reason in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda: pd.generate_tri_instance(2, 2, 2, 2, seed=-1),

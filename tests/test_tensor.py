@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import proddecomp as pd
-from proddecomp import tensor
+from proddecomp import fileio, tensor
 
 
 def _random_ket(rng, dim):
@@ -443,6 +443,14 @@ class TestPartialTrace:
         assert np.array_equal(reduced.matrix, pd.tensor._reduced(rho, keep))
         with pytest.raises(pd.DegenerateInput, match="not positive semidefinite"):
             pd.StateOperator(reduced.dims, reduced.matrix)
+
+    def test_an_edge_reduction_does_not_survive_a_save_and_load(self, tmp_path):
+        # the file holds a plain dense operator, which the loader checks at PSD_RTOL
+        rho = pd.StateOperator(pd.FactoredDims((2, 2)), np.diag([1.0, 0.0, -8e-11, -8e-11]).astype(complex))
+        path = str(tmp_path / "reduced.json")
+        fileio.save_operator(path, pd.partial_trace(rho, (0,)))
+        with pytest.raises(pd.FileError, match="not positive semidefinite"):
+            fileio.load_operator(path)
 
     def test_rejects_invalid_subsets(self):
         rho = pd.StateOperator(pd.FactoredDims((2, 2)), np.eye(4, dtype=complex) / 4)

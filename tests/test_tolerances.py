@@ -13,7 +13,7 @@ import proddecomp as pd
 from proddecomp import decomp, fileio
 from proddecomp.cli import main
 from test_cli import _coeff_file
-from test_subspace import _near_collinear_pair, _near_rank_set, _with_slot
+from test_subspace import _near_collinear_pair, _near_rank_set, _with_slot, near_threshold_decompositions
 
 TOL = pd.ToleranceConfig(1e-4, 1e-4, 1e-4)
 FACTORS = (0.5, 1.5)  # outside, inside the cutoff
@@ -30,19 +30,26 @@ def _relative_smallest_sv(stack):
     return sv[-1] / sv[0]
 
 
+NEAR = near_threshold_decompositions(tol=TOL)
+
+
 class TestMatching:
-    @pytest.mark.parametrize("factor", FACTORS)
-    @pytest.mark.parametrize("slot", [0, 1])
-    def test_bi_pair(self, slot, factor):
-        rng = np.random.default_rng(slot)
-        pair = _near_collinear_pair(rng, 4, factor, TOL.eps_col)
-        dec = _with_slot(pd.generate_instance(3, 4, 4, seed=1), slot, pair)
-        if factor > 1.0:
-            _matched(pd.match_bidecomposition, dec, TOL)
-        else:
-            message = rf"^first decomposition: {'ab'[slot]}-set collinear pair \(0, 1\)$"
+    @pytest.mark.parametrize(
+        "case", range(len(NEAR)), ids=[f"{len(d.dims)}-slot-{s}-{kind}-{f}" for d, s, kind, f in NEAR]
+    )
+    def test_near_threshold_slot(self, case):
+        # a near-rank set certifies either way here: every other set of these
+        # bases is independent, so the dependent-profile cases below decide by rank
+        dec, slot, kind, factor = NEAR[case]
+        bi = isinstance(dec, pd.ProductDecomposition)
+        match = pd.match_bidecomposition if bi else pd.match_tridecomposition
+        if kind == "pair" and factor < 1.0:
+            label = "decomposition" if bi else "tridecomposition"
+            message = rf"^first {label}: {'abc'[slot]}-set collinear pair \(0, 1\)$"
             with pytest.raises(pd.HypothesisViolation, match=message):
-                _matched(pd.match_bidecomposition, dec, TOL)
+                _matched(match, dec, TOL)
+        else:
+            _matched(match, dec, TOL)
 
     @pytest.mark.parametrize("factor", FACTORS)
     @pytest.mark.parametrize("slot", [0, 1])
@@ -59,19 +66,6 @@ class TestMatching:
             message = "^first decomposition: neither ket set is linearly independent$"
             with pytest.raises(pd.HypothesisViolation, match=message):
                 _matched(pd.match_bidecomposition, dec, TOL)
-
-    @pytest.mark.parametrize("factor", FACTORS)
-    @pytest.mark.parametrize("slot", [0, 1, 2])
-    def test_tri_pair(self, slot, factor):
-        rng = np.random.default_rng(slot)
-        pair = _near_collinear_pair(rng, 4, factor, TOL.eps_col)
-        dec = _with_slot(pd.generate_tri_instance(3, 4, 4, 4, seed=1), slot, pair)
-        if factor > 1.0:
-            _matched(pd.match_tridecomposition, dec, TOL)
-        else:
-            message = rf"^first tridecomposition: {'abc'[slot]}-set collinear pair \(0, 1\)$"
-            with pytest.raises(pd.HypothesisViolation, match=message):
-                _matched(pd.match_tridecomposition, dec, TOL)
 
     @pytest.mark.parametrize("factor", FACTORS)
     @pytest.mark.parametrize("slot", [0, 1, 2])
