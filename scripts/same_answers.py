@@ -15,7 +15,11 @@ weights (keys ``<case>/<field>``):
     i < ``--seeds``, the bipartite profiles in rotation, restacked with
     weights ``geomspace(1, spread, 6)`` for spreads 1e-5, 1e-6 and 1e-7,
     extraction seed i, plus ``certified``: 1 when the extraction matches its
-    source under ``match_bidecomposition``.
+    source under ``match_bidecomposition``;
+  * ``loose/<tol>/<s>/<form>``: ``generate_instance(4, 5, 5, seed=s)`` for
+    s < 20, extracted with seed s and matched against its source at
+    ``ToleranceConfig(t, t, t)`` for t = 1e-4, 1e-3 and 1e-2, plus
+    ``certified`` as above.
 A refused extraction stores ``refused`` (the error message) in place of the
 extraction's fields.  It then runs two twin lists and stores, per case, the
 permutation, the residual, the per-slot |overlap|s (n x slots) and both
@@ -26,7 +30,8 @@ weights of each matched pair:
     seed 30000), likewise.
 Last, ``cli/<k>`` runs ``cli.main`` in-process on a grid of commands over
 every subcommand and profile, ``--twin-of``, ``--json``, the refusals and
-``--tol`` on every subcommand, for ``--cli-seeds`` seeds.  The commands run in
+``--tol`` on every subcommand (and on the ``check`` file kinds that read
+none), for ``--cli-seeds`` seeds.  The commands run in
 a fresh temporary directory with relative paths, so the paths they print are
 the same in every dump.  Each stores its argv, exit code, stdout, stderr and
 ``files``: every file the command wrote or changed, as "name" and its text.
@@ -60,6 +65,8 @@ from proddecomp import cli
 ROOT = Path(__file__).resolve().parent.parent
 MASTER_SEEDS = (20_000, 40_000)
 SPREADS = (1e-5, 1e-6, 1e-7)
+LOOSE_TOLS = (1e-4, 1e-3, 1e-2)
+LOOSE_SEEDS = 20
 
 
 def _load(path: Path):
@@ -77,9 +84,9 @@ def _forms(dec: pd.ProductDecomposition):
     return (("factored", pd.build_rho(dec)), ("dense", _dense(dec)))
 
 
-def _extract(out: dict, key: str, rho: pd.StateOperator, seed: int):
+def _extract(out: dict, key: str, rho: pd.StateOperator, seed: int, tol=pd.DEFAULT_TOL):
     try:
-        report = pd.extract_decomposition(rho, seed=seed)
+        report = pd.extract_decomposition(rho, tol, seed=seed)
     except pd.NotExtractable as exc:
         out[f"{key}/refused"] = np.array(str(exc))
         return None
@@ -95,6 +102,20 @@ def _extract(out: dict, key: str, rho: pd.StateOperator, seed: int):
     }
     out.update({f"{key}/{name}": np.asarray(value) for name, value in fields.items()})
     return report
+
+
+def _certified(out: dict, key: str, source: pd.ProductDecomposition, rho, seed: int, tol=pd.DEFAULT_TOL):
+    """Extract ``rho`` and store whether the result matches ``source`` at ``tol`` as ``certified``."""
+    report = _extract(out, key, rho, seed, tol)
+    ok = False
+    if report is not None:
+        try:
+            pd.match_bidecomposition(source, report.decomposition, tol)
+            ok = True
+        except pd.ProddecompError:
+            pass
+    out[f"{key}/certified"] = np.array(ok)
+    return ok
 
 
 def _twins(out: dict, count: int, battery) -> int:
@@ -248,6 +269,9 @@ def cli_grid(cli_seeds: int) -> list[str]:
         "factorable ent.json --tol 1e-6",
         "demo --tol 1e-6",
         "check both-independent-0.json --tol 1e-6",
+        # --tol where check reads none: an operator file and a 2-factor coefficient file
+        "check op-both-independent-0.json --tol 1e-6",
+        "check ent.json --tol 1e-6",
     ]
     return grid
 
@@ -310,21 +334,25 @@ def dump(path: str, count: int, seeds: int, bench_seeds: list[int], cli_seeds: i
             base = pd.generate_instance(6, 8, 8, seed=i, profile=pd.BI_PROFILES[i % 3])
             source = pd.ProductDecomposition._from_stacks(base.dims, base.stacks, np.geomspace(1, spread, 6))
             for form, rho in _forms(source):
-                key = f"ill/{spread:g}/{i}/{form}"
-                report = _extract(out, key, rho, i)
-                ok = False
-                if report is not None:
-                    try:
-                        pd.match_bidecomposition(source, report.decomposition)
-                        ok = True
-                    except pd.ProddecompError:
-                        pass
-                out[f"{key}/certified"] = np.array(ok)
+                ok = _certified(out, f"ill/{spread:g}/{i}/{form}", source, rho, i)
                 certified[form, spread] = certified.get((form, spread), 0) + ok
     spreads = "/".join(f"{s:g}" for s in SPREADS)
     for form in ("factored", "dense"):
         counts = "/".join(str(certified.get((form, s), 0)) for s in SPREADS)
         print(f"ill-conditioned, {form}: {counts} of {seeds} certified at spreads {spreads}")
+
+    loose = {}
+    for t in LOOSE_TOLS:
+        tol = pd.ToleranceConfig(t, t, t)
+        for s in range(LOOSE_SEEDS):
+            source = pd.generate_instance(4, 5, 5, seed=s)
+            for form, rho in _forms(source):
+                ok = _certified(out, f"loose/{t:g}/{s}/{form}", source, rho, s, tol)
+                loose[form, t] = loose.get((form, t), 0) + ok
+    tols = "/".join(f"{t:g}" for t in LOOSE_TOLS)
+    for form in ("factored", "dense"):
+        counts = "/".join(str(loose.get((form, t), 0)) for t in LOOSE_TOLS)
+        print(f"loose tolerances, {form}: {counts} of {LOOSE_SEEDS} certified at tolerances {tols}")
     print(f"{_twins(out, count, battery)} of {2 * count} twins matched")
     codes = _cli(out, cli_seeds)
     tally = ", ".join(f"{codes[c]} exit {c}" for c in sorted(codes))
@@ -333,7 +361,9 @@ def dump(path: str, count: int, seeds: int, bench_seeds: list[int], cli_seeds: i
 
 
 def _deviation(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Largest entrywise |a - b|, and that over the largest |a| entry."""
+    """Largest entrywise |a - b|, and that over the largest |a| entry; booleans count as 0 and 1."""
+    if a.dtype == bool:
+        a, b = a.astype(int), b.astype(int)
     diff = float(np.max(np.abs(a - b), initial=0.0))
     scale = float(np.max(np.abs(a), initial=0.0))
     return diff, diff / scale if scale else np.inf
@@ -347,7 +377,7 @@ def compare(first: str, second: str) -> int:
     with np.load(first) as fa, np.load(second) as fb:
         a, b = dict(fa), dict(fb)
     same = True
-    # one line per case list (the key's first part: bi, bench, ill, twin-bi, twin-tri, cli) and field
+    # one line per case list (the key's first part: bi, bench, ill, loose, twin-bi, twin-tri, cli) and field
     groups: dict[tuple[str, str], list[str]] = {}
     for key in sorted(a.keys() | b.keys()):
         case, field = key.rsplit("/", 1)

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fileio import _ket_json, dumps_canonical
 from .purification import purify
-from .subspace import ToleranceConfig
+from .subspace import DEFAULT_TOL, ToleranceConfig
 from .tensor import FactoredDims, StateOperator, build_rho
 
 EXIT_OK = 0
@@ -232,8 +232,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     loaded = fileio.load(args.infile)
+    kind = "operator" if isinstance(loaded, StateOperator) else (len(loaded.dims), loaded.form)
+    # argparse keeps the default object itself: a --tol on the command line, 1e-8 too, is another float
+    if kind not in ((2, "weight"), (3, "coeff")) and args.tol is not DEFAULT_TOL.eps_rank:
+        raise FileError(f"{args.infile}: --tol applies only to a 2-factor weight file or a 3-factor coefficient file")
     tol = _tol(args)
-    if isinstance(loaded, StateOperator):
+    if kind == "operator":
         _emit(
             args,
             {"kind": "operator", "dims": list(loaded.dims.dims), "trace": loaded.trace, "ok": True},
@@ -241,7 +245,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     detail: dict = {"kind": "decomposition", "dims": list(loaded.dims.dims), "n": loaded.n, "form": loaded.form}
-    if loaded.form == "weight" and len(loaded.dims) == 2:
+    if kind == (2, "weight"):
         a_ind, b_ind = decomp.check_product_hypotheses(loaded.product(), tol, label=args.infile)
         detail.update({"a_independent": a_ind, "b_independent": b_ind, "ok": True})
         lines = [
@@ -249,7 +253,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"a-set independent: {'yes' if a_ind else 'no'}",
             f"b-set independent: {'yes' if b_ind else 'no'}",
         ]
-    elif loaded.form == "coeff" and len(loaded.dims) == 3:
+    elif kind == (3, "coeff"):
         flags = decomp.check_tri_hypotheses(loaded.tri(), tol, label=args.infile)
         detail.update({"independent_slots": [s for s, f in zip("abc", flags) if f], "ok": True})
         lines = [
@@ -282,7 +286,7 @@ def _dims(text: str) -> tuple[int, ...]:
 
 def _add_common(p: argparse.ArgumentParser, *, seed: bool = False, tol: bool = False) -> None:
     if tol:
-        p.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance (default 1e-8)")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL.eps_rank, help="numerical tolerance (default 1e-8)")
     p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")

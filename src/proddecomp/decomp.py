@@ -41,22 +41,11 @@ from .tensor import (
     rho_matrix,  # noqa: F401 -- unused here; perfbench's tracer test looks it up as decomp.rho_matrix
 )
 
-#: Absolute tolerance for matched weights / coefficient magnitudes
-#: (applied on the normalized-weight scale).
+# Fixed thresholds: the table in ToleranceConfig's docstring says what each decides and why it is fixed.
 WEIGHT_ATOL = 1e-6
-
-#: Relative reconstruction error required for a successful extraction.
 RECONSTRUCTION_RTOL = 1e-6
-
-#: Probes drawn before extraction gives up (one probe per attempt).
-EXTRACTION_RETRIES = 8
-
-#: Redraw a probe with two whitened eigenvalues closer than this times eps_rank times
-#: max(1, largest magnitude).
-RATIO_GAP_FACTOR = 1e3
-
-#: Sketch columns drawn beyond the support rank n in the randomized range finder.
-SKETCH_OVERSAMPLING = 8
+EXTRACTION_RETRIES = 8  # one probe per attempt
+SKETCH_OVERSAMPLING = 8  # sketch columns beyond the support rank n
 
 _SLOT_NAMES = ("a", "b", "c")
 
@@ -193,7 +182,8 @@ def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[
     """Schmidt values, product mask and leading factors of the n kets of an N x n stack.
 
     One batched SVD of the n d1 x d2 coefficient matrices gives the n x min(d1, d2)
-    Schmidt values s; ket k is a product when s[k, 1] < eps_rank * s[k, 0].  The
+    Schmidt values s; ket k is a product when :func:`~proddecomp.subspace._support_mask`
+    keeps s[k, 0] alone, i.e. s[k, 1] < eps_rank * s[k, 0].  The
     principal left and right singular vectors come back as d1 x n and d2 x n stacks,
     each column phased by :func:`~proddecomp.subspace.fix_phase`.  An SVD that does
     not converge raises DegenerateInput.
@@ -201,9 +191,8 @@ def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[
     if len(split) != 2 or split.total != q.shape[0]:
         raise DimensionMismatch(f"split {split.dims} does not factor a dim-{q.shape[0]} ket")
     u, s, vh = np.linalg.svd(q.T.reshape(-1, *split))
-    second = s[:, 1] if s.shape[1] > 1 else 0.0
     factors = (fix_phase(u[:, :, 0].T, tol.eps_rank), fix_phase(vh[:, 0].T, tol.eps_rank))
-    return s, second < tol.eps_rank * s[:, 0], factors
+    return s, np.count_nonzero(_support_mask(s, tol), axis=1) == 1, factors
 
 
 def schmidt_values(x: Ket, split: FactoredDims) -> np.ndarray:
@@ -502,10 +491,11 @@ def extract_decomposition(
     The terms are handled as whole d x n stacks: one
     column-norm pass normalizes each, :func:`~proddecomp.subspace.fix_phase`
     phases every column at once, and one stable ``argsort`` puts the
-    heaviest term first.  A probe with nearly degenerate eigenvalues is
-    redrawn, up to EXTRACTION_RETRIES probes, so ``probes_used`` counts one
-    probe per attempt.  Success requires relative Frobenius reconstruction
-    error at most ``max_error`` and a hypothesis-clean decomposition.  The
+    heaviest term first.  Success requires relative Frobenius reconstruction
+    error at most ``max_error`` and a hypothesis-clean decomposition, which by
+    the uniqueness theorem is the decomposition, so the probe's eigenvalues
+    are not tested.  A probe with a zero-weight slice or a failed gate is
+    redrawn, up to EXTRACTION_RETRIES probes (``probes_used``).  The
     error is measured against the stored matrix of a dense operator, and
     exactly, from one QR factor of the stacked columns
     (:func:`_factored_gap`), for a factored one.  Otherwise NotExtractable
@@ -516,7 +506,8 @@ def extract_decomposition(
 
     Both support ranks count the eigenvalues lambda > 0 with
     lambda >= eps_rank * lambda_max of ``eigvalsh`` of the unvalidated d x d
-    reduced operators (:func:`~proddecomp.tensor._reduced`), in either form.
+    reduced operators (:func:`~proddecomp.tensor._reduced`), in either form;
+    the whitening keeps the top n of S_A whose squares pass that rule.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
@@ -544,7 +535,7 @@ def extract_decomposition(
     # rho_A = W W^dagger over the b and factor indices: with W = U_A S_A Z,
     # the SVD of the tall W^dagger is (Z^dagger, S_A, U_A^dagger)
     zh, s_a, u_ah = np.linalg.svd(w.reshape(da, db * k).conj().T, full_matrices=False)
-    r = int(np.count_nonzero(s_a[:n] >= np.sqrt(tol.eps_rank) * s_a[0]))
+    r = int(np.count_nonzero(_support_mask(s_a[:n] ** 2, tol)))  # s_a^2: rho_A's eigenvalues
     u_a, s_a, z = u_ah[:r].conj().T, s_a[:r], zh[:, :r].conj().T
 
     for _ in range(EXTRACTION_RETRIES):
@@ -552,11 +543,7 @@ def extract_decomposition(
         probe = (g + g.conj().T) / 2.0
         probes += 1
         # T = W_A^dagger Tr_other[rho (I (x) X)] W_A = sum_m Z_m X^T Z_m^dagger
-        responses, v = np.linalg.eigh((probe @ z.reshape(r, db, k)).reshape(r, db * k) @ z.conj().T)
-        gap = np.diff(responses).min(initial=np.inf)  # eigh sorts, so adjacent gaps suffice
-        if gap < RATIO_GAP_FACTOR * tol.eps_rank * max(1.0, float(np.abs(responses).max())):
-            continue  # nearly degenerate probe responses: redraw
-
+        v = np.linalg.eigh((probe @ z.reshape(r, db, k)).reshape(r, db * k) @ z.conj().T)[1]
         a_cols = (u_a * s_a) @ v
         a_cols = fix_phase(a_cols / np.linalg.norm(a_cols, axis=0), tol.eps_rank)
         duals = (u_a / s_a) @ v

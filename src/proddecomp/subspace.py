@@ -1,4 +1,4 @@
-"""Collinearity, rank, support/null-space, and dual-basis numerics."""
+"""Collinearity, rank and support/null-space numerics."""
 
 from __future__ import annotations
 
@@ -18,11 +18,29 @@ ORTHO_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds used throughout the package.
+    """The settable thresholds (the CLI's ``--tol`` sets all three), and the one table of the fixed ones.
 
-    eps_col:  two unit kets are collinear when |<x|y>| >= 1 - eps_col.
-    eps_rank: relative singular-value / eigenvalue cutoff for rank decisions.
-    eps_eq:   operator and vector equality tolerance.
+    eps_col   unit kets are collinear when |<x|y>| >= 1 - eps_col; certifying a match lets
+              each paired overlap and expansion coefficient lie eps_col off magnitude 1.
+    eps_rank  the one relative cutoff on a spectrum, >= eps_rank times its largest: a ket
+              stack's rank (``stack_rank``), significant expansion coefficients
+              (``_certify_in_slot``) and, with > 0, ``_support_mask`` (reduced support ranks,
+              extraction's whitening, Schmidt verdicts); both phase with ``fix_phase(eps=eps_rank)``.
+    eps_eq    two operators or vectors are equal when ||x - y|| <= eps_eq * max(1, ||x||, ||y||).
+
+    Fixed, with the decision each makes and why no setting reads it:
+    WEIGHT_ATOL 1e-6          matched weights agree to it x scale: as exact as extraction's gate
+    RECONSTRUCTION_RTOL 1e-6  extraction's relative error gate (``max_error``): with the hypothesis
+                              check it certifies a candidate, whatever the three values above
+    EXTRACTION_RETRIES 8      probes before NotExtractable: it bounds the work of a refusal
+    SKETCH_OVERSAMPLING 8     extra columns of the dense range finder: sampling, not a decision
+    UNITARITY_ATOL, RESIDUAL_ATOL 1e-8  ``relating_unitary`` checks its own result, not input
+    ORTHO_ATOL 1e-10          ``SubspaceBasis`` orthogonality, met by eigh's eigenvectors to rounding
+    KET_NORM_ATOL 1e-12       a ``Ket`` has unit norm: part of the input contract
+    HERMITICITY_RTOL, PSD_RTOL 1e-10  what a valid operator (or file) is, whatever ``--tol``
+    _TRI_CANCEL_RTOL 1e-8     an expansion of norm <= it x sum |c_j| has cancelled to noise
+    ``fix_phase`` eps 1e-8    phase pivot, the first |entry| above it: a convention
+    generator margins         overlap <= 1 - 1e-3, condition <= 1e4, 200 draws: inside DEFAULT_TOL
     """
 
     eps_col: float = 1e-8
@@ -169,9 +187,10 @@ def rank_and_independence(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TO
 
 
 def _support_mask(lam: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Which eigenvalues ``lam`` of a reduced operator belong to its support:
-    those > 0 and >= eps_rank times the largest, so the zero operator has none."""
-    return (lam > 0.0) & (lam >= tol.eps_rank * lam.max())
+    """Which entries of each spectrum ``lam`` (along the last axis) belong to
+    its support: those > 0 and >= eps_rank times that spectrum's largest, so
+    an all-zero spectrum has none."""
+    return (lam > 0.0) & (lam >= tol.eps_rank * lam.max(axis=-1, keepdims=True))
 
 
 @_nonconvergence("support eigendecomposition")
@@ -200,19 +219,3 @@ def support_and_null(
     null = SubspaceBasis(ambient, tuple(Ket(evecs[:, i]) for i in null_idx))
     return support, null
 
-
-@_nonconvergence("dual basis: a linear-algebra routine")
-def dual_basis(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Biorthogonal duals of a linearly independent set.
-
-    Returns vectors {a~_i} in span(kets) with <a~_i|a_j> = delta_ij,
-    computed from the pseudoinverse of the stacked matrix
-    (equivalently A (A^dagger A)^{-1}).  The duals are generally not
-    normalized.
-    """
-    a = column_stack(kets)
-    rank = stack_rank(a, tol)
-    if rank != len(kets):
-        raise DegenerateInput(f"no dual basis: set has rank {rank} < {len(kets)}")
-    duals = np.linalg.pinv(a).conj().T
-    return [duals[:, i].copy() for i in range(duals.shape[1])]

@@ -51,6 +51,7 @@ def test_same_answers_compares_dumps(same_answers, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(": identical (" in line for line in lines)
     for group, fields in [
+        ("loose", ("side", "probes", "n", "error", "a", "b", "values", "certified")),
         ("twin-bi", ("perm", "residual", "overlaps", "weight_first", "weight_second")),
         ("twin-tri", ("perm", "residual", "overlaps", "weight_first", "weight_second")),
         ("cli", ("argv", "code", "stdout", "stderr", "files")),
@@ -64,6 +65,8 @@ def test_same_answers_compares_dumps(same_answers, tmp_path, capsys):
     answers[key] = answers[key] + 1e-9
     answers["twin-tri/1/residual"] = answers["twin-tri/1/residual"] + 1e-9
     answers["cli/0/stdout"] = np.array("moved")
+    flag = next(k for k in sorted(answers) if k.startswith("loose/") and k.endswith("/certified"))
+    answers[flag] = ~answers[flag]
     np.savez(moved, **answers)
     assert module.compare(first, moved) == 1
     out = capsys.readouterr().out
@@ -72,6 +75,7 @@ def test_same_answers_compares_dumps(same_answers, tmp_path, capsys):
     assert "twin-tri residual: 1 of 2 cases differ, largest deviation 1e-09" in out
     assert "cli stdout: 1 of " in out and "text differs in cli/0" in out
     assert "cli stderr: identical" in out
+    assert "loose certified: 1 of 120 cases differ, largest deviation 1" in out
 
 
 def test_the_cli_grid_runs_every_subcommand_and_profile(same_answers):
@@ -79,6 +83,9 @@ def test_the_cli_grid_runs_every_subcommand_and_profile(same_answers):
     subcommands = {"generate", "build", "extract", "match", "purify", "factorable", "demo", "check"}
     assert {argv[0] for argv in grid} == subcommands
     assert {argv[0] for argv in grid if "--tol" in argv} == {argv[0] for argv in grid}
+    # check with a --tol it reads, and on an operator file and a 2-factor coefficient file, which read none
+    checked = {argv[1] for argv in grid if argv[0] == "check" and "--tol" in argv}
+    assert {"both-independent-0.json", "op-both-independent-0.json", "ent.json"} <= checked
     assert {"--twin-of", "--json"} <= {part for argv in grid for part in argv}
     profiles = {argv[argv.index("--profile") + 1] for argv in grid if "--profile" in argv}
     assert profiles == set(pd.BI_PROFILES + pd.TRI_PROFILES)

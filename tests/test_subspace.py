@@ -276,45 +276,6 @@ class TestSupportAndNull:
             assert (support.dim, null.dim) == (0, dim)
 
 
-class TestDualBasis:
-    def test_orthonormal_set_is_self_dual(self):
-        kets = [pd.Ket.basis(3, 0), pd.Ket.basis(3, 1)]
-        duals = pd.dual_basis(kets)
-        for i, d in enumerate(duals):
-            assert np.allclose(d, kets[i].amplitudes, atol=1e-12)
-
-    def test_gram_inverse_oracle(self):
-        # hand oracle: S = {(1,0), (1/sqrt2, 1/sqrt2)}, Gram G = [[1, s],[s, 1]]
-        # with s = 1/sqrt2; G^{-1} = [[2, -sqrt2], [-sqrt2, 2]], so the duals
-        # A G^{-1} are (1, -1) and (0, sqrt2).
-        s = 1 / np.sqrt(2)
-        kets = [pd.Ket((1, 0)), pd.Ket((s, s))]
-        duals = pd.dual_basis(kets)
-        assert np.allclose(duals[0], [1.0, -1.0], atol=1e-10)
-        assert np.allclose(duals[1], [0.0, np.sqrt(2)], atol=1e-10)
-        assert abs(np.vdot(duals[0], kets[1].amplitudes)) < 1e-10
-        assert abs(np.vdot(duals[1], kets[0].amplitudes)) < 1e-10
-
-    def test_biorthogonality_on_random_sets(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            kets = [_random_ket(rng, 5) for _ in range(3)]
-            if not pd.rank_and_independence(kets)[1]:
-                continue
-            duals = pd.dual_basis(kets)
-            gram = np.array([[np.vdot(d, k.amplitudes) for k in kets] for d in duals])
-            assert np.allclose(gram, np.eye(3), atol=1e-8)
-            # duals lie in span(kets)
-            p = _span_projector(kets)
-            for d in duals:
-                assert np.linalg.norm(p @ d - d) < 1e-8
-
-    def test_dependent_set_has_no_dual(self):
-        kets = [pd.Ket((1, 0)), pd.Ket((1, 0))]
-        with pytest.raises(pd.DegenerateInput, match="no dual basis"):
-            pd.dual_basis(kets)
-
-
 class TestSubspaceBasis:
     def test_rejects_non_orthogonal(self):
         s = 1 / np.sqrt(2)
@@ -496,10 +457,3 @@ class TestArrayCores:
             outcome = _outcome(decomp._slot_independence, dec, tol, "near")
             if kind == "pair" and factor < 1.0:
                 assert outcome == f"near: {'abc'[slot]}-set collinear pair (0, 1)"
-
-    def test_dual_basis_reads_the_same_rank(self):
-        kets = _near_rank_set(np.random.default_rng(3), 4, 0.5, pd.DEFAULT_TOL.eps_rank)
-        with pytest.raises(pd.DegenerateInput, match="no dual basis: set has rank 2 < 3"):
-            pd.dual_basis(kets)
-        duals = pd.dual_basis(_near_rank_set(np.random.default_rng(3), 4, 1e4, pd.DEFAULT_TOL.eps_rank))
-        assert len(duals) == 3

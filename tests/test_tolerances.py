@@ -2,8 +2,11 @@
 planted pair at |<x|y>| = 1 - eps_col (1 -/+ 0.5), or a set whose smallest
 relative singular value is eps_rank (1 -/+ 0.5), certifies inside the cutoff
 and is refused, naming the pair or the set, outside it: in matching, in blind
-extraction, and through each CLI subcommand that takes ``--tol``."""
+extraction, and through each CLI subcommand that takes ``--tol``.  Blind
+extraction also succeeds at the loose tolerances 1e-3 and 1e-2, and ``check``
+refuses a ``--tol`` for a file kind whose checks read none."""
 
+import json
 import re
 
 import numpy as np
@@ -132,25 +135,33 @@ class TestExtraction:
     @pytest.mark.parametrize("factor", FACTORS)
     @pytest.mark.parametrize("slot", [0, 1])
     def test_pair_in_the_recovered_set(self, slot, factor, form):
-        # the pair sits in the dependent set, which extraction recovers from the
-        # slices.  eps_rank stays at its default: at 1e-4 the probe gap rule
-        # (RATIO_GAP_FACTOR * eps_rank) redraws every probe of either case
-        tol = pd.ToleranceConfig(eps_col=1e-4, eps_eq=1e-4)
+        # the pair sits in the dependent set, which extraction recovers from the slices
         rng = np.random.default_rng(slot)
         dims = (2, 4) if slot == 0 else (4, 2)
         base = pd.generate_instance(3, *dims, seed=1, profile=pd.BI_PROFILES[2 - slot])
-        dec = _with_slot(base, slot, _near_collinear_pair(rng, 2, factor, tol.eps_col))
+        dec = _with_slot(base, slot, _near_collinear_pair(rng, 2, factor, TOL.eps_col))
         rho = _forms(dec)[form]
         if factor > 1.0:
-            report = pd.extract_decomposition(rho, tol, seed=3)
+            report = pd.extract_decomposition(rho, TOL, seed=3)
             assert report.side == 1 - slot
-            assert pd.match_bidecomposition(dec, report.decomposition, tol).n == 3
+            assert pd.match_bidecomposition(dec, report.decomposition, TOL).n == 3
         else:
             # extraction puts the heaviest term first
             pair = tuple(sorted(np.argsort(np.argsort(-dec.values, kind="stable"))[:2].tolist()))
             message = rf"extracted decomposition: {'ab'[slot]}-set collinear pair {re.escape(str(pair))}"
             with pytest.raises(pd.NotExtractable, match=message):
-                pd.extract_decomposition(rho, tol, seed=3)
+                pd.extract_decomposition(rho, TOL, seed=3)
+
+    @pytest.mark.parametrize("form", ["factored", "dense"])
+    @pytest.mark.parametrize("t", [1e-3, 1e-2])
+    def test_loose_tolerances_extract(self, t, form):
+        # nothing on the probe's eigenvalues refuses a candidate: the reconstruction
+        # gate and the hypothesis check decide at every tolerance
+        tol = pd.ToleranceConfig(t, t, t)
+        for seed in range(20):
+            dec = pd.generate_instance(4, 5, 5, seed=seed)
+            report = pd.extract_decomposition(_forms(dec)[form], tol, seed=seed)
+            assert pd.match_bidecomposition(dec, report.decomposition, tol).n == 4
 
 
 class TestCliFlag:
@@ -184,6 +195,13 @@ class TestCliFlag:
         assert main(["extract", op, "--tol", "1e-4", "--out", out]) == 3
         assert "support ranks 2 and 2" in capsys.readouterr().err
 
+    def test_extract_at_a_loose_tolerance(self, tmp_path):
+        dec, op, out = (str(tmp_path / name) for name in ("dec.json", "op.json", "out.json"))
+        assert main(["generate", "--n", "3", "--dims", "4,3", "--seed", "7", "--out", dec]) == 0
+        assert main(["build", dec, "--out", op]) == 0
+        assert main(["extract", op, "--tol", "1e-3", "--out", out]) == 0
+        assert main(["match", dec, out, "--mode", "bi"]) == 0
+
     def test_factorable(self, tmp_path, capsys):
         # Schmidt values (1, 1e-6) up to normalization
         path = _coeff_file(tmp_path, 2, [(1.0, 0), (1e-6, 1)])
@@ -207,3 +225,29 @@ class TestCliFlag:
         capsys.readouterr()
         assert main([part.format(**paths) for part in command] + ["--tol", "1e-6"]) == 2
         assert "error: unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, reads_tol",
+        [("operator", False), ("2-weight", True), ("2-coeff", False), ("3-weight", False), ("3-coeff", True)],
+    )
+    def test_check_refuses_it_where_nothing_reads_it(self, tmp_path, capsys, kind, reads_tol):
+        path = tmp_path / f"{kind}.json"
+        if kind == "operator":
+            fileio.save_operator(str(path), pd.build_rho(pd.generate_instance(2, 2, 2)))
+        else:  # 0.6 |0..0> + 0.8 |1..1>, each value a weight "w" or a coefficient "coeff"
+            nfac, form = kind.split("-")
+            e = [{"re": [1.0, 0.0], "im": [0.0, 0.0]}, {"re": [0.0, 1.0], "im": [0.0, 0.0]}]
+            key, nfac = "w" if form == "weight" else "coeff", int(nfac)
+            terms = [{key: v, "kets": [e[i]] * nfac} for v, i in ((0.6, 0), (0.8, 1))]
+            payload = {"format_version": "1", "kind": "decomposition", "dims": [2] * nfac, "terms": terms}
+            path.write_text(json.dumps(payload))
+        for tol in ([], ["--tol", "1e-8"], ["--tol", "0.5"]):
+            code = main(["check", str(path), *tol])
+            err = capsys.readouterr().err
+            if reads_tol or not tol:
+                assert code == 0, (tol, err)
+            else:
+                assert code == 2
+                assert err.splitlines() == [
+                    f"error: {path}: --tol applies only to a 2-factor weight file or a 3-factor coefficient file"
+                ]
