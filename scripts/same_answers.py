@@ -18,7 +18,7 @@ weights (keys ``<case>/<field>``):
     source under ``match_bidecomposition``;
   * ``loose/<tol>/<s>/<form>``: ``generate_instance(4, 5, 5, seed=s)`` for
     s < 20, extracted with seed s and matched against its source at
-    ``ToleranceConfig(t, t, t)`` for t = 1e-4, 1e-3 and 1e-2, plus
+    ``ToleranceConfig(t)`` for t = 1e-4, 1e-3 and 1e-2, plus
     ``certified`` as above.
 A refused extraction stores ``refused`` (the error message) in place of the
 extraction's fields.  It then runs two twin lists and stores, per case, the
@@ -343,7 +343,7 @@ def dump(path: str, count: int, seeds: int, bench_seeds: list[int], cli_seeds: i
 
     loose = {}
     for t in LOOSE_TOLS:
-        tol = pd.ToleranceConfig(t, t, t)
+        tol = pd.ToleranceConfig(t)
         for s in range(LOOSE_SEEDS):
             source = pd.generate_instance(4, 5, 5, seed=s)
             for form, rho in _forms(source):

@@ -42,8 +42,7 @@ _EXIT_CODES = (
 
 
 def _tol(args: argparse.Namespace) -> ToleranceConfig:
-    t = float(args.tol)
-    return ToleranceConfig(eps_col=t, eps_rank=t, eps_eq=t)
+    return DEFAULT_TOL if args.tol is None else ToleranceConfig(args.tol)
 
 
 def _fmt(v: float) -> str:
@@ -233,8 +232,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     loaded = fileio.load(args.infile)
     kind = "operator" if isinstance(loaded, StateOperator) else (len(loaded.dims), loaded.form)
-    # argparse keeps the default object itself: a --tol on the command line, 1e-8 too, is another float
-    if kind not in ((2, "weight"), (3, "coeff")) and args.tol is not DEFAULT_TOL.eps_rank:
+    if kind not in ((2, "weight"), (3, "coeff")) and args.tol is not None:
         raise FileError(f"{args.infile}: --tol applies only to a 2-factor weight file or a 3-factor coefficient file")
     tol = _tol(args)
     if kind == "operator":
@@ -286,7 +284,7 @@ def _dims(text: str) -> tuple[int, ...]:
 
 def _add_common(p: argparse.ArgumentParser, *, seed: bool = False, tol: bool = False) -> None:
     if tol:
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL.eps_rank, help="numerical tolerance (default 1e-8)")
+        p.add_argument("--tol", type=float, default=None, help="numerical tolerance (default 1e-8)")
     p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")

@@ -183,7 +183,7 @@ def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[
 
     One batched SVD of the n d1 x d2 coefficient matrices gives the n x min(d1, d2)
     Schmidt values s; ket k is a product when :func:`~proddecomp.subspace._support_mask`
-    keeps s[k, 0] alone, i.e. s[k, 1] < eps_rank * s[k, 0].  The
+    keeps s[k, 0] alone, i.e. s[k, 1] < eps * s[k, 0].  The
     principal left and right singular vectors come back as d1 x n and d2 x n stacks,
     each column phased by :func:`~proddecomp.subspace.fix_phase`.  An SVD that does
     not converge raises DegenerateInput.
@@ -191,7 +191,7 @@ def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[
     if len(split) != 2 or split.total != q.shape[0]:
         raise DimensionMismatch(f"split {split.dims} does not factor a dim-{q.shape[0]} ket")
     u, s, vh = np.linalg.svd(q.T.reshape(-1, *split))
-    factors = (fix_phase(u[:, :, 0].T, tol.eps_rank), fix_phase(vh[:, 0].T, tol.eps_rank))
+    factors = (fix_phase(u[:, :, 0].T, tol.eps), fix_phase(vh[:, 0].T, tol.eps))
     return s, np.count_nonzero(_support_mask(s, tol), axis=1) == 1, factors
 
 
@@ -206,7 +206,7 @@ def is_factorable(
     """Decide whether a bipartite ket is a single tensor product (:func:`_schmidt`).
 
     The ket is factorable when its second Schmidt value is below
-    eps_rank times the first.  On success the principal left/right
+    eps times the first.  On success the principal left/right
     singular vectors are returned as the factors, each phased so that its
     first significant component is real positive.
     """
@@ -299,7 +299,7 @@ def _certify_in_slot(
             raise HypothesisViolation(
                 f"factorability hypothesis violated: {name}-slot expansion column {k} vanishes"
             )
-        significant = sum(x >= tol.eps_rank * top for x in col)
+        significant = sum(x >= tol.eps * top for x in col)
         if significant != 1:
             raise HypothesisViolation(
                 f"factorability hypothesis violated: {name}-slot expansion column {k} "
@@ -316,7 +316,7 @@ def _certify_in_slot(
     certs = []
     for k, j in enumerate(perm):
         gdev = abs(tops[k] - 1.0)
-        if gdev > tol.eps_col:
+        if gdev > tol.eps:
             raise HypothesisViolation(
                 f"{name}-slot expansion coefficient for term pair ({j}, {k}) "
                 f"has magnitude {tops[k]:.12g}, expected 1"
@@ -324,7 +324,7 @@ def _certify_in_slot(
         residual = max(residual, gdev)
         for s, o in enumerate(overlaps):
             deviation = abs(abs(o[k]) - 1.0)
-            if deviation > tol.eps_col:
+            if deviation > tol.eps:
                 raise HypothesisViolation(
                     f"collinearity certificate failed in slot {_SLOT_NAMES[s]} for term pair "
                     f"({j}, {k}): overlap magnitude {abs(o[k]):.12g}"
@@ -358,12 +358,11 @@ def match_tridecomposition(
 
     (v1, norm1), (v2, norm2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
     gap = frobenius(v1 - v2)
-    if gap > tol.eps_eq * max(1.0, norm1, norm2):
+    if gap > tol.eps * max(1.0, norm1, norm2):
         raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
 
-    slot = next((s for s in (2, 0, 1) if ind1[s] and ind2[s]), None)
-    if slot is None:
-        raise HypothesisViolation("no factor slot is linearly independent in both tridecompositions")
+    # each input has at least 2 independent slots of 3, so the two always share one
+    slot = next(s for s in (2, 0, 1) if ind1[s] and ind2[s])
     return _certify_in_slot(t1, t2, slot, tol)
 
 
@@ -408,7 +407,7 @@ def match_bidecomposition(
     ind2 = check_product_hypotheses(d2, tol, label="second decomposition")
 
     gap, norm1, norm2 = _factored_gap(product_columns(d1), product_columns(d2))
-    if gap > tol.eps_eq * max(1.0, norm1, norm2):
+    if gap > tol.eps * max(1.0, norm1, norm2):
         raise OperatorMismatch(f"operators differ by {gap:.3e} in Frobenius norm")
 
     slot = next((s for s in (0, 1) if ind1[s] and ind2[s]), None)
@@ -452,12 +451,7 @@ def _leading_left(slices: np.ndarray) -> np.ndarray:
 
 
 @_nonconvergence("extraction failed: a linear-algebra routine")
-def extract_decomposition(
-    rho: StateOperator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-    max_error: float = RECONSTRUCTION_RTOL,
-) -> ExtractionReport:
+def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> ExtractionReport:
     """Recover a weighted product decomposition from the operator alone.
 
     For rho = sum_j w_j |a_j b_j><a_j b_j| with w_j > 0, rank rho = n and
@@ -492,7 +486,7 @@ def extract_decomposition(
     column-norm pass normalizes each, :func:`~proddecomp.subspace.fix_phase`
     phases every column at once, and one stable ``argsort`` puts the
     heaviest term first.  Success requires relative Frobenius reconstruction
-    error at most ``max_error`` and a hypothesis-clean decomposition, which by
+    error at most RECONSTRUCTION_RTOL and a hypothesis-clean decomposition, which by
     the uniqueness theorem is the decomposition, so the probe's eigenvalues
     are not tested.  A probe with a zero-weight slice or a failed gate is
     redrawn, up to EXTRACTION_RETRIES probes (``probes_used``).  The
@@ -505,7 +499,7 @@ def extract_decomposition(
     DegenerateInput.
 
     Both support ranks count the eigenvalues lambda > 0 with
-    lambda >= eps_rank * lambda_max of ``eigvalsh`` of the unvalidated d x d
+    lambda >= eps * lambda_max of ``eigvalsh`` of the unvalidated d x d
     reduced operators (:func:`~proddecomp.tensor._reduced`), in either form;
     the whitening keeps the top n of S_A whose squares pass that rule.
     """
@@ -545,7 +539,7 @@ def extract_decomposition(
         # T = W_A^dagger Tr_other[rho (I (x) X)] W_A = sum_m Z_m X^T Z_m^dagger
         v = np.linalg.eigh((probe @ z.reshape(r, db, k)).reshape(r, db * k) @ z.conj().T)[1]
         a_cols = (u_a * s_a) @ v
-        a_cols = fix_phase(a_cols / np.linalg.norm(a_cols, axis=0), tol.eps_rank)
+        a_cols = fix_phase(a_cols / np.linalg.norm(a_cols, axis=0), tol.eps)
         duals = (u_a / s_a) @ v
         # G_t = (<dual_t| (x) I) W / conj(<dual_t|a_t>), and <dual_t| W = v_t^dagger Z
         slices = (v.conj().T @ z) / np.einsum("jt,jt->t", duals.conj(), a_cols)[:, None]
@@ -553,7 +547,7 @@ def extract_decomposition(
         weights = np.einsum("tkm,tkm->t", slices.conj(), slices).real
         if weights.min() <= 0.0:
             continue
-        b_cols = fix_phase(_leading_left(slices), tol.eps_rank)
+        b_cols = fix_phase(_leading_left(slices), tol.eps)
 
         # heaviest term first, ties in eigenvalue order; each stack's columns renormalized, as Ket.normalize does
         order = np.argsort(-weights, kind="stable")
@@ -570,14 +564,14 @@ def extract_decomposition(
             gap, norm, _ = _factored_gap(rho.factor, product_columns(dec))
             err = gap / norm
         best = min(best, err)
-        if err <= max_error:
+        if err <= RECONSTRUCTION_RTOL:
             try:
                 check_product_hypotheses(dec, tol, label="extracted decomposition")
             except HypothesisViolation as exc:
                 raise NotExtractable(f"not extractable under hypotheses: {exc} ({account()})") from exc
             return ExtractionReport(dec, err, probes, side)
     raise NotExtractable(
-        f"not extractable under hypotheses: no reconstruction within {max_error:g} ({account()})"
+        f"not extractable under hypotheses: no reconstruction within {RECONSTRUCTION_RTOL:g} ({account()})"
     )
 
 
@@ -649,7 +643,7 @@ _DEPENDENT_SLOT = {
 
 
 def _slot_kets(
-    n: int, dims: tuple[int, ...], seed: int, profile: str, profiles: tuple[str, ...]
+    n: int, dims: FactoredDims, seed: int, profile: str, profiles: tuple[str, ...]
 ) -> tuple[np.random.Generator, list[np.ndarray]]:
     """The seeded generator and a d_s x n ket stack per slot of ``dims``: dependent
     non-collinear ones in the profile's dependent slot, independent ones in
@@ -657,6 +651,8 @@ def _slot_kets(
     sets are drawn in slot order, and the caller draws the values next."""
     if profile not in profiles:
         raise DimensionMismatch(f"unknown profile {profile!r}; choose from {profiles}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DimensionMismatch(f"term count must be an integer, got {n!r}")
     if n < 1:
         raise DimensionMismatch(f"term count must be positive, got {n}")
     rng = _rng(seed)
@@ -689,14 +685,15 @@ def generate_instance(
     necessarily dependent (requires n >= 3).  Weights are positive and
     normalized to sum 1.  Generated sets keep safety margins (pairwise
     overlap and conditioning) well inside the default tolerances, and the
-    hypothesis check at DEFAULT_TOL is a post-condition.  An unknown
-    profile or an infeasible size raises DimensionMismatch, a seed numpy
-    refuses DegenerateInput.
+    hypothesis check at DEFAULT_TOL is a post-condition.  An unknown profile
+    or a non-integral or infeasible size raises DimensionMismatch, a seed
+    numpy refuses DegenerateInput.
     """
-    rng, stacks = _slot_kets(n, (d1, d2), seed, profile, BI_PROFILES)
+    dims = FactoredDims((d1, d2))
+    rng, stacks = _slot_kets(n, dims, seed, profile, BI_PROFILES)
     weights = rng.uniform(0.5, 1.5, n)
     weights /= weights.sum()
-    dec = ProductDecomposition._from_stacks(FactoredDims((d1, d2)), stacks, weights)
+    dec = ProductDecomposition._from_stacks(dims, stacks, weights)
     check_product_hypotheses(dec, label="generated decomposition")
     return dec
 
@@ -717,11 +714,11 @@ def generate_tri_instance(
     Coefficients are nonzero complex with random phases.  Margins, the
     post-condition and the refusals are those of :func:`generate_instance`.
     """
-    dims = (d1, d2, d3)
+    dims = FactoredDims((d1, d2, d3))
     rng, stacks = _slot_kets(n, dims, seed, profile, TRI_PROFILES)
     mags = rng.uniform(0.5, 1.2, n)
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-    tri = TriDecomposition._from_stacks(FactoredDims(dims), stacks, mags * phases)
+    tri = TriDecomposition._from_stacks(dims, stacks, mags * phases)
     check_tri_hypotheses(tri, label="generated tridecomposition")
     return tri
 

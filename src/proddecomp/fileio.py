@@ -153,7 +153,7 @@ def _load_json(path: str) -> dict:
 def _parse_dims(data: dict, path: str, lengths: tuple[int, ...]) -> FactoredDims:
     dims = data.get("dims")
     if not isinstance(dims, list) or len(dims) not in lengths or not all(
-        isinstance(d, int) and d >= 1 for d in dims
+        type(d) is int and d >= 1 for d in dims  # a JSON true is an int too
     ):
         raise FileError(f"{path}: dims must be a list of {lengths} positive integers, got {dims!r}")
     try:

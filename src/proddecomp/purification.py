@@ -57,15 +57,14 @@ def purify(d: ProductDecomposition, dim3: int) -> TriDecomposition:
     """Lift to a tripartite vector sum_j sqrt(w_j) |a_j b_j e_j>.
 
     The auxiliary kets are the first n standard-basis kets of a third
-    factor of dimension ``dim3`` (which must be at least the term count).
+    factor of dimension ``dim3`` (an integer at least the term count).
     Tracing the purified projector over the third factor reproduces the
     operator built from ``d``.
     """
-    n = d.n
-    if dim3 < n:
-        raise DimensionMismatch(f"auxiliary dimension {dim3} is below the term count {n}")
-    dims = FactoredDims((d.dims[0], d.dims[1], int(dim3)))
-    return TriDecomposition._from_stacks(dims, (*d.stacks, np.eye(dim3, n)), np.sqrt(d.values))
+    n, dims = d.n, FactoredDims((*d.dims, dim3))
+    if dims[2] < n:
+        raise DimensionMismatch(f"auxiliary dimension {dims[2]} is below the term count {n}")
+    return TriDecomposition._from_stacks(dims, (*d.stacks, np.eye(dims[2], n)), np.sqrt(d.values))
 
 
 @_nonconvergence("relating_unitary: its SVD")
@@ -96,7 +95,7 @@ def relating_unitary(
     red_psi = m_psi @ m_psi.conj().T
     red_phi = m_phi @ m_phi.conj().T
     gap = frobenius(red_psi - red_phi)
-    if gap > tol.eps_eq * max(1.0, frobenius(red_psi), frobenius(red_phi)):
+    if gap > tol.eps * max(1.0, frobenius(red_psi), frobenius(red_phi)):
         raise OperatorMismatch(
             f"not co-purifications: reduced operators differ by {gap:.3e} in Frobenius norm"
         )

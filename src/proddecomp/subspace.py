@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,20 +19,20 @@ ORTHO_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """The settable thresholds (the CLI's ``--tol`` sets all three), and the one table of the fixed ones.
+    """The one settable threshold (the CLI's ``--tol``), and the one table of the fixed ones.
 
-    eps_col   unit kets are collinear when |<x|y>| >= 1 - eps_col; certifying a match lets
-              each paired overlap and expansion coefficient lie eps_col off magnitude 1.
-    eps_rank  the one relative cutoff on a spectrum, >= eps_rank times its largest: a ket
-              stack's rank (``stack_rank``), significant expansion coefficients
+    eps       the theorem's three decisions.  Collinear: unit kets with |<x|y>| >= 1 - eps; a
+              certified match lets each paired overlap and expansion coefficient lie eps off
+              magnitude 1.  Rank: the one relative cutoff on a spectrum, >= eps times its largest:
+              a ket stack's rank (``stack_rank``), significant expansion coefficients
               (``_certify_in_slot``) and, with > 0, ``_support_mask`` (reduced support ranks,
-              extraction's whitening, Schmidt verdicts); both phase with ``fix_phase(eps=eps_rank)``.
-    eps_eq    two operators or vectors are equal when ||x - y|| <= eps_eq * max(1, ||x||, ||y||).
+              extraction's whitening, Schmidt verdicts); both phase with ``fix_phase(eps=eps)``.
+              Equal: operators or vectors with ||x - y|| <= eps * max(1, ||x||, ||y||).
 
     Fixed, with the decision each makes and why no setting reads it:
     WEIGHT_ATOL 1e-6          matched weights agree to it x scale: as exact as extraction's gate
-    RECONSTRUCTION_RTOL 1e-6  extraction's relative error gate (``max_error``): with the hypothesis
-                              check it certifies a candidate, whatever the three values above
+    RECONSTRUCTION_RTOL 1e-6  extraction's relative error gate: with the hypothesis check it
+                              certifies a candidate, whatever ``eps``
     EXTRACTION_RETRIES 8      probes before NotExtractable: it bounds the work of a refusal
     SKETCH_OVERSAMPLING 8     extra columns of the dense range finder: sampling, not a decision
     UNITARITY_ATOL, RESIDUAL_ATOL 1e-8  ``relating_unitary`` checks its own result, not input
@@ -43,20 +44,13 @@ class ToleranceConfig:
     generator margins         overlap <= 1 - 1e-3, condition <= 1e4, 200 draws: inside DEFAULT_TOL
     """
 
-    eps_col: float = 1e-8
-    eps_rank: float = 1e-8
-    eps_eq: float = 1e-8
+    eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("eps_col", "eps_rank", "eps_eq"):
-            v = float(getattr(self, name))
-            if not 0.0 < v < 1.0:
-                raise DegenerateInput(f"{name} must lie in (0, 1), got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.eps_rank < 100.0 * _MACHINE_EPS:
-            raise DegenerateInput(
-                f"eps_rank {self.eps_rank!r} is below 100x machine epsilon; rank decisions would be noise"
-            )
+        # below 100x machine epsilon, rank decisions would be noise
+        if not (isinstance(self.eps, numbers.Real) and 100.0 * _MACHINE_EPS <= self.eps < 1.0):
+            raise DegenerateInput(f"eps must be a number in [{100.0 * _MACHINE_EPS:.3g}, 1), got {self.eps!r}")
+        object.__setattr__(self, "eps", float(self.eps))
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -132,36 +126,36 @@ def fix_phase(v: np.ndarray, eps: float = 1e-8) -> np.ndarray:
 
 
 def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when x and y agree up to a global phase: |<x|y>| >= 1 - eps_col.
+    """True when x and y agree up to a global phase: |<x|y>| >= 1 - eps.
 
-    Equivalently min_alpha ||x - e^{i alpha} y|| <= sqrt(2 eps_col).  Two
+    Equivalently min_alpha ||x - e^{i alpha} y|| <= sqrt(2 eps).  Two
     unit kets are collinear exactly when their rank-1 projectors coincide,
     so this predicate also decides equality of 1-projectors.
     """
-    return abs(x.overlap(y)) >= 1.0 - tol.eps_col
+    return abs(x.overlap(y)) >= 1.0 - tol.eps
 
 
 def stack_collinear_pairs(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
     """All index pairs (i, j), i < j, of unit columns of ``a`` that fail
-    non-collinearity, |<a_i|a_j>| >= 1 - eps_col, in lexicographic order;
+    non-collinearity, |<a_i|a_j>| >= 1 - eps, in lexicographic order;
     read off one Gram matrix."""
-    rows, cols = np.nonzero(np.abs(a.conj().T @ a) >= 1.0 - tol.eps_col)
+    rows, cols = np.nonzero(np.abs(a.conj().T @ a) >= 1.0 - tol.eps)
     return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
 
 
 @_nonconvergence("rank SVD")
 def stack_rank(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Numerical rank of the columns of ``a``: its singular values >= eps_rank
+    """Numerical rank of the columns of ``a``: its singular values >= eps
     times the largest one, 0 when that one is 0.
 
     Taken from the singular values of ``a``, not from the eigenvalues of its
-    Gram matrix: a relative singular value of eps_rank = 1e-8 is a relative
+    Gram matrix: a relative singular value of eps = 1e-8 is a relative
     Gram eigenvalue of 1e-16, below double precision.
     """
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s >= tol.eps_rank * s[0]))
+    return int(np.count_nonzero(s >= tol.eps * s[0]))
 
 
 def collinear_pairs(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
@@ -188,9 +182,9 @@ def rank_and_independence(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TO
 
 def _support_mask(lam: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Which entries of each spectrum ``lam`` (along the last axis) belong to
-    its support: those > 0 and >= eps_rank times that spectrum's largest, so
+    its support: those > 0 and >= eps times that spectrum's largest, so
     an all-zero spectrum has none."""
-    return (lam > 0.0) & (lam >= tol.eps_rank * lam.max(axis=-1, keepdims=True))
+    return (lam > 0.0) & (lam >= tol.eps * lam.max(axis=-1, keepdims=True))
 
 
 @_nonconvergence("support eigendecomposition")
@@ -201,7 +195,7 @@ def support_and_null(
 
     Both are computed from the reduced operator on that factor
     (:func:`~proddecomp.tensor._reduced`, which extraction reads too): its
-    eigenvectors with a positive eigenvalue of at least eps_rank * lambda_max
+    eigenvectors with a positive eigenvalue of at least eps * lambda_max
     span the support, the remaining ones the null space, so the support of
     the zero operator is empty.  Support vectors are returned in
     descending-eigenvalue order.

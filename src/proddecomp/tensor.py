@@ -47,6 +47,14 @@ def frobenius(a: np.ndarray) -> float:
     return big * float(np.linalg.norm(mags / big))
 
 
+def _complex(values, what: str) -> np.ndarray:
+    """A complex copy of ``values``; a string or an int beyond the float range is DegenerateInput."""
+    try:
+        return np.array(values, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DegenerateInput(f"{what} must be complex numbers: {exc}") from exc
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -64,7 +72,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _complex(self.amplitudes, "amplitudes").reshape(-1)
         if amps.size < 1:
             raise DimensionMismatch("a ket needs at least one amplitude")
         if amps.size > MAX_VECTOR_DIM:
@@ -77,7 +85,7 @@ class Ket:
     def normalize(cls, amplitudes) -> "Ket":
         """Scale amplitudes to unit norm at any finite scale; a zero or
         non-finite vector is rejected."""
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = _complex(amplitudes, "amplitudes").reshape(-1)
         norm = frobenius(amps)
         if not 0.0 < norm < math.inf:  # NaN fails too
             raise DegenerateInput(f"cannot normalize a vector of norm {norm!r}")
@@ -127,6 +135,8 @@ class FactoredDims:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in self.dims):
+            raise DimensionMismatch(f"factor dimensions must be integers, got {self.dims!r}")
         dims = tuple(int(d) for d in self.dims)
         if not 1 <= len(dims) <= 3:
             raise DimensionMismatch(f"1 to 3 factors supported, got {len(dims)}")
@@ -271,7 +281,7 @@ class StateOperator:
 
 def _checked_matrix(matrix, n: int) -> np.ndarray:
     """A copy of ``matrix`` as a validated dense operator (see :class:`StateOperator`)."""
-    m = np.array(matrix, dtype=complex)
+    m = _complex(matrix, "matrix entries")
     if m.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {m.shape} does not match ambient dim {n}")
     scale = frobenius(m)
@@ -294,7 +304,7 @@ def _checked_matrix(matrix, n: int) -> np.ndarray:
 def _checked_factor(columns, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Copies of ``columns`` and ``weights`` as a validated factor (see
     :meth:`StateOperator.from_columns`); O(N k)."""
-    v = np.array(columns, dtype=complex)
+    v = _complex(columns, "columns")
     if v.ndim != 2 or v.shape[0] != n:
         raise DimensionMismatch(f"columns shape {v.shape} is not {n} x k for ambient dim {n}")
     k = v.shape[1]

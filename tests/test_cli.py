@@ -135,6 +135,50 @@ class TestOneRefusalChannel:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: pd.FactoredDims((2.5, 2)), pd.DimensionMismatch),
+            (lambda: pd.FactoredDims((True, 2)), pd.DimensionMismatch),
+            (lambda: pd.FactoredDims(("a",)), pd.DimensionMismatch),
+            (lambda: pd.generate_instance(2, 2.5, 2), pd.DimensionMismatch),
+            (lambda: pd.generate_tri_instance(2, 2, 2, 2.5), pd.DimensionMismatch),
+            (lambda: pd.generate_instance(2.5, 3, 3), pd.DimensionMismatch),
+            (lambda: pd.generate_tri_instance(True, 3, 3, 3), pd.DimensionMismatch),
+            (lambda: pd.purify(pd.generate_instance(2, 2, 2), 2.5), pd.DimensionMismatch),
+            (lambda: pd.Ket([10**400, 0]), pd.DegenerateInput),
+            (lambda: pd.Ket(["a", "b"]), pd.DegenerateInput),
+            (lambda: pd.Ket.normalize(["a", "b"]), pd.DegenerateInput),
+            (lambda: pd.StateOperator(pd.FactoredDims((1,)), [[10**400]]), pd.DegenerateInput),
+            (lambda: pd.StateOperator.from_columns(pd.FactoredDims((1,)), [[10**400]], [1.0]), pd.DegenerateInput),
+            (lambda: pd.ToleranceConfig("x"), pd.DegenerateInput),
+            (lambda: pd.ToleranceConfig("1e-8"), pd.DegenerateInput),
+            (lambda: pd.ToleranceConfig(None), pd.DegenerateInput),
+        ],
+        ids=[
+            "dims-2.5",
+            "dims-bool",
+            "dims-str",
+            "generate-2.5",
+            "generate-tri-2.5",
+            "generate-n-2.5",
+            "generate-tri-n-bool",
+            "purify-2.5",
+            "ket-10**400",
+            "ket-str",
+            "normalize-str",
+            "dense-10**400",
+            "columns-10**400",
+            "tol-x",
+            "tol-str",
+            "tol-None",
+        ],
+    )
+    def test_a_wrong_value_at_a_library_door_is_a_named_error(self, call, error):
+        # a non-integral or boolean size, a value complex() cannot read, a tolerance that is no number
+        with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda: pd.generate_tri_instance(2, 2, 2, 2, seed=-1),
@@ -535,6 +579,28 @@ class TestCheckCommand:
     def test_missing_file_exits_2(self):
         assert main(["check", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {
+                "kind": "decomposition",
+                "dims": [True, 2],
+                "terms": [{"w": 1.0, "kets": [_ket_json(pd.Ket.basis(1, 0)), _ket_json(pd.Ket.basis(2, 0))]}],
+            },
+            {"kind": "operator", "dims": [True], "matrix": {"re": [1.0], "im": [0.0]}},
+        ],
+        ids=["decomposition", "operator"],
+    )
+    def test_a_boolean_dim_exits_2(self, tmp_path, capsys, payload):
+        # a JSON true is a Python int, which once read as dim 1
+        path = _write_payload(tmp_path / "bool.json", {"format_version": "1", **payload})
+        assert main(["check", path]) == 2
+        dims = payload["dims"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: dims must be a list of {(2, 3) if len(dims) == 2 else (1, 2, 3)} "
+            f"positive integers, got {dims!r}"
+        ]
+
 
 class TestParser:
     def test_built_once_and_keeps_no_state_between_calls(self):
@@ -542,7 +608,7 @@ class TestParser:
         first = build_parser().parse_args(["check", "f.json", "--json", "--tol", "1e-6"])
         second = build_parser().parse_args(["check", "f.json"])
         assert (first.json, first.tol) == (True, 1e-6)
-        assert (second.json, second.tol) == (False, 1e-8)
+        assert (second.json, second.tol) == (False, None)  # None: --tol not given, DEFAULT_TOL
 
 
 

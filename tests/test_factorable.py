@@ -172,12 +172,12 @@ class TestSchmidtCore:
     @pytest.mark.parametrize("eps", [1e-8, 1e-4])
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_verdict_flips_at_the_rank_cutoff(self, eps, factor):
-        # Schmidt values proportional to (1, factor * eps_rank), in random local bases
+        # Schmidt values proportional to (1, factor * eps), in random local bases
         rng = np.random.default_rng(7)
         u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
         v = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
         x = pd.Ket.normalize((u @ np.diag([1.0, factor * eps]) @ v[:2]).reshape(-1))
-        split, tol = pd.FactoredDims((2, 3)), pd.ToleranceConfig(eps_rank=eps)
+        split, tol = pd.FactoredDims((2, 3)), pd.ToleranceConfig(eps)
         s = pd.schmidt_values(x, split)
         assert abs(s[1] / s[0] / (factor * eps) - 1.0) < 1e-6
         assert pd.is_factorable(x, split, tol)[0] is (factor < 1.0)

@@ -368,13 +368,18 @@ class TestDenseFreeBipartiteMatching:
         assert pd.match_bidecomposition(dec, twin).permutation == perm
 
     def test_no_shared_independent_slot_rejected(self):
-        # equal operators share their independent slot, so only a loose
-        # equality gate lets two decompositions without one through
-        a_only = pd.generate_instance(3, 4, 4, seed=1, profile="a-independent-only")
-        b_only = pd.generate_instance(3, 4, 4, seed=1, profile="b-independent-only")
-        loose = pd.ToleranceConfig(eps_eq=0.999)
+        # equal operators share their independent slot, so only a loose tolerance
+        # lets two decompositions without one through.  The b-set's pairwise
+        # overlaps are -0.09 (Gram eigenvalues 0.82, 1.09, 1.09): at 0.9 it is
+        # non-collinear (0.09 < 1 - 0.9) but dependent (sqrt(0.82 / 1.09) < 0.9);
+        # the twin swaps the two sets, and the operators differ by 0.107 < 0.9
+        gram = 1.09 * np.eye(3) - 0.09 * np.ones((3, 3))
+        skewed = np.linalg.cholesky(gram).conj().T
+        dims, weights = pd.FactoredDims((3, 3)), np.full(3, 1.0 / 3.0)
+        a_only = pd.ProductDecomposition._from_stacks(dims, (np.eye(3), skewed), weights)
+        b_only = pd.ProductDecomposition._from_stacks(dims, (skewed, np.eye(3)), weights)
         with pytest.raises(pd.HypothesisViolation, match="no ket set is linearly independent in both"):
-            pd.match_bidecomposition(a_only, b_only, loose)
+            pd.match_bidecomposition(a_only, b_only, pd.ToleranceConfig(0.9))
 
 
 @st.composite
@@ -395,8 +400,8 @@ def _ket_sets(draw):
 class TestCollinearPairs:
     @settings(deadline=None, max_examples=200)
     @given(_ket_sets(), st.sampled_from([1e-8, 1e-4, 0.1, 0.5]))
-    def test_vectorized_equals_pairwise_loop(self, kets, eps_col):
-        tol = pd.ToleranceConfig(eps_col=eps_col)
+    def test_vectorized_equals_pairwise_loop(self, kets, eps):
+        tol = pd.ToleranceConfig(eps)
         loop = [
             (i, j)
             for i in range(len(kets))
@@ -424,7 +429,7 @@ def _reference_certify(terms1, terms2, mags1, mags2, slot, tol, wscale=1.0, what
             raise pd.HypothesisViolation(
                 f"factorability hypothesis violated: {name}-slot expansion column {k} vanishes"
             )
-        significant = int(np.count_nonzero(col >= tol.eps_rank * col[j]))
+        significant = int(np.count_nonzero(col >= tol.eps * col[j]))
         if significant != 1:
             raise pd.HypothesisViolation(
                 f"factorability hypothesis violated: {name}-slot expansion column {k} "
@@ -440,7 +445,7 @@ def _reference_certify(terms1, terms2, mags1, mags2, slot, tol, wscale=1.0, what
     for k in range(n):
         j = perm[k]
         gdev = abs(abs(complex(gamma[j, k])) - 1.0)
-        if gdev > tol.eps_col:
+        if gdev > tol.eps:
             raise pd.HypothesisViolation(
                 f"{name}-slot expansion coefficient for term pair ({j}, {k}) "
                 f"has magnitude {abs(complex(gamma[j, k])):.12g}, expected 1"
@@ -450,7 +455,7 @@ def _reference_certify(terms1, terms2, mags1, mags2, slot, tol, wscale=1.0, what
         for s, (x, y) in enumerate(zip(terms1[j].kets, terms2[k].kets)):
             o = x.overlap(y)
             deviation = abs(abs(o) - 1.0)
-            if deviation > tol.eps_col:
+            if deviation > tol.eps:
                 raise pd.HypothesisViolation(
                     f"collinearity certificate failed in slot {'abc'[s]} for term pair "
                     f"({j}, {k}): overlap magnitude {abs(o):.12g}"

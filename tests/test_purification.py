@@ -198,12 +198,12 @@ def _reference_relating_unitary(psi, phi, split, tol=pd.DEFAULT_TOL):
     m_psi, m_phi = pd.bipartite_matrix(psi, split), pd.bipartite_matrix(phi, split)
     red_psi, red_phi = m_psi @ m_psi.conj().T, m_phi @ m_phi.conj().T
     gap = pd.frobenius(red_psi - red_phi)
-    if gap > tol.eps_eq * max(1.0, pd.frobenius(red_psi), pd.frobenius(red_phi)):
+    if gap > tol.eps * max(1.0, pd.frobenius(red_psi), pd.frobenius(red_phi)):
         raise pd.OperatorMismatch("not co-purifications: reduced operators differ")
     _, s_psi, vh_psi = np.linalg.svd(m_psi)
     _, s_phi, vh_phi = np.linalg.svd(m_phi)
-    r_psi = int(np.count_nonzero(s_psi >= tol.eps_rank * s_psi[0]))
-    r_phi = int(np.count_nonzero(s_phi >= tol.eps_rank * s_phi[0]))
+    r_psi = int(np.count_nonzero(s_psi >= tol.eps * s_psi[0]))
+    r_phi = int(np.count_nonzero(s_phi >= tol.eps * s_phi[0]))
     if r_psi != r_phi:
         raise pd.OperatorMismatch("not co-purifications: support ranks differ")
     d2 = split[1]
@@ -211,7 +211,7 @@ def _reference_relating_unitary(psi, phi, split, tol=pd.DEFAULT_TOL):
     def complement(v):
         return np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :] if v.shape[1] else np.eye(d2, dtype=complex)
 
-    restricted = np.linalg.pinv(m_phi, rcond=tol.eps_rank) @ m_psi
+    restricted = np.linalg.pinv(m_phi, rcond=tol.eps) @ m_psi
     completed = restricted + complement(vh_phi[:r_phi].conj().T) @ complement(vh_psi[:r_psi].conj().T).conj().T
     a, _, bh = np.linalg.svd(completed)
     u_t = a @ bh

@@ -39,16 +39,16 @@ def unit_vectors(draw, dim=3):
 class TestToleranceConfig:
     def test_defaults(self):
         tol = pd.ToleranceConfig()
-        assert tol.eps_col == 1e-8 and tol.eps_rank == 1e-8 and tol.eps_eq == 1e-8
+        assert tol == pd.ToleranceConfig(1e-8) and tol.eps == 1e-8
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-8, 2.0])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(pd.DegenerateInput):
-            pd.ToleranceConfig(eps_col=bad)
+            pd.ToleranceConfig(bad)
 
     def test_rejects_rank_cutoff_below_machine_noise(self):
         with pytest.raises(pd.DegenerateInput):
-            pd.ToleranceConfig(eps_rank=1e-15)
+            pd.ToleranceConfig(1e-15)
 
 
 def _reference_fix_phase(v, eps=1e-8):
@@ -117,8 +117,8 @@ class TestIsCollinear:
 
     def test_overlap_at_twice_threshold_is_not_collinear(self):
         # derived from the threshold definition: choose delta so that
-        # |<x|y>| = sqrt(1 - delta^2) = 1 - 2 eps_col, below the 1 - eps_col cut
-        eps = pd.DEFAULT_TOL.eps_col
+        # |<x|y>| = sqrt(1 - delta^2) = 1 - 2 eps, below the 1 - eps cut
+        eps = pd.DEFAULT_TOL.eps
         delta = np.sqrt(1.0 - (1.0 - 2.0 * eps) ** 2)
         x = pd.Ket((1, 0))
         y = pd.Ket((np.sqrt(1.0 - delta**2), delta))
@@ -126,7 +126,7 @@ class TestIsCollinear:
         assert not pd.is_collinear(x, y)
 
     def test_overlap_at_half_threshold_is_collinear(self):
-        eps = pd.DEFAULT_TOL.eps_col
+        eps = pd.DEFAULT_TOL.eps
         delta = np.sqrt(1.0 - (1.0 - 0.5 * eps) ** 2)
         x = pd.Ket((1, 0))
         y = pd.Ket((np.sqrt(1.0 - delta**2), delta))
@@ -158,7 +158,7 @@ class TestIsCollinear:
             x, y = _random_ket(rng, 3), _random_ket(rng, 3)
             ov = x.overlap(y)
             dist = np.sqrt(max(0.0, 2.0 - 2.0 * abs(ov)))
-            eps = pd.DEFAULT_TOL.eps_col
+            eps = pd.DEFAULT_TOL.eps
             assert pd.is_collinear(x, y) == (dist <= np.sqrt(2.0 * eps) + 1e-15)
 
 
@@ -371,8 +371,8 @@ def random_decompositions(seed=0):
 
 def near_threshold_decompositions(seed=0, tol=pd.DEFAULT_TOL):
     """Decompositions with one slot near a threshold: a pair at |<x|y>| =
-    1 - eps_col (1 -/+ 0.5), or a set whose smallest relative singular value
-    is eps_rank (1 -/+ 0.5), in every slot of a bipartite and a tripartite
+    1 - eps (1 -/+ 0.5), or a set whose smallest relative singular value
+    is eps (1 -/+ 0.5), in every slot of a bipartite and a tripartite
     instance.  Returns (decomposition, slot, kind, factor) tuples."""
     rng = np.random.default_rng(seed)
     bases = [pd.generate_instance(4, 5, 6, seed=seed), pd.generate_tri_instance(4, 5, 6, 4, seed=seed)]
@@ -380,9 +380,9 @@ def near_threshold_decompositions(seed=0, tol=pd.DEFAULT_TOL):
     for base in bases:
         for slot, dim in enumerate(base.dims):
             for factor in (0.5, 1.5):
-                pair = _near_collinear_pair(rng, dim, factor, tol.eps_col)
+                pair = _near_collinear_pair(rng, dim, factor, tol.eps)
                 out.append((_with_slot(base, slot, pair), slot, "pair", factor))
-                kets = _near_rank_set(rng, dim, factor, tol.eps_rank)
+                kets = _near_rank_set(rng, dim, factor, tol.eps)
                 out.append((_with_slot(base, slot, kets), slot, "rank", factor))
     return out
 
@@ -395,14 +395,14 @@ def reference_slot_independence(terms, tol, label):
         kets = [t.kets[s] for t in terms]
         for i in range(len(kets)):
             for j in range(i + 1, len(kets)):
-                if abs(kets[i].overlap(kets[j])) >= 1.0 - tol.eps_col:
+                if abs(kets[i].overlap(kets[j])) >= 1.0 - tol.eps:
                     raise pd.HypothesisViolation(f"{label}: {'abc'[s]}-set collinear pair {(i, j)}")
     return tuple(_reference_rank([t.kets[s] for t in terms], tol) == len(terms) for s in range(slots))
 
 
 def _reference_rank(kets, tol):
     sv = np.linalg.svd(np.column_stack([k.amplitudes for k in kets]), compute_uv=False)
-    return int(np.count_nonzero(sv >= tol.eps_rank * sv[0])) if sv[0] > 0.0 else 0
+    return int(np.count_nonzero(sv >= tol.eps * sv[0])) if sv[0] > 0.0 else 0
 
 
 def _outcome(fn, *args):
@@ -420,7 +420,7 @@ class TestArrayCores:
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-4])
     def test_wrappers_and_cores_match_the_per_ket_reference(self, eps):
-        tol = pd.ToleranceConfig(eps_col=eps, eps_rank=eps)
+        tol = pd.ToleranceConfig(eps)
         for dec in self.CASES:
             for s, stack in enumerate(dec.stacks):
                 kets = [t.kets[s] for t in dec.terms]
@@ -428,7 +428,7 @@ class TestArrayCores:
                     (i, j)
                     for i in range(len(kets))
                     for j in range(i + 1, len(kets))
-                    if abs(kets[i].overlap(kets[j])) >= 1.0 - tol.eps_col
+                    if abs(kets[i].overlap(kets[j])) >= 1.0 - tol.eps
                 ]
                 assert subspace.collinear_pairs(kets, tol) == pairs
                 assert subspace.stack_collinear_pairs(stack, tol) == pairs
@@ -439,7 +439,7 @@ class TestArrayCores:
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-4])
     def test_hypothesis_check_matches_the_per_ket_reference(self, eps):
-        tol = pd.ToleranceConfig(eps_col=eps, eps_rank=eps)
+        tol = pd.ToleranceConfig(eps)
         for dec in self.CASES:
             want = _outcome(reference_slot_independence, dec.terms, tol, "label")
             assert _outcome(decomp._slot_independence, dec, tol, "label") == want
@@ -452,7 +452,7 @@ class TestArrayCores:
                 assert (subspace.collinear_pairs(kets, tol) == [(0, 1)]) == (factor < 1.0)
             else:
                 sv = np.linalg.svd(dec.stacks[slot][:, :3], compute_uv=False)
-                assert sv[-1] / sv[0] == pytest.approx(factor * tol.eps_rank, rel=1e-3)
+                assert sv[-1] / sv[0] == pytest.approx(factor * tol.eps, rel=1e-3)
                 assert (subspace.stack_rank(dec.stacks[slot][:, :3], tol) == 3) == (factor > 1.0)
             outcome = _outcome(decomp._slot_independence, dec, tol, "near")
             if kind == "pair" and factor < 1.0:

@@ -1,6 +1,6 @@
-"""The tolerances that stay live.  At ``ToleranceConfig(1e-4, 1e-4, 1e-4)`` a
-planted pair at |<x|y>| = 1 - eps_col (1 -/+ 0.5), or a set whose smallest
-relative singular value is eps_rank (1 -/+ 0.5), certifies inside the cutoff
+"""The tolerances that stay live.  At ``ToleranceConfig(1e-4)`` a
+planted pair at |<x|y>| = 1 - eps (1 -/+ 0.5), or a set whose smallest
+relative singular value is eps (1 -/+ 0.5), certifies inside the cutoff
 and is refused, naming the pair or the set, outside it: in matching, in blind
 extraction, and through each CLI subcommand that takes ``--tol``.  Blind
 extraction also succeeds at the loose tolerances 1e-3 and 1e-2, and ``check``
@@ -18,7 +18,7 @@ from proddecomp.cli import main
 from test_cli import _coeff_file
 from test_subspace import _near_collinear_pair, _near_rank_set, _with_slot, near_threshold_decompositions
 
-TOL = pd.ToleranceConfig(1e-4, 1e-4, 1e-4)
+TOL = pd.ToleranceConfig(1e-4)
 FACTORS = (0.5, 1.5)  # outside, inside the cutoff
 
 
@@ -61,8 +61,8 @@ class TestMatching:
         rng = np.random.default_rng(slot)
         dims, profile = ((4, 2), "a-independent-only") if slot == 0 else ((2, 4), "b-independent-only")
         base = pd.generate_instance(3, *dims, seed=1, profile=profile)
-        dec = _with_slot(base, slot, _near_rank_set(rng, 4, factor, TOL.eps_rank))
-        assert _relative_smallest_sv(dec.stacks[slot]) == pytest.approx(factor * TOL.eps_rank, rel=1e-3)
+        dec = _with_slot(base, slot, _near_rank_set(rng, 4, factor, TOL.eps))
+        assert _relative_smallest_sv(dec.stacks[slot]) == pytest.approx(factor * TOL.eps, rel=1e-3)
         if factor > 1.0:
             _matched(pd.match_bidecomposition, dec, TOL)
         else:
@@ -78,8 +78,8 @@ class TestMatching:
         dep = (slot + 1) % 3
         dims = [2 if s == dep else 4 for s in range(3)]
         base = pd.generate_tri_instance(3, *dims, seed=1, profile=pd.TRI_PROFILES[dep + 1])
-        dec = _with_slot(base, slot, _near_rank_set(rng, 4, factor, TOL.eps_rank))
-        assert _relative_smallest_sv(dec.stacks[slot]) == pytest.approx(factor * TOL.eps_rank, rel=1e-3)
+        dec = _with_slot(base, slot, _near_rank_set(rng, 4, factor, TOL.eps))
+        assert _relative_smallest_sv(dec.stacks[slot]) == pytest.approx(factor * TOL.eps, rel=1e-3)
         if factor > 1.0:
             _matched(pd.match_tridecomposition, dec, TOL)
         else:
@@ -117,12 +117,12 @@ class TestExtraction:
     @pytest.mark.parametrize("factor", FACTORS)
     @pytest.mark.parametrize("slot", [0, 1])
     def test_support_rank(self, slot, factor, form):
-        # the reduced operator's smallest relative eigenvalue at eps_rank (1 -/+ 0.5);
+        # the reduced operator's smallest relative eigenvalue at eps (1 -/+ 0.5);
         # the other set is dependent, so no other side can be taken
-        dec = _rank_case(slot, factor * TOL.eps_rank)
+        dec = _rank_case(slot, factor * TOL.eps)
         rho = _forms(dec)[form]
         evals = np.linalg.eigvalsh(pd.tensor._reduced(rho, (slot,)))
-        assert evals[1] / evals[-1] == pytest.approx(factor * TOL.eps_rank, rel=1e-9)
+        assert evals[1] / evals[-1] == pytest.approx(factor * TOL.eps, rel=1e-9)
         if factor > 1.0:
             report = pd.extract_decomposition(rho, TOL, seed=3)
             assert report.side == slot
@@ -139,7 +139,7 @@ class TestExtraction:
         rng = np.random.default_rng(slot)
         dims = (2, 4) if slot == 0 else (4, 2)
         base = pd.generate_instance(3, *dims, seed=1, profile=pd.BI_PROFILES[2 - slot])
-        dec = _with_slot(base, slot, _near_collinear_pair(rng, 2, factor, TOL.eps_col))
+        dec = _with_slot(base, slot, _near_collinear_pair(rng, 2, factor, TOL.eps))
         rho = _forms(dec)[form]
         if factor > 1.0:
             report = pd.extract_decomposition(rho, TOL, seed=3)
@@ -157,7 +157,7 @@ class TestExtraction:
     def test_loose_tolerances_extract(self, t, form):
         # nothing on the probe's eigenvalues refuses a candidate: the reconstruction
         # gate and the hypothesis check decide at every tolerance
-        tol = pd.ToleranceConfig(t, t, t)
+        tol = pd.ToleranceConfig(t)
         for seed in range(20):
             dec = pd.generate_instance(4, 5, 5, seed=seed)
             report = pd.extract_decomposition(_forms(dec)[form], tol, seed=seed)
