@@ -4,7 +4,9 @@ Decomposition files carry per-term kets as parallel re/im arrays plus either
 a positive real weight ("w", operator form) or a complex coefficient
 ("coeff", vector form).  Operator files carry a row-major dense matrix.
 Numbers are written with 17 significant digits so parse -> serialize is
-byte-stable and floats round-trip exactly.
+byte-stable and floats round-trip exactly.  A list of finite floats (every
+ket and matrix array) is written by one ``%`` format over the whole list,
+``"%.17g"`` per number, which is the same text as ``format(x, ".17g")``.
 """
 
 from __future__ import annotations
@@ -57,11 +59,14 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        sep = ",\n" + inner
         if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            rows = map("{:.17g}".format, obj)  # a float array: one pass, no recursion
+            # a float array: one %-format over the whole list, the same text as
+            # format(x, ".17g") per number, with no recursion
+            body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
         else:
-            rows = (dumps_canonical(v, indent + 1) for v in obj)
-        return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
+            body = sep.join(dumps_canonical(v, indent + 1) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(obj, complex):
         return dumps_canonical({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, str):

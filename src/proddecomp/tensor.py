@@ -48,8 +48,10 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def _complex(values, what: str) -> np.ndarray:
-    """A complex copy of ``values``; a string or an int beyond the float range is DegenerateInput."""
+    """A complex copy of ``values``; a boolean, a string or an int beyond the float range is DegenerateInput."""
     try:
+        if _source_dtype(values).kind == "b":
+            raise DegenerateInput(f"{what} must be complex numbers, not booleans")
         return np.array(values, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DegenerateInput(f"{what} must be complex numbers: {exc}") from exc
@@ -135,9 +137,13 @@ class FactoredDims:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in self.dims):
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise DimensionMismatch(f"factor dimensions must be a sequence of integers, got {self.dims!r}") from None
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
             raise DimensionMismatch(f"factor dimensions must be integers, got {self.dims!r}")
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(int(d) for d in dims)
         if not 1 <= len(dims) <= 3:
             raise DimensionMismatch(f"1 to 3 factors supported, got {len(dims)}")
         if any(d < 1 for d in dims):

@@ -85,6 +85,13 @@ class TestRoundTrips:
         fileio.save_decomposition(str(second_path), reloaded)
         assert open(second_path, "rb").read() == first
 
+    def test_operator_save_load_save_is_byte_stable(self, tmp_path):
+        rho = pd.build_rho(pd.generate_instance(8, 16, 16, seed=3))  # N = 256
+        first, second = tmp_path / "op.json", tmp_path / "again.json"
+        fileio.save_operator(str(first), rho)
+        fileio.save_operator(str(second), fileio.load_operator(str(first)))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_numbers_carry_full_precision(self, tmp_path):
         third = 1.0 / 3.0
         dec = pd.ProductDecomposition(
@@ -114,6 +121,25 @@ class TestRoundTrips:
         text = path.read_text()
         assert text == _reference_operator_text(op)
         assert "-0," in text and "4.9406564584124654e-324" in text
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e-5, 1e-4, 1e16, 1e17, 123456789012345678.0],  # where %g switches to exponents
+            [2.0**53, 2.0**53 + 2],
+            [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308],
+            [1.0, -2.0, 3e10, 1 / 3],
+            [0.1],
+        ],
+    )
+    def test_float_lists_match_the_per_number_writer(self, values):
+        assert fileio.dumps_canonical(values) == _reference_dumps(values)
+        assert fileio.dumps_canonical({"a": values}, 1) == _reference_dumps({"a": values}, 1)
+
+    def test_random_bit_patterns_match_the_per_number_writer(self):
+        bits = np.random.default_rng(20).integers(0, 2**64, size=100_000, dtype=np.uint64)
+        values = bits.view(float)[np.isfinite(bits.view(float))].tolist()
+        assert fileio.dumps_canonical(values) == _reference_dumps(values)
 
     def test_mixed_and_non_finite_lists(self):
         assert fileio.dumps_canonical([1, 2.5, [0.1]]) == _reference_dumps([1, 2.5, [0.1]])

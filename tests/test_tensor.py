@@ -83,6 +83,36 @@ class TestFactoredDims:
     def test_total(self):
         assert pd.FactoredDims((2, 3, 4)).total == 24
 
+    @pytest.mark.parametrize("bad", [2, None])
+    def test_rejects_a_value_that_is_not_a_sequence(self, bad):
+        with pytest.raises(pd.DimensionMismatch, match=f"sequence of integers, got {bad!r}"):
+            pd.FactoredDims(bad)
+
+
+class TestBooleanArrays:
+    """Every array door refuses booleans, as weights, coefficients and file arrays do."""
+
+    @pytest.mark.parametrize("amps", [[True], np.array([True, False])])
+    def test_ket(self, amps):
+        with pytest.raises(pd.DegenerateInput, match="amplitudes .* not booleans"):
+            pd.Ket(amps)
+
+    @pytest.mark.parametrize("amps", [[True, True], np.array([True, False])])
+    def test_ket_normalize(self, amps):
+        with pytest.raises(pd.DegenerateInput, match="amplitudes .* not booleans"):
+            pd.Ket.normalize(amps)
+
+    @pytest.mark.parametrize("m", [[[True]], [[1.0, False], [0.0, 1.0]], np.array([[True]])])
+    def test_dense_operator(self, m):
+        dims = pd.FactoredDims((len(m),))
+        with pytest.raises(pd.DegenerateInput, match="matrix entries .* not booleans"):
+            pd.StateOperator(dims, m)
+
+    @pytest.mark.parametrize("columns", [[[True]], np.array([[True]])])
+    def test_factored_operator(self, columns):
+        with pytest.raises(pd.DegenerateInput, match="columns .* not booleans"):
+            pd.StateOperator.from_columns(pd.FactoredDims((1,)), columns, [1.0])
+
 
 class TestStateOperator:
     def test_rejects_non_hermitian(self):
