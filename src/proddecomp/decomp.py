@@ -19,10 +19,9 @@ from .errors import (
 from .subspace import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _slot_verdicts,
     _support_mask,
     fix_phase,
-    stack_collinear_pairs,
-    stack_rank,
 )
 from .tensor import (
     FactoredDims,
@@ -124,21 +123,38 @@ class DegeneracyReport:
 # hypothesis checks
 
 
-def _slot_independence(
-    d: ProductDecomposition | TriDecomposition, tol: ToleranceConfig, label: str
-) -> tuple[bool, ...]:
-    """Per-slot independence flags read off the decomposition's ``stacks``.
+def _hypotheses(
+    checked: Sequence[tuple[ProductDecomposition | TriDecomposition, str]], tol: ToleranceConfig
+) -> list[tuple[bool, ...]]:
+    """Per-slot independence flags of each (decomposition, label) pair, from one
+    :func:`~proddecomp.subspace._slot_verdicts` call over all their stacks.
 
-    Every slot is first checked for collinear pairs, from one Gram matrix
-    per slot, raising on the first slot that has one and naming its first
-    pair; then each slot's rank is taken from the singular values of its
-    stack (:func:`~proddecomp.subspace.stack_rank`).
+    The inputs are judged in order, each first for collinear pairs (naming its
+    first slot that has one and that slot's first pair), then by rank: a
+    product decomposition needs one independent ket set, a tridecomposition
+    two.  The first failure raises HypothesisViolation under its input's label.
     """
-    for s, a in enumerate(d.stacks):
-        pairs = stack_collinear_pairs(a, tol)
-        if pairs:
-            raise HypothesisViolation(f"{label}: {_SLOT_NAMES[s]}-set collinear pair {pairs[0]}")
-    return tuple(stack_rank(a, tol) == d.n for a in d.stacks)
+    pairs, ranks = _slot_verdicts([a for d, _ in checked for a in d.stacks], tol)
+    first: dict[int, tuple[int, int]] = {}
+    for s, i, j in pairs:
+        first.setdefault(s, (i, j))
+    verdicts, start = [], 0
+    for d, label in checked:
+        slots = len(d.stacks)
+        for s in range(slots):
+            if start + s in first:
+                raise HypothesisViolation(f"{label}: {_SLOT_NAMES[s]}-set collinear pair {first[start + s]}")
+        flags = tuple(r == d.n for r in ranks[start : start + slots])
+        if slots == 2 and not any(flags):
+            raise HypothesisViolation(f"{label}: neither ket set is linearly independent")
+        if slots == 3 and sum(flags) < 2:
+            independent = [_SLOT_NAMES[s] for s in range(3) if flags[s]]
+            raise HypothesisViolation(
+                f"{label}: fewer than two linearly independent ket sets (independent: {independent})"
+            )
+        verdicts.append(flags)
+        start += slots
+    return verdicts
 
 
 def check_product_hypotheses(
@@ -147,13 +163,11 @@ def check_product_hypotheses(
     """Check the uniqueness hypotheses of a weighted product decomposition.
 
     Each ket set must be non-collinear and at least one of them linearly
-    independent.  Returns the (a_independent, b_independent) flags; raises
-    HypothesisViolation naming the offending set and pair otherwise.
+    independent (:func:`_hypotheses`).  Returns the (a_independent,
+    b_independent) flags; raises HypothesisViolation naming the offending
+    set and pair otherwise.
     """
-    flags = _slot_independence(d, tol, label)
-    if not any(flags):
-        raise HypothesisViolation(f"{label}: neither ket set is linearly independent")
-    return flags  # type: ignore[return-value]
+    return _hypotheses(((d, label),), tol)[0]  # type: ignore[return-value]
 
 
 def check_tri_hypotheses(
@@ -162,15 +176,10 @@ def check_tri_hypotheses(
     """Check the tridecomposition hypotheses.
 
     Every slot's ket set must be non-collinear and at least two of the
-    three sets linearly independent.  Returns per-slot independence flags.
+    three sets linearly independent (:func:`_hypotheses`).  Returns per-slot
+    independence flags.
     """
-    flags = _slot_independence(t, tol, label)
-    if sum(flags) < 2:
-        independent = [_SLOT_NAMES[s] for s in range(3) if flags[s]]
-        raise HypothesisViolation(
-            f"{label}: fewer than two linearly independent ket sets (independent: {independent})"
-        )
-    return flags  # type: ignore[return-value]
+    return _hypotheses(((t, label),), tol)[0]  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +268,7 @@ def _certify_in_slot(
     d2: ProductDecomposition | TriDecomposition,
     slot: int,
     tol: ToleranceConfig,
-    wscale=1.0,
+    wscale: float,
     what="coefficient magnitude",
 ) -> MatchResult:
     """Certify term-wise equivalence by expansion in one independent slot.
@@ -270,14 +279,15 @@ def _certify_in_slot(
     its single significant coefficient, which defines the permutation; then
     certify collinearity in every slot and equality of the paired
     magnitudes |values| (weights or coefficient magnitudes) to
-    WEIGHT_ATOL * max(wscale, w1, w2).  Each slot's overlaps
+    WEIGHT_ATOL * max(w1, w2, wscale), for wscale the larger sum of |values|
+    of the two inputs: relative at every scale.  Each slot's overlaps
     <first_perm[k]|second_k> are one column-wise product over the permuted
     first stack.  Failures name the first failing term k of the second
     decomposition and, within it, check the expansion coefficient, then
     the overlaps slot by slot, then the magnitudes.  The residual is the
     largest violation observed across all certified constraints, with each
-    weight difference taken relative to max(wscale, w1, w2), so it does not
-    grow with the weight scale.
+    weight difference taken relative to max(w1, w2, wscale), so it does not
+    grow or shrink with the weight scale.
     """
     if d1.n != d2.n:
         raise HypothesisViolation(f"term-count mismatch after rank analysis: {d1.n} vs {d2.n}")
@@ -331,7 +341,7 @@ def _certify_in_slot(
                 )
             residual = max(residual, deviation)
         w1, w2 = mags1[j], mags2[k]
-        dw, wbound = abs(w1 - w2), max(wscale, w1, w2)
+        dw, wbound = abs(w1 - w2), max(w1, w2, wscale)
         if dw > WEIGHT_ATOL * wbound:
             raise HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
         residual = max(residual, dw / wbound)
@@ -346,43 +356,77 @@ def match_tridecomposition(
     """Certify that two tridecompositions of the same vector are term-wise
     collinear up to a permutation, with equal coefficient magnitudes.
 
-    Pipeline: verify hypotheses on both inputs and that the two global
-    vectors agree (including coefficient phases); pick a factor slot whose
+    Pipeline: verify hypotheses on both inputs (:func:`_hypotheses`, one
+    batch for both) and that the two global vectors agree, coefficient
+    phases included, to eps * max(||v1||, ||v2||); pick a factor slot whose
     ket sets are independent in both inputs (search order c, a, b); then
     certify in that slot (:func:`_certify_in_slot`).
     """
     if t1.dims != t2.dims:
         raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
-    ind1 = check_tri_hypotheses(t1, tol, label="first tridecomposition")
-    ind2 = check_tri_hypotheses(t2, tol, label="second tridecomposition")
+    ind1, ind2 = _hypotheses(((t1, "first tridecomposition"), (t2, "second tridecomposition")), tol)
 
     (v1, norm1), (v2, norm2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
     gap = frobenius(v1 - v2)
-    if gap > tol.eps * max(1.0, norm1, norm2):
+    if gap > tol.eps * max(norm1, norm2):
         raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
 
     # each input has at least 2 independent slots of 3, so the two always share one
     slot = next(s for s in (2, 0, 1) if ind1[s] and ind2[s])
-    return _certify_in_slot(t1, t2, slot, tol)
+    return _certify_in_slot(t1, t2, slot, tol, max(float(np.abs(t.values).sum()) for t in (t1, t2)))
+
+
+def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
+    """||rho1 - rho2||_F, ||rho1||_F and ||rho2||_F for rho_i = V_i diag(w_i) V_i^dagger,
+    given any R with R^dagger R = [V1 V2]^dagger [V1 V2] and the two weight vectors.
+
+    With [V1 V2] = Q R for Q with orthonormal columns, rho1 - rho2 =
+    Q R diag(w1, -w2) R^dagger Q^dagger, so every norm is that of a small
+    matrix from R, and the three are taken by one :func:`frobenius` call.  The
+    Gram expansion of ||rho1 - rho2||_F^2 would instead cancel to rounding
+    noise, losing half the digits, when rho1 = rho2.
+    """
+    r1, r2 = r[:, : w1.size], r[:, w1.size :]
+    mats = np.empty((3, len(r), len(r)), dtype=complex)
+    np.matmul(r * np.concatenate([w1, -w2]), r.conj().T, out=mats[0])
+    np.matmul(r1 * w1, r1.conj().T, out=mats[1])
+    np.matmul(r2 * w2, r2.conj().T, out=mats[2])
+    return tuple(frobenius(mats).tolist())  # type: ignore[return-value]
 
 
 def _factored_gap(
     first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, float, float]:
-    """||rho1 - rho2||_F, ||rho1||_F and ||rho2||_F for rho_i = V_i diag(w_i) V_i^dagger,
-    given as (columns, weights) pairs, without forming either operator.
-
-    With [V1 V2] = Q R, rho1 - rho2 = Q R diag(w1, -w2) R^dagger Q^dagger,
-    so every norm is that of a small matrix from R: O(N k^2) time and
-    O(N k) memory for k columns in all.  The Gram expansion of
-    ||rho1 - rho2||_F^2 would instead cancel to rounding noise, losing half
-    the digits, when rho1 = rho2.
-    """
+    """:func:`_gap_from_r` for two (columns, weights) pairs, from the QR factor of
+    the stacked columns: O(N k^2) time and O(N k) memory for k columns in all,
+    and no operator formed.  Extraction's residual reads it, because the
+    columns of a factored rho are not known to be products."""
     (v1, w1), (v2, w2) = first, second
-    r = np.linalg.qr(np.hstack([v1, v2]), mode="r")
-    r1, r2 = r[:, : w1.size], r[:, w1.size :]
-    gap = frobenius((r * np.concatenate([w1, -w2])) @ r.conj().T)
-    return gap, frobenius((r1 * w1) @ r1.conj().T), frobenius((r2 * w2) @ r2.conj().T)
+    return _gap_from_r(np.linalg.qr(np.hstack([v1, v2]), mode="r"), w1, w2)
+
+
+def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition) -> tuple[float, float, float]:
+    """:func:`_gap_from_r` for the operators of two product decompositions, read
+    off their d_s x n stacks alone, with no N-row array.
+
+    For k = n1 + n2, one batched QR of the two slots' d_s x k blocks
+    [S1_s S2_s], zero-padded to one shape, gives [S1_s S2_s] = Q_s R_s.  The
+    product columns are then [V1 V2] = (Q_a (x) Q_b)(R_a (.) R_b), with (.)
+    the column-wise Kronecker (Khatri-Rao) product; Q_a (x) Q_b has
+    orthonormal columns, so the R factor of the min(d_a, k) min(d_b, k) x k
+    matrix R_a (.) R_b is one of [V1 V2] (the Gram matrix of Khatri-Rao
+    columns is the Hadamard product of the slot Grams; Kolda & Bader, SIAM
+    Rev. 51, 2009, section 2.6).  Zero rows add nothing to an R factor.
+    """
+    dims, k = d1.dims.dims, d1.n + d2.n
+    x = np.zeros((2, max(dims), k), dtype=complex)
+    for s, dim in enumerate(dims):
+        x[s, :dim, : d1.n] = d1.stacks[s]
+        x[s, :dim, d1.n :] = d2.stacks[s]
+    r = np.linalg.qr(x, mode="r")
+    r_a, r_b = (r[s, : min(dim, k)] for s, dim in enumerate(dims))
+    khatri_rao = (r_a[:, None] * r_b).reshape(-1, k)
+    return _gap_from_r(np.linalg.qr(khatri_rao, mode="r"), d1.values, d2.values)
 
 
 @_nonconvergence("matching: a linear-algebra routine")
@@ -392,29 +436,32 @@ def match_bidecomposition(
     """Certify that two weighted product decompositions of the same operator
     are term-wise collinear up to a permutation, with equal weights.
 
-    Pipeline: check hypotheses on both inputs; gate operator equality
-    without forming either operator (:func:`_factored_gap`: O(N n^2) time,
-    O(N n) memory, so not bound by ``MAX_AMBIENT_DIM``); pick the ket slot
-    independent in both inputs (a, else b), which exists when the operators
-    agree, since the a-set is independent exactly when rank Tr_B rho =
-    rank rho; certify in that slot as :func:`match_tridecomposition` does,
-    with weights compared to WEIGHT_ATOL times the larger weight sum (at
-    least 1).  Certificates carry ``overlap_c = None``.
+    Pipeline: check hypotheses on both inputs (:func:`_hypotheses`, one
+    batch for both); gate operator equality, ||rho1 - rho2||_F <=
+    eps * max(||rho1||_F, ||rho2||_F), from the stacks alone
+    (:func:`_product_gap`: two small QRs, O((d_a + d_b) k^2 +
+    min(d_a, k) min(d_b, k) k^2) time for k = n1 + n2, and no N-row
+    array, so not bound by ``MAX_AMBIENT_DIM``); pick the ket slot
+    independent in both inputs (a, else b), which exists when the
+    operators agree, since the a-set is independent exactly when
+    rank Tr_B rho = rank rho; certify in that slot as
+    :func:`match_tridecomposition` does, with weights compared to
+    WEIGHT_ATOL times the larger of the two and the larger weight sum.
+    Both rules are relative, so a match does not depend on the weight
+    scale.  Certificates carry ``overlap_c = None``.
     """
     if d1.dims != d2.dims:
         raise DimensionMismatch(f"factor dims differ: {d1.dims.dims} vs {d2.dims.dims}")
-    ind1 = check_product_hypotheses(d1, tol, label="first decomposition")
-    ind2 = check_product_hypotheses(d2, tol, label="second decomposition")
+    ind1, ind2 = _hypotheses(((d1, "first decomposition"), (d2, "second decomposition")), tol)
 
-    gap, norm1, norm2 = _factored_gap(product_columns(d1), product_columns(d2))
-    if gap > tol.eps * max(1.0, norm1, norm2):
+    gap, norm1, norm2 = _product_gap(d1, d2)
+    if gap > tol.eps * max(norm1, norm2):
         raise OperatorMismatch(f"operators differ by {gap:.3e} in Frobenius norm")
 
     slot = next((s for s in (0, 1) if ind1[s] and ind2[s]), None)
     if slot is None:
         raise HypothesisViolation("no ket set is linearly independent in both decompositions")
-    wscale = max(1.0, d1.weight_sum, d2.weight_sum)
-    return _certify_in_slot(d1, d2, slot, tol, wscale, "weight")
+    return _certify_in_slot(d1, d2, slot, tol, max(d1.weight_sum, d2.weight_sum), "weight")
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +538,12 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     are not tested.  A probe with a zero-weight slice or a failed gate is
     redrawn, up to EXTRACTION_RETRIES probes (``probes_used``).  The
     error is measured against the stored matrix of a dense operator, and
-    exactly, from one QR factor of the stacked columns
-    (:func:`_factored_gap`), for a factored one.  Otherwise NotExtractable
-    names the factor, both support ranks, the probes drawn and the best
+    exactly, from one QR factor of the stacked columns of rho and of the
+    candidate (:func:`_factored_gap`), for a factored one.  That QR runs on
+    the columns, not on the slots as :func:`match_bidecomposition`'s gate
+    does, because the columns of a factored rho are not known to be
+    products; both read their norms by :func:`_gap_from_r`.  Otherwise
+    NotExtractable names the factor, both support ranks, the probes drawn and the best
     error reached.  The zero operator is rejected as rank 0 before any
     sketch, and a linear-algebra routine that does not converge raises
     DegenerateInput.

@@ -74,7 +74,8 @@ def relating_unitary(
     """Unitary U on the second factor with psi = (I (x) U) phi.
 
     Both kets must have equal reduced operators on the first factor
-    (co-purifications).  For their d1 x d2 coefficient matrices,
+    (co-purifications): ||rho_psi - rho_phi||_F <= eps * max(||rho_psi||_F,
+    ||rho_phi||_F).  For their d1 x d2 coefficient matrices,
     M_psi = M_phi U^T, and the unitary U^T minimizing ||M_psi - M_phi U^T||_F
     is the polar factor of M_phi^dagger M_psi: one SVD (orthogonal
     Procrustes, Schonemann 1966).  Only the action on the support is
@@ -95,7 +96,7 @@ def relating_unitary(
     red_psi = m_psi @ m_psi.conj().T
     red_phi = m_phi @ m_phi.conj().T
     gap = frobenius(red_psi - red_phi)
-    if gap > tol.eps * max(1.0, frobenius(red_psi), frobenius(red_phi)):
+    if gap > tol.eps * max(frobenius(red_psi), frobenius(red_phi)):
         raise OperatorMismatch(
             f"not co-purifications: reduced operators differ by {gap:.3e} in Frobenius norm"
         )

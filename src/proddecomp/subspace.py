@@ -24,13 +24,16 @@ class ToleranceConfig:
     eps       the theorem's three decisions.  Collinear: unit kets with |<x|y>| >= 1 - eps; a
               certified match lets each paired overlap and expansion coefficient lie eps off
               magnitude 1.  Rank: the one relative cutoff on a spectrum, >= eps times its largest:
-              a ket stack's rank (``stack_rank``), significant expansion coefficients
-              (``_certify_in_slot``) and, with > 0, ``_support_mask`` (reduced support ranks,
+              significant expansion coefficients (``_certify_in_slot``) and, with > 0,
+              ``_support_mask`` (ket stack ranks in ``_slot_verdicts``, reduced support ranks,
               extraction's whitening, Schmidt verdicts); both phase with ``fix_phase(eps=eps)``.
-              Equal: operators or vectors with ||x - y|| <= eps * max(1, ||x||, ||y||).
+              Equal: operators or vectors with ||x - y|| <= eps * max(||x||, ||y||), relative at
+              every scale (both matchers' gates, ``relating_unitary``'s reduced operators).
 
     Fixed, with the decision each makes and why no setting reads it:
-    WEIGHT_ATOL 1e-6          matched weights agree to it x scale: as exact as extraction's gate
+    WEIGHT_ATOL 1e-6          matched weights (or |coefficients|) agree to it x max(w1, w2, the
+                              larger of the inputs' sums): as exact as extraction's gate, and
+                              relative at every scale
     RECONSTRUCTION_RTOL 1e-6  extraction's relative error gate: with the hypothesis check it
                               certifies a candidate, whatever ``eps``
     EXTRACTION_RETRIES 8      probes before NotExtractable: it bounds the work of a refusal
@@ -135,35 +138,12 @@ def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return abs(x.overlap(y)) >= 1.0 - tol.eps
 
 
-def stack_collinear_pairs(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
-    """All index pairs (i, j), i < j, of unit columns of ``a`` that fail
-    non-collinearity, |<a_i|a_j>| >= 1 - eps, in lexicographic order;
-    read off one Gram matrix."""
-    rows, cols = np.nonzero(np.abs(a.conj().T @ a) >= 1.0 - tol.eps)
-    return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
-
-
-@_nonconvergence("rank SVD")
-def stack_rank(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Numerical rank of the columns of ``a``: its singular values >= eps
-    times the largest one, 0 when that one is 0.
-
-    Taken from the singular values of ``a``, not from the eigenvalues of its
-    Gram matrix: a relative singular value of eps = 1e-8 is a relative
-    Gram eigenvalue of 1e-16, below double precision.
-    """
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s >= tol.eps * s[0]))
-
-
 def collinear_pairs(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
     """All unordered index pairs (i, j), i < j, that fail non-collinearity,
-    in lexicographic order (:func:`stack_collinear_pairs` of the stacked set)."""
+    in lexicographic order (:func:`_slot_verdicts` of the stacked set)."""
     if len(kets) < 2:
         return []
-    return stack_collinear_pairs(column_stack(kets), tol)
+    return [(i, j) for _, i, j in _slot_verdicts([column_stack(kets)], tol)[0]]
 
 
 def is_noncollinear_set(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -174,9 +154,9 @@ def is_noncollinear_set(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL)
 
 
 def rank_and_independence(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, bool]:
-    """Numerical rank of the stacked set (:func:`stack_rank`) and whether it
+    """Numerical rank of the stacked set (:func:`_slot_verdicts`) and whether it
     is linearly independent."""
-    rank = stack_rank(column_stack(kets), tol)
+    rank = _slot_verdicts([column_stack(kets)], tol)[1][0]
     return rank, rank == len(kets)
 
 
@@ -185,6 +165,33 @@ def _support_mask(lam: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     its support: those > 0 and >= eps times that spectrum's largest, so
     an all-zero spectrum has none."""
     return (lam > 0.0) & (lam >= tol.eps * lam.max(axis=-1, keepdims=True))
+
+
+@_nonconvergence("rank SVD")
+def _slot_verdicts(
+    stacks: Sequence[np.ndarray], tol: ToleranceConfig
+) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The collinear pairs and the numerical rank of every d_i x n_i stack of unit columns.
+
+    The stacks are zero-padded into one m x D x K array (D and K the largest
+    d_i and n_i), which takes one Gram pass and one SVD.  Zero rows and
+    columns add no Gram entry >= 1 - eps and no singular value > 0, so they
+    change no verdict.  Pairs are the (stack, i, j) with i < j and
+    |<a_i|a_j>| >= 1 - eps, in lexicographic order.  A stack's rank counts
+    the singular values that :func:`_support_mask`'s rule keeps (> 0, and
+    >= eps times the largest).  It is not taken from the Gram eigenvalues,
+    because a relative singular value of 1e-8 is a relative Gram eigenvalue
+    of 1e-16, below double precision.
+    """
+    shapes = [a.shape for a in stacks]
+    x = np.zeros((len(stacks), *map(max, zip(*shapes))), dtype=complex)
+    for i, (a, (d, n)) in enumerate(zip(stacks, shapes)):
+        x[i, :d, :n] = a
+    hits = np.nonzero(np.abs(x.conj().transpose(0, 2, 1) @ x) >= 1.0 - tol.eps)
+    pairs = [(s, i, j) for s, i, j in zip(*(h.tolist() for h in hits)) if i < j]
+    # _support_mask's rule on spectra sorted in descending order, in plain floats: the spectra are short
+    spectra = np.linalg.svd(x, compute_uv=False).tolist()
+    return pairs, [sum(v > 0.0 and v >= tol.eps * s[0] for v in s) for s in spectra]
 
 
 @_nonconvergence("support eigendecomposition")

@@ -28,23 +28,26 @@ PSD_RTOL = 1e-10
 _TRI_CANCEL_RTOL = 1e-8
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm as a plain float, safe against overflow and underflow.
+def frobenius(a: np.ndarray) -> float | np.ndarray:
+    """Frobenius norm as a plain float, safe against overflow and underflow; for
+    a stack of matrices (``ndim`` 3), one such norm per matrix, as a float array.
 
-    One ``np.linalg.norm`` decides when its result lies in [1e-150, 1e150]
-    or the array is exactly zero.  Otherwise the plain sum of squares may
-    have overflowed or underflowed, so the array is divided by its largest
-    |entry| first.  Non-finite entries give a non-finite result.
+    One ``np.linalg.norm`` per matrix, all inside one ``np.errstate``, decides
+    when its result lies in [1e-150, 1e150] or the matrix is exactly zero.
+    Otherwise the plain sum of squares may have overflowed or underflowed, so
+    that matrix is divided by its largest |entry| first.  Non-finite entries
+    give a non-finite result.
     """
+    a = np.asarray(a)
+    mats = a if a.ndim > 2 else (a,)
     with np.errstate(over="ignore"):  # an overflow is caught by the range test
-        norm = float(np.linalg.norm(a))
-    if 1e-150 <= norm <= 1e150 or (norm == 0.0 and not np.any(a)):
-        return norm
-    mags = np.abs(a)  # real, so the division below cannot overflow
-    big = float(np.max(mags))
-    if not math.isfinite(big):
-        return big
-    return big * float(np.linalg.norm(mags / big))
+        norms = [float(np.linalg.norm(m)) for m in mats]
+    for i, norm in enumerate(norms):
+        if not 1e-150 <= norm <= 1e150 and (norm != 0.0 or np.any(mats[i])):
+            mags = np.abs(mats[i])  # real, so the division below cannot overflow
+            big = float(np.max(mags))
+            norms[i] = big * float(np.linalg.norm(mags / big)) if math.isfinite(big) else big
+    return np.array(norms) if a.ndim > 2 else norms[0]
 
 
 def _complex(values, what: str) -> np.ndarray:

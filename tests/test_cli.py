@@ -307,6 +307,20 @@ class TestMatchErrors:
         main(["generate", "--n", "2", "--dims", "3,3", "--seed", "2", "--out", f2])
         assert main(["match", f1, f2, "--mode", "bi"]) == 5
 
+    @pytest.mark.parametrize("k", [-300, -200, -12, -9, 0, 100, 300])
+    def test_a_shifted_weight_exits_5_at_every_scale(self, tmp_path, k):
+        # equality is relative: all weights times 10^k, then term 0's times 1.5
+        dec = pd.generate_instance(3, 4, 4, seed=5)
+        twin, _ = pd.phase_permuted_twin(dec, seed=6)
+        paths = []
+        for name, d, first in (("dec", dec, 1.0), ("twin", twin, 1.0), ("shifted", twin, 1.5)):
+            values = d.values * 10.0**k
+            values[0] *= first
+            paths.append(str(tmp_path / f"{name}.json"))
+            fileio.save_decomposition(paths[-1], pd.ProductDecomposition._from_stacks(d.dims, d.stacks, values))
+        assert main(["match", paths[0], paths[1], "--mode", "bi"]) == 0
+        assert main(["match", paths[0], paths[2], "--mode", "bi"]) == 5
+
     def test_collinear_pair_exits_4_and_names_pair(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         a = pd.Ket.normalize(rng.standard_normal(2) + 1j * rng.standard_normal(2))

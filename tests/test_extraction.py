@@ -410,8 +410,8 @@ class TestSupportRanks:
                 seen[profile, form.__name__] = dict(counts)
         assert len({tuple(sorted(c.items())) for c in seen.values()}) == 1, seen
         assert next(iter(seen.values()))["eigvalsh"] == 2
-        # the side SVD and the final check's two stack_rank calls; no SVD of the slices
-        assert next(iter(seen.values()))["svd"] == 3
+        # the side SVD and the final check's one batched rank SVD; no SVD of the slices
+        assert next(iter(seen.values()))["svd"] == 2
 
     def test_factored_zero_operator_is_rank_0(self):
         with pytest.raises(pd.NotExtractable, match=r"rank 0 \(factor 0, support ranks 0 and 0, 0 probes"):

@@ -304,13 +304,69 @@ class TestUniquenessProperty:
             pd.match_bidecomposition(dec, other)
 
 
+def _rescaled(dec, factor, first=1.0):
+    """``dec`` with every weight or coefficient times ``factor``, and term 0's times ``first`` too."""
+    values = dec.values * factor
+    values[0] *= first
+    return type(dec)._from_stacks(dec.dims, dec.stacks, values)
+
+
+def _forbid(monkeypatch, *fns):
+    """Make every name of each of ``fns`` in the package's modules raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a forbidden routine ran on the match path")
+
+    for fn in fns:
+        for mod in (pd, tensor, subspace, purification, decomp):
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, forbidden)
+
+
+#: Weight and coefficient scales 10^k of the scale-free rule's tests.
+SCALE_EXPONENTS = (-300, -200, -12, -9, 0, 100, 300)
+
+
+class TestScaleFreeEquality:
+    """Equality is relative at every scale: ||x - y|| <= eps * max(||x||, ||y||) for
+    operators and vectors, and matched weights within WEIGHT_ATOL * max(w1, w2,
+    larger weight sum).  With an absolute floor of 1 below norm 1, a weight
+    shifted by half certified once all weights were small."""
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("arity", ["bi", "tri"])
+    def test_twins_certify_and_a_shifted_weight_is_refused(self, k, arity):
+        if arity == "bi":
+            dec, match = pd.generate_instance(4, 5, 5, seed=12), pd.match_bidecomposition
+        else:
+            dec, match = pd.generate_tri_instance(4, 4, 5, 4, seed=3, profile="b-dependent"), pd.match_tridecomposition
+        twin, perm = pd.phase_permuted_twin(dec, seed=13)
+        scaled, twin = _rescaled(dec, 10.0**k), _rescaled(twin, 10.0**k)
+        result = match(scaled, twin)
+        assert result.permutation == perm
+        assert result.residual < 1e-8
+        with pytest.raises(pd.OperatorMismatch):
+            match(scaled, _rescaled(twin, 1.0, first=1.5))
+
+    def test_relating_unitary_gate_is_relative(self):
+        # reduced operators of unit kets have norm <= 1, so a floor of 1 was absolute
+        split = pd.FactoredDims((8, 8))
+        psi = pd.Ket.normalize(np.eye(8).reshape(-1))  # reduced operator I/8, norm 8^-1/2
+        tilt = np.eye(8)
+        tilt[0, 0] += 3e-8  # moves the reduced operator by 7e-9: below 1e-8, above 1e-8 * 8^-1/2
+        phi = pd.Ket.normalize(tilt.reshape(-1))
+        with pytest.raises(pd.OperatorMismatch, match="not co-purifications"):
+            pd.relating_unitary(psi, phi, split)
+
+
 class TestDenseFreeBipartiteMatching:
     @staticmethod
     def _certify_twin(dec, seed):
         twin, perm = pd.phase_permuted_twin(dec, seed=seed)
         assert pd.match_bidecomposition(dec, twin).permutation == perm
-        gap, norm1, norm2 = decomp._factored_gap(tensor.product_columns(dec), tensor.product_columns(twin))
-        return gap / max(1.0, norm1, norm2)
+        gap, norm1, norm2 = decomp._product_gap(dec, twin)
+        return gap / max(norm1, norm2)
 
     def test_factored_gate_is_exact_on_twins(self):
         # the Gram expansion of ||rho1 - rho2||_F^2 cancels to ~1e-16 here,
@@ -325,24 +381,54 @@ class TestDenseFreeBipartiteMatching:
             worst = max(worst, self._certify_twin(dec, seed=k + 2000))
         assert worst <= 1e-12
 
-    def test_factored_gate_measures_the_dense_distance(self):
-        for seed in range(6):
-            d1 = pd.generate_instance(3, 4, 5, seed=seed, profile=pd.BI_PROFILES[seed % 3])
-            d2 = pd.generate_instance(4, 4, 5, seed=seed + 50, profile=pd.BI_PROFILES[seed % 3])
+    @pytest.mark.parametrize(
+        "first, second, dims",
+        [
+            ((3, "both-independent"), (4, "both-independent"), (4, 5)),  # n1 != n2, slot dims below n1 + n2
+            ((2, "both-independent"), (3, "both-independent"), (9, 8)),  # slot dims above n1 + n2
+            ((3, "both-independent"), (5, "a-independent-only"), (12, 3)),  # one above, one below
+            ((4, "b-independent-only"), (1, "both-independent"), (2, 11)),
+        ],
+    )
+    def test_factored_gate_measures_the_dense_distance(self, first, second, dims):
+        for seed in range(4):
+            (n1, p1), (n2, p2) = first, second
+            d1 = pd.generate_instance(n1, *dims, seed=seed, profile=p1)
+            d2 = pd.generate_instance(n2, *dims, seed=seed + 50, profile=p2)
             m1, m2 = pd.rho_matrix(d1), pd.rho_matrix(d2)
-            gap, norm1, norm2 = decomp._factored_gap(tensor.product_columns(d1), tensor.product_columns(d2))
-            scale = max(1.0, norm1, norm2)
+            gap, norm1, norm2 = decomp._product_gap(d1, d2)
             assert gap == pytest.approx(np.linalg.norm(m1 - m2), rel=1e-12)
-            assert scale == pytest.approx(max(1.0, np.linalg.norm(m1), np.linalg.norm(m2)), rel=1e-12)
+            assert norm1 == pytest.approx(np.linalg.norm(m1), rel=1e-12)
+            assert norm2 == pytest.approx(np.linalg.norm(m2), rel=1e-12)
+            # the column QR that extraction's residual reads gives the same three norms
+            column = decomp._factored_gap(tensor.product_columns(d1), tensor.product_columns(d2))
+            assert (gap, norm1, norm2) == pytest.approx(column, rel=1e-12)
 
-    def test_matches_beyond_the_dense_operator_cap(self):
-        dec = pd.generate_instance(4, 96, 96, seed=3)
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_structured_gate_is_scale_safe(self, scale):
+        # a plain sum of squares of these norms underflows or overflows
+        dec = pd.generate_instance(4, 5, 5, seed=12)
+        twin, _ = pd.phase_permuted_twin(dec, seed=13)
+        shifted = _rescaled(twin, 1.0, first=1.5)
+        want = np.array(decomp._product_gap(dec, shifted)) * scale
+        got = decomp._product_gap(_rescaled(dec, scale), _rescaled(shifted, scale))
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(pd.OperatorMismatch, match="operators differ"):
+            pd.match_bidecomposition(_rescaled(dec, scale), _rescaled(shifted, scale))
+
+    @pytest.mark.parametrize(
+        "n, dim, bound",
+        [
+            (4, 96, 64 * 2**20),  # one dense operator here would take 1.4 GB
+            (16, 128, 2 * 2**20),  # N = 16384: the column gate's N x 2n block alone is 8 MB here
+        ],
+    )
+    def test_matches_beyond_the_dense_operator_cap(self, monkeypatch, n, dim, bound):
+        dec = pd.generate_instance(n, dim, dim, seed=3)
         assert dec.dims.total > tensor.MAX_AMBIENT_DIM
         twin, perm = pd.phase_permuted_twin(dec, seed=4)
-        shifted = pd.ProductDecomposition(
-            dec.dims,
-            tuple(pd.ProductTerm(t.weight * (1.2 if j == 0 else 1.0), t.a, t.b) for j, t in enumerate(twin.terms)),
-        )
+        shifted = _rescaled(twin, 1.0, first=1.2)
+        _forbid(monkeypatch, tensor.product_columns)  # no N-row array either
         tracemalloc.start()
         try:
             assert pd.match_bidecomposition(dec, twin).permutation == perm
@@ -351,18 +437,18 @@ class TestDenseFreeBipartiteMatching:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20  # one dense operator here would take 1.4 GB
+        assert peak < bound
 
     @pytest.mark.parametrize("profile", pd.BI_PROFILES)
     def test_match_path_uses_no_operator_or_purification(self, monkeypatch, profile):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("dense operator or purification on the match path")
-
-        for fn in (tensor.rho_matrix, tensor.build_tri_vector, purification.purify, purification.relating_unitary):
-            for mod in (pd, tensor, subspace, purification, decomp):
-                for name, value in list(vars(mod).items()):
-                    if value is fn:
-                        monkeypatch.setattr(mod, name, forbidden)
+        _forbid(
+            monkeypatch,
+            tensor.rho_matrix,
+            tensor.product_columns,
+            tensor.build_tri_vector,
+            purification.purify,
+            purification.relating_unitary,
+        )
         dec = pd.generate_instance(4, 5, 5, seed=7, profile=profile)
         twin, perm = pd.phase_permuted_twin(dec, seed=8)
         assert pd.match_bidecomposition(dec, twin).permutation == perm
@@ -372,7 +458,8 @@ class TestDenseFreeBipartiteMatching:
         # lets two decompositions without one through.  The b-set's pairwise
         # overlaps are -0.09 (Gram eigenvalues 0.82, 1.09, 1.09): at 0.9 it is
         # non-collinear (0.09 < 1 - 0.9) but dependent (sqrt(0.82 / 1.09) < 0.9);
-        # the twin swaps the two sets, and the operators differ by 0.107 < 0.9
+        # the twin swaps the two sets, and the operators differ by 0.107 < 0.9 * 0.577,
+        # 0.577 being the norm of each
         gram = 1.09 * np.eye(3) - 0.09 * np.ones((3, 3))
         skewed = np.linalg.cholesky(gram).conj().T
         dims, weights = pd.FactoredDims((3, 3)), np.full(3, 1.0 / 3.0)
@@ -411,7 +498,7 @@ class TestCollinearPairs:
         assert subspace.collinear_pairs(kets, tol) == loop
 
 
-def _reference_certify(terms1, terms2, mags1, mags2, slot, tol, wscale=1.0, what="coefficient magnitude"):
+def _reference_certify(terms1, terms2, mags1, mags2, slot, tol, wscale, what="coefficient magnitude"):
     """The per-Ket certification loop: kets stacked anew, one expansion column
     and one ``Ket.overlap`` per term at a time."""
     n = len(terms1)
@@ -463,7 +550,7 @@ def _reference_certify(terms1, terms2, mags1, mags2, slot, tol, wscale=1.0, what
             residual = max(residual, deviation)
             row.append(o)
         w1, w2 = float(mags1[j]), float(mags2[k])
-        dw, wbound = abs(w1 - w2), max(wscale, w1, w2)
+        dw, wbound = abs(w1 - w2), max(w1, w2, wscale)
         if dw > decomp.WEIGHT_ATOL * wbound:
             raise pd.HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
         residual = max(residual, dw / wbound)
@@ -475,16 +562,17 @@ def _certify_both(d1, d2, slot, tol=pd.DEFAULT_TOL):
     """(stacked result, reference result), each a tuple or the raised message."""
     if isinstance(d1, pd.ProductDecomposition):
         mags = [[t.weight for t in d.terms] for d in (d1, d2)]
-        wscale, what = max(1.0, *map(sum, mags)), "weight"
+        what = "weight"
     else:
         mags = [[abs(t.coeff) for t in d.terms] for d in (d1, d2)]
-        wscale, what = 1.0, "coefficient magnitude"
+        what = "coefficient magnitude"
     try:
-        ref = _reference_certify(d1.terms, d2.terms, *mags, slot, tol, wscale, what)
+        # weights compare relative to the larger weight sum at every scale
+        ref = _reference_certify(d1.terms, d2.terms, *mags, slot, tol, max(map(sum, mags)), what)
     except pd.HypothesisViolation as exc:
         ref = str(exc)
     try:
-        got = decomp._certify_in_slot(d1, d2, slot, tol, wscale, what)
+        got = decomp._certify_in_slot(d1, d2, slot, tol, max(float(np.abs(d.values).sum()) for d in (d1, d2)), what)
     except pd.HypothesisViolation as exc:
         return str(exc), ref
     rows = [

@@ -198,7 +198,7 @@ def _reference_relating_unitary(psi, phi, split, tol=pd.DEFAULT_TOL):
     m_psi, m_phi = pd.bipartite_matrix(psi, split), pd.bipartite_matrix(phi, split)
     red_psi, red_phi = m_psi @ m_psi.conj().T, m_phi @ m_phi.conj().T
     gap = pd.frobenius(red_psi - red_phi)
-    if gap > tol.eps * max(1.0, pd.frobenius(red_psi), pd.frobenius(red_phi)):
+    if gap > tol.eps * max(pd.frobenius(red_psi), pd.frobenius(red_phi)):
         raise pd.OperatorMismatch("not co-purifications: reduced operators differ")
     _, s_psi, vh_psi = np.linalg.svd(m_psi)
     _, s_phi, vh_phi = np.linalg.svd(m_phi)

@@ -1,5 +1,7 @@
 """Collinearity, rank, support/null-space, and dual-basis predicates."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -412,9 +414,32 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+def _core(stacks, tol):
+    """The verdict core's pairs and ranks, one list of (i, j) pairs per stack."""
+    pairs, ranks = subspace._slot_verdicts(stacks, tol)
+    return [[(i, j) for t, i, j in pairs if t == s] for s in range(len(stacks))], ranks
+
+
+def _reference_hypotheses(checked, tol):
+    """``reference_slot_independence`` for each (decomposition, label) in order,
+    then its rank verdict: one independent set of two, or two of three."""
+    verdicts = []
+    for dec, label in checked:
+        flags = reference_slot_independence(dec.terms, tol, label)
+        if len(flags) == 2 and not any(flags):
+            raise pd.HypothesisViolation(f"{label}: neither ket set is linearly independent")
+        if len(flags) == 3 and sum(flags) < 2:
+            independent = [s for s, f in zip("abc", flags) if f]
+            raise pd.HypothesisViolation(
+                f"{label}: fewer than two linearly independent ket sets (independent: {independent})"
+            )
+        verdicts.append(flags)
+    return verdicts
+
+
 class TestArrayCores:
-    """``collinear_pairs``, ``rank_and_independence`` and the hypothesis check
-    read one Gram matrix and one SVD per stack; a per-Ket loop is the oracle."""
+    """The Ket-list helpers and the hypothesis checks read one verdict core, which
+    takes one Gram pass and one SVD over zero-padded stacks; a per-Ket loop is the oracle."""
 
     CASES = random_decompositions() + [case[0] for case in near_threshold_decompositions()]
 
@@ -431,18 +456,47 @@ class TestArrayCores:
                     if abs(kets[i].overlap(kets[j])) >= 1.0 - tol.eps
                 ]
                 assert subspace.collinear_pairs(kets, tol) == pairs
-                assert subspace.stack_collinear_pairs(stack, tol) == pairs
                 assert pd.is_noncollinear_set(kets, tol) == (not pairs)
                 rank = _reference_rank(kets, tol)
-                assert subspace.stack_rank(stack, tol) == rank
+                assert _core([stack], tol) == ([pairs], [rank])
                 assert pd.rank_and_independence(kets, tol) == (rank, rank == len(kets))
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-4])
     def test_hypothesis_check_matches_the_per_ket_reference(self, eps):
+        # consecutive cases differ in type, term count and slot dims, so every
+        # batch pads some stacks in rows, in columns or in both
         tol = pd.ToleranceConfig(eps)
-        for dec in self.CASES:
-            want = _outcome(reference_slot_independence, dec.terms, tol, "label")
-            assert _outcome(decomp._slot_independence, dec, tol, "label") == want
+        for d1, d2 in zip(self.CASES, self.CASES[1:] + self.CASES[:1]):
+            stacks = [*d1.stacks, *d2.stacks]
+            kets = [[t.kets[s] for t in d.terms] for d in (d1, d2) for s in range(len(d.dims))]
+            pairs = [
+                [(i, j) for i, j in itertools.combinations(range(len(k)), 2) if pd.is_collinear(k[i], k[j], tol)]
+                for k in kets
+            ]
+            assert _core(stacks, tol) == (pairs, [_reference_rank(k, tol) for k in kets])
+            checked = ((d1, "first"), (d2, "second"))
+            want = _outcome(_reference_hypotheses, checked, tol)
+            assert _outcome(decomp._hypotheses, checked, tol) == want
+
+    def test_inputs_are_judged_in_order_collinearity_before_rank(self):
+        rng = np.random.default_rng(4)
+        base = pd.generate_instance(3, 4, 4, seed=1, profile="a-independent-only")
+        collinear = _with_slot(base, 1, _near_collinear_pair(rng, 4, 0.5, pd.DEFAULT_TOL.eps))
+        dependent = _with_slot(base, 0, _near_rank_set(rng, 4, 0.5, pd.DEFAULT_TOL.eps))
+        tri = pd.generate_tri_instance(3, 4, 4, 4, seed=1)
+        tri_collinear = _with_slot(tri, 2, _near_collinear_pair(rng, 4, 0.5, pd.DEFAULT_TOL.eps))
+        cases = [
+            ((base, dependent), "second: neither ket set is linearly independent"),
+            ((dependent, collinear), "first: neither ket set is linearly independent"),
+            ((collinear, dependent), "first: b-set collinear pair (0, 1)"),
+            ((base, collinear), "second: b-set collinear pair (0, 1)"),
+            ((tri, tri_collinear), "second: c-set collinear pair (0, 1)"),
+            ((tri_collinear, dependent), "first: c-set collinear pair (0, 1)"),
+        ]
+        for (d1, d2), message in cases:
+            checked = ((d1, "first"), (d2, "second"))
+            assert _outcome(decomp._hypotheses, checked, pd.DEFAULT_TOL) == message
+            assert _outcome(_reference_hypotheses, checked, pd.DEFAULT_TOL) == message
 
     def test_near_threshold_cases_fall_on_the_expected_side(self):
         tol = pd.DEFAULT_TOL
@@ -453,7 +507,7 @@ class TestArrayCores:
             else:
                 sv = np.linalg.svd(dec.stacks[slot][:, :3], compute_uv=False)
                 assert sv[-1] / sv[0] == pytest.approx(factor * tol.eps, rel=1e-3)
-                assert (subspace.stack_rank(dec.stacks[slot][:, :3], tol) == 3) == (factor > 1.0)
-            outcome = _outcome(decomp._slot_independence, dec, tol, "near")
+                assert (_core([dec.stacks[slot][:, :3]], tol)[1] == [3]) == (factor > 1.0)
+            outcome = _outcome(decomp._hypotheses, ((dec, "near"),), tol)
             if kind == "pair" and factor < 1.0:
                 assert outcome == f"near: {'abc'[slot]}-set collinear pair (0, 1)"

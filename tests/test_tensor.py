@@ -589,3 +589,34 @@ class TestExpansion:
             warnings.simplefilter("error")  # and no numpy warning on the way
             with pytest.raises(pd.DegenerateInput, match=re.escape(message)):
                 tensor._expansion([e] * nfac, 1.5e308 * np.array(signs, dtype=float))
+
+
+class TestFrobeniusStacks:
+    """``frobenius`` of a stack: one norm per matrix, each as the lone matrix gets it."""
+
+    def test_each_norm_is_the_lone_matrix_norm_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for shape in [(3, 4, 4), (2, 5, 3), (1, 1, 7)]:
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            norms = pd.frobenius(stack)
+            assert norms.shape == shape[:1]
+            assert norms.tolist() == [pd.frobenius(m) for m in stack] == [float(np.linalg.norm(m)) for m in stack]
+
+    def test_every_matrix_is_rescued_on_its_own(self):
+        # squares that overflow, squares that underflow, a zero matrix and a
+        # matrix of ordinary scale, in one stack and inside one errstate
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = pd.frobenius(np.stack([m * 1e200, m * 1e-200, 0 * m, m]))
+        ref = np.linalg.norm(m)
+        assert norms[0] == pytest.approx(ref * 1e200, rel=1e-14)
+        assert norms[1] == pytest.approx(ref * 1e-200, rel=1e-14)
+        assert norms[2:].tolist() == [0.0, pd.frobenius(m)]
+
+    def test_non_finite_matrices_stay_non_finite(self):
+        m = np.ones((2, 2, 2), dtype=complex)
+        m[0, 0, 0], m[1, 1, 1] = np.inf, np.nan
+        norms = pd.frobenius(m)
+        assert norms[0] == np.inf and np.isnan(norms[1])
