@@ -81,19 +81,17 @@ def tri_battery(count: int, master_seed: int) -> tuple[int, float]:
     return ok, worst
 
 
-def extraction_battery(count: int, master_seed: int) -> tuple[int, float, dict[str, list[int]]]:
+def extraction_battery(count: int, master_seed: int) -> tuple[int, float]:
     worst = 0.0
-    probes: dict[str, list[int]] = {profile: [] for profile in pd.BI_PROFILES}
     ok = 0
     for n, d1, d2, profile, seed in bi_cases(count, master_seed):
         dec = pd.generate_instance(n, d1, d2, seed=seed, profile=profile)
         report = pd.extract_decomposition(pd.build_rho(dec), seed=seed + 1)
-        probes[profile].append(report.probes_used)
         result = pd.match_bidecomposition(dec, report.decomposition)
         if result.n == n:
             ok += 1
             worst = max(worst, max(report.reconstruction_error, result.residual))
-    return ok, worst, probes
+    return ok, worst
 
 
 def main() -> int:
@@ -110,13 +108,9 @@ def main() -> int:
     ok, worst = tri_battery(args.count, args.seed + 1)
     matched["tripartite twins"] = ok
     print(f"tripartite twins:  {ok}/{args.count} matched, worst residual {worst:.3e}")
-    ok, worst, probes = extraction_battery(args.count, args.seed + 2)
+    ok, worst = extraction_battery(args.count, args.seed + 2)
     matched["blind extraction"] = ok
-    mean_probes = ", ".join(f"{p} {np.mean(v):.2f}" for p, v in probes.items() if v)
-    print(
-        f"blind extraction:  {ok}/{args.count} certified, worst error {worst:.3e}, "
-        f"{sum(sum(v) for v in probes.values())} probes drawn (mean per profile: {mean_probes})"
-    )
+    print(f"blind extraction:  {ok}/{args.count} certified, worst error {worst:.3e}")
     print(f"elapsed: {time.perf_counter() - start:.2f}s")
     short = [name for name, ok in matched.items() if ok < args.count]
     for name in short:

@@ -31,6 +31,8 @@ from .tensor import (
     TriDecomposition,
     _checked_coeffs,
     _expansion,
+    _expect,
+    _index,
     _reduced,
     _root_tensor,
     build_rho,
@@ -43,7 +45,6 @@ from .tensor import (
 # Fixed thresholds: the table in ToleranceConfig's docstring says what each decides and why it is fixed.
 WEIGHT_ATOL = 1e-6
 RECONSTRUCTION_RTOL = 1e-6
-EXTRACTION_RETRIES = 8  # one probe per attempt
 SKETCH_OVERSAMPLING = 8  # sketch columns beyond the support rank n
 
 _SLOT_NAMES = ("a", "b", "c")
@@ -101,7 +102,7 @@ class ExtractionReport:
 
     decomposition: ProductDecomposition
     reconstruction_error: float
-    probes_used: int
+    probes_used: int  # always 1: extraction draws one probe
     side: int  # factor with the larger reduced support rank (0 on a tie): its ket set is independent
 
 
@@ -167,6 +168,7 @@ def check_product_hypotheses(
     b_independent) flags; raises HypothesisViolation naming the offending
     set and pair otherwise.
     """
+    _expect(ProductDecomposition, d)
     return _hypotheses(((d, label),), tol)[0]  # type: ignore[return-value]
 
 
@@ -179,6 +181,7 @@ def check_tri_hypotheses(
     three sets linearly independent (:func:`_hypotheses`).  Returns per-slot
     independence flags.
     """
+    _expect(TriDecomposition, t)
     return _hypotheses(((t, label),), tol)[0]  # type: ignore[return-value]
 
 
@@ -362,6 +365,7 @@ def match_tridecomposition(
     ket sets are independent in both inputs (search order c, a, b); then
     certify in that slot (:func:`_certify_in_slot`).
     """
+    _expect(TriDecomposition, t1, t2)
     if t1.dims != t2.dims:
         raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
     ind1, ind2 = _hypotheses(((t1, "first tridecomposition"), (t2, "second tridecomposition")), tol)
@@ -450,6 +454,7 @@ def match_bidecomposition(
     Both rules are relative, so a match does not depend on the weight
     scale.  Certificates carry ``overlap_c = None``.
     """
+    _expect(ProductDecomposition, d1, d2)
     if d1.dims != d2.dims:
         raise DimensionMismatch(f"factor dims differ: {d1.dims.dims} vs {d2.dims.dims}")
     ind1, ind2 = _hypotheses(((d1, "first decomposition"), (d2, "second decomposition")), tol)
@@ -528,25 +533,21 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     G_t = (<dual_t| (x) I) W has ||G_t||_F^2 = w_t and, for a clean
     operator, rank 1 with left vector b_t, so one power step from its
     heaviest row (:func:`_leading_left`) reads b_t exactly; a slice that is
-    not rank 1 is left to the reconstruction and hypothesis gates below.
-    The terms are handled as whole d x n stacks: one
-    column-norm pass normalizes each, :func:`~proddecomp.subspace.fix_phase`
-    phases every column at once, and one stable ``argsort`` puts the
-    heaviest term first.  Success requires relative Frobenius reconstruction
-    error at most RECONSTRUCTION_RTOL and a hypothesis-clean decomposition, which by
-    the uniqueness theorem is the decomposition, so the probe's eigenvalues
-    are not tested.  A probe with a zero-weight slice or a failed gate is
-    redrawn, up to EXTRACTION_RETRIES probes (``probes_used``).  The
-    error is measured against the stored matrix of a dense operator, and
-    exactly, from one QR factor of the stacked columns of rho and of the
-    candidate (:func:`_factored_gap`), for a factored one.  That QR runs on
-    the columns, not on the slots as :func:`match_bidecomposition`'s gate
-    does, because the columns of a factored rho are not known to be
-    products; both read their norms by :func:`_gap_from_r`.  Otherwise
-    NotExtractable names the factor, both support ranks, the probes drawn and the best
-    error reached.  The zero operator is rejected as rank 0 before any
-    sketch, and a linear-algebra routine that does not converge raises
-    DegenerateInput.
+    not rank 1 is left to the gates below.  The terms come out heaviest
+    first, each ket phased by :func:`~proddecomp.subspace.fix_phase`.
+
+    One probe is drawn (``probes_used`` is 1): the scheme works with
+    probability one on a generic probe.  The candidate is accepted when its
+    relative Frobenius reconstruction error is at most RECONSTRUCTION_RTOL
+    and it passes the hypothesis check, which by the uniqueness theorem
+    makes it the decomposition, so the probe's eigenvalues are not tested.
+    The error is measured against the stored matrix of a dense operator,
+    and exactly, from the columns alone (:func:`_factored_gap`), for a
+    factored one.  A zero-weight slice, a failed gate or a failed
+    hypothesis check raises NotExtractable at once, naming the factor, both
+    support ranks and the error reached.  The zero operator is refused as
+    rank 0 before any sketch, and a linear-algebra routine that does not
+    converge raises DegenerateInput.
 
     Both support ranks count the eigenvalues lambda > 0 with
     lambda >= eps * lambda_max of ``eigvalsh`` of the unvalidated d x d
@@ -558,17 +559,9 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     ranks = [int(np.count_nonzero(_support_mask(np.linalg.eigvalsh(_reduced(rho, (s,))), tol))) for s in (0, 1)]
     side = int(ranks[1] > ranks[0])
     n = ranks[side]
-    probes, best = 0, np.inf
-
-    def account() -> str:  # what was tried, for the failure message
-        if np.isfinite(best):
-            reached = f"best reconstruction error {best:.3e}"
-        else:
-            reached = "every probe redrawn" if probes else "no probe drawn"
-        return f"factor {side}, support ranks {ranks[0]} and {ranks[1]}, {probes} probes, {reached}"
-
+    where = f"factor {side}, support ranks {ranks[0]} and {ranks[1]}"  # for the failure messages
     if n == 0:
-        raise NotExtractable(f"not extractable under hypotheses: the operator has rank 0 ({account()})")
+        raise NotExtractable(f"not extractable under hypotheses: the operator has rank 0 ({where}, 0 probes)")
     rng = _rng(seed)
     if rho.factor is None:
         w, scale = _rank_n_factor(rho, n, rng), frobenius(rho.matrix)
@@ -582,47 +575,44 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     r = int(np.count_nonzero(_support_mask(s_a[:n] ** 2, tol)))  # s_a^2: rho_A's eigenvalues
     u_a, s_a, z = u_ah[:r].conj().T, s_a[:r], zh[:, :r].conj().T
 
-    for _ in range(EXTRACTION_RETRIES):
-        g = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
-        probe = (g + g.conj().T) / 2.0
-        probes += 1
-        # T = W_A^dagger Tr_other[rho (I (x) X)] W_A = sum_m Z_m X^T Z_m^dagger
-        v = np.linalg.eigh((probe @ z.reshape(r, db, k)).reshape(r, db * k) @ z.conj().T)[1]
-        a_cols = (u_a * s_a) @ v
-        a_cols = fix_phase(a_cols / np.linalg.norm(a_cols, axis=0), tol.eps)
-        duals = (u_a / s_a) @ v
-        # G_t = (<dual_t| (x) I) W / conj(<dual_t|a_t>), and <dual_t| W = v_t^dagger Z
-        slices = (v.conj().T @ z) / np.einsum("jt,jt->t", duals.conj(), a_cols)[:, None]
-        slices = slices.reshape(r, db, k)
-        weights = np.einsum("tkm,tkm->t", slices.conj(), slices).real
-        if weights.min() <= 0.0:
-            continue
-        b_cols = fix_phase(_leading_left(slices), tol.eps)
+    g = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
+    probe = (g + g.conj().T) / 2.0
+    # T = W_A^dagger Tr_other[rho (I (x) X)] W_A = sum_m Z_m X^T Z_m^dagger
+    v = np.linalg.eigh((probe @ z.reshape(r, db, k)).reshape(r, db * k) @ z.conj().T)[1]
+    a_cols = (u_a * s_a) @ v
+    a_cols = fix_phase(a_cols / np.linalg.norm(a_cols, axis=0), tol.eps)
+    duals = (u_a / s_a) @ v
+    # G_t = (<dual_t| (x) I) W / conj(<dual_t|a_t>), and <dual_t| W = v_t^dagger Z
+    slices = (v.conj().T @ z) / np.einsum("jt,jt->t", duals.conj(), a_cols)[:, None]
+    slices = slices.reshape(r, db, k)
+    weights = np.einsum("tkm,tkm->t", slices.conj(), slices).real
+    if not weights.min() > 0.0:  # NaN fails too
+        raise NotExtractable(f"not extractable under hypotheses: a zero-weight slice ({where}, 1 probe)")
+    b_cols = fix_phase(_leading_left(slices), tol.eps)
 
-        # heaviest term first, ties in eigenvalue order; each stack's columns renormalized, as Ket.normalize does
-        order = np.argsort(-weights, kind="stable")
-        stacks = [c[:, order] for c in ((a_cols, b_cols) if side == 0 else (b_cols, a_cols))]
-        stacks = [c / np.linalg.norm(c, axis=0) for c in stacks]
-        dec = ProductDecomposition._from_stacks(rho.dims, stacks, weights[order])
-        if rho.factor is None:
-            cols, wts = product_columns(dec)
-            residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction
-            residual -= rho.matrix
-            err = frobenius(residual) / scale
-            del residual  # so that a redraw never holds two N x N arrays
-        else:
-            gap, norm, _ = _factored_gap(rho.factor, product_columns(dec))
-            err = gap / norm
-        best = min(best, err)
-        if err <= RECONSTRUCTION_RTOL:
-            try:
-                check_product_hypotheses(dec, tol, label="extracted decomposition")
-            except HypothesisViolation as exc:
-                raise NotExtractable(f"not extractable under hypotheses: {exc} ({account()})") from exc
-            return ExtractionReport(dec, err, probes, side)
-    raise NotExtractable(
-        f"not extractable under hypotheses: no reconstruction within {RECONSTRUCTION_RTOL:g} ({account()})"
-    )
+    # heaviest term first, ties in eigenvalue order; each stack's columns renormalized, as Ket.normalize does
+    order = np.argsort(-weights, kind="stable")
+    stacks = [c[:, order] for c in ((a_cols, b_cols) if side == 0 else (b_cols, a_cols))]
+    stacks = [c / np.linalg.norm(c, axis=0) for c in stacks]
+    dec = ProductDecomposition._from_stacks(rho.dims, stacks, weights[order])
+    if rho.factor is None:
+        cols, wts = product_columns(dec)
+        residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction
+        residual -= rho.matrix
+        err = frobenius(residual) / scale
+    else:
+        gap, norm, _ = _factored_gap(rho.factor, product_columns(dec))
+        err = gap / norm
+    reached = f"{where}, 1 probe, reconstruction error {err:.3e}"
+    if not err <= RECONSTRUCTION_RTOL:  # NaN fails too
+        raise NotExtractable(
+            f"not extractable under hypotheses: no reconstruction within {RECONSTRUCTION_RTOL:g} ({reached})"
+        )
+    try:
+        check_product_hypotheses(dec, tol, label="extracted decomposition")
+    except HypothesisViolation as exc:
+        raise NotExtractable(f"not extractable under hypotheses: {exc} ({reached})") from exc
+    return ExtractionReport(dec, err, 1, side)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +691,7 @@ def _slot_kets(
     sets are drawn in slot order, and the caller draws the values next."""
     if profile not in profiles:
         raise DimensionMismatch(f"unknown profile {profile!r}; choose from {profiles}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DimensionMismatch(f"term count must be an integer, got {n!r}")
+    n = _index(n, "term count")
     if n < 1:
         raise DimensionMismatch(f"term count must be positive, got {n}")
     rng = _rng(seed)

@@ -14,23 +14,16 @@ from .tensor import (
     Ket,
     ProductDecomposition,
     TriDecomposition,
+    _complex,
+    _expect,
     _freeze,
+    _index,
     bipartite_matrix,
     frobenius,
 )
 
 UNITARITY_ATOL = 1e-8
 RESIDUAL_ATOL = 1e-8
-
-
-def _reshape_convention_holds() -> bool:
-    # row-major composite indexing: a product ket reshapes to an outer product
-    a = np.array([0.6, 0.8])
-    b = np.array([0.0, 1.0])
-    return bool(np.array_equal(np.kron(a, b).reshape(2, 2), np.outer(a, b)))
-
-
-assert _reshape_convention_holds(), "kron/reshape index conventions disagree"
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,11 +33,12 @@ class UnitaryMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        u = np.array(self.matrix, dtype=complex)
+        u = _complex(self.matrix, "unitary entries")
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise DimensionMismatch(f"unitary must be square, got shape {u.shape}")
-        defect = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-        if defect > UNITARITY_ATOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry gives a NaN or inf defect
+            defect = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
+        if not defect <= UNITARITY_ATOL:  # NaN fails too
             raise DegenerateInput(f"matrix is not unitary: ||U^H U - I||_F = {defect:.3e}")
         object.__setattr__(self, "matrix", _freeze(u))
 
@@ -61,6 +55,7 @@ def purify(d: ProductDecomposition, dim3: int) -> TriDecomposition:
     Tracing the purified projector over the third factor reproduces the
     operator built from ``d``.
     """
+    _expect(ProductDecomposition, d)
     n, dims = d.n, FactoredDims((*d.dims, dim3))
     if dims[2] < n:
         raise DimensionMismatch(f"auxiliary dimension {dims[2]} is below the term count {n}")
@@ -113,6 +108,7 @@ def relating_unitary(
 
 def apply_on_factor(u: UnitaryMatrix, x: Ket, split: FactoredDims, factor: int) -> Ket:
     """Apply a unitary to one tensor factor: (I (x) ... U ... (x) I) x."""
+    factor = _index(factor, "factor")
     if not 0 <= factor < len(split):
         raise DimensionMismatch(f"factor {factor} out of range for split {split.dims}")
     if split.total != x.dim:

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, _nonconvergence
-from .tensor import Ket, StateOperator, _freeze, _reduced, column_stack
+from .tensor import Ket, StateOperator, _freeze, _index, _reduced, column_stack
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -34,9 +34,8 @@ class ToleranceConfig:
     WEIGHT_ATOL 1e-6          matched weights (or |coefficients|) agree to it x max(w1, w2, the
                               larger of the inputs' sums): as exact as extraction's gate, and
                               relative at every scale
-    RECONSTRUCTION_RTOL 1e-6  extraction's relative error gate: with the hypothesis check it
-                              certifies a candidate, whatever ``eps``
-    EXTRACTION_RETRIES 8      probes before NotExtractable: it bounds the work of a refusal
+    RECONSTRUCTION_RTOL 1e-6  extraction's relative error gate on its one probe's candidate: with
+                              the hypothesis check it certifies the candidate, whatever ``eps``
     SKETCH_OVERSAMPLING 8     extra columns of the dense range finder: sampling, not a decision
     UNITARITY_ATOL, RESIDUAL_ATOL 1e-8  ``relating_unitary`` checks its own result, not input
     ORTHO_ATOL 1e-10          ``SubspaceBasis`` orthogonality, met by eigh's eigenvectors to rounding
@@ -207,7 +206,7 @@ def support_and_null(
     the zero operator is empty.  Support vectors are returned in
     descending-eigenvalue order.
     """
-    nfac = len(rho.dims)
+    nfac, subsystem = len(rho.dims), _index(subsystem, "subsystem")
     if not 0 <= subsystem < nfac:
         raise DimensionMismatch(f"subsystem {subsystem} out of range for {nfac} factors")
     evals, evecs = np.linalg.eigh(rho.matrix if nfac == 1 else _reduced(rho, (subsystem,)))

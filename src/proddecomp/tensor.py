@@ -50,14 +50,22 @@ def frobenius(a: np.ndarray) -> float | np.ndarray:
     return np.array(norms) if a.ndim > 2 else norms[0]
 
 
-def _complex(values, what: str) -> np.ndarray:
-    """A complex copy of ``values``; a boolean, a string or an int beyond the float range is DegenerateInput."""
+def _complex(values, what: str, order: str = "K") -> np.ndarray:
+    """A complex copy of ``values`` in ``order``; anything but numbers (booleans, strings) is DegenerateInput."""
     try:
-        if _source_dtype(values).kind == "b":
-            raise DegenerateInput(f"{what} must be complex numbers, not booleans")
-        return np.array(values, dtype=complex)
+        dtype = _source_dtype(values)
+        if dtype.kind not in "iufc":
+            raise DegenerateInput(f"{what} must be numbers, not booleans or strings (got dtype {dtype})")
+        return np.array(values, dtype=complex, order=order)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DegenerateInput(f"{what} must be complex numbers: {exc}") from exc
+        raise DegenerateInput(f"{what} must be numbers: {exc}") from exc
+
+
+def _index(x, what: str) -> int:
+    """``x`` as an int, the rule of dims, factor indices and term counts: a bool or non-integer is DimensionMismatch."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise DimensionMismatch(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -99,6 +107,7 @@ class Ket:
     @classmethod
     def basis(cls, dim: int, index: int) -> "Ket":
         """Standard basis ket with a single unit amplitude at ``index``."""
+        dim, index = _index(dim, "dim"), _index(index, "basis index")
         if not 0 <= index < dim:
             raise DimensionMismatch(f"basis index {index} out of range for dim {dim}")
         amps = np.zeros(dim, dtype=complex)
@@ -144,9 +153,7 @@ class FactoredDims:
             dims = tuple(self.dims)
         except TypeError:
             raise DimensionMismatch(f"factor dimensions must be a sequence of integers, got {self.dims!r}") from None
-        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
-            raise DimensionMismatch(f"factor dimensions must be integers, got {self.dims!r}")
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_index(d, "factor dimension") for d in dims)
         if not 1 <= len(dims) <= 3:
             raise DimensionMismatch(f"1 to 3 factors supported, got {len(dims)}")
         if any(d < 1 for d in dims):
@@ -354,10 +361,7 @@ def _checked_weights(weights) -> np.ndarray:
 
 def _checked_coeffs(values) -> np.ndarray:
     """A complex copy of ``values``, each a nonzero finite number (tridecompositions and their terms)."""
-    dtype = _source_dtype(values)
-    if dtype.kind not in "iufc":
-        raise DegenerateInput(f"coefficients must be numbers, got dtype {dtype}")
-    z = np.array(values, dtype=complex)
+    z = _complex(values, "coefficients")
     for j, x in enumerate(z.ravel().tolist()):
         if not (cmath.isfinite(x) and x != 0):
             raise DegenerateInput(f"coefficient {j} must be nonzero and finite, got {x!r}")
@@ -459,7 +463,7 @@ class _Decomposition:
         if not np.size(values):
             raise DegenerateInput("a decomposition needs at least one term")
         values = self._checked_values(values)
-        stacks = [np.array(a, dtype=complex, order="F") for a in stacks]  # the layout stacked terms had
+        stacks = [_complex(a, "ket stacks", order="F") for a in stacks]  # the layout stacked terms had
         shapes = [a.shape for a in stacks]
         if values.ndim != 1 or shapes != [(d, values.size) for d in dims]:
             raise DimensionMismatch(f"ket stacks {shapes} do not match factors {dims.dims} x {values.size} terms")
@@ -515,6 +519,13 @@ class TriDecomposition(_Decomposition):
     _checked_values = staticmethod(_checked_coeffs)
 
 
+def _expect(kind: type, *decs) -> None:
+    """DimensionMismatch unless each of ``decs`` is a ``kind``: the other type's stacks would be misread."""
+    for d in decs:
+        if not isinstance(d, kind):
+            raise DimensionMismatch(f"expected {kind._noun}, got {type(d).__name__}")
+
+
 def tensor_product(x: Ket, y: Ket) -> Ket:
     """Kronecker product with row-major convention out[j*dim(y)+k] = x[j]*y[k]."""
     return Ket(np.kron(x.amplitudes, y.amplitudes))
@@ -532,6 +543,7 @@ def column_stack(kets: Sequence[Ket]) -> np.ndarray:
 
 def product_columns(d: ProductDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Stacked product kets a_j (x) b_j as the columns of an N x n matrix, and a copy of the weights."""
+    _expect(ProductDecomposition, d)
     a, b = d.stacks
     return np.einsum("in,kn->ikn", a, b).reshape(-1, d.n), d.values.copy()
 
@@ -586,7 +598,7 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     """
     dims = rho.dims.dims
     nfac = len(dims)
-    kept = tuple(sorted({int(k) for k in keep}))
+    kept = tuple(sorted({_index(k, "factor index") for k in keep}))
     if not kept or len(kept) >= nfac:
         raise DimensionMismatch(f"keep must be a nonempty proper subset of factors, got {keep}")
     if any(k < 0 or k >= nfac for k in kept):
@@ -654,6 +666,7 @@ def build_tri_vector(t: TriDecomposition) -> tuple[Ket, float]:
     the returned raw norm.  A cancelled sum signals degenerate input
     (:func:`_expansion`).
     """
+    _expect(TriDecomposition, t)
     v, raw = _expansion(t.stacks, t.values)
     return Ket(v / raw), raw
 

@@ -93,7 +93,7 @@ class TestExtraction:
         message = str(info.value)
         assert "factor 0" in message
         assert "support ranks 2 and 2" in message
-        assert "8 probes" in message
+        assert "1 probe, reconstruction error" in message
 
     def test_needs_two_factors(self):
         rho = pd.StateOperator(pd.FactoredDims((4,)), np.eye(4, dtype=complex) / 4)
@@ -253,6 +253,46 @@ class TestIllConditionedWeights:
         assert failures == []
 
 
+class TestOneProbe:
+    """Extraction draws one probe: a refusal comes at once, and no redraw lets a wrong candidate through."""
+
+    @pytest.mark.parametrize("form, calls", [("factored", 1), ("dense", 2)])
+    def test_a_refusal_draws_one_probe(self, monkeypatch, form, calls):
+        # the maximally mixed 2 x 2 operator; the dense form's sketch takes one eigh more
+        rho = pd.StateOperator.from_columns(pd.FactoredDims((2, 2)), np.eye(4), np.full(4, 0.25))
+        if form == "dense":
+            rho = pd.StateOperator(rho.dims, rho.matrix)
+        seen = []
+        original = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            seen.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        with pytest.raises(pd.NotExtractable, match=r"support ranks 2 and 2, 1 probe, reconstruction error"):
+            pd.extract_decomposition(rho, seed=0)
+        assert len(seen) == calls
+
+    def test_a_nan_error_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(decomp, "_factored_gap", lambda *args: (np.nan, 1.0, 1.0))
+        rho = pd.build_rho(pd.generate_instance(3, 4, 4, seed=1))
+        with pytest.raises(pd.NotExtractable, match=r"within 1e-06 \(.*, 1 probe, reconstruction error nan\)"):
+            pd.extract_decomposition(rho, seed=0)
+
+    @pytest.mark.parametrize(
+        "form, seed", [("factored", 2), ("factored", 22), ("factored", 31), ("dense", 17), ("dense", 76), ("dense", 142)]
+    )
+    def test_ill_conditioned_wrong_candidates_are_refused(self, form, seed):
+        # weights over seven decades, where a redrawn probe returned a 5-term candidate that
+        # reconstructed rho within the gate and did not match the 6-term source
+        base = pd.generate_instance(6, 8, 8, seed=seed, profile=pd.BI_PROFILES[seed % 3])
+        dec = pd.ProductDecomposition._from_stacks(base.dims, base.stacks, np.geomspace(1, 1e-7, 6))
+        rho = pd.build_rho(dec) if form == "factored" else _dense(dec)
+        with pytest.raises(pd.NotExtractable, match=r"support ranks 5 and 5, 1 probe, reconstruction error"):
+            pd.extract_decomposition(rho, seed=seed)
+
+
 class TestLinAlgFailures:
     """A linear-algebra routine that does not converge is DegenerateInput, not
     a raw ``LinAlgError``, in both forms."""
@@ -302,7 +342,7 @@ class TestNoisyInput:
         except pd.NotExtractable as exc:
             message = str(exc)
             assert f"support ranks {ranks[0]} and {ranks[1]}" in message
-            assert "best reconstruction error" in message
+            assert "1 probe, reconstruction error" in message
             return
         assert report.reconstruction_error <= decomp.RECONSTRUCTION_RTOL
         assert all(np.isfinite(t.weight) for t in report.decomposition.terms)
@@ -341,11 +381,11 @@ class TestSupportRanks:
 
     @staticmethod
     def _reported_ranks(monkeypatch, rho):
-        # with no probe allowed, every extraction ends in NotExtractable, which names both ranks
-        monkeypatch.setattr(decomp, "EXTRACTION_RETRIES", 0)
+        # below a negative gate every candidate is refused after its one probe, and the refusal names both ranks
+        monkeypatch.setattr(decomp, "RECONSTRUCTION_RTOL", -1.0)
         with pytest.raises(pd.NotExtractable) as info:
             pd.extract_decomposition(rho, seed=0)
-        ranks = re.search(r"factor (\d), support ranks (\d+) and (\d+), 0 probes", str(info.value))
+        ranks = re.search(r"factor (\d), support ranks (\d+) and (\d+), [01] probes?", str(info.value))
         return int(ranks[1]), [int(ranks[2]), int(ranks[3])]
 
     def _check(self, monkeypatch, rho):

@@ -293,6 +293,33 @@ class TestMatchBidecomposition:
         assert result.per_term[0].weight_first == 2.0
 
 
+class TestWrongDecompositionType:
+    """Each entry point names the decomposition type it reads; the other type's stacks would be misread."""
+
+    @staticmethod
+    def _pair():
+        dec = pd.generate_instance(2, 2, 2, seed=1)
+        return dec, pd.purify(dec, 2)
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda dec, tri: pd.match_bidecomposition(tri, tri), "a product decomposition"),
+            (lambda dec, tri: pd.match_bidecomposition(dec, tri), "a product decomposition"),
+            (lambda dec, tri: pd.match_tridecomposition(dec, dec), "a tridecomposition"),
+            (lambda dec, tri: pd.build_rho(tri), "a product decomposition"),
+            (lambda dec, tri: pd.rho_matrix(tri), "a product decomposition"),
+            (lambda dec, tri: pd.check_product_hypotheses(tri), "a product decomposition"),
+            (lambda dec, tri: pd.check_tri_hypotheses(dec), "a tridecomposition"),
+            (lambda dec, tri: pd.purify(tri, 3), "a product decomposition"),
+            (lambda dec, tri: pd.build_tri_vector(dec), "a tridecomposition"),
+        ],
+    )
+    def test_refused_naming_the_expected_type(self, call, expected):
+        with pytest.raises(pd.DimensionMismatch, match=f"expected {expected}, got"):
+            call(*self._pair())
+
+
 class TestUniquenessProperty:
     @pytest.mark.parametrize("seed", range(6))
     def test_twin_accepted_and_unrelated_rejected(self, seed):

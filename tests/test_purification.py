@@ -39,6 +39,21 @@ class TestUnitaryMatrix:
         with pytest.raises(pd.DimensionMismatch):
             pd.UnitaryMatrix(np.ones((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.full((2, 2), np.nan), "not unitary"),
+            (np.diag([np.inf, 1.0]), "not unitary"),
+            (np.eye(2, dtype=bool), "not booleans"),
+            (np.eye(2).astype(str), "not booleans or strings"),
+        ],
+        ids=["nan", "inf", "bool", "str"],
+    )
+    def test_rejects_what_is_not_a_finite_number(self, m, message):
+        # a numpy warning would fail the test too
+        with pytest.raises(pd.DegenerateInput, match=message):
+            pd.UnitaryMatrix(m)
+
 
 class TestPurify:
     def test_half_half_instance(self):
@@ -170,6 +185,12 @@ class TestApplyOnFactor:
         x = pd.Ket.basis(4, 0)
         with pytest.raises(pd.DimensionMismatch):
             pd.apply_on_factor(u, x, pd.FactoredDims((2, 2)), 1)
+
+    @pytest.mark.parametrize("factor", [0.5, True, "1"])
+    def test_factor_must_be_an_integer(self, factor):
+        u = pd.UnitaryMatrix(np.eye(2, dtype=complex))
+        with pytest.raises(pd.DimensionMismatch, match="factor must be an integer"):
+            pd.apply_on_factor(u, pd.Ket.basis(4, 0), pd.FactoredDims((2, 2)), factor)
 
 
 class TestTwoLabelings:

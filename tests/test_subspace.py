@@ -201,6 +201,12 @@ class TestRankAndIndependence:
 
 
 class TestSupportAndNull:
+    @pytest.mark.parametrize("subsystem", [True, 0.5, "0"])
+    def test_subsystem_must_be_an_integer(self, subsystem):
+        rho = pd.build_rho(pd.generate_instance(2, 2, 3, seed=1))
+        with pytest.raises(pd.DimensionMismatch, match="subsystem must be an integer"):
+            pd.support_and_null(rho, subsystem)
+
     def test_half_half_operator_has_full_support(self):
         e = [pd.Ket.basis(2, 0), pd.Ket.basis(2, 1)]
         dec = pd.ProductDecomposition(

@@ -68,6 +68,11 @@ class TestKet:
         with pytest.raises(pd.DimensionMismatch):
             pd.Ket.basis(2, 0).overlap(pd.Ket.basis(3, 0))
 
+    @pytest.mark.parametrize("dim, index", [(2, 0.5), (2, True), (2.0, 1)])
+    def test_basis_takes_integers(self, dim, index):
+        with pytest.raises(pd.DimensionMismatch, match="must be an integer"):
+            pd.Ket.basis(dim, index)
+
 
 class TestFactoredDims:
     def test_rejects_bad_lengths(self):
@@ -112,6 +117,35 @@ class TestBooleanArrays:
     def test_factored_operator(self, columns):
         with pytest.raises(pd.DegenerateInput, match="columns .* not booleans"):
             pd.StateOperator.from_columns(pd.FactoredDims((1,)), columns, [1.0])
+
+
+class TestStringArrays:
+    """Every array door refuses strings, which numpy would parse as numbers; the ket stacks refuse booleans too."""
+
+    def test_ket(self):
+        with pytest.raises(pd.DegenerateInput, match="amplitudes .* not booleans or strings"):
+            pd.Ket(["1"])
+
+    def test_dense_operator(self):
+        with pytest.raises(pd.DegenerateInput, match="matrix entries .* not booleans or strings"):
+            pd.StateOperator(pd.FactoredDims((2,)), [["1", "0"], ["0", "0"]])
+
+    def test_factored_operator(self):
+        with pytest.raises(pd.DegenerateInput, match="columns .* not booleans or strings"):
+            pd.StateOperator.from_columns(pd.FactoredDims((2,)), [["1"], ["0"]], [1.0])
+
+    @pytest.mark.parametrize("kind", [bool, str])
+    def test_decomposition_stacks(self, kind):
+        dims = pd.FactoredDims((2, 2))
+        with pytest.raises(pd.DegenerateInput, match="ket stacks .* not booleans or strings"):
+            pd.ProductDecomposition._from_stacks(dims, (np.eye(2).astype(kind), np.eye(2)), [0.5, 0.5])
+
+    def test_stacks_keep_column_order_and_bits(self):
+        dec = pd.generate_instance(3, 4, 5, seed=2)
+        c_order = [np.ascontiguousarray(s) for s in dec.stacks]
+        again = pd.ProductDecomposition._from_stacks(dec.dims, c_order, dec.values)
+        for ours, theirs in zip(again.stacks, dec.stacks):
+            assert ours.flags.f_contiguous and np.array_equal(ours, theirs)
 
 
 class TestStateOperator:
@@ -357,10 +391,12 @@ class TestTensorProduct:
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
     def test_product_ket_reshapes_to_rank_one(self):
+        # row-major composite indexing: a product ket reshapes to the outer product of its factors
         rng = np.random.default_rng(5)
         x = _random_ket(rng, 3)
         y = _random_ket(rng, 4)
         m = pd.bipartite_matrix(pd.tensor_product(x, y), pd.FactoredDims((3, 4)))
+        assert np.array_equal(m, np.outer(x.amplitudes, y.amplitudes))
         s = np.linalg.svd(m, compute_uv=False)
         assert abs(s[0] - 1.0) < 1e-12
         assert s[1] < 1e-14
@@ -422,6 +458,12 @@ class TestBuildRho:
 
 
 class TestPartialTrace:
+    @pytest.mark.parametrize("keep", [["a"], [True], [0.5]])
+    def test_factor_indices_must_be_integers(self, keep):
+        rho = pd.build_rho(pd.generate_instance(2, 2, 3, seed=1))
+        with pytest.raises(pd.DimensionMismatch, match="factor index must be an integer"):
+            pd.partial_trace(rho, keep)
+
     def test_product_state_reduction(self):
         rng = np.random.default_rng(2)
         a = _random_ket(rng, 3)
