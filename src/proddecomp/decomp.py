@@ -3,6 +3,7 @@ generation, and the degenerate-eigenbasis demonstration."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -266,89 +267,119 @@ def _split_pairs(stacks, values: np.ndarray, split: FactoredDims, tol: Tolerance
 # matching
 
 
+def _slot_factors(
+    d1: ProductDecomposition | TriDecomposition, d2: ProductDecomposition | TriDecomposition, slots: Sequence[int]
+) -> list[np.ndarray]:
+    """R factors of each listed slot's d_s x k block [S2_s S1_s] for k = n1 + n2:
+    the second input's stack first, then the first's.
+
+    One batched ``qr(mode="r")`` of the blocks, zero-padded to one shape;
+    R_s keeps its min(d_s, k) rows, since zero rows add nothing to an R
+    factor.  Both matchers' certificates read their slot's R from here,
+    and the bipartite equality gate reads both slots'.
+    """
+    dims, k = [d1.dims[s] for s in slots], d1.n + d2.n
+    x = np.zeros((len(slots), max(dims), k), dtype=complex)
+    for i, (s, dim) in enumerate(zip(slots, dims)):
+        x[i, :dim, : d2.n] = d2.stacks[s]
+        x[i, :dim, d2.n :] = d1.stacks[s]
+    r = np.linalg.qr(x, mode="r")
+    return [r[i, : min(dim, k)] for i, dim in enumerate(dims)]
+
+
 def _certify_in_slot(
     d1: ProductDecomposition | TriDecomposition,
     d2: ProductDecomposition | TriDecomposition,
     slot: int,
+    r: np.ndarray,
     tol: ToleranceConfig,
     wscale: float,
     what="coefficient magnitude",
 ) -> MatchResult:
     """Certify term-wise equivalence by expansion in one independent slot.
 
-    Reads only the decompositions' ``stacks`` and ``values``.  Expand the
-    first decomposition's kets in ``slot`` over the second's by least
-    squares on the two stored stacks; threshold each expansion column to
-    its single significant coefficient, which defines the permutation; then
-    certify collinearity in every slot and equality of the paired
-    magnitudes |values| (weights or coefficient magnitudes) to
-    WEIGHT_ATOL * max(w1, w2, wscale), for wscale the larger sum of |values|
-    of the two inputs: relative at every scale.  Each slot's overlaps
-    <first_perm[k]|second_k> are one column-wise product over the permuted
-    first stack.  Failures name the first failing term k of the second
-    decomposition and, within it, check the expansion coefficient, then
-    the overlaps slot by slot, then the magnitudes.  The residual is the
-    largest violation observed across all certified constraints, with each
-    weight difference taken relative to max(w1, w2, wscale), so it does not
-    grow or shrink with the weight scale.
+    Precondition: the second input's ket set is linearly independent in
+    ``slot``, and ``r`` is an R factor of that slot's block [S2 S1]
+    (:func:`_slot_factors`), min(d, 2n) x 2n.  Reads only ``r`` and the
+    decompositions' ``stacks`` and ``values``.  The least-squares expansion
+    of the first decomposition's kets over the second's, S2 sol ~ S1, is
+    one solve with the nonsingular R[:n, :n], sol = R[:n, :n]^-1 R[:n, n:],
+    and its residual ||S2 sol - S1||_F is ||R[n:, n:]||_F (Golub & Van Loan,
+    Matrix Computations, section 5.3); no least-squares routine runs.
+    Threshold each expansion column to its single significant coefficient,
+    which defines the permutation; then certify collinearity in every slot
+    and equality of the paired magnitudes |values| (weights or coefficient
+    magnitudes) to WEIGHT_ATOL * max(w1, w2, wscale), for wscale the larger
+    sum of |values| of the two inputs: relative at every scale.  Each slot's
+    overlaps <first_perm[k]|second_k> are one column-wise product over the
+    permuted first stack.  Failures name the first failing term k of the
+    second decomposition and, within it, check the expansion coefficient,
+    then the overlaps slot by slot, then the magnitudes.  The residual is
+    the largest violation observed across all certified constraints, with
+    each weight difference taken relative to max(w1, w2, wscale), so it
+    does not grow or shrink with the weight scale.
     """
     if d1.n != d2.n:
         raise HypothesisViolation(f"term-count mismatch after rank analysis: {d1.n} vs {d2.n}")
     n = d1.n
     name = _SLOT_NAMES[slot]
 
-    first, second = d1.stacks[slot], d2.stacks[slot]
-    sol, *_ = np.linalg.lstsq(second, first, rcond=None)
-    residual = float(np.linalg.norm(second @ sol - first))
+    sol = np.linalg.solve(r[:n, :n], r[:n, n:])
+    r22 = r[n:, n:]
+    residual = math.sqrt(np.vdot(r22, r22).real)  # ||R[n:, n:]||_F
 
     # row k of |sol| is column k of |gamma| for first_j = sum_k gamma[j, k] second_k;
     # n is small, so these checks run on Python floats, not on tiny arrays
+    eps = tol.eps
     perm: list[int] = []
     tops: list[float] = []
     for k, col in enumerate(np.abs(sol).tolist()):
         top = max(col)
-        j = col.index(top)
         if top == 0.0:
             raise HypothesisViolation(
                 f"factorability hypothesis violated: {name}-slot expansion column {k} vanishes"
             )
-        significant = sum(x >= tol.eps * top for x in col)
+        significant = sum(x >= eps * top for x in col)
         if significant != 1:
             raise HypothesisViolation(
                 f"factorability hypothesis violated: {name}-slot expansion column {k} "
                 f"has {significant} significant coefficients"
             )
-        residual = max([residual, *col[:j], *col[j + 1 :]])
+        j = col.index(top)
+        col[j] = 0.0  # the rest of the column is a violation
+        residual = max(residual, *col)
         perm.append(j)
         tops.append(top)
     if len(set(perm)) != n:
         raise HypothesisViolation(f"candidate permutation {perm} is not a bijection")
 
-    overlaps = [np.einsum("ij,ij->j", a1[:, perm].conj(), a2).tolist() for a1, a2 in zip(d1.stacks, d2.stacks)]
+    # one column-wise product per slot, transposed so that row k holds term k's overlaps
+    cols = np.array(perm)
+    per_slot = [np.einsum("ij,ij->j", a1[:, cols].conj(), a2).tolist() for a1, a2 in zip(d1.stacks, d2.stacks)]
+    overlaps = list(zip(*per_slot))
     mags1, mags2 = ([abs(v) for v in d.values.tolist()] for d in (d1, d2))
+    pad = (None,) * (3 - len(d1.stacks))
     certs = []
-    for k, j in enumerate(perm):
-        gdev = abs(tops[k] - 1.0)
-        if gdev > tol.eps:
+    for k, (j, top, row, w2) in enumerate(zip(perm, tops, overlaps, mags2)):
+        gdev = abs(top - 1.0)
+        if gdev > eps:
             raise HypothesisViolation(
                 f"{name}-slot expansion coefficient for term pair ({j}, {k}) "
-                f"has magnitude {tops[k]:.12g}, expected 1"
+                f"has magnitude {top:.12g}, expected 1"
             )
-        residual = max(residual, gdev)
-        for s, o in enumerate(overlaps):
-            deviation = abs(abs(o[k]) - 1.0)
-            if deviation > tol.eps:
+        deviations = [abs(abs(o) - 1.0) for o in row]
+        for s, deviation in enumerate(deviations):
+            if deviation > eps:
                 raise HypothesisViolation(
                     f"collinearity certificate failed in slot {_SLOT_NAMES[s]} for term pair "
-                    f"({j}, {k}): overlap magnitude {abs(o[k]):.12g}"
+                    f"({j}, {k}): overlap magnitude {abs(row[s]):.12g}"
                 )
-            residual = max(residual, deviation)
-        w1, w2 = mags1[j], mags2[k]
+        w1 = mags1[j]
         dw, wbound = abs(w1 - w2), max(w1, w2, wscale)
         if dw > WEIGHT_ATOL * wbound:
             raise HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
-        residual = max(residual, dw / wbound)
-        certs.append(TermCertificate(*(o[k] for o in overlaps), *[None] * (3 - len(overlaps)), w1, w2))
+        residual = max(residual, gdev, *deviations, dw / wbound)
+        certs.append(TermCertificate(*row, *pad, w1, w2))
     return MatchResult(n, tuple(perm), tuple(certs), residual)
 
 
@@ -363,21 +394,24 @@ def match_tridecomposition(
     batch for both) and that the two global vectors agree, coefficient
     phases included, to eps * max(||v1||, ||v2||); pick a factor slot whose
     ket sets are independent in both inputs (search order c, a, b); then
-    certify in that slot (:func:`_certify_in_slot`).
+    certify in that slot (:func:`_certify_in_slot`) from the R factor of its
+    block [second | first] (:func:`_slot_factors`, one QR).  The sums of
+    |coefficients| that scale the magnitude rule come from the vectors'
+    cancellation check (:func:`~proddecomp.tensor._expansion`).
     """
     _expect(TriDecomposition, t1, t2)
     if t1.dims != t2.dims:
         raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
     ind1, ind2 = _hypotheses(((t1, "first tridecomposition"), (t2, "second tridecomposition")), tol)
 
-    (v1, norm1), (v2, norm2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
+    (v1, norm1, sum1), (v2, norm2, sum2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
     gap = frobenius(v1 - v2)
     if gap > tol.eps * max(norm1, norm2):
         raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
 
     # each input has at least 2 independent slots of 3, so the two always share one
     slot = next(s for s in (2, 0, 1) if ind1[s] and ind2[s])
-    return _certify_in_slot(t1, t2, slot, tol, max(float(np.abs(t.values).sum()) for t in (t1, t2)))
+    return _certify_in_slot(t1, t2, slot, _slot_factors(t1, t2, (slot,))[0], tol, max(sum1, sum2))
 
 
 def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
@@ -409,28 +443,28 @@ def _factored_gap(
     return _gap_from_r(np.linalg.qr(np.hstack([v1, v2]), mode="r"), w1, w2)
 
 
-def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition) -> tuple[float, float, float]:
+def _product_gap(
+    d1: ProductDecomposition, d2: ProductDecomposition
+) -> tuple[float, float, float, list[np.ndarray]]:
     """:func:`_gap_from_r` for the operators of two product decompositions, read
-    off their d_s x n stacks alone, with no N-row array.
+    off their d_s x n stacks alone, with no N-row array, and the slot R factors.
 
-    For k = n1 + n2, one batched QR of the two slots' d_s x k blocks
-    [S1_s S2_s], zero-padded to one shape, gives [S1_s S2_s] = Q_s R_s.  The
-    product columns are then [V1 V2] = (Q_a (x) Q_b)(R_a (.) R_b), with (.)
-    the column-wise Kronecker (Khatri-Rao) product; Q_a (x) Q_b has
-    orthonormal columns, so the R factor of the min(d_a, k) min(d_b, k) x k
-    matrix R_a (.) R_b is one of [V1 V2] (the Gram matrix of Khatri-Rao
-    columns is the Hadamard product of the slot Grams; Kolda & Bader, SIAM
-    Rev. 51, 2009, section 2.6).  Zero rows add nothing to an R factor.
+    For k = n1 + n2, :func:`_slot_factors` gives [S2_s S1_s] = Q_s R_s for
+    both slots in one batched QR.  The product columns are then
+    [V2 V1] = (Q_a (x) Q_b)(R_a (.) R_b), with (.) the column-wise Kronecker
+    (Khatri-Rao) product; Q_a (x) Q_b has orthonormal columns, so the R
+    factor of the min(d_a, k) min(d_b, k) x k matrix R_a (.) R_b is one of
+    [V2 V1] (the Gram matrix of Khatri-Rao columns is the Hadamard product
+    of the slot Grams; Kolda & Bader, SIAM Rev. 51, 2009, section 2.6).  The
+    gap is symmetric, and the two operator norms come back in argument
+    order.  Returns (gap, norm1, norm2, [R_a, R_b]): the certificate reads
+    its slot's R_s (:func:`_certify_in_slot`).
     """
-    dims, k = d1.dims.dims, d1.n + d2.n
-    x = np.zeros((2, max(dims), k), dtype=complex)
-    for s, dim in enumerate(dims):
-        x[s, :dim, : d1.n] = d1.stacks[s]
-        x[s, :dim, d1.n :] = d2.stacks[s]
-    r = np.linalg.qr(x, mode="r")
-    r_a, r_b = (r[s, : min(dim, k)] for s, dim in enumerate(dims))
-    khatri_rao = (r_a[:, None] * r_b).reshape(-1, k)
-    return _gap_from_r(np.linalg.qr(khatri_rao, mode="r"), d1.values, d2.values)
+    factors = _slot_factors(d1, d2, (0, 1))
+    r_a, r_b = factors
+    khatri_rao = (r_a[:, None] * r_b).reshape(-1, d1.n + d2.n)
+    gap, norm2, norm1 = _gap_from_r(np.linalg.qr(khatri_rao, mode="r"), d2.values, d1.values)
+    return gap, norm1, norm2, factors
 
 
 @_nonconvergence("matching: a linear-algebra routine")
@@ -449,7 +483,9 @@ def match_bidecomposition(
     independent in both inputs (a, else b), which exists when the
     operators agree, since the a-set is independent exactly when
     rank Tr_B rho = rank rho; certify in that slot as
-    :func:`match_tridecomposition` does, with weights compared to
+    :func:`match_tridecomposition` does, from the R factor of its block
+    [S2 S1] that the gate's batched QR already took (one small solve, no
+    further factorization), with weights compared to
     WEIGHT_ATOL times the larger of the two and the larger weight sum.
     Both rules are relative, so a match does not depend on the weight
     scale.  Certificates carry ``overlap_c = None``.
@@ -459,14 +495,14 @@ def match_bidecomposition(
         raise DimensionMismatch(f"factor dims differ: {d1.dims.dims} vs {d2.dims.dims}")
     ind1, ind2 = _hypotheses(((d1, "first decomposition"), (d2, "second decomposition")), tol)
 
-    gap, norm1, norm2 = _product_gap(d1, d2)
+    gap, norm1, norm2, factors = _product_gap(d1, d2)
     if gap > tol.eps * max(norm1, norm2):
         raise OperatorMismatch(f"operators differ by {gap:.3e} in Frobenius norm")
 
     slot = next((s for s in (0, 1) if ind1[s] and ind2[s]), None)
     if slot is None:
         raise HypothesisViolation("no ket set is linearly independent in both decompositions")
-    return _certify_in_slot(d1, d2, slot, tol, max(d1.weight_sum, d2.weight_sum), "weight")
+    return _certify_in_slot(d1, d2, slot, factors[slot], tol, max(d1.weight_sum, d2.weight_sum), "weight")
 
 
 # ---------------------------------------------------------------------------

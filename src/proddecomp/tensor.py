@@ -579,7 +579,8 @@ def build_rho(d: ProductDecomposition) -> StateOperator:
 def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     """Trace out all factors not listed in ``keep`` (kept factors stay in order).
 
-    ``keep`` must be a nonempty proper subset of the factor indices.  The
+    ``keep`` must be a sequence holding a nonempty proper subset of the
+    factor indices; anything else is DimensionMismatch.  The
     result is the dense operator :func:`_reduced`, stored without the dense
     check, since the reduction of an accepted operator is positive up to a
     band that follows from rho's own check.
@@ -598,7 +599,11 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     """
     dims = rho.dims.dims
     nfac = len(dims)
-    kept = tuple(sorted({_index(k, "factor index") for k in keep}))
+    try:
+        entries = tuple(keep)
+    except TypeError:
+        raise DimensionMismatch(f"keep must be a sequence of factor indices, got {keep!r}") from None
+    kept = tuple(sorted({_index(k, "factor index") for k in entries}))
     if not kept or len(kept) >= nfac:
         raise DimensionMismatch(f"keep must be a nonempty proper subset of factors, got {keep}")
     if any(k < 0 or k >= nfac for k in kept):
@@ -631,8 +636,9 @@ def _reduced(rho: StateOperator, kept: tuple[int, ...]) -> np.ndarray:
     return (reduced + reduced.conj().T) / 2.0
 
 
-def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Raw vector sum_j values_j (x)_s stacks_s[:, j] over 2 or 3 slots, and its norm.
+def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Raw vector sum_j values_j (x)_s stacks_s[:, j] over 2 or 3 slots, its norm,
+    and sum_j |values_j|.
 
     The slots are combined pairwise (one ``einsum``) and the last one by a
     GEMM, in row-major Kronecker order.  A vector whose norm is at most
@@ -656,7 +662,7 @@ def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.nda
             f"expansion vector cancels: norm {raw!r} is at most {bound!r} "
             f"(_TRI_CANCEL_RTOL * sum of coefficient magnitudes); degenerate input"
         )
-    return v, raw
+    return v, raw, total
 
 
 def build_tri_vector(t: TriDecomposition) -> tuple[Ket, float]:
@@ -667,7 +673,7 @@ def build_tri_vector(t: TriDecomposition) -> tuple[Ket, float]:
     (:func:`_expansion`).
     """
     _expect(TriDecomposition, t)
-    v, raw = _expansion(t.stacks, t.values)
+    v, raw, _ = _expansion(t.stacks, t.values)
     return Ket(v / raw), raw
 
 

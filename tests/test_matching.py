@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import proddecomp as pd
 from proddecomp import decomp, purification, subspace, tensor
-from test_subspace import near_threshold_decompositions, random_decompositions
+from test_subspace import _near_rank_set, _with_slot, near_threshold_decompositions, random_decompositions
 
 
 def _random_ket(rng, dim):
@@ -392,7 +392,7 @@ class TestDenseFreeBipartiteMatching:
     def _certify_twin(dec, seed):
         twin, perm = pd.phase_permuted_twin(dec, seed=seed)
         assert pd.match_bidecomposition(dec, twin).permutation == perm
-        gap, norm1, norm2 = decomp._product_gap(dec, twin)
+        gap, norm1, norm2, _ = decomp._product_gap(dec, twin)
         return gap / max(norm1, norm2)
 
     def test_factored_gate_is_exact_on_twins(self):
@@ -423,7 +423,7 @@ class TestDenseFreeBipartiteMatching:
             d1 = pd.generate_instance(n1, *dims, seed=seed, profile=p1)
             d2 = pd.generate_instance(n2, *dims, seed=seed + 50, profile=p2)
             m1, m2 = pd.rho_matrix(d1), pd.rho_matrix(d2)
-            gap, norm1, norm2 = decomp._product_gap(d1, d2)
+            gap, norm1, norm2, _ = decomp._product_gap(d1, d2)
             assert gap == pytest.approx(np.linalg.norm(m1 - m2), rel=1e-12)
             assert norm1 == pytest.approx(np.linalg.norm(m1), rel=1e-12)
             assert norm2 == pytest.approx(np.linalg.norm(m2), rel=1e-12)
@@ -437,8 +437,8 @@ class TestDenseFreeBipartiteMatching:
         dec = pd.generate_instance(4, 5, 5, seed=12)
         twin, _ = pd.phase_permuted_twin(dec, seed=13)
         shifted = _rescaled(twin, 1.0, first=1.5)
-        want = np.array(decomp._product_gap(dec, shifted)) * scale
-        got = decomp._product_gap(_rescaled(dec, scale), _rescaled(shifted, scale))
+        want = np.array(decomp._product_gap(dec, shifted)[:3]) * scale
+        got = decomp._product_gap(_rescaled(dec, scale), _rescaled(shifted, scale))[:3]
         assert got == pytest.approx(want, rel=1e-12)
         with pytest.raises(pd.OperatorMismatch, match="operators differ"):
             pd.match_bidecomposition(_rescaled(dec, scale), _rescaled(shifted, scale))
@@ -598,8 +598,9 @@ def _certify_both(d1, d2, slot, tol=pd.DEFAULT_TOL):
         ref = _reference_certify(d1.terms, d2.terms, *mags, slot, tol, max(map(sum, mags)), what)
     except pd.HypothesisViolation as exc:
         ref = str(exc)
+    r = decomp._slot_factors(d1, d2, (slot,))[0]
     try:
-        got = decomp._certify_in_slot(d1, d2, slot, tol, max(float(np.abs(d.values).sum()) for d in (d1, d2)), what)
+        got = decomp._certify_in_slot(d1, d2, slot, r, tol, max(float(np.abs(d.values).sum()) for d in (d1, d2)), what)
     except pd.HypothesisViolation as exc:
         return str(exc), ref
     rows = [
@@ -609,14 +610,18 @@ def _certify_both(d1, d2, slot, tol=pd.DEFAULT_TOL):
     return (got.permutation, rows, got.residual), ref
 
 
-def _assert_same_certificate(got, ref):
+def _assert_same_certificate(got, ref, cond):
+    """Same message, or same permutation, overlaps and weights and a residual
+    within 1e-14 * ``cond``, for cond the second stack's condition number:
+    the expansion's rounding, which each residual reads, grows with it in
+    either solver."""
     if isinstance(ref, str):
         assert got == ref
         return
     assert not isinstance(got, str), got
     assert got[0] == ref[0]
     assert np.abs(np.array(got[1]) - np.array(ref[1])).max() <= 1e-14
-    assert got[2] == pytest.approx(ref[2], abs=1e-14)
+    assert got[2] == pytest.approx(ref[2], abs=1e-14 * cond)
 
 
 def _replace(dec, j, slot=None, ket=None, scale=1.0):
@@ -632,24 +637,91 @@ def _replace(dec, j, slot=None, ket=None, scale=1.0):
     return type(dec)(dec.dims, dec.terms[:j] + (new,) + dec.terms[j + 1 :])
 
 
+#: Condition numbers of the certified slot in :func:`_conditioned_decompositions`.
+CERTIFIED_CONDS = (1e2, 1e4, 1e6)
+
+
+def _conditioned_decompositions():
+    """A bipartite and a tripartite decomposition per condition number in CERTIFIED_CONDS,
+    the slot each matcher certifies in (a, resp. c) holding a near-dependent triple."""
+    rng = np.random.default_rng(11)
+    out = []
+    for i, cond in enumerate(CERTIFIED_CONDS):
+        bases = ((pd.generate_instance(4, 5, 6, seed=i), 0), (pd.generate_tri_instance(4, 5, 6, 4, seed=i), 2))
+        for base, slot in bases:
+            dec = _with_slot(base, slot, _near_rank_set(rng, base.dims[slot], 1.0, 1.0 / cond))
+            assert cond / 2 < np.linalg.cond(dec.stacks[slot]) < 2 * cond
+            out.append(dec)
+    return out
+
+
+def _independent(stack, tol=pd.DEFAULT_TOL):
+    """The matchers' rank rule: the stack's columns are linearly independent at ``tol``."""
+    return subspace._slot_verdicts([stack], tol)[1][0] == stack.shape[1]
+
+
 class TestStackedCertification:
-    """``_certify_in_slot`` reads the stored stacks and values; the per-Ket loop is the oracle."""
+    """``_certify_in_slot`` reads the stored stacks and values; the per-Ket loop is the oracle.
+
+    Its precondition is an independent second ket set in the slot (R[:n, :n]
+    nonsingular), so the oracle runs where the second stack has rank n, and
+    the matchers never certify in any other slot."""
 
     @staticmethod
     def _cases():
-        return random_decompositions(seed=5) + [case[0] for case in near_threshold_decompositions(seed=5)]
+        return (
+            random_decompositions(seed=5)
+            + [case[0] for case in near_threshold_decompositions(seed=5)]
+            + _conditioned_decompositions()
+        )
 
-    def test_twins_certify_as_the_per_ket_loop(self):
-        certified = 0
+    @staticmethod
+    def _matcher_slot(monkeypatch, dec, twin):
+        """The slot the matcher certifies ``twin`` against ``dec`` in and its result,
+        or None and the error when it refuses first."""
+        seen = []
+        certify = decomp._certify_in_slot
+
+        def spy(d1, d2, slot, *args):
+            seen.append(slot)
+            return certify(d1, d2, slot, *args)
+
+        match = pd.match_bidecomposition if isinstance(dec, pd.ProductDecomposition) else pd.match_tridecomposition
+        with monkeypatch.context() as m:
+            m.setattr(decomp, "_certify_in_slot", spy)
+            try:
+                result = match(dec, twin)
+            except pd.ProddecompError as exc:
+                result = exc
+        return (seen[0] if seen else None), result
+
+    def test_twins_certify_as_the_per_ket_loop(self, monkeypatch):
+        certified, dependent = 0, 0
         for i, dec in enumerate(self._cases()):
             twin, perm = pd.phase_permuted_twin(dec, seed=i)
+            independent = [_independent(stack) for stack in twin.stacks]
+            picked, _ = self._matcher_slot(monkeypatch, dec, twin)
+            assert picked is None or independent[picked]
             for slot in range(len(dec.dims)):
+                if not independent[slot]:
+                    dependent += 1
+                    continue
                 got, ref = _certify_both(dec, twin, slot)
-                _assert_same_certificate(got, ref)
+                cond = np.linalg.cond(twin.stacks[slot])
+                _assert_same_certificate(got, ref, cond)
                 if not isinstance(ref, str):
                     certified += 1
                     assert got[0] == perm
-        assert certified > 100
+                    assert got[2] <= 1e-14 * cond  # a twin's exact residual is 0
+        assert certified > 100 and dependent > 10
+
+    def test_matchers_certify_the_conditioned_twins_in_the_conditioned_slot(self, monkeypatch):
+        for i, dec in enumerate(_conditioned_decompositions()):
+            twin, perm = pd.phase_permuted_twin(dec, seed=i)
+            picked, result = self._matcher_slot(monkeypatch, dec, twin)
+            assert picked == (0 if isinstance(dec, pd.ProductDecomposition) else 2)
+            assert result.permutation == perm
+            assert result.residual <= 1e-14 * np.linalg.cond(twin.stacks[picked])
 
     def test_mutations_raise_the_per_ket_messages(self):
         # a shifted weight, and a ket rotated towards another term's in a slot
@@ -665,8 +737,10 @@ class TestStackedCertification:
                 mutants.append(_replace(twin, k, slot=last, ket=rotated))
             for mutant in mutants:
                 for slot in range(last):
+                    if not _independent(mutant.stacks[slot]):
+                        continue
                     got, ref = _certify_both(dec, mutant, slot)
-                    _assert_same_certificate(got, ref)
+                    _assert_same_certificate(got, ref, np.linalg.cond(mutant.stacks[slot]))
                     if isinstance(ref, str):
                         seen.add(ref.split(" for term pair")[0])
         assert {"weight mismatch", "coefficient magnitude mismatch"} <= seen
@@ -729,9 +803,10 @@ class TestLinAlgFailures:
         [
             ("match_bidecomposition", "svd"),
             ("match_bidecomposition", "qr"),
-            ("match_bidecomposition", "lstsq"),
+            ("match_bidecomposition", "solve"),
             ("match_tridecomposition", "svd"),
-            ("match_tridecomposition", "lstsq"),
+            ("match_tridecomposition", "qr"),
+            ("match_tridecomposition", "solve"),
             ("check_product_hypotheses", "svd"),
             ("check_tri_hypotheses", "svd"),
             ("relating_unitary", "svd"),
@@ -749,3 +824,21 @@ class TestLinAlgFailures:
         with pytest.raises(pd.DegenerateInput, match="did not converge") as info:
             call()
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_matchers_run_no_least_squares_and_bi_takes_two_qrs(self, monkeypatch):
+        # the certificate reads the slot QR's R: the gate's batched slot QR and
+        # its Khatri-Rao QR are the bipartite match's only QRs
+        monkeypatch.setattr(np.linalg, "lstsq", self._failing)
+        qr, calls = np.linalg.qr, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        dec, tri = pd.generate_instance(4, 5, 6, seed=3), pd.generate_tri_instance(4, 4, 5, 4, seed=3)
+        for first, match in ((dec, pd.match_bidecomposition), (tri, pd.match_tridecomposition)):
+            twin, perm = pd.phase_permuted_twin(first, seed=4)
+            calls.clear()
+            assert match(first, twin).permutation == perm
+            assert len(calls) == (2 if match is pd.match_bidecomposition else 1)
