@@ -3,7 +3,6 @@ generation, and the degenerate-eigenbasis demonstration."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -325,8 +324,7 @@ def _certify_in_slot(
     name = _SLOT_NAMES[slot]
 
     sol = np.linalg.solve(r[:n, :n], r[:n, n:])
-    r22 = r[n:, n:]
-    residual = math.sqrt(np.vdot(r22, r22).real)  # ||R[n:, n:]||_F
+    residual = float(np.linalg.norm(r[n:, n:]))  # ||S2 sol - S1||_F
 
     # row k of |sol| is column k of |gamma| for first_j = sum_k gamma[j, k] second_k;
     # n is small, so these checks run on Python floats, not on tiny arrays
@@ -395,23 +393,22 @@ def match_tridecomposition(
     phases included, to eps * max(||v1||, ||v2||); pick a factor slot whose
     ket sets are independent in both inputs (search order c, a, b); then
     certify in that slot (:func:`_certify_in_slot`) from the R factor of its
-    block [second | first] (:func:`_slot_factors`, one QR).  The sums of
-    |coefficients| that scale the magnitude rule come from the vectors'
-    cancellation check (:func:`~proddecomp.tensor._expansion`).
+    block [second | first] (:func:`_slot_factors`, one QR).
     """
     _expect(TriDecomposition, t1, t2)
     if t1.dims != t2.dims:
         raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
     ind1, ind2 = _hypotheses(((t1, "first tridecomposition"), (t2, "second tridecomposition")), tol)
 
-    (v1, norm1, sum1), (v2, norm2, sum2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
+    (v1, norm1), (v2, norm2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
     gap = frobenius(v1 - v2)
     if gap > tol.eps * max(norm1, norm2):
         raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
 
     # each input has at least 2 independent slots of 3, so the two always share one
     slot = next(s for s in (2, 0, 1) if ind1[s] and ind2[s])
-    return _certify_in_slot(t1, t2, slot, _slot_factors(t1, t2, (slot,))[0], tol, max(sum1, sum2))
+    r = _slot_factors(t1, t2, (slot,))[0]
+    return _certify_in_slot(t1, t2, slot, r, tol, max(float(np.abs(t.values).sum()) for t in (t1, t2)))
 
 
 def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:

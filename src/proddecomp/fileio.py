@@ -258,7 +258,7 @@ class LoadedDecomposition:
         """Raw global vector sum_j value_j (x)kets_j and its norm (coeff form only); DegenerateInput if cancelled."""
         if self.form != "coeff":
             raise FileError(f"{self.path}: only coefficient-form files define a global vector")
-        return _expansion(self.stacks, self.values)[:2]
+        return _expansion(self.stacks, self.values)
 
 
 def _decomposition(data: dict, path: str) -> LoadedDecomposition:

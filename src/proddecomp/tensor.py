@@ -636,9 +636,8 @@ def _reduced(rho: StateOperator, kept: tuple[int, ...]) -> np.ndarray:
     return (reduced + reduced.conj().T) / 2.0
 
 
-def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Raw vector sum_j values_j (x)_s stacks_s[:, j] over 2 or 3 slots, its norm,
-    and sum_j |values_j|.
+def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Raw vector sum_j values_j (x)_s stacks_s[:, j] over 2 or 3 slots, and its norm.
 
     The slots are combined pairwise (one ``einsum``) and the last one by a
     GEMM, in row-major Kronecker order.  A vector whose norm is at most
@@ -662,7 +661,7 @@ def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.nda
             f"expansion vector cancels: norm {raw!r} is at most {bound!r} "
             f"(_TRI_CANCEL_RTOL * sum of coefficient magnitudes); degenerate input"
         )
-    return v, raw, total
+    return v, raw
 
 
 def build_tri_vector(t: TriDecomposition) -> tuple[Ket, float]:
@@ -673,7 +672,7 @@ def build_tri_vector(t: TriDecomposition) -> tuple[Ket, float]:
     (:func:`_expansion`).
     """
     _expect(TriDecomposition, t)
-    v, raw, _ = _expansion(t.stacks, t.values)
+    v, raw = _expansion(t.stacks, t.values)
     return Ket(v / raw), raw
 
 

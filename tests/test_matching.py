@@ -610,18 +610,24 @@ def _certify_both(d1, d2, slot, tol=pd.DEFAULT_TOL):
     return (got.permutation, rows, got.residual), ref
 
 
-def _assert_same_certificate(got, ref, cond):
-    """Same message, or same permutation, overlaps and weights and a residual
-    within 1e-14 * ``cond``, for cond the second stack's condition number:
-    the expansion's rounding, which each residual reads, grows with it in
-    either solver."""
+def _assert_same_certificate(got, ref, twin_slack=None):
+    """Same message, or same permutation, overlaps and weights, and residuals
+    within 1e-14 of each other.
+
+    On a twin (``twin_slack`` given) the exact residual is 0, so each
+    residual is its own solver's rounding of the expansion, which grows with
+    the slot's condition number in either solver; there the R residual must
+    stay within twice the oracle's plus ``twin_slack``."""
     if isinstance(ref, str):
         assert got == ref
         return
     assert not isinstance(got, str), got
     assert got[0] == ref[0]
     assert np.abs(np.array(got[1]) - np.array(ref[1])).max() <= 1e-14
-    assert got[2] == pytest.approx(ref[2], abs=1e-14 * cond)
+    if twin_slack is None:
+        assert got[2] == pytest.approx(ref[2], abs=1e-14)
+    else:
+        assert got[2] <= 2 * ref[2] + twin_slack
 
 
 def _replace(dec, j, slot=None, ket=None, scale=1.0):
@@ -669,11 +675,10 @@ class TestStackedCertification:
 
     @staticmethod
     def _cases():
-        return (
-            random_decompositions(seed=5)
-            + [case[0] for case in near_threshold_decompositions(seed=5)]
-            + _conditioned_decompositions()
-        )
+        """(decomposition, conditioned): the random and near-threshold cases,
+        then those of :func:`_conditioned_decompositions`."""
+        plain = random_decompositions(seed=5) + [case[0] for case in near_threshold_decompositions(seed=5)]
+        return [(dec, False) for dec in plain] + [(dec, True) for dec in _conditioned_decompositions()]
 
     @staticmethod
     def _matcher_slot(monkeypatch, dec, twin):
@@ -697,7 +702,7 @@ class TestStackedCertification:
 
     def test_twins_certify_as_the_per_ket_loop(self, monkeypatch):
         certified, dependent = 0, 0
-        for i, dec in enumerate(self._cases()):
+        for i, (dec, conditioned) in enumerate(self._cases()):
             twin, perm = pd.phase_permuted_twin(dec, seed=i)
             independent = [_independent(stack) for stack in twin.stacks]
             picked, _ = self._matcher_slot(monkeypatch, dec, twin)
@@ -707,12 +712,12 @@ class TestStackedCertification:
                     dependent += 1
                     continue
                 got, ref = _certify_both(dec, twin, slot)
-                cond = np.linalg.cond(twin.stacks[slot])
-                _assert_same_certificate(got, ref, cond)
+                # the slack grows with the condition number only where it was built in
+                slack = 1e-14 * (np.linalg.cond(twin.stacks[slot]) if conditioned else 1.0)
+                _assert_same_certificate(got, ref, twin_slack=slack)
                 if not isinstance(ref, str):
                     certified += 1
                     assert got[0] == perm
-                    assert got[2] <= 1e-14 * cond  # a twin's exact residual is 0
         assert certified > 100 and dependent > 10
 
     def test_matchers_certify_the_conditioned_twins_in_the_conditioned_slot(self, monkeypatch):
@@ -723,11 +728,11 @@ class TestStackedCertification:
             assert result.permutation == perm
             assert result.residual <= 1e-14 * np.linalg.cond(twin.stacks[picked])
 
-    def test_mutations_raise_the_per_ket_messages(self):
+    def test_mutations_raise_the_per_ket_messages(self, monkeypatch):
         # a shifted weight, and a ket rotated towards another term's in a slot
         # that does not certify, on twins of every profile
         seen = set()
-        for i, dec in enumerate(self._cases()):
+        for i, (dec, _) in enumerate(self._cases()):
             twin, _ = pd.phase_permuted_twin(dec, seed=i)
             k, last = i % dec.n, len(dec.dims) - 1
             mutants = [_replace(twin, k, scale=1.5)]
@@ -736,11 +741,13 @@ class TestStackedCertification:
                 rotated = pd.Ket.normalize(twin.terms[k].kets[last].amplitudes + 1e-3 * (1 + i % 3) * towards)
                 mutants.append(_replace(twin, k, slot=last, ket=rotated))
             for mutant in mutants:
+                picked, _ = self._matcher_slot(monkeypatch, dec, mutant)
+                assert picked is None or _independent(mutant.stacks[picked])
                 for slot in range(last):
                     if not _independent(mutant.stacks[slot]):
                         continue
                     got, ref = _certify_both(dec, mutant, slot)
-                    _assert_same_certificate(got, ref, np.linalg.cond(mutant.stacks[slot]))
+                    _assert_same_certificate(got, ref)
                     if isinstance(ref, str):
                         seen.add(ref.split(" for term pair")[0])
         assert {"weight mismatch", "coefficient magnitude mismatch"} <= seen
@@ -762,7 +769,7 @@ class TestStackedCertification:
             assert got == ref and ref.endswith(expected), (got, ref)
 
     def test_stacks_and_values_are_read_only_copies_of_the_terms(self):
-        for dec in self._cases():
+        for dec, _ in self._cases():
             assert len(dec.stacks) == len(dec.dims)
             for s, stack in enumerate(dec.stacks):
                 assert np.array_equal(stack, np.column_stack([t.kets[s].amplitudes for t in dec.terms]))
