@@ -3,10 +3,14 @@
 Decomposition files carry per-term kets as parallel re/im arrays plus either
 a positive real weight ("w", operator form) or a complex coefficient
 ("coeff", vector form).  Operator files carry a row-major dense matrix.
-Numbers are written with 17 significant digits so parse -> serialize is
-byte-stable and floats round-trip exactly.  A list of finite floats (every
-ket and matrix array) is written by one ``%`` format over the whole list,
-``"%.17g"`` per number, which is the same text as ``format(x, ".17g")``.
+Every float is written as ``"%.17g"``, the same text as
+``format(x, ".17g")``, so parse -> serialize is byte-stable and floats
+round-trip exactly, the sign of a zero included (the literal ``-0`` reloads
+as -0.0).  An operator's matrix is formatted once per Hermitian pair: each
+entry on or above the diagonal gets its own text, and a strict-lower entry
+reuses its partner's text wherever its part mirrors the partner's bits.
+The writer collects its text in pieces and writes them only once the whole
+payload has serialized.
 """
 
 from __future__ import annotations
@@ -38,53 +42,132 @@ FORMAT_VERSION = "1"
 # canonical JSON writing
 
 
-def _fmt_number(x: float) -> str:
-    if isinstance(x, bool) or not math.isfinite(x):
-        raise FileError(f"cannot serialize number {x!r}")
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
+def _finite(x: int | float) -> bool:
+    """Whether a number is finite as a float: ``json`` parses the literal
+    1e400 as inf, and an integer can lie beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _float_texts(values) -> list[str]:
+    """``"%.17g"`` of each float in ``values``, the text of every float array."""
+    return list(map("%.17g".__mod__, values))
+
+
+def _fmt_number(x: int | float) -> str:
+    if not _finite(x):
+        raise FileError("cannot serialize number " + (repr(x) if isinstance(x, float) else "beyond the float range"))
+    return str(x) if isinstance(x, int) else format(x, ".17g")
+
+
+def _square_rows(part: np.ndarray, negate: bool):
+    """Yield, row by row, the texts of the entries of the real square matrix ``part``.
+
+    Entries on and above the diagonal are formatted.  A strict-lower entry
+    whose bits equal its partner's (``negate`` False, the real part of a
+    Hermitian matrix) or its partner's negated (``negate`` True, the
+    imaginary part) reuses the partner's text, sign-flipped when ``negate``;
+    "%.17g" of -x is "%.17g" of x with its sign flipped, "0" <-> "-0"
+    included.  Any other entry is formatted.
+    """
+    n = len(part)
+    bits = part.view(np.uint64)
+    partner = bits.T ^ np.uint64(1 << 63) if negate else bits.T
+    unmirrored = np.tril(bits != partner, -1)
+    upper = [_float_texts(part[i, i:].tolist()) for i in range(n)]
+    for i in range(n):
+        lower = [upper[j][i - j] for j in range(i)]
+        if negate:
+            lower = [t[1:] if t[0] == "-" else "-" + t for t in lower]
+        if unmirrored[i].any():
+            cols = np.flatnonzero(unmirrored[i])
+            for j, text in zip(cols.tolist(), _float_texts(part[i, cols].tolist())):
+                lower[j] = text
+        lower += upper[i]
+        yield lower
+
+
+def _pieces(obj, indent: int, out: list[str]) -> None:
+    """Append the canonical text of ``obj`` at nesting depth ``indent`` to ``out``."""
+    pad = "  " * indent
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        for k, (key, value) in enumerate(obj.items()):
+            out.append((",\n" if k else "{\n") + inner + json.dumps(str(key)) + ": ")
+            _pieces(value, indent + 1, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            out += ("[\n" + inner, (",\n" + inner).join(_float_texts(obj)), "\n" + pad + "]")
+            return
+        for k, value in enumerate(obj):
+            out.append((",\n" if k else "[\n") + inner)
+            _pieces(value, indent + 1, out)
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, np.ndarray):
+        _matrix_pieces(obj, indent, out)
+    elif isinstance(obj, complex):
+        _pieces({"re": obj.real, "im": obj.imag}, indent, out)
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, float)):
+        out.append(_fmt_number(obj))
+    elif obj is None:
+        out.append("null")
+    else:
+        raise FileError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _matrix_pieces(m: np.ndarray, indent: int, out: list[str]) -> None:
+    """A nonempty square complex array as the object {"re": [...], "im": [...]} of its
+    row-major entries, one piece per row of text."""
+    if m.dtype != complex or m.ndim != 2 or not 0 < len(m) == m.shape[1]:
+        raise FileError(f"cannot serialize a {m.dtype} array of shape {m.shape}; only a square complex one")
+    if not np.isfinite(m).all():
+        raise FileError(f"cannot serialize number {complex(m[~np.isfinite(m)][0])!r}")
+    inner = "  " * (indent + 1)
+    sep = ",\n" + inner + "  "
+    for lead, key, part, negate in (("{\n", "re", m.real, False), (",\n", "im", m.imag, True)):
+        out.append(f'{lead}{inner}"{key}": [\n{inner}  ')
+        for i, texts in enumerate(_square_rows(part, negate)):
+            if i:
+                out.append(sep)
+            out.append(sep.join(texts))
+        out.append("\n" + inner + "]")
+    out.append("\n" + "  " * indent + "}")
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
-    """Deterministic JSON text: insertion-ordered keys, 17-digit floats, and
-    a complex number as the object {"re": ..., "im": ...}."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{inner}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        sep = ",\n" + inner
-        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            # a float array: one %-format over the whole list, the same text as
-            # format(x, ".17g") per number, with no recursion
-            body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
-        else:
-            body = sep.join(dumps_canonical(v, indent + 1) for v in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(obj, complex):
-        return dumps_canonical({"re": obj.real, "im": obj.imag}, indent)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float)):
-        return _fmt_number(obj)
-    if obj is None:
-        return "null"
-    raise FileError(f"cannot serialize object of type {type(obj).__name__}")
+    """Deterministic JSON text: insertion-ordered keys, ``"%.17g"`` floats, a
+    complex number as the object {"re": ..., "im": ...}, and a nonempty square
+    complex array as the object {"re": [...], "im": [...]} of its row-major
+    entries, the same text as for those two lists of floats.
+
+    Only finite numbers serialize; anything else raises :class:`FileError`,
+    an integer beyond the float range included."""
+    out: list[str] = []
+    _pieces(obj, indent, out)
+    return "".join(out)
 
 
 def _write(path: str, payload: dict) -> None:
-    text = dumps_canonical(payload) + "\n"
+    """Write ``payload``'s canonical text and a newline; nothing is opened until it has serialized."""
+    out: list[str] = []
+    _pieces(payload, 0, out)
+    out.append("\n")
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(out)
     except OSError as exc:
         raise FileError(f"{path}: cannot write ({exc})") from exc
 
@@ -117,16 +200,19 @@ def save_decomposition(path: str, obj: ProductDecomposition | TriDecomposition) 
 
 
 def operator_payload(op: StateOperator) -> dict:
-    flat = op.matrix.reshape(-1)
+    """The operator file's payload, holding the N x N complex matrix itself: :func:`dumps_canonical`
+    writes it as the row-major {"re": [...], "im": [...]} lists, formatting each Hermitian pair once."""
     return {
         "format_version": FORMAT_VERSION,
         "kind": "operator",
         "dims": list(op.dims.dims),
-        "matrix": {"re": flat.real.tolist(), "im": flat.imag.tolist()},
+        "matrix": op.matrix,
     }
 
 
 def save_operator(path: str, op: StateOperator) -> None:
+    """Write the operator file: N(N+1)/2 numbers per part are formatted for an exactly Hermitian
+    matrix, and the text goes to the file row by row, with no copy of the whole file's text."""
     _write(path, operator_payload(op))
 
 
@@ -141,9 +227,12 @@ def _load_json(path: str) -> dict:
     def reject_constant(literal: str):
         raise FileError(f"{path}: non-finite number {literal} is not allowed")
 
+    def parse_int(literal: str) -> int | float:
+        return -0.0 if literal == "-0" else int(literal)  # the writer's text of -0.0
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=reject_constant)
+            data = json.load(fh, parse_constant=reject_constant, parse_int=parse_int)
     # ValueError covers a JSONDecodeError, bytes that are not UTF-8 and an
     # integer literal over Python's digit limit
     except (OSError, ValueError) as exc:
@@ -168,7 +257,7 @@ def _parse_dims(data: dict, path: str, lengths: tuple[int, ...]) -> FactoredDims
 
 
 def _complex_array(raw, path: str, where: str, length: int) -> np.ndarray:
-    """The complex array re + 1j*im of a {"re": [...], "im": [...]} object of JSON numbers
+    """The complex array with parts re and im of a {"re": [...], "im": [...]} object of JSON numbers
     (not booleans), each array of the given length and each literal finite as a float."""
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise FileError(f"{path}: {where} must be an object with re/im arrays")
@@ -176,23 +265,15 @@ def _complex_array(raw, path: str, where: str, length: int) -> np.ndarray:
     arrays = isinstance(re, list) and isinstance(im, list) and len(re) == length == len(im)
     if not arrays or not set(map(type, re)) | set(map(type, im)) <= {int, float}:
         raise FileError(f"{path}: {where} re/im must be numeric arrays of length {length}")
+    z = np.empty(length, dtype=complex)  # filled part by part: re + 1j*im would drop the sign of a zero
     try:  # an integer literal beyond the float range overflows here; 1e400 parses as inf
-        z = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        z.real, z.imag = np.fromiter(re, float, length), np.fromiter(im, float, length)
         finite = np.isfinite(z).all()
     except OverflowError:
         finite = False
     if not finite:
         raise FileError(f"{path}: {where} re/im must be finite, got a literal beyond the float range")
     return z
-
-
-def _finite(x: int | float) -> bool:
-    """Whether a JSON number is finite as a float: ``json`` parses the literal
-    1e400 as inf, and an integer literal can lie beyond the float range."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
 
 
 def _parse_value(term: dict, path: str, where: str) -> tuple[str, float | complex]:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,143 @@ class TestRoundTrips:
     def test_canonical_writer_output_parses_as_json(self):
         payload = {"a": [1, 2.5], "b": {"c": "x"}, "d": True, "e": None}
         assert json.loads(fileio.dumps_canonical(payload)) == payload
+
+
+def _flipped(text):
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+def _near_hermitian(n, seed):
+    """A dense positive definite n x n operator whose strict-lower entries mirror their partners to the bit."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.eye(n) + 0.01 * (a + a.conj().T)
+
+
+class TestHermitianMirror:
+    """An operator's matrix is formatted once per Hermitian pair, with the bytes of the per-number writer."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Count the numbers the writer formats."""
+        formatted, texts = [], fileio._float_texts
+
+        def counting(values):
+            formatted.append(len(values))
+            return texts(values)
+
+        monkeypatch.setattr(fileio, "_float_texts", counting)
+        return formatted
+
+    def test_entries_that_do_not_mirror_get_their_own_text(self, tmp_path, monkeypatch):
+        m = _near_hermitian(6, seed=4)
+        m[2, 0] = complex(np.nextafter(m[2, 0].real, 2.0), m[2, 0].imag)  # one ulp off, real part
+        m[3, 1] = complex(m[3, 1].real, np.nextafter(m[3, 1].imag, 2.0))  # one ulp off, imaginary part
+        m[0, 4] = m[4, 0] = complex(0.25, 0.0)  # +0 twice in the imaginary part: "0" and "0"
+        m[1, 5], m[5, 1] = complex(0.0, 0.125), complex(-0.0, -0.125)  # +0 against -0 in the real part
+        m[3, 3] += 1e-13j  # a nonzero imaginary diagonal
+        m[5, 2] = np.conj(m[2, 5]) * (1 + 1e-12)  # off in both parts
+        op = pd.StateOperator(pd.FactoredDims((2, 3)), m)
+        formatted = self._spy(monkeypatch)
+        path = tmp_path / "op.json"
+        fileio.save_operator(str(path), op)
+        assert path.read_text() == _reference_operator_text(op)
+        assert sum(formatted) == 6 * 7 + 6  # the upper triangles, and one number per part that does not mirror
+
+    def test_an_exactly_hermitian_matrix_formats_each_pair_once(self, tmp_path, monkeypatch):
+        op = pd.StateOperator(pd.FactoredDims((2, 4)), _near_hermitian(8, seed=5))
+        formatted = self._spy(monkeypatch)
+        path = tmp_path / "op.json"
+        fileio.save_operator(str(path), op)
+        assert path.read_text() == _reference_operator_text(op)
+        assert sum(formatted) == 8 * 9
+
+    @pytest.mark.parametrize("z", [2.0, 2.0 - 1e-12j])
+    def test_a_one_by_one_operator(self, tmp_path, z):
+        op = pd.StateOperator(pd.FactoredDims((1,)), np.array([[z]]))
+        path = tmp_path / "op.json"
+        fileio.save_operator(str(path), op)
+        assert path.read_text() == _reference_operator_text(op)
+
+    def test_negating_a_float_flips_the_sign_of_its_text(self):
+        bits = np.random.default_rng(20).integers(0, 2**64, size=100_000, dtype=np.uint64)
+        values = bits.view(float)[np.isfinite(bits.view(float))].tolist()
+        assert [format(-v, ".17g") for v in values] == [_flipped(format(v, ".17g")) for v in values]
+        assert _flipped(format(0.0, ".17g")) == format(-0.0, ".17g") == "-0"
+
+    def test_saving_an_operator_holds_at_most_three_and_a_half_file_sizes(self, tmp_path):
+        rho = pd.build_rho(pd.generate_instance(8, 16, 16, seed=3))  # N = 256
+        rho.matrix  # assembled before tracing
+        path = tmp_path / "op.json"
+        tracemalloc.start()
+        try:
+            fileio.save_operator(str(path), rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * path.stat().st_size
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"a": [0.5, math.inf]},
+            {"a": 1.0, "b": math.nan},
+            {"matrix": np.array([[1.0, 0.0], [0.0, np.inf]], dtype=complex)},
+            {"matrix": np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]])},
+        ],
+        ids=["list", "number", "matrix-re", "matrix-im"],
+    )
+    def test_a_non_finite_number_leaves_no_file(self, tmp_path, payload):
+        path = tmp_path / "f.json"
+        with pytest.raises(pd.FileError, match="cannot serialize number"):
+            fileio._write(str(path), payload)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "array", [np.zeros((2, 3), dtype=complex), np.zeros((0, 0), dtype=complex), np.eye(2), np.ones(4, dtype=complex)]
+    )
+    def test_only_a_nonempty_square_complex_array_serializes(self, array):
+        with pytest.raises(pd.FileError, match="only a square complex one"):
+            fileio.dumps_canonical({"matrix": array})
+
+    def test_an_integer_beyond_the_float_range_is_a_file_error(self):
+        for obj in (10**400, [1.0, 10**400], {"w": -(10**400)}, 10**5000):
+            with pytest.raises(pd.FileError, match="cannot serialize number beyond the float range"):
+                fileio.dumps_canonical(obj)
+        assert fileio.dumps_canonical([1.0, 10**300]) == _reference_dumps([1.0, 10**300])
+
+
+class TestSignedZeros:
+    """The writer's ``-0`` reloads as -0.0, so every file survives save -> load -> save byte for byte."""
+
+    def test_special_values_operator_survives_save_load_save(self, tmp_path):
+        m = np.array([[1.0, -0.0 + 1e-300j], [-0.0 - 1e-300j, 5e-324]], dtype=complex)
+        first, second = tmp_path / "op.json", tmp_path / "again.json"
+        fileio.save_operator(str(first), pd.StateOperator(pd.FactoredDims((2,)), m))
+        loaded = fileio.load_operator(str(first))
+        fileio.save_operator(str(second), loaded)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.matrix.view(np.uint64).tolist() == m.view(np.uint64).tolist()
+
+    def test_ket_with_each_signed_zero_pair_survives_save_load_save(self, tmp_path):
+        zeros = [complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), complex(0.0, 0.0)]
+        a = pd.Ket(np.array([1.0, *zeros]))
+        dec = pd.ProductDecomposition(pd.FactoredDims((5, 2)), (pd.ProductTerm(1.0, a, pd.Ket.basis(2, 0)),))
+        first, second = tmp_path / "dec.json", tmp_path / "again.json"
+        fileio.save_decomposition(str(first), dec)
+        loaded = fileio.load_decomposition(str(first))
+        fileio.save_decomposition(str(second), loaded.product())
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.stacks[0].view(np.uint64).tolist() == dec.stacks[0].view(np.uint64).tolist()
+
+    def test_the_literal_minus_zero_loads_as_minus_zero(self, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(
+            '{"format_version": "1", "kind": "operator", "dims": [2], "matrix": {"re": [2, -0, -0, 1], "im": [0, -0, 0, -0]}}'
+        )
+        m = fileio.load_operator(str(path)).matrix
+        assert np.signbit(m.real).tolist() == [[False, True], [True, False]]
+        assert np.signbit(m.imag).tolist() == [[False, True], [False, True]]
 
 
 class TestSchemaValidation:
