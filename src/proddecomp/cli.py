@@ -49,9 +49,13 @@ def _fmt(v: float) -> str:
     return "0" if abs(v) < 1e-12 else format(v, ".8g")
 
 
-def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: object, human_lines: list[str]) -> None:
+    """Print ``payload``, a dict or a dataclass, as canonical JSON under ``--json``, else ``human_lines``.
+
+    A dataclass becomes its ``dataclasses.asdict`` dict only here, so a text-mode run
+    never pays for the deep copy."""
     if getattr(args, "json", False):
-        print(dumps_canonical(payload))
+        print(dumps_canonical(payload if isinstance(payload, dict) else dataclasses.asdict(payload)))
     else:
         for line in human_lines:
             print(line)
@@ -177,7 +181,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         t1 = _load_tri_operand(first, second, tol)
         t2 = _load_tri_operand(second, first, tol)
         result = decomp.match_tridecomposition(t1, t2, tol)
-    _emit(args, dataclasses.asdict(result), _match_lines(result))
+    _emit(args, result, _match_lines(result))
     return EXIT_OK
 
 
@@ -225,7 +229,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         "tripartite q-form residual: " + _fmt(report.tri_qform_residual),
     ]
     lines += [f"note: {n}" for n in report.notes]
-    _emit(args, dataclasses.asdict(report), lines)
+    _emit(args, report, lines)
     return EXIT_OK
 
 

@@ -10,7 +10,9 @@ as -0.0).  An operator's matrix is formatted once per Hermitian pair: each
 entry on or above the diagonal gets its own text, and a strict-lower entry
 reuses its partner's text wherever its part mirrors the partner's bits.
 The writer collects its text in pieces and writes them only once the whole
-payload has serialized.
+payload has serialized; one ``%`` formats each float list.  The reader
+converts a decomposition file one factor slot at a time, every ket of the
+slot in one pass, and an operator's matrix in the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -51,9 +55,10 @@ def _finite(x: int | float) -> bool:
         return False
 
 
-def _float_texts(values) -> list[str]:
-    """``"%.17g"`` of each float in ``values``, the text of every float array."""
-    return list(map("%.17g".__mod__, values))
+def _float_texts(values: list[float]) -> list[str]:
+    """``"%.17g"`` of each float in ``values``, the text of every float array: one ``%`` formats
+    the whole list through a repeated template, and the result is split at its line breaks."""
+    return ("%.17g\n" * len(values) % tuple(values)).splitlines()
 
 
 def _fmt_number(x: int | float) -> str:
@@ -98,7 +103,9 @@ def _pieces(obj, indent: int, out: list[str]) -> None:
             out.append("{}")
             return
         for k, (key, value) in enumerate(obj.items()):
-            out.append((",\n" if k else "{\n") + inner + json.dumps(str(key)) + ": ")
+            key = str(key)
+            quoted = '"' + key + '"' if key.isascii() and key.isidentifier() else json.dumps(key)
+            out.append((",\n" if k else "{\n") + inner + quoted + ": ")
             _pieces(value, indent + 1, out)
         out.append("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -256,23 +263,41 @@ def _parse_dims(data: dict, path: str, lengths: tuple[int, ...]) -> FactoredDims
         raise FileError(f"{path}: {exc}") from exc
 
 
-def _complex_array(raw, path: str, where: str, length: int) -> np.ndarray:
-    """The complex array with parts re and im of a {"re": [...], "im": [...]} object of JSON numbers
-    (not booleans), each array of the given length and each literal finite as a float."""
-    if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
-        raise FileError(f"{path}: {where} must be an object with re/im arrays")
-    re, im = raw["re"], raw["im"]
-    arrays = isinstance(re, list) and isinstance(im, list) and len(re) == length == len(im)
-    if not arrays or not set(map(type, re)) | set(map(type, im)) <= {int, float}:
-        raise FileError(f"{path}: {where} re/im must be numeric arrays of length {length}")
-    z = np.empty(length, dtype=complex)  # filled part by part: re + 1j*im would drop the sign of a zero
+def _complex_arrays(raws: list, path: str, where: Callable[[int], str], length: int) -> np.ndarray:
+    """The len(raws) x length complex array whose row i has the parts re and im of raws[i].
+
+    Each raw must be a {"re": [...], "im": [...]} object of two arrays of the given length, whose
+    entries are JSON numbers (not booleans), each literal finite as a float.  The keys and lengths
+    are checked object by object; then one type test runs over all the lists, one ``np.fromiter``
+    per part fills every row and one finiteness test covers the array.  A refusal names
+    ``where(i)`` for the first object i that fails, shapes before types before finiteness."""
+    res, ims = [], []
+    for i, raw in enumerate(raws):
+        if not isinstance(raw, dict) or raw.keys() != {"re", "im"}:
+            raise FileError(f"{path}: {where(i)} must be an object with re/im arrays")
+        re, im = raw["re"], raw["im"]
+        if not (isinstance(re, list) and isinstance(im, list) and len(re) == length == len(im)):
+            raise FileError(f"{path}: {where(i)} re/im must be numeric arrays of length {length}")
+        res.append(re)
+        ims.append(im)
+
+    def first_failing(ok) -> str:
+        return where(next(i for i, parts in enumerate(zip(res, ims)) if not ok(chain(*parts))))
+
+    if not set(map(type, chain.from_iterable(res + ims))) <= {int, float}:
+        bad = first_failing(lambda values: set(map(type, values)) <= {int, float})
+        raise FileError(f"{path}: {bad} re/im must be numeric arrays of length {length}")
+    shape = (len(raws), length)
+    z = np.empty(shape, dtype=complex)  # filled part by part: re + 1j*im would drop the sign of a zero
     try:  # an integer literal beyond the float range overflows here; 1e400 parses as inf
-        z.real, z.imag = np.fromiter(re, float, length), np.fromiter(im, float, length)
+        z.real = np.fromiter(chain.from_iterable(res), float, z.size).reshape(shape)
+        z.imag = np.fromiter(chain.from_iterable(ims), float, z.size).reshape(shape)
         finite = np.isfinite(z).all()
     except OverflowError:
         finite = False
     if not finite:
-        raise FileError(f"{path}: {where} re/im must be finite, got a literal beyond the float range")
+        bad = first_failing(lambda values: all(map(_finite, values)))
+        raise FileError(f"{path}: {bad} re/im must be finite, got a literal beyond the float range")
     return z
 
 
@@ -343,26 +368,35 @@ class LoadedDecomposition:
 
 
 def _decomposition(data: dict, path: str) -> LoadedDecomposition:
-    """Check the schema here and the kets and values by the decompositions' own rules."""
+    """Check the schema here and the kets and values by the decompositions' own rules.
+
+    Each factor slot's kets are read in one pass by :func:`_complex_arrays`.  A file with several
+    defects is refused for the first in this order: every term's value and ket count, in term
+    order; then slot by slot, the slot's kets' keys and lengths, the types of their numbers and
+    their finiteness, each in term order; last, the values' own rules and the kets' norms.  So a
+    defect in any term's value is named before a defect in any ket's numbers."""
     dims = _parse_dims(data, path, (2, 3))
     raw_terms = data.get("terms")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise FileError(f"{path}: terms must be a nonempty list")
-    forms, values, kets = set(), [], []
+    forms, values, raw_kets = set(), [], []
     for i, term in enumerate(raw_terms):
         if not isinstance(term, dict):
             raise FileError(f"{path}: term {i} must be an object")
         form, value = _parse_value(term, path, f"term {i}")
         forms.add(form)
-        raw_kets = term.get("kets")
-        if not isinstance(raw_kets, list) or len(raw_kets) != len(dims):
+        kets = term.get("kets")
+        if not isinstance(kets, list) or len(kets) != len(dims):
             raise FileError(f"{path}: term {i} must carry one ket per factor ({len(dims)})")
         values.append(value)
-        kets.append([_complex_array(raw, path, f"term {i} factor {f}", dims[f]) for f, raw in enumerate(raw_kets)])
+        raw_kets.append(kets)
     if len(forms) != 1:
         raise FileError(f"{path}: terms mix 'w' and 'coeff' forms")
     form = forms.pop()
-    stacks = tuple(_freeze(np.array(columns).T) for columns in zip(*kets))  # F order, as stored
+    stacks = tuple(  # d_f x n, the kets as columns: F order, as stored
+        _freeze(_complex_arrays(slot, path, lambda i, f=f: f"term {i} factor {f}", dims[f]).T)
+        for f, slot in enumerate(zip(*raw_kets))
+    )
     try:
         values = _checked_weights(values) if form == "weight" else _checked_coeffs(values)
     except DegenerateInput as exc:
@@ -374,7 +408,7 @@ def _decomposition(data: dict, path: str) -> LoadedDecomposition:
 
 def _operator(data: dict, path: str) -> StateOperator:
     dims = _parse_dims(data, path, (1, 2, 3))
-    m = _complex_array(data.get("matrix"), path, "matrix", dims.total * dims.total)
+    m = _complex_arrays([data.get("matrix")], path, lambda i: "matrix", dims.total * dims.total)
     try:
         return StateOperator(dims, m.reshape(dims.total, dims.total))
     except (DegenerateInput, DimensionMismatch) as exc:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, round trips, deterministic output."""
 
+import dataclasses
 import json
 import math
 import os
@@ -813,6 +814,30 @@ class TestJsonRecords:
         z = complex(-0.0, 1e-300)
         assert fileio.dumps_canonical([z]) == fileio.dumps_canonical([_reference_complex(z)])
         assert fileio.dumps_canonical(np.complex128(z)) == fileio.dumps_canonical(_reference_complex(z))
+
+    @pytest.mark.parametrize("mode", ["bi", "tri"])
+    def test_records_become_dicts_only_under_json(self, tmp_path, capsys, monkeypatch, mode):
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        dims = "4,5" if mode == "bi" else "4,5,4"
+        assert main(["generate", "--n", "3", "--dims", dims, "--seed", "4", "--out", first]) == 0
+        assert main(["generate", "--twin-of", first, "--seed", "5", "--out", second]) == 0
+        calls, asdict = [], dataclasses.asdict
+        monkeypatch.setattr(dataclasses, "asdict", lambda obj: calls.append(type(obj).__name__) or asdict(obj))
+        capsys.readouterr()
+        assert main(["match", first, second, "--mode", mode]) == 0
+        assert main(["demo"]) == 0
+        assert capsys.readouterr().out.startswith("match: n=3 ")
+        assert calls == []
+        assert main(["match", first, second, "--mode", mode, "--json"]) == 0
+        assert main(["demo", "--json"]) == 0
+        d1, d2 = fileio.load_decomposition(first), fileio.load_decomposition(second)
+        if mode == "bi":
+            result = pd.match_bidecomposition(d1.product(), d2.product())
+        else:
+            result = pd.match_tridecomposition(d1.tri(), d2.tri())
+        expected = [_reference_match_payload(result), _reference_demo_payload(pd.demo_degeneracy())]
+        assert capsys.readouterr().out == "".join(fileio.dumps_canonical(p) + "\n" for p in expected)
+        assert calls == ["MatchResult", "DegeneracyReport"]
 
 
 class TestCoefficientBuild:

@@ -574,3 +574,106 @@ class TestGlobalVector:
         path.write_text(fileio.dumps_canonical(payload) + "\n")
         with pytest.raises(pd.DegenerateInput, match="cancels: norm 0.0 is at most 2e-08"):
             fileio.load_decomposition(str(path)).vector()
+
+
+_BIG = "1" + "0" * 400  # an integer literal beyond the float range
+_SHAPE = "must be an object with re/im arrays"
+_TYPE = "re/im must be numeric arrays of length 3"
+_FINITE = "re/im must be finite, got a literal beyond the float range"
+
+
+def _slot_file(tmp_path, nfac, defects):
+    """A 3-term file on dims (2, 3) or (2, 3, 2), weight form for 2 factors and coefficient form
+    for 3, with the JSON text ``defects[(term, factor)]`` in place of those kets and
+    ``defects[term]`` in place of that term's value."""
+    dims = [2, 3, 2][:nfac]
+    key = "w" if nfac == 2 else "coeff"
+    terms = [
+        {key: "@value%d" % i, "kets": ["@ket%d.%d" % (i, f) for f in range(nfac)]}
+        for i in range(3)
+    ]
+    text = json.dumps({"format_version": "1", "kind": "decomposition", "dims": dims, "terms": terms})
+    for i in range(3):
+        text = text.replace('"@value%d"' % i, defects.get(i, "0.5"))
+        for f, d in enumerate(dims):
+            basis = json.dumps(_ket_json(pd.Ket.basis(d, i % d)))
+            text = text.replace('"@ket%d.%d"' % (i, f), defects.get((i, f), basis))
+    path = tmp_path / "slots.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestSlotReads:
+    """Each factor slot's kets are read in one pass, and a refusal still names the term and factor."""
+
+    @pytest.mark.parametrize("nfac", [2, 3], ids=["weights", "coefficients"])
+    @pytest.mark.parametrize(
+        "ket, message",
+        [
+            ("[1, 0, 0]", _SHAPE),
+            ('{"re": [1, 0, 0], "im": [0, 0, 0], "x": 0}', _SHAPE),
+            ('{"re": [1, 0, 0]}', _SHAPE),
+            ('{"re": [1, 0], "im": [0, 0]}', _TYPE),
+            ('{"re": [1, 0, 0], "im": 0}', _TYPE),
+            ('{"re": [true, 0, 0], "im": [0, 0, 0]}', _TYPE),
+            ('{"re": [1, 0, 0], "im": [0, "0", 0]}', _TYPE),
+            ('{"re": [1, 0, null], "im": [0, 0, 0]}', _TYPE),
+            ('{"re": [%s, 0, 0], "im": [0, 0, 0]}' % _BIG, _FINITE),
+            ('{"re": [1, 0, 0], "im": [0, 0, -%s]}' % _BIG, _FINITE),
+            ('{"re": [1, 0, 0], "im": [1e400, 0, 0]}', _FINITE),
+        ],
+        ids=["list", "extra-key", "missing-key", "length", "scalar", "true", "string", "null", "int", "-int", "1e400"],
+    )
+    def test_a_defect_at_term_2_factor_1_is_named(self, tmp_path, nfac, ket, message):
+        path = _slot_file(tmp_path, nfac, {(2, 1): ket})
+        with pytest.raises(pd.FileError) as info:
+            fileio.load_decomposition(path)
+        assert str(info.value) == f"{path}: term 2 factor 1 {message}"
+
+    @pytest.mark.parametrize("nfac", [2, 3], ids=["weights", "coefficients"])
+    def test_the_defect_free_file_loads(self, tmp_path, nfac):
+        loaded = fileio.load_decomposition(_slot_file(tmp_path, nfac, {}))
+        assert [s.shape for s in loaded.stacks] == [(2, 3), (3, 3), (2, 3)][:nfac]
+        assert all(s.flags.f_contiguous and not s.flags.writeable for s in loaded.stacks)
+        assert np.array_equal(loaded.stacks[1], np.eye(3))
+
+    @pytest.mark.parametrize(
+        "defects, named",
+        [
+            ({(0, 1): '{"re": [true, 0, 0], "im": [0, 0, 0]}', 1: '"x"'}, "term 1 weight must be a number"),
+            ({(0, 1): "[]", 2: "-1e400"}, "term 2 weight must be finite"),
+            ({(1, 0): '{"re": [true, 0], "im": [0, 0]}', (2, 0): "{}"}, f"term 2 factor 0 {_SHAPE}"),
+            ({(0, 0): '{"re": [1e400, 0], "im": [0, 0]}', (1, 0): '{"re": [1, null], "im": [0, 0]}'},
+             "term 1 factor 0 re/im must be numeric arrays of length 2"),
+            ({(0, 1): "[]", (1, 0): '{"re": [1, "0"], "im": [0, 0]}'},
+             "term 1 factor 0 re/im must be numeric arrays of length 2"),
+            ({(0, 1): '{"re": [1, 1, 0], "im": [0, 0, 0]}', (1, 1): "[]"}, f"term 1 factor 1 {_SHAPE}"),
+            ({0: "-0.5", (1, 1): '{"re": [1e400, 0, 0], "im": [0, 0, 0]}'}, f"term 1 factor 1 {_FINITE}"),
+        ],
+        ids=["value-before-ket", "value-before-shape", "shape-before-type", "type-before-finite",
+             "slot-0-before-slot-1", "shape-before-norm", "finite-before-sign"],
+    )
+    def test_several_defects_are_refused_in_the_documented_order(self, tmp_path, defects, named):
+        path = _slot_file(tmp_path, 2, defects)
+        with pytest.raises(pd.FileError) as info:
+            fileio.load_decomposition(path)
+        assert str(info.value).startswith(f"{path}: {named}")
+
+    def test_one_fromiter_per_part_and_slot(self, tmp_path, monkeypatch):
+        tri = pd.purify(pd.generate_instance(8, 16, 16, seed=3), 8)  # n = 8: 24 kets in 3 slots
+        path = str(tmp_path / "tri.json")
+        fileio.save_decomposition(path, tri)
+        calls, fromiter = [], np.fromiter
+        monkeypatch.setattr(np, "fromiter", lambda *args: calls.append(args[2]) or fromiter(*args))
+        loaded = fileio.load_decomposition(path)
+        assert calls == [8 * 16, 8 * 16, 8 * 16, 8 * 16, 8 * 8, 8 * 8]
+        for stored, back in zip(tri.stacks, loaded.stacks):
+            assert np.array_equal(stored, back)
+
+    @pytest.mark.parametrize("key", ["re", "weight_first", "_x1", "a-b", "1a", "ü", 'a"b', "a\tb", ""])
+    def test_keys_are_quoted_as_json_quotes_them(self, key):
+        assert fileio.dumps_canonical({key: 1}) == "{\n  " + json.dumps(key) + ": 1\n}"
+
+    def test_an_empty_and_a_one_element_float_list(self):
+        assert fileio._float_texts([]) == []
+        assert fileio._float_texts([-0.0]) == ["-0"]
