@@ -21,6 +21,7 @@ from .subspace import (
     ToleranceConfig,
     _slot_verdicts,
     _support_mask,
+    _support_rank,
     fix_phase,
 )
 from .tensor import (
@@ -584,12 +585,14 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
 
     Both support ranks count the eigenvalues lambda > 0 with
     lambda >= eps * lambda_max of ``eigvalsh`` of the unvalidated d x d
-    reduced operators (:func:`~proddecomp.tensor._reduced`), in either form;
-    the whitening keeps the top n of S_A whose squares pass that rule.
+    reduced operators (:func:`~proddecomp.tensor._reduced`), in either form,
+    through :func:`~proddecomp.subspace._support_rank`, the helper that
+    :func:`~proddecomp.subspace.support_and_null` reads too; the whitening
+    keeps the top n of S_A whose squares pass that rule.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
-    ranks = [int(np.count_nonzero(_support_mask(np.linalg.eigvalsh(_reduced(rho, (s,))), tol))) for s in (0, 1)]
+    ranks = [_support_rank(_reduced(rho, (s,)), tol) for s in (0, 1)]
     side = int(ranks[1] > ranks[0])
     n = ranks[side]
     where = f"factor {side}, support ranks {ranks[0]} and {ranks[1]}"  # for the failure messages

@@ -25,7 +25,7 @@ class ToleranceConfig:
               certified match lets each paired overlap and expansion coefficient lie eps off
               magnitude 1.  Rank: the one relative cutoff on a spectrum, >= eps times its largest:
               significant expansion coefficients (``_certify_in_slot``) and, with > 0,
-              ``_support_mask`` (ket stack ranks in ``_slot_verdicts``, reduced support ranks,
+              ``_support_mask`` (ket stack ranks in ``_slot_verdicts``, support ranks in ``_support_rank``,
               extraction's whitening, Schmidt verdicts); both phase with ``fix_phase(eps=eps)``.
               Equal: operators or vectors with ||x - y|| <= eps * max(||x||, ||y||), relative at
               every scale (both matchers' gates, ``relating_unitary``'s reduced operators).
@@ -132,9 +132,11 @@ def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
     Equivalently min_alpha ||x - e^{i alpha} y|| <= sqrt(2 eps).  Two
     unit kets are collinear exactly when their rank-1 projectors coincide,
-    so this predicate also decides equality of 1-projectors.
+    so this predicate also decides equality of 1-projectors.  It has no
+    rule of its own: it is ``not is_noncollinear_set((x, y), tol)``, the
+    verdict of :func:`_slot_verdicts` on the pair.
     """
-    return abs(x.overlap(y)) >= 1.0 - tol.eps
+    return not is_noncollinear_set((x, y), tol)
 
 
 def collinear_pairs(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
@@ -166,6 +168,13 @@ def _support_mask(lam: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return (lam > 0.0) & (lam >= tol.eps * lam.max(axis=-1, keepdims=True))
 
 
+def _support_rank(h: np.ndarray, tol: ToleranceConfig) -> int:
+    """The support rank of a reduced operator h: the count of ``eigvalsh(h)`` that
+    :func:`_support_mask` keeps.  The one rank rule of both extraction ranks and
+    :func:`support_and_null`, so the two always name the same rank."""
+    return int(np.count_nonzero(_support_mask(np.linalg.eigvalsh(h), tol)))
+
+
 @_nonconvergence("rank SVD")
 def _slot_verdicts(
     stacks: Sequence[np.ndarray], tol: ToleranceConfig
@@ -173,10 +182,13 @@ def _slot_verdicts(
     """The collinear pairs and the numerical rank of every d_i x n_i stack of unit columns.
 
     The stacks are zero-padded into one m x D x K array (D and K the largest
-    d_i and n_i), which takes one Gram pass and one SVD.  Zero rows and
-    columns add no Gram entry >= 1 - eps and no singular value > 0, so they
-    change no verdict.  Pairs are the (stack, i, j) with i < j and
-    |<a_i|a_j>| >= 1 - eps, in lexicographic order.  A stack's rank counts
+    d_i and n_i), which takes one Gram pass and one SVD.  In exact
+    arithmetic zero rows and columns add no Gram entry >= 1 - eps and no
+    singular value > 0, so they change no verdict.  In floating point the
+    padded shape can change the rounding of a stack's Gram entries and
+    singular values, so a verdict within a few ulps of its threshold can
+    depend on what the stack is batched with.  Pairs are the (stack, i, j)
+    with i < j and |<a_i|a_j>| >= 1 - eps, in lexicographic order.  A stack's rank counts
     the singular values that :func:`_support_mask`'s rule keeps (> 0, and
     >= eps times the largest).  It is not taken from the Gram eigenvalues,
     because a relative singular value of 1e-8 is a relative Gram eigenvalue
@@ -199,23 +211,24 @@ def support_and_null(
 ) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Support and null space of an operator on one of its factors.
 
-    Both are computed from the reduced operator on that factor
-    (:func:`~proddecomp.tensor._reduced`, which extraction reads too): its
-    eigenvectors with a positive eigenvalue of at least eps * lambda_max
-    span the support, the remaining ones the null space, so the support of
-    the zero operator is empty.  Support vectors are returned in
-    descending-eigenvalue order.
+    Both are computed from the reduced operator h on that factor
+    (:func:`~proddecomp.tensor._reduced`, which extraction reads too).  Its
+    support rank r is :func:`_support_rank`, the count extraction names, so
+    the support of the zero operator is empty.  ``eigh`` of h gives only the
+    vectors: the r with the largest eigenvalues span the support, in
+    descending-eigenvalue order (ties in ascending index), and the remaining
+    ones, ascending, the null space.
     """
     nfac, subsystem = len(rho.dims), _index(subsystem, "subsystem")
     if not 0 <= subsystem < nfac:
         raise DimensionMismatch(f"subsystem {subsystem} out of range for {nfac} factors")
-    evals, evecs = np.linalg.eigh(rho.matrix if nfac == 1 else _reduced(rho, (subsystem,)))
-    is_support = _support_mask(evals, tol)
-    null_idx = [i for i in range(evals.size) if not is_support[i]]
-    supp_idx = [i for i in range(evals.size) if is_support[i]]
-    supp_idx.sort(key=lambda i: -evals[i])
+    h = rho.matrix if nfac == 1 else _reduced(rho, (subsystem,))
+    rank = _support_rank(h, tol)
+    evals, evecs = np.linalg.eigh(h)
+    cut = evals.size - rank
+    supp_idx = cut + np.argsort(-evals[cut:], kind="stable")
     ambient = rho.dims[subsystem]
-    support = SubspaceBasis(ambient, tuple(Ket(evecs[:, i]) for i in supp_idx))
-    null = SubspaceBasis(ambient, tuple(Ket(evecs[:, i]) for i in null_idx))
+    support = SubspaceBasis(ambient, tuple(Ket(evecs[:, i]) for i in supp_idx.tolist()))
+    null = SubspaceBasis(ambient, tuple(Ket(evecs[:, i]) for i in range(cut)))
     return support, null
 

@@ -176,26 +176,46 @@ class FactoredDims:
         return self.dims[i]
 
 
-def _hermitian_part(m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(m + m^H)/2 written into ``out``, bit-identical to the out-of-place form."""
+#: Below this bound on every |entry| of m, m + m^H cannot overflow.
+_HALF_SUM_BOUND = 2.0**1022
+
+
+def _hermitian_part(m: np.ndarray, out: np.ndarray, big: float) -> np.ndarray:
+    """(m + m^H)/2 written into ``out``: the one Hermitian part of an operator matrix.
+
+    ``big`` bounds every |entry| of m: a Frobenius norm, or the largest
+    diagonal entry of a PSD matrix.  Below ``_HALF_SUM_BOUND`` the sum cannot
+    overflow, and the result is bit-identical to the out-of-place
+    (m + m^H)/2.  Otherwise (NaN too) m/2 + m^H/2 is taken: it cannot
+    overflow, and it rounds as the sum would have wherever no half is subnormal.
+    """
     np.conjugate(m.T, out=out)
-    out += m
-    out *= 0.5
+    if big < _HALF_SUM_BOUND:
+        out += m
+        out *= 0.5
+    else:
+        out *= 0.5
+        out += m * 0.5
     return out
 
 
+def _diagonal_max(m: np.ndarray) -> float:
+    """The largest real diagonal entry: for a PSD matrix, a bound on every |entry|."""
+    return max(m.diagonal().real.tolist())  # plain floats: cheaper than a reduction on a small matrix
+
+
 @_nonconvergence("eigenvalues of the matrix")
-def _check_psd(m: np.ndarray, work: np.ndarray) -> None:
+def _check_psd(m: np.ndarray, work: np.ndarray, scale: float) -> None:
     """Raise DegenerateInput unless lambda_min(h) >= -PSD_RTOL * max(lambda_max(h), 0)
-    for h = (m + m^H)/2; ``work`` is an N x N scratch array."""
-    h = _hermitian_part(m, work)
+    for h = (m + m^H)/2; ``work`` is an N x N scratch array, and ``scale`` is ||m||_F."""
+    h = _hermitian_part(m, work, scale)
     h.flat[:: h.shape[0] + 1] += PSD_RTOL * max(0.0, float(h.diagonal().real.max()))
     try:
         np.linalg.cholesky(h)
         return  # the factor exists: lambda_min(h) >= -shift >= the bound
     except np.linalg.LinAlgError:
         pass
-    evals = np.linalg.eigvalsh(_hermitian_part(m, work))  # not certified; unshifted again, eigvalsh decides
+    evals = np.linalg.eigvalsh(_hermitian_part(m, work, scale))  # not certified; unshifted again, eigvalsh decides
     lowest, bound = float(evals[0]), -PSD_RTOL * max(float(evals[-1]), 0.0)
     if lowest < bound:
         raise DegenerateInput(
@@ -313,7 +333,7 @@ def _checked_matrix(matrix, n: int) -> np.ndarray:
             f"matrix is not Hermitian within tolerance: ||m - m^H||_F = {asymmetry:.3e} "
             f"exceeds HERMITICITY_RTOL * ||m||_F = {HERMITICITY_RTOL * scale:.3e}"
         )
-    _check_psd(m, work)
+    _check_psd(m, work, scale)
     return m
 
 
@@ -370,12 +390,22 @@ def _checked_coeffs(values) -> np.ndarray:
 
 def _non_unit_column(stacks: Sequence[np.ndarray]) -> tuple[int, int, float] | None:
     """The first (stack, column, norm) whose norm is not within ``KET_NORM_ATOL`` of 1 (NaN included),
-    or None: the unit rule of every ket, for complex d x n stacks in F order (columns are float rows)."""
+    or None: the unit rule of every ket, for complex d x n stacks in F order (columns are float rows).
+
+    A column with a real or imaginary part above 2 in magnitude is not unit.  It is never squared,
+    and :func:`frobenius` reads its norm, so an entry of 1e200 is reported as a norm of 1e200.
+    """
     for s, a in enumerate(stacks):
         f = a.T.view(float)
+        huge = ()
+        if not np.abs(f).max(initial=0.0) <= 2.0:  # NaN too; fmax below lets no NaN hide a huge part
+            huge = np.flatnonzero(np.fmax.reduce(np.abs(f), axis=1) > 2.0).tolist()
+            f = f.copy()
+            f[huge] = 0.0
         for j, sq in enumerate(np.add.reduce(f * f, axis=1).tolist()):
-            if not abs(math.sqrt(sq) - 1.0) <= KET_NORM_ATOL:  # NaN fails too
-                return s, j, math.sqrt(sq)
+            norm = frobenius(a[:, j]) if j in huge else math.sqrt(sq)
+            if not abs(norm - 1.0) <= KET_NORM_ATOL:  # NaN fails too
+                return s, j, norm
     return None
 
 
@@ -551,9 +581,7 @@ def product_columns(d: ProductDecomposition) -> tuple[np.ndarray, np.ndarray]:
 def _assemble(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Symmetrized matrix (V w) V^dagger: the one way a factor becomes an N x N array."""
     m = (v * w) @ v.conj().T
-    m += m.conj().T  # in place: one N x N temporary fewer at the peak
-    m /= 2.0
-    return m
+    return _hermitian_part(m, np.empty_like(m), _diagonal_max(m))
 
 
 def rho_matrix(d: ProductDecomposition) -> np.ndarray:
@@ -633,7 +661,7 @@ def _reduced(rho: StateOperator, kept: tuple[int, ...]) -> np.ndarray:
         traced = tuple(i for i in range(nfac) if i not in kept)
         m = _root_tensor(rho).transpose(*kept, *traced, nfac).reshape(size, -1)
         reduced = m @ m.conj().T
-    return (reduced + reduced.conj().T) / 2.0
+    return _hermitian_part(reduced, np.empty_like(reduced), _diagonal_max(reduced))
 
 
 def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.ndarray, float]:

@@ -422,6 +422,44 @@ class TestOverflowingLiterals:
         assert captured.err.startswith(f"error: {path}: matrix re/im must be finite")
 
 
+def _decomposition_file(path, terms):
+    return _write_payload(path, {"format_version": "1", "kind": "decomposition", "dims": [2, 2], "terms": terms})
+
+
+class TestTopOfTheFloatRange:
+    """Files at the top of the float range end in an answer or in one
+    ``error:`` line, with no numpy warning on stderr."""
+
+    def test_a_weight_file_at_the_top_of_the_range_builds_and_checks(self, tmp_path, capsys):
+        # its matrix is diag(1e308, 0, 0, 5e307), and m + m^H overflows
+        e = [_ket_json(pd.Ket.basis(2, i)) for i in (0, 1)]
+        path = _decomposition_file(
+            tmp_path / "top.json", [{"w": 1e308, "kets": [e[0], e[0]]}, {"w": 5e307, "kets": [e[1], e[1]]}]
+        )
+        op = str(tmp_path / "top-op.json")
+        assert main(["build", path, "--out", op]) == 0
+        assert main(["check", op]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["check", "extract"])
+    def test_a_non_psd_operator_at_the_top_of_the_range_exits_2(self, tmp_path, capsys, command):
+        m = np.diag([1.5e308, -1e300, 1.0, 1.0])
+        matrix = {"re": m.ravel().tolist(), "im": [0.0] * 16}
+        payload = {"format_version": "1", "kind": "operator", "dims": [2, 2], "matrix": matrix}
+        path = _write_payload(tmp_path / "nonpsd.json", payload)
+        argv = [command, path] + (["--out", str(tmp_path / "dec.json")] if command == "extract" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: matrix is not positive semidefinite: min eigenvalue -1e+300 ")
+
+    def test_a_huge_ket_entry_is_named_by_its_true_norm(self, tmp_path, capsys):
+        ket = {"re": [1e200, 0.0], "im": [0.0, 0.0]}
+        path = _decomposition_file(tmp_path / "bigket.json", [{"w": 1.0, "kets": [ket, _ket_json(pd.Ket.basis(2, 0))]}])
+        assert main(["build", path, "--out", str(tmp_path / "op.json")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: term 0 factor 0 ket has norm 1e+200, not 1\n"
+
+
 class TestCheckParsesOnce:
     """``check`` reads its file with one ``json.load``, whatever its kind."""
 

@@ -362,7 +362,8 @@ def _rank_deficient_factor(dec):
 
 class TestSupportRanks:
     """Extraction takes both support ranks from ``eigvalsh`` of the unvalidated
-    reduced operators in either form, not from ``support_and_null``."""
+    reduced operators in either form, not from ``support_and_null``; both read
+    the one helper ``subspace._support_rank``, so their ranks agree by construction."""
 
     @pytest.mark.parametrize("form", [pd.build_rho, _dense])
     def test_extracts_without_support_and_null(self, monkeypatch, form):
@@ -411,6 +412,19 @@ class TestSupportRanks:
             pd.StateOperator(dims, np.eye(12, dtype=complex) / 12),
         ):
             self._check(monkeypatch, rho)
+
+    def test_ranks_equal_support_and_null_at_the_threshold(self, monkeypatch):
+        # 4 x 4 factors, kets from random unitaries, the lightest weight within
+        # 8 ulps of eps * lambda_max: one rank helper decides both counts
+        rng = np.random.default_rng(26)
+        dims = pd.FactoredDims((4, 4))
+        for k in range(-8, 9):
+            weights = [1.0, 0.7, 0.6, pd.DEFAULT_TOL.eps * (1.0 + k * 2.0**-52)]
+            for _ in range(6):
+                stacks = (_random_unitary(rng, 4), _random_unitary(rng, 4))
+                dec = pd.ProductDecomposition._from_stacks(dims, stacks, weights)
+                for form in (pd.build_rho, _dense):
+                    self._check(monkeypatch, form(dec))
 
     @staticmethod
     def _edge_operator():

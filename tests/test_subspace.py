@@ -163,6 +163,24 @@ class TestIsCollinear:
             eps = pd.DEFAULT_TOL.eps
             assert pd.is_collinear(x, y) == (dist <= np.sqrt(2.0 * eps) + 1e-15)
 
+    def test_agrees_with_the_set_verdict_at_the_threshold(self):
+        # y = c x + sqrt(1 - c^2) z, z a unit ket orthogonal to x, and c within
+        # 4 ulps of 1 - eps: pair and set verdicts come from one core
+        rng = np.random.default_rng(26)
+        eps = pd.DEFAULT_TOL.eps
+        split = []
+        for d in (2, 3, 8, 64):
+            for k in range(-4, 5):
+                c = (1.0 - eps) * (1.0 + k * 2.0**-52)
+                for _ in range(40):
+                    x = _random_ket(rng, d)
+                    z = _random_ket(rng, d)
+                    z = pd.Ket.normalize(z.amplitudes - x.overlap(z) * x.amplitudes).amplitudes
+                    y = pd.Ket(c * x.amplitudes + np.sqrt(1.0 - c * c) * z)
+                    if pd.is_collinear(x, y) != (not pd.is_noncollinear_set([x, y])):
+                        split.append((d, k))
+        assert not split
+
 
 class TestNoncollinearSet:
     def test_orthonormal_pair(self):
@@ -276,6 +294,13 @@ class TestSupportAndNull:
         rho = pd.StateOperator(pd.FactoredDims((2, 2)), np.eye(4, dtype=complex) / 4)
         with pytest.raises(pd.DimensionMismatch):
             pd.support_and_null(rho, 2)
+
+    def test_a_degenerate_spectrum_keeps_the_support_in_index_order(self):
+        # I/4 reduces to I/2: equal eigenvalues, so the support runs e0 then e1
+        rho = pd.StateOperator(pd.FactoredDims((2, 2)), np.eye(4, dtype=complex) / 4)
+        support, null = pd.support_and_null(rho, 0)
+        assert null.dim == 0
+        assert np.array_equal(np.abs(support.columns()), np.eye(2))
 
     def test_zero_operator_has_empty_support(self):
         rho = pd.StateOperator(pd.FactoredDims((2, 3)), np.zeros((6, 6), dtype=complex))

@@ -73,6 +73,17 @@ class TestKet:
         with pytest.raises(pd.DimensionMismatch, match="must be an integer"):
             pd.Ket.basis(dim, index)
 
+    def test_a_huge_amplitude_is_reported_as_its_true_norm(self):
+        # 1e200 squared overflows, so its norm must be read without squaring
+        with pytest.raises(pd.DegenerateInput, match=r"ket norm 1e\+200 differs from 1"):
+            pd.Ket([1e200, 0])
+
+    @pytest.mark.parametrize("first, named", [(0.5, "column 0 has norm 0.5"), (1.0, "column 1 has norm 1e+200")])
+    def test_a_huge_column_keeps_the_first_offending_column_named(self, first, named):
+        stack = np.array([[first, 1e200], [0.0, 0.0]])
+        with pytest.raises(pd.DegenerateInput, match=re.escape(f"stack 0 {named}, not 1")):
+            pd.ProductDecomposition._from_stacks(pd.FactoredDims((2, 2)), (stack, np.eye(2)), [1.0, 1.0])
+
 
 class TestFactoredDims:
     def test_rejects_bad_lengths(self):
@@ -455,6 +466,40 @@ class TestBuildRho:
         b = pd.Ket.basis(3, 0)
         with pytest.raises(pd.DimensionMismatch):
             pd.ProductDecomposition(pd.FactoredDims((2, 2)), (pd.ProductTerm(1.0, a, b),))
+
+
+def _top_of_the_range():
+    # diag(1e308, 0, 0, 5e307) as a decomposition: m + m^H of its matrix overflows
+    return pd.ProductDecomposition._from_stacks(pd.FactoredDims((2, 2)), (np.eye(2), np.eye(2)), [1e308, 5e307])
+
+
+class TestTopOfTheFloatRange:
+    """Operators with entries above 2^1022, where (m + m^H)/2 overflows and
+    m/2 + m^H/2 does not.  Any numpy warning fails these tests (``pyproject.toml``)."""
+
+    def test_assembly_and_reductions_are_finite(self):
+        dec = _top_of_the_range()
+        rho = pd.build_rho(dec)
+        expected = np.diag([1e308, 0.0, 0.0, 5e307])
+        assert np.array_equal(rho.matrix, expected)
+        assert np.array_equal(pd.rho_matrix(dec), expected)
+        for keep in ((0,), (1,)):
+            reduced = pd.partial_trace(rho, keep).matrix
+            assert np.allclose(reduced, np.diag([1e308, 5e307]), rtol=1e-15, atol=0.0)
+
+    def test_support_ranks_and_extraction_read_both_terms(self):
+        rho = pd.build_rho(_top_of_the_range())
+        assert [pd.support_and_null(rho, s)[0].dim for s in (0, 1)] == [2, 2]
+        report = pd.extract_decomposition(rho, seed=0)
+        assert report.decomposition.n == 2
+        assert report.reconstruction_error <= 1e-15
+        assert report.decomposition.values.tolist() == pytest.approx([1e308, 5e307], rel=1e-15)
+
+    def test_a_non_psd_matrix_is_refused(self):
+        # lambda_min = -1e300 is below -PSD_RTOL * 1.5e308, and m + m^H overflows
+        m = np.diag([1.5e308, -1e300, 1.0, 1.0]).astype(complex)
+        with pytest.raises(pd.DegenerateInput, match=r"not positive semidefinite: min eigenvalue -1e\+300 is below"):
+            pd.StateOperator(pd.FactoredDims((2, 2)), m)
 
 
 class TestPartialTrace:
