@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 
 import numpy as np
@@ -53,12 +54,21 @@ def _emit(args: argparse.Namespace, payload: object, human_lines: list[str]) -> 
     """Print ``payload``, a dict or a dataclass, as canonical JSON under ``--json``, else ``human_lines``.
 
     A dataclass becomes its ``dataclasses.asdict`` dict only here, so a text-mode run
-    never pays for the deep copy."""
-    if getattr(args, "json", False):
-        print(dumps_canonical(payload if isinstance(payload, dict) else dataclasses.asdict(payload)))
-    else:
-        for line in human_lines:
-            print(line)
+    never pays for the deep copy.  The text is flushed here, so a stdout the reader has
+    closed fails here and not at exit; the result and any ``--out`` file already exist, so
+    the command keeps its exit code, and stdout is pointed at the null device so that the
+    interpreter's final flush cannot fail again."""
+    text = (
+        dumps_canonical(payload if isinstance(payload, dict) else dataclasses.asdict(payload))
+        if getattr(args, "json", False)
+        else "\n".join(human_lines)
+    )
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _match_lines(result: decomp.MatchResult) -> list[str]:

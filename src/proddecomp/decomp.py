@@ -3,6 +3,7 @@ generation, and the degenerate-eigenbasis demonstration."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,7 @@ from .errors import (
 from .subspace import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _equal,
     _slot_verdicts,
     _support_mask,
     _support_rank,
@@ -36,6 +38,7 @@ from .tensor import (
     _index,
     _reduced,
     _root_tensor,
+    _weight_exponent,
     build_rho,
     column_stack,
     frobenius,
@@ -45,7 +48,6 @@ from .tensor import (
 
 # Fixed thresholds: the table in ToleranceConfig's docstring says what each decides and why it is fixed.
 WEIGHT_ATOL = 1e-6
-RECONSTRUCTION_RTOL = 1e-6
 SKETCH_OVERSAMPLING = 8  # sketch columns beyond the support rank n
 
 _SLOT_NAMES = ("a", "b", "c")
@@ -295,6 +297,7 @@ def _certify_in_slot(
     tol: ToleranceConfig,
     wscale: float,
     what="coefficient magnitude",
+    exponent: int = 0,
 ) -> MatchResult:
     """Certify term-wise equivalence by expansion in one independent slot.
 
@@ -310,7 +313,10 @@ def _certify_in_slot(
     which defines the permutation; then certify collinearity in every slot
     and equality of the paired magnitudes |values| (weights or coefficient
     magnitudes) to WEIGHT_ATOL * max(w1, w2, wscale), for wscale the larger
-    sum of |values| of the two inputs: relative at every scale.  Each slot's
+    sum of |values| of the two inputs: relative at every scale.  The test
+    reads the magnitudes and ``wscale`` in units of 2^exponent, exact scalings
+    that keep a sum past the float maximum finite; certificates and messages
+    carry the magnitudes as stored.  Each slot's
     overlaps <first_perm[k]|second_k> are one column-wise product over the
     permuted first stack.  Failures name the first failing term k of the
     second decomposition and, within it, check the expansion coefficient,
@@ -374,7 +380,8 @@ def _certify_in_slot(
                     f"({j}, {k}): overlap magnitude {abs(row[s]):.12g}"
                 )
         w1 = mags1[j]
-        dw, wbound = abs(w1 - w2), max(w1, w2, wscale)
+        s1, s2 = math.ldexp(w1, -exponent), math.ldexp(w2, -exponent)
+        dw, wbound = abs(s1 - s2), max(s1, s2, wscale)
         if dw > WEIGHT_ATOL * wbound:
             raise HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
         residual = max(residual, gdev, *deviations, dw / wbound)
@@ -403,7 +410,7 @@ def match_tridecomposition(
 
     (v1, norm1), (v2, norm2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
     gap = frobenius(v1 - v2)
-    if gap > tol.eps * max(norm1, norm2):
+    if not _equal(gap, norm1, norm2, tol):
         raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
 
     # each input has at least 2 independent slots of 3, so the two always share one
@@ -442,7 +449,7 @@ def _factored_gap(
 
 
 def _product_gap(
-    d1: ProductDecomposition, d2: ProductDecomposition
+    d1: ProductDecomposition, d2: ProductDecomposition, exponent: int = 0
 ) -> tuple[float, float, float, list[np.ndarray]]:
     """:func:`_gap_from_r` for the operators of two product decompositions, read
     off their d_s x n stacks alone, with no N-row array, and the slot R factors.
@@ -455,13 +462,15 @@ def _product_gap(
     [V2 V1] (the Gram matrix of Khatri-Rao columns is the Hadamard product
     of the slot Grams; Kolda & Bader, SIAM Rev. 51, 2009, section 2.6).  The
     gap is symmetric, and the two operator norms come back in argument
-    order.  Returns (gap, norm1, norm2, [R_a, R_b]): the certificate reads
-    its slot's R_s (:func:`_certify_in_slot`).
+    order.  The weights, and so the three norms, are taken in units of
+    2^exponent.  Returns (gap, norm1, norm2, [R_a, R_b]): the certificate
+    reads its slot's R_s (:func:`_certify_in_slot`).
     """
     factors = _slot_factors(d1, d2, (0, 1))
     r_a, r_b = factors
     khatri_rao = (r_a[:, None] * r_b).reshape(-1, d1.n + d2.n)
-    gap, norm2, norm1 = _gap_from_r(np.linalg.qr(khatri_rao, mode="r"), d2.values, d1.values)
+    w1, w2 = (np.ldexp(d.values, -exponent) for d in (d1, d2))
+    gap, norm2, norm1 = _gap_from_r(np.linalg.qr(khatri_rao, mode="r"), w2, w1)
     return gap, norm1, norm2, factors
 
 
@@ -486,21 +495,27 @@ def match_bidecomposition(
     further factorization), with weights compared to
     WEIGHT_ATOL times the larger of the two and the larger weight sum.
     Both rules are relative, so a match does not depend on the weight
-    scale.  Certificates carry ``overlap_c = None``.
+    scale, and both read the weights in units of 2^e, e the exponent of the
+    largest (:func:`~proddecomp.tensor._weight_exponent`), so that sums and
+    norms past the float maximum stay finite; the mismatch message gives the
+    gap in the caller's units.  Certificates carry ``overlap_c = None``.
     """
     _expect(ProductDecomposition, d1, d2)
     if d1.dims != d2.dims:
         raise DimensionMismatch(f"factor dims differ: {d1.dims.dims} vs {d2.dims.dims}")
     ind1, ind2 = _hypotheses(((d1, "first decomposition"), (d2, "second decomposition")), tol)
 
-    gap, norm1, norm2, factors = _product_gap(d1, d2)
-    if gap > tol.eps * max(norm1, norm2):
-        raise OperatorMismatch(f"operators differ by {gap:.3e} in Frobenius norm")
+    e = _weight_exponent(d1.values, d2.values)
+    gap, norm1, norm2, factors = _product_gap(d1, d2, e)
+    if not _equal(gap, norm1, norm2, tol):
+        with np.errstate(over="ignore"):  # a gap past the float maximum reads inf
+            raise OperatorMismatch(f"operators differ by {np.ldexp(gap, e):.3e} in Frobenius norm")
 
     slot = next((s for s in (0, 1) if ind1[s] and ind2[s]), None)
     if slot is None:
         raise HypothesisViolation("no ket set is linearly independent in both decompositions")
-    return _certify_in_slot(d1, d2, slot, factors[slot], tol, max(d1.weight_sum, d2.weight_sum), "weight")
+    wscale = max(float(np.ldexp(d.values, -e).sum()) for d in (d1, d2))
+    return _certify_in_slot(d1, d2, slot, factors[slot], tol, wscale, "weight", e)
 
 
 # ---------------------------------------------------------------------------
@@ -572,23 +587,30 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
 
     One probe is drawn (``probes_used`` is 1): the scheme works with
     probability one on a generic probe.  The candidate is accepted when its
-    relative Frobenius reconstruction error is at most RECONSTRUCTION_RTOL
-    and it passes the hypothesis check, which by the uniqueness theorem
-    makes it the decomposition, so the probe's eigenvalues are not tested.
-    The error is measured against the stored matrix of a dense operator,
-    and exactly, from the columns alone (:func:`_factored_gap`), for a
-    factored one.  A zero-weight slice, a failed gate or a failed
-    hypothesis check raises NotExtractable at once, naming the factor, both
-    support ranks and the error reached.  The zero operator is refused as
-    rank 0 before any sketch, and a linear-algebra routine that does not
-    converge raises DegenerateInput.
+    operator rho_hat equals rho by the one Equal rule,
+    ||rho - rho_hat||_F <= eps * max(||rho||_F, ||rho_hat||_F)
+    (:func:`~proddecomp.subspace._equal`, the matchers' rule), and it
+    passes the hypothesis check, which by the uniqueness theorem makes it
+    the decomposition, so the probe's eigenvalues are not tested.  An
+    n-term candidate that passes also bounds lambda_{n+1}(rho) by
+    eps * ||rho||_F (Eckart & Young 1936), so the gate certifies the rank
+    too.  For a dense operator the gap is measured against the stored
+    matrix and ||rho_hat||_F is read from the slot Grams,
+    sqrt(w^T (|A^H A|^2 o |B^H B|^2) w); for a factored one all three norms
+    come exactly from the columns alone (:func:`_factored_gap`).
+    ``reconstruction_error`` is the gap over ||rho||_F.  A zero-weight
+    slice, a failed gate or a failed hypothesis check raises NotExtractable
+    at once, naming the factor, both support ranks and the error reached.
+    The zero operator is refused as rank 0 before any sketch, and a
+    linear-algebra routine that does not converge raises DegenerateInput.
 
     Both support ranks count the eigenvalues lambda > 0 with
     lambda >= eps * lambda_max of ``eigvalsh`` of the unvalidated d x d
     reduced operators (:func:`~proddecomp.tensor._reduced`), in either form,
     through :func:`~proddecomp.subspace._support_rank`, the helper that
     :func:`~proddecomp.subspace.support_and_null` reads too; the whitening
-    keeps the top n of S_A whose squares pass that rule.
+    keeps the top n directions of S_A, n the support rank so named, and
+    counts no rank of its own.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
@@ -608,19 +630,18 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     # rho_A = W W^dagger over the b and factor indices: with W = U_A S_A Z,
     # the SVD of the tall W^dagger is (Z^dagger, S_A, U_A^dagger)
     zh, s_a, u_ah = np.linalg.svd(w.reshape(da, db * k).conj().T, full_matrices=False)
-    r = int(np.count_nonzero(_support_mask(s_a[:n] ** 2, tol)))  # s_a^2: rho_A's eigenvalues
-    u_a, s_a, z = u_ah[:r].conj().T, s_a[:r], zh[:, :r].conj().T
+    u_a, s_a, z = u_ah[:n].conj().T, s_a[:n], zh[:, :n].conj().T
 
     g = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
     probe = (g + g.conj().T) / 2.0
     # T = W_A^dagger Tr_other[rho (I (x) X)] W_A = sum_m Z_m X^T Z_m^dagger
-    v = np.linalg.eigh((probe @ z.reshape(r, db, k)).reshape(r, db * k) @ z.conj().T)[1]
+    v = np.linalg.eigh((probe @ z.reshape(n, db, k)).reshape(n, db * k) @ z.conj().T)[1]
     a_cols = (u_a * s_a) @ v
     a_cols = fix_phase(a_cols / np.linalg.norm(a_cols, axis=0), tol.eps)
     duals = (u_a / s_a) @ v
     # G_t = (<dual_t| (x) I) W / conj(<dual_t|a_t>), and <dual_t| W = v_t^dagger Z
     slices = (v.conj().T @ z) / np.einsum("jt,jt->t", duals.conj(), a_cols)[:, None]
-    slices = slices.reshape(r, db, k)
+    slices = slices.reshape(n, db, k)
     weights = np.einsum("tkm,tkm->t", slices.conj(), slices).real
     if not weights.min() > 0.0:  # NaN fails too
         raise NotExtractable(f"not extractable under hypotheses: a zero-weight slice ({where}, 1 probe)")
@@ -635,14 +656,20 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
         cols, wts = product_columns(dec)
         residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction
         residual -= rho.matrix
-        err = frobenius(residual) / scale
+        # ||rho_hat||_F^2 = w^T (|A^H A|^2 o |B^H B|^2) w from the slot Grams, with w
+        # taken over its largest entry so that the square stays finite
+        a, b = dec.stacks
+        hadamard = (np.abs(a.conj().T @ a) * np.abs(b.conj().T @ b)) ** 2
+        top = float(wts.max())
+        u = wts / top
+        gap, norm, norm_hat = frobenius(residual), scale, top * math.sqrt(float(u @ hadamard @ u))
     else:
-        gap, norm, _ = _factored_gap(rho.factor, product_columns(dec))
-        err = gap / norm
+        gap, norm, norm_hat = _factored_gap(rho.factor, product_columns(dec))
+    err = gap / norm
     reached = f"{where}, 1 probe, reconstruction error {err:.3e}"
-    if not err <= RECONSTRUCTION_RTOL:  # NaN fails too
+    if not _equal(gap, norm, norm_hat, tol):
         raise NotExtractable(
-            f"not extractable under hypotheses: no reconstruction within {RECONSTRUCTION_RTOL:g} ({reached})"
+            f"not extractable under hypotheses: no reconstruction within eps = {tol.eps:g} ({reached})"
         )
     try:
         check_product_hypotheses(dec, tol, label="extracted decomposition")

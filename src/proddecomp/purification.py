@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, OperatorMismatch, _nonconvergence
-from .subspace import DEFAULT_TOL, ToleranceConfig
+from .subspace import DEFAULT_TOL, ToleranceConfig, _equal
 from .tensor import (
     FactoredDims,
     Ket,
@@ -91,7 +91,7 @@ def relating_unitary(
     red_psi = m_psi @ m_psi.conj().T
     red_phi = m_phi @ m_phi.conj().T
     gap = frobenius(red_psi - red_phi)
-    if gap > tol.eps * max(frobenius(red_psi), frobenius(red_phi)):
+    if not _equal(gap, frobenius(red_psi), frobenius(red_phi), tol):
         raise OperatorMismatch(
             f"not co-purifications: reduced operators differ by {gap:.3e} in Frobenius norm"
         )

@@ -26,23 +26,23 @@ class ToleranceConfig:
               magnitude 1.  Rank: the one relative cutoff on a spectrum, >= eps times its largest:
               significant expansion coefficients (``_certify_in_slot``) and, with > 0,
               ``_support_mask`` (ket stack ranks in ``_slot_verdicts``, support ranks in ``_support_rank``,
-              extraction's whitening, Schmidt verdicts); both phase with ``fix_phase(eps=eps)``.
+              which extraction's whitening keeps, Schmidt verdicts); both phase with
+              ``fix_phase(eps=eps)``.
               Equal: operators or vectors with ||x - y|| <= eps * max(||x||, ||y||), relative at
-              every scale (both matchers' gates, ``relating_unitary``'s reduced operators).
+              every scale, all through ``_equal`` (both matchers' gates, ``relating_unitary``'s
+              reduced operators, extraction's candidate against rho).
 
     Fixed, with the decision each makes and why no setting reads it:
     WEIGHT_ATOL 1e-6          matched weights (or |coefficients|) agree to it x max(w1, w2, the
-                              larger of the inputs' sums): as exact as extraction's gate, and
-                              relative at every scale
-    RECONSTRUCTION_RTOL 1e-6  extraction's relative error gate on its one probe's candidate: with
-                              the hypothesis check it certifies the candidate, whatever ``eps``
+                              larger of the inputs' sums): relative at every scale
     SKETCH_OVERSAMPLING 8     extra columns of the dense range finder: sampling, not a decision
     UNITARITY_ATOL, RESIDUAL_ATOL 1e-8  ``relating_unitary`` checks its own result, not input
     ORTHO_ATOL 1e-10          ``SubspaceBasis`` orthogonality, met by eigh's eigenvectors to rounding
     KET_NORM_ATOL 1e-12       a ``Ket`` has unit norm: part of the input contract
     HERMITICITY_RTOL, PSD_RTOL 1e-10  what a valid operator (or file) is, whatever ``--tol``
     _TRI_CANCEL_RTOL 1e-8     an expansion of norm <= it x sum |c_j| has cancelled to noise
-    ``fix_phase`` eps 1e-8    phase pivot, the first |entry| above it: a convention
+    ``fix_phase`` eps 1e-8    the default phase pivot, the first |entry| above it, of a direct
+                              call: ``_schmidt`` and extraction pass ``eps``
     generator margins         overlap <= 1 - 1e-3, condition <= 1e4, 200 draws: inside DEFAULT_TOL
     """
 
@@ -159,6 +159,12 @@ def rank_and_independence(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TO
     is linearly independent."""
     rank = _slot_verdicts([column_stack(kets)], tol)[1][0]
     return rank, rank == len(kets)
+
+
+def _equal(gap: float, norm1: float, norm2: float, tol: ToleranceConfig) -> bool:
+    """The Equal decision on x and y from ``gap`` = ||x - y|| and their norms:
+    gap <= eps * max(||x||, ||y||).  A NaN gap reads as unequal."""
+    return gap <= tol.eps * max(norm1, norm2)
 
 
 def _support_mask(lam: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

@@ -50,6 +50,13 @@ def frobenius(a: np.ndarray) -> float | np.ndarray:
     return np.array(norms) if a.ndim > 2 else norms[0]
 
 
+def _weight_exponent(*weights: np.ndarray) -> int:
+    """The exponent e of ``frexp`` of the largest of all ``weights`` (positive arrays):
+    ``np.ldexp(w, -e)`` scales them exactly, the largest into [0.5, 1), so that
+    sums and norms of the scaled weights stay finite."""
+    return math.frexp(max(max(w.tolist()) for w in weights))[1]  # plain floats: the arrays are short
+
+
 def _complex(values, what: str, order: str = "K") -> np.ndarray:
     """A complex copy of ``values`` in ``order``; anything but numbers (booleans, strings) is DegenerateInput."""
     try:
@@ -533,8 +540,10 @@ class ProductDecomposition(_Decomposition):
         return float(self.values.sum())
 
     def normalized(self) -> "ProductDecomposition":
-        """Rescale weights to sum to 1 (a presentation choice, not required)."""
-        return ProductDecomposition._from_stacks(self.dims, self.stacks, self.values / self.weight_sum)
+        """Rescale weights to sum to 1 (a presentation choice, not required).  They are summed
+        in units of 2^e (:func:`_weight_exponent`), so a sum past the float maximum normalizes too."""
+        scaled = np.ldexp(self.values, -_weight_exponent(self.values))
+        return ProductDecomposition._from_stacks(self.dims, self.stacks, scaled / scaled.sum())
 
 
 class TriDecomposition(_Decomposition):

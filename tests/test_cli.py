@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, round trips, deterministic output."""
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -458,6 +459,76 @@ class TestTopOfTheFloatRange:
         path = _decomposition_file(tmp_path / "bigket.json", [{"w": 1.0, "kets": [ket, _ket_json(pd.Ket.basis(2, 0))]}])
         assert main(["build", path, "--out", str(tmp_path / "op.json")]) == 2
         assert capsys.readouterr().err == f"error: {path}: term 0 factor 0 ket has norm 1e+200, not 1\n"
+
+
+    def test_weights_summing_past_the_float_maximum(self, tmp_path, capsys):
+        # 1.5e308 + 1.2e308 overflows: a copy with the first weight halved certified, and
+        # build --normalize refused weight 0 as 0.0, each after a numpy overflow warning
+        e = [_ket_json(pd.Ket.basis(2, i)) for i in (0, 1)]
+
+        def weights(name, first):
+            terms = [{"w": first, "kets": [e[0], e[0]]}, {"w": 1.2e308, "kets": [e[1], e[1]]}]
+            return _decomposition_file(tmp_path / name, terms)
+
+        a, half, twin = weights("a.json", 1.5e308), weights("half.json", 0.75e308), str(tmp_path / "twin.json")
+        assert main(["match", a, half, "--mode", "bi"]) == 5
+        assert capsys.readouterr().err == "error: operators differ by 7.500e+307 in Frobenius norm\n"
+        assert main(["generate", "--twin-of", a, "--seed", "3", "--out", twin]) == 0
+        assert main(["match", a, twin, "--mode", "bi"]) == 0
+        assert main(["build", a, "--normalize", "--out", str(tmp_path / "op.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises ``BrokenPipeError``."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head -1``) leaves the command's own
+    exit code and an empty stderr: the result and its ``--out`` file exist."""
+
+    @pytest.fixture
+    def operator_file(self, tmp_path):
+        path = str(tmp_path / "r.json")
+        fileio.save_operator(path, pd.build_rho(pd.generate_instance(3, 4, 4, seed=1)))
+        return path
+
+    def test_in_process(self, tmp_path, monkeypatch, capsys, operator_file):
+        out = tmp_path / "e.json"
+        with open(tmp_path / "stdout.txt", "w") as target:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno()))
+            assert main(["extract", operator_file, "--out", str(out), "--json"]) == 0
+        assert capsys.readouterr().err == ""
+        assert fileio.load_decomposition(str(out)).n == 3
+
+    def test_a_child_whose_stdout_pipe_is_closed_before_it_writes(self, tmp_path, operator_file):
+        src = str(Path(pd.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "e.json"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "proddecomp", "extract", operator_file, "--out", str(out), "--json"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert fileio.load_decomposition(str(out)).n == 3
 
 
 class TestCheckParsesOnce:

@@ -277,7 +277,7 @@ class TestOneProbe:
     def test_a_nan_error_fails_the_gate(self, monkeypatch):
         monkeypatch.setattr(decomp, "_factored_gap", lambda *args: (np.nan, 1.0, 1.0))
         rho = pd.build_rho(pd.generate_instance(3, 4, 4, seed=1))
-        with pytest.raises(pd.NotExtractable, match=r"within 1e-06 \(.*, 1 probe, reconstruction error nan\)"):
+        with pytest.raises(pd.NotExtractable, match=r"within eps = 1e-08 \(.*, 1 probe, reconstruction error nan\)"):
             pd.extract_decomposition(rho, seed=0)
 
     @pytest.mark.parametrize(
@@ -344,7 +344,9 @@ class TestNoisyInput:
             assert f"support ranks {ranks[0]} and {ranks[1]}" in message
             assert "1 probe, reconstruction error" in message
             return
-        assert report.reconstruction_error <= decomp.RECONSTRUCTION_RTOL
+        # the gate is gap <= eps * max(||rho||, ||rho_hat||), and ||rho_hat|| <= ||rho|| + gap
+        eps = pd.DEFAULT_TOL.eps
+        assert report.reconstruction_error <= eps / (1.0 - eps)
         assert all(np.isfinite(t.weight) for t in report.decomposition.terms)
         pd.check_product_hypotheses(report.decomposition)
 
@@ -382,9 +384,13 @@ class TestSupportRanks:
 
     @staticmethod
     def _reported_ranks(monkeypatch, rho):
-        # below a negative gate every candidate is refused after its one probe, and the refusal names both ranks
-        monkeypatch.setattr(decomp, "RECONSTRUCTION_RTOL", -1.0)
-        with pytest.raises(pd.NotExtractable) as info:
+        # with a hypothesis check that always fails, every candidate is refused after its one probe,
+        # and the refusal names both ranks; undone at once, since later cases generate instances
+        def violated(*args, **kwargs):
+            raise pd.HypothesisViolation("forced")
+
+        with monkeypatch.context() as m, pytest.raises(pd.NotExtractable) as info:
+            m.setattr(decomp, "check_product_hypotheses", violated)
             pd.extract_decomposition(rho, seed=0)
         ranks = re.search(r"factor (\d), support ranks (\d+) and (\d+), [01] probes?", str(info.value))
         return int(ranks[1]), [int(ranks[2]), int(ranks[3])]
@@ -437,6 +443,33 @@ class TestSupportRanks:
         assert report.decomposition.n == 1
         assert report.reconstruction_error < 1e-9
 
+    def test_the_gate_reads_eps_on_the_edge_operator(self):
+        # its one-term candidate misses rho by 1.13e-10: within eps = 1e-8, not within eps = 1e-10
+        assert pd.extract_decomposition(self._edge_operator(), seed=0).decomposition.n == 1
+        with pytest.raises(pd.NotExtractable, match=r"within eps = 1e-10 \(.*, reconstruction error 1.131e-10\)"):
+            pd.extract_decomposition(self._edge_operator(), pd.ToleranceConfig(1e-10), seed=0)
+
+    def test_returned_reports_keep_the_named_support_rank_at_the_threshold(self, monkeypatch):
+        # the grid of the threshold test above: the whitening keeps the n that the ranks name
+        rng = np.random.default_rng(26)
+        dims = pd.FactoredDims((4, 4))
+        wrong = []
+        for k in range(-8, 9):
+            weights = [1.0, 0.7, 0.6, pd.DEFAULT_TOL.eps * (1.0 + k * 2.0**-52)]
+            for _ in range(6):
+                stacks = (_random_unitary(rng, 4), _random_unitary(rng, 4))
+                dec = pd.ProductDecomposition._from_stacks(dims, stacks, weights)
+                for form in (pd.build_rho, _dense):
+                    rho = form(dec)
+                    try:
+                        n = pd.extract_decomposition(rho, seed=0).decomposition.n
+                    except pd.NotExtractable:
+                        continue
+                    side, ranks = self._reported_ranks(monkeypatch, rho)
+                    if n != ranks[side]:
+                        wrong.append((k, form.__name__, n, ranks))
+        assert wrong == []
+
     def test_accepted_edge_operator_has_support_rank_1_on_each_factor(self):
         rho = self._edge_operator()
         assert [pd.support_and_null(rho, s)[0].dim for s in (0, 1)] == [1, 1]
@@ -476,6 +509,53 @@ class TestSupportRanks:
         report = pd.extract_decomposition(_rank_deficient_factor(dec), seed=0)
         assert report.decomposition.n == 2
         assert report.reconstruction_error < 1e-12
+
+
+class TestOneEqualGate:
+    """Extraction accepts a candidate by the matchers' Equal rule at eps, so a
+    returned report reproduces rho to eps: a candidate that drops a light term
+    is refused, and none is left for ``match`` to refuse against its source."""
+
+    @pytest.mark.parametrize("spread", [1e-7, 3e-8])
+    def test_no_returned_report_differs_from_its_source(self, spread):
+        differ = []
+        for i in range(100):
+            base = pd.generate_instance(6, 8, 8, seed=i, profile=pd.BI_PROFILES[i % 3])
+            dec = pd.ProductDecomposition._from_stacks(base.dims, base.stacks, np.geomspace(1, spread, 6))
+            for rho in (pd.build_rho(dec), _dense(dec)):
+                try:
+                    report = pd.extract_decomposition(rho, seed=i)
+                except pd.NotExtractable:
+                    continue
+                try:
+                    pd.match_bidecomposition(dec, report.decomposition)
+                except pd.OperatorMismatch as exc:
+                    differ.append((i, "dense" if rho.factor is None else "factored", str(exc)))
+                except pd.HypothesisViolation:
+                    pass  # a six-term report whose light terms are off: not an Equal decision
+        assert differ == []
+
+    @staticmethod
+    def _bell():
+        psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+        return np.outer(psi, psi)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [_bell(), np.diag([1.0, 1e-7, 1e-7, 1e-7]), np.diag([1.0, 5e-8, 5e-8, 5e-8])],
+        ids=["bell", "tail-1e-7", "tail-5e-8"],
+    )
+    @pytest.mark.parametrize("form", ["factored", "dense"])
+    def test_a_two_term_candidate_of_a_higher_rank_operator_is_refused(self, matrix, form):
+        # support ranks 2 and 2, but no two product terms reproduce rho to eps (warnings are errors)
+        dims = pd.FactoredDims((2, 2))
+        if form == "dense":
+            rho = pd.StateOperator(dims, matrix)
+        else:
+            lam, vec = np.linalg.eigh(matrix)
+            rho = pd.StateOperator.from_columns(dims, vec[:, lam > 0], lam[lam > 0])
+        with pytest.raises(pd.NotExtractable, match=r"within eps = 1e-08 \(factor 0, support ranks 2 and 2, 1 probe"):
+            pd.extract_decomposition(rho, seed=0)
 
 
 def _top_left_singular(slices):

@@ -387,6 +387,72 @@ class TestScaleFreeEquality:
             pd.relating_unitary(psi, phi, split)
 
 
+class TestOneEqualRoutine:
+    """Every gate that asks whether two operators or vectors are equal calls
+    ``subspace._equal``: ||x - y|| <= eps * max(||x||, ||y||), NaN unequal."""
+
+    def test_the_rule(self):
+        tol = pd.DEFAULT_TOL
+        assert subspace._equal(1e-8, 1.0, 0.5, tol) and not subspace._equal(1.01e-8, 0.5, 1.0, tol)
+        assert subspace._equal(1e292, 1e300, 1e299, tol) and not subspace._equal(1e-300, 0.0, 0.0, tol)
+        assert not subspace._equal(float("nan"), 1.0, 1.0, tol)
+
+    def test_every_gate_reads_it(self, monkeypatch):
+        # with an Equal routine that never holds, each gate refuses an input equal to itself
+        dec = pd.generate_instance(3, 4, 4, seed=1)
+        tri = pd.generate_tri_instance(3, 4, 4, 4, seed=1)
+        psi = pd.Ket.normalize(np.random.default_rng(1).standard_normal(16))
+        for module in (decomp, purification):
+            monkeypatch.setattr(module, "_equal", lambda *args: False)
+        with pytest.raises(pd.OperatorMismatch, match="operators differ"):
+            pd.match_bidecomposition(dec, dec)
+        with pytest.raises(pd.OperatorMismatch, match="tripartite vectors differ"):
+            pd.match_tridecomposition(tri, tri)
+        with pytest.raises(pd.OperatorMismatch, match="not co-purifications"):
+            pd.relating_unitary(psi, psi, pd.FactoredDims((4, 4)))
+        with pytest.raises(pd.NotExtractable, match="no reconstruction within eps"):
+            pd.extract_decomposition(pd.build_rho(dec), seed=0)
+
+
+class TestWeightsPastTheFloatMaximum:
+    """Weights whose sum, or whose operator's norm, lies past the float maximum:
+    the gate and the weight test read them in units of a power of two, and
+    report gaps and weights in the caller's units."""
+
+    @staticmethod
+    def _top(first=1.5e308):
+        e = np.eye(2)
+        return pd.ProductDecomposition._from_stacks(pd.FactoredDims((2, 2)), (e, e), [first, 1.2e308])
+
+    def test_a_halved_weight_is_a_mismatch(self):
+        # the parent's sums and norms overflowed to inf, and the pair certified
+        with pytest.raises(pd.OperatorMismatch, match=r"operators differ by 7\.500e\+307 in Frobenius norm"):
+            pd.match_bidecomposition(self._top(), self._top(0.75e308))
+
+    def test_a_twin_certifies_with_the_weights_as_stored(self):
+        dec = self._top()
+        twin, perm = pd.phase_permuted_twin(dec, seed=4)
+        result = pd.match_bidecomposition(dec, twin)
+        assert result.permutation == perm and result.residual < 1e-12
+        assert [(c.weight_first, c.weight_second) for c in result.per_term] == [
+            (w, w) for w in twin.values.tolist()
+        ]
+
+    def test_the_weight_test_reads_units_of_a_power_of_two(self):
+        # the gate refuses such a pair first; in the caller's units the larger sum is inf,
+        # and a weight test against it could never fail
+        d1, d2 = self._top(), self._top(1.5e308 * (1 + 1e-5))
+        e = pd.tensor._weight_exponent(d1.values, d2.values)
+        wscale = max(float(np.ldexp(d.values, -e).sum()) for d in (d1, d2))
+        r = decomp._slot_factors(d1, d2, (0,))[0]
+        with pytest.raises(pd.HypothesisViolation, match=r"weight mismatch for term pair \(0, 0\): 1\.5e\+308 vs"):
+            decomp._certify_in_slot(d1, d2, 0, r, pd.DEFAULT_TOL, wscale, "weight", e)
+
+    def test_normalized_sums_to_one(self):
+        normalized = self._top().normalized()
+        assert normalized.values.tolist() == pytest.approx([1.5 / 2.7, 1.2 / 2.7], rel=1e-15)
+
+
 class TestDenseFreeBipartiteMatching:
     @staticmethod
     def _certify_twin(dec, seed):
