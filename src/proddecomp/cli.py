@@ -26,7 +26,7 @@ from .errors import (
 from .fileio import _ket_json, dumps_canonical
 from .purification import purify
 from .subspace import DEFAULT_TOL, ToleranceConfig
-from .tensor import FactoredDims, StateOperator, build_rho
+from .tensor import FactoredDims, StateOperator, _unit, build_rho
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -128,7 +128,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         op = build_rho(dec)
     else:
         vec, norm = loaded.vector()
-        op = StateOperator.from_columns(loaded.dims, (vec / norm)[:, None], np.ones(1))
+        op = StateOperator.from_columns(loaded.dims, _unit(vec, norm)[:, None], np.ones(1))
     fileio.save_operator(args.out, op)
     # the trace of the matrix written, not of the stored factor: the two can
     # differ in the last ulp, and the file is what the report describes
@@ -213,7 +213,7 @@ def cmd_factorable(args: argparse.Namespace) -> int:
     if len(loaded.dims) != 2:
         raise FileError(f"{loaded.path}: factorable needs a 2-factor coefficient file")
     vec, norm = loaded.vector()
-    s, product, factors = decomp._schmidt((vec / norm)[:, None], loaded.dims, _tol(args))
+    s, product, factors = decomp._schmidt(_unit(vec, norm)[:, None], loaded.dims, _tol(args))
     verdict, schmidt = bool(product[0]), s[0].tolist()
     payload: dict = {"factorable": verdict, "schmidt_values": schmidt}
     lines = [

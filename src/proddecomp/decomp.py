@@ -22,7 +22,7 @@ from .subspace import (
     ToleranceConfig,
     _equal,
     _slot_verdicts,
-    _support_mask,
+    _support_count,
     _support_rank,
     fix_phase,
 )
@@ -33,6 +33,7 @@ from .tensor import (
     StateOperator,
     TriDecomposition,
     _checked_coeffs,
+    _diagonal_max,
     _expansion,
     _expect,
     _index,
@@ -197,8 +198,8 @@ def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[
     """Schmidt values, product mask and leading factors of the n kets of an N x n stack.
 
     One batched SVD of the n d1 x d2 coefficient matrices gives the n x min(d1, d2)
-    Schmidt values s; ket k is a product when :func:`~proddecomp.subspace._support_mask`
-    keeps s[k, 0] alone, i.e. s[k, 1] < eps * s[k, 0].  The
+    Schmidt values s; ket k is a product when :func:`~proddecomp.subspace._support_count`
+    of s[k] is 1, i.e. s[k, 1] < eps * s[k, 0].  The
     principal left and right singular vectors come back as d1 x n and d2 x n stacks,
     each column phased by :func:`~proddecomp.subspace.fix_phase`.  An SVD that does
     not converge raises DegenerateInput.
@@ -207,7 +208,7 @@ def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[
         raise DimensionMismatch(f"split {split.dims} does not factor a dim-{q.shape[0]} ket")
     u, s, vh = np.linalg.svd(q.T.reshape(-1, *split))
     factors = (fix_phase(u[:, :, 0].T, tol.eps), fix_phase(vh[:, 0].T, tol.eps))
-    return s, np.count_nonzero(_support_mask(s, tol), axis=1) == 1, factors
+    return s, np.array([_support_count(row, tol) == 1 for row in s.tolist()], dtype=bool), factors
 
 
 def schmidt_values(x: Ket, split: FactoredDims) -> np.ndarray:
@@ -295,9 +296,7 @@ def _certify_in_slot(
     slot: int,
     r: np.ndarray,
     tol: ToleranceConfig,
-    wscale: float,
-    what="coefficient magnitude",
-    exponent: int = 0,
+    exponent: int,
 ) -> MatchResult:
     """Certify term-wise equivalence by expansion in one independent slot.
 
@@ -309,14 +308,18 @@ def _certify_in_slot(
     one solve with the nonsingular R[:n, :n], sol = R[:n, :n]^-1 R[:n, n:],
     and its residual ||S2 sol - S1||_F is ||R[n:, n:]||_F (Golub & Van Loan,
     Matrix Computations, section 5.3); no least-squares routine runs.
-    Threshold each expansion column to its single significant coefficient,
-    which defines the permutation; then certify collinearity in every slot
-    and equality of the paired magnitudes |values| (weights or coefficient
-    magnitudes) to WEIGHT_ATOL * max(w1, w2, wscale), for wscale the larger
-    sum of |values| of the two inputs: relative at every scale.  The test
-    reads the magnitudes and ``wscale`` in units of 2^exponent, exact scalings
-    that keep a sum past the float maximum finite; certificates and messages
-    carry the magnitudes as stored.  Each slot's
+    Each expansion column must have one significant coefficient
+    (:func:`~proddecomp.subspace._support_count`), which defines the
+    permutation; then certify collinearity in every slot and equality of
+    the paired magnitudes |values| (weights of a product decomposition,
+    coefficient magnitudes of a tridecomposition, named so in the message)
+    to WEIGHT_ATOL * max(w1, w2, wscale), for wscale the larger sum of
+    |values| of the two inputs: relative at every scale.  The magnitudes
+    and both sums are read in units of 2^exponent, the exponent of the
+    inputs' largest |value| (:func:`~proddecomp.tensor._weight_exponent`):
+    exact scalings that keep a sum past the float maximum finite and leave
+    every comparison and ratio as it is; certificates and messages carry
+    the magnitudes as stored.  Each slot's
     overlaps <first_perm[k]|second_k> are one column-wise product over the
     permuted first stack.  Failures name the first failing term k of the
     second decomposition and, within it, check the expansion coefficient,
@@ -344,7 +347,7 @@ def _certify_in_slot(
             raise HypothesisViolation(
                 f"factorability hypothesis violated: {name}-slot expansion column {k} vanishes"
             )
-        significant = sum(x >= eps * top for x in col)
+        significant = _support_count(col, tol)
         if significant != 1:
             raise HypothesisViolation(
                 f"factorability hypothesis violated: {name}-slot expansion column {k} "
@@ -363,6 +366,8 @@ def _certify_in_slot(
     per_slot = [np.einsum("ij,ij->j", a1[:, cols].conj(), a2).tolist() for a1, a2 in zip(d1.stacks, d2.stacks)]
     overlaps = list(zip(*per_slot))
     mags1, mags2 = ([abs(v) for v in d.values.tolist()] for d in (d1, d2))
+    wscale = max(float(np.ldexp(np.abs(d.values), -exponent).sum()) for d in (d1, d2))
+    what = "weight" if isinstance(d1, ProductDecomposition) else "coefficient magnitude"
     pad = (None,) * (3 - len(d1.stacks))
     certs = []
     for k, (j, top, row, w2) in enumerate(zip(perm, tops, overlaps, mags2)):
@@ -401,7 +406,10 @@ def match_tridecomposition(
     phases included, to eps * max(||v1||, ||v2||); pick a factor slot whose
     ket sets are independent in both inputs (search order c, a, b); then
     certify in that slot (:func:`_certify_in_slot`) from the R factor of its
-    block [second | first] (:func:`_slot_factors`, one QR).
+    block [second | first] (:func:`_slot_factors`, one QR), with coefficient
+    magnitudes read in units of 2^e, e the exponent of the largest
+    (:func:`~proddecomp.tensor._weight_exponent`), as the bipartite matcher
+    reads its weights.
     """
     _expect(TriDecomposition, t1, t2)
     if t1.dims != t2.dims:
@@ -416,7 +424,7 @@ def match_tridecomposition(
     # each input has at least 2 independent slots of 3, so the two always share one
     slot = next(s for s in (2, 0, 1) if ind1[s] and ind2[s])
     r = _slot_factors(t1, t2, (slot,))[0]
-    return _certify_in_slot(t1, t2, slot, r, tol, max(float(np.abs(t.values).sum()) for t in (t1, t2)))
+    return _certify_in_slot(t1, t2, slot, r, tol, _weight_exponent(np.abs(t1.values), np.abs(t2.values)))
 
 
 def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
@@ -497,8 +505,10 @@ def match_bidecomposition(
     Both rules are relative, so a match does not depend on the weight
     scale, and both read the weights in units of 2^e, e the exponent of the
     largest (:func:`~proddecomp.tensor._weight_exponent`), so that sums and
-    norms past the float maximum stay finite; the mismatch message gives the
-    gap in the caller's units.  Certificates carry ``overlap_c = None``.
+    norms past the float maximum stay finite: the gate through
+    :func:`_product_gap`, the certificate from the same e.  The mismatch
+    message gives the gap in the caller's units.  Certificates carry
+    ``overlap_c = None``.
     """
     _expect(ProductDecomposition, d1, d2)
     if d1.dims != d2.dims:
@@ -514,8 +524,7 @@ def match_bidecomposition(
     slot = next((s for s in (0, 1) if ind1[s] and ind2[s]), None)
     if slot is None:
         raise HypothesisViolation("no ket set is linearly independent in both decompositions")
-    wscale = max(float(np.ldexp(d.values, -e).sum()) for d in (d1, d2))
-    return _certify_in_slot(d1, d2, slot, factors[slot], tol, wscale, "weight", e)
+    return _certify_in_slot(d1, d2, slot, factors[slot], tol, e)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +538,19 @@ def _rank_n_factor(rho: StateOperator, n: int, rng: np.random.Generator) -> np.n
     Y = rho Omega with an N x (n + SKETCH_OVERSAMPLING) Gaussian Omega,
     Q = qr(Y), B = Q^dagger rho Q, and W = Q U Lambda^{1/2} from the top n
     eigenpairs of B.  Two GEMMs on the N x N matrix; nothing cubic in N.
+
+    Every partial sum of rho Omega is at most 2 N r g in magnitude, for r the
+    largest diagonal entry of rho (which bounds every |entry| of a PSD
+    matrix) and g the largest |real or imaginary part| of Omega.  Omega is
+    scaled by 2^-s, s the excess over 1023 of the binary exponent of that
+    bound, so the sketch cannot overflow at the top of the float range;
+    s = 0 wherever the bound is already below 2^1023.  Q does not depend on s.
     """
     big = rho.dims.total
     k = min(n + SKETCH_OVERSAMPLING, big)
     omega = rng.standard_normal((big, k)) + 1j * rng.standard_normal((big, k))
+    bits = sum(math.frexp(x)[1] for x in (_diagonal_max(rho.matrix), float(np.abs(omega.view(float)).max())))
+    omega *= 2.0 ** -max(0, bits + (2 * big).bit_length() - 1023)
     q = np.linalg.qr(rho.matrix @ omega)[0]
     lam, u = np.linalg.eigh(q.conj().T @ rho.matrix @ q)
     return (q @ (u[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0)))).reshape(*rho.dims, n)
@@ -595,19 +613,20 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     n-term candidate that passes also bounds lambda_{n+1}(rho) by
     eps * ||rho||_F (Eckart & Young 1936), so the gate certifies the rank
     too.  For a dense operator the gap is measured against the stored
-    matrix and ||rho_hat||_F is read from the slot Grams,
-    sqrt(w^T (|A^H A|^2 o |B^H B|^2) w); for a factored one all three norms
-    come exactly from the columns alone (:func:`_factored_gap`).
+    matrix and ||rho_hat||_F is read from the candidate's stacks as the
+    bipartite gate reads it (:func:`_product_gap`), all three norms in units
+    of 2^e, e the exponent of the largest weight; for a factored one all
+    three norms come exactly from the columns alone (:func:`_factored_gap`).
     ``reconstruction_error`` is the gap over ||rho||_F.  A zero-weight
     slice, a failed gate or a failed hypothesis check raises NotExtractable
     at once, naming the factor, both support ranks and the error reached.
     The zero operator is refused as rank 0 before any sketch, and a
     linear-algebra routine that does not converge raises DegenerateInput.
 
-    Both support ranks count the eigenvalues lambda > 0 with
-    lambda >= eps * lambda_max of ``eigvalsh`` of the unvalidated d x d
-    reduced operators (:func:`~proddecomp.tensor._reduced`), in either form,
-    through :func:`~proddecomp.subspace._support_rank`, the helper that
+    Both support ranks are the significance count
+    (:func:`~proddecomp.subspace._support_count`) of ``eigvalsh`` of the
+    unvalidated d x d reduced operators (:func:`~proddecomp.tensor._reduced`),
+    in either form, through :func:`~proddecomp.subspace._support_rank`, the helper that
     :func:`~proddecomp.subspace.support_and_null` reads too; the whitening
     keeps the top n directions of S_A, n the support rank so named, and
     counts no rank of its own.
@@ -656,13 +675,11 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
         cols, wts = product_columns(dec)
         residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction
         residual -= rho.matrix
-        # ||rho_hat||_F^2 = w^T (|A^H A|^2 o |B^H B|^2) w from the slot Grams, with w
-        # taken over its largest entry so that the square stays finite
-        a, b = dec.stacks
-        hadamard = (np.abs(a.conj().T @ a) * np.abs(b.conj().T @ b)) ** 2
-        top = float(wts.max())
-        u = wts / top
-        gap, norm, norm_hat = frobenius(residual), scale, top * math.sqrt(float(u @ hadamard @ u))
+        # ||rho_hat||_F as the bipartite gate reads it, and all three norms in its units
+        # of 2^e, e the exponent of the largest weight (exact scalings)
+        e = _weight_exponent(wts)
+        gap, norm = (math.ldexp(x, -e) for x in (frobenius(residual), scale))
+        norm_hat = _product_gap(dec, dec, e)[1]
     else:
         gap, norm, norm_hat = _factored_gap(rho.factor, product_columns(dec))
     err = gap / norm

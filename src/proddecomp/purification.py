@@ -23,7 +23,6 @@ from .tensor import (
 )
 
 UNITARITY_ATOL = 1e-8
-RESIDUAL_ATOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +73,12 @@ def relating_unitary(
     M_psi = M_phi U^T, and the unitary U^T minimizing ||M_psi - M_phi U^T||_F
     is the polar factor of M_phi^dagger M_psi: one SVD (orthogonal
     Procrustes, Schonemann 1966).  Only the action on the support is
-    contract-bearing.  A residual above RESIDUAL_ATOL raises
-    OperatorMismatch.  That can happen on valid pairs whose M_phi has a
-    singular value in about [10^-8.5, 10^-7.5], whose square is then at
-    rounding level in M_phi^dagger M_psi.
+    contract-bearing.  The result is decided by the same Equal rule
+    (:func:`~proddecomp.subspace._equal`): unless ||psi - (I (x) U) phi|| <=
+    eps * max(||psi||, ||(I (x) U) phi||), OperatorMismatch is raised, so
+    ``tol`` sets both gates.  That can happen on valid pairs whose M_phi has
+    a singular value in about [10^-8.5, 10^-7.5] at the default eps, whose
+    square is then at rounding level in M_phi^dagger M_psi.
     """
     if len(split) != 2:
         raise DimensionMismatch("relating_unitary needs a two-factor split")
@@ -98,8 +99,9 @@ def relating_unitary(
 
     a, _, bh = np.linalg.svd(m_phi.conj().T @ m_psi)
     u_t = a @ bh
-    residual = float(np.linalg.norm(psi.amplitudes - (m_phi @ u_t).reshape(-1)))
-    if residual > RESIDUAL_ATOL:
+    image = (m_phi @ u_t).reshape(-1)
+    residual = frobenius(psi.amplitudes - image)
+    if not _equal(residual, frobenius(psi.amplitudes), frobenius(image), tol):
         raise OperatorMismatch(
             f"unitary completion failed (residual {residual:.3e}); co-purification precondition violated"
         )

@@ -23,20 +23,20 @@ class ToleranceConfig:
 
     eps       the theorem's three decisions.  Collinear: unit kets with |<x|y>| >= 1 - eps; a
               certified match lets each paired overlap and expansion coefficient lie eps off
-              magnitude 1.  Rank: the one relative cutoff on a spectrum, >= eps times its largest:
-              significant expansion coefficients (``_certify_in_slot``) and, with > 0,
-              ``_support_mask`` (ket stack ranks in ``_slot_verdicts``, support ranks in ``_support_rank``,
-              which extraction's whitening keeps, Schmidt verdicts); both phase with
-              ``fix_phase(eps=eps)``.
+              magnitude 1.  Rank: the values of a spectrum > 0 and >= eps times its largest,
+              counted by ``_support_count`` (ket stack ranks in ``_slot_verdicts``, support
+              ranks in ``_support_rank``, which extraction's whitening keeps, Schmidt verdicts,
+              a certificate's significant expansion coefficients); Schmidt factors and
+              extracted kets phase with ``fix_phase(eps=eps)``.
               Equal: operators or vectors with ||x - y|| <= eps * max(||x||, ||y||), relative at
               every scale, all through ``_equal`` (both matchers' gates, ``relating_unitary``'s
-              reduced operators, extraction's candidate against rho).
+              reduced operators and its residual, extraction's candidate against rho).
 
     Fixed, with the decision each makes and why no setting reads it:
     WEIGHT_ATOL 1e-6          matched weights (or |coefficients|) agree to it x max(w1, w2, the
                               larger of the inputs' sums): relative at every scale
     SKETCH_OVERSAMPLING 8     extra columns of the dense range finder: sampling, not a decision
-    UNITARITY_ATOL, RESIDUAL_ATOL 1e-8  ``relating_unitary`` checks its own result, not input
+    UNITARITY_ATOL 1e-8       what a ``UnitaryMatrix`` is: part of its input contract
     ORTHO_ATOL 1e-10          ``SubspaceBasis`` orthogonality, met by eigh's eigenvectors to rounding
     KET_NORM_ATOL 1e-12       a ``Ket`` has unit norm: part of the input contract
     HERMITICITY_RTOL, PSD_RTOL 1e-10  what a valid operator (or file) is, whatever ``--tol``
@@ -167,18 +167,21 @@ def _equal(gap: float, norm1: float, norm2: float, tol: ToleranceConfig) -> bool
     return gap <= tol.eps * max(norm1, norm2)
 
 
-def _support_mask(lam: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Which entries of each spectrum ``lam`` (along the last axis) belong to
-    its support: those > 0 and >= eps times that spectrum's largest, so
-    an all-zero spectrum has none."""
-    return (lam > 0.0) & (lam >= tol.eps * lam.max(axis=-1, keepdims=True))
+def _support_count(values: Sequence[float], tol: ToleranceConfig) -> int:
+    """The significance count of a short spectrum of plain floats: the values
+    > 0 and >= eps times the largest, so an all-zero spectrum counts none.
+    The one rank rule: ket-stack ranks (:func:`_slot_verdicts`), support ranks
+    (:func:`_support_rank`), Schmidt verdicts and a certificate's significant
+    expansion coefficients all read it."""
+    cut = tol.eps * max(values, default=0.0)
+    return sum(v > 0.0 and v >= cut for v in values)
 
 
 def _support_rank(h: np.ndarray, tol: ToleranceConfig) -> int:
-    """The support rank of a reduced operator h: the count of ``eigvalsh(h)`` that
-    :func:`_support_mask` keeps.  The one rank rule of both extraction ranks and
+    """The support rank of a reduced operator h: :func:`_support_count` of
+    ``eigvalsh(h)``.  The one rank rule of both extraction ranks and
     :func:`support_and_null`, so the two always name the same rank."""
-    return int(np.count_nonzero(_support_mask(np.linalg.eigvalsh(h), tol)))
+    return _support_count(np.linalg.eigvalsh(h).tolist(), tol)
 
 
 @_nonconvergence("rank SVD")
@@ -194,9 +197,9 @@ def _slot_verdicts(
     padded shape can change the rounding of a stack's Gram entries and
     singular values, so a verdict within a few ulps of its threshold can
     depend on what the stack is batched with.  Pairs are the (stack, i, j)
-    with i < j and |<a_i|a_j>| >= 1 - eps, in lexicographic order.  A stack's rank counts
-    the singular values that :func:`_support_mask`'s rule keeps (> 0, and
-    >= eps times the largest).  It is not taken from the Gram eigenvalues,
+    with i < j and |<a_i|a_j>| >= 1 - eps, in lexicographic order.  A stack's rank is
+    :func:`_support_count` of its singular values, counted in plain floats
+    because the spectra are short.  It is not taken from the Gram eigenvalues,
     because a relative singular value of 1e-8 is a relative Gram eigenvalue
     of 1e-16, below double precision.
     """
@@ -206,9 +209,7 @@ def _slot_verdicts(
         x[i, :d, :n] = a
     hits = np.nonzero(np.abs(x.conj().transpose(0, 2, 1) @ x) >= 1.0 - tol.eps)
     pairs = [(s, i, j) for s, i, j in zip(*(h.tolist() for h in hits)) if i < j]
-    # _support_mask's rule on spectra sorted in descending order, in plain floats: the spectra are short
-    spectra = np.linalg.svd(x, compute_uv=False).tolist()
-    return pairs, [sum(v > 0.0 and v >= tol.eps * s[0] for v in s) for s in spectra]
+    return pairs, [_support_count(s, tol) for s in np.linalg.svd(x, compute_uv=False).tolist()]
 
 
 @_nonconvergence("support eigendecomposition")

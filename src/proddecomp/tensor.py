@@ -23,6 +23,9 @@ KET_NORM_ATOL = 1e-12
 HERMITICITY_RTOL = 1e-10
 PSD_RTOL = 1e-10
 
+#: The smallest normal float: a product below it has lost bits to gradual underflow.
+_TINY = float(np.finfo(float).tiny)
+
 #: A coefficient expansion sum_j c_j (x)kets_j whose norm is at most this
 #: times sum_j |c_j| has cancelled: degenerate input.
 _TRI_CANCEL_RTOL = 1e-8
@@ -55,6 +58,24 @@ def _weight_exponent(*weights: np.ndarray) -> int:
     ``np.ldexp(w, -e)`` scales them exactly, the largest into [0.5, 1), so that
     sums and norms of the scaled weights stay finite."""
     return math.frexp(max(max(w.tolist()) for w in weights))[1]  # plain floats: the arrays are short
+
+
+def _times_pow2(a: np.ndarray, e: int) -> np.ndarray:
+    """``a`` times 2^e, exact where no entry leaves the float range: two factors, since 2^e itself can overflow."""
+    return a * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+
+
+def _unit(v: np.ndarray, norm: float) -> np.ndarray:
+    """``v / norm`` for a complex vector v and its norm > 0: the one normalization of a raw vector.
+
+    numpy divides a complex array by multiplying with 1/norm, which overflows
+    for a subnormal norm; there v and norm are first scaled by the same exact
+    power of two.  Every other norm divides as it is, bit for bit.
+    """
+    if norm < _TINY:
+        e = -math.frexp(norm)[1]
+        v, norm = _times_pow2(v, e), math.ldexp(norm, e)
+    return v / norm
 
 
 def _complex(values, what: str, order: str = "K") -> np.ndarray:
@@ -109,7 +130,7 @@ class Ket:
         norm = frobenius(amps)
         if not 0.0 < norm < math.inf:  # NaN fails too
             raise DegenerateInput(f"cannot normalize a vector of norm {norm!r}")
-        return cls(amps / norm)
+        return cls(_unit(amps, norm))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "Ket":
@@ -214,20 +235,39 @@ def _diagonal_max(m: np.ndarray) -> float:
 @_nonconvergence("eigenvalues of the matrix")
 def _check_psd(m: np.ndarray, work: np.ndarray, scale: float) -> None:
     """Raise DegenerateInput unless lambda_min(h) >= -PSD_RTOL * max(lambda_max(h), 0)
-    for h = (m + m^H)/2; ``work`` is an N x N scratch array, and ``scale`` is ||m||_F."""
+    for h = (m + m^H)/2; ``work`` is an N x N scratch array, and ``scale`` is ||m||_F.
+
+    Where PSD_RTOL times the largest diagonal entry of h is not a normal float,
+    the shift and the bound would underflow and the factorization would run in
+    subnormal arithmetic.  There the test runs on a copy of m times 4^k, an
+    exact power of four that brings ||m||_F into [1/4, 1) (:func:`_times_pow2`);
+    the Hermitian part is formed after the scaling, because halving
+    a subnormal rounds, and the decision is made in those units.  Converted
+    back, both numbers of that refusal round to about -5e-324, so its message
+    adds lambda_min/lambda_max.  Every other matrix is tested as it is.
+    """
     h = _hermitian_part(m, work, scale)
-    h.flat[:: h.shape[0] + 1] += PSD_RTOL * max(0.0, float(h.diagonal().real.max()))
+    top = max(0.0, float(h.diagonal().real.max()))
+    k = 0
+    if 0.0 < top and PSD_RTOL * top < _TINY:
+        k = -math.frexp(scale)[1] // 2
+        m, scale = _times_pow2(m, 2 * k), math.ldexp(scale, 2 * k)
+        h = _hermitian_part(m, work, scale)
+        top = float(h.diagonal().real.max())
+    h.flat[:: h.shape[0] + 1] += PSD_RTOL * top
     try:
         np.linalg.cholesky(h)
         return  # the factor exists: lambda_min(h) >= -shift >= the bound
     except np.linalg.LinAlgError:
         pass
     evals = np.linalg.eigvalsh(_hermitian_part(m, work, scale))  # not certified; unshifted again, eigvalsh decides
-    lowest, bound = float(evals[0]), -PSD_RTOL * max(float(evals[-1]), 0.0)
+    lowest, highest = float(evals[0]), float(evals[-1])
+    bound = -PSD_RTOL * max(highest, 0.0)
     if lowest < bound:
+        ratio = f"; lambda_min/lambda_max = {lowest / highest:.3e}" if k else ""
         raise DegenerateInput(
-            f"matrix is not positive semidefinite: min eigenvalue {lowest!r} is below "
-            f"the bound {bound!r} (-PSD_RTOL * max eigenvalue)"
+            f"matrix is not positive semidefinite: min eigenvalue {math.ldexp(lowest, -2 * k)!r} is below "
+            f"the bound {math.ldexp(bound, -2 * k)!r} (-PSD_RTOL * max eigenvalue){ratio}"
         )
 
 
@@ -329,11 +369,12 @@ def _checked_matrix(matrix, n: int) -> np.ndarray:
         raise DimensionMismatch(f"matrix shape {m.shape} does not match ambient dim {n}")
     scale = frobenius(m)
     if not math.isfinite(scale):
-        raise DegenerateInput(f"matrix has non-finite entries (Frobenius norm {scale!r})")
+        raise DegenerateInput(_norm_overflow(m, "matrix") or f"matrix has non-finite entries (Frobenius norm {scale!r})")
     # the one N x N work array, in m's layout so the elementwise passes run
     # contiguously: m^H, then m - m^H, then the Hermitian part
     work = np.conjugate(m.T, out=np.empty_like(m))
-    np.subtract(m, work, out=work)
+    with np.errstate(over="ignore"):  # an overflow is an asymmetry past any bound: refused below
+        np.subtract(m, work, out=work)
     asymmetry = frobenius(work)
     if asymmetry > HERMITICITY_RTOL * scale:
         raise DegenerateInput(
@@ -358,11 +399,22 @@ def _checked_factor(columns, weights, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"weights shape {w.shape} does not match {k} columns")
     scale = frobenius(v)
     if not math.isfinite(scale):
-        raise DegenerateInput(f"columns have non-finite entries (Frobenius norm {scale!r})")
+        raise DegenerateInput(_norm_overflow(v, "column") or f"columns have non-finite entries (Frobenius norm {scale!r})")
     trace = _factor_trace(v, w)
     if not math.isfinite(trace):
         raise DegenerateInput(f"operator trace overflows ({trace!r})")
     return v, w
+
+
+def _norm_overflow(a: np.ndarray, what: str) -> str | None:
+    """Why ``a``, whose Frobenius norm is not finite, is refused when every entry is
+    finite and only the norm overflows; None when an entry is not finite.  Only
+    this refusal path tests the entries."""
+    if not np.isfinite(a).all():
+        return None
+    with np.errstate(over="ignore"):  # an |entry| past the float maximum reads inf
+        big = float(np.abs(a).max())
+    return f"{what} entries are finite but the Frobenius norm overflows (largest |entry| {big!r})"
 
 
 def _source_dtype(values) -> np.dtype:
@@ -537,7 +589,9 @@ class ProductDecomposition(_Decomposition):
 
     @property
     def weight_sum(self) -> float:
-        return float(self.values.sum())
+        """The sum of the weights; inf, with no warning, past the float maximum."""
+        with np.errstate(over="ignore"):
+            return float(self.values.sum())
 
     def normalized(self) -> "ProductDecomposition":
         """Rescale weights to sum to 1 (a presentation choice, not required).  They are summed
@@ -710,7 +764,7 @@ def build_tri_vector(t: TriDecomposition) -> tuple[Ket, float]:
     """
     _expect(TriDecomposition, t)
     v, raw = _expansion(t.stacks, t.values)
-    return Ket(v / raw), raw
+    return Ket(_unit(v, raw)), raw
 
 
 def bipartite_matrix(x: Ket, split: FactoredDims) -> np.ndarray:

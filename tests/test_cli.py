@@ -478,6 +478,47 @@ class TestTopOfTheFloatRange:
         assert main(["build", a, "--normalize", "--out", str(tmp_path / "op.json")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_weights_summing_past_the_float_maximum_do_not_build_as_they_stand(self, tmp_path, capsys):
+        # the contract: such a file matches and builds with --normalize, but its
+        # operator's trace is past the float maximum, so it does not build as it is
+        e = [_ket_json(pd.Ket.basis(2, i)) for i in (0, 1)]
+        terms = [{"w": 1.5e308, "kets": [e[0], e[0]]}, {"w": 1.2e308, "kets": [e[1], e[1]]}]
+        path, out = _decomposition_file(tmp_path / "a.json", terms), tmp_path / "op.json"
+        assert main(["build", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: operator trace overflows (inf)\n"
+        assert not out.exists()
+
+    def test_a_finite_operator_whose_norm_overflows_is_not_called_non_finite(self, tmp_path, capsys):
+        m = np.diag([1.5e308, 1.5e308, 0.0, 0.0])
+        payload = {"format_version": "1", "kind": "operator", "dims": [2, 2]}
+        path = _write_payload(tmp_path / "wide.json", {**payload, "matrix": {"re": m.ravel().tolist(), "im": [0.0] * 16}})
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: matrix entries are finite but the Frobenius norm overflows (largest |entry| 1.5e+308)\n"
+        )
+
+    def test_a_dense_operator_near_the_float_maximum_extracts(self, tmp_path, capsys):
+        dec = pd.generate_instance(3, 3, 3, seed=4)
+        m = pd.rho_matrix(dec)
+        path = str(tmp_path / "top-op.json")
+        fileio.save_operator(path, pd.StateOperator(dec.dims, m / float(np.abs(m).max()) * 5e307))
+        assert main(["extract", path, "--out", str(tmp_path / "top-dec.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestBottomOfTheFloatRange:
+    def test_an_operator_outside_the_psd_band_in_subnormals_is_refused(self, tmp_path, capsys):
+        # 10^-313 times a valid operator: stored as subnormals, lambda_min/lambda_max reads -1.2e-10
+        dec = pd.generate_instance(3, 3, 3, seed=4)
+        flat = (pd.rho_matrix(dec) * 1e-313).reshape(-1)
+        payload = {"format_version": "1", "kind": "operator", "dims": [3, 3]}
+        path = _write_payload(tmp_path / "low.json", {**payload, "matrix": {"re": flat.real.tolist(), "im": flat.imag.tolist()}})
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}: matrix is not positive semidefinite: ")
+        assert err.endswith("lambda_min/lambda_max = -1.208e-10\n")
+
 
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write raises ``BrokenPipeError``."""

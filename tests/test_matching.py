@@ -443,10 +443,9 @@ class TestWeightsPastTheFloatMaximum:
         # and a weight test against it could never fail
         d1, d2 = self._top(), self._top(1.5e308 * (1 + 1e-5))
         e = pd.tensor._weight_exponent(d1.values, d2.values)
-        wscale = max(float(np.ldexp(d.values, -e).sum()) for d in (d1, d2))
         r = decomp._slot_factors(d1, d2, (0,))[0]
         with pytest.raises(pd.HypothesisViolation, match=r"weight mismatch for term pair \(0, 0\): 1\.5e\+308 vs"):
-            decomp._certify_in_slot(d1, d2, 0, r, pd.DEFAULT_TOL, wscale, "weight", e)
+            decomp._certify_in_slot(d1, d2, 0, r, pd.DEFAULT_TOL, e)
 
     def test_normalized_sums_to_one(self):
         normalized = self._top().normalized()
@@ -665,8 +664,9 @@ def _certify_both(d1, d2, slot, tol=pd.DEFAULT_TOL):
     except pd.HypothesisViolation as exc:
         ref = str(exc)
     r = decomp._slot_factors(d1, d2, (slot,))[0]
+    e = pd.tensor._weight_exponent(np.abs(d1.values), np.abs(d2.values))
     try:
-        got = decomp._certify_in_slot(d1, d2, slot, r, tol, max(float(np.abs(d.values).sum()) for d in (d1, d2)), what)
+        got = decomp._certify_in_slot(d1, d2, slot, r, tol, e)
     except pd.HypothesisViolation as exc:
         return str(exc), ref
     rows = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import proddecomp as pd
-from proddecomp.purification import RESIDUAL_ATOL, UNITARITY_ATOL
+from proddecomp.purification import UNITARITY_ATOL
 
 
 def _random_ket(rng, dim):
@@ -124,7 +124,7 @@ class TestRelatingUnitary:
         residual = np.linalg.norm(
             psi.amplitudes - pd.apply_on_factor(u, phi, split, 1).amplitudes
         )
-        assert residual < RESIDUAL_ATOL
+        assert residual < pd.DEFAULT_TOL.eps
         defect = pd.frobenius(u.matrix.conj().T @ u.matrix - np.eye(d2))
         assert defect < UNITARITY_ATOL
 
@@ -140,7 +140,7 @@ class TestRelatingUnitary:
         residual = np.linalg.norm(
             psi.amplitudes - pd.apply_on_factor(u, phi, split, 1).amplitudes
         )
-        assert residual < RESIDUAL_ATOL
+        assert residual < pd.DEFAULT_TOL.eps
 
     def test_rejects_different_reduced_operators(self):
         product = pd.tensor_product(pd.Ket.basis(2, 0), pd.Ket.basis(2, 0))
@@ -152,6 +152,22 @@ class TestRelatingUnitary:
         psi = pd.Ket.basis(4, 0)
         with pytest.raises(pd.DimensionMismatch):
             pd.relating_unitary(psi, psi, pd.FactoredDims((3, 2)))
+
+    def test_tol_sets_the_residual_gate_too(self):
+        # a co-purification pair perturbed by 1e-6: within eps = 1e-4 in both gates, so
+        # the unitary is returned (a fixed residual bound of 1e-8 refused it); the default
+        # eps refuses the pair
+        rng = np.random.default_rng(7)
+        split = pd.FactoredDims((3, 4))
+        phi = _random_ket(rng, 12)
+        psi = pd.apply_on_factor(pd.UnitaryMatrix(_random_unitary(rng, 4)), phi, split, 1)
+        noise = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        psi = pd.Ket.normalize(psi.amplitudes + 1e-6 * noise / np.linalg.norm(noise))
+        u = pd.relating_unitary(psi, phi, split, pd.ToleranceConfig(1e-4))
+        residual = np.linalg.norm(psi.amplitudes - pd.apply_on_factor(u, phi, split, 1).amplitudes)
+        assert 1e-8 < residual <= 1e-4
+        with pytest.raises(pd.OperatorMismatch):
+            pd.relating_unitary(psi, phi, split)
 
 
 class TestApplyOnFactor:
@@ -209,7 +225,7 @@ class TestTwoLabelings:
         residual = np.linalg.norm(
             psi.amplitudes - pd.apply_on_factor(u, phi, split, 1).amplitudes
         )
-        assert residual < RESIDUAL_ATOL
+        assert residual < pd.DEFAULT_TOL.eps
 
 
 def _reference_relating_unitary(psi, phi, split, tol=pd.DEFAULT_TOL):
@@ -236,7 +252,7 @@ def _reference_relating_unitary(psi, phi, split, tol=pd.DEFAULT_TOL):
     completed = restricted + complement(vh_phi[:r_phi].conj().T) @ complement(vh_psi[:r_psi].conj().T).conj().T
     a, _, bh = np.linalg.svd(completed)
     u_t = a @ bh
-    if np.linalg.norm(psi.amplitudes - (m_phi @ u_t).reshape(-1)) > RESIDUAL_ATOL:
+    if np.linalg.norm(psi.amplitudes - (m_phi @ u_t).reshape(-1)) > pd.DEFAULT_TOL.eps:
         raise pd.OperatorMismatch("unitary completion failed")
     return pd.UnitaryMatrix(u_t.T)
 

@@ -1,5 +1,6 @@
 """Core tensor algebra: kets, operators, products, partial traces."""
 
+import math
 import re
 import warnings
 
@@ -53,6 +54,11 @@ class TestKet:
         # a plain sum of squares underflows below ~1e-154 and overflows above ~1e154
         ket = pd.Ket.normalize(10.0**k * np.array([3.0, 4.0j]))
         assert np.abs(ket.amplitudes - np.array([0.6, 0.8j])).max() <= 1e-15
+
+    def test_normalize_a_subnormal_vector(self):
+        # numpy divides by multiplying with 1/norm, which overflows for a subnormal norm
+        ket = pd.Ket.normalize(1e-320 * np.array([3.0, 4.0j]))
+        assert np.abs(ket.amplitudes - np.array([0.6, 0.8j])).max() <= 1e-3
 
     @pytest.mark.parametrize("bad", [np.zeros(2), [np.nan, 1.0], [np.inf, 1.0], [1.0, 1j * np.inf]])
     def test_normalize_rejects_zero_and_non_finite(self, bad):
@@ -170,6 +176,12 @@ class TestStateOperator:
         m = np.diag([1.0, -0.5]).astype(complex)
         with pytest.raises(pd.DegenerateInput, match=r"min eigenvalue -0\.5 is below the bound -1e-10"):
             pd.StateOperator(pd.FactoredDims((2, 1)), m)
+
+    def test_an_asymmetry_past_the_float_maximum_is_refused(self):
+        # m - m^H overflows: the refusal names it, with no numpy warning
+        m = np.array([[1.0, 1e308], [-1e308, 1.0]])
+        with pytest.raises(pd.DegenerateInput, match=r"not Hermitian within tolerance: \|\|m - m\^H\|\|_F = inf"):
+            pd.StateOperator(pd.FactoredDims((2,)), m)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(pd.DimensionMismatch):
@@ -500,6 +512,59 @@ class TestTopOfTheFloatRange:
         m = np.diag([1.5e308, -1e300, 1.0, 1.0]).astype(complex)
         with pytest.raises(pd.DegenerateInput, match=r"not positive semidefinite: min eigenvalue -1e\+300 is below"):
             pd.StateOperator(pd.FactoredDims((2, 2)), m)
+
+    def test_finite_entries_whose_norm_overflows_are_not_called_non_finite(self):
+        overflow = r"entries are finite but the Frobenius norm overflows \(largest \|entry\| 1\.5e\+308\)"
+        with pytest.raises(pd.DegenerateInput, match="^matrix " + overflow):
+            pd.StateOperator(pd.FactoredDims((2, 2)), np.diag([1.5e308, 1.5e308, 0.0, 0.0]))
+        with pytest.raises(pd.DegenerateInput, match="^column " + overflow):
+            pd.StateOperator.from_columns(pd.FactoredDims((2,)), np.array([[1.5e308], [1.5e308]]), np.ones(1))
+        with pytest.raises(pd.DegenerateInput, match=r"^matrix has non-finite entries \(Frobenius norm inf\)"):
+            pd.StateOperator(pd.FactoredDims((2,)), np.diag([np.inf, 1.0]))
+
+    def test_a_weight_sum_past_the_float_maximum_is_inf(self):
+        assert _top_of_the_range().weight_sum == 1.5e308
+        e = np.eye(2)
+        dec = pd.ProductDecomposition._from_stacks(pd.FactoredDims((2, 2)), (e, e), [1.5e308, 1.2e308])
+        assert dec.weight_sum == math.inf
+
+    def test_a_dense_operator_near_the_float_maximum_extracts(self):
+        # the sketch rho Omega overflowed: Omega is scaled by an exact power of two
+        dec = pd.generate_instance(3, 3, 3, seed=4)
+        m = pd.rho_matrix(dec)
+        top = float(np.abs(m).max())
+        rho = pd.StateOperator(dec.dims, m / top * 5e307)
+        report = pd.extract_decomposition(rho)
+        assert report.decomposition.n == 3 and report.reconstruction_error < 1e-13
+        source = pd.ProductDecomposition._from_stacks(dec.dims, dec.stacks, dec.values / top * 5e307)
+        assert pd.match_bidecomposition(source, report.decomposition).residual < 1e-13
+
+
+class TestBottomOfTheFloatRange:
+    """The dense operator of a 3 x 3, n = 3 instance times 10^k.  Stored as
+    subnormals, its entries move by up to 1.4e-9 relative; where PSD_RTOL times
+    its largest diagonal entry is not a normal float, the PSD test runs in
+    units of a power of four and reads the stored matrix's lambda_min/lambda_max."""
+
+    @pytest.mark.parametrize(
+        "k, ratio", [(-310, None), (-312, None), (-313, "-1.208e-10"), (-314, "-1.304e-09"), (-316, "-1.016e-07")]
+    )
+    def test_the_stored_ratio_decides(self, k, ratio):
+        dec = pd.generate_instance(3, 3, 3, seed=4)
+        m = pd.rho_matrix(dec) * 10.0**k
+        if ratio is None:
+            assert pd.StateOperator(dec.dims, m).trace > 0.0
+        else:
+            with pytest.raises(pd.DegenerateInput, match=rf"not positive semidefinite: .*lambda_min/lambda_max = {ratio}$"):
+                pd.StateOperator(dec.dims, m)
+
+    def test_messages_in_the_normal_range_are_unchanged(self):
+        with pytest.raises(pd.DegenerateInput) as caught:
+            pd.StateOperator(pd.FactoredDims((2,)), np.diag([1.0, -1e-3]))
+        assert str(caught.value) == (
+            "matrix is not positive semidefinite: min eigenvalue -0.001 is below "
+            "the bound -1e-10 (-PSD_RTOL * max eigenvalue)"
+        )
 
 
 class TestPartialTrace:
