@@ -17,6 +17,7 @@ import numpy as np
 
 from . import decomp, fileio
 from .errors import (
+    DegenerateInput,
     FileError,
     HypothesisViolation,
     NotExtractable,
@@ -125,7 +126,10 @@ def cmd_build(args: argparse.Namespace) -> int:
         dec = loaded.product()
         if args.normalize:
             dec = dec.normalized()
-        op = build_rho(dec)
+        try:
+            op = build_rho(dec)
+        except DegenerateInput as exc:  # an operator trace past the float maximum
+            raise DegenerateInput(f"{loaded.path}: {exc}") from exc
     else:
         vec, norm = loaded.vector()
         op = StateOperator.from_columns(loaded.dims, _unit(vec, norm)[:, None], np.ones(1))

@@ -20,6 +20,7 @@ from .errors import (
 from .subspace import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _collinear,
     _equal,
     _slot_verdicts,
     _support_count,
@@ -81,11 +82,13 @@ class TermCertificate:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Certified equivalence between two decompositions.
+    """Certified equivalence between two decompositions: term ``j`` of the second
+    is collinear, slot by slot, with term ``permutation[j]`` of the first, and
+    their weights (or coefficient magnitudes) agree.
 
-    ``permutation[j]`` is the index of the first decomposition's term that
-    the second decomposition's term ``j`` matches.  ``residual`` is the
-    largest constraint violation observed while certifying.
+    ``residual`` is the largest |1 - |paired overlap|| or paired weight
+    difference over max(w1, w2, the larger sum of |values|) (``_certify``).
+    A permutation that is not a bijection is refused.
     """
 
     n: int
@@ -271,97 +274,63 @@ def _split_pairs(stacks, values: np.ndarray, split: FactoredDims, tol: Tolerance
 
 
 def _slot_factors(
-    d1: ProductDecomposition | TriDecomposition, d2: ProductDecomposition | TriDecomposition, slots: Sequence[int]
+    d1: ProductDecomposition | TriDecomposition, d2: ProductDecomposition | TriDecomposition
 ) -> list[np.ndarray]:
-    """R factors of each listed slot's d_s x k block [S2_s S1_s] for k = n1 + n2:
+    """R factors of each slot's d_s x k block [S2_s S1_s] for k = n1 + n2:
     the second input's stack first, then the first's.
 
     One batched ``qr(mode="r")`` of the blocks, zero-padded to one shape;
     R_s keeps its min(d_s, k) rows, since zero rows add nothing to an R
-    factor.  Both matchers' certificates read their slot's R from here,
-    and the bipartite equality gate reads both slots'.
+    factor.  The bipartite equality gate reads both slots' (:func:`_product_gap`).
     """
-    dims, k = [d1.dims[s] for s in slots], d1.n + d2.n
-    x = np.zeros((len(slots), max(dims), k), dtype=complex)
-    for i, (s, dim) in enumerate(zip(slots, dims)):
-        x[i, :dim, : d2.n] = d2.stacks[s]
-        x[i, :dim, d2.n :] = d1.stacks[s]
+    dims, k = d1.dims, d1.n + d2.n
+    x = np.zeros((len(dims), max(dims), k), dtype=complex)
+    for s, dim in enumerate(dims):
+        x[s, :dim, : d2.n] = d2.stacks[s]
+        x[s, :dim, d2.n :] = d1.stacks[s]
     r = np.linalg.qr(x, mode="r")
-    return [r[i, : min(dim, k)] for i, dim in enumerate(dims)]
+    return [r[s, : min(dim, k)] for s, dim in enumerate(dims)]
 
 
-def _certify_in_slot(
+def _certify(
     d1: ProductDecomposition | TriDecomposition,
     d2: ProductDecomposition | TriDecomposition,
-    slot: int,
-    r: np.ndarray,
     tol: ToleranceConfig,
     exponent: int,
 ) -> MatchResult:
-    """Certify term-wise equivalence by expansion in one independent slot.
+    """Certify that the two decompositions agree term by term: the claim a
+    :class:`MatchResult` makes, decided from the ``stacks`` and ``values`` alone.
 
-    Precondition: the second input's ket set is linearly independent in
-    ``slot``, and ``r`` is an R factor of that slot's block [S2 S1]
-    (:func:`_slot_factors`), min(d, 2n) x 2n.  Reads only ``r`` and the
-    decompositions' ``stacks`` and ``values``.  The least-squares expansion
-    of the first decomposition's kets over the second's, S2 sol ~ S1, is
-    one solve with the nonsingular R[:n, :n], sol = R[:n, :n]^-1 R[:n, n:],
-    and its residual ||S2 sol - S1||_F is ||R[n:, n:]||_F (Golub & Van Loan,
-    Matrix Computations, section 5.3); no least-squares routine runs.
-    Each expansion column must have one significant coefficient
-    (:func:`~proddecomp.subspace._support_count`), which defines the
-    permutation; then certify collinearity in every slot and equality of
-    the paired magnitudes |values| (weights of a product decomposition,
-    coefficient magnitudes of a tridecomposition, named so in the message)
-    to WEIGHT_ATOL * max(w1, w2, wscale), for wscale the larger sum of
-    |values| of the two inputs: relative at every scale.  The magnitudes
-    and both sums are read in units of 2^exponent, the exponent of the
-    inputs' largest |value| (:func:`~proddecomp.tensor._weight_exponent`):
-    exact scalings that keep a sum past the float maximum finite and leave
-    every comparison and ratio as it is; certificates and messages carry
-    the magnitudes as stored.  Each slot's
-    overlaps <first_perm[k]|second_k> are one column-wise product over the
-    permuted first stack.  Failures name the first failing term k of the
-    second decomposition and, within it, check the expansion coefficient,
-    then the overlaps slot by slot, then the magnitudes.  The residual is
-    the largest violation observed across all certified constraints, with
-    each weight difference taken relative to max(w1, w2, wscale), so it
-    does not grow or shrink with the weight scale.
+    Pairing: term k of the second input pairs with the term j of the first
+    that maximizes the product over slots of |<first_j|second_k>|, read off
+    one n x n cross-Gram matrix S1^H S2 per slot.  Each slot's paired
+    overlaps <first_perm[k]|second_k> are then one column-wise product over
+    the permuted first stack, and every one of them must pass the one
+    Collinear rule (:func:`~proddecomp.subspace._collinear`) that the
+    hypothesis checks read.  The paired magnitudes |values| (weights of a
+    product decomposition, coefficient magnitudes of a tridecomposition,
+    named so in the message) must agree to WEIGHT_ATOL * max(w1, w2, wscale),
+    for wscale the larger sum of |values| of the two inputs: relative at
+    every scale.  The magnitudes and both sums are read in units of
+    2^exponent, the exponent of the inputs' largest |value|
+    (:func:`~proddecomp.tensor._weight_exponent`): exact scalings that keep
+    a sum past the float maximum finite and leave every comparison and ratio
+    as it is; certificates and messages carry the magnitudes as stored.
+    Failures name the first failing term k of the second decomposition and,
+    within it, check the overlaps slot by slot, then the magnitudes; a
+    pairing that is not a bijection is refused by :class:`MatchResult`.  The
+    residual is the largest |1 - |paired overlap|| or weight difference over
+    max(w1, w2, wscale), so it does not grow or shrink with the weight scale.
     """
     if d1.n != d2.n:
         raise HypothesisViolation(f"term-count mismatch after rank analysis: {d1.n} vs {d2.n}")
-    n = d1.n
-    name = _SLOT_NAMES[slot]
+    score = np.ones((d1.n, d2.n))
+    for a1, a2 in zip(d1.stacks, d2.stacks):
+        score *= np.abs(a1.conj().T @ a2)
+    perm = score.argmax(axis=0).tolist()
 
-    sol = np.linalg.solve(r[:n, :n], r[:n, n:])
-    residual = float(np.linalg.norm(r[n:, n:]))  # ||S2 sol - S1||_F
-
-    # row k of |sol| is column k of |gamma| for first_j = sum_k gamma[j, k] second_k;
-    # n is small, so these checks run on Python floats, not on tiny arrays
-    eps = tol.eps
-    perm: list[int] = []
-    tops: list[float] = []
-    for k, col in enumerate(np.abs(sol).tolist()):
-        top = max(col)
-        if top == 0.0:
-            raise HypothesisViolation(
-                f"factorability hypothesis violated: {name}-slot expansion column {k} vanishes"
-            )
-        significant = _support_count(col, tol)
-        if significant != 1:
-            raise HypothesisViolation(
-                f"factorability hypothesis violated: {name}-slot expansion column {k} "
-                f"has {significant} significant coefficients"
-            )
-        j = col.index(top)
-        col[j] = 0.0  # the rest of the column is a violation
-        residual = max(residual, *col)
-        perm.append(j)
-        tops.append(top)
-    if len(set(perm)) != n:
-        raise HypothesisViolation(f"candidate permutation {perm} is not a bijection")
-
-    # one column-wise product per slot, transposed so that row k holds term k's overlaps
+    # one column-wise product per slot, transposed so that row k holds term k's overlaps;
+    # n is small, so the checks run on Python floats, not on tiny arrays
     cols = np.array(perm)
     per_slot = [np.einsum("ij,ij->j", a1[:, cols].conj(), a2).tolist() for a1, a2 in zip(d1.stacks, d2.stacks)]
     overlaps = list(zip(*per_slot))
@@ -369,32 +338,24 @@ def _certify_in_slot(
     wscale = max(float(np.ldexp(np.abs(d.values), -exponent).sum()) for d in (d1, d2))
     what = "weight" if isinstance(d1, ProductDecomposition) else "coefficient magnitude"
     pad = (None,) * (3 - len(d1.stacks))
-    certs = []
-    for k, (j, top, row, w2) in enumerate(zip(perm, tops, overlaps, mags2)):
-        gdev = abs(top - 1.0)
-        if gdev > eps:
-            raise HypothesisViolation(
-                f"{name}-slot expansion coefficient for term pair ({j}, {k}) "
-                f"has magnitude {top:.12g}, expected 1"
-            )
-        deviations = [abs(abs(o) - 1.0) for o in row]
-        for s, deviation in enumerate(deviations):
-            if deviation > eps:
+    residual, certs = 0.0, []
+    for k, (j, row, w2) in enumerate(zip(perm, overlaps, mags2)):
+        for s, o in enumerate(row):
+            if not _collinear(abs(o), tol):
                 raise HypothesisViolation(
                     f"collinearity certificate failed in slot {_SLOT_NAMES[s]} for term pair "
-                    f"({j}, {k}): overlap magnitude {abs(row[s]):.12g}"
+                    f"({j}, {k}): overlap magnitude {abs(o):.12g}"
                 )
         w1 = mags1[j]
         s1, s2 = math.ldexp(w1, -exponent), math.ldexp(w2, -exponent)
         dw, wbound = abs(s1 - s2), max(s1, s2, wscale)
         if dw > WEIGHT_ATOL * wbound:
             raise HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
-        residual = max(residual, gdev, *deviations, dw / wbound)
+        residual = max(residual, *(abs(1.0 - abs(o)) for o in row), dw / wbound)
         certs.append(TermCertificate(*row, *pad, w1, w2))
-    return MatchResult(n, tuple(perm), tuple(certs), residual)
+    return MatchResult(d1.n, tuple(perm), tuple(certs), residual)
 
 
-@_nonconvergence("matching: a linear-algebra routine")
 def match_tridecomposition(
     t1: TriDecomposition, t2: TriDecomposition, tol: ToleranceConfig = DEFAULT_TOL
 ) -> MatchResult:
@@ -403,28 +364,22 @@ def match_tridecomposition(
 
     Pipeline: verify hypotheses on both inputs (:func:`_hypotheses`, one
     batch for both) and that the two global vectors agree, coefficient
-    phases included, to eps * max(||v1||, ||v2||); pick a factor slot whose
-    ket sets are independent in both inputs (search order c, a, b); then
-    certify in that slot (:func:`_certify_in_slot`) from the R factor of its
-    block [second | first] (:func:`_slot_factors`, one QR), with coefficient
-    magnitudes read in units of 2^e, e the exponent of the largest
+    phases included, to eps * max(||v1||, ||v2||); then pair the terms and
+    certify every pair (:func:`_certify`), with coefficient magnitudes read
+    in units of 2^e, e the exponent of the largest
     (:func:`~proddecomp.tensor._weight_exponent`), as the bipartite matcher
-    reads its weights.
+    reads its weights.  ``residual`` is the certificate's.
     """
     _expect(TriDecomposition, t1, t2)
     if t1.dims != t2.dims:
         raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
-    ind1, ind2 = _hypotheses(((t1, "first tridecomposition"), (t2, "second tridecomposition")), tol)
+    _hypotheses(((t1, "first tridecomposition"), (t2, "second tridecomposition")), tol)
 
     (v1, norm1), (v2, norm2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
     gap = frobenius(v1 - v2)
     if not _equal(gap, norm1, norm2, tol):
         raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
-
-    # each input has at least 2 independent slots of 3, so the two always share one
-    slot = next(s for s in (2, 0, 1) if ind1[s] and ind2[s])
-    r = _slot_factors(t1, t2, (slot,))[0]
-    return _certify_in_slot(t1, t2, slot, r, tol, _weight_exponent(np.abs(t1.values), np.abs(t2.values)))
+    return _certify(t1, t2, tol, _weight_exponent(np.abs(t1.values), np.abs(t2.values)))
 
 
 def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
@@ -456,11 +411,9 @@ def _factored_gap(
     return _gap_from_r(np.linalg.qr(np.hstack([v1, v2]), mode="r"), w1, w2)
 
 
-def _product_gap(
-    d1: ProductDecomposition, d2: ProductDecomposition, exponent: int = 0
-) -> tuple[float, float, float, list[np.ndarray]]:
+def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition, exponent: int = 0) -> tuple[float, float, float]:
     """:func:`_gap_from_r` for the operators of two product decompositions, read
-    off their d_s x n stacks alone, with no N-row array, and the slot R factors.
+    off their d_s x n stacks alone, with no N-row array.
 
     For k = n1 + n2, :func:`_slot_factors` gives [S2_s S1_s] = Q_s R_s for
     both slots in one batched QR.  The product columns are then
@@ -471,15 +424,13 @@ def _product_gap(
     of the slot Grams; Kolda & Bader, SIAM Rev. 51, 2009, section 2.6).  The
     gap is symmetric, and the two operator norms come back in argument
     order.  The weights, and so the three norms, are taken in units of
-    2^exponent.  Returns (gap, norm1, norm2, [R_a, R_b]): the certificate
-    reads its slot's R_s (:func:`_certify_in_slot`).
+    2^exponent.
     """
-    factors = _slot_factors(d1, d2, (0, 1))
-    r_a, r_b = factors
+    r_a, r_b = _slot_factors(d1, d2)
     khatri_rao = (r_a[:, None] * r_b).reshape(-1, d1.n + d2.n)
     w1, w2 = (np.ldexp(d.values, -exponent) for d in (d1, d2))
     gap, norm2, norm1 = _gap_from_r(np.linalg.qr(khatri_rao, mode="r"), w2, w1)
-    return gap, norm1, norm2, factors
+    return gap, norm1, norm2
 
 
 @_nonconvergence("matching: a linear-algebra routine")
@@ -494,18 +445,14 @@ def match_bidecomposition(
     eps * max(||rho1||_F, ||rho2||_F), from the stacks alone
     (:func:`_product_gap`: two small QRs, O((d_a + d_b) k^2 +
     min(d_a, k) min(d_b, k) k^2) time for k = n1 + n2, and no N-row
-    array, so not bound by ``MAX_AMBIENT_DIM``); pick the ket slot
-    independent in both inputs (a, else b), which exists when the
-    operators agree, since the a-set is independent exactly when
-    rank Tr_B rho = rank rho; certify in that slot as
-    :func:`match_tridecomposition` does, from the R factor of its block
-    [S2 S1] that the gate's batched QR already took (one small solve, no
-    further factorization), with weights compared to
-    WEIGHT_ATOL times the larger of the two and the larger weight sum.
-    Both rules are relative, so a match does not depend on the weight
-    scale, and both read the weights in units of 2^e, e the exponent of the
-    largest (:func:`~proddecomp.tensor._weight_exponent`), so that sums and
-    norms past the float maximum stay finite: the gate through
+    array, so not bound by ``MAX_AMBIENT_DIM``); then pair the terms and
+    certify every pair as :func:`match_tridecomposition` does
+    (:func:`_certify`), with weights compared to WEIGHT_ATOL times the
+    larger of the two and the larger weight sum.  Both rules are relative,
+    so a match does not depend on the weight scale, and both read the
+    weights in units of 2^e, e the exponent of the largest
+    (:func:`~proddecomp.tensor._weight_exponent`), so that sums and norms
+    past the float maximum stay finite: the gate through
     :func:`_product_gap`, the certificate from the same e.  The mismatch
     message gives the gap in the caller's units.  Certificates carry
     ``overlap_c = None``.
@@ -513,18 +460,14 @@ def match_bidecomposition(
     _expect(ProductDecomposition, d1, d2)
     if d1.dims != d2.dims:
         raise DimensionMismatch(f"factor dims differ: {d1.dims.dims} vs {d2.dims.dims}")
-    ind1, ind2 = _hypotheses(((d1, "first decomposition"), (d2, "second decomposition")), tol)
+    _hypotheses(((d1, "first decomposition"), (d2, "second decomposition")), tol)
 
     e = _weight_exponent(d1.values, d2.values)
-    gap, norm1, norm2, factors = _product_gap(d1, d2, e)
+    gap, norm1, norm2 = _product_gap(d1, d2, e)
     if not _equal(gap, norm1, norm2, tol):
         with np.errstate(over="ignore"):  # a gap past the float maximum reads inf
             raise OperatorMismatch(f"operators differ by {np.ldexp(gap, e):.3e} in Frobenius norm")
-
-    slot = next((s for s in (0, 1) if ind1[s] and ind2[s]), None)
-    if slot is None:
-        raise HypothesisViolation("no ket set is linearly independent in both decompositions")
-    return _certify_in_slot(d1, d2, slot, factors[slot], tol, e)
+    return _certify(d1, d2, tol, e)
 
 
 # ---------------------------------------------------------------------------

@@ -361,10 +361,14 @@ class LoadedDecomposition:
         return TriDecomposition._from_stacks(self.dims, self.stacks, self.values)
 
     def vector(self) -> tuple[np.ndarray, float]:
-        """Raw global vector sum_j value_j (x)kets_j and its norm (coeff form only); DegenerateInput if cancelled."""
+        """Raw global vector sum_j value_j (x)kets_j and its norm (coeff form only); an
+        expansion that cancels or overflows is DegenerateInput naming the file."""
         if self.form != "coeff":
             raise FileError(f"{self.path}: only coefficient-form files define a global vector")
-        return _expansion(self.stacks, self.values)
+        try:
+            return _expansion(self.stacks, self.values)
+        except DegenerateInput as exc:
+            raise DegenerateInput(f"{self.path}: {exc}") from exc
 
 
 def _decomposition(data: dict, path: str) -> LoadedDecomposition:

@@ -21,13 +21,13 @@ ORTHO_ATOL = 1e-10
 class ToleranceConfig:
     """The one settable threshold (the CLI's ``--tol``), and the one table of the fixed ones.
 
-    eps       the theorem's three decisions.  Collinear: unit kets with |<x|y>| >= 1 - eps; a
-              certified match lets each paired overlap and expansion coefficient lie eps off
-              magnitude 1.  Rank: the values of a spectrum > 0 and >= eps times its largest,
-              counted by ``_support_count`` (ket stack ranks in ``_slot_verdicts``, support
-              ranks in ``_support_rank``, which extraction's whitening keeps, Schmidt verdicts,
-              a certificate's significant expansion coefficients); Schmidt factors and
-              extracted kets phase with ``fix_phase(eps=eps)``.
+    eps       the theorem's three decisions.  Collinear: unit kets with |<x|y>| >= 1 - eps,
+              all through ``_collinear`` (the hypothesis checks' pairs in ``_slot_verdicts``
+              and every paired overlap of a certified match).  Rank: the values of a spectrum
+              > 0 and >= eps times its largest, counted by ``_support_count`` (ket stack ranks
+              in ``_slot_verdicts``, support ranks in ``_support_rank``, which extraction's
+              whitening keeps, Schmidt verdicts); Schmidt factors and extracted kets phase
+              with ``fix_phase(eps=eps)``.
               Equal: operators or vectors with ||x - y|| <= eps * max(||x||, ||y||), relative at
               every scale, all through ``_equal`` (both matchers' gates, ``relating_unitary``'s
               reduced operators and its residual, extraction's candidate against rho).
@@ -161,6 +161,14 @@ def rank_and_independence(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TO
     return rank, rank == len(kets)
 
 
+def _collinear(overlap, tol: ToleranceConfig):
+    """The Collinear decision on unit kets x and y from ``overlap`` = |<x|y>|, a float or
+    an array of them: |<x|y>| >= 1 - eps.  The one collinearity rule: the hypothesis
+    checks' collinear pairs (:func:`_slot_verdicts`) and a match certificate's paired
+    overlaps (``decomp._certify``) both read it."""
+    return overlap >= 1.0 - tol.eps
+
+
 def _equal(gap: float, norm1: float, norm2: float, tol: ToleranceConfig) -> bool:
     """The Equal decision on x and y from ``gap`` = ||x - y|| and their norms:
     gap <= eps * max(||x||, ||y||).  A NaN gap reads as unequal."""
@@ -171,8 +179,7 @@ def _support_count(values: Sequence[float], tol: ToleranceConfig) -> int:
     """The significance count of a short spectrum of plain floats: the values
     > 0 and >= eps times the largest, so an all-zero spectrum counts none.
     The one rank rule: ket-stack ranks (:func:`_slot_verdicts`), support ranks
-    (:func:`_support_rank`), Schmidt verdicts and a certificate's significant
-    expansion coefficients all read it."""
+    (:func:`_support_rank`) and Schmidt verdicts all read it."""
     cut = tol.eps * max(values, default=0.0)
     return sum(v > 0.0 and v >= cut for v in values)
 
@@ -197,7 +204,8 @@ def _slot_verdicts(
     padded shape can change the rounding of a stack's Gram entries and
     singular values, so a verdict within a few ulps of its threshold can
     depend on what the stack is batched with.  Pairs are the (stack, i, j)
-    with i < j and |<a_i|a_j>| >= 1 - eps, in lexicographic order.  A stack's rank is
+    with i < j whose |<a_i|a_j>| :func:`_collinear` calls collinear, in
+    lexicographic order.  A stack's rank is
     :func:`_support_count` of its singular values, counted in plain floats
     because the spectra are short.  It is not taken from the Gram eigenvalues,
     because a relative singular value of 1e-8 is a relative Gram eigenvalue
@@ -207,7 +215,7 @@ def _slot_verdicts(
     x = np.zeros((len(stacks), *map(max, zip(*shapes))), dtype=complex)
     for i, (a, (d, n)) in enumerate(zip(stacks, shapes)):
         x[i, :d, :n] = a
-    hits = np.nonzero(np.abs(x.conj().transpose(0, 2, 1) @ x) >= 1.0 - tol.eps)
+    hits = np.nonzero(_collinear(np.abs(x.conj().transpose(0, 2, 1) @ x), tol))
     pairs = [(s, i, j) for s, i, j in zip(*(h.tolist() for h in hits)) if i < j]
     return pairs, [_support_count(s, tol) for s in np.linalg.svd(x, compute_uv=False).tolist()]
 

@@ -480,12 +480,13 @@ class TestTopOfTheFloatRange:
 
     def test_weights_summing_past_the_float_maximum_do_not_build_as_they_stand(self, tmp_path, capsys):
         # the contract: such a file matches and builds with --normalize, but its
-        # operator's trace is past the float maximum, so it does not build as it is
+        # operator's trace is past the float maximum, so it does not build as it is;
+        # the refusal names the file, as every refusal of a file does
         e = [_ket_json(pd.Ket.basis(2, i)) for i in (0, 1)]
         terms = [{"w": 1.5e308, "kets": [e[0], e[0]]}, {"w": 1.2e308, "kets": [e[1], e[1]]}]
         path, out = _decomposition_file(tmp_path / "a.json", terms), tmp_path / "op.json"
         assert main(["build", path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: operator trace overflows (inf)\n"
+        assert capsys.readouterr().err == f"error: {path}: operator trace overflows (inf)\n"
         assert not out.exists()
 
     def test_a_finite_operator_whose_norm_overflows_is_not_called_non_finite(self, tmp_path, capsys):
@@ -827,6 +828,19 @@ class TestCancellationRule:
             assert main(["factorable", path]) == 2
 
     @pytest.mark.parametrize("nfac", [2, 3])
+    def test_a_cancelled_expansion_names_its_file(self, tmp_path, capsys, nfac):
+        path = _coeff_file(tmp_path, nfac, _balanced() + _balanced(-1.0))
+        commands = [["build", path, "--out", str(tmp_path / "op.json")]] + [["factorable", path]] * (nfac == 2)
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}: expansion vector cancels: norm 0.0 is at most ")
+            assert captured.err.count("\n") == 1
+        assert not (tmp_path / "op.json").exists()
+
+    @pytest.mark.parametrize("nfac", [2, 3])
     def test_overflow_exits_2_with_one_error_line(self, tmp_path, capsys, nfac):
         path = _coeff_file(tmp_path, nfac, [(1.5e308, 0), (1.5e308, 1)])
         commands = [["build", path, "--out", str(tmp_path / "op.json")]] + [["factorable", path]] * (nfac == 2)
@@ -835,7 +849,8 @@ class TestCancellationRule:
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == "error: expansion vector overflows: norm inf, sum of coefficient magnitudes inf\n"
+            message = "expansion vector overflows: norm inf, sum of coefficient magnitudes inf"
+            assert captured.err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("nfac", [2, 3])
     @pytest.mark.parametrize("ratio, code", [(0.5, 2), (2.0, 0)])
