@@ -13,13 +13,14 @@ weights (keys ``<case>/<field>``):
     of ``--bench-seeds``, factored, with the benchmark's extraction seeds;
   * ``ill/<spread>/<i>/<form>``: ``generate_instance(6, 8, 8, seed=i)`` for
     i < ``--seeds``, the bipartite profiles in rotation, restacked with
-    weights ``geomspace(1, spread, 6)`` for spreads 1e-5, 1e-6 and 1e-7,
-    extraction seed i, plus ``certified``: 1 when the extraction matches its
-    source under ``match_bidecomposition``;
+    weights ``geomspace(1, spread, 6)`` for spreads 1e-5, 1e-6, 1e-7 and
+    1e-8, extraction seed i, plus ``certified``: 1 when the extraction
+    matches its source under ``match_bidecomposition``, and ``refusal``
+    ("Class: message") when that match is refused;
   * ``loose/<tol>/<s>/<form>``: ``generate_instance(4, 5, 5, seed=s)`` for
     s < 20, extracted with seed s and matched against its source at
     ``ToleranceConfig(t)`` for t = 1e-4, 1e-3 and 1e-2, plus
-    ``certified`` as above.
+    ``certified`` and ``refusal`` as above.
 A refused extraction stores ``refused`` (the error message) in place of the
 extraction's fields.  It then runs two twin lists and stores, per case, the
 permutation, the residual, the per-slot |overlap|s (n x slots) and both
@@ -41,6 +42,9 @@ entrywise and relative deviation, and names the cases that only one dump
 holds or whose shapes differ.  It exits 0 when everything is identical and
 1 otherwise.
 
+Run as a script, it pins BLAS to one thread before numpy is imported, since
+the last bits of the N = 1024 extractions depend on the thread count.
+
 Example:
     python scripts/same_answers.py dump before.npz
     python scripts/same_answers.py dump after.npz
@@ -57,14 +61,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+if __name__ == "__main__":
+    os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
-import proddecomp as pd
-from proddecomp import cli
+import numpy as np  # noqa: E402 -- after the thread pin
+
+import proddecomp as pd  # noqa: E402
+from proddecomp import cli  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 MASTER_SEEDS = (20_000, 40_000)
-SPREADS = (1e-5, 1e-6, 1e-7)
+SPREADS = (1e-5, 1e-6, 1e-7, 1e-8)
 LOOSE_TOLS = (1e-4, 1e-3, 1e-2)
 LOOSE_SEEDS = 20
 
@@ -105,15 +112,16 @@ def _extract(out: dict, key: str, rho: pd.StateOperator, seed: int, tol=pd.DEFAU
 
 
 def _certified(out: dict, key: str, source: pd.ProductDecomposition, rho, seed: int, tol=pd.DEFAULT_TOL):
-    """Extract ``rho`` and store whether the result matches ``source`` at ``tol`` as ``certified``."""
+    """Extract ``rho`` and store whether the result matches ``source`` at ``tol`` as ``certified``,
+    and a refused match as ``refusal``, "Class: message"."""
     report = _extract(out, key, rho, seed, tol)
     ok = False
     if report is not None:
         try:
             pd.match_bidecomposition(source, report.decomposition, tol)
             ok = True
-        except pd.ProddecompError:
-            pass
+        except pd.ProddecompError as exc:
+            out[f"{key}/refusal"] = np.array(f"{type(exc).__name__}: {exc}")
     out[f"{key}/certified"] = np.array(ok)
     return ok
 

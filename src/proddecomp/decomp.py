@@ -48,9 +48,7 @@ from .tensor import (
     rho_matrix,  # noqa: F401 -- unused here; perfbench's tracer test looks it up as decomp.rho_matrix
 )
 
-# Fixed thresholds: the table in ToleranceConfig's docstring says what each decides and why it is fixed.
-WEIGHT_ATOL = 1e-6
-SKETCH_OVERSAMPLING = 8  # sketch columns beyond the support rank n
+SKETCH_OVERSAMPLING = 8  # sketch columns beyond the support rank n; fixed, as ToleranceConfig's table says
 
 _SLOT_NAMES = ("a", "b", "c")
 
@@ -87,7 +85,7 @@ class MatchResult:
     their weights (or coefficient magnitudes) agree.
 
     ``residual`` is the largest |1 - |paired overlap|| or paired weight
-    difference over max(w1, w2, the larger sum of |values|) (``_certify``).
+    difference over the larger of the two inputs' sums of |values| (``_certify``).
     A permutation that is not a bijection is refused.
     """
 
@@ -273,25 +271,6 @@ def _split_pairs(stacks, values: np.ndarray, split: FactoredDims, tol: Tolerance
 # matching
 
 
-def _slot_factors(
-    d1: ProductDecomposition | TriDecomposition, d2: ProductDecomposition | TriDecomposition
-) -> list[np.ndarray]:
-    """R factors of each slot's d_s x k block [S2_s S1_s] for k = n1 + n2:
-    the second input's stack first, then the first's.
-
-    One batched ``qr(mode="r")`` of the blocks, zero-padded to one shape;
-    R_s keeps its min(d_s, k) rows, since zero rows add nothing to an R
-    factor.  The bipartite equality gate reads both slots' (:func:`_product_gap`).
-    """
-    dims, k = d1.dims, d1.n + d2.n
-    x = np.zeros((len(dims), max(dims), k), dtype=complex)
-    for s, dim in enumerate(dims):
-        x[s, :dim, : d2.n] = d2.stacks[s]
-        x[s, :dim, d2.n :] = d1.stacks[s]
-    r = np.linalg.qr(x, mode="r")
-    return [r[s, : min(dim, k)] for s, dim in enumerate(dims)]
-
-
 def _certify(
     d1: ProductDecomposition | TriDecomposition,
     d2: ProductDecomposition | TriDecomposition,
@@ -309,21 +288,27 @@ def _certify(
     Collinear rule (:func:`~proddecomp.subspace._collinear`) that the
     hypothesis checks read.  The paired magnitudes |values| (weights of a
     product decomposition, coefficient magnitudes of a tridecomposition,
-    named so in the message) must agree to WEIGHT_ATOL * max(w1, w2, wscale),
-    for wscale the larger sum of |values| of the two inputs: relative at
-    every scale.  The magnitudes and both sums are read in units of
+    named so in the message) must pass the one Equal rule
+    (:func:`~proddecomp.subspace._equal`) on their difference and the two
+    inputs' sums of |values|: |w1 - w2| <= eps * max(sum1, sum2), relative
+    at every scale.  The magnitudes and both sums are read in units of
     2^exponent, the exponent of the inputs' largest |value|
     (:func:`~proddecomp.tensor._weight_exponent`): exact scalings that keep
     a sum past the float maximum finite and leave every comparison and ratio
     as it is; certificates and messages carry the magnitudes as stored.
+    Inputs with different term counts are refused first, naming both counts;
+    each matcher calls this only once its equality gate has passed.
     Failures name the first failing term k of the second decomposition and,
     within it, check the overlaps slot by slot, then the magnitudes; a
     pairing that is not a bijection is refused by :class:`MatchResult`.  The
     residual is the largest |1 - |paired overlap|| or weight difference over
-    max(w1, w2, wscale), so it does not grow or shrink with the weight scale.
+    max(sum1, sum2), so it does not grow or shrink with the weight scale.
     """
+    what, gated = (
+        ("weight", "operators") if isinstance(d1, ProductDecomposition) else ("coefficient magnitude", "vectors")
+    )
     if d1.n != d2.n:
-        raise HypothesisViolation(f"term-count mismatch after rank analysis: {d1.n} vs {d2.n}")
+        raise HypothesisViolation(f"term counts differ, {d1.n} vs {d2.n}, although the {gated} agree within eps")
     score = np.ones((d1.n, d2.n))
     for a1, a2 in zip(d1.stacks, d2.stacks):
         score *= np.abs(a1.conj().T @ a2)
@@ -335,8 +320,7 @@ def _certify(
     per_slot = [np.einsum("ij,ij->j", a1[:, cols].conj(), a2).tolist() for a1, a2 in zip(d1.stacks, d2.stacks)]
     overlaps = list(zip(*per_slot))
     mags1, mags2 = ([abs(v) for v in d.values.tolist()] for d in (d1, d2))
-    wscale = max(float(np.ldexp(np.abs(d.values), -exponent).sum()) for d in (d1, d2))
-    what = "weight" if isinstance(d1, ProductDecomposition) else "coefficient magnitude"
+    sum1, sum2 = (float(np.ldexp(np.abs(d.values), -exponent).sum()) for d in (d1, d2))
     pad = (None,) * (3 - len(d1.stacks))
     residual, certs = 0.0, []
     for k, (j, row, w2) in enumerate(zip(perm, overlaps, mags2)):
@@ -347,11 +331,10 @@ def _certify(
                     f"({j}, {k}): overlap magnitude {abs(o):.12g}"
                 )
         w1 = mags1[j]
-        s1, s2 = math.ldexp(w1, -exponent), math.ldexp(w2, -exponent)
-        dw, wbound = abs(s1 - s2), max(s1, s2, wscale)
-        if dw > WEIGHT_ATOL * wbound:
+        dw = abs(math.ldexp(w1, -exponent) - math.ldexp(w2, -exponent))
+        if not _equal(dw, sum1, sum2, tol):
             raise HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
-        residual = max(residual, *(abs(1.0 - abs(o)) for o in row), dw / wbound)
+        residual = max(residual, *(abs(1.0 - abs(o)) for o in row), dw / max(sum1, sum2))
         certs.append(TermCertificate(*row, *pad, w1, w2))
     return MatchResult(d1.n, tuple(perm), tuple(certs), residual)
 
@@ -415,8 +398,10 @@ def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition, exponent: i
     """:func:`_gap_from_r` for the operators of two product decompositions, read
     off their d_s x n stacks alone, with no N-row array.
 
-    For k = n1 + n2, :func:`_slot_factors` gives [S2_s S1_s] = Q_s R_s for
-    both slots in one batched QR.  The product columns are then
+    For k = n1 + n2, one batched ``qr(mode="r")`` of the two slots' d_s x k
+    blocks [S2_s S1_s], zero-padded to one shape, gives [S2_s S1_s] = Q_s R_s;
+    R_s keeps its min(d_s, k) rows, since zero rows add nothing to an R
+    factor.  The product columns are then
     [V2 V1] = (Q_a (x) Q_b)(R_a (.) R_b), with (.) the column-wise Kronecker
     (Khatri-Rao) product; Q_a (x) Q_b has orthonormal columns, so the R
     factor of the min(d_a, k) min(d_b, k) x k matrix R_a (.) R_b is one of
@@ -426,8 +411,14 @@ def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition, exponent: i
     order.  The weights, and so the three norms, are taken in units of
     2^exponent.
     """
-    r_a, r_b = _slot_factors(d1, d2)
-    khatri_rao = (r_a[:, None] * r_b).reshape(-1, d1.n + d2.n)
+    k = d1.n + d2.n
+    x = np.zeros((2, max(d1.dims), k), dtype=complex)
+    for s, dim in enumerate(d1.dims):
+        x[s, :dim, : d2.n] = d2.stacks[s]
+        x[s, :dim, d2.n :] = d1.stacks[s]
+    r = np.linalg.qr(x, mode="r")
+    r_a, r_b = (r[s, : min(dim, k)] for s, dim in enumerate(d1.dims))
+    khatri_rao = (r_a[:, None] * r_b).reshape(-1, k)
     w1, w2 = (np.ldexp(d.values, -exponent) for d in (d1, d2))
     gap, norm2, norm1 = _gap_from_r(np.linalg.qr(khatri_rao, mode="r"), w2, w1)
     return gap, norm1, norm2
@@ -447,8 +438,8 @@ def match_bidecomposition(
     min(d_a, k) min(d_b, k) k^2) time for k = n1 + n2, and no N-row
     array, so not bound by ``MAX_AMBIENT_DIM``); then pair the terms and
     certify every pair as :func:`match_tridecomposition` does
-    (:func:`_certify`), with weights compared to WEIGHT_ATOL times the
-    larger of the two and the larger weight sum.  Both rules are relative,
+    (:func:`_certify`), with paired weights compared by the gate's Equal
+    rule, to eps times the larger weight sum.  Both rules are relative,
     so a match does not depend on the weight scale, and both read the
     weights in units of 2^e, e the exponent of the largest
     (:func:`~proddecomp.tensor._weight_exponent`), so that sums and norms

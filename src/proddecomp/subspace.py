@@ -29,12 +29,11 @@ class ToleranceConfig:
               whitening keeps, Schmidt verdicts); Schmidt factors and extracted kets phase
               with ``fix_phase(eps=eps)``.
               Equal: operators or vectors with ||x - y|| <= eps * max(||x||, ||y||), relative at
-              every scale, all through ``_equal`` (both matchers' gates, ``relating_unitary``'s
+              every scale, all through ``_equal`` (both matchers' gates, a match certificate's
+              paired weights or |coefficients| against the two inputs' sums, ``relating_unitary``'s
               reduced operators and its residual, extraction's candidate against rho).
 
     Fixed, with the decision each makes and why no setting reads it:
-    WEIGHT_ATOL 1e-6          matched weights (or |coefficients|) agree to it x max(w1, w2, the
-                              larger of the inputs' sums): relative at every scale
     SKETCH_OVERSAMPLING 8     extra columns of the dense range finder: sampling, not a decision
     UNITARITY_ATOL 1e-8       what a ``UnitaryMatrix`` is: part of its input contract
     ORTHO_ATOL 1e-10          ``SubspaceBasis`` orthogonality, met by eigh's eigenvectors to rounding

@@ -26,6 +26,10 @@ def _write_payload(path, payload):
     return str(path)
 
 
+def _decomposition_text(dims, terms):
+    return json.dumps({"format_version": "1", "kind": "decomposition", "dims": dims, "terms": terms})
+
+
 def _rotated_pair_file(tmp_path):
     """Rotated pair form of the balanced tripartite vector, dims (4, 2)."""
     e = [pd.Ket.basis(2, 0), pd.Ket.basis(2, 1)]
@@ -85,36 +89,76 @@ class TestGenerate:
         assert flags == (True, True, False)
 
     def test_bad_dims_argument_exit_2(self, tmp_path):
-        assert main(["generate", "--dims", "2", "--out", str(tmp_path / "x.json")]) == 2
+        # a wrong count and a non-integer: argparse refuses both and prints its usage
+        for dims in ("2", "2,x"):
+            assert main(["generate", "--dims", dims, "--out", str(tmp_path / "x.json")]) == 2
+
+
+def _basis_kets(*dims):
+    return [_ket_json(pd.Ket.basis(d, 0)) for d in dims]
+
+
+#: Input files of TestOneRefusalChannel's table, by placeholder name, as JSON text.
+_REFUSAL_FILES = {
+    "pair": _decomposition_text([4, 2], [{"coeff": 1.0, "kets": _basis_kets(4, 2)}]),
+    "tri": _decomposition_text([2, 2, 3], [{"coeff": 1.0, "kets": _basis_kets(2, 2, 3)}]),
+    "w3": _decomposition_text([2, 2, 2], [{"w": 1.0, "kets": _basis_kets(2, 2, 2)}]),
+    "reim": _decomposition_text([1, 1], [{"coeff": {"re": "1", "im": 0}, "kets": _basis_kets(1, 1)}]),
+    "huge": _decomposition_text([2048, 1024], []),
+    "array": "[]",
+}
 
 
 class TestOneRefusalChannel:
-    """Every refusal of a size, a profile or a seed is a ProddecompError in the
-    library, and one ``error:`` line with exit 2 at the command line."""
+    """Every refusal of a size, a profile, a seed or a file is a ProddecompError
+    in the library, and one ``error:`` line with exit 2 at the command line."""
 
     @pytest.mark.parametrize(
         "command, message",
         [
-            (["generate", "--n", "0", "--dims", "2,2"], "term count must be positive, got 0"),
-            (["generate", "--n", "3", "--dims", "2,2"], "infeasible: 3 independent kets do not fit a-slot dim 2"),
+            (["generate", "--n", "0", "--dims", "2,2", "--out", "{out}"], "term count must be positive, got 0"),
             (
-                ["generate", "--n", "2", "--dims", "4,4", "--profile", "c-dependent"],
+                ["generate", "--n", "3", "--dims", "2,2", "--out", "{out}"],
+                "infeasible: 3 independent kets do not fit a-slot dim 2",
+            ),
+            (
+                ["generate", "--n", "2", "--dims", "4,4", "--profile", "c-dependent", "--out", "{out}"],
                 "unknown profile 'c-dependent'; choose from "
                 "('both-independent', 'a-independent-only', 'b-independent-only')",
             ),
-            (["generate", "--n", "2", "--dims", "2,2", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
-            (["generate", "--twin-of", "{dec}", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
-            (["extract", "{op}", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (
+                ["generate", "--n", "2", "--dims", "2,2", "--seed", "-1", "--out", "{out}"],
+                "seed must be a non-negative integer, got -1",
+            ),
+            (
+                ["generate", "--twin-of", "{dec}", "--seed", "-1", "--out", "{out}"],
+                "seed must be a non-negative integer, got -1",
+            ),
+            (["extract", "{op}", "--seed", "-1", "--out", "{out}"], "seed must be a non-negative integer, got -1"),
+            (["match", "{pair}", "{pair}", "--mode", "tri"], "{pair}, {pair}: tri mode needs at least one 3-factor file"),
+            (
+                ["match", "{pair}", "{tri}", "--mode", "tri"],
+                "{pair}: cannot recast dims (4, 2) against (2, 2, 3): factor sizes disagree",
+            ),
+            (
+                ["match", "{w3}", "{w3}", "--mode", "tri"],
+                "{w3}: expected coefficient-form terms ('coeff'), file carries weights",
+            ),
+            (["check", "{reim}"], "{reim}: term 0 coeff re/im must be numbers"),
+            (["check", "{huge}"], "{huge}: ambient dimension 2097152 exceeds cap 1048576"),
+            (["check", "{array}"], "{array}: top-level value must be an object"),
         ],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, command, message):
-        paths = {"dec": str(tmp_path / "dec.json"), "op": str(tmp_path / "op.json")}
+        paths = {"dec": str(tmp_path / "dec.json"), "op": str(tmp_path / "op.json"), "out": str(tmp_path / "x.json")}
         assert main(["generate", "--n", "2", "--dims", "3,3", "--out", paths["dec"]]) == 0
         assert main(["build", paths["dec"], "--out", paths["op"]]) == 0
+        for name, text in _REFUSAL_FILES.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(text)
         capsys.readouterr()
-        out = str(tmp_path / "x.json")
-        assert main([part.format(**paths) for part in command] + ["--out", out]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main([part.format(**paths) for part in command]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize(
@@ -155,6 +199,28 @@ class TestOneRefusalChannel:
             (lambda: pd.ToleranceConfig("x"), pd.DegenerateInput),
             (lambda: pd.ToleranceConfig("1e-8"), pd.DegenerateInput),
             (lambda: pd.ToleranceConfig(None), pd.DegenerateInput),
+            (lambda: pd.FactoredDims((0, 2)), pd.DimensionMismatch),
+            (lambda: pd.Ket([]), pd.DimensionMismatch),
+            (lambda: pd.Ket(np.ones(pd.tensor.MAX_VECTOR_DIM + 1)), pd.DimensionMismatch),
+            (lambda: pd.Ket.basis(2, 2), pd.DimensionMismatch),
+            (lambda: pd.Ket.basis(2, 0).phased(2.0), pd.DegenerateInput),
+            (lambda: pd.tensor.column_stack([]), pd.DegenerateInput),
+            (lambda: pd.bipartite_matrix(pd.Ket.basis(4, 0), pd.FactoredDims((2, 3))), pd.DimensionMismatch),
+            (lambda: pd.SubspaceBasis(3, (pd.Ket.basis(2, 0),)), pd.DimensionMismatch),
+            (lambda: pd.is_noncollinear_set([]), pd.DegenerateInput),
+            (lambda: pd.split_pair_terms([1.0], [], [], pd.FactoredDims((2, 2))), pd.DimensionMismatch),
+            (
+                lambda: pd.relating_unitary(pd.Ket.basis(8, 0), pd.Ket.basis(8, 0), pd.FactoredDims((2, 2, 2))),
+                pd.DimensionMismatch,
+            ),
+            (
+                lambda: pd.apply_on_factor(pd.UnitaryMatrix(np.eye(2)), pd.Ket.basis(4, 0), pd.FactoredDims((2, 2)), 2),
+                pd.DimensionMismatch,
+            ),
+            (
+                lambda: pd.apply_on_factor(pd.UnitaryMatrix(np.eye(2)), pd.Ket.basis(6, 0), pd.FactoredDims((2, 2)), 0),
+                pd.DimensionMismatch,
+            ),
         ],
         ids=[
             "dims-2.5",
@@ -173,10 +239,24 @@ class TestOneRefusalChannel:
             "tol-x",
             "tol-str",
             "tol-None",
+            "dims-0",
+            "ket-empty",
+            "ket-past-cap",
+            "basis-index",
+            "phase-2",
+            "stack-empty",
+            "bipartite-split",
+            "basis-dim",
+            "noncollinear-empty",
+            "split-lengths",
+            "relating-3-factors",
+            "apply-factor-2",
+            "apply-split",
         ],
     )
     def test_a_wrong_value_at_a_library_door_is_a_named_error(self, call, error):
-        # a non-integral or boolean size, a value complex() cannot read, a tolerance that is no number
+        # a non-integral or boolean size, a value complex() cannot read, a tolerance that is no
+        # number, a size or index out of range, an empty set, and dims that do not fit together
         with pytest.raises(error):
             call()
 

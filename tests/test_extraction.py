@@ -140,7 +140,7 @@ class TestExtraction:
         assert report.reconstruction_error < 1e-6
         got = sorted(t.weight for t in report.decomposition.terms)
         want = sorted(t.weight for t in scaled.terms)
-        assert all(abs(g - w) <= decomp.WEIGHT_ATOL * w for g, w in zip(got, want))
+        assert all(abs(g - w) <= 1e-6 * w for g, w in zip(got, want))
         assert pd.match_bidecomposition(scaled, report.decomposition).n == 3
 
     def test_extraction_allocates_no_second_dense_operator(self):
@@ -237,7 +237,7 @@ class TestFactoredExtraction:
 
 
 class TestIllConditionedWeights:
-    """Weights spread over five to seven decades, a grid on which whitening by the
+    """Weights spread over five to eight decades, a grid on which whitening by the
     eigenvectors of a Gram matrix refuses cases that the SVD certifies, and on
     which an expansion certificate refused light terms that every paired overlap
     and weight certifies."""
@@ -256,6 +256,17 @@ class TestIllConditionedWeights:
                         if spread == 1e-5 or not isinstance(exc, pd.NotExtractable):
                             failures.append((spread, i, "dense" if rho.factor is None else "factored", str(exc)))
         assert failures == []
+
+    def test_a_report_a_term_short_is_refused_naming_both_counts(self):
+        # at spread 1e-8 the dense form of seed 111 extracts five terms within eps of rho;
+        # the match refuses it as a hypothesis violation (exit 4) that names the two counts
+        base = pd.generate_instance(6, 8, 8, seed=111, profile=pd.BI_PROFILES[111 % 3])
+        dec = pd.ProductDecomposition._from_stacks(base.dims, base.stacks, np.geomspace(1, 1e-8, 6))
+        report = pd.extract_decomposition(_dense(dec), seed=111)
+        assert report.decomposition.n == 5 and report.reconstruction_error < 1e-8
+        with pytest.raises(pd.HypothesisViolation) as info:
+            pd.match_bidecomposition(dec, report.decomposition)
+        assert str(info.value) == "term counts differ, 6 vs 5, although the operators agree within eps"
 
 
 class TestOneProbe:

@@ -245,7 +245,7 @@ class TestMatchBidecomposition:
         def scaled(d, factor):
             return pd.ProductDecomposition(d.dims, tuple(pd.ProductTerm(t.weight * factor, t.a, t.b) for t in d.terms))
 
-        # the twin's weights drift by 1e-9 relative, inside WEIGHT_ATOL
+        # the twin's weights drift by 1e-9 relative, inside eps times the weight sum
         residuals = [
             pd.match_bidecomposition(scaled(dec, s), scaled(twin, s * (1 + 1e-9))).residual for s in (1.0, 1e100)
         ]
@@ -357,17 +357,21 @@ SCALE_EXPONENTS = (-300, -200, -12, -9, 0, 100, 300)
 
 class TestScaleFreeEquality:
     """Equality is relative at every scale: ||x - y|| <= eps * max(||x||, ||y||) for
-    operators and vectors, and matched weights within WEIGHT_ATOL * max(w1, w2,
-    larger weight sum).  With an absolute floor of 1 below norm 1, a weight
-    shifted by half certified once all weights were small."""
+    operators and vectors, and matched weights within eps times the larger
+    weight sum.  With an absolute floor of 1 below norm 1, a weight shifted
+    by half certified once all weights were small."""
+
+    @staticmethod
+    def _instance(arity):
+        """A decomposition of either arity, and its matcher."""
+        if arity == "bi":
+            return pd.generate_instance(4, 5, 5, seed=12), pd.match_bidecomposition
+        return pd.generate_tri_instance(4, 4, 5, 4, seed=3, profile="b-dependent"), pd.match_tridecomposition
 
     @pytest.mark.parametrize("k", SCALE_EXPONENTS)
     @pytest.mark.parametrize("arity", ["bi", "tri"])
     def test_twins_certify_and_a_shifted_weight_is_refused(self, k, arity):
-        if arity == "bi":
-            dec, match = pd.generate_instance(4, 5, 5, seed=12), pd.match_bidecomposition
-        else:
-            dec, match = pd.generate_tri_instance(4, 4, 5, 4, seed=3, profile="b-dependent"), pd.match_tridecomposition
+        dec, match = self._instance(arity)
         twin, perm = pd.phase_permuted_twin(dec, seed=13)
         scaled, twin = _rescaled(dec, 10.0**k), _rescaled(twin, 10.0**k)
         result = match(scaled, twin)
@@ -375,6 +379,27 @@ class TestScaleFreeEquality:
         assert result.residual < 1e-8
         with pytest.raises(pd.OperatorMismatch):
             match(scaled, _rescaled(twin, 1.0, first=1.5))
+
+    @pytest.mark.parametrize("eps, shift", [(1e-2, 1e-3), (1e-4, 1e-5)])
+    @pytest.mark.parametrize("arity", ["bi", "tri"])
+    def test_a_weight_shifted_inside_eps_certifies(self, arity, eps, shift):
+        # the paired weights pass the gate's Equal rule at eps, so the tolerance that
+        # lets the operators through lets their weights through; a fixed 1e-6 refused them
+        dec, match = self._instance(arity)
+        twin, perm = pd.phase_permuted_twin(dec, seed=13)
+        shifted = _rescaled(twin, 1.0, first=1 + shift)
+        result = match(dec, shifted, pd.ToleranceConfig(eps))
+        assert result.permutation == perm
+        cert, larger_sum = result.per_term[0], max(np.abs(d.values).sum() for d in (dec, shifted))
+        assert cert.weight_second == pytest.approx(abs(twin.values[0]) * (1 + shift), rel=1e-15)
+        assert result.residual == pytest.approx(abs(cert.weight_first - cert.weight_second) / larger_sum, rel=1e-6)
+
+    @pytest.mark.parametrize("arity", ["bi", "tri"])
+    def test_a_weight_shifted_past_the_default_eps_is_refused_by_the_gate(self, arity):
+        dec, match = self._instance(arity)
+        twin, _ = pd.phase_permuted_twin(dec, seed=13)
+        with pytest.raises(pd.OperatorMismatch):
+            match(dec, _rescaled(twin, 1.0, first=1 + 1e-7))
 
     def test_relating_unitary_gate_is_relative(self):
         # reduced operators of unit kets have norm <= 1, so a floor of 1 was absolute
@@ -398,7 +423,8 @@ class TestOneEqualRoutine:
         assert not subspace._equal(float("nan"), 1.0, 1.0, tol)
 
     def test_every_gate_reads_it(self, monkeypatch):
-        # with an Equal routine that never holds, each gate refuses an input equal to itself
+        # with an Equal routine that never holds, each gate, and the match certificate's
+        # weight test, refuses an input equal to itself
         dec = pd.generate_instance(3, 4, 4, seed=1)
         tri = pd.generate_tri_instance(3, 4, 4, 4, seed=1)
         psi = pd.Ket.normalize(np.random.default_rng(1).standard_normal(16))
@@ -412,6 +438,32 @@ class TestOneEqualRoutine:
             pd.relating_unitary(psi, psi, pd.FactoredDims((4, 4)))
         with pytest.raises(pd.NotExtractable, match="no reconstruction within eps"):
             pd.extract_decomposition(pd.build_rho(dec), seed=0)
+        with pytest.raises(pd.HypothesisViolation, match=r"^weight mismatch for term pair \(0, 0\)"):
+            decomp._certify(dec, dec, pd.DEFAULT_TOL, 0)
+        with pytest.raises(pd.HypothesisViolation, match=r"^coefficient magnitude mismatch for term pair \(0, 0\)"):
+            decomp._certify(tri, tri, pd.DEFAULT_TOL, 0)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-4])
+    def test_the_certificate_decides_paired_weights_by_it_to_the_last_bit(self, eps):
+        # term 0's weight stepped ulp by ulp across |w1 - w2| = eps * (larger weight sum):
+        # the certificate refuses exactly where the rule, fed the same difference and sums, does
+        tol, dec = pd.ToleranceConfig(eps), pd.generate_instance(4, 5, 5, seed=12)
+        w0, total = dec.values[0], dec.values.sum()
+        edge = w0 + eps * total / (1 - eps)
+        verdicts = []
+        for step in range(-6, 7):
+            values = dec.values.copy()
+            values[0] = edge + step * math.ulp(edge)
+            moved = pd.ProductDecomposition._from_stacks(dec.dims, dec.stacks, values)
+            expected = subspace._equal(abs(values[0] - w0), total, values.sum(), tol)
+            try:
+                decomp._certify(dec, moved, tol, tensor._weight_exponent(dec.values, values))
+                verdicts.append(True)
+            except pd.HypothesisViolation as exc:
+                assert str(exc).startswith("weight mismatch for term pair (0, 0)")
+                verdicts.append(False)
+            assert verdicts[-1] == expected
+        assert verdicts[0] and not verdicts[-1]
 
 
 class TestOneCollinearRule:
@@ -645,7 +697,7 @@ def _reference_certify(terms1, terms2, mags1, mags2, tol, wscale, what):
     """The per-Ket certification loop: term k of the second list pairs with the
     term of the first whose ``Ket.overlap``s have the largest product of
     magnitudes; each pair's overlaps must have magnitude >= 1 - eps, and its
-    weights agree to WEIGHT_ATOL x max(w1, w2, wscale)."""
+    weights agree to eps x wscale, the larger weight sum."""
     n = len(terms1)
     perm = []
     for second in terms2:
@@ -664,10 +716,10 @@ def _reference_certify(terms1, terms2, mags1, mags2, tol, wscale, what):
             residual = max(residual, abs(1.0 - abs(o)))
             row.append(o)
         w1, w2 = float(mags1[j]), float(mags2[k])
-        dw, wbound = abs(w1 - w2), max(w1, w2, wscale)
-        if dw > decomp.WEIGHT_ATOL * wbound:
+        dw = abs(w1 - w2)
+        if dw > tol.eps * wscale:
             raise pd.HypothesisViolation(f"{what} mismatch for term pair ({j}, {k}): {w1!r} vs {w2!r}")
-        residual = max(residual, dw / wbound)
+        residual = max(residual, dw / wscale)
         rows.append(row + [w1, w2])
     if sorted(perm) != list(range(n)):
         raise pd.HypothesisViolation(f"permutation {tuple(perm)} is not a bijection on 0..{n - 1}")

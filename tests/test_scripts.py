@@ -78,6 +78,19 @@ def test_same_answers_compares_dumps(same_answers, tmp_path, capsys):
     assert "loose certified: 1 of 120 cases differ, largest deviation 1" in out
 
 
+def test_a_refused_match_stores_its_class_and_message(same_answers):
+    # the ill-conditioned grid's spread 1e-8 holds match refusals: seed 111's dense form extracts 5 terms
+    assert 1e-8 in same_answers.SPREADS
+    base = pd.generate_instance(6, 8, 8, seed=111, profile=pd.BI_PROFILES[111 % 3])
+    source = pd.ProductDecomposition._from_stacks(base.dims, base.stacks, np.geomspace(1, 1e-8, 6))
+    out = {}
+    assert not same_answers._certified(out, "ill", source, same_answers._dense(source), 111)
+    assert not out["ill/certified"] and out["ill/n"] == 5
+    assert str(out["ill/refusal"]) == (
+        "HypothesisViolation: term counts differ, 6 vs 5, although the operators agree within eps"
+    )
+
+
 def test_the_cli_grid_runs_every_subcommand_and_profile(same_answers):
     grid = [command.split() for command in same_answers.cli_grid(1)]
     subcommands = {"generate", "build", "extract", "match", "purify", "factorable", "demo", "check"}
