@@ -13,8 +13,8 @@ weights (keys ``<case>/<field>``):
     of ``--bench-seeds``, factored, with the benchmark's extraction seeds;
   * ``ill/<spread>/<i>/<form>``: ``generate_instance(6, 8, 8, seed=i)`` for
     i < ``--seeds``, the bipartite profiles in rotation, restacked with
-    weights ``geomspace(1, spread, 6)`` for spreads 1e-5, 1e-6, 1e-7 and
-    1e-8, extraction seed i, plus ``certified``: 1 when the extraction
+    weights ``geomspace(1, spread, 6)`` for spreads 1e-5, 1e-6, 1e-7, 3e-8
+    and 1e-8, extraction seed i, plus ``certified``: 1 when the extraction
     matches its source under ``match_bidecomposition``, and ``refusal``
     ("Class: message") when that match is refused;
   * ``loose/<tol>/<s>/<form>``: ``generate_instance(4, 5, 5, seed=s)`` for
@@ -40,7 +40,8 @@ the same in every dump.  Each stores its argv, exit code, stdout, stderr and
 ``compare A B`` prints, per case list and field, "identical" or the largest
 entrywise and relative deviation, and names the cases that only one dump
 holds or whose shapes differ.  It exits 0 when everything is identical and
-1 otherwise.
+1 otherwise.  It reads the dumps with numpy alone, so it runs without the
+package on the path; ``dump`` imports it.
 
 Run as a script, it pins BLAS to one thread before numpy is imported, since
 the last bits of the N = 1024 extractions depend on the thread count.
@@ -66,12 +67,9 @@ if __name__ == "__main__":
 
 import numpy as np  # noqa: E402 -- after the thread pin
 
-import proddecomp as pd  # noqa: E402
-from proddecomp import cli  # noqa: E402
-
 ROOT = Path(__file__).resolve().parent.parent
 MASTER_SEEDS = (20_000, 40_000)
-SPREADS = (1e-5, 1e-6, 1e-7, 1e-8)
+SPREADS = (1e-5, 1e-6, 1e-7, 3e-8, 1e-8)
 LOOSE_TOLS = (1e-4, 1e-3, 1e-2)
 LOOSE_SEEDS = 20
 
@@ -83,15 +81,22 @@ def _load(path: Path):
     return module
 
 
-def _dense(dec: pd.ProductDecomposition) -> pd.StateOperator:
+def _dense(dec):
+    import proddecomp as pd
+
     return pd.StateOperator(dec.dims, pd.build_rho(dec).matrix)
 
 
-def _forms(dec: pd.ProductDecomposition):
+def _forms(dec):
+    import proddecomp as pd
+
     return (("factored", pd.build_rho(dec)), ("dense", _dense(dec)))
 
 
-def _extract(out: dict, key: str, rho: pd.StateOperator, seed: int, tol=pd.DEFAULT_TOL):
+def _extract(out: dict, key: str, rho, seed: int, tol=None):
+    import proddecomp as pd
+
+    tol = tol or pd.DEFAULT_TOL
     try:
         report = pd.extract_decomposition(rho, tol, seed=seed)
     except pd.NotExtractable as exc:
@@ -111,9 +116,12 @@ def _extract(out: dict, key: str, rho: pd.StateOperator, seed: int, tol=pd.DEFAU
     return report
 
 
-def _certified(out: dict, key: str, source: pd.ProductDecomposition, rho, seed: int, tol=pd.DEFAULT_TOL):
-    """Extract ``rho`` and store whether the result matches ``source`` at ``tol`` as ``certified``,
-    and a refused match as ``refusal``, "Class: message"."""
+def _certified(out: dict, key: str, source, rho, seed: int, tol=None):
+    """Extract ``rho`` and store whether the result matches ``source`` at ``tol`` (the default
+    tolerance if None) as ``certified``, and a refused match as ``refusal``, "Class: message"."""
+    import proddecomp as pd
+
+    tol = tol or pd.DEFAULT_TOL
     report = _extract(out, key, rho, seed, tol)
     ok = False
     if report is not None:
@@ -128,6 +136,8 @@ def _certified(out: dict, key: str, source: pd.ProductDecomposition, rho, seed: 
 
 def _twins(out: dict, count: int, battery) -> int:
     """Match each instance of the criterion-2 and criterion-3 lists against its twin."""
+    import proddecomp as pd
+
     lists = {
         "twin-bi": (
             pd.match_bidecomposition,
@@ -220,6 +230,8 @@ GRID_SIZES = {
 
 def cli_grid(cli_seeds: int) -> list[str]:
     """The CLI commands, one string each; every path is relative to the work directory."""
+    import proddecomp as pd
+
     grid = []
     for seed in range(cli_seeds):
         for profile, (n, dims) in GRID_SIZES.items():
@@ -290,6 +302,8 @@ def _snapshot() -> dict[str, tuple[int, bytes]]:
 
 def _cli(out: dict, cli_seeds: int) -> dict[int, int]:
     """Run the CLI grid in a fresh work directory; returns the count of each exit code."""
+    from proddecomp import cli
+
     codes: dict[int, int] = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -317,6 +331,8 @@ def _cli(out: dict, cli_seeds: int) -> dict[int, int]:
 
 
 def dump(path: str, count: int, seeds: int, bench_seeds: list[int], cli_seeds: int) -> None:
+    import proddecomp as pd
+
     battery = _load(ROOT / "scripts" / "uniqueness_battery.py")
     bi_cases = battery.bi_cases
     out: dict = {}

@@ -24,7 +24,6 @@ from .subspace import (
     _equal,
     _slot_verdicts,
     _support_count,
-    _support_rank,
     fix_phase,
 )
 from .tensor import (
@@ -38,7 +37,6 @@ from .tensor import (
     _expansion,
     _expect,
     _index,
-    _reduced,
     _root_tensor,
     _weight_exponent,
     build_rho,
@@ -48,7 +46,7 @@ from .tensor import (
     rho_matrix,  # noqa: F401 -- unused here; perfbench's tracer test looks it up as decomp.rho_matrix
 )
 
-SKETCH_OVERSAMPLING = 8  # sketch columns beyond the support rank n; fixed, as ToleranceConfig's table says
+SKETCH_OVERSAMPLING = 8  # sketch columns beyond max(d1, d2); fixed, as ToleranceConfig's table says
 
 _SLOT_NAMES = ("a", "b", "c")
 
@@ -108,7 +106,7 @@ class ExtractionReport:
     decomposition: ProductDecomposition
     reconstruction_error: float
     probes_used: int  # always 1: extraction draws one probe
-    side: int  # factor with the larger reduced support rank (0 on a tie): its ket set is independent
+    side: int  # factor with the larger sigma_n / sigma_1 of W (0 on a tie): its ket set is independent
 
 
 @dataclass(frozen=True)
@@ -465,13 +463,13 @@ def match_bidecomposition(
 # blind extraction
 
 
-def _rank_n_factor(rho: StateOperator, n: int, rng: np.random.Generator) -> np.ndarray:
-    """A d1 x d2 x n tensor W with W W^dagger = rho on its top n eigenpairs.
+def _rank_n_factor(rho: StateOperator, rng: np.random.Generator) -> np.ndarray:
+    """A d1 x d2 x k tensor W with W W^dagger = rho on its k Ritz pairs, k = max(d1, d2) +
+    SKETCH_OVERSAMPLING (at most N): more than the hypotheses' largest term count, max(d1, d2).
 
-    Randomized range finder (Halko, Martinsson & Tropp 2011): sketch
-    Y = rho Omega with an N x (n + SKETCH_OVERSAMPLING) Gaussian Omega,
-    Q = qr(Y), B = Q^dagger rho Q, and W = Q U Lambda^{1/2} from the top n
-    eigenpairs of B.  Two GEMMs on the N x N matrix; nothing cubic in N.
+    Randomized range finder (Halko, Martinsson & Tropp 2011): sketch Y = rho Omega with an
+    N x k Gaussian Omega, Q = qr(Y), B = Q^dagger rho Q, and W = Q U Lambda^{1/2} from all k
+    eigenpairs of B, so extraction reads rho's spectral tail off W.  Two GEMMs on the N x N matrix.
 
     Every partial sum of rho Omega is at most 2 N r g in magnitude, for r the
     largest diagonal entry of rho (which bounds every |entry| of a PSD
@@ -481,13 +479,25 @@ def _rank_n_factor(rho: StateOperator, n: int, rng: np.random.Generator) -> np.n
     s = 0 wherever the bound is already below 2^1023.  Q does not depend on s.
     """
     big = rho.dims.total
-    k = min(n + SKETCH_OVERSAMPLING, big)
+    k = min(max(rho.dims) + SKETCH_OVERSAMPLING, big)
     omega = rng.standard_normal((big, k)) + 1j * rng.standard_normal((big, k))
     bits = sum(math.frexp(x)[1] for x in (_diagonal_max(rho.matrix), float(np.abs(omega.view(float)).max())))
     omega *= 2.0 ** -max(0, bits + (2 * big).bit_length() - 1023)
     q = np.linalg.qr(rho.matrix @ omega)[0]
     lam, u = np.linalg.eigh(q.conj().T @ rho.matrix @ q)
-    return (q @ (u[:, -n:] * np.sqrt(np.maximum(lam[-n:], 0.0)))).reshape(*rho.dims, n)
+    return (q @ (u * np.sqrt(np.maximum(lam, 0.0)))).reshape(*rho.dims, k)
+
+
+def _certifiable_rank(lam: np.ndarray, tol: ToleranceConfig) -> int:
+    """The smallest n with ||(lambda_{n+1}, ...)||_2 <= eps/2 * ||lambda||_2 for an ascending
+    spectrum lambda (0 if none is positive): an n-term candidate within eps of rho bounds that
+    tail by eps * ||rho||_F (Eckart & Young 1936), so this is the rank extraction's gate can
+    certify, with half of eps left for the candidate.  Read relative to the largest value,
+    the squares cannot overflow."""
+    if not (lam.size and lam[-1] > 0.0):
+        return 0
+    tails = np.cumsum((lam / lam[-1]) ** 2)  # tails[i]: the squared norm of the i + 1 smallest
+    return lam.size - int(np.count_nonzero(tails <= (tol.eps / 2.0) ** 2 * tails[-1]))
 
 
 def _leading_left(slices: np.ndarray) -> np.ndarray:
@@ -507,20 +517,21 @@ def _leading_left(slices: np.ndarray) -> np.ndarray:
 def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> ExtractionReport:
     """Recover a weighted product decomposition from the operator alone.
 
-    For rho = sum_j w_j |a_j b_j><a_j b_j| with w_j > 0, rank rho = n and
-    the reduced operator on a factor has the rank of that factor's ket set,
-    so the independent set the hypotheses ask for lies on the factor whose
-    reduced operator has the larger support rank n (factor 0 on a tie,
-    where both sets are independent).  Only that factor is tried.  Call its
-    kets a_j and the other factor's b_j.
-
-    Extraction runs on a factor W of rho (rho = W W^dagger, d_side x
-    d_other x k), taken from the operator's form.  A factored operator
-    (:meth:`StateOperator.from_columns`, which :func:`build_rho` returns)
-    gives W = V diag(w)^{1/2} with k its column count, and no N x N array
-    is formed, validated or read.  A dense one is sketched to rank k = n
-    (:func:`_rank_n_factor`).  Everything below depends on rho only, not on
-    which factor W is.  W reshaped to d_side x (d_other k) is wide; its SVD
+    Extraction runs on a factor W of rho (rho = W W^dagger, d1 x d2 x k) taken
+    from the operator's form: W = V diag(w)^{1/2} of a factored operator
+    (:meth:`StateOperator.from_columns`, which :func:`build_rho` returns), k
+    its column count, with no N x N array formed, validated or read; or a
+    sketch of a dense one with all k Ritz pairs (:func:`_rank_n_factor`).
+    From W on both forms run the same code, and every spectrum is read off a
+    Gram matrix of W, one GEMM and one ``eigvalsh`` each.  W^dagger W has the
+    spectrum lambda of rho, and the term count n is the rank the gate can
+    certify (:func:`_certifiable_rank`), capped at max(d1, d2) so that a rank
+    no factor can whiten still goes to the gate.  W_s W_s^dagger, W_s the
+    d_s x (d_other k) reshape, is the reduced operator on factor s, of the
+    rank of that factor's ket set, so the side, the one factor tried, is the
+    better-conditioned whitening: the larger sigma_n / sigma_1 of W_s (factor
+    0 on a tie; a factor of dim < n is never taken).  Call its kets a_j and
+    the other factor's b_j.  W_side is wide; its SVD
     U_A S_A Z is read off that of its tall conjugate transpose,
     W^dagger = Z^dagger S_A U_A^dagger.  The reduced operator
     rho_A = A diag(w) A^dagger = U_A S_A^2 U_A^dagger is whitened by
@@ -543,46 +554,41 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     ||rho - rho_hat||_F <= eps * max(||rho||_F, ||rho_hat||_F)
     (:func:`~proddecomp.subspace._equal`, the matchers' rule), and it
     passes the hypothesis check, which by the uniqueness theorem makes it
-    the decomposition, so the probe's eigenvalues are not tested.  An
-    n-term candidate that passes also bounds lambda_{n+1}(rho) by
-    eps * ||rho||_F (Eckart & Young 1936), so the gate certifies the rank
-    too.  For a dense operator the gap is measured against the stored
+    the decomposition, so the probe's eigenvalues are not tested; the gate
+    certifies n too.  For a dense operator the gap is measured against the stored
     matrix and ||rho_hat||_F is read from the candidate's stacks as the
     bipartite gate reads it (:func:`_product_gap`), all three norms in units
     of 2^e, e the exponent of the largest weight; for a factored one all
     three norms come exactly from the columns alone (:func:`_factored_gap`).
     ``reconstruction_error`` is the gap over ||rho||_F.  A zero-weight
     slice, a failed gate or a failed hypothesis check raises NotExtractable
-    at once, naming the factor, both support ranks and the error reached.
-    The zero operator is refused as rank 0 before any sketch, and a
+    at once, naming the factor, both support ranks (:func:`~proddecomp.subspace._support_count`
+    of the reduced spectra, which decide nothing) and the error reached.  The
+    zero operator is refused as rank 0 before any sketch, and a
     linear-algebra routine that does not converge raises DegenerateInput.
-
-    Both support ranks are the significance count
-    (:func:`~proddecomp.subspace._support_count`) of ``eigvalsh`` of the
-    unvalidated d x d reduced operators (:func:`~proddecomp.tensor._reduced`),
-    in either form, through :func:`~proddecomp.subspace._support_rank`, the helper that
-    :func:`~proddecomp.subspace.support_and_null` reads too; the whitening
-    keeps the top n directions of S_A, n the support rank so named, and
-    counts no rank of its own.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
-    ranks = [_support_rank(_reduced(rho, (s,)), tol) for s in (0, 1)]
-    side = int(ranks[1] > ranks[0])
-    n = ranks[side]
+    rng = _rng(seed)
+    if rho.factor is None:
+        scale = frobenius(rho.matrix)  # the zero operator has no range to sketch
+        w = _rank_n_factor(rho, rng) if scale else np.zeros((*rho.dims, 0), dtype=complex)
+    else:
+        w = _root_tensor(rho)
+    d0, d1, k = w.shape
+    sides = (w.reshape(d0, d1 * k), w.transpose(1, 0, 2).reshape(d1, d0 * k))
+    # W^T's Gram is conj(W^dagger W), of spectrum lambda(rho); W_s's is the reduced operator on s
+    lam, *spectra = (np.linalg.eigvalsh(m @ m.conj().T) for m in (w.reshape(d0 * d1, k).T, *sides))
+    n = min(_certifiable_rank(lam, tol), max(d0, d1))
+    ranks = [_support_count(s.tolist(), tol) for s in spectra]
+    r0, r1 = (s[-n] / s[-1] if 0 < n <= s.size else -math.inf for s in spectra)  # (sigma_n / sigma_1)^2
+    side = int(r1 > r0)
     where = f"factor {side}, support ranks {ranks[0]} and {ranks[1]}"  # for the failure messages
     if n == 0:
         raise NotExtractable(f"not extractable under hypotheses: the operator has rank 0 ({where}, 0 probes)")
-    rng = _rng(seed)
-    if rho.factor is None:
-        w, scale = _rank_n_factor(rho, n, rng), frobenius(rho.matrix)
-    else:
-        w = _root_tensor(rho)
-    w = w.transpose(1, 0, 2) if side == 1 else w
-    da, db, k = w.shape
-    # rho_A = W W^dagger over the b and factor indices: with W = U_A S_A Z,
-    # the SVD of the tall W^dagger is (Z^dagger, S_A, U_A^dagger)
-    zh, s_a, u_ah = np.linalg.svd(w.reshape(da, db * k).conj().T, full_matrices=False)
+    da, db = (d0, d1) if side == 0 else (d1, d0)
+    # rho_A = W_A W_A^dagger: with W_A = U_A S_A Z, the SVD of the tall W_A^dagger is (Z^dagger, S_A, U_A^dagger)
+    zh, s_a, u_ah = np.linalg.svd(sides[side].conj().T, full_matrices=False)
     u_a, s_a, z = u_ah[:n].conj().T, s_a[:n], zh[:, :n].conj().T
 
     g = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))

@@ -25,16 +25,17 @@ class ToleranceConfig:
               all through ``_collinear`` (the hypothesis checks' pairs in ``_slot_verdicts``
               and every paired overlap of a certified match).  Rank: the values of a spectrum
               > 0 and >= eps times its largest, counted by ``_support_count`` (ket stack ranks
-              in ``_slot_verdicts``, support ranks in ``_support_rank``, which extraction's
-              whitening keeps, Schmidt verdicts); Schmidt factors and extracted kets phase
-              with ``fix_phase(eps=eps)``.
+              in ``_slot_verdicts``, support ranks in ``support_and_null`` and extraction's
+              refusals, Schmidt verdicts); extraction's n, the rank its Equal gate certifies, is
+              the least with ||(lambda_{n+1}, ...)||_2 <= eps/2 * ||lambda(rho)||_2; Schmidt
+              factors and extracted kets phase with ``fix_phase(eps=eps)``.
               Equal: operators or vectors with ||x - y|| <= eps * max(||x||, ||y||), relative at
               every scale, all through ``_equal`` (both matchers' gates, a match certificate's
               paired weights or |coefficients| against the two inputs' sums, ``relating_unitary``'s
               reduced operators and its residual, extraction's candidate against rho).
 
     Fixed, with the decision each makes and why no setting reads it:
-    SKETCH_OVERSAMPLING 8     extra columns of the dense range finder: sampling, not a decision
+    SKETCH_OVERSAMPLING 8     dense range finder columns beyond max(d1, d2): sampling, not a decision
     UNITARITY_ATOL 1e-8       what a ``UnitaryMatrix`` is: part of its input contract
     ORTHO_ATOL 1e-10          ``SubspaceBasis`` orthogonality, met by eigh's eigenvectors to rounding
     KET_NORM_ATOL 1e-12       a ``Ket`` has unit norm: part of the input contract
@@ -177,17 +178,10 @@ def _equal(gap: float, norm1: float, norm2: float, tol: ToleranceConfig) -> bool
 def _support_count(values: Sequence[float], tol: ToleranceConfig) -> int:
     """The significance count of a short spectrum of plain floats: the values
     > 0 and >= eps times the largest, so an all-zero spectrum counts none.
-    The one rank rule: ket-stack ranks (:func:`_slot_verdicts`), support ranks
-    (:func:`_support_rank`) and Schmidt verdicts all read it."""
+    Ket-stack ranks (:func:`_slot_verdicts`), support ranks (:func:`support_and_null`
+    and extraction's refusals) and Schmidt verdicts all read it."""
     cut = tol.eps * max(values, default=0.0)
     return sum(v > 0.0 and v >= cut for v in values)
-
-
-def _support_rank(h: np.ndarray, tol: ToleranceConfig) -> int:
-    """The support rank of a reduced operator h: :func:`_support_count` of
-    ``eigvalsh(h)``.  The one rank rule of both extraction ranks and
-    :func:`support_and_null`, so the two always name the same rank."""
-    return _support_count(np.linalg.eigvalsh(h).tolist(), tol)
 
 
 @_nonconvergence("rank SVD")
@@ -226,18 +220,18 @@ def support_and_null(
     """Support and null space of an operator on one of its factors.
 
     Both are computed from the reduced operator h on that factor
-    (:func:`~proddecomp.tensor._reduced`, which extraction reads too).  Its
-    support rank r is :func:`_support_rank`, the count extraction names, so
-    the support of the zero operator is empty.  ``eigh`` of h gives only the
-    vectors: the r with the largest eigenvalues span the support, in
-    descending-eigenvalue order (ties in ascending index), and the remaining
-    ones, ascending, the null space.
+    (:func:`~proddecomp.tensor._reduced`).  Its support rank r is
+    :func:`_support_count` of ``eigvalsh(h)`` (``eigh``'s eigenvalues round
+    differently), so the support of the zero operator is empty.  ``eigh`` of h
+    gives only the vectors: the r with the largest eigenvalues span the
+    support, in descending-eigenvalue order (ties in ascending index), and the
+    remaining ones, ascending, the null space.
     """
     nfac, subsystem = len(rho.dims), _index(subsystem, "subsystem")
     if not 0 <= subsystem < nfac:
         raise DimensionMismatch(f"subsystem {subsystem} out of range for {nfac} factors")
     h = rho.matrix if nfac == 1 else _reduced(rho, (subsystem,))
-    rank = _support_rank(h, tol)
+    rank = _support_count(np.linalg.eigvalsh(h).tolist(), tol)
     evals, evecs = np.linalg.eigh(h)
     cut = evals.size - rank
     supp_idx = cut + np.argsort(-evals[cut:], kind="stable")

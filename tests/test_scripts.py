@@ -1,6 +1,7 @@
 """The scripts: the seeded battery's exit status and the same-answers dump and compare."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,33 @@ def test_exits_1_naming_the_battery_that_fell_short(battery, monkeypatch, capsys
     assert "FAILED: bipartite" not in out and "FAILED: blind" not in out
 
 
-@pytest.fixture
-def same_answers():
+def _load_same_answers():
     spec = importlib.util.spec_from_file_location("same_answers", SCRIPT.parent / "same_answers.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def same_answers():
+    return _load_same_answers()
+
+
+def test_compare_runs_without_the_package(monkeypatch, tmp_path, capsys):
+    # a None entry in sys.modules makes every import of the package raise ModuleNotFoundError
+    for name in [name for name in sys.modules if name == "proddecomp" or name.startswith("proddecomp.")]:
+        monkeypatch.setitem(sys.modules, name, None)
+    with pytest.raises(ModuleNotFoundError):
+        import proddecomp  # noqa: F401
+    module = _load_same_answers()
+    first, second = str(tmp_path / "first.npz"), str(tmp_path / "second.npz")
+    np.savez(first, **{"bi/0/0/factored/n": np.array(3), "cli/0/stderr": np.array("")})
+    np.savez(second, **{"bi/0/0/factored/n": np.array(4), "cli/0/stderr": np.array("")})
+    assert module.compare(first, first) == 0
+    assert module.compare(first, second) == 1
+    out = capsys.readouterr().out
+    assert "bi n: 1 of 1 cases differ, largest deviation 1, relative 0.333" in out
+    assert "cli stderr: identical (1 cases)" in out
 
 
 def test_same_answers_compares_dumps(same_answers, tmp_path, capsys):
@@ -79,10 +101,11 @@ def test_same_answers_compares_dumps(same_answers, tmp_path, capsys):
 
 
 def test_a_refused_match_stores_its_class_and_message(same_answers):
-    # the ill-conditioned grid's spread 1e-8 holds match refusals: seed 111's dense form extracts 5 terms
-    assert 1e-8 in same_answers.SPREADS
+    # a sixth weight of 1e-11, below eps: extraction returns the five heavy terms, within eps
+    # of rho, and the match against the six-term source refuses them
     base = pd.generate_instance(6, 8, 8, seed=111, profile=pd.BI_PROFILES[111 % 3])
-    source = pd.ProductDecomposition._from_stacks(base.dims, base.stacks, np.geomspace(1, 1e-8, 6))
+    weights = np.append(np.geomspace(1, 1e-3, 5), 1e-11)
+    source = pd.ProductDecomposition._from_stacks(base.dims, base.stacks, weights)
     out = {}
     assert not same_answers._certified(out, "ill", source, same_answers._dense(source), 111)
     assert not out["ill/certified"] and out["ill/n"] == 5

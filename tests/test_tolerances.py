@@ -117,18 +117,32 @@ class TestExtraction:
     @pytest.mark.parametrize("factor", FACTORS)
     @pytest.mark.parametrize("slot", [0, 1])
     def test_support_rank(self, slot, factor, form):
-        # the reduced operator's smallest relative eigenvalue at eps (1 -/+ 0.5);
-        # the other set is dependent, so no other side can be taken
+        # the reduced operator's smallest relative eigenvalue at eps (1 -/+ 0.5), a relative
+        # singular value of the set near 1e-2: independent at eps, whatever the support count
+        # reads; the other set is dependent, so no other side can be taken
         dec = _rank_case(slot, factor * TOL.eps)
         rho = _forms(dec)[form]
         evals = np.linalg.eigvalsh(pd.tensor._reduced(rho, (slot,)))
         assert evals[1] / evals[-1] == pytest.approx(factor * TOL.eps, rel=1e-9)
+        report = pd.extract_decomposition(rho, TOL, seed=3)
+        assert report.side == slot
+        assert pd.match_bidecomposition(dec, report.decomposition, TOL).n == 3
+
+    @pytest.mark.parametrize("form", ["factored", "dense"])
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_set_rank(self, slot, factor, form):
+        # the set's smallest relative singular value at eps (1 -/+ 0.5), the scale the
+        # hypothesis check reads: extraction decides on it too
+        dec = _rank_case(slot, (factor * TOL.eps) ** 2)
+        assert _relative_smallest_sv(dec.stacks[slot]) == pytest.approx(factor * TOL.eps, rel=1e-6)
+        rho = _forms(dec)[form]
         if factor > 1.0:
             report = pd.extract_decomposition(rho, TOL, seed=3)
             assert report.side == slot
             assert pd.match_bidecomposition(dec, report.decomposition, TOL).n == 3
         else:
-            refusal = r"\(factor 0, support ranks 2 and 2, 1 probe, reconstruction error"
+            refusal = rf"neither ket set is linearly independent \(factor {slot}, support ranks 2 and 2, 1 probe"
             with pytest.raises(pd.NotExtractable, match=refusal):
                 pd.extract_decomposition(rho, TOL, seed=3)
 
@@ -188,13 +202,15 @@ class TestCliFlag:
         assert main(["match", path, twin, "--mode", "bi", "--tol", "1e-4"]) == 4
 
     def test_extract(self, tmp_path, capsys):
-        # the reduced operator's smallest relative eigenvalue is 1e-6: support rank 3 at 1e-8, 2 at 1e-4
+        # the reduced operator's smallest relative eigenvalue is 1e-6, the set's smallest relative
+        # singular value 1e-3: independent at 1e-8 and 1e-4, dependent at 1e-2
         op, out = str(tmp_path / "op.json"), str(tmp_path / "out.json")
         fileio.save_operator(op, pd.build_rho(_rank_case(0, 1e-6)))
-        assert main(["extract", op, "--tol", "1e-8", "--out", out]) == 0
-        assert fileio.load_decomposition(out).n == 3
-        assert main(["extract", op, "--tol", "1e-4", "--out", out]) == 3
-        assert "support ranks 2 and 2" in capsys.readouterr().err
+        for tol in ("1e-8", "1e-4"):
+            assert main(["extract", op, "--tol", tol, "--out", out]) == 0
+            assert fileio.load_decomposition(out).n == 3
+        assert main(["extract", op, "--tol", "1e-2", "--out", out]) == 3
+        assert "neither ket set is linearly independent (factor 0, support ranks 2 and 2" in capsys.readouterr().err
 
     def test_extract_at_a_loose_tolerance(self, tmp_path):
         dec, op, out = (str(tmp_path / name) for name in ("dec.json", "op.json", "out.json"))
