@@ -273,7 +273,6 @@ def _certify(
     d1: ProductDecomposition | TriDecomposition,
     d2: ProductDecomposition | TriDecomposition,
     tol: ToleranceConfig,
-    exponent: int,
 ) -> MatchResult:
     """Certify that the two decompositions agree term by term: the claim a
     :class:`MatchResult` makes, decided from the ``stacks`` and ``values`` alone.
@@ -290,7 +289,7 @@ def _certify(
     (:func:`~proddecomp.subspace._equal`) on their difference and the two
     inputs' sums of |values|: |w1 - w2| <= eps * max(sum1, sum2), relative
     at every scale.  The magnitudes and both sums are read in units of
-    2^exponent, the exponent of the inputs' largest |value|
+    2^e, e the exponent of the inputs' largest |value|
     (:func:`~proddecomp.tensor._weight_exponent`): exact scalings that keep
     a sum past the float maximum finite and leave every comparison and ratio
     as it is; certificates and messages carry the magnitudes as stored.
@@ -318,6 +317,7 @@ def _certify(
     per_slot = [np.einsum("ij,ij->j", a1[:, cols].conj(), a2).tolist() for a1, a2 in zip(d1.stacks, d2.stacks)]
     overlaps = list(zip(*per_slot))
     mags1, mags2 = ([abs(v) for v in d.values.tolist()] for d in (d1, d2))
+    exponent = _weight_exponent(mags1, mags2)
     sum1, sum2 = (float(np.ldexp(np.abs(d.values), -exponent).sum()) for d in (d1, d2))
     pad = (None,) * (3 - len(d1.stacks))
     residual, certs = 0.0, []
@@ -360,7 +360,7 @@ def match_tridecomposition(
     gap = frobenius(v1 - v2)
     if not _equal(gap, norm1, norm2, tol):
         raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
-    return _certify(t1, t2, tol, _weight_exponent(np.abs(t1.values), np.abs(t2.values)))
+    return _certify(t1, t2, tol)
 
 
 def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
@@ -456,7 +456,7 @@ def match_bidecomposition(
     if not _equal(gap, norm1, norm2, tol):
         with np.errstate(over="ignore"):  # a gap past the float maximum reads inf
             raise OperatorMismatch(f"operators differ by {np.ldexp(gap, e):.3e} in Frobenius norm")
-    return _certify(d1, d2, tol, e)
+    return _certify(d1, d2, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +555,17 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     (:func:`~proddecomp.subspace._equal`, the matchers' rule), and it
     passes the hypothesis check, which by the uniqueness theorem makes it
     the decomposition, so the probe's eigenvalues are not tested; the gate
-    certifies n too.  For a dense operator the gap is measured against the stored
-    matrix and ||rho_hat||_F is read from the candidate's stacks as the
-    bipartite gate reads it (:func:`_product_gap`), all three norms in units
-    of 2^e, e the exponent of the largest weight; for a factored one all
-    three norms come exactly from the columns alone (:func:`_factored_gap`).
-    ``reconstruction_error`` is the gap over ||rho||_F.  A zero-weight
-    slice, a failed gate or a failed hypothesis check raises NotExtractable
-    at once, naming the factor, both support ranks (:func:`~proddecomp.subspace._support_count`
-    of the reduced spectra, which decide nothing) and the error reached.  The
-    zero operator is refused as rank 0 before any sketch, and a
-    linear-algebra routine that does not converge raises DegenerateInput.
+    certifies n too.  A dense operator's ||rho_hat||_F and gap are taken from
+    the N x N rho_hat by :func:`~proddecomp.tensor.frobenius`, in the caller's
+    units; a factored one's three norms come exactly from the columns alone
+    (:func:`_factored_gap`).  ``reconstruction_error`` is the gap over
+    ||rho||_F.  A zero-weight slice, a failed gate or a failed hypothesis
+    check raises NotExtractable at once, naming what decided: the factor, n,
+    the certifiable rank where the max(d1, d2) cap cut it, both factors'
+    (sigma_n / sigma_1)^2 that the side rule compared (a factor of dim < n
+    named as such) and the error reached.  The zero operator is refused as
+    rank 0 before any sketch, naming only the rank, and a linear-algebra
+    routine that does not converge raises DegenerateInput.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
@@ -579,14 +579,16 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     sides = (w.reshape(d0, d1 * k), w.transpose(1, 0, 2).reshape(d1, d0 * k))
     # W^T's Gram is conj(W^dagger W), of spectrum lambda(rho); W_s's is the reduced operator on s
     lam, *spectra = (np.linalg.eigvalsh(m @ m.conj().T) for m in (w.reshape(d0 * d1, k).T, *sides))
-    n = min(_certifiable_rank(lam, tol), max(d0, d1))
-    ranks = [_support_count(s.tolist(), tol) for s in spectra]
-    r0, r1 = (s[-n] / s[-1] if 0 < n <= s.size else -math.inf for s in spectra)  # (sigma_n / sigma_1)^2
-    side = int(r1 > r0)
-    where = f"factor {side}, support ranks {ranks[0]} and {ranks[1]}"  # for the failure messages
+    certifiable = _certifiable_rank(lam, tol)
+    n = min(certifiable, max(d0, d1))
     if n == 0:
-        raise NotExtractable(f"not extractable under hypotheses: the operator has rank 0 ({where}, 0 probes)")
-    da, db = (d0, d1) if side == 0 else (d1, d0)
+        raise NotExtractable("not extractable under hypotheses: the operator has rank 0 (0 probes)")
+    r0, r1 = (s[-n] / s[-1] if n <= s.size else -math.inf for s in spectra)  # (sigma_n / sigma_1)^2
+    side = int(r1 > r0)
+    cut = f" of certifiable {certifiable}" if certifiable > n else ""
+    conds = " and ".join(f"{r:.3g}" if n <= d else f"dim {d} < n" for r, d in ((r0, d0), (r1, d1)))
+    where = f"factor {side}, rank {n}{cut}, (sigma_n/sigma_1)^2 {conds}"  # what decided n and the side
+    db = d1 if side == 0 else d0
     # rho_A = W_A W_A^dagger: with W_A = U_A S_A Z, the SVD of the tall W_A^dagger is (Z^dagger, S_A, U_A^dagger)
     zh, s_a, u_ah = np.linalg.svd(sides[side].conj().T, full_matrices=False)
     u_a, s_a, z = u_ah[:n].conj().T, s_a[:n], zh[:, :n].conj().T
@@ -613,13 +615,10 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     dec = ProductDecomposition._from_stacks(rho.dims, stacks, weights[order])
     if rho.factor is None:
         cols, wts = product_columns(dec)
-        residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction
+        residual = (cols * wts) @ cols.conj().T  # the one N x N array of the extraction: rho_hat
+        norm, norm_hat = scale, frobenius(residual)
         residual -= rho.matrix
-        # ||rho_hat||_F as the bipartite gate reads it, and all three norms in its units
-        # of 2^e, e the exponent of the largest weight (exact scalings)
-        e = _weight_exponent(wts)
-        gap, norm = (math.ldexp(x, -e) for x in (frobenius(residual), scale))
-        norm_hat = _product_gap(dec, dec, e)[1]
+        gap = frobenius(residual)
     else:
         gap, norm, norm_hat = _factored_gap(rho.factor, product_columns(dec))
     err = gap / norm

@@ -154,7 +154,7 @@ def _matrix_pieces(m: np.ndarray, indent: int, out: list[str]) -> None:
     out.append("\n" + "  " * indent + "}")
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
+def dumps_canonical(obj) -> str:
     """Deterministic JSON text: insertion-ordered keys, ``"%.17g"`` floats, a
     complex number as the object {"re": ..., "im": ...}, and a nonempty square
     complex array as the object {"re": [...], "im": [...]} of its row-major
@@ -163,7 +163,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     Only finite numbers serialize; anything else raises :class:`FileError`,
     an integer beyond the float range included."""
     out: list[str] = []
-    _pieces(obj, indent, out)
+    _pieces(obj, 0, out)
     return "".join(out)
 
 

@@ -25,10 +25,10 @@ class ToleranceConfig:
               all through ``_collinear`` (the hypothesis checks' pairs in ``_slot_verdicts``
               and every paired overlap of a certified match).  Rank: the values of a spectrum
               > 0 and >= eps times its largest, counted by ``_support_count`` (ket stack ranks
-              in ``_slot_verdicts``, support ranks in ``support_and_null`` and extraction's
-              refusals, Schmidt verdicts); extraction's n, the rank its Equal gate certifies, is
-              the least with ||(lambda_{n+1}, ...)||_2 <= eps/2 * ||lambda(rho)||_2; Schmidt
-              factors and extracted kets phase with ``fix_phase(eps=eps)``.
+              in ``_slot_verdicts``, support ranks in ``support_and_null``, Schmidt verdicts);
+              extraction's n, the rank its Equal gate certifies, is the least with
+              ||(lambda_{n+1}, ...)||_2 <= eps/2 * ||lambda(rho)||_2; Schmidt factors and
+              extracted kets phase with ``fix_phase(eps=eps)``.
               Equal: operators or vectors with ||x - y|| <= eps * max(||x||, ||y||), relative at
               every scale, all through ``_equal`` (both matchers' gates, a match certificate's
               paired weights or |coefficients| against the two inputs' sums, ``relating_unitary``'s
@@ -171,15 +171,15 @@ def _collinear(overlap, tol: ToleranceConfig):
 
 def _equal(gap: float, norm1: float, norm2: float, tol: ToleranceConfig) -> bool:
     """The Equal decision on x and y from ``gap`` = ||x - y|| and their norms:
-    gap <= eps * max(||x||, ||y||).  A NaN gap reads as unequal."""
-    return gap <= tol.eps * max(norm1, norm2)
+    gap <= eps * max(||x||, ||y||).  A NaN or infinite gap (an overflow) reads as unequal."""
+    return gap < np.inf and gap <= tol.eps * max(norm1, norm2)
 
 
 def _support_count(values: Sequence[float], tol: ToleranceConfig) -> int:
     """The significance count of a short spectrum of plain floats: the values
     > 0 and >= eps times the largest, so an all-zero spectrum counts none.
-    Ket-stack ranks (:func:`_slot_verdicts`), support ranks (:func:`support_and_null`
-    and extraction's refusals) and Schmidt verdicts all read it."""
+    Ket-stack ranks (:func:`_slot_verdicts`), support ranks (:func:`support_and_null`)
+    and Schmidt verdicts all read it."""
     cut = tol.eps * max(values, default=0.0)
     return sum(v > 0.0 and v >= cut for v in values)
 
@@ -220,20 +220,18 @@ def support_and_null(
     """Support and null space of an operator on one of its factors.
 
     Both are computed from the reduced operator h on that factor
-    (:func:`~proddecomp.tensor._reduced`).  Its support rank r is
-    :func:`_support_count` of ``eigvalsh(h)`` (``eigh``'s eigenvalues round
-    differently), so the support of the zero operator is empty.  ``eigh`` of h
-    gives only the vectors: the r with the largest eigenvalues span the
-    support, in descending-eigenvalue order (ties in ascending index), and the
-    remaining ones, ascending, the null space.
+    (:func:`~proddecomp.tensor._reduced`) by one ``eigh``.  Its support rank r
+    is :func:`_support_count` of those eigenvalues, so the support of the zero
+    operator is empty.  The r eigenvectors with the largest eigenvalues span
+    the support, in descending-eigenvalue order (ties in ascending index), and
+    the remaining ones, ascending, the null space.
     """
     nfac, subsystem = len(rho.dims), _index(subsystem, "subsystem")
     if not 0 <= subsystem < nfac:
         raise DimensionMismatch(f"subsystem {subsystem} out of range for {nfac} factors")
     h = rho.matrix if nfac == 1 else _reduced(rho, (subsystem,))
-    rank = _support_count(np.linalg.eigvalsh(h).tolist(), tol)
     evals, evecs = np.linalg.eigh(h)
-    cut = evals.size - rank
+    cut = evals.size - _support_count(evals.tolist(), tol)
     supp_idx = cut + np.argsort(-evals[cut:], kind="stable")
     ambient = rho.dims[subsystem]
     support = SubspaceBasis(ambient, tuple(Ket(evecs[:, i]) for i in supp_idx.tolist()))

@@ -53,11 +53,11 @@ def frobenius(a: np.ndarray) -> float | np.ndarray:
     return np.array(norms) if a.ndim > 2 else norms[0]
 
 
-def _weight_exponent(*weights: np.ndarray) -> int:
-    """The exponent e of ``frexp`` of the largest of all ``weights`` (positive arrays):
-    ``np.ldexp(w, -e)`` scales them exactly, the largest into [0.5, 1), so that
-    sums and norms of the scaled weights stay finite."""
-    return math.frexp(max(max(w.tolist()) for w in weights))[1]  # plain floats: the arrays are short
+def _weight_exponent(*weights: Sequence[float]) -> int:
+    """The exponent e of ``frexp`` of the largest of all ``weights`` (short arrays or
+    lists of nonnegative floats): ``np.ldexp(w, -e)`` scales them exactly, the largest
+    into [0.5, 1), so that sums and norms of the scaled weights stay finite."""
+    return math.frexp(max(map(max, weights)))[1]
 
 
 def _times_pow2(a: np.ndarray, e: int) -> np.ndarray:

@@ -96,7 +96,8 @@ class TestExtraction:
             pd.extract_decomposition(rho, seed=0)
         message = str(info.value)
         assert "factor 0" in message
-        assert "support ranks 2 and 2" in message
+        # the certifiable rank exceeds what either factor can whiten
+        assert "rank 2 of certifiable 4, (sigma_n/sigma_1)^2 1 and 1" in message
         assert "1 probe, reconstruction error" in message
 
     def test_needs_two_factors(self):
@@ -131,7 +132,7 @@ class TestExtraction:
             pd.extract_decomposition(rho, seed=0)
         message = str(info.value)
         assert "rank 0" in message
-        assert "support ranks 0 and 0" in message
+        assert "factor" not in message and "sigma" not in message  # only the rank is named
         assert "0 probes" in message
 
     @pytest.mark.parametrize("k", [-200, -100, 100, 200])
@@ -318,7 +319,8 @@ class TestOneProbe:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        with pytest.raises(pd.NotExtractable, match=r"support ranks 2 and 2, 1 probe, reconstruction error"):
+        refusal = r"rank 2 of certifiable 4, \(sigma_n/sigma_1\)\^2 1 and 1, 1 probe, reconstruction error"
+        with pytest.raises(pd.NotExtractable, match=refusal):
             pd.extract_decomposition(rho, seed=0)
         assert len(seen) == calls
 
@@ -386,12 +388,12 @@ class TestNoisyInput:
     def test_ends_in_a_certified_report_or_an_explained_refusal(self, n, dim, level):
         dec = pd.generate_instance(n, dim, dim, seed=n)
         rho = self._noisy(dec, level, seed=dim)
-        ranks = [pd.support_and_null(rho, s)[0].dim for s in (0, 1)]
+        rank = _conditioning(rho)[0]
         try:
             report = pd.extract_decomposition(rho, seed=2)
         except pd.NotExtractable as exc:
             message = str(exc)
-            assert f"support ranks {ranks[0]} and {ranks[1]}" in message
+            assert re.search(rf"\(factor [01], rank {rank}\b", message)
             assert "1 probe, reconstruction error" in message
             return
         # the gate is gap <= eps * max(||rho||, ||rho_hat||), and ||rho_hat|| <= ||rho|| + gap
@@ -413,21 +415,21 @@ def _rank_deficient_factor(dec):
 
 
 def _conditioning(rho, tol=pd.DEFAULT_TOL):
-    """(sigma_n / sigma_1)^2 of each factor's reshape of a factor of rho, for n the rank the
-    extraction gate can certify, read off rho's own spectra rather than off a factor W:
-    n from eigvalsh of the N x N matrix, the reduced spectra from ``partial_trace``."""
+    """n, the rank the extraction gate can certify (capped at max(d1, d2)), and (sigma_n /
+    sigma_1)^2 of each factor's reshape of a factor of rho, read off rho's own spectra
+    rather than off a factor W: n from eigvalsh of the N x N matrix, the reduced spectra
+    from ``partial_trace``."""
     lam = np.linalg.eigvalsh(rho.matrix)
     tails = np.cumsum(lam**2)
     n = min(lam.size - int(np.count_nonzero(tails <= (tol.eps / 2) ** 2 * tails[-1])), max(rho.dims))
     spectra = [np.linalg.eigvalsh(pd.partial_trace(rho, [s]).matrix) for s in (0, 1)]
-    return [ev[-n] / ev[-1] if 0 < n <= ev.size else -np.inf for ev in spectra]
+    return n, [ev[-n] / ev[-1] if 0 < n <= ev.size else -np.inf for ev in spectra]
 
 
 class TestSupportRanks:
-    """A refusal names both support ranks: the significance count of the reduced
-    operators' spectra, which extraction reads off Gram matrices of its factor W
-    in either form, not from ``support_and_null``.  The ranks decide nothing; the
-    side is the better-conditioned factor."""
+    """Extraction reads no support rank: a refusal names n, the rank the gate can
+    certify, and the side, the better-conditioned factor, both read off Gram
+    matrices of its factor W in either form, not from ``support_and_null``."""
 
     @pytest.mark.parametrize("form", [pd.build_rho, _dense])
     def test_extracts_without_support_and_null(self, monkeypatch, form):
@@ -444,35 +446,68 @@ class TestSupportRanks:
             report = pd.extract_decomposition(form(dec), seed=1)
             assert pd.match_bidecomposition(dec, report.decomposition).n == 4
 
+    @pytest.mark.parametrize("form", [pd.build_rho, _dense])
+    def test_reads_no_support_count_product_gap_or_weight_exponent(self, monkeypatch, form):
+        # neither a returned report nor a refusal (the maximally mixed 2 x 2 operator, the gate;
+        # a collinear pair, the hypothesis check; the zero operator, rank 0) computes a support
+        # count, or reads ||rho_hat||_F through the bipartite gate in units of 2^e
+        def forbidden(*args, **kwargs):
+            raise AssertionError("read on the extraction path")
+
+        base = pd.generate_instance(3, 4, 4, seed=1)
+        a_pair = base.stacks[0][:, [0, 0, 1]]  # terms 0 and 1 share their a-ket
+        pair = pd.ProductDecomposition._from_stacks(base.dims, (a_pair, base.stacks[1]), base.values)
+        mixed = pd.StateOperator.from_columns(pd.FactoredDims((2, 2)), np.eye(4), np.full(4, 0.25))
+        refused = (
+            ("no reconstruction within eps", mixed),
+            ("collinear pair", pd.build_rho(pair)),
+            ("has rank 0", _factored_zero(base.dims)),
+        )
+        for name in ("_support_count", "_product_gap", "_weight_exponent"):
+            monkeypatch.setattr(decomp, name, forbidden)
+        for profile in pd.BI_PROFILES:
+            dec = pd.generate_instance(4, 5, 5, seed=21, profile=profile)
+            assert pd.extract_decomposition(form(dec), seed=1).decomposition.n == 4
+        for refusal, rho in refused:
+            if form is _dense:
+                rho = pd.StateOperator(rho.dims, rho.matrix)
+            with pytest.raises(pd.NotExtractable, match=refusal):
+                pd.extract_decomposition(rho, seed=0)
+
     @staticmethod
-    def _reported_ranks(monkeypatch, rho):
+    def _reported(monkeypatch, rho):
         # with a hypothesis check that always fails, every candidate is refused after its one probe,
-        # and the refusal names both ranks; undone at once, since later cases generate instances
+        # and the refusal names the side and n (rank 0 names no side); undone at once, since later
+        # cases generate instances
         def violated(*args, **kwargs):
             raise pd.HypothesisViolation("forced")
 
         with monkeypatch.context() as m, pytest.raises(pd.NotExtractable) as info:
             m.setattr(decomp, "check_product_hypotheses", violated)
             pd.extract_decomposition(rho, seed=0)
-        ranks = re.search(r"factor (\d), support ranks (\d+) and (\d+), [01] probes?", str(info.value))
-        return int(ranks[1]), [int(ranks[2]), int(ranks[3])]
+        message = str(info.value)
+        if message.endswith("the operator has rank 0 (0 probes)"):
+            return None, 0
+        named = re.search(r"\(factor (\d), rank (\d+)(?: of certifiable \d+)?, \(sigma_n/sigma_1\)\^2 ", message)
+        return int(named[1]), int(named[2])
 
     def _check(self, monkeypatch, rho):
-        side, ranks = self._reported_ranks(monkeypatch, rho)
-        assert ranks == [pd.support_and_null(rho, s)[0].dim for s in (0, 1)]
-        # the named factor has the larger sigma_n / sigma_1; factor 0 takes an exact tie,
-        # which rounding in W's Grams can break either way, so a tie passes to within 1e-12
-        ratios = _conditioning(rho)
-        assert ratios[side] >= ratios[1 - side] - 1e-12
+        side, n = self._reported(monkeypatch, rho)
+        want, ratios = _conditioning(rho)
+        assert n == want
+        if n:
+            # the named factor has the larger sigma_n / sigma_1; factor 0 takes an exact tie,
+            # which rounding in W's Grams can break either way, so a tie passes to within 1e-12
+            assert ratios[side] >= ratios[1 - side] - 1e-12
 
     @pytest.mark.parametrize("master_seed", [20_000, 40_000])
     @pytest.mark.parametrize("form", [pd.build_rho, _dense])
-    def test_ranks_equal_support_and_null_on_the_acceptance_cases(self, monkeypatch, master_seed, form):
+    def test_named_rank_and_side_on_the_acceptance_cases(self, monkeypatch, master_seed, form):
         # the criterion-2 and criterion-4 case lists of the acceptance suite
         for n, d1, d2, profile, seed in _bi_cases(200, master_seed=master_seed):
             self._check(monkeypatch, form(pd.generate_instance(n, d1, d2, seed=seed, profile=profile)))
 
-    def test_ranks_equal_support_and_null_on_edge_operators(self, monkeypatch):
+    def test_named_rank_and_side_on_edge_operators(self, monkeypatch):
         dims = pd.FactoredDims((3, 4))
         dec = pd.generate_instance(2, 3, 4, seed=8)
         for rho in (
@@ -577,7 +612,7 @@ class TestSupportRanks:
         assert next(iter(seen.values()))["svd"] == 2
 
     def test_factored_zero_operator_is_rank_0(self):
-        with pytest.raises(pd.NotExtractable, match=r"rank 0 \(factor 0, support ranks 0 and 0, 0 probes"):
+        with pytest.raises(pd.NotExtractable, match=r"has rank 0 \(0 probes\)$"):
             pd.extract_decomposition(_factored_zero(pd.FactoredDims((2, 3))), seed=0)
 
     def test_rank_deficient_factor_extracts(self):
@@ -623,8 +658,9 @@ class TestOneEqualGate:
     )
     @pytest.mark.parametrize("form", ["factored", "dense"])
     def test_a_two_term_candidate_of_a_higher_rank_operator_is_refused(self, matrix, form):
-        # support ranks 2 and 2, but no two product terms reproduce rho to eps (warnings are errors);
-        # both reduced operators are equal, so the sides tie in exact arithmetic: the factored
+        # bell has rank 1, and a tail t a certifiable rank of 4 cut to n = 2, with (sigma_2/sigma_1)^2
+        # = 2t / (1 + t) on each factor; no n-term candidate reproduces rho to eps (warnings are
+        # errors); both reduced operators are equal, so the sides tie in exact arithmetic: the factored
         # form's exact tie takes factor 0, and the dense sketch's rounding breaks the tie of
         # tail-1e-7 the other way, pinned here as it falls
         factor = 1 if form == "dense" and matrix[1, 1] == 1e-7 else 0
@@ -634,7 +670,12 @@ class TestOneEqualGate:
         else:
             lam, vec = np.linalg.eigh(matrix)
             rho = pd.StateOperator.from_columns(dims, vec[:, lam > 0], lam[lam > 0])
-        refusal = rf"within eps = 1e-08 \(factor {factor}, support ranks 2 and 2, 1 probe"
+        t = matrix[1, 1]  # 0 for bell
+        if t:
+            named = rf"rank 2 of certifiable 4, \(sigma_n/sigma_1\)\^2 {2 * t:.3g} and {2 * t:.3g}"
+        else:
+            named = r"rank 1, \(sigma_n/sigma_1\)\^2 1 and 1"
+        refusal = rf"within eps = 1e-08 \(factor {factor}, {named}, 1 probe"
         with pytest.raises(pd.NotExtractable, match=refusal):
             pd.extract_decomposition(rho, seed=0)
 

@@ -135,7 +135,7 @@ class TestRoundTrips:
     )
     def test_float_lists_match_the_per_number_writer(self, values):
         assert fileio.dumps_canonical(values) == _reference_dumps(values)
-        assert fileio.dumps_canonical({"a": values}, 1) == _reference_dumps({"a": values}, 1)
+        assert fileio.dumps_canonical({"x": {"a": values}}) == _reference_dumps({"x": {"a": values}})
 
     def test_random_bit_patterns_match_the_per_number_writer(self):
         bits = np.random.default_rng(20).integers(0, 2**64, size=100_000, dtype=np.uint64)

@@ -302,6 +302,28 @@ class TestSupportAndNull:
         assert null.dim == 0
         assert np.array_equal(np.abs(support.columns()), np.eye(2))
 
+    @pytest.mark.parametrize("form", ["factored", "dense"])
+    def test_one_eigh_and_no_eigvalsh(self, monkeypatch, form):
+        # the support rank is counted on the eigenvalues that give the vectors
+        rho = pd.build_rho(pd.generate_instance(3, 4, 3, seed=5, profile="b-independent-only"))
+        if form == "dense":
+            rho = pd.StateOperator(rho.dims, rho.matrix)
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh in support_and_null")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        for factor, rank in ((0, 2), (1, 3)):
+            calls.clear()
+            assert pd.support_and_null(rho, factor)[0].dim == rank
+            assert len(calls) == 1
+
     def test_zero_operator_has_empty_support(self):
         rho = pd.StateOperator(pd.FactoredDims((2, 3)), np.zeros((6, 6), dtype=complex))
         for factor, dim in ((0, 2), (1, 3)):

@@ -142,7 +142,11 @@ class TestExtraction:
             assert report.side == slot
             assert pd.match_bidecomposition(dec, report.decomposition, TOL).n == 3
         else:
-            refusal = rf"neither ket set is linearly independent \(factor {slot}, support ranks 2 and 2, 1 probe"
+            # the side's (sigma_3/sigma_1)^2 is the set's squared relative singular value, (0.5 eps)^2;
+            # the other factor, of dim 2, cannot hold 3 independent kets
+            conds = "2.5e-09 and dim 2 < n" if slot == 0 else "dim 2 < n and 2.5e-09"
+            named = rf"rank 3, \(sigma_n/sigma_1\)\^2 {conds}"
+            refusal = rf"neither ket set is linearly independent \(factor {slot}, {named}, 1 probe"
             with pytest.raises(pd.NotExtractable, match=refusal):
                 pd.extract_decomposition(rho, TOL, seed=3)
 
@@ -210,7 +214,9 @@ class TestCliFlag:
             assert main(["extract", op, "--tol", tol, "--out", out]) == 0
             assert fileio.load_decomposition(out).n == 3
         assert main(["extract", op, "--tol", "1e-2", "--out", out]) == 3
-        assert "neither ket set is linearly independent (factor 0, support ranks 2 and 2" in capsys.readouterr().err
+        assert "neither ket set is linearly independent (factor 0, rank 3, (sigma_n/sigma_1)^2 1e-06 and dim 2 < n" in (
+            capsys.readouterr().err
+        )
 
     def test_extract_at_a_loose_tolerance(self, tmp_path):
         dec, op, out = (str(tmp_path / name) for name in ("dec.json", "op.json", "out.json"))
