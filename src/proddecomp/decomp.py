@@ -280,10 +280,10 @@ def _certify(
     Pairing: term k of the second input pairs with the term j of the first
     that maximizes the product over slots of |<first_j|second_k>|, read off
     one n x n cross-Gram matrix S1^H S2 per slot.  Each slot's paired
-    overlaps <first_perm[k]|second_k> are then one column-wise product over
-    the permuted first stack, and every one of them must pass the one
-    Collinear rule (:func:`~proddecomp.subspace._collinear`) that the
-    hypothesis checks read.  The paired magnitudes |values| (weights of a
+    overlaps <first_perm[k]|second_k> are then entries (perm[k], k) of the
+    same Grams, and every one of them must pass the one Collinear rule
+    (:func:`~proddecomp.subspace._collinear`) that the hypothesis checks
+    read.  The paired magnitudes |values| (weights of a
     product decomposition, coefficient magnitudes of a tridecomposition,
     named so in the message) must pass the one Equal rule
     (:func:`~proddecomp.subspace._equal`) on their difference and the two
@@ -306,16 +306,11 @@ def _certify(
     )
     if d1.n != d2.n:
         raise HypothesisViolation(f"term counts differ, {d1.n} vs {d2.n}, although the {gated} agree within eps")
-    score = np.ones((d1.n, d2.n))
-    for a1, a2 in zip(d1.stacks, d2.stacks):
-        score *= np.abs(a1.conj().T @ a2)
-    perm = score.argmax(axis=0).tolist()
-
-    # one column-wise product per slot, transposed so that row k holds term k's overlaps;
-    # n is small, so the checks run on Python floats, not on tiny arrays
-    cols = np.array(perm)
-    per_slot = [np.einsum("ij,ij->j", a1[:, cols].conj(), a2).tolist() for a1, a2 in zip(d1.stacks, d2.stacks)]
-    overlaps = list(zip(*per_slot))
+    grams = [a1.conj().T @ a2 for a1, a2 in zip(d1.stacks, d2.stacks)]
+    perm = np.prod(np.abs(grams), axis=0).argmax(axis=0).tolist()
+    # row k holds term k's overlaps, entries (perm[k], k) of the Grams; n is small, so the
+    # checks run on Python floats, not on tiny arrays
+    overlaps = list(zip(*(g[perm, range(d1.n)].tolist() for g in grams)))
     mags1, mags2 = ([abs(v) for v in d.values.tolist()] for d in (d1, d2))
     exponent = _weight_exponent(mags1, mags2)
     sum1, sum2 = (float(np.ldexp(np.abs(d.values), -exponent).sum()) for d in (d1, d2))
@@ -367,17 +362,18 @@ def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, f
     """||rho1 - rho2||_F, ||rho1||_F and ||rho2||_F for rho_i = V_i diag(w_i) V_i^dagger,
     given any R with R^dagger R = [V1 V2]^dagger [V1 V2] and the two weight vectors.
 
-    With [V1 V2] = Q R for Q with orthonormal columns, rho1 - rho2 =
-    Q R diag(w1, -w2) R^dagger Q^dagger, so every norm is that of a small
-    matrix from R, and the three are taken by one :func:`frobenius` call.  The
-    Gram expansion of ||rho1 - rho2||_F^2 would instead cancel to rounding
-    noise, losing half the digits, when rho1 = rho2.
+    With [V1 V2] = Q [R1 R2] for Q with orthonormal columns, rho_i =
+    Q R_i diag(w_i) R_i^dagger Q^dagger, so every norm is that of a small
+    matrix: the two products R_i diag(w_i) R_i^dagger and their difference,
+    taken by one :func:`frobenius` call.  The Gram expansion of
+    ||rho1 - rho2||_F^2 would instead cancel to rounding noise, losing half
+    the digits, when rho1 = rho2.
     """
     r1, r2 = r[:, : w1.size], r[:, w1.size :]
     mats = np.empty((3, len(r), len(r)), dtype=complex)
-    np.matmul(r * np.concatenate([w1, -w2]), r.conj().T, out=mats[0])
     np.matmul(r1 * w1, r1.conj().T, out=mats[1])
     np.matmul(r2 * w2, r2.conj().T, out=mats[2])
+    np.subtract(mats[1], mats[2], out=mats[0])
     return tuple(frobenius(mats).tolist())  # type: ignore[return-value]
 
 
@@ -540,13 +536,15 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     Hermitian probe X on the other factor,
     T = W_A^dagger Tr_other[rho (I (x) X)] W_A is an n x n Hermitian matrix
     with eigenvalues <b_j|X|b_j> and orthonormal eigenvectors v_t.  One
-    ``eigh`` gives the a-directions rho_A W_A v_t and the duals W_A v_t,
-    each rescaled so that <dual_t|a_t> = 1; the slice
-    G_t = (<dual_t| (x) I) W has ||G_t||_F^2 = w_t and, for a clean
-    operator, rank 1 with left vector b_t, so one power step from its
-    heaviest row (:func:`_leading_left`) reads b_t exactly; a slice that is
-    not rank 1 is left to the gates below.  The terms come out heaviest
-    first, each ket phased by :func:`~proddecomp.subspace.fix_phase`.
+    ``eigh`` gives the a-directions a_t = rho_A W_A v_t = U_A S_A v_t.  The
+    slice of W along the dual of a_t / ||a_t|| is ||a_t|| v_t^dagger Z up
+    to a phase, and the rows of V^dagger Z are orthonormal, so
+    w_t = ||a_t||^2: no dual is formed and no singular value divided by.
+    For a clean operator v_t^dagger Z, as a d_b x k slice, has rank 1 with
+    left vector b_t, so one power step from its heaviest row
+    (:func:`_leading_left`) reads b_t exactly; a slice that is not rank 1 is
+    left to the gates below.  The terms come out heaviest first, each ket
+    phased by :func:`~proddecomp.subspace.fix_phase`.
 
     One probe is drawn (``probes_used`` is 1): the scheme works with
     probability one on a generic probe.  The candidate is accepted when its
@@ -589,7 +587,7 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     conds = " and ".join(f"{r:.3g}" if n <= d else f"dim {d} < n" for r, d in ((r0, d0), (r1, d1)))
     where = f"factor {side}, rank {n}{cut}, (sigma_n/sigma_1)^2 {conds}"  # what decided n and the side
     db = d1 if side == 0 else d0
-    # rho_A = W_A W_A^dagger: with W_A = U_A S_A Z, the SVD of the tall W_A^dagger is (Z^dagger, S_A, U_A^dagger)
+    # rho_A = W_side W_side^dagger: with W_side = U_A S_A Z, the SVD of its tall conjugate is (Z^dagger, S_A, U_A^dagger)
     zh, s_a, u_ah = np.linalg.svd(sides[side].conj().T, full_matrices=False)
     u_a, s_a, z = u_ah[:n].conj().T, s_a[:n], zh[:, :n].conj().T
 
@@ -598,20 +596,17 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     # T = W_A^dagger Tr_other[rho (I (x) X)] W_A = sum_m Z_m X^T Z_m^dagger
     v = np.linalg.eigh((probe @ z.reshape(n, db, k)).reshape(n, db * k) @ z.conj().T)[1]
     a_cols = (u_a * s_a) @ v
-    a_cols = fix_phase(a_cols / np.linalg.norm(a_cols, axis=0), tol.eps)
-    duals = (u_a / s_a) @ v
-    # G_t = (<dual_t| (x) I) W / conj(<dual_t|a_t>), and <dual_t| W = v_t^dagger Z
-    slices = (v.conj().T @ z) / np.einsum("jt,jt->t", duals.conj(), a_cols)[:, None]
-    slices = slices.reshape(n, db, k)
-    weights = np.einsum("tkm,tkm->t", slices.conj(), slices).real
+    # the slice along the dual of a_t / ||a_t|| is ||a_t|| v_t^dagger Z up to a phase, and the
+    # rows of V^dagger Z are orthonormal, so w_t = ||a_t||^2 and no dual is formed
+    norms = np.linalg.norm(a_cols, axis=0)
+    weights = norms**2
     if not weights.min() > 0.0:  # NaN fails too
         raise NotExtractable(f"not extractable under hypotheses: a zero-weight slice ({where}, 1 probe)")
-    b_cols = fix_phase(_leading_left(slices), tol.eps)
+    a_cols = fix_phase(a_cols / norms, tol.eps)
+    b_cols = fix_phase(_leading_left((v.conj().T @ z).reshape(n, db, k)), tol.eps)
 
-    # heaviest term first, ties in eigenvalue order; each stack's columns renormalized, as Ket.normalize does
-    order = np.argsort(-weights, kind="stable")
+    order = np.argsort(-weights, kind="stable")  # heaviest term first, ties in eigenvalue order
     stacks = [c[:, order] for c in ((a_cols, b_cols) if side == 0 else (b_cols, a_cols))]
-    stacks = [c / np.linalg.norm(c, axis=0) for c in stacks]
     dec = ProductDecomposition._from_stacks(rho.dims, stacks, weights[order])
     if rho.factor is None:
         cols, wts = product_columns(dec)

@@ -219,9 +219,10 @@ def support_and_null(
 ) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Support and null space of an operator on one of its factors.
 
-    Both are computed from the reduced operator h on that factor
-    (:func:`~proddecomp.tensor._reduced`) by one ``eigh``.  Its support rank r
-    is :func:`_support_count` of those eigenvalues, so the support of the zero
+    Both are computed from the reduced operator h on that factor, the
+    Hermitian part of the reduction (:func:`~proddecomp.tensor._reduced`)
+    for every factor count, by one ``eigh``.  Its support rank r is
+    :func:`_support_count` of those eigenvalues, so the support of the zero
     operator is empty.  The r eigenvectors with the largest eigenvalues span
     the support, in descending-eigenvalue order (ties in ascending index), and
     the remaining ones, ascending, the null space.
@@ -229,8 +230,7 @@ def support_and_null(
     nfac, subsystem = len(rho.dims), _index(subsystem, "subsystem")
     if not 0 <= subsystem < nfac:
         raise DimensionMismatch(f"subsystem {subsystem} out of range for {nfac} factors")
-    h = rho.matrix if nfac == 1 else _reduced(rho, (subsystem,))
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(_reduced(rho, (subsystem,)))
     cut = evals.size - _support_count(evals.tolist(), tol)
     supp_idx = cut + np.argsort(-evals[cut:], kind="stable")
     ambient = rho.dims[subsystem]

@@ -679,6 +679,17 @@ class TestOneEqualGate:
         with pytest.raises(pd.NotExtractable, match=refusal):
             pd.extract_decomposition(rho, seed=0)
 
+    @pytest.mark.parametrize("form", [pd.build_rho, _dense])
+    def test_an_operator_no_factor_can_whiten_reaches_the_gate(self, form):
+        # three terms whose kets span 2 dimensions on each factor: rank 3, so sigma_3 = 0 on both
+        # factors, and the whitening's inverse singular values are not finite (warnings are errors)
+        e0, e1 = np.eye(3, dtype=complex)[:2]
+        a = np.column_stack([e0, e1, (e0 + e1) / np.sqrt(2.0)])
+        b = np.column_stack([e0, e1, (e0 - e1) / np.sqrt(2.0)])
+        dec = pd.ProductDecomposition._from_stacks(pd.FactoredDims((3, 3)), (a, b), np.array([0.5, 0.3, 0.2]))
+        with pytest.raises(pd.NotExtractable, match=r"no reconstruction within eps = 1e-08 \(factor ., rank 3, "):
+            pd.extract_decomposition(form(dec), seed=0)
+
 
 def _top_left_singular(slices):
     # the rule the power step replaced: each slice's top left singular vector, unit norm

@@ -324,6 +324,14 @@ class TestSupportAndNull:
             assert pd.support_and_null(rho, factor)[0].dim == rank
             assert len(calls) == 1
 
+    def test_one_factor_reads_the_hermitian_part(self):
+        # the stored entries differ across the diagonal by 6e-11; with c tuned, the smaller eigenvalue
+        # of the Hermitian part lies 3e-13 above eps * lambda_max, and that of the lower triangle
+        # 3e-13 below it, so a support read off one triangle has dim 1
+        m = np.array([[1.0, 0.01], [0.01 + 6e-11, 1.000100029e-4]], dtype=complex)
+        support, null = pd.support_and_null(pd.StateOperator(pd.FactoredDims((2,)), m), 0)
+        assert (support.dim, null.dim) == (2, 0)
+
     def test_zero_operator_has_empty_support(self):
         rho = pd.StateOperator(pd.FactoredDims((2, 3)), np.zeros((6, 6), dtype=complex))
         for factor, dim in ((0, 2), (1, 3)):
