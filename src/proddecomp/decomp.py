@@ -137,17 +137,16 @@ def _hypotheses(
     first slot that has one and that slot's first pair), then by rank: a
     product decomposition needs one independent ket set, a tridecomposition
     two.  The first failure raises HypothesisViolation under its input's label.
+    The pairs come in lexicographic (stack, i, j) order, so an input's first
+    pair in the list is the first pair of its first slot that has one.
     """
     pairs, ranks = _slot_verdicts([a for d, _ in checked for a in d.stacks], tol)
-    first: dict[int, tuple[int, int]] = {}
-    for s, i, j in pairs:
-        first.setdefault(s, (i, j))
     verdicts, start = [], 0
     for d, label in checked:
         slots = len(d.stacks)
-        for s in range(slots):
-            if start + s in first:
-                raise HypothesisViolation(f"{label}: {_SLOT_NAMES[s]}-set collinear pair {first[start + s]}")
+        for s, i, j in pairs:
+            if start <= s < start + slots:
+                raise HypothesisViolation(f"{label}: {_SLOT_NAMES[s - start]}-set collinear pair {(i, j)}")
         flags = tuple(r == d.n for r in ranks[start : start + slots])
         if slots == 2 and not any(flags):
             raise HypothesisViolation(f"{label}: neither ket set is linearly independent")
@@ -341,20 +340,27 @@ def match_tridecomposition(
     Pipeline: verify hypotheses on both inputs (:func:`_hypotheses`, one
     batch for both) and that the two global vectors agree, coefficient
     phases included, to eps * max(||v1||, ||v2||); then pair the terms and
-    certify every pair (:func:`_certify`), with coefficient magnitudes read
-    in units of 2^e, e the exponent of the largest
+    certify every pair (:func:`_certify`).  The gate and the certificate
+    both read the coefficients in units of 2^e, e the exponent of the
+    larger |coefficient| of both inputs
     (:func:`~proddecomp.tensor._weight_exponent`), as the bipartite matcher
-    reads its weights.  ``residual`` is the certificate's.
+    reads its weights: the vectors are expanded from exactly scaled
+    coefficients (:func:`~proddecomp.tensor._expansion`), so that
+    coefficients whose sum lies past the float maximum still match.  The
+    mismatch message gives the gap in the caller's units.  ``residual`` is
+    the certificate's.
     """
     _expect(TriDecomposition, t1, t2)
     if t1.dims != t2.dims:
         raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
     _hypotheses(((t1, "first tridecomposition"), (t2, "second tridecomposition")), tol)
 
-    (v1, norm1), (v2, norm2) = _expansion(t1.stacks, t1.values), _expansion(t2.stacks, t2.values)
+    e = _weight_exponent(*([abs(x) for x in t.values.tolist()] for t in (t1, t2)))
+    (v1, norm1), (v2, norm2) = (_expansion(t.stacks, t.values, e) for t in (t1, t2))
     gap = frobenius(v1 - v2)
     if not _equal(gap, norm1, norm2, tol):
-        raise OperatorMismatch(f"tripartite vectors differ by {gap:.3e} (coefficient phases included)")
+        with np.errstate(over="ignore"):  # a gap past the float maximum reads inf
+            raise OperatorMismatch(f"tripartite vectors differ by {np.ldexp(gap, e):.3e} (coefficient phases included)")
     return _certify(t1, t2, tol)
 
 
@@ -365,16 +371,13 @@ def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, f
     With [V1 V2] = Q [R1 R2] for Q with orthonormal columns, rho_i =
     Q R_i diag(w_i) R_i^dagger Q^dagger, so every norm is that of a small
     matrix: the two products R_i diag(w_i) R_i^dagger and their difference,
-    taken by one :func:`frobenius` call.  The Gram expansion of
+    one :func:`frobenius` call each.  The Gram expansion of
     ||rho1 - rho2||_F^2 would instead cancel to rounding noise, losing half
     the digits, when rho1 = rho2.
     """
     r1, r2 = r[:, : w1.size], r[:, w1.size :]
-    mats = np.empty((3, len(r), len(r)), dtype=complex)
-    np.matmul(r1 * w1, r1.conj().T, out=mats[1])
-    np.matmul(r2 * w2, r2.conj().T, out=mats[2])
-    np.subtract(mats[1], mats[2], out=mats[0])
-    return tuple(frobenius(mats).tolist())  # type: ignore[return-value]
+    m1, m2 = ((r_i * w_i) @ r_i.conj().T for r_i, w_i in ((r1, w1), (r2, w2)))
+    return frobenius(m1 - m2), frobenius(m1), frobenius(m2)
 
 
 def _factored_gap(

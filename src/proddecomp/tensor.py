@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -31,26 +31,24 @@ _TINY = float(np.finfo(float).tiny)
 _TRI_CANCEL_RTOL = 1e-8
 
 
-def frobenius(a: np.ndarray) -> float | np.ndarray:
-    """Frobenius norm as a plain float, safe against overflow and underflow; for
-    a stack of matrices (``ndim`` 3), one such norm per matrix, as a float array.
+def frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of one array as a plain float, safe against overflow and
+    underflow; an array of any shape gets the norm of all its entries, as
+    ``np.linalg.norm`` gives it (so a 3-D array gets one norm, not one per matrix).
 
-    One ``np.linalg.norm`` per matrix, all inside one ``np.errstate``, decides
-    when its result lies in [1e-150, 1e150] or the matrix is exactly zero.
-    Otherwise the plain sum of squares may have overflowed or underflowed, so
-    that matrix is divided by its largest |entry| first.  Non-finite entries
-    give a non-finite result.
+    ``np.linalg.norm`` decides when its result lies in [1e-150, 1e150] or the
+    array is exactly zero.  Otherwise the plain sum of squares may have
+    overflowed or underflowed, so the array is divided by its largest |entry|
+    first.  Non-finite entries give a non-finite result.
     """
     a = np.asarray(a)
-    mats = a if a.ndim > 2 else (a,)
     with np.errstate(over="ignore"):  # an overflow is caught by the range test
-        norms = [float(np.linalg.norm(m)) for m in mats]
-    for i, norm in enumerate(norms):
-        if not 1e-150 <= norm <= 1e150 and (norm != 0.0 or np.any(mats[i])):
-            mags = np.abs(mats[i])  # real, so the division below cannot overflow
-            big = float(np.max(mags))
-            norms[i] = big * float(np.linalg.norm(mags / big)) if math.isfinite(big) else big
-    return np.array(norms) if a.ndim > 2 else norms[0]
+        norm = float(np.linalg.norm(a))
+    if not 1e-150 <= norm <= 1e150 and (norm != 0.0 or np.any(a)):
+        mags = np.abs(a)  # real, so the division below cannot overflow
+        big = float(np.max(mags))
+        norm = big * float(np.linalg.norm(mags / big)) if math.isfinite(big) else big
+    return norm
 
 
 def _weight_exponent(*weights: Sequence[float]) -> int:
@@ -271,6 +269,7 @@ def _check_psd(m: np.ndarray, work: np.ndarray, scale: float) -> None:
         )
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class StateOperator:
     """Hermitian positive-semidefinite operator on a factored space, in one of two forms.
 
@@ -290,7 +289,8 @@ class StateOperator:
     :func:`partial_trace` never do.
 
     Both forms run one ``__post_init__``, which enforces ``MAX_AMBIENT_DIM``.
-    Instances are immutable.
+    Instances are immutable: a frozen dataclass, with ``dims`` and ``factor``
+    as its fields, built only by the constructors here.
     """
 
     dims: FactoredDims
@@ -329,12 +329,6 @@ class StateOperator:
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "factor", factor)
         self.__post_init__()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __post_init__(self) -> None:
         n = self.dims.total
@@ -727,16 +721,23 @@ def _reduced(rho: StateOperator, kept: tuple[int, ...]) -> np.ndarray:
     return _hermitian_part(reduced, np.empty_like(reduced), _diagonal_max(reduced))
 
 
-def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Raw vector sum_j values_j (x)_s stacks_s[:, j] over 2 or 3 slots, and its norm.
+def _expansion(
+    stacks: Sequence[np.ndarray], values: np.ndarray, exponent: int = 0
+) -> tuple[np.ndarray, float]:
+    """Raw vector sum_j values_j (x)_s stacks_s[:, j] over 2 or 3 slots, and its norm,
+    both in units of 2^exponent: the values are first scaled by 2^-exponent, exactly
+    where none falls below the float range (:func:`_times_pow2`).
 
     The slots are combined pairwise (one ``einsum``) and the last one by a
     GEMM, in row-major Kronecker order.  A vector whose norm is at most
     ``_TRI_CANCEL_RTOL`` times sum_j |values_j| has cancelled and raises
-    DegenerateInput; both sides of that rule are scale-safe.  An overflowing norm or sum
-    raises before it, as an overflow.
+    DegenerateInput, quoting both numbers in the caller's units; both sides
+    of that rule are scale-safe.  An overflowing norm or sum raises before
+    it, as an overflow; at the exponent of the largest |value| neither can
+    overflow, since the kets are unit.
     """
     n = values.size
+    values = _times_pow2(values, -exponent)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         total = float(np.abs(values).sum())
         acc = stacks[0] * values
@@ -749,7 +750,7 @@ def _expansion(stacks: Sequence[np.ndarray], values: np.ndarray) -> tuple[np.nda
     bound = _TRI_CANCEL_RTOL * total
     if raw <= bound:
         raise DegenerateInput(
-            f"expansion vector cancels: norm {raw!r} is at most {bound!r} "
+            f"expansion vector cancels: norm {math.ldexp(raw, exponent)!r} is at most {math.ldexp(bound, exponent)!r} "
             f"(_TRI_CANCEL_RTOL * sum of coefficient magnitudes); degenerate input"
         )
     return v, raw

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import proddecomp as pd
-from proddecomp import fileio
+from proddecomp import cli, fileio
 from proddecomp.cli import build_parser, main
 
 
@@ -795,6 +796,25 @@ class TestDemoCommand:
         assert "eigenvalues: 0.5 0.5 0 0" in done.stdout
         assert "0.70710678 0.70710678" in done.stdout
         assert "q1 factorable: no" in done.stdout
+
+
+class TestEntryPoints:
+    """``python -m proddecomp`` and the console script, run in this process: each exits with main's code."""
+
+    def test_module_main_exits_with_mains_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["proddecomp", "demo"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("proddecomp", run_name="__main__")
+        assert info.value.code == 0
+        assert "q1 factorable: no" in capsys.readouterr().out
+
+    def test_console_script_exits_with_mains_code(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["proddecomp", "check", "missing.json"])
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+        assert info.value.code == 2
+        assert capsys.readouterr().err == "error: no such file: missing.json\n"
 
 
 class TestCheckCommand:

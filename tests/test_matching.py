@@ -552,6 +552,41 @@ class TestWeightsPastTheFloatMaximum:
         assert normalized.values.tolist() == pytest.approx([1.5 / 2.7, 1.2 / 2.7], rel=1e-15)
 
 
+class TestCoefficientsPastTheFloatMaximum:
+    """Coefficients whose sum of magnitudes lies past the float maximum: the
+    tripartite gate expands both vectors in units of a power of two, as the
+    bipartite gate reads its weights, and reports the gap in the caller's units."""
+
+    @staticmethod
+    def _top(first=1.5e308):
+        e = np.eye(2)
+        return pd.TriDecomposition._from_stacks(pd.FactoredDims((2, 2, 2)), (e, e, e), [first, -1.2e308j])
+
+    def test_a_twin_certifies_with_the_magnitudes_as_stored(self):
+        # the parent's expansion overflowed: "expansion vector overflows: norm inf" (exit 2)
+        t = self._top()
+        twin, perm = pd.phase_permuted_twin(t, seed=4)
+        result = pd.match_tridecomposition(t, twin)
+        assert result.permutation == perm and result.residual < 1e-12
+        assert [(c.weight_first, c.weight_second) for c in result.per_term] == [
+            (abs(v), abs(v)) for v in twin.values.tolist()
+        ]
+
+    def test_a_halved_coefficient_is_a_mismatch(self):
+        with pytest.raises(pd.OperatorMismatch, match=r"^tripartite vectors differ by 7\.500e\+307 "):
+            pd.match_tridecomposition(self._top(), self._top(0.75e308))
+
+    def test_a_cancellation_is_quoted_in_the_callers_units(self):
+        e0 = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        values = np.array([1.0, -1.0], dtype=complex)
+        messages = []
+        for exponent in (0, 5, -7):
+            with pytest.raises(pd.DegenerateInput, match="expansion vector cancels") as info:
+                tensor._expansion((e0, e0, e0), values, exponent)
+            messages.append(str(info.value))
+        assert messages == [messages[0]] * 3 and "norm 0.0 is at most 2e-08 " in messages[0]
+
+
 class TestDenseFreeBipartiteMatching:
     @staticmethod
     def _certify_twin(dec, seed):

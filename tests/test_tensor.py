@@ -750,32 +750,35 @@ class TestExpansion:
                 tensor._expansion([e] * nfac, 1.5e308 * np.array(signs, dtype=float))
 
 
-class TestFrobeniusStacks:
-    """``frobenius`` of a stack: one norm per matrix, each as the lone matrix gets it."""
+class TestFrobeniusOneArray:
+    """``frobenius`` takes one array: the norm of all its entries, rescued when out of range."""
 
-    def test_each_norm_is_the_lone_matrix_norm_bit_for_bit(self):
+    def test_each_norm_in_range_is_numpys_bit_for_bit(self):
+        # a 3-D array gets the norm of all its entries, as np.linalg.norm gives it
         rng = np.random.default_rng(2)
-        for shape in [(3, 4, 4), (2, 5, 3), (1, 1, 7)]:
-            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            norms = pd.frobenius(stack)
-            assert norms.shape == shape[:1]
-            assert norms.tolist() == [pd.frobenius(m) for m in stack] == [float(np.linalg.norm(m)) for m in stack]
+        for shape in [(7,), (4, 4), (2, 5, 3), (3, 4, 4)]:
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            norm = pd.frobenius(a)
+            assert type(norm) is float
+            assert norm == float(np.linalg.norm(a)) == float(np.linalg.norm(a.ravel()))
 
-    def test_every_matrix_is_rescued_on_its_own(self):
+    def test_every_scale_is_rescued(self):
         # squares that overflow, squares that underflow, a zero matrix and a
-        # matrix of ordinary scale, in one stack and inside one errstate
+        # matrix of ordinary scale, each with warnings as errors
         rng = np.random.default_rng(3)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            norms = pd.frobenius(np.stack([m * 1e200, m * 1e-200, 0 * m, m]))
+            norms = [pd.frobenius(x) for x in (m * 1e200, m * 1e-200, 0 * m, m)]
         ref = np.linalg.norm(m)
         assert norms[0] == pytest.approx(ref * 1e200, rel=1e-14)
         assert norms[1] == pytest.approx(ref * 1e-200, rel=1e-14)
-        assert norms[2:].tolist() == [0.0, pd.frobenius(m)]
+        assert norms[2:] == [0.0, float(ref)]
 
-    def test_non_finite_matrices_stay_non_finite(self):
-        m = np.ones((2, 2, 2), dtype=complex)
-        m[0, 0, 0], m[1, 1, 1] = np.inf, np.nan
-        norms = pd.frobenius(m)
-        assert norms[0] == np.inf and np.isnan(norms[1])
+    def test_non_finite_entries_stay_non_finite(self):
+        m = np.ones((2, 2), dtype=complex)
+        m[0, 0] = np.inf
+        assert pd.frobenius(m) == np.inf
+        m[1, 1] = np.nan
+        assert np.isnan(pd.frobenius(m))
+        assert np.isnan(pd.frobenius(np.full((2, 2, 2), np.nan)))
