@@ -18,6 +18,7 @@ from .errors import (
     _nonconvergence,
 )
 from .subspace import (
+    _MACHINE_EPS,
     DEFAULT_TOL,
     ToleranceConfig,
     _collinear,
@@ -268,19 +269,31 @@ def _split_pairs(stacks, values: np.ndarray, split: FactoredDims, tol: Tolerance
 # matching
 
 
+def _pairing(
+    d1: ProductDecomposition | TriDecomposition, d2: ProductDecomposition | TriDecomposition
+) -> tuple[list[np.ndarray], list[int]]:
+    """The n1 x n2 cross-Gram matrix S1^H S2 of each slot, and the pairing perm: term k
+    of the second input pairs with the term perm[k] of the first that maximizes the
+    product over slots of |<first_j|second_k>|, read off those Grams."""
+    grams = [a1.conj().T @ a2 for a1, a2 in zip(d1.stacks, d2.stacks)]
+    # math.prod multiplies the slots left to right, as np.prod along a stacked axis does, bit for bit
+    return grams, math.prod(map(np.abs, grams)).argmax(axis=0).tolist()
+
+
 def _certify(
     d1: ProductDecomposition | TriDecomposition,
     d2: ProductDecomposition | TriDecomposition,
+    pairing: tuple[list[np.ndarray], list[int]],
+    exponent: int,
     tol: ToleranceConfig,
 ) -> MatchResult:
     """Certify that the two decompositions agree term by term: the claim a
     :class:`MatchResult` makes, decided from the ``stacks`` and ``values`` alone.
 
-    Pairing: term k of the second input pairs with the term j of the first
-    that maximizes the product over slots of |<first_j|second_k>|, read off
-    one n x n cross-Gram matrix S1^H S2 per slot.  Each slot's paired
-    overlaps <first_perm[k]|second_k> are then entries (perm[k], k) of the
-    same Grams, and every one of them must pass the one Collinear rule
+    ``pairing`` is :func:`_pairing` of the two inputs: term k of the second
+    input pairs with the term perm[k] of the first, and each slot's paired
+    overlaps <first_perm[k]|second_k> are entries (perm[k], k) of its
+    cross-Gram.  Every one of them must pass the one Collinear rule
     (:func:`~proddecomp.subspace._collinear`) that the hypothesis checks
     read.  The paired magnitudes |values| (weights of a
     product decomposition, coefficient magnitudes of a tridecomposition,
@@ -288,8 +301,9 @@ def _certify(
     (:func:`~proddecomp.subspace._equal`) on their difference and the two
     inputs' sums of |values|: |w1 - w2| <= eps * max(sum1, sum2), relative
     at every scale.  The magnitudes and both sums are read in units of
-    2^e, e the exponent of the inputs' largest |value|
-    (:func:`~proddecomp.tensor._weight_exponent`): exact scalings that keep
+    2^exponent, the exponent of the inputs' largest |value|
+    (:func:`~proddecomp.tensor._weight_exponent`) that the matcher's gate
+    already read: exact scalings that keep
     a sum past the float maximum finite and leave every comparison and ratio
     as it is; certificates and messages carry the magnitudes as stored.
     Inputs with different term counts are refused first, naming both counts;
@@ -305,13 +319,11 @@ def _certify(
     )
     if d1.n != d2.n:
         raise HypothesisViolation(f"term counts differ, {d1.n} vs {d2.n}, although the {gated} agree within eps")
-    grams = [a1.conj().T @ a2 for a1, a2 in zip(d1.stacks, d2.stacks)]
-    perm = np.prod(np.abs(grams), axis=0).argmax(axis=0).tolist()
+    grams, perm = pairing
     # row k holds term k's overlaps, entries (perm[k], k) of the Grams; n is small, so the
     # checks run on Python floats, not on tiny arrays
     overlaps = list(zip(*(g[perm, range(d1.n)].tolist() for g in grams)))
     mags1, mags2 = ([abs(v) for v in d.values.tolist()] for d in (d1, d2))
-    exponent = _weight_exponent(mags1, mags2)
     sum1, sum2 = (float(np.ldexp(np.abs(d.values), -exponent).sum()) for d in (d1, d2))
     pad = (None,) * (3 - len(d1.stacks))
     residual, certs = 0.0, []
@@ -339,10 +351,10 @@ def match_tridecomposition(
 
     Pipeline: verify hypotheses on both inputs (:func:`_hypotheses`, one
     batch for both) and that the two global vectors agree, coefficient
-    phases included, to eps * max(||v1||, ||v2||); then pair the terms and
-    certify every pair (:func:`_certify`).  The gate and the certificate
-    both read the coefficients in units of 2^e, e the exponent of the
-    larger |coefficient| of both inputs
+    phases included, to eps * max(||v1||, ||v2||); then pair the terms
+    (:func:`_pairing`) and certify every pair (:func:`_certify`).  The gate
+    and the certificate both read the coefficients in units of 2^e, e the
+    exponent of the larger |coefficient| of both inputs, read once
     (:func:`~proddecomp.tensor._weight_exponent`), as the bipartite matcher
     reads its weights: the vectors are expanded from exactly scaled
     coefficients (:func:`~proddecomp.tensor._expansion`), so that
@@ -361,7 +373,7 @@ def match_tridecomposition(
     if not _equal(gap, norm1, norm2, tol):
         with np.errstate(over="ignore"):  # a gap past the float maximum reads inf
             raise OperatorMismatch(f"tripartite vectors differ by {np.ldexp(gap, e):.3e} (coefficient phases included)")
-    return _certify(t1, t2, tol)
+    return _certify(t1, t2, _pairing(t1, t2), e, tol)
 
 
 def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
@@ -393,7 +405,8 @@ def _factored_gap(
 
 def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition, exponent: int = 0) -> tuple[float, float, float]:
     """:func:`_gap_from_r` for the operators of two product decompositions, read
-    off their d_s x n stacks alone, with no N-row array.
+    off their d_s x n stacks alone, with no N-row array: the bipartite gate's
+    fallback, which decides where :func:`_paired_gap` cannot.
 
     For k = n1 + n2, one batched ``qr(mode="r")`` of the two slots' d_s x k
     blocks [S2_s S1_s], zero-padded to one shape, gives [S2_s S1_s] = Q_s R_s;
@@ -421,6 +434,84 @@ def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition, exponent: i
     return gap, norm1, norm2
 
 
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative bound on k roundings in a
+    row (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 3.1)."""
+    u = _MACHINE_EPS / 2.0
+    return k * u / (1.0 - k * u)
+
+
+def _paired_gap(
+    d1: ProductDecomposition,
+    d2: ProductDecomposition,
+    pairing: tuple[list[np.ndarray], list[int]],
+    exponent: int,
+    tol: ToleranceConfig,
+) -> tuple[float, float, float] | None:
+    """||rho1 - rho2||_F, ||rho1||_F and ||rho2||_F, in units of 2^exponent, when their
+    rounding bounds decide the Equal rule at ``tol``; None when they do not.
+
+    ``pairing`` is :func:`_pairing` of the two inputs.  For term k of the
+    second input and j = perm[k], alpha_k = <a1_j|a2_k> and beta_k =
+    <b1_j|b2_k> are entries of its cross-Grams, and the slot differences
+    da_k = a2_k - alpha_k a1_j and db_k = b2_k - beta_k b1_j give exactly
+    a2_k (x) b2_k = alpha_k beta_k a1_j (x) b1_j + alpha_k a1_j (x) db_k + da_k (x) b2_k.
+    So rho1 - rho2 = P C P^H for the m = n1 + 2 n2 product columns
+    P = [a1_j (x) b1_j | a1_perm[k] (x) db_k | da_k (x) b2_k] and a Hermitian m x m C:
+    diag(w1) minus sum_k w2_k c_k c_k^H, c_k holding alpha_k beta_k, alpha_k and 1
+    at the three columns of term k.  Then ||rho1 - rho2||_F^2 = tr(C G C G), G = P^H P
+    the Hadamard product of the two slots' m x m Grams (Kolda & Bader, SIAM Rev.
+    51, 2009, section 2.6), and ||rho_i||_F^2 = w_i^T (|A_i^H A_i|^2 o |B_i^H B_i|^2) w_i,
+    a form of nonnegative terms.  Where rho1 = rho2 the differences are small, so
+    no term cancels as the plain Gram expansion of the gap does.
+
+    Bounds (Higham, section 3.1, with nu_i = sqrt(G_ii)): the squared gap is
+    within 2 gamma_L (nu^T |C| nu)^2, L = m^2 + 2(m + d_a + d_b) + 64, of that of
+    the operators the computed P and C represent, and those lie within
+    gamma_{n2+64} sum w2 <= gamma_{n2+64} sqrt(n2) ||rho2||_F of rho1 - rho2, the
+    rounding of the differences and of C's first diagonal block (the kets are
+    unit, to 1e-12); each norm is within a relative
+    gamma_{4 n (d_a + d_b + 16)}.  The gap is returned only when its whole
+    interval lies on one side of eps * max(||rho1||_F, ||rho2||_F) over the
+    norms' intervals, so :func:`~proddecomp.subspace._equal` of the result is the
+    exact decision.  The bound is a rounding bound, not a tolerance.  No
+    ``linalg`` routine runs, and no array has more than max(d_a, d_b, m) rows.
+    """
+    (a1, b1), (a2, b2) = d1.stacks, d2.stacks
+    (cross_a, cross_b), perm = pairing
+    n1, n2 = d1.n, d2.n
+    m, cols, rows = n1 + 2 * n2, np.arange(n2), np.array(perm)
+    paired = rows * n2 + cols  # flat indices of the entries (perm[k], k)
+    alpha, beta = cross_a.take(paired), cross_b.take(paired)
+    a1p = a1.take(rows, 1)
+    pa = np.concatenate((a1, a1p, a2 - a1p * alpha), 1)
+    pb = np.concatenate((b1, b2 - b1.take(rows, 1) * beta, b2), 1)
+    gram_b = pb.conj().T @ pb
+    g = (pa.conj().T @ pa) * gram_b
+    w1, w2 = (np.ldexp(d.values, -exponent) for d in (d1, d2))
+    coeffs = np.zeros((m, n2), dtype=complex)  # column k is c_k
+    coeffs[rows, cols] = alpha * beta
+    coeffs[n1 + cols, cols] = alpha
+    coeffs[n1 + n2 + cols, cols] = 1.0
+    c = (coeffs * -w2) @ coeffs.conj().T
+    c.ravel()[: n1 * (m + 1) : m + 1] += w1  # the first block's diagonal, through a view
+    cg = c @ g
+    gap2 = float(np.einsum("ij,ji->", cg, cg).real)
+    nu = np.sqrt(g.diagonal().real)
+    spread = float(nu @ np.abs(c) @ nu)
+    slack2 = 2.0 * _gamma(m * m + 2 * (m + sum(d1.dims)) + 64) * spread * spread
+    gram2 = (a2.conj().T @ a2) * gram_b[n1 + n2 :, n1 + n2 :]
+    norm1, norm2 = (math.sqrt(float(w @ (abs(x) ** 2) @ w)) for w, x in ((w1, g[:n1, :n1]), (w2, gram2)))
+    slack = _gamma(n2 + 64) * math.sqrt(n2) * norm2
+    threshold = tol.eps * max(norm1, norm2)
+    rel = _gamma(4 * max(n1, n2) * (sum(d1.dims) + 16))
+    low = math.sqrt(max(gap2 - slack2, 0.0)) - slack
+    high = math.sqrt(gap2 + slack2) + slack
+    if high <= threshold * (1.0 - rel) or low > threshold * (1.0 + rel):
+        return math.sqrt(max(gap2, 0.0)), norm1, norm2
+    return None
+
+
 @_nonconvergence("matching: a linear-algebra routine")
 def match_bidecomposition(
     d1: ProductDecomposition, d2: ProductDecomposition, tol: ToleranceConfig = DEFAULT_TOL
@@ -429,20 +520,22 @@ def match_bidecomposition(
     are term-wise collinear up to a permutation, with equal weights.
 
     Pipeline: check hypotheses on both inputs (:func:`_hypotheses`, one
-    batch for both); gate operator equality, ||rho1 - rho2||_F <=
-    eps * max(||rho1||_F, ||rho2||_F), from the stacks alone
-    (:func:`_product_gap`: two small QRs, O((d_a + d_b) k^2 +
-    min(d_a, k) min(d_b, k) k^2) time for k = n1 + n2, and no N-row
-    array, so not bound by ``MAX_AMBIENT_DIM``); then pair the terms and
-    certify every pair as :func:`match_tridecomposition` does
-    (:func:`_certify`), with paired weights compared by the gate's Equal
+    batch for both); pair the terms (:func:`_pairing`, one n1 x n2
+    cross-Gram per slot); gate operator equality, ||rho1 - rho2||_F <=
+    eps * max(||rho1||_F, ||rho2||_F), from the stacks alone: in the basis
+    of the pairing's slot differences (:func:`_paired_gap`: two m x m slot
+    Grams for m = n1 + 2 n2, O((d_a + d_b) m^2 + m^3) time, no ``linalg``
+    routine and no N-row array, so not bound by ``MAX_AMBIENT_DIM``),
+    and, only where that gate's rounding bound straddles the threshold,
+    by :func:`_product_gap` (two small QRs); then certify every pair as
+    :func:`match_tridecomposition` does (:func:`_certify`, on the same
+    pairing), with paired weights compared by the gate's Equal
     rule, to eps times the larger weight sum.  Both rules are relative,
     so a match does not depend on the weight scale, and both read the
     weights in units of 2^e, e the exponent of the largest
-    (:func:`~proddecomp.tensor._weight_exponent`), so that sums and norms
-    past the float maximum stay finite: the gate through
-    :func:`_product_gap`, the certificate from the same e.  The mismatch
-    message gives the gap in the caller's units.  Certificates carry
+    (:func:`~proddecomp.tensor._weight_exponent`, read once), so that sums and norms
+    past the float maximum stay finite.  The mismatch
+    message gives the gate's gap in the caller's units.  Certificates carry
     ``overlap_c = None``.
     """
     _expect(ProductDecomposition, d1, d2)
@@ -451,11 +544,12 @@ def match_bidecomposition(
     _hypotheses(((d1, "first decomposition"), (d2, "second decomposition")), tol)
 
     e = _weight_exponent(d1.values, d2.values)
-    gap, norm1, norm2 = _product_gap(d1, d2, e)
+    pairing = _pairing(d1, d2)
+    gap, norm1, norm2 = _paired_gap(d1, d2, pairing, e, tol) or _product_gap(d1, d2, e)
     if not _equal(gap, norm1, norm2, tol):
         with np.errstate(over="ignore"):  # a gap past the float maximum reads inf
             raise OperatorMismatch(f"operators differ by {np.ldexp(gap, e):.3e} in Frobenius norm")
-    return _certify(d1, d2, tol)
+    return _certify(d1, d2, pairing, e, tol)
 
 
 # ---------------------------------------------------------------------------

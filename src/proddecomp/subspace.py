@@ -44,6 +44,10 @@ class ToleranceConfig:
     ``fix_phase`` eps 1e-8    the default phase pivot, the first |entry| above it, of a direct
                               call: ``_schmidt`` and extraction pass ``eps``
     generator margins         overlap <= 1 - 1e-3, condition <= 1e4, 200 draws: inside DEFAULT_TOL
+    _NEAR_ULPS 64             a padded stack with a Gram entry or singular value this many machine
+                              epsilons from its threshold is decided again alone: which pass decides
+    ``_paired_gap`` bound     the bipartite gate's rounding interval, not a threshold: where it
+                              straddles eps, ``_product_gap`` decides, so it decides nothing eps does not
     """
 
     eps: float = 1e-8
@@ -184,6 +188,11 @@ def _support_count(values: Sequence[float], tol: ToleranceConfig) -> int:
     return sum(v > 0.0 and v >= cut for v in values)
 
 
+#: A padded stack whose Gram entry or singular value lies within this many machine epsilons
+#: of its threshold is decided again alone (:func:`_slot_verdicts`).
+_NEAR_ULPS = 64
+
+
 @_nonconvergence("rank SVD")
 def _slot_verdicts(
     stacks: Sequence[np.ndarray], tol: ToleranceConfig
@@ -195,8 +204,12 @@ def _slot_verdicts(
     arithmetic zero rows and columns add no Gram entry >= 1 - eps and no
     singular value > 0, so they change no verdict.  In floating point the
     padded shape can change the rounding of a stack's Gram entries and
-    singular values, so a verdict within a few ulps of its threshold can
-    depend on what the stack is batched with.  Pairs are the (stack, i, j)
+    singular values, so a padded stack with a Gram entry within
+    ``_NEAR_ULPS`` machine epsilons of 1 - eps, or a singular value within
+    ``_NEAR_ULPS`` machine epsilons times sigma_1 of eps * sigma_1, is
+    decided again alone, by the same pass on its own shape: a verdict does
+    not depend on what the stack is batched with.  A stack that needs no
+    padding is decided once.  Pairs are the (stack, i, j)
     with i < j whose |<a_i|a_j>| :func:`_collinear` calls collinear, in
     lexicographic order.  A stack's rank is
     :func:`_support_count` of its singular values, counted in plain floats
@@ -205,12 +218,32 @@ def _slot_verdicts(
     of 1e-16, below double precision.
     """
     shapes = [a.shape for a in stacks]
-    x = np.zeros((len(stacks), *map(max, zip(*shapes))), dtype=complex)
+    shape = tuple(map(max, zip(*shapes)))
+    x = np.zeros((len(stacks), *shape), dtype=complex)
     for i, (a, (d, n)) in enumerate(zip(stacks, shapes)):
         x[i, :d, :n] = a
-    hits = np.nonzero(_collinear(np.abs(x.conj().transpose(0, 2, 1) @ x), tol))
+    overlaps = np.abs(x.conj().transpose(0, 2, 1) @ x)
+    hits = np.nonzero(_collinear(overlaps, tol))
     pairs = [(s, i, j) for s, i, j in zip(*(h.tolist() for h in hits)) if i < j]
-    return pairs, [_support_count(s, tol) for s in np.linalg.svd(x, compute_uv=False).tolist()]
+    spectra = np.linalg.svd(x, compute_uv=False).tolist()
+    ranks = [_support_count(s, tol) for s in spectra]
+    if len(set(shapes)) == 1:
+        return pairs, ranks
+    near = _NEAR_ULPS * _MACHINE_EPS
+    close = np.abs(overlaps - (1.0 - tol.eps))
+    gram_near = (close <= near).any(axis=(1, 2)).tolist() if close.min() <= near else [False] * len(stacks)
+    alone = []
+    for i, (ab, s, rank) in enumerate(zip(shapes, spectra, ranks)):
+        # a spectrum is descending: the values nearest the cut are the last one counted and the next
+        cut, width = tol.eps * s[0], near * s[0]
+        if ab != shape and (
+            gram_near[i] or (rank and s[rank - 1] - cut <= width) or (rank < len(s) and cut - s[rank] <= width)
+        ):
+            alone.append(i)
+    for i in alone:
+        own, ranks[i : i + 1] = _slot_verdicts(stacks[i : i + 1], tol)
+        pairs = [p for p in pairs if p[0] != i] + [(i, a, b) for _, a, b in own]
+    return (sorted(pairs) if alone else pairs), ranks
 
 
 @_nonconvergence("support eigendecomposition")

@@ -331,6 +331,12 @@ class TestUniquenessProperty:
             pd.match_bidecomposition(dec, other)
 
 
+def _certify(d1, d2, tol):
+    """``decomp._certify`` on the pairing and the magnitude exponent that its matchers pass it."""
+    exponent = tensor._weight_exponent(*([abs(v) for v in d.values.tolist()] for d in (d1, d2)))
+    return decomp._certify(d1, d2, decomp._pairing(d1, d2), exponent, tol)
+
+
 def _rescaled(dec, factor, first=1.0):
     """``dec`` with every weight or coefficient times ``factor``, and term 0's times ``first`` too."""
     values = dec.values * factor
@@ -444,9 +450,9 @@ class TestOneEqualRoutine:
         with pytest.raises(pd.NotExtractable, match="no reconstruction within eps"):
             pd.extract_decomposition(pd.build_rho(dec), seed=0)
         with pytest.raises(pd.HypothesisViolation, match=r"^weight mismatch for term pair \(0, 0\)"):
-            decomp._certify(dec, dec, pd.DEFAULT_TOL)
+            _certify(dec, dec, pd.DEFAULT_TOL)
         with pytest.raises(pd.HypothesisViolation, match=r"^coefficient magnitude mismatch for term pair \(0, 0\)"):
-            decomp._certify(tri, tri, pd.DEFAULT_TOL)
+            _certify(tri, tri, pd.DEFAULT_TOL)
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-4])
     def test_the_certificate_decides_paired_weights_by_it_to_the_last_bit(self, eps):
@@ -462,7 +468,7 @@ class TestOneEqualRoutine:
             moved = pd.ProductDecomposition._from_stacks(dec.dims, dec.stacks, values)
             expected = subspace._equal(abs(values[0] - w0), total, values.sum(), tol)
             try:
-                decomp._certify(dec, moved, tol)
+                _certify(dec, moved, tol)
                 verdicts.append(True)
             except pd.HypothesisViolation as exc:
                 assert str(exc).startswith("weight mismatch for term pair (0, 0)")
@@ -506,7 +512,7 @@ class TestOneCollinearRule:
                         first = pd.TriDecomposition(dims, (pd.TriTerm(1.0, other, other, x),))
                         second = pd.TriDecomposition(dims, (pd.TriTerm(1.0, other, other, y),))
                     try:
-                        certified = decomp._certify(first, second, pd.DEFAULT_TOL).n == 1
+                        certified = _certify(first, second, pd.DEFAULT_TOL).n == 1
                     except pd.HypothesisViolation as exc:
                         assert "collinearity certificate failed" in str(exc)
                         certified = False
@@ -545,7 +551,7 @@ class TestWeightsPastTheFloatMaximum:
         # and a weight test against it could never fail
         d1, d2 = self._top(), self._top(1.5e308 * (1 + 1e-5))
         with pytest.raises(pd.HypothesisViolation, match=r"weight mismatch for term pair \(0, 0\): 1\.5e\+308 vs"):
-            decomp._certify(d1, d2, pd.DEFAULT_TOL)
+            _certify(d1, d2, pd.DEFAULT_TOL)
 
     def test_normalized_sums_to_one(self):
         normalized = self._top().normalized()
@@ -588,24 +594,14 @@ class TestCoefficientsPastTheFloatMaximum:
 
 
 class TestDenseFreeBipartiteMatching:
-    @staticmethod
-    def _certify_twin(dec, seed):
-        twin, perm = pd.phase_permuted_twin(dec, seed=seed)
-        assert pd.match_bidecomposition(dec, twin).permutation == perm
-        gap, norm1, norm2 = decomp._product_gap(dec, twin)
-        return gap / max(norm1, norm2)
-
     def test_factored_gate_is_exact_on_twins(self):
         # the Gram expansion of ||rho1 - rho2||_F^2 cancels to ~1e-16 here,
-        # a relative gap near 1e-8; the QR-factored gate stays at rounding
+        # a relative gap near 1e-8; the QR-factored gate and the paired gate stay at rounding
         worst = 0.0
-        for i in range(300):
-            profile = pd.BI_PROFILES[i % 3]
-            dec = pd.generate_instance(3 + i % 4, 8, 8, seed=i, profile=profile)
-            worst = max(worst, self._certify_twin(dec, seed=i + 1000))
-        for k, profile in enumerate(pd.BI_PROFILES):
-            dec = pd.generate_instance(16, 32, 32, seed=k, profile=profile)
-            worst = max(worst, self._certify_twin(dec, seed=k + 2000))
+        for dec, twin, perm in _twin_instances():
+            assert pd.match_bidecomposition(dec, twin).permutation == perm
+            for gap, norm1, norm2 in (decomp._product_gap(dec, twin), _paired(dec, twin, pd.DEFAULT_TOL)[0]):
+                worst = max(worst, gap / max(norm1, norm2))
         assert worst <= 1e-12
 
     @pytest.mark.parametrize(
@@ -703,6 +699,132 @@ class TestDenseFreeBipartiteMatching:
         assert result.residual == pytest.approx(1.0 - 0.99106, abs=1e-5)
 
 
+def _twin_instances():
+    """The 300 small and 3 dense (32 x 32, n = 16) (decomposition, twin, permutation) triples
+    of the gate precision test."""
+    triples = []
+    for i in range(300):
+        dec = pd.generate_instance(3 + i % 4, 8, 8, seed=i, profile=pd.BI_PROFILES[i % 3])
+        triples.append((dec, *pd.phase_permuted_twin(dec, seed=i + 1000)))
+    for k, profile in enumerate(pd.BI_PROFILES):
+        dec = pd.generate_instance(16, 32, 32, seed=k, profile=profile)
+        triples.append((dec, *pd.phase_permuted_twin(dec, seed=k + 2000)))
+    return triples
+
+
+def _ill_report_pairs():
+    """Each ill-grid report against its source, in both orders: generate_instance(6, 8, 8, seed=i),
+    i < 60, restacked with weights geomspace(1, spread, 6), extracted from both operator forms."""
+    pairs = []
+    for spread in (1e-7, 3e-8, 1e-8):
+        for i in range(60):
+            base = pd.generate_instance(6, 8, 8, seed=i, profile=pd.BI_PROFILES[i % 3])
+            dec = pd.ProductDecomposition._from_stacks(base.dims, base.stacks, np.geomspace(1, spread, 6))
+            for rho in (pd.build_rho(dec), pd.StateOperator(dec.dims, pd.rho_matrix(dec))):
+                try:
+                    report = pd.extract_decomposition(rho, seed=i).decomposition
+                except pd.NotExtractable:
+                    continue
+                pairs += [(dec, report), (report, dec)]
+    return pairs
+
+
+def _gate_cases():
+    """The twins, copies of them with one weight x (1 + 1e-9 ... 1e-3), the ill-grid reports
+    against their sources, and twins and shifted copies at weight scales 1e-300 and 1e300."""
+    twins = [(dec, twin) for dec, twin, _ in _twin_instances()]
+    factors = 1.0 + np.geomspace(1e-9, 1e-3, 7)
+    shifted = []
+    for i, (dec, twin) in enumerate(twins):
+        values = twin.values.copy()
+        values[i % twin.n] *= factors[i % 7]
+        shifted.append((dec, pd.ProductDecomposition._from_stacks(twin.dims, twin.stacks, values)))
+    scaled = [
+        (_rescaled(dec, scale), _rescaled(other, scale))
+        for scale in (1e-300, 1e300)
+        for dec, other in twins[:21:3] + shifted[:21:3] + twins[-1:] + shifted[-1:]
+    ]
+    return twins + shifted + _ill_report_pairs() + scaled
+
+
+def _edge_pair(step=0):
+    """A twin pair whose gap is eps * the larger norm to within rounding, at the default eps:
+    term 0's weight moved by the fixed point of shift = eps * max(||rho1||_F, ||rho2||_F),
+    then by ``step`` ulps of the weight."""
+    dec = pd.generate_instance(4, 5, 6, seed=3)
+    twin, _ = pd.phase_permuted_twin(dec, seed=4)
+    values, shift = twin.values.copy(), 0.0
+    for _ in range(3):
+        values[0] = twin.values[0] + shift
+        moved = pd.ProductDecomposition._from_stacks(dec.dims, twin.stacks, values)
+        shift = pd.DEFAULT_TOL.eps * max(decomp._product_gap(dec, moved)[1:])
+    values[0] = twin.values[0] + shift + step * math.ulp(twin.values[0])
+    return dec, pd.ProductDecomposition._from_stacks(dec.dims, twin.stacks, values)
+
+
+def _paired(d1, d2, tol):
+    """``decomp._paired_gap`` with the exponent and pairing that the matcher passes it."""
+    e = tensor._weight_exponent(d1.values, d2.values)
+    return decomp._paired_gap(d1, d2, decomp._pairing(d1, d2), e, tol), e
+
+
+class TestPairedGate:
+    """The bipartite gate in the basis of paired differences decides only outside its
+    rounding interval, and there as the exact gate does; ``_product_gap`` decides the rest."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """Each pair with its Khatri-Rao gap and norms, which do not depend on eps."""
+        return [(d1, d2, decomp._product_gap(d1, d2, _paired(d1, d2, pd.DEFAULT_TOL)[1])) for d1, d2 in _gate_cases()]
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-8, 1e-4, 0.9])
+    def test_decides_as_the_khatri_rao_gate(self, cases, eps):
+        tol, undecided, verdicts = pd.ToleranceConfig(eps), 0, set()
+        for d1, d2, exact in cases:
+            got, _ = _paired(d1, d2, tol)
+            want = subspace._equal(*exact, tol)
+            if got is None:
+                undecided += 1
+            else:
+                assert subspace._equal(*got, tol) == want
+                verdicts.add(want)
+        # the interval is narrow: all but the few pairs whose gap lies within it of eps decide
+        assert undecided <= len(cases) // 100
+        assert verdicts == ({True} if eps == 0.9 else {True, False})
+
+    def test_a_gap_within_the_bound_of_eps_falls_back_to_the_khatri_rao_gate(self, monkeypatch):
+        calls, product_gap = [], decomp._product_gap
+
+        def spy(*args):
+            calls.append(product_gap(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(decomp, "_product_gap", spy)
+        verdicts = []
+        for step in range(-6, 7):
+            d1, d2 = _edge_pair(step)
+            assert _paired(d1, d2, pd.DEFAULT_TOL)[0] is None
+            calls.clear()
+            try:
+                pd.match_bidecomposition(d1, d2)
+                verdicts.append(True)
+            except pd.OperatorMismatch:
+                verdicts.append(False)
+            assert len(calls) == 1 and verdicts[-1] == subspace._equal(*calls[0], pd.DEFAULT_TOL)
+        assert verdicts[0] and not verdicts[-1]
+
+    def test_a_dense_size_match_runs_no_qr(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("a QR ran on the decided match path")
+
+        dec = pd.generate_instance(16, 32, 32, seed=1)
+        twin, perm = pd.phase_permuted_twin(dec, seed=2)
+        monkeypatch.setattr(np.linalg, "qr", failing)
+        assert pd.match_bidecomposition(dec, twin).permutation == perm
+        with pytest.raises(pd.OperatorMismatch, match="operators differ"):
+            pd.match_bidecomposition(dec, _rescaled(twin, 1.0, first=1.5))
+
+
 @st.composite
 def _ket_sets(draw):
     """Kets drawn from a small pool with random phases and tiny perturbations,
@@ -779,7 +901,7 @@ def _certify_both(d1, d2, tol=pd.DEFAULT_TOL):
     except pd.HypothesisViolation as exc:
         ref = str(exc)
     try:
-        got = decomp._certify(d1, d2, tol)
+        got = _certify(d1, d2, tol)
     except pd.HypothesisViolation as exc:
         return str(exc), ref
     rows = [
@@ -944,8 +1066,9 @@ class TestLinAlgFailures:
         dec = pd.generate_instance(3, 4, 4, seed=1)
         tri = pd.generate_tri_instance(3, 3, 3, 3, seed=1)
         psi = _random_ket(np.random.default_rng(3), 4)
+        edge = _edge_pair()  # its gap lies within the paired gate's bound of eps: it reaches the QR fallback
         return {
-            "match_bidecomposition": lambda: pd.match_bidecomposition(dec, pd.phase_permuted_twin(dec, seed=2)[0]),
+            "match_bidecomposition": lambda: pd.match_bidecomposition(*edge),
             "match_tridecomposition": lambda: pd.match_tridecomposition(tri, pd.phase_permuted_twin(tri, seed=2)[0]),
             "check_product_hypotheses": lambda: pd.check_product_hypotheses(dec),
             "check_tri_hypotheses": lambda: pd.check_tri_hypotheses(tri),
@@ -984,10 +1107,10 @@ class TestLinAlgFailures:
             call()
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
-    def test_matchers_run_no_least_squares_and_bi_takes_two_qrs(self, monkeypatch):
-        # the certificate reads overlaps, not a factorization: the gate's batched
-        # slot QR and its Khatri-Rao QR are the bipartite match's only QRs, and
-        # the tripartite match takes none
+    def test_matchers_run_no_least_squares_and_qr_only_in_the_fallback(self, monkeypatch):
+        # the certificate reads overlaps, not a factorization, and the paired gate decides
+        # a twin with no QR: the fallback's batched slot QR and its Khatri-Rao QR are the
+        # bipartite match's only QRs, and the tripartite match takes none
         for routine in ("lstsq", "solve"):
             monkeypatch.setattr(np.linalg, routine, self._failing)
         qr, calls = np.linalg.qr, []
@@ -1002,4 +1125,9 @@ class TestLinAlgFailures:
             twin, perm = pd.phase_permuted_twin(first, seed=4)
             calls.clear()
             assert match(first, twin).permutation == perm
-            assert len(calls) == (2 if match is pd.match_bidecomposition else 0)
+            assert not calls
+        edge = _edge_pair()
+        calls.clear()
+        with pytest.raises(pd.OperatorMismatch):
+            pd.match_bidecomposition(*edge)
+        assert len(calls) == 2

@@ -572,3 +572,68 @@ class TestArrayCores:
             outcome = _outcome(decomp._hypotheses, ((dec, "near"),), tol)
             if kind == "pair" and factor < 1.0:
                 assert outcome == f"near: {'abc'[slot]}-set collinear pair (0, 1)"
+
+
+def _threshold_pair(seed, tol=pd.DEFAULT_TOL):
+    """Two unit columns in dim 2 + seed % 15 with |<x|y>| within 4 ulps of 1 - eps."""
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 15
+    c = (1.0 - tol.eps) + (seed % 9 - 4) * 2.0**-53
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    x /= np.linalg.norm(x)
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    z -= (x.conj() @ z) * x
+    z /= np.linalg.norm(z)
+    y = (c * x + np.sqrt(1.0 - c * c) * z) * np.exp(2j * np.pi * rng.uniform())
+    return np.column_stack([x, y])
+
+
+class TestBatchIndependentVerdicts:
+    """A stack's verdicts do not depend on what it is batched with: a padded stack
+    near a threshold is decided again on its own shape."""
+
+    @staticmethod
+    def _other():
+        rng = np.random.default_rng(99)
+        other = rng.standard_normal((20, 6)) + 1j * rng.standard_normal((20, 6))
+        return other / np.linalg.norm(other, axis=0)
+
+    @staticmethod
+    def _alone_and_batched(stack, other, tol=pd.DEFAULT_TOL):
+        pairs, ranks = subspace._slot_verdicts([stack, other], tol)
+        return subspace._slot_verdicts([stack], tol), ([p for p in pairs if p[0] == 0], ranks[:1])
+
+    def test_a_pair_at_the_collinear_threshold(self):
+        # padded into one 20 x 6 batch, 261 of these 3000 pairs read differently
+        other, split, verdicts = self._other(), [], set()
+        for seed in range(3000):
+            alone, batched = self._alone_and_batched(_threshold_pair(seed), other)
+            verdicts.add(bool(alone[0]))
+            if alone != batched:
+                split.append(seed)
+        assert split == [] and verdicts == {True, False}
+
+    def test_a_set_at_the_rank_threshold(self):
+        # sets whose smallest relative singular value is eps (1 + k 1e-8), k = -4..4;
+        # padded, 5 of these 1500 read differently
+        rng, other, split = np.random.default_rng(5), self._other(), []
+        for i in range(1500):
+            kets = _near_rank_set(rng, 3 + i % 14, 1.0 + (i % 9 - 4) * 1e-8, pd.DEFAULT_TOL.eps)
+            alone, batched = self._alone_and_batched(column_stack(kets), other)
+            if alone != batched:
+                split.append(i)
+        assert split == []
+
+    def test_an_unpadded_batch_takes_one_pass(self, monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        stacks = [_threshold_pair(seed) for seed in range(0, 45, 15)]  # all 2 x 2
+        subspace._slot_verdicts(stacks, pd.DEFAULT_TOL)
+        assert len(calls) == 1
+        subspace._slot_verdicts(stacks + [self._other()], pd.DEFAULT_TOL)
+        assert len(calls) == 2 + 3  # each padded pair is near its threshold, and decided again alone
