@@ -53,11 +53,14 @@ _SLOT_NAMES = ("a", "b", "c")
 
 
 def _rng(seed) -> np.random.Generator:
-    """numpy's generator for ``seed``; a seed numpy refuses is DegenerateInput."""
-    try:
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise DegenerateInput(f"seed must be a non-negative integer, got {seed!r}") from exc
+    """numpy's generator for ``seed``; a seed numpy refuses, or a bool (the rule of
+    :func:`~proddecomp.tensor._index`: numpy reads a Python bool as 0 or 1), is DegenerateInput."""
+    if not isinstance(seed, bool):
+        try:
+            return np.random.default_rng(seed)
+        except (TypeError, ValueError):
+            pass
+    raise DegenerateInput(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,7 @@ def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[
     each column phased by :func:`~proddecomp.subspace.fix_phase`.  An SVD that does
     not converge raises DegenerateInput.
     """
+    _expect(FactoredDims, split)
     if len(split) != 2 or split.total != q.shape[0]:
         raise DimensionMismatch(f"split {split.dims} does not factor a dim-{q.shape[0]} ket")
     u, s, vh = np.linalg.svd(q.T.reshape(-1, *split))
@@ -467,7 +471,10 @@ def _paired_gap(
 
     Bounds (Higham, section 3.1, with nu_i = sqrt(G_ii)): the squared gap is
     within 2 gamma_L (nu^T |C| nu)^2, L = m^2 + 2(m + d_a + d_b) + 64, of that of
-    the operators the computed P and C represent, and those lie within
+    the operators the computed P and C represent (C taken as its Hermitian part, which
+    is exactly Hermitian in floating point, so that tr(CGCG) is the squared norm of
+    P C P^H: the GEMM that forms C leaves rounding on its imaginary diagonal, and that
+    can take the trace of a twin below zero), and those lie within
     gamma_{n2+64} sum w2 <= gamma_{n2+64} sqrt(n2) ||rho2||_F of rho1 - rho2, the
     rounding of the differences and of C's first diagonal block (the kets are
     unit, to 1e-12); each norm is within a relative
@@ -495,6 +502,7 @@ def _paired_gap(
     coeffs[n1 + n2 + cols, cols] = 1.0
     c = (coeffs * -w2) @ coeffs.conj().T
     c.ravel()[: n1 * (m + 1) : m + 1] += w1  # the first block's diagonal, through a view
+    c = (c + c.conj().T) * 0.5
     cg = c @ g
     gap2 = float(np.einsum("ij,ji->", cg, cg).real)
     nu = np.sqrt(g.diagonal().real)
@@ -662,6 +670,7 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     rank 0 before any sketch, naming only the rank, and a linear-algebra
     routine that does not converge raises DegenerateInput.
     """
+    _expect(StateOperator, rho)
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
     rng = _rng(seed)

@@ -80,6 +80,7 @@ def relating_unitary(
     a singular value in about [10^-8.5, 10^-7.5] at the default eps, whose
     square is then at rounding level in M_phi^dagger M_psi.
     """
+    _expect(FactoredDims, split)
     if len(split) != 2:
         raise DimensionMismatch("relating_unitary needs a two-factor split")
     if psi.dim != phi.dim or psi.dim != split.total:
@@ -110,6 +111,7 @@ def relating_unitary(
 
 def apply_on_factor(u: UnitaryMatrix, x: Ket, split: FactoredDims, factor: int) -> Ket:
     """Apply a unitary to one tensor factor: (I (x) ... U ... (x) I) x."""
+    _expect(FactoredDims, split)
     factor = _index(factor, "factor")
     if not 0 <= factor < len(split):
         raise DimensionMismatch(f"factor {factor} out of range for split {split.dims}")

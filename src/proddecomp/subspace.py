@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, _nonconvergence
-from .tensor import Ket, StateOperator, _freeze, _index, _reduced, column_stack
+from .tensor import Ket, StateOperator, _expect, _freeze, _index, _reduced, column_stack
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -44,8 +44,8 @@ class ToleranceConfig:
     ``fix_phase`` eps 1e-8    the default phase pivot, the first |entry| above it, of a direct
                               call: ``_schmidt`` and extraction pass ``eps``
     generator margins         overlap <= 1 - 1e-3, condition <= 1e4, 200 draws: inside DEFAULT_TOL
-    _NEAR_ULPS 64             a padded stack with a Gram entry or singular value this many machine
-                              epsilons from its threshold is decided again alone: which pass decides
+    _BLOCK 8                  the verdict core pads a stack's rows to a multiple of it: array shape,
+                              not a decision (zero rows change no verdict)
     ``_paired_gap`` bound     the bipartite gate's rounding interval, not a threshold: where it
                               straddles eps, ``_product_gap`` decides, so it decides nothing eps does not
     """
@@ -76,6 +76,7 @@ class SubspaceBasis:
     _columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _index(self.ambient_dim, "ambient dimension")
         vecs = tuple(self.vectors)
         if len(vecs) > self.ambient_dim:
             raise DimensionMismatch(
@@ -188,9 +189,9 @@ def _support_count(values: Sequence[float], tol: ToleranceConfig) -> int:
     return sum(v > 0.0 and v >= cut for v in values)
 
 
-#: A padded stack whose Gram entry or singular value lies within this many machine epsilons
-#: of its threshold is decided again alone (:func:`_slot_verdicts`).
-_NEAR_ULPS = 64
+#: The row block of the verdict core's canonical shapes: a d x n stack is zero-padded to d rounded
+#: up to a multiple of it, n kept (:func:`_slot_verdicts`).  It shapes arrays and decides nothing.
+_BLOCK = 8
 
 
 @_nonconvergence("rank SVD")
@@ -199,51 +200,33 @@ def _slot_verdicts(
 ) -> tuple[list[tuple[int, int, int]], list[int]]:
     """The collinear pairs and the numerical rank of every d_i x n_i stack of unit columns.
 
-    The stacks are zero-padded into one m x D x K array (D and K the largest
-    d_i and n_i), which takes one Gram pass and one SVD.  In exact
-    arithmetic zero rows and columns add no Gram entry >= 1 - eps and no
-    singular value > 0, so they change no verdict.  In floating point the
-    padded shape can change the rounding of a stack's Gram entries and
-    singular values, so a padded stack with a Gram entry within
-    ``_NEAR_ULPS`` machine epsilons of 1 - eps, or a singular value within
-    ``_NEAR_ULPS`` machine epsilons times sigma_1 of eps * sigma_1, is
-    decided again alone, by the same pass on its own shape: a verdict does
-    not depend on what the stack is batched with.  A stack that needs no
-    padding is decided once.  Pairs are the (stack, i, j)
-    with i < j whose |<a_i|a_j>| :func:`_collinear` calls collinear, in
-    lexicographic order.  A stack's rank is
+    Each stack is zero-padded to its canonical shape, which depends on its own
+    shape only: d_i rounded up to a multiple of ``_BLOCK``, n_i kept.  The
+    stacks of one canonical shape take one Gram pass and one SVD.  In exact
+    arithmetic zero rows add no Gram entry and no singular value > 0, so they
+    change no verdict.  numpy's stacked matmul and SVD run each matrix of a
+    stack through the same BLAS and LAPACK call it gets alone, so a stack's
+    verdicts do not depend on what it is batched with.  Pairs are the
+    (stack, i, j) with i < j whose |<a_i|a_j>| :func:`_collinear` calls
+    collinear, in lexicographic order.  A stack's rank is
     :func:`_support_count` of its singular values, counted in plain floats
     because the spectra are short.  It is not taken from the Gram eigenvalues,
     because a relative singular value of 1e-8 is a relative Gram eigenvalue
     of 1e-16, below double precision.
     """
-    shapes = [a.shape for a in stacks]
-    shape = tuple(map(max, zip(*shapes)))
-    x = np.zeros((len(stacks), *shape), dtype=complex)
-    for i, (a, (d, n)) in enumerate(zip(stacks, shapes)):
-        x[i, :d, :n] = a
-    overlaps = np.abs(x.conj().transpose(0, 2, 1) @ x)
-    hits = np.nonzero(_collinear(overlaps, tol))
-    pairs = [(s, i, j) for s, i, j in zip(*(h.tolist() for h in hits)) if i < j]
-    spectra = np.linalg.svd(x, compute_uv=False).tolist()
-    ranks = [_support_count(s, tol) for s in spectra]
-    if len(set(shapes)) == 1:
-        return pairs, ranks
-    near = _NEAR_ULPS * _MACHINE_EPS
-    close = np.abs(overlaps - (1.0 - tol.eps))
-    gram_near = (close <= near).any(axis=(1, 2)).tolist() if close.min() <= near else [False] * len(stacks)
-    alone = []
-    for i, (ab, s, rank) in enumerate(zip(shapes, spectra, ranks)):
-        # a spectrum is descending: the values nearest the cut are the last one counted and the next
-        cut, width = tol.eps * s[0], near * s[0]
-        if ab != shape and (
-            gram_near[i] or (rank and s[rank - 1] - cut <= width) or (rank < len(s) and cut - s[rank] <= width)
-        ):
-            alone.append(i)
-    for i in alone:
-        own, ranks[i : i + 1] = _slot_verdicts(stacks[i : i + 1], tol)
-        pairs = [p for p in pairs if p[0] != i] + [(i, a, b) for _, a, b in own]
-    return (sorted(pairs) if alone else pairs), ranks
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (d, n) in enumerate(a.shape for a in stacks):
+        groups.setdefault((-(-d // _BLOCK) * _BLOCK, n), []).append(k)
+    pairs, ranks = [], [0] * len(stacks)
+    for shape, members in groups.items():
+        x = np.zeros((len(members), *shape), dtype=complex)
+        for i, k in enumerate(members):
+            x[i, : len(stacks[k])] = stacks[k]
+        hits = np.nonzero(_collinear(np.abs(x.conj().transpose(0, 2, 1) @ x), tol))
+        pairs += [(members[s], i, j) for s, i, j in zip(*(h.tolist() for h in hits)) if i < j]
+        for k, s in zip(members, np.linalg.svd(x, compute_uv=False).tolist()):
+            ranks[k] = _support_count(s, tol)
+    return sorted(pairs), ranks
 
 
 @_nonconvergence("support eigendecomposition")
@@ -260,6 +243,7 @@ def support_and_null(
     the support, in descending-eigenvalue order (ties in ascending index), and
     the remaining ones, ascending, the null space.
     """
+    _expect(StateOperator, rho)
     nfac, subsystem = len(rho.dims), _index(subsystem, "subsystem")
     if not 0 <= subsystem < nfac:
         raise DimensionMismatch(f"subsystem {subsystem} out of range for {nfac} factors")

@@ -331,6 +331,7 @@ class StateOperator:
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        _expect(FactoredDims, self.dims)
         n = self.dims.total
         if n > MAX_AMBIENT_DIM:
             raise DimensionMismatch(f"operator ambient dimension {n} exceeds cap {MAX_AMBIENT_DIM}")
@@ -526,6 +527,7 @@ class _Decomposition:
     values: np.ndarray = field(repr=False)
 
     def __init__(self, dims: FactoredDims, terms: Sequence) -> None:
+        _expect(FactoredDims, dims)
         # with the wrong factor count no term is read, so _store names the count first
         terms = tuple(terms) if len(dims) == self._nfac else ()
         for i, t in enumerate(terms):
@@ -606,11 +608,12 @@ class TriDecomposition(_Decomposition):
     _checked_values = staticmethod(_checked_coeffs)
 
 
-def _expect(kind: type, *decs) -> None:
-    """DimensionMismatch unless each of ``decs`` is a ``kind``: the other type's stacks would be misread."""
-    for d in decs:
-        if not isinstance(d, kind):
-            raise DimensionMismatch(f"expected {kind._noun}, got {type(d).__name__}")
+def _expect(kind: type, *args) -> None:
+    """DimensionMismatch unless each of ``args`` is a ``kind`` (named by its ``_noun``, else its class
+    name): a door's argument of another type would be misread, or fail on an attribute."""
+    for a in args:
+        if not isinstance(a, kind):
+            raise DimensionMismatch(f"expected {getattr(kind, '_noun', kind.__name__)}, got {type(a).__name__}")
 
 
 def tensor_product(x: Ket, y: Ket) -> Ket:
@@ -658,7 +661,8 @@ def build_rho(d: ProductDecomposition) -> StateOperator:
     :func:`rho_matrix`, symmetrized to suppress rounding drift.  The trace
     equals the sum of the weights.
     """
-    return StateOperator.from_columns(d.dims, *product_columns(d))
+    columns, weights = product_columns(d)  # first: it refuses a d of another type
+    return StateOperator.from_columns(d.dims, columns, weights)
 
 
 def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
@@ -682,6 +686,7 @@ def partial_trace(rho: StateOperator, keep: Sequence[int]) -> StateOperator:
     returned here, but :class:`StateOperator` refuses its matrix, and so
     does :func:`~proddecomp.fileio.load_operator` once it is saved.
     """
+    _expect(StateOperator, rho)
     dims = rho.dims.dims
     nfac = len(dims)
     try:
@@ -770,6 +775,7 @@ def build_tri_vector(t: TriDecomposition) -> tuple[Ket, float]:
 
 def bipartite_matrix(x: Ket, split: FactoredDims) -> np.ndarray:
     """Reshape a ket on a two-factor space to its d1 x d2 coefficient matrix."""
+    _expect(FactoredDims, split)
     if len(split) != 2 or split.total != x.dim:
         raise DimensionMismatch(f"split {split.dims} does not factor a dim-{x.dim} ket")
     return x.amplitudes.reshape(split[0], split[1])

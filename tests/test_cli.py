@@ -276,6 +276,67 @@ class TestOneRefusalChannel:
             call()
 
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: pd.StateOperator((2,), np.eye(2)),
+            lambda: pd.StateOperator.from_columns([2], np.eye(2), [1.0, 1.0]),
+            lambda: pd.ProductDecomposition((2, 2), pd.generate_instance(2, 2, 2).terms),
+            lambda: pd.TriDecomposition((2, 2, 2), pd.generate_tri_instance(2, 2, 2, 2).terms),
+            lambda: pd.is_factorable(pd.Ket.basis(4, 0), (2, 2)),
+            lambda: pd.schmidt_values(pd.Ket.basis(4, 0), [2, 2]),
+            lambda: pd.split_pair_terms([1.0], [pd.Ket.basis(4, 0)], [pd.Ket.basis(2, 0)], (2, 2)),
+            lambda: pd.bipartite_matrix(pd.Ket.basis(4, 0), (2, 2)),
+            lambda: pd.relating_unitary(pd.Ket.basis(4, 0), pd.Ket.basis(4, 0), (2, 2)),
+            lambda: pd.apply_on_factor(pd.UnitaryMatrix(np.eye(2)), pd.Ket.basis(4, 0), 4, 0),
+            lambda: pd.extract_decomposition(pd.rho_matrix(pd.generate_instance(2, 2, 2))),
+            lambda: pd.partial_trace(pd.generate_instance(2, 2, 2), [0]),
+            lambda: pd.support_and_null(np.eye(4), 0),
+            lambda: pd.build_rho(None),
+            lambda: pd.SubspaceBasis("2", (pd.Ket.basis(2, 0),)),
+        ],
+        ids=[
+            "operator-dims-tuple",
+            "columns-dims-list",
+            "product-dims-tuple",
+            "tri-dims-tuple",
+            "factorable-split-tuple",
+            "schmidt-split-list",
+            "split-pairs-split-tuple",
+            "bipartite-split-tuple",
+            "relating-split-tuple",
+            "apply-split-int",
+            "extract-array",
+            "partial-trace-decomposition",
+            "support-array",
+            "build-rho-None",
+            "basis-dim-str",
+        ],
+    )
+    def test_an_argument_of_the_wrong_type_is_dimension_mismatch(self, call):
+        # dims or a split that is no FactoredDims, an operator that is no StateOperator, a
+        # decomposition that is none, and an ambient dimension that is no integer: refused
+        # by type before any attribute is read, with nothing coerced
+        with pytest.raises(pd.DimensionMismatch, match="^(expected |ambient dimension must be an integer)"):
+            call()
+
+    @pytest.mark.parametrize("seed", [True, False, np.True_])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: pd.generate_instance(2, 2, 2, seed=seed),
+            lambda seed: pd.generate_tri_instance(2, 2, 2, 2, seed=seed),
+            lambda seed: pd.phase_permuted_twin(pd.generate_instance(2, 2, 2), seed=seed),
+            lambda seed: pd.extract_decomposition(pd.build_rho(pd.generate_instance(2, 2, 2)), seed=seed),
+        ],
+        ids=["generate", "generate-tri", "twin", "extract"],
+    )
+    def test_a_bool_seed_is_degenerate_input(self, call, seed):
+        # the rule of every other integer input: a Python bool is not read as 0 or 1
+        with pytest.raises(pd.DegenerateInput, match="^seed must be a non-negative integer, got "):
+            call(seed)
+
+
 class TestWriteFailures:
     """An --out in a missing directory is an input error: exit 2 and one
     ``error:`` line, not a traceback."""

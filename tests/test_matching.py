@@ -813,6 +813,18 @@ class TestPairedGate:
             assert len(calls) == 1 and verdicts[-1] == subspace._equal(*calls[0], pd.DEFAULT_TOL)
         assert verdicts[0] and not verdicts[-1]
 
+    @pytest.mark.parametrize("n, d1, d2, seed", [(2, 2, 2, 637000192), (2, 3, 4, 1100794654)])
+    def test_a_twin_whose_gap_is_rounding_alone_matches(self, n, d1, d2, seed):
+        # two uniqueness-battery twins (master seeds 2 and 3): the GEMM that forms C left
+        # rounding on its imaginary diagonal, tr(CGCG) read -2.2e-33, below -slack2, and
+        # the gate's sqrt raised a raw ValueError; C's Hermitian part keeps the trace
+        # the squared norm of an operator, and the gap inside its rounding bound
+        dec = pd.generate_instance(n, d1, d2, seed=seed)
+        twin, perm = pd.phase_permuted_twin(dec, seed=seed + 1)
+        gap, norm1, norm2 = _paired(dec, twin, pd.DEFAULT_TOL)[0]
+        assert 0.0 < gap <= 1e-15 * max(norm1, norm2)
+        assert pd.match_bidecomposition(dec, twin).permutation == perm
+
     def test_a_dense_size_match_runs_no_qr(self, monkeypatch):
         def failing(*args, **kwargs):
             raise AssertionError("a QR ran on the decided match path")

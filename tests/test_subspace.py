@@ -500,7 +500,8 @@ def _reference_hypotheses(checked, tol):
 
 class TestArrayCores:
     """The Ket-list helpers and the hypothesis checks read one verdict core, which
-    takes one Gram pass and one SVD over zero-padded stacks; a per-Ket loop is the oracle."""
+    takes one Gram pass and one SVD per canonical shape (rows zero-padded to a multiple
+    of ``_BLOCK``); a per-Ket loop is the oracle."""
 
     CASES = random_decompositions() + [case[0] for case in near_threshold_decompositions()]
 
@@ -524,8 +525,8 @@ class TestArrayCores:
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-4])
     def test_hypothesis_check_matches_the_per_ket_reference(self, eps):
-        # consecutive cases differ in type, term count and slot dims, so every
-        # batch pads some stacks in rows, in columns or in both
+        # consecutive cases differ in type, term count and slot dims, so most
+        # batches hold stacks of more than one canonical shape
         tol = pd.ToleranceConfig(eps)
         for d1, d2 in zip(self.CASES, self.CASES[1:] + self.CASES[:1]):
             stacks = [*d1.stacks, *d2.stacks]
@@ -589,42 +590,75 @@ def _threshold_pair(seed, tol=pd.DEFAULT_TOL):
 
 
 class TestBatchIndependentVerdicts:
-    """A stack's verdicts do not depend on what it is batched with: a padded stack
-    near a threshold is decided again on its own shape."""
+    """A stack's verdicts do not depend on what it is batched with: each stack is
+    decided in its canonical shape (rows padded to a multiple of ``_BLOCK``), and the
+    stacks of one shape take one stacked pass whose matrices numpy decides one by one."""
 
     @staticmethod
     def _other():
+        # 20 x 6: a canonical shape (24 x 6) that no stack below shares
         rng = np.random.default_rng(99)
         other = rng.standard_normal((20, 6)) + 1j * rng.standard_normal((20, 6))
         return other / np.linalg.norm(other, axis=0)
 
     @staticmethod
-    def _alone_and_batched(stack, other, tol=pd.DEFAULT_TOL):
-        pairs, ranks = subspace._slot_verdicts([stack, other], tol)
-        return subspace._slot_verdicts([stack], tol), ([p for p in pairs if p[0] == 0], ranks[:1])
+    def _same_shape(stack, seed):
+        """Two companions of ``stack``'s canonical shape: one with its full padded row
+        count, one with the fewest rows that still pad to it."""
+        d, n = stack.shape
+        rows = -(-d // subspace._BLOCK) * subspace._BLOCK
+        rng = np.random.default_rng(seed)
+        companions = []
+        for r in (rows, rows - subspace._BLOCK + 1):
+            m = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+            companions.append(m / np.linalg.norm(m, axis=0))
+        return companions
 
-    def test_a_pair_at_the_collinear_threshold(self):
-        # padded into one 20 x 6 batch, 261 of these 3000 pairs read differently
-        other, split, verdicts = self._other(), [], set()
+    @staticmethod
+    def _alone_and_batched(stack, others, tol=pd.DEFAULT_TOL):
+        """The stack's verdicts alone, and batched second among ``others``, as a batch of one."""
+        pairs, ranks = subspace._slot_verdicts([others[0], stack, *others[1:]], tol)
+        return subspace._slot_verdicts([stack], tol), ([(0, i, j) for s, i, j in pairs if s == 1], ranks[1:2])
+
+    def _pair_splits(self, companions):
+        split, verdicts = [], set()
         for seed in range(3000):
-            alone, batched = self._alone_and_batched(_threshold_pair(seed), other)
+            stack = _threshold_pair(seed)
+            alone, batched = self._alone_and_batched(stack, companions(stack, seed))
             verdicts.add(bool(alone[0]))
             if alone != batched:
                 split.append(seed)
+        return split, verdicts
+
+    def _set_splits(self, companions):
+        # sets whose smallest relative singular value is eps (1 + k 1e-8), k = -4..4
+        rng, split = np.random.default_rng(5), []
+        for i in range(1500):
+            stack = column_stack(_near_rank_set(rng, 3 + i % 14, 1.0 + (i % 9 - 4) * 1e-8, pd.DEFAULT_TOL.eps))
+            alone, batched = self._alone_and_batched(stack, companions(stack, i))
+            if alone != batched:
+                split.append(i)
+        return split
+
+    def test_a_pair_at_the_collinear_threshold(self):
+        # padded together into one 20 x 6 array, 261 of these 3000 pairs would read differently
+        other = self._other()
+        split, verdicts = self._pair_splits(lambda stack, seed: [other])
         assert split == [] and verdicts == {True, False}
 
     def test_a_set_at_the_rank_threshold(self):
-        # sets whose smallest relative singular value is eps (1 + k 1e-8), k = -4..4;
-        # padded, 5 of these 1500 read differently
-        rng, other, split = np.random.default_rng(5), self._other(), []
-        for i in range(1500):
-            kets = _near_rank_set(rng, 3 + i % 14, 1.0 + (i % 9 - 4) * 1e-8, pd.DEFAULT_TOL.eps)
-            alone, batched = self._alone_and_batched(column_stack(kets), other)
-            if alone != batched:
-                split.append(i)
-        assert split == []
+        # padded together into one 20 x 6 array, 5 of these 1500 would read differently
+        other = self._other()
+        assert self._set_splits(lambda stack, i: [other]) == []
 
-    def test_an_unpadded_batch_takes_one_pass(self, monkeypatch):
+    def test_a_pair_at_the_collinear_threshold_among_its_own_shape(self):
+        split, verdicts = self._pair_splits(self._same_shape)
+        assert split == [] and verdicts == {True, False}
+
+    def test_a_set_at_the_rank_threshold_among_its_own_shape(self):
+        assert self._set_splits(self._same_shape) == []
+
+    def test_one_pass_per_canonical_shape(self, monkeypatch):
         svd, calls = np.linalg.svd, []
 
         def counted(*args, **kwargs):
@@ -632,8 +666,8 @@ class TestBatchIndependentVerdicts:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        stacks = [_threshold_pair(seed) for seed in range(0, 45, 15)]  # all 2 x 2
+        stacks = [_threshold_pair(seed) for seed in range(0, 45, 15)]  # all 2 x 2: one 8 x 2 shape
         subspace._slot_verdicts(stacks, pd.DEFAULT_TOL)
         assert len(calls) == 1
-        subspace._slot_verdicts(stacks + [self._other()], pd.DEFAULT_TOL)
-        assert len(calls) == 2 + 3  # each padded pair is near its threshold, and decided again alone
+        subspace._slot_verdicts(stacks + [self._other()], pd.DEFAULT_TOL)  # and one 24 x 6
+        assert len(calls) == 1 + 2
