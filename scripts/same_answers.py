@@ -22,13 +22,21 @@ weights (keys ``<case>/<field>``):
     ``ToleranceConfig(t)`` for t = 1e-4, 1e-3 and 1e-2, plus
     ``certified`` and ``refusal`` as above.
 A refused extraction stores ``refused`` (the error message) in place of the
-extraction's fields.  It then runs two twin lists and stores, per case, the
+extraction's fields.  It then runs three twin lists and stores, per case, the
 permutation, the residual, the per-slot |overlap|s (n x slots) and both
 weights of each matched pair:
   * ``twin-bi/<k>``: the criterion-2 list (``bi_cases(--count)`` at master
     seed 20000), each instance matched against its twin of seed + 1;
   * ``twin-tri/<k>``: the criterion-3 list (``tri_cases(--count)`` at master
-    seed 30000), likewise.
+    seed 30000), likewise;
+  * ``bench-tri/<seed>/<k>``: ``purify`` of the benchmark's N = 1024 ``dense``
+    instances for each of ``--bench-seeds``, matched against the benchmark's
+    twins of them, likewise.
+A refused twin match stores ``refused`` (the error message) in their place.
+``reject-tri/<k>`` matches each instance of the criterion-3 list against a
+copy with coefficient k % n times 1 + 10^-(2 + k % 7) (1e-2 down to 1e-8,
+around the default ``eps``), and stores ``certified`` and, for a refused
+match, ``refusal`` ("Class: message").
 Last, ``cli/<k>`` runs ``cli.main`` in-process on a grid of commands over
 every subcommand and profile, ``--twin-of``, ``--json``, the refusals and
 ``--tol`` on every subcommand (and on the ``check`` file kinds that read
@@ -134,6 +142,27 @@ def _certified(out: dict, key: str, source, rho, seed: int, tol=None):
     return ok
 
 
+def _store_match(out: dict, key: str, match, first, second) -> bool:
+    """Match ``second`` against ``first`` and store the certificate's fields, or the refusal."""
+    import proddecomp as pd
+
+    try:
+        result = match(first, second)
+    except pd.ProddecompError as exc:
+        out[f"{key}/refused"] = np.array(str(exc))
+        return False
+    overlaps = [[c.overlap_a, c.overlap_b, c.overlap_c][: len(first.stacks)] for c in result.per_term]
+    fields = {
+        "perm": result.permutation,
+        "residual": result.residual,
+        "overlaps": np.abs(np.array(overlaps)),
+        "weight_first": [c.weight_first for c in result.per_term],
+        "weight_second": [c.weight_second for c in result.per_term],
+    }
+    out.update({f"{key}/{name}": np.asarray(value) for name, value in fields.items()})
+    return True
+
+
 def _twins(out: dict, count: int, battery) -> int:
     """Match each instance of the criterion-2 and criterion-3 lists against its twin."""
     import proddecomp as pd
@@ -157,24 +186,31 @@ def _twins(out: dict, count: int, battery) -> int:
     done = 0
     for group, (match, cases) in lists.items():
         for k, (dec, seed) in enumerate(cases):
-            key = f"{group}/{k}"
             twin, _ = pd.phase_permuted_twin(dec, seed=seed + 1)
-            try:
-                result = match(dec, twin)
-            except pd.ProddecompError as exc:
-                out[f"{key}/refused"] = np.array(str(exc))
-                continue
-            overlaps = [[c.overlap_a, c.overlap_b, c.overlap_c][: len(dec.stacks)] for c in result.per_term]
-            fields = {
-                "perm": result.permutation,
-                "residual": result.residual,
-                "overlaps": np.abs(np.array(overlaps)),
-                "weight_first": [c.weight_first for c in result.per_term],
-                "weight_second": [c.weight_second for c in result.per_term],
-            }
-            out.update({f"{key}/{name}": np.asarray(value) for name, value in fields.items()})
-            done += 1
+            done += _store_match(out, f"{group}/{k}", match, dec, twin)
     return done
+
+
+def _rejections(out: dict, count: int, battery) -> int:
+    """Match each instance of the criterion-3 list against a copy with one coefficient
+    shifted; returns the count of refused matches."""
+    import proddecomp as pd
+
+    refused = 0
+    for k, (n, dims, profile, seed) in enumerate(battery.tri_cases(count, 30_000)):
+        tri = pd.generate_tri_instance(n, *dims, seed=seed, profile=profile)
+        values = tri.values.copy()
+        values[k % n] *= 1.0 + 10.0 ** -(2 + k % 7)
+        shifted = pd.TriDecomposition._from_stacks(tri.dims, tri.stacks, values)
+        key = f"reject-tri/{k}"
+        try:
+            pd.match_tridecomposition(tri, shifted)
+            ok = True
+        except pd.ProddecompError as exc:
+            out[f"{key}/refusal"] = np.array(f"{type(exc).__name__}: {exc}")
+            ok, refused = False, refused + 1
+        out[f"{key}/certified"] = np.array(ok)
+    return refused
 
 
 def _ket(*amplitudes: complex) -> dict:
@@ -378,6 +414,15 @@ def dump(path: str, count: int, seeds: int, bench_seeds: list[int], cli_seeds: i
         counts = "/".join(str(loose.get((form, t), 0)) for t in LOOSE_TOLS)
         print(f"loose tolerances, {form}: {counts} of {LOOSE_SEEDS} certified at tolerances {tols}")
     print(f"{_twins(out, count, battery)} of {2 * count} twins matched")
+    print(f"{_rejections(out, count, battery)} of {count} shifted tripartite copies refused")
+    if bench_seeds:
+        matched = total = 0
+        for bench_seed in bench_seeds:
+            for k, case in enumerate(workloads.dense_cases(pd, bench_seed)):
+                key = f"bench-tri/{bench_seed}/{k}"
+                matched += _store_match(out, key, pd.match_tridecomposition, case.tri, case.tri_twin)
+                total += 1
+        print(f"{matched} of {total} purified dense twins matched")
     codes = _cli(out, cli_seeds)
     tally = ", ".join(f"{codes[c]} exit {c}" for c in sorted(codes))
     print(f"{sum(codes.values())} CLI commands: {tally}")
@@ -401,7 +446,8 @@ def compare(first: str, second: str) -> int:
     with np.load(first) as fa, np.load(second) as fb:
         a, b = dict(fa), dict(fb)
     same = True
-    # one line per case list (the key's first part: bi, bench, ill, loose, twin-bi, twin-tri, cli) and field
+    # one line per case list (the key's first part: bi, bench, ill, loose, twin-bi, twin-tri, reject-tri,
+    # bench-tri, cli) and field
     groups: dict[tuple[str, str], list[str]] = {}
     for key in sorted(a.keys() | b.keys()):
         case, field = key.rsplit("/", 1)

@@ -28,6 +28,7 @@ from .subspace import (
     fix_phase,
 )
 from .tensor import (
+    _TRI_CANCEL_RTOL,
     FactoredDims,
     Ket,
     ProductDecomposition,
@@ -53,14 +54,13 @@ _SLOT_NAMES = ("a", "b", "c")
 
 
 def _rng(seed) -> np.random.Generator:
-    """numpy's generator for ``seed``; a seed numpy refuses, or a bool (the rule of
-    :func:`~proddecomp.tensor._index`: numpy reads a Python bool as 0 or 1), is DegenerateInput."""
-    if not isinstance(seed, bool):
-        try:
-            return np.random.default_rng(seed)
-        except (TypeError, ValueError):
-            pass
-    raise DegenerateInput(f"seed must be a non-negative integer, got {seed!r}")
+    """numpy's generator for ``seed``, a Python or numpy integer >= 0 (the rule of
+    :func:`~proddecomp.tensor._index`, so a bool is none).  Anything else is DegenerateInput:
+    numpy would also take None, a generator, a ``SeedSequence`` or a sequence of integers,
+    and the first two give a different stream on every call."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DegenerateInput(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(int(seed))
 
 
 @dataclass(frozen=True)
@@ -275,19 +275,20 @@ def _split_pairs(stacks, values: np.ndarray, split: FactoredDims, tol: Tolerance
 
 def _pairing(
     d1: ProductDecomposition | TriDecomposition, d2: ProductDecomposition | TriDecomposition
-) -> tuple[list[np.ndarray], list[int]]:
-    """The n1 x n2 cross-Gram matrix S1^H S2 of each slot, and the pairing perm: term k
-    of the second input pairs with the term perm[k] of the first that maximizes the
-    product over slots of |<first_j|second_k>|, read off those Grams."""
-    grams = [a1.conj().T @ a2 for a1, a2 in zip(d1.stacks, d2.stacks)]
-    # math.prod multiplies the slots left to right, as np.prod along a stacked axis does, bit for bit
-    return grams, math.prod(map(np.abs, grams)).argmax(axis=0).tolist()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairing perm and the paired overlaps, from the n1 x n2 cross-Gram matrix
+    S1^H S2 of each slot: term k of the second input pairs with the term perm[k] of the
+    first that maximizes the product over slots of |<first_j|second_k>|, and row s of the
+    slots x n2 overlaps holds entries (perm[k], k) of slot s's Gram, <first_perm[k]|second_k>."""
+    grams = np.array([a1.conj().T @ a2 for a1, a2 in zip(d1.stacks, d2.stacks)])
+    perm = np.abs(grams).prod(0).argmax(0)  # prod multiplies the slots left to right
+    return perm, grams[:, perm, np.arange(d2.n)]
 
 
 def _certify(
     d1: ProductDecomposition | TriDecomposition,
     d2: ProductDecomposition | TriDecomposition,
-    pairing: tuple[list[np.ndarray], list[int]],
+    pairing: tuple[np.ndarray, np.ndarray],
     exponent: int,
     tol: ToleranceConfig,
 ) -> MatchResult:
@@ -297,7 +298,7 @@ def _certify(
     ``pairing`` is :func:`_pairing` of the two inputs: term k of the second
     input pairs with the term perm[k] of the first, and each slot's paired
     overlaps <first_perm[k]|second_k> are entries (perm[k], k) of its
-    cross-Gram.  Every one of them must pass the one Collinear rule
+    cross-Gram, which the pairing reads once.  Every one of them must pass the one Collinear rule
     (:func:`~proddecomp.subspace._collinear`) that the hypothesis checks
     read.  The paired magnitudes |values| (weights of a
     product decomposition, coefficient magnitudes of a tridecomposition,
@@ -323,10 +324,10 @@ def _certify(
     )
     if d1.n != d2.n:
         raise HypothesisViolation(f"term counts differ, {d1.n} vs {d2.n}, although the {gated} agree within eps")
-    grams, perm = pairing
-    # row k holds term k's overlaps, entries (perm[k], k) of the Grams; n is small, so the
-    # checks run on Python floats, not on tiny arrays
-    overlaps = list(zip(*(g[perm, range(d1.n)].tolist() for g in grams)))
+    perm, paired = pairing
+    perm = perm.tolist()
+    # row k holds term k's overlaps; n is small, so the checks run on Python floats, not on tiny arrays
+    overlaps = paired.T.tolist()
     mags1, mags2 = ([abs(v) for v in d.values.tolist()] for d in (d1, d2))
     sum1, sum2 = (float(np.ldexp(np.abs(d.values), -exponent).sum()) for d in (d1, d2))
     pad = (None,) * (3 - len(d1.stacks))
@@ -345,39 +346,6 @@ def _certify(
         residual = max(residual, *(abs(1.0 - abs(o)) for o in row), dw / max(sum1, sum2))
         certs.append(TermCertificate(*row, *pad, w1, w2))
     return MatchResult(d1.n, tuple(perm), tuple(certs), residual)
-
-
-def match_tridecomposition(
-    t1: TriDecomposition, t2: TriDecomposition, tol: ToleranceConfig = DEFAULT_TOL
-) -> MatchResult:
-    """Certify that two tridecompositions of the same vector are term-wise
-    collinear up to a permutation, with equal coefficient magnitudes.
-
-    Pipeline: verify hypotheses on both inputs (:func:`_hypotheses`, one
-    batch for both) and that the two global vectors agree, coefficient
-    phases included, to eps * max(||v1||, ||v2||); then pair the terms
-    (:func:`_pairing`) and certify every pair (:func:`_certify`).  The gate
-    and the certificate both read the coefficients in units of 2^e, e the
-    exponent of the larger |coefficient| of both inputs, read once
-    (:func:`~proddecomp.tensor._weight_exponent`), as the bipartite matcher
-    reads its weights: the vectors are expanded from exactly scaled
-    coefficients (:func:`~proddecomp.tensor._expansion`), so that
-    coefficients whose sum lies past the float maximum still match.  The
-    mismatch message gives the gap in the caller's units.  ``residual`` is
-    the certificate's.
-    """
-    _expect(TriDecomposition, t1, t2)
-    if t1.dims != t2.dims:
-        raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
-    _hypotheses(((t1, "first tridecomposition"), (t2, "second tridecomposition")), tol)
-
-    e = _weight_exponent(*([abs(x) for x in t.values.tolist()] for t in (t1, t2)))
-    (v1, norm1), (v2, norm2) = (_expansion(t.stacks, t.values, e) for t in (t1, t2))
-    gap = frobenius(v1 - v2)
-    if not _equal(gap, norm1, norm2, tol):
-        with np.errstate(over="ignore"):  # a gap past the float maximum reads inf
-            raise OperatorMismatch(f"tripartite vectors differ by {np.ldexp(gap, e):.3e} (coefficient phases included)")
-    return _certify(t1, t2, _pairing(t1, t2), e, tol)
 
 
 def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
@@ -448,7 +416,7 @@ def _gamma(k: int) -> float:
 def _paired_gap(
     d1: ProductDecomposition,
     d2: ProductDecomposition,
-    pairing: tuple[list[np.ndarray], list[int]],
+    pairing: tuple[np.ndarray, np.ndarray],
     exponent: int,
     tol: ToleranceConfig,
 ) -> tuple[float, float, float] | None:
@@ -457,7 +425,7 @@ def _paired_gap(
 
     ``pairing`` is :func:`_pairing` of the two inputs.  For term k of the
     second input and j = perm[k], alpha_k = <a1_j|a2_k> and beta_k =
-    <b1_j|b2_k> are entries of its cross-Grams, and the slot differences
+    <b1_j|b2_k> are its paired overlaps, and the slot differences
     da_k = a2_k - alpha_k a1_j and db_k = b2_k - beta_k b1_j give exactly
     a2_k (x) b2_k = alpha_k beta_k a1_j (x) b1_j + alpha_k a1_j (x) db_k + da_k (x) b2_k.
     So rho1 - rho2 = P C P^H for the m = n1 + 2 n2 product columns
@@ -485,11 +453,9 @@ def _paired_gap(
     ``linalg`` routine runs, and no array has more than max(d_a, d_b, m) rows.
     """
     (a1, b1), (a2, b2) = d1.stacks, d2.stacks
-    (cross_a, cross_b), perm = pairing
+    rows, (alpha, beta) = pairing
     n1, n2 = d1.n, d2.n
-    m, cols, rows = n1 + 2 * n2, np.arange(n2), np.array(perm)
-    paired = rows * n2 + cols  # flat indices of the entries (perm[k], k)
-    alpha, beta = cross_a.take(paired), cross_b.take(paired)
+    m, cols = n1 + 2 * n2, np.arange(n2)
     a1p = a1.take(rows, 1)
     pa = np.concatenate((a1, a1p, a2 - a1p * alpha), 1)
     pb = np.concatenate((b1, b2 - b1.take(rows, 1) * beta, b2), 1)
@@ -558,6 +524,138 @@ def match_bidecomposition(
         with np.errstate(over="ignore"):  # a gap past the float maximum reads inf
             raise OperatorMismatch(f"operators differ by {np.ldexp(gap, e):.3e} in Frobenius norm")
     return _certify(d1, d2, pairing, e, tol)
+
+
+def _expansion_gap(t1: TriDecomposition, t2: TriDecomposition, exponent: int) -> tuple[float, float, float]:
+    """||v1 - v2||, ||v1|| and ||v2|| of the two expanded vectors, in units of 2^exponent
+    (:func:`~proddecomp.tensor._expansion`, which refuses a cancelled or overflowing vector):
+    the tripartite gate's fallback, which decides where :func:`_paired_tri_gap` cannot."""
+    (v1, norm1), (v2, norm2) = (_expansion(t.stacks, t.values, exponent) for t in (t1, t2))
+    return frobenius(v1 - v2), norm1, norm2
+
+
+def _paired_tri_gap(
+    t1: TriDecomposition,
+    t2: TriDecomposition,
+    pairing: tuple[np.ndarray, np.ndarray],
+    exponent: int,
+    tol: ToleranceConfig,
+) -> tuple[float, float, float] | None:
+    """||v1 - v2||, ||v1|| and ||v2||, in units of 2^exponent, when their rounding bounds
+    decide the fallback's cancellation rule and the Equal rule at ``tol``; None when they do not.
+
+    ``pairing`` is :func:`_pairing` of the two inputs.  For term k of the
+    second input and j = perm[k], alpha_k, beta_k and gamma_k are its paired
+    overlaps, and the slot differences da_k = a2_k - alpha_k a1_j,
+    db_k = b2_k - beta_k b1_j and dc_k = c2_k - gamma_k c1_j give exactly
+    a2_k (x) b2_k (x) c2_k = alpha_k beta_k gamma_k a1_j (x) b1_j (x) c1_j
+    + alpha_k beta_k a1_j (x) b1_j (x) dc_k + alpha_k a1_j (x) db_k (x) c2_k + da_k (x) b2_k (x) c2_k,
+    the bipartite identity of :func:`_paired_gap` applied twice.  So for the
+    m = n1 + 3 n2 product columns P = [a1_j (x) b1_j (x) c1_j | a1 (x) b1 (x) dc_k |
+    a1 (x) db_k (x) c2_k | da_k (x) b2_k (x) c2_k], v1 - v2, v1 and v2 are P y for
+    the three rows y of one 3 x m array, x_i the coefficients in units of
+    2^exponent: v2's holds x2_k alpha_k beta_k gamma_k, summed into column
+    perm[k] of the first block, then x2 alpha beta, x2 alpha and x2; v1's holds
+    x1 in the first block; v1 - v2's is their difference.  Each squared norm is y^H G y,
+    G = P^H P the Hadamard product of the three slots' m x m Grams (Kolda &
+    Bader, SIAM Rev. 51, 2009, section 2.6).  Where v1 = v2 the differences are
+    small, so no term cancels as the plain Gram expansion of the gap does.
+
+    Bounds (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 3.1, with nu_i = sqrt(G_ii)): each y^H G y is within
+    2 gamma_L (nu^T |y|)^2, L = 2 m + d_a + d_b + d_c + 64, of the squared norm
+    of the vector the computed P and y represent; that vector, and the one
+    :func:`~proddecomp.tensor._expansion` computes, each lie within
+    gamma_{n1 + 2 n2 + 64} (sum |x1| + sum |x2|), together, of the exact one
+    (the rounding of the differences, of y and of the expansion; the kets are
+    unit, to 1e-12); and :func:`~proddecomp.tensor.frobenius` of N = d_a d_b d_c
+    entries adds a relative gamma_{N+64}.  So each interval holds both the exact
+    value and the fallback's.  The result is returned only when each norm's
+    interval lies above ``_TRI_CANCEL_RTOL`` times its sum of |coefficients|, so
+    the fallback would not refuse, and the gap's lies wholly on one side of
+    eps * max(||v1||, ||v2||) over the norms' intervals: then
+    :func:`~proddecomp.subspace._equal` of the result is the exact decision and
+    the fallback's.  The bound is a rounding bound, not a tolerance.  No
+    ``linalg`` routine runs, and no array has more than max(d_a, d_b, d_c, m) rows.
+    """
+    rows, overlaps = pairing
+    n1, n2 = t1.n, t2.n
+    m = n1 + 3 * n2
+    alpha, beta, gamma = overlaps
+    (a1, b1, c1), (a2, b2, c2) = t1.stacks, t2.stacks
+    a1p, b1p = a1.take(rows, 1), b1.take(rows, 1)
+    pa = np.concatenate((a1, a1p, a1p, a2 - a1p * alpha), 1)
+    pb = np.concatenate((b1, b1p, b2 - b1p * beta, b2), 1)
+    pc = np.concatenate((c1, c2 - c1.take(rows, 1) * gamma, c2, c2), 1)
+    g = (pa.conj().T @ pa) * (pb.conj().T @ pb) * (pc.conj().T @ pc)
+    # the coefficients times 2^-exponent, exactly, through the real and imaginary parts
+    x = np.ldexp(np.concatenate((t1.values, t2.values)).view(float), -exponent).view(complex)
+    mags = np.abs(x).tolist()
+    total1, total2 = sum(mags[:n1]), sum(mags[n1:])
+    chain = np.concatenate((x[None, n1:], overlaps)).cumprod(0)  # x2, x2 alpha, x2 alpha beta, x2 alpha beta gamma
+    y = np.zeros((3, m), dtype=complex)  # rows: v1 - v2, v1 and v2 in the columns of P
+    y[1, :n1] = x[:n1]
+    y[2, n1:] = chain[2::-1].ravel()
+    np.add.at(y[2, :n1], rows, chain[3])
+    np.subtract(y[1], y[2], out=y[0])
+    forms = ((y.conj() @ g) * y).real.sum(1).tolist()
+    spreads = (np.abs(y) @ np.sqrt(g.diagonal().real)).tolist()
+    dims = t1.dims.dims
+    quad = 2.0 * _gamma(2 * m + sum(dims) + 64)
+    err = _gamma(n1 + 2 * n2 + 64) * (total1 + total2)
+    rel = _gamma(math.prod(dims) + 64)
+    # (value, low, high) of ||v1 - v2||, ||v1|| and ||v2||
+    (gap, gap_low, gap_high), (norm1, low1, high1), (norm2, low2, high2) = (
+        (
+            math.sqrt(max(q, 0.0)),
+            (math.sqrt(max(q - quad * s * s, 0.0)) - err) * (1.0 - rel),
+            (math.sqrt(max(q + quad * s * s, 0.0)) + err) * (1.0 + rel),
+        )
+        for q, s in zip(forms, spreads)
+    )
+    cancel = _TRI_CANCEL_RTOL * (1.0 + rel)  # the fallback's bound, over the rounding of its sum
+    if low1 > cancel * total1 and low2 > cancel * total2:
+        if gap_high <= tol.eps * max(low1, low2) * (1.0 - rel) or gap_low > tol.eps * max(high1, high2) * (1.0 + rel):
+            return gap, norm1, norm2
+    return None
+
+
+def match_tridecomposition(
+    t1: TriDecomposition, t2: TriDecomposition, tol: ToleranceConfig = DEFAULT_TOL
+) -> MatchResult:
+    """Certify that two tridecompositions of the same vector are term-wise
+    collinear up to a permutation, with equal coefficient magnitudes.
+
+    Pipeline, as :func:`match_bidecomposition`'s: check hypotheses on both
+    inputs (:func:`_hypotheses`, one batch for both); read e, the exponent of
+    the larger |coefficient| of both inputs, once
+    (:func:`~proddecomp.tensor._weight_exponent`); pair the terms
+    (:func:`_pairing`, one n1 x n2 cross-Gram per slot); gate vector equality,
+    coefficient phases included, ||v1 - v2|| <= eps * max(||v1||, ||v2||),
+    from the stacks alone: in the basis of the pairing's slot differences
+    (:func:`_paired_tri_gap`: three m x m slot Grams for m = n1 + 3 n2,
+    O((d_a + d_b + d_c) m^2) time, no ``linalg`` routine and no N-length
+    vector), and, only where that gate's rounding bound straddles the
+    threshold or the cancellation bound, by expanding both vectors
+    (:func:`_expansion_gap`), which refuses a cancelled vector as
+    DegenerateInput; then certify every pair (:func:`_certify`, on the same
+    pairing).  The gate and the certificate both read the coefficients in
+    units of 2^e, so that coefficients whose sum lies past the float maximum
+    still match.  The mismatch message gives the gap in the caller's units.
+    ``residual`` is the certificate's.
+    """
+    _expect(TriDecomposition, t1, t2)
+    if t1.dims != t2.dims:
+        raise DimensionMismatch(f"factor dims differ: {t1.dims.dims} vs {t2.dims.dims}")
+    _hypotheses(((t1, "first tridecomposition"), (t2, "second tridecomposition")), tol)
+
+    e = _weight_exponent(np.abs(t1.values).tolist(), np.abs(t2.values).tolist())
+    pairing = _pairing(t1, t2)
+    gap, norm1, norm2 = _paired_tri_gap(t1, t2, pairing, e, tol) or _expansion_gap(t1, t2, e)
+    if not _equal(gap, norm1, norm2, tol):
+        with np.errstate(over="ignore"):  # a gap past the float maximum reads inf
+            raise OperatorMismatch(f"tripartite vectors differ by {np.ldexp(gap, e):.3e} (coefficient phases included)")
+    return _certify(t1, t2, pairing, e, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +944,7 @@ def generate_instance(
     overlap and conditioning) well inside the default tolerances, and the
     hypothesis check at DEFAULT_TOL is a post-condition.  An unknown profile
     or a non-integral or infeasible size raises DimensionMismatch, a seed
-    numpy refuses DegenerateInput.
+    that is not a non-negative integer DegenerateInput (:func:`_rng`).
     """
     dims = FactoredDims((d1, d2))
     rng, stacks = _slot_kets(n, dims, seed, profile, BI_PROFILES)

@@ -48,6 +48,9 @@ class ToleranceConfig:
                               not a decision (zero rows change no verdict)
     ``_paired_gap`` bound     the bipartite gate's rounding interval, not a threshold: where it
                               straddles eps, ``_product_gap`` decides, so it decides nothing eps does not
+    ``_paired_tri_gap`` bound the tripartite gate's rounding interval, not a threshold: where it
+                              straddles eps or the _TRI_CANCEL_RTOL bound, ``_expansion_gap`` decides,
+                              so it decides nothing eps and that bound do not
     """
 
     eps: float = 1e-8
@@ -186,7 +189,7 @@ def _support_count(values: Sequence[float], tol: ToleranceConfig) -> int:
     Ket-stack ranks (:func:`_slot_verdicts`), support ranks (:func:`support_and_null`)
     and Schmidt verdicts all read it."""
     cut = tol.eps * max(values, default=0.0)
-    return sum(v > 0.0 and v >= cut for v in values)
+    return len([v for v in values if v >= cut and v > 0.0])
 
 
 #: The row block of the verdict core's canonical shapes: a d x n stack is zero-padded to d rounded

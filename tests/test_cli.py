@@ -336,6 +336,31 @@ class TestOneRefusalChannel:
         with pytest.raises(pd.DegenerateInput, match="^seed must be a non-negative integer, got "):
             call(seed)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [None, np.random.default_rng(1), np.random.SeedSequence(1), [1, 2]],
+        ids=["None", "generator", "seed-sequence", "list"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: pd.generate_instance(2, 2, 2, seed=seed),
+            lambda seed: pd.generate_tri_instance(2, 2, 2, 2, seed=seed),
+            lambda seed: pd.phase_permuted_twin(pd.generate_instance(2, 2, 2), seed=seed),
+            lambda seed: pd.extract_decomposition(pd.build_rho(pd.generate_instance(2, 2, 2)), seed=seed),
+        ],
+        ids=["generate", "generate-tri", "twin", "extract"],
+    )
+    def test_a_seed_that_is_no_integer_is_degenerate_input(self, call, seed):
+        # numpy would take each of them, and None or a generator gives another instance on
+        # every call, so "deterministic under seed" would not hold
+        with pytest.raises(pd.DegenerateInput, match="^seed must be a non-negative integer, got "):
+            call(seed)
+
+    def test_a_numpy_integer_seed_reads_as_the_python_integer(self):
+        first, second = (pd.generate_tri_instance(3, 3, 3, 3, seed=s) for s in (7, np.uint16(7)))
+        assert all(np.array_equal(a, b) for a, b in zip((*first.stacks, first.values), (*second.stacks, second.values)))
+
 
 class TestWriteFailures:
     """An --out in a missing directory is an input error: exit 2 and one

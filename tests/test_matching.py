@@ -837,6 +837,121 @@ class TestPairedGate:
             pd.match_bidecomposition(dec, _rescaled(twin, 1.0, first=1.5))
 
 
+def _tri_twin_pairs():
+    """300 small tripartite instances (n = 3 ... 6 on 6 x 6 x 6, the profiles in rotation) and
+    the purifications of the three 32 x 32, n = 16 decompositions of the gate precision test,
+    each with its twin."""
+    tris = [pd.generate_tri_instance(3 + i % 4, 6, 6, 6, seed=i, profile=pd.TRI_PROFILES[i % 4]) for i in range(300)]
+    tris += [pd.purify(pd.generate_instance(16, 32, 32, seed=k, profile=p), 16) for k, p in enumerate(pd.BI_PROFILES)]
+    return [(t, pd.phase_permuted_twin(t, seed=i + 1000)[0]) for i, t in enumerate(tris)]
+
+
+def _phased(dec):
+    """``dec`` with every ket phased by ``subspace.fix_phase``."""
+    return type(dec)._from_stacks(dec.dims, [subspace.fix_phase(a) for a in dec.stacks], dec.values)
+
+
+def _tri_gate_cases():
+    """The tripartite twins, copies of them with one coefficient x (1 + 1e-9 ... 1e-3), the
+    purifications of the ill-grid reports and their sources (each ket phased by ``fix_phase``
+    first, as the reports' are, so that a purification depends on the operator alone), and
+    twins and shifted copies at coefficient scales 1e-300 and 1e300."""
+    twins = _tri_twin_pairs()
+    factors = 1.0 + np.geomspace(1e-9, 1e-3, 7)
+    shifted = []
+    for i, (tri, twin) in enumerate(twins):
+        values = twin.values.copy()
+        values[i % twin.n] *= factors[i % 7]
+        shifted.append((tri, pd.TriDecomposition._from_stacks(twin.dims, twin.stacks, values)))
+    purified = [tuple(pd.purify(_phased(d), 6) for d in pair) for pair in _ill_report_pairs()]
+    scaled = [
+        (_rescaled(tri, scale), _rescaled(other, scale))
+        for scale in (1e-300, 1e300)
+        for tri, other in twins[:21:3] + shifted[:21:3] + twins[-1:] + shifted[-1:]
+    ]
+    return twins + shifted + purified + scaled
+
+
+def _tri_edge_pair(step=0):
+    """An instance and a copy whose vectors differ by eps * the larger norm to within rounding, at
+    the default eps: coefficient 0 moved along its own phase by the fixed point of shift =
+    eps * max(||v1||, ||v2||), then by ``8 * step`` ulps of its magnitude."""
+    tri = pd.generate_tri_instance(4, 5, 6, 4, seed=3)
+    x0, shift = complex(tri.values[0]), 0.0
+    phase = x0 / abs(x0)
+    values = tri.values.copy()
+    for _ in range(3):
+        values[0] = x0 + shift * phase
+        moved = pd.TriDecomposition._from_stacks(tri.dims, tri.stacks, values)
+        shift = pd.DEFAULT_TOL.eps * max(decomp._expansion_gap(tri, moved, 0)[1:])
+    values[0] = x0 + (shift + 8 * step * math.ulp(abs(x0))) * phase
+    return tri, pd.TriDecomposition._from_stacks(tri.dims, tri.stacks, values)
+
+
+def _paired_tri(t1, t2, tol):
+    """``decomp._paired_tri_gap`` with the exponent and pairing that the matcher passes it."""
+    e = tensor._weight_exponent(*([abs(x) for x in t.values.tolist()] for t in (t1, t2)))
+    return decomp._paired_tri_gap(t1, t2, decomp._pairing(t1, t2), e, tol), e
+
+
+class TestPairedTriGate:
+    """The tripartite gate in the basis of paired differences decides only outside its
+    rounding interval, and there as the expansion gate does; ``_expansion_gap`` decides the rest."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """Each pair with its expansion gap and norms, which do not depend on eps."""
+        cases = _tri_gate_cases()
+        return [(t1, t2, decomp._expansion_gap(t1, t2, _paired_tri(t1, t2, pd.DEFAULT_TOL)[1])) for t1, t2 in cases]
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-8, 1e-4, 0.9])
+    def test_decides_as_the_expansion_gate(self, cases, eps):
+        tol, undecided, verdicts = pd.ToleranceConfig(eps), 0, set()
+        for t1, t2, exact in cases:
+            got, _ = _paired_tri(t1, t2, tol)
+            want = subspace._equal(*exact, tol)
+            if got is None:
+                undecided += 1
+            else:
+                assert subspace._equal(*got, tol) == want
+                verdicts.add(want)
+        # the interval is narrow: all but the few pairs whose gap lies within it of eps decide
+        assert undecided <= len(cases) // 100
+        assert verdicts == ({True} if eps == 0.9 else {True, False})
+
+    def test_a_gap_within_the_bound_of_eps_falls_back_to_the_expansion_gate(self, monkeypatch):
+        calls, expansion_gap = [], decomp._expansion_gap
+
+        def spy(*args):
+            calls.append(expansion_gap(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(decomp, "_expansion_gap", spy)
+        verdicts = []
+        for step in range(-6, 7):
+            t1, t2 = _tri_edge_pair(step)
+            assert _paired_tri(t1, t2, pd.DEFAULT_TOL)[0] is None
+            calls.clear()
+            try:
+                pd.match_tridecomposition(t1, t2)
+                verdicts.append(True)
+            except pd.OperatorMismatch:
+                verdicts.append(False)
+            assert len(calls) == 1 and verdicts[-1] == subspace._equal(*calls[0], pd.DEFAULT_TOL)
+        assert verdicts[0] and not verdicts[-1]
+
+    def test_a_dense_size_match_expands_no_vector(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("an expansion ran on the decided match path")
+
+        tri = pd.purify(pd.generate_instance(16, 32, 32, seed=1), 16)
+        twin, perm = pd.phase_permuted_twin(tri, seed=2)
+        monkeypatch.setattr(decomp, "_expansion", failing)
+        assert pd.match_tridecomposition(tri, twin).permutation == perm
+        with pytest.raises(pd.OperatorMismatch, match="tripartite vectors differ"):
+            pd.match_tridecomposition(tri, _rescaled(twin, 1.0, first=1.5))
+
+
 @st.composite
 def _ket_sets(draw):
     """Kets drawn from a small pool with random phases and tiny perturbations,
