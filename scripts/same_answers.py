@@ -13,8 +13,10 @@ weights (keys ``<case>/<field>``):
     of ``--bench-seeds``, factored, with the benchmark's extraction seeds;
   * ``ill/<spread>/<i>/<form>``: ``generate_instance(6, 8, 8, seed=i)`` for
     i < ``--seeds``, the bipartite profiles in rotation, restacked with
-    weights ``geomspace(1, spread, 6)`` for spreads 1e-5, 1e-6, 1e-7, 3e-8
-    and 1e-8, extraction seed i, plus ``certified``: 1 when the extraction
+    weights ``geomspace(1, spread, 6)`` for spreads 1e-5, 1e-6, 1e-7, 3e-8,
+    1e-8, 5e-9, 3e-9 and 1e-9 (where extraction refuses, or returns
+    five-term reports that the match refuses), extraction seed i, plus
+    ``certified``: 1 when the extraction
     matches its source under ``match_bidecomposition``, and ``refusal``
     ("Class: message") when that match is refused;
   * ``loose/<tol>/<s>/<form>``: ``generate_instance(4, 5, 5, seed=s)`` for
@@ -77,7 +79,7 @@ import numpy as np  # noqa: E402 -- after the thread pin
 
 ROOT = Path(__file__).resolve().parent.parent
 MASTER_SEEDS = (20_000, 40_000)
-SPREADS = (1e-5, 1e-6, 1e-7, 3e-8, 1e-8)
+SPREADS = (1e-5, 1e-6, 1e-7, 3e-8, 1e-8, 5e-9, 3e-9, 1e-9)
 LOOSE_TOLS = (1e-4, 1e-3, 1e-2)
 LOOSE_SEEDS = 20
 

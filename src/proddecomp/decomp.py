@@ -369,8 +369,8 @@ def _factored_gap(
 ) -> tuple[float, float, float]:
     """:func:`_gap_from_r` for two (columns, weights) pairs, from the QR factor of
     the stacked columns: O(N k^2) time and O(N k) memory for k columns in all,
-    and no operator formed.  Extraction's residual reads it, because the
-    columns of a factored rho are not known to be products."""
+    and no operator formed.  Factored extraction's fallback, which decides
+    where :func:`_residual_gap` cannot."""
     (v1, w1), (v2, w2) = first, second
     return _gap_from_r(np.linalg.qr(np.hstack([v1, v2]), mode="r"), w1, w2)
 
@@ -712,6 +712,122 @@ def _leading_left(slices: np.ndarray) -> np.ndarray:
     return cols / np.linalg.norm(cols, axis=0)
 
 
+def _residual_bounds(
+    x: np.ndarray, a: np.ndarray, b: np.ndarray, slices: np.ndarray, ratio: np.ndarray, gram: np.ndarray
+) -> tuple[tuple[float, float, float], ...]:
+    """(value, low, high) of ||rho - rho_hat||_F, ||rho||_F and ||rho_hat||_F for a factored
+    extraction, in the units of ``x``, read off what the construction holds.
+
+    ``x`` is the root tensor at unit scale, its side factor first (d_a x d_b x k);
+    ``a`` holds the a-directions a~_t = U_A S_A v_t, of norms sqrt(w_t); ``b`` the unit
+    b_t of :func:`_leading_left`, before phasing; ``slices`` the d_b x k slices
+    G_t = v_t^H Z; ``ratio`` each returned weight, in the units of ``x``, over w_t (1
+    unless that weight is subnormal); ``gram`` the k x k Gram matrix of x that
+    lambda reads.  For c_t = G_t^H b_t, the columns of a k x n C, and the n product
+    columns P = [a~_t (x) b_t], the construction's residual E = X - P C^H gives
+    exactly X = P C^H + E, and the candidate's operator is P D P^H, D = diag(ratio).
+    So rho - rho_hat = Q M Q^H for Q = [P | E] and M = [[C^H C - D, C^H], [C, I_k]],
+    and ||rho - rho_hat||_F^2 = tr(M G M^H G), G = Q^H Q built from three pieces:
+    (a~^H a~) o (b^H b) (Kolda & Bader, SIAM Rev. 51, 2009, section 2.6), the
+    n x k contraction of a~^H E with conj(b), and E^H E.  That trace is the
+    squared norm of Q M Q^H for any M, so neither the computed M nor G needs
+    its Hermitian part.
+    ||rho||_F is the Frobenius norm of ``gram``, and ||rho_hat||_F^2 =
+    ratio^T |G_PP|^2 ratio, a form of nonnegative terms.  On a clean operator E and
+    C^H C - D are rounding-sized, so no term cancels as the plain Gram expansion of
+    the gap does.
+
+    Bounds (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
+    3.1, with nu_i = sqrt(G_ii), s = n + k, N = d_a d_b and tau = tr(gram)): the
+    squared gap is within 2 gamma_L (nu^T |M| nu)^2, L = s^2 + 2(s + N) + 64, of that
+    of the operator Q M Q^H that the computed Q and M represent, and that
+    operator lies within the sum of four terms of rho - rho_hat:
+    2 gamma_4 tau for the rounding of x = V diag(w)^{1/2}; delta (2 r + 3 delta), r
+    a bound on ||x||_2, for that of E, delta = gamma_{n+8} (sum_t nu_t ||c_t|| + ||E||_F);
+    (gamma_{k+4} tr(C^H C) + gamma_2 max ratio) ||G_PP||_2 for that of C^H C - D; and
+    gamma_40 sum_t ratio_t nu_t^2 for the normalization and phasing of the returned
+    kets and the rounding of ratio.  ||rho||_F is within
+    (2 gamma_4 + gamma_{N+8}) tau + gamma_{k^2+4} ||rho||_F, and ||rho_hat||_F within
+    (gamma_{d_a+d_b+8} + gamma_40) sum_t ratio_t nu_t^2 + gamma_{n^2+4} ||rho_hat||_F.
+    Both 2-norms are bounded by the smaller of a largest row sum of |entries| and a
+    Frobenius norm.  No ``linalg`` routine runs, and no array has more than N rows
+    or s columns.
+    """
+    da, db, k = x.shape
+    n = a.shape[1]
+    big, s = da * db, n + k
+    ah, bh = a.conj().T, b.conj().T
+    ch = (bh[:, None] @ slices)[:, 0]  # row t: c_t^H = b_t^H G_t
+    resid = x.reshape(da, db * k) - a @ (b.T[:, :, None] * ch[:, None]).reshape(n, db * k)
+    g = np.empty((s, s), dtype=complex)
+    g[:n, :n] = (ah @ a) * (bh @ b)
+    g[:n, n:] = (bh[:, None] @ (ah @ resid).reshape(n, db, k))[:, 0]
+    g[n:, :n] = g[:n, n:].conj().T
+    resid = resid.reshape(big, k)
+    g[n:, n:] = resid.conj().T @ resid
+    m = np.zeros((s, s), dtype=complex)
+    m[n:, :n] = ch.conj().T
+    m[:n, :n] = ch @ m[n:, :n]
+    c_norms2 = m.diagonal()[:n].real.copy()  # ||c_t||^2
+    m.ravel()[: n * (s + 1) : s + 1] -= ratio  # the first block's diagonal, through a view
+    m[:n, n:] = ch
+    m.ravel()[n * (s + 1) :: s + 1] = 1.0
+    gap2 = float(np.vdot(g @ m, m @ g).real)  # tr(M G M^H G), the squared norm of Q M Q^H
+    gd = g.diagonal().real
+    nu = np.sqrt(gd)
+    spread = float(nu @ np.abs(m) @ nu)
+    slack2 = 2.0 * _gamma(s * s + 2 * (s + big) + 64) * spread * spread
+    tau = float(gram.trace().real)
+    norm = math.sqrt(np.vdot(gram, gram).real)
+    mags = np.abs(g[:n, :n])
+    mags2 = mags * mags
+    norm_hat = math.sqrt(float(ratio @ mags2 @ ratio))
+    sigma = float(ratio @ gd[:n])
+    rounding_x = 2.0 * _gamma(4) * tau
+    phasing = _gamma(40) * sigma
+    norm_err = rounding_x + _gamma(big + 8) * tau + _gamma(k * k + 4) * norm
+    hat_err = _gamma(da + db + 8) * sigma + _gamma(n * n + 4) * norm_hat + phasing
+    delta = _gamma(n + 8) * (float(nu[:n] @ np.sqrt(c_norms2)) + math.sqrt(float(gd[n:].sum())))
+    # ||x||_2^2 and ||P||_2 are bounded by the smaller of a largest row sum of |entries| and a Frobenius norm
+    root = math.sqrt(min(float(np.abs(gram).sum(1).max()), norm) + norm_err)
+    p_norm2 = min(float(mags.sum(1).max()), math.sqrt(float(mags2.sum())))
+    diag = _gamma(k + 4) * float(c_norms2.sum()) + _gamma(2) * float(ratio.max())
+    slack = rounding_x + delta * (2.0 * root + 3.0 * delta) + diag * p_norm2 + phasing
+    return (
+        (math.sqrt(max(gap2, 0.0)), math.sqrt(max(gap2 - slack2, 0.0)) - slack, math.sqrt(gap2 + slack2) + slack),
+        (norm, norm - norm_err, norm + norm_err),
+        (norm_hat, norm_hat - hat_err, norm_hat + hat_err),
+    )
+
+
+def _residual_gap(
+    x: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    slices: np.ndarray,
+    ratio: np.ndarray,
+    gram: np.ndarray,
+    tol: ToleranceConfig,
+) -> tuple[float, float, float] | None:
+    """||rho - rho_hat||_F, ||rho||_F and ||rho_hat||_F of a factored extraction, in the
+    units of ``x``, when their rounding intervals (:func:`_residual_bounds`, on the
+    same arguments) decide the Equal rule at ``tol``; None when they do not.
+
+    The gap is returned only when its whole interval lies on one side of
+    eps * max(||rho||_F, ||rho_hat||_F) over the norms' intervals, so
+    :func:`~proddecomp.subspace._equal` of the result is the exact decision, in
+    the caller's units too, since x is 2^-e W exactly.  The bound is a rounding
+    bound, not a tolerance: where it straddles eps, :func:`_factored_gap` decides.
+    """
+    (gap, gap_low, gap_high), (norm, low1, high1), (norm_hat, low2, high2) = _residual_bounds(
+        x, a, b, slices, ratio, gram
+    )
+    rel = _gamma(4)
+    if gap_high <= tol.eps * max(low1, low2) * (1.0 - rel) or gap_low > tol.eps * max(high1, high2) * (1.0 + rel):
+        return gap, norm, norm_hat
+    return None
+
+
 @_nonconvergence("extraction failed: a linear-algebra routine")
 def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> ExtractionReport:
     """Recover a weighted product decomposition from the operator alone.
@@ -719,8 +835,11 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     Extraction runs on a factor W of rho (rho = W W^dagger, d1 x d2 x k) taken
     from the operator's form: W = V diag(w)^{1/2} of a factored operator
     (:meth:`StateOperator.from_columns`, which :func:`build_rho` returns), k
-    its column count, with no N x N array formed, validated or read; or a
-    sketch of a dense one with all k Ritz pairs (:func:`_rank_n_factor`).
+    its column count, with no N x N array formed, validated or read, taken at
+    unit scale: 2^-e W exactly, e the binary exponent of its largest real or
+    imaginary part, with the weights returned as ldexp(., 2e), so that no Gram
+    of W is subnormal or overflows; or a sketch of a dense one with all k Ritz
+    pairs (:func:`_rank_n_factor`).
     From W on both forms run the same code, and every spectrum is read off a
     Gram matrix of W, one GEMM and one ``eigvalsh`` each.  W^dagger W has the
     spectrum lambda of rho, and the term count n is the rank the gate can
@@ -758,8 +877,15 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     the decomposition, so the probe's eigenvalues are not tested; the gate
     certifies n too.  A dense operator's ||rho_hat||_F and gap are taken from
     the N x N rho_hat by :func:`~proddecomp.tensor.frobenius`, in the caller's
-    units; a factored one's three norms come exactly from the columns alone
-    (:func:`_factored_gap`).  ``reconstruction_error`` is the gap over
+    units.  A factored one's are read off what the construction holds: for
+    the product columns P = [a_t (x) b_t] of the unnormalized a_t, and
+    c_t = G_t^dagger b_t for the slice G_t = v_t^dagger Z, W_side = P C^H + E
+    exactly, E the construction's residual, so the gap is a trace over the
+    (k + n)-square Gram matrix of [P | E] (:func:`_residual_gap`: no ``linalg`` routine and
+    no N x (k + n) array), decided where its rounding interval lies wholly on
+    one side of eps; inside that band the QR factor of the stacked columns of
+    W and of the candidate decides (:func:`_factored_gap`, at the same unit
+    scale).  ``reconstruction_error`` is the gap over
     ||rho||_F.  A zero-weight slice, a failed gate or a failed hypothesis
     check raises NotExtractable at once, naming what decided: the factor, n,
     the certifiable rank where the max(d1, d2) cap cut it, both factors'
@@ -772,15 +898,20 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
     rng = _rng(seed)
+    e = 0
     if rho.factor is None:
         scale = frobenius(rho.matrix)  # the zero operator has no range to sketch
         w = _rank_n_factor(rho, rng) if scale else np.zeros((*rho.dims, 0), dtype=complex)
     else:
-        w = _root_tensor(rho)
+        parts = _root_tensor(rho).reshape(-1).view(float)  # a fresh array: W's real and imaginary parts
+        # at unit scale: 2^-e W exactly, e the exponent of its largest real or imaginary part
+        e = math.frexp(float(np.abs(parts).max()))[1]
+        w = np.ldexp(parts, -e, out=parts).view(complex).reshape(*rho.dims, -1)
     d0, d1, k = w.shape
     sides = (w.reshape(d0, d1 * k), w.transpose(1, 0, 2).reshape(d1, d0 * k))
     # W^T's Gram is conj(W^dagger W), of spectrum lambda(rho); W_s's is the reduced operator on s
-    lam, *spectra = (np.linalg.eigvalsh(m @ m.conj().T) for m in (w.reshape(d0 * d1, k).T, *sides))
+    grams = [m @ m.conj().T for m in (w.reshape(d0 * d1, k).T, *sides)]
+    lam, *spectra = map(np.linalg.eigvalsh, grams)
     certifiable = _certifiable_rank(lam, tol)
     n = min(certifiable, max(d0, d1))
     if n == 0:
@@ -790,7 +921,7 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     cut = f" of certifiable {certifiable}" if certifiable > n else ""
     conds = " and ".join(f"{r:.3g}" if n <= d else f"dim {d} < n" for r, d in ((r0, d0), (r1, d1)))
     where = f"factor {side}, rank {n}{cut}, (sigma_n/sigma_1)^2 {conds}"  # what decided n and the side
-    db = d1 if side == 0 else d0
+    da, db = (d0, d1) if side == 0 else (d1, d0)
     # rho_A = W_side W_side^dagger: with W_side = U_A S_A Z, the SVD of its tall conjugate is (Z^dagger, S_A, U_A^dagger)
     zh, s_a, u_ah = np.linalg.svd(sides[side].conj().T, full_matrices=False)
     u_a, s_a, z = u_ah[:n].conj().T, s_a[:n], zh[:, :n].conj().T
@@ -803,14 +934,16 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     # the slice along the dual of a_t / ||a_t|| is ||a_t|| v_t^dagger Z up to a phase, and the
     # rows of V^dagger Z are orthonormal, so w_t = ||a_t||^2 and no dual is formed
     norms = np.linalg.norm(a_cols, axis=0)
-    weights = norms**2
+    squares = norms**2
+    weights = np.ldexp(squares, 2 * e)  # in the caller's units
     if not weights.min() > 0.0:  # NaN fails too
         raise NotExtractable(f"not extractable under hypotheses: a zero-weight slice ({where}, 1 probe)")
-    a_cols = fix_phase(a_cols / norms, tol.eps)
-    b_cols = fix_phase(_leading_left((v.conj().T @ z).reshape(n, db, k)), tol.eps)
+    slices = (v.conj().T @ z).reshape(n, db, k)
+    left = _leading_left(slices)
+    a_units, b_cols = fix_phase(a_cols / norms, tol.eps), fix_phase(left, tol.eps)
 
     order = np.argsort(-weights, kind="stable")  # heaviest term first, ties in eigenvalue order
-    stacks = [c[:, order] for c in ((a_cols, b_cols) if side == 0 else (b_cols, a_cols))]
+    stacks = [c[:, order] for c in ((a_units, b_cols) if side == 0 else (b_cols, a_units))]
     dec = ProductDecomposition._from_stacks(rho.dims, stacks, weights[order])
     if rho.factor is None:
         cols, wts = product_columns(dec)
@@ -819,7 +952,13 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
         residual -= rho.matrix
         gap = frobenius(residual)
     else:
-        gap, norm, norm_hat = _factored_gap(rho.factor, product_columns(dec))
+        # each returned weight at unit scale over w_t: 1 unless the returned weight is subnormal
+        ratio = np.ldexp(weights, -2 * e) / squares
+        gate = _residual_gap(sides[side].reshape(da, db, k), a_cols, left, slices, ratio, grams[0], tol)
+        if gate is None:  # the operator and the candidate at unit scale, as the gate reads them
+            cols, wts = product_columns(dec)
+            gate = _factored_gap((w.reshape(d0 * d1, k), np.ones(k)), (cols, np.ldexp(wts, -2 * e)))
+        gap, norm, norm_hat = gate
     err = gap / norm
     reached = f"{where}, 1 probe, reconstruction error {err:.3e}"
     if not _equal(gap, norm, norm_hat, tol):

@@ -51,6 +51,8 @@ class ToleranceConfig:
     ``_paired_tri_gap`` bound the tripartite gate's rounding interval, not a threshold: where it
                               straddles eps or the _TRI_CANCEL_RTOL bound, ``_expansion_gap`` decides,
                               so it decides nothing eps and that bound do not
+    ``_residual_gap`` bound   factored extraction's gate: a rounding interval, not a threshold; where
+                              it straddles eps, ``_factored_gap`` decides, so it decides nothing eps does not
     """
 
     eps: float = 1e-8

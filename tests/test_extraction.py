@@ -1,7 +1,10 @@
 """Blind extraction of weighted product decompositions from operators."""
 
+import math
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import proddecomp as pd
 from proddecomp import decomp, fileio
 from proddecomp.cli import main
 from test_acceptance import _bi_cases
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _random_ket(rng, dim):
@@ -240,6 +245,218 @@ class TestFactoredExtraction:
             assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want))
             assert pd.match_bidecomposition(scaled, report.decomposition).n == 4
 
+    @pytest.mark.parametrize("k", [-320, -315])
+    def test_subnormal_weights_extract_their_source(self, k):
+        # W runs at unit scale: on W as given, these weights' Grams are subnormal, and the
+        # returned b-kets missed unit norm (DegenerateInput naming a stack column)
+        for profile in pd.BI_PROFILES:
+            dec = pd.generate_instance(3, 4, 4, seed=1, profile=profile)
+            scaled = _restacked(dec, dec.values * 10.0**k)
+            report = pd.extract_decomposition(pd.build_rho(scaled), seed=0)
+            assert report.reconstruction_error < 1e-12
+            assert pd.match_bidecomposition(scaled, report.decomposition).n == 3
+
+    @pytest.mark.parametrize(
+        "scale, refusal",
+        [
+            (1e-159, r"no reconstruction within eps = 1e-08 \(.*, reconstruction error \d\.\d{3}e-06\)"),
+            (1e-161, r"no reconstruction within eps = 1e-08 \(.*, reconstruction error \d\.\d{3}e-02\)"),
+            (1e-162, r"a zero-weight slice"),
+        ],
+        ids=["error-4e-6", "error-6e-2", "underflow"],
+    )
+    def test_weights_that_cannot_hold_the_candidate_are_not_extractable(self, scale, refusal):
+        # columns of norm ~1e-160 give weights ~1e-320, whose subnormal spacing misses the
+        # candidate by more than eps, or which underflow: the gate refuses, not the stack check
+        dec = pd.generate_instance(3, 4, 4, seed=1)
+        v, w = pd.tensor.product_columns(dec)
+        rho = pd.StateOperator.from_columns(dec.dims, v * np.sqrt(w) * scale, np.ones(3))
+        with pytest.raises(pd.NotExtractable, match=refusal):
+            pd.extract_decomposition(rho, seed=0)
+
+
+def _bench_cases():
+    """The benchmark's N = 1024 ``dense`` cases for seeds 1, 3 and 7."""
+    path = str(ROOT / "perfbench")
+    if path not in sys.path:
+        sys.path.append(path)
+    import workloads
+
+    return [case for seed in (1, 3, 7) for case in workloads.dense_cases(pd, seed)]
+
+
+def _gate_edge(step=0):
+    """A factored operator that its candidate misses by eps * the larger norm, to within rounding,
+    at the default eps: three product terms on 3 x 3 factors, the most a candidate holds there,
+    and a fourth of weight t that none of them holds.  t is moved to the fixed point of
+    gap = eps * max(||rho||_F, ||rho_hat||_F), the QR gap of the candidate at a loose eps (eps
+    moves neither n, capped at 3, nor the candidate's operator), then by ``step`` x 2e-8 of itself."""
+    dec = pd.generate_instance(3, 3, 3, seed=2)
+    cols = np.hstack([pd.tensor.product_columns(d)[0] for d in (dec, pd.generate_instance(1, 3, 3, seed=3))])
+    loose, t = pd.ToleranceConfig(1e-4), pd.DEFAULT_TOL.eps
+    for _ in range(3):
+        rho = pd.StateOperator.from_columns(dec.dims, cols, [*dec.values, t])
+        candidate = pd.extract_decomposition(rho, loose, seed=0).decomposition
+        gap, *norms = decomp._factored_gap(rho.factor, pd.tensor.product_columns(candidate))
+        t *= pd.DEFAULT_TOL.eps * max(norms) / gap
+    return pd.StateOperator.from_columns(dec.dims, cols, [*dec.values, t * (1.0 + 2e-8 * step)])
+
+
+def _gate_operators():
+    """(operator, extraction seed): the ill grid (weights geomspace(1, spread, 6)) at spreads
+    1e-5 ... 1e-10, the benchmark's N = 1024 operators, and weights times 1e-300, 1e300, 1e-315
+    and 1e-320, whose operators have subnormal weights."""
+    ops = []
+    for spread in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        for i in range(150):
+            base = pd.generate_instance(6, 8, 8, seed=i, profile=pd.BI_PROFILES[i % 3])
+            ops.append((pd.build_rho(_restacked(base, np.geomspace(1, spread, 6))), i))
+    ops += [(pd.build_rho(case.bi), case.extract_seed) for case in _bench_cases()]
+    for scale in (1e-300, 1e300, 1e-315, 1e-320):
+        for i, profile in enumerate(pd.BI_PROFILES):
+            dec = pd.generate_instance(4, 5, 5, seed=11 + i, profile=profile)
+            ops.append((pd.build_rho(_restacked(dec, dec.values * scale)), i))
+    return ops
+
+
+def _restacked(dec, values):
+    return pd.ProductDecomposition._from_stacks(dec.dims, dec.stacks, values)
+
+
+def _gate_inputs(rho, seed):
+    """What a factored extraction of ``rho`` passes its gate (``args``, tol left out) and, since
+    the gate is told to fall back, the ``candidate`` and the fallback's gap and norms (``qr``)."""
+    seen, factored_gap, product_columns = {}, decomp._factored_gap, decomp.product_columns
+
+    def record(*args):
+        seen["args"] = args[:-1]
+        return None
+
+    def fallback(*args):
+        seen["qr"] = factored_gap(*args)
+        return seen["qr"]
+
+    def candidate(dec):
+        seen["candidate"] = dec
+        return product_columns(dec)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(decomp, "_residual_gap", record)
+        m.setattr(decomp, "_factored_gap", fallback)
+        m.setattr(decomp, "product_columns", candidate)
+        try:
+            pd.extract_decomposition(rho, seed=seed)
+        except pd.NotExtractable:
+            pass
+    return seen
+
+
+def _extended_gap(rho, dec):
+    """||rho - rho_hat||_F, ||rho||_F and ||rho_hat||_F in np.clongdouble from the stored factor
+    and the candidate's stacks and weights, in the units of W at unit scale: 2^-2e for e the
+    exponent of the largest real or imaginary part of W = V diag(w)^{1/2}."""
+    x = pd.tensor._root_tensor(rho)
+    e = math.frexp(max(np.abs(x.real).max(), np.abs(x.imag).max()))[1]
+    v, w = rho.factor
+    a, b = (s.astype(np.clongdouble) for s in dec.stacks)
+    operators = [
+        (c * np.ldexp(u.astype(np.longdouble), -2 * e)) @ c.conj().T
+        for c, u in ((v.astype(np.clongdouble), w), ((a[:, None] * b).reshape(-1, dec.n), dec.values))
+    ]
+    return [np.sqrt((np.abs(m) ** 2).sum()) for m in (operators[0] - operators[1], *operators)]
+
+
+class TestResidualGate:
+    """Factored extraction decides its Equal gate from the construction's own residual
+    (``_residual_gap``) only outside its rounding interval, and there as the QR gap
+    (``_factored_gap``) does; the QR gap decides the rest."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """Each operator's gate arguments and the QR gap and norms, which do not depend on eps."""
+        seen = [_gate_inputs(rho, seed) for rho, seed in _gate_operators()]
+        return [(s["args"], s["qr"]) for s in seen]
+
+    @pytest.mark.parametrize("eps", [1e-13, 1e-8, 1e-4, 0.9])
+    def test_decides_as_the_qr_gap(self, cases, eps):
+        tol, undecided, verdicts = pd.ToleranceConfig(eps), 0, set()
+        for args, exact in cases:
+            got = decomp._residual_gap(*args, tol)
+            want = pd.subspace._equal(*exact, tol)
+            if got is None:
+                undecided += 1
+            else:
+                assert pd.subspace._equal(*got, tol) == want
+                assert abs(got[0] - exact[0]) <= 2e-15 * exact[1]
+                verdicts.add(want)
+        # the interval is narrow: all but the few operators whose gap lies within it of eps decide
+        assert undecided <= len(cases) // 100
+        assert verdicts == ({True, False} if eps <= 1e-8 else {True})
+
+    def test_a_gap_within_the_bound_of_eps_falls_back_to_the_qr_gap(self, monkeypatch):
+        calls, factored_gap = [], decomp._factored_gap
+
+        def spy(*args):
+            calls.append(factored_gap(*args))
+            return calls[-1]
+
+        verdicts = []
+        for step in range(-6, 7):
+            rho = _gate_edge(step)  # before the spy: the edge is found with the QR gap
+            with monkeypatch.context() as m:
+                m.setattr(decomp, "_factored_gap", spy)
+                calls.clear()
+                try:
+                    pd.extract_decomposition(rho, seed=0)
+                    verdicts.append(True)
+                except pd.NotExtractable:
+                    verdicts.append(False)
+            assert len(calls) == 1 and verdicts[-1] == pd.subspace._equal(*calls[0], pd.DEFAULT_TOL)
+        assert verdicts[0] and not verdicts[-1]
+
+    def test_a_dense_size_extraction_runs_no_qr(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("the decided gate ran a QR or formed the candidate's columns")
+
+        cases = _bench_cases()[:3]
+        mixed = pd.StateOperator.from_columns(pd.FactoredDims((32, 32)), np.eye(1024)[:, :40], np.ones(40))
+        with monkeypatch.context() as m:
+            for name in ("_factored_gap", "product_columns"):
+                m.setattr(decomp, name, failing)
+            m.setattr(np.linalg, "qr", failing)
+            reports = [pd.extract_decomposition(pd.build_rho(c.bi), seed=c.extract_seed) for c in cases]
+            with pytest.raises(pd.NotExtractable, match="no reconstruction within eps"):
+                pd.extract_decomposition(mixed, seed=0)
+        for case, report in zip(cases, reports):
+            assert pd.match_bidecomposition(case.bi, report.decomposition).n == 16
+
+    def test_the_interval_holds_an_extended_precision_reference(self):
+        rng = np.random.default_rng(7)
+        ops = []
+        for i in range(120):
+            dec = pd.generate_instance(3 + i % 4, 6 + i % 3, 6, seed=i, profile=pd.BI_PROFILES[i % 3])
+            ops.append((pd.build_rho(dec), i))
+        for spread in (1e-5, 1e-7, 1e-9, 1e-10):
+            for i in range(30):
+                base = pd.generate_instance(6, 8, 8, seed=i, profile=pd.BI_PROFILES[i % 3])
+                ops.append((pd.build_rho(_restacked(base, np.geomspace(1, spread, 6))), i))
+        for i in range(40):
+            # a factor F U of a decomposition's operator, padded with two columns of weight up to 1e-11
+            n = 3 + i % 3
+            v, w = pd.tensor.product_columns(pd.generate_instance(n, 5, 6, seed=i))
+            pad = 1e-6 * (i % 4) * (rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2)))
+            f = np.hstack([v * np.sqrt(w), pad]) @ _random_unitary(rng, n + 2)
+            ops.append((pd.StateOperator.from_columns(pd.FactoredDims((5, 6)), f, np.ones(n + 2)), i))
+        for scale in (1e-320, 1e-315, 1e-300, 1e300):
+            for i in range(10):
+                dec = pd.generate_instance(4, 5, 5, seed=i)
+                ops.append((pd.build_rho(_restacked(dec, dec.values * scale)), i))
+        for rho, seed in ops:
+            seen = _gate_inputs(rho, seed)
+            bounds = decomp._residual_bounds(*seen["args"])
+            for (_, low, high), exact in zip(bounds, _extended_gap(rho, seen["candidate"])):
+                assert low <= exact <= high
+
 
 class TestIllConditionedWeights:
     """Weights spread over five to eight decades, a grid on which whitening by the
@@ -327,7 +544,8 @@ class TestOneProbe:
         assert len(seen) == calls
 
     def test_a_nan_error_fails_the_gate(self, monkeypatch):
-        monkeypatch.setattr(decomp, "_factored_gap", lambda *args: (np.nan, 1.0, 1.0))
+        # the factored gate decides from the construction's residual, and the QR gap only in its band
+        monkeypatch.setattr(decomp, "_residual_gap", lambda *args: (np.nan, 1.0, 1.0))
         rho = pd.build_rho(pd.generate_instance(3, 4, 4, seed=1))
         with pytest.raises(pd.NotExtractable, match=r"within eps = 1e-08 \(.*, 1 probe, reconstruction error nan\)"):
             pd.extract_decomposition(rho, seed=0)
@@ -372,7 +590,11 @@ class TestLinAlgFailures:
     @pytest.mark.parametrize("routine", ["svd", "eigh", "eigvalsh", "qr"])
     @pytest.mark.parametrize("form", [pd.build_rho, _dense])
     def test_maps_to_degenerate_input(self, monkeypatch, routine, form):
-        rho = form(pd.generate_instance(3, 4, 4, seed=1))
+        # a factored extraction takes a QR only where the residual gate falls back, as at its edge
+        if (routine, form) == ("qr", pd.build_rho):
+            rho = _gate_edge()
+        else:
+            rho = form(pd.generate_instance(3, 4, 4, seed=1))
         monkeypatch.setattr(np.linalg, routine, self._failing)
         with pytest.raises(pd.DegenerateInput, match="did not converge") as info:
             pd.extract_decomposition(rho, seed=0)
