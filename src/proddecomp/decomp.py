@@ -52,6 +52,8 @@ SKETCH_OVERSAMPLING = 8  # sketch columns beyond max(d1, d2); fixed, as Toleranc
 
 _SLOT_NAMES = ("a", "b", "c")
 
+_Interval = tuple[float, float, float]  # (value, low, high) of a norm that a gate decides on
+
 
 def _rng(seed) -> np.random.Generator:
     """numpy's generator for ``seed``, a Python or numpy integer >= 0 (the rule of
@@ -207,6 +209,7 @@ def _schmidt(q: np.ndarray, split: FactoredDims, tol: ToleranceConfig) -> tuple[
     not converge raises DegenerateInput.
     """
     _expect(FactoredDims, split)
+    _expect(ToleranceConfig, tol)
     if len(split) != 2 or split.total != q.shape[0]:
         raise DimensionMismatch(f"split {split.dims} does not factor a dim-{q.shape[0]} ket")
     u, s, vh = np.linalg.svd(q.T.reshape(-1, *split))
@@ -348,35 +351,97 @@ def _certify(
     return MatchResult(d1.n, tuple(perm), tuple(certs), residual)
 
 
-def _gap_from_r(r: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple[float, float, float]:
-    """||rho1 - rho2||_F, ||rho1||_F and ||rho2||_F for rho_i = V_i diag(w_i) V_i^dagger,
-    given any R with R^dagger R = [V1 V2]^dagger [V1 V2] and the two weight vectors.
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative bound on k roundings in a
+    row, from which every interval of :func:`_decided` is built."""
+    u = _MACHINE_EPS / 2.0
+    return k * u / (1.0 - k * u)
 
-    With [V1 V2] = Q [R1 R2] for Q with orthonormal columns, rho_i =
-    Q R_i diag(w_i) R_i^dagger Q^dagger, so every norm is that of a small
-    matrix: the two products R_i diag(w_i) R_i^dagger and their difference,
-    one :func:`frobenius` call each.  The Gram expansion of
-    ||rho1 - rho2||_F^2 would instead cancel to rounding noise, losing half
-    the digits, when rho1 = rho2.
+
+def _root_interval(q: float, slack2: float, err: float, rel: float) -> _Interval:
+    """The interval of a norm from its computed square ``q``: q is within ``slack2`` of the
+    squared norm of what the computed quantities represent, that lies within ``err`` of the
+    norm sought, and a relative ``rel`` covers the rest (0 where nothing is left)."""
+    low, high = math.sqrt(max(q - slack2, 0.0)) - err, math.sqrt(max(q + slack2, 0.0)) + err
+    return math.sqrt(max(q, 0.0)), low * (1.0 - rel), high * (1.0 + rel)
+
+
+def _decided(
+    gap: _Interval, norm1: _Interval, norm2: _Interval, tol: ToleranceConfig, rel: float
+) -> tuple[float, float, float] | None:
+    """The values of the (value, low, high) triples of ||x - y||, ||x|| and ||y|| when their
+    intervals decide the Equal rule at ``tol``; None when they do not.  The one decision rule of
+    the three equality gates (:func:`_paired_gap`, :func:`_paired_tri_gap`, :func:`_residual_gap`).
+
+    Each interval is a rounding bound, not a tolerance (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 3.1, through :func:`_gamma`): it holds the exact value,
+    and the one the gate's fallback computes.  The values are returned only when the gap's
+    interval lies wholly on one side of eps * max(||x||, ||y||) over the norms' intervals, with
+    a relative margin ``rel`` for the rounding of the norms past their intervals.  So
+    :func:`~proddecomp.subspace._equal` of the result is the exact decision, and the
+    fallback's; where the interval straddles the threshold, the gate's fallback decides, so the
+    bound decides nothing eps does not.
     """
-    r1, r2 = r[:, : w1.size], r[:, w1.size :]
-    m1, m2 = ((r_i * w_i) @ r_i.conj().T for r_i, w_i in ((r1, w1), (r2, w2)))
-    return frobenius(m1 - m2), frobenius(m1), frobenius(m2)
+    eps = tol.eps
+    if gap[2] <= eps * max(norm1[1], norm2[1]) * (1.0 - rel) or gap[1] > eps * max(norm1[2], norm2[2]) * (1.0 + rel):
+        return gap[0], norm1[0], norm2[0]
+    return None
+
+
+def _slot_gram(
+    d1: ProductDecomposition | TriDecomposition,
+    d2: ProductDecomposition | TriDecomposition,
+    pairing: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The Hadamard Gram G = G_1 o ... o G_S of the product columns of the paired slot
+    differences of two 2- or 3-slot decompositions, and the S slot Grams G_s, each m x m for
+    m = n1 + S n2.
+
+    ``pairing`` is :func:`_pairing` of the two inputs.  For term k of the second input, j =
+    perm[k] and slot s, o_s = <s1_j|s2_k> is its paired overlap and ds_k = s2_k - o_s s1_j its
+    slot difference.  Replacing the slots' second kets one at a time, last slot first, telescopes
+    the product of the second input's term exactly (alpha, beta and gamma the a-, b- and c-slot
+    overlaps; j and k dropped):
+    a2 (x) b2 = alpha beta a1 (x) b1 + alpha a1 (x) db + da (x) b2, and
+    a2 (x) b2 (x) c2 = alpha beta gamma a1 (x) b1 (x) c1 + alpha beta a1 (x) b1 (x) dc
+    + alpha a1 (x) db (x) c2 + da (x) b2 (x) c2.
+    The columns are the first input's n1 product kets, then one block of n2 per term of the
+    sum, in that order: slot s holds its first input's stack, then s1_perm[k] in the blocks
+    before its difference, ds_k, and s2_k after it.  The Gram of product columns is the Hadamard
+    product of the slot Grams (Kolda & Bader, SIAM Rev. 51, 2009, section 2.6), taken slot by
+    slot from the left.  Where the inputs agree the differences are small, so no term cancels
+    as the plain Gram expansion of the gap does.
+    """
+    rows, overlaps = pairing
+    cols = []
+    for s, (first, second, o) in enumerate(zip(d1.stacks, d2.stacks, overlaps)):
+        paired = first.take(rows, 1)
+        cols.append(np.concatenate((first, *[paired] * (len(overlaps) - 1 - s), second - paired * o, *[second] * s), 1))
+    grams = [p.conj().T @ p for p in cols]
+    return math.prod(grams[1:], start=grams[0]), grams
 
 
 def _factored_gap(
     first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, float, float]:
-    """:func:`_gap_from_r` for two (columns, weights) pairs, from the QR factor of
-    the stacked columns: O(N k^2) time and O(N k) memory for k columns in all,
-    and no operator formed.  Factored extraction's fallback, which decides
-    where :func:`_residual_gap` cannot."""
+    """||rho1 - rho2||_F, ||rho1||_F and ||rho2||_F for rho_i = V_i diag(w_i) V_i^dagger, given
+    as (columns, weights) pairs (V_i, w_i): factored extraction's fallback, which decides where
+    :func:`_residual_gap` cannot, and the last step of :func:`_product_gap`.
+
+    With [V1 V2] = Q [R1 R2] from one ``qr(mode="r")`` (O(N k^2) time and O(N k) memory for
+    k columns in all, and no operator formed), rho_i = Q R_i diag(w_i) R_i^dagger Q^dagger, so
+    every norm is that of a small matrix: the two products R_i diag(w_i) R_i^dagger and their
+    difference, one :func:`frobenius` call each.  The Gram expansion of ||rho1 - rho2||_F^2
+    would instead cancel to rounding noise, losing half the digits, when rho1 = rho2.
+    """
     (v1, w1), (v2, w2) = first, second
-    return _gap_from_r(np.linalg.qr(np.hstack([v1, v2]), mode="r"), w1, w2)
+    r = np.linalg.qr(np.hstack([v1, v2]), mode="r")
+    m1, m2 = ((r_i * w_i) @ r_i.conj().T for r_i, w_i in ((r[:, : w1.size], w1), (r[:, w1.size :], w2)))
+    return frobenius(m1 - m2), frobenius(m1), frobenius(m2)
 
 
 def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition, exponent: int = 0) -> tuple[float, float, float]:
-    """:func:`_gap_from_r` for the operators of two product decompositions, read
+    """:func:`_factored_gap` for the operators of two product decompositions, read
     off their d_s x n stacks alone, with no N-row array: the bipartite gate's
     fallback, which decides where :func:`_paired_gap` cannot.
 
@@ -385,13 +450,13 @@ def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition, exponent: i
     R_s keeps its min(d_s, k) rows, since zero rows add nothing to an R
     factor.  The product columns are then
     [V2 V1] = (Q_a (x) Q_b)(R_a (.) R_b), with (.) the column-wise Kronecker
-    (Khatri-Rao) product; Q_a (x) Q_b has orthonormal columns, so the R
-    factor of the min(d_a, k) min(d_b, k) x k matrix R_a (.) R_b is one of
-    [V2 V1] (the Gram matrix of Khatri-Rao columns is the Hadamard product
-    of the slot Grams; Kolda & Bader, SIAM Rev. 51, 2009, section 2.6).  The
-    gap is symmetric, and the two operator norms come back in argument
-    order.  The weights, and so the three norms, are taken in units of
-    2^exponent.
+    (Khatri-Rao) product; Q_a (x) Q_b has orthonormal columns, so the
+    min(d_a, k) min(d_b, k) x k columns R_a (.) R_b, split as [V2 V1] is, give
+    :func:`_factored_gap` the norms of [V2 V1]'s operators (the Gram matrix of
+    Khatri-Rao columns is the Hadamard product of the slot Grams; Kolda & Bader,
+    SIAM Rev. 51, 2009, section 2.6).  The gap is symmetric, and the two
+    operator norms come back in argument order.  The weights, and so the three
+    norms, are taken in units of 2^exponent.
     """
     k = d1.n + d2.n
     x = np.zeros((2, max(d1.dims), k), dtype=complex)
@@ -402,15 +467,8 @@ def _product_gap(d1: ProductDecomposition, d2: ProductDecomposition, exponent: i
     r_a, r_b = (r[s, : min(dim, k)] for s, dim in enumerate(d1.dims))
     khatri_rao = (r_a[:, None] * r_b).reshape(-1, k)
     w1, w2 = (np.ldexp(d.values, -exponent) for d in (d1, d2))
-    gap, norm2, norm1 = _gap_from_r(np.linalg.qr(khatri_rao, mode="r"), w2, w1)
+    gap, norm2, norm1 = _factored_gap((khatri_rao[:, : d2.n], w2), (khatri_rao[:, d2.n :], w1))
     return gap, norm1, norm2
-
-
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative bound on k roundings in a
-    row (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 3.1)."""
-    u = _MACHINE_EPS / 2.0
-    return k * u / (1.0 - k * u)
 
 
 def _paired_gap(
@@ -420,47 +478,29 @@ def _paired_gap(
     exponent: int,
     tol: ToleranceConfig,
 ) -> tuple[float, float, float] | None:
-    """||rho1 - rho2||_F, ||rho1||_F and ||rho2||_F, in units of 2^exponent, when their
-    rounding bounds decide the Equal rule at ``tol``; None when they do not.
+    """||rho1 - rho2||_F, ||rho1||_F and ||rho2||_F, in units of 2^exponent, where their
+    rounding bounds decide the Equal rule at ``tol`` (:func:`_decided`); None where they do not.
 
-    ``pairing`` is :func:`_pairing` of the two inputs.  For term k of the
-    second input and j = perm[k], alpha_k = <a1_j|a2_k> and beta_k =
-    <b1_j|b2_k> are its paired overlaps, and the slot differences
-    da_k = a2_k - alpha_k a1_j and db_k = b2_k - beta_k b1_j give exactly
-    a2_k (x) b2_k = alpha_k beta_k a1_j (x) b1_j + alpha_k a1_j (x) db_k + da_k (x) b2_k.
-    So rho1 - rho2 = P C P^H for the m = n1 + 2 n2 product columns
-    P = [a1_j (x) b1_j | a1_perm[k] (x) db_k | da_k (x) b2_k] and a Hermitian m x m C:
-    diag(w1) minus sum_k w2_k c_k c_k^H, c_k holding alpha_k beta_k, alpha_k and 1
-    at the three columns of term k.  Then ||rho1 - rho2||_F^2 = tr(C G C G), G = P^H P
-    the Hadamard product of the two slots' m x m Grams (Kolda & Bader, SIAM Rev.
-    51, 2009, section 2.6), and ||rho_i||_F^2 = w_i^T (|A_i^H A_i|^2 o |B_i^H B_i|^2) w_i,
-    a form of nonnegative terms.  Where rho1 = rho2 the differences are small, so
-    no term cancels as the plain Gram expansion of the gap does.
+    In the m = n1 + 2 n2 product columns P of :func:`_slot_gram` and their Gram G,
+    rho1 - rho2 = P C P^H for a Hermitian m x m C: diag(w1) minus sum_k w2_k c_k c_k^H,
+    c_k holding alpha_k beta_k, alpha_k and 1 at the three columns of term k.  Then
+    ||rho1 - rho2||_F^2 = tr(C G C G), and ||rho_i||_F^2 = w_i^T (|A_i^H A_i|^2 o |B_i^H B_i|^2) w_i,
+    a form of nonnegative terms.
 
-    Bounds (Higham, section 3.1, with nu_i = sqrt(G_ii)): the squared gap is
-    within 2 gamma_L (nu^T |C| nu)^2, L = m^2 + 2(m + d_a + d_b) + 64, of that of
-    the operators the computed P and C represent (C taken as its Hermitian part, which
-    is exactly Hermitian in floating point, so that tr(CGCG) is the squared norm of
-    P C P^H: the GEMM that forms C leaves rounding on its imaginary diagonal, and that
-    can take the trace of a twin below zero), and those lie within
-    gamma_{n2+64} sum w2 <= gamma_{n2+64} sqrt(n2) ||rho2||_F of rho1 - rho2, the
-    rounding of the differences and of C's first diagonal block (the kets are
-    unit, to 1e-12); each norm is within a relative
-    gamma_{4 n (d_a + d_b + 16)}.  The gap is returned only when its whole
-    interval lies on one side of eps * max(||rho1||_F, ||rho2||_F) over the
-    norms' intervals, so :func:`~proddecomp.subspace._equal` of the result is the
-    exact decision.  The bound is a rounding bound, not a tolerance.  No
-    ``linalg`` routine runs, and no array has more than max(d_a, d_b, m) rows.
+    Bounds (nu_i = sqrt(G_ii)): the squared gap is within 2 gamma_L (nu^T |C| nu)^2,
+    L = m^2 + 2(m + d_a + d_b) + 64, of that of the operators the computed P and C represent
+    (C taken as its Hermitian part, which is exactly Hermitian in floating point, so that
+    tr(CGCG) is the squared norm of P C P^H: the GEMM that forms C leaves rounding on its
+    imaginary diagonal, and that can take the trace of a twin below zero), and those lie within
+    gamma_{n2+64} sum w2 <= gamma_{n2+64} sqrt(n2) ||rho2||_F of rho1 - rho2, the rounding of the
+    differences and of C's first diagonal block (the kets are unit, to 1e-12).  The norms enter
+    as points, each within the margin, a relative gamma_{4 n (d_a + d_b + 16)}.  No ``linalg``
+    routine runs, and no array has more than max(d_a, d_b, m) rows.
     """
-    (a1, b1), (a2, b2) = d1.stacks, d2.stacks
     rows, (alpha, beta) = pairing
     n1, n2 = d1.n, d2.n
     m, cols = n1 + 2 * n2, np.arange(n2)
-    a1p = a1.take(rows, 1)
-    pa = np.concatenate((a1, a1p, a2 - a1p * alpha), 1)
-    pb = np.concatenate((b1, b2 - b1.take(rows, 1) * beta, b2), 1)
-    gram_b = pb.conj().T @ pb
-    g = (pa.conj().T @ pa) * gram_b
+    g, (_, gram_b) = _slot_gram(d1, d2, pairing)
     w1, w2 = (np.ldexp(d.values, -exponent) for d in (d1, d2))
     coeffs = np.zeros((m, n2), dtype=complex)  # column k is c_k
     coeffs[rows, cols] = alpha * beta
@@ -474,16 +514,13 @@ def _paired_gap(
     nu = np.sqrt(g.diagonal().real)
     spread = float(nu @ np.abs(c) @ nu)
     slack2 = 2.0 * _gamma(m * m + 2 * (m + sum(d1.dims)) + 64) * spread * spread
-    gram2 = (a2.conj().T @ a2) * gram_b[n1 + n2 :, n1 + n2 :]
-    norm1, norm2 = (math.sqrt(float(w @ (abs(x) ** 2) @ w)) for w, x in ((w1, g[:n1, :n1]), (w2, gram2)))
-    slack = _gamma(n2 + 64) * math.sqrt(n2) * norm2
-    threshold = tol.eps * max(norm1, norm2)
+    a2 = d2.stacks[0]
+    blocks = ((w1, g[:n1, :n1]), (w2, (a2.conj().T @ a2) * gram_b[n1 + n2 :, n1 + n2 :]))
+    norm1, norm2 = (math.sqrt(float(w @ (abs(x) ** 2) @ w)) for w, x in blocks)
+    err = _gamma(n2 + 64) * math.sqrt(n2) * norm2
     rel = _gamma(4 * max(n1, n2) * (sum(d1.dims) + 16))
-    low = math.sqrt(max(gap2 - slack2, 0.0)) - slack
-    high = math.sqrt(gap2 + slack2) + slack
-    if high <= threshold * (1.0 - rel) or low > threshold * (1.0 + rel):
-        return math.sqrt(max(gap2, 0.0)), norm1, norm2
-    return None
+    # the norms enter as points, (value, value, value)
+    return _decided(_root_interval(gap2, slack2, err, 0.0), (norm1,) * 3, (norm2,) * 3, tol, rel)
 
 
 @_nonconvergence("matching: a linear-algebra routine")
@@ -541,53 +578,31 @@ def _paired_tri_gap(
     exponent: int,
     tol: ToleranceConfig,
 ) -> tuple[float, float, float] | None:
-    """||v1 - v2||, ||v1|| and ||v2||, in units of 2^exponent, when their rounding bounds
-    decide the fallback's cancellation rule and the Equal rule at ``tol``; None when they do not.
+    """||v1 - v2||, ||v1|| and ||v2||, in units of 2^exponent, where their rounding bounds
+    decide the fallback's cancellation rule and the Equal rule at ``tol`` (:func:`_decided`);
+    None where they do not.
 
-    ``pairing`` is :func:`_pairing` of the two inputs.  For term k of the
-    second input and j = perm[k], alpha_k, beta_k and gamma_k are its paired
-    overlaps, and the slot differences da_k = a2_k - alpha_k a1_j,
-    db_k = b2_k - beta_k b1_j and dc_k = c2_k - gamma_k c1_j give exactly
-    a2_k (x) b2_k (x) c2_k = alpha_k beta_k gamma_k a1_j (x) b1_j (x) c1_j
-    + alpha_k beta_k a1_j (x) b1_j (x) dc_k + alpha_k a1_j (x) db_k (x) c2_k + da_k (x) b2_k (x) c2_k,
-    the bipartite identity of :func:`_paired_gap` applied twice.  So for the
-    m = n1 + 3 n2 product columns P = [a1_j (x) b1_j (x) c1_j | a1 (x) b1 (x) dc_k |
-    a1 (x) db_k (x) c2_k | da_k (x) b2_k (x) c2_k], v1 - v2, v1 and v2 are P y for
-    the three rows y of one 3 x m array, x_i the coefficients in units of
-    2^exponent: v2's holds x2_k alpha_k beta_k gamma_k, summed into column
-    perm[k] of the first block, then x2 alpha beta, x2 alpha and x2; v1's holds
-    x1 in the first block; v1 - v2's is their difference.  Each squared norm is y^H G y,
-    G = P^H P the Hadamard product of the three slots' m x m Grams (Kolda &
-    Bader, SIAM Rev. 51, 2009, section 2.6).  Where v1 = v2 the differences are
-    small, so no term cancels as the plain Gram expansion of the gap does.
+    In the m = n1 + 3 n2 product columns P of :func:`_slot_gram` and their Gram G, v1 - v2,
+    v1 and v2 are P y for the three rows y of one 3 x m array, x_i the coefficients in units
+    of 2^exponent: v2's holds x2_k alpha_k beta_k gamma_k, summed into column perm[k] of the
+    first block, then x2 alpha beta, x2 alpha and x2; v1's holds x1 in the first block;
+    v1 - v2's is their difference.  Each squared norm is y^H G y.
 
-    Bounds (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    section 3.1, with nu_i = sqrt(G_ii)): each y^H G y is within
-    2 gamma_L (nu^T |y|)^2, L = 2 m + d_a + d_b + d_c + 64, of the squared norm
-    of the vector the computed P and y represent; that vector, and the one
-    :func:`~proddecomp.tensor._expansion` computes, each lie within
-    gamma_{n1 + 2 n2 + 64} (sum |x1| + sum |x2|), together, of the exact one
-    (the rounding of the differences, of y and of the expansion; the kets are
-    unit, to 1e-12); and :func:`~proddecomp.tensor.frobenius` of N = d_a d_b d_c
-    entries adds a relative gamma_{N+64}.  So each interval holds both the exact
-    value and the fallback's.  The result is returned only when each norm's
-    interval lies above ``_TRI_CANCEL_RTOL`` times its sum of |coefficients|, so
-    the fallback would not refuse, and the gap's lies wholly on one side of
-    eps * max(||v1||, ||v2||) over the norms' intervals: then
-    :func:`~proddecomp.subspace._equal` of the result is the exact decision and
-    the fallback's.  The bound is a rounding bound, not a tolerance.  No
-    ``linalg`` routine runs, and no array has more than max(d_a, d_b, d_c, m) rows.
+    Bounds (nu_i = sqrt(G_ii)): each y^H G y is within 2 gamma_L (nu^T |y|)^2,
+    L = 2 m + d_a + d_b + d_c + 64, of the squared norm of the vector the computed P and y
+    represent; that vector, and the one :func:`~proddecomp.tensor._expansion` computes, each
+    lie within gamma_{n1 + 2 n2 + 64} (sum |x1| + sum |x2|), together, of the exact one (the
+    rounding of the differences, of y and of the expansion; the kets are unit, to 1e-12); and
+    :func:`~proddecomp.tensor.frobenius` of N = d_a d_b d_c entries adds a relative
+    gamma_{N+64}, on each interval and as the margin.  The rule is asked only when each norm's
+    interval lies above ``_TRI_CANCEL_RTOL`` times its sum of |coefficients|, so the fallback
+    would not refuse.  No ``linalg`` routine runs, and no array has more than
+    max(d_a, d_b, d_c, m) rows.
     """
     rows, overlaps = pairing
     n1, n2 = t1.n, t2.n
     m = n1 + 3 * n2
-    alpha, beta, gamma = overlaps
-    (a1, b1, c1), (a2, b2, c2) = t1.stacks, t2.stacks
-    a1p, b1p = a1.take(rows, 1), b1.take(rows, 1)
-    pa = np.concatenate((a1, a1p, a1p, a2 - a1p * alpha), 1)
-    pb = np.concatenate((b1, b1p, b2 - b1p * beta, b2), 1)
-    pc = np.concatenate((c1, c2 - c1.take(rows, 1) * gamma, c2, c2), 1)
-    g = (pa.conj().T @ pa) * (pb.conj().T @ pb) * (pc.conj().T @ pc)
+    g = _slot_gram(t1, t2, pairing)[0]
     # the coefficients times 2^-exponent, exactly, through the real and imaginary parts
     x = np.ldexp(np.concatenate((t1.values, t2.values)).view(float), -exponent).view(complex)
     mags = np.abs(x).tolist()
@@ -600,24 +615,13 @@ def _paired_tri_gap(
     np.subtract(y[1], y[2], out=y[0])
     forms = ((y.conj() @ g) * y).real.sum(1).tolist()
     spreads = (np.abs(y) @ np.sqrt(g.diagonal().real)).tolist()
-    dims = t1.dims.dims
-    quad = 2.0 * _gamma(2 * m + sum(dims) + 64)
+    quad = 2.0 * _gamma(2 * m + sum(t1.dims) + 64)
     err = _gamma(n1 + 2 * n2 + 64) * (total1 + total2)
-    rel = _gamma(math.prod(dims) + 64)
-    # (value, low, high) of ||v1 - v2||, ||v1|| and ||v2||
-    (gap, gap_low, gap_high), (norm1, low1, high1), (norm2, low2, high2) = (
-        (
-            math.sqrt(max(q, 0.0)),
-            (math.sqrt(max(q - quad * s * s, 0.0)) - err) * (1.0 - rel),
-            (math.sqrt(max(q + quad * s * s, 0.0)) + err) * (1.0 + rel),
-        )
-        for q, s in zip(forms, spreads)
-    )
+    rel = _gamma(t1.dims.total + 64)
+    gap, norm1, norm2 = (_root_interval(q, quad * s * s, err, rel) for q, s in zip(forms, spreads))
     cancel = _TRI_CANCEL_RTOL * (1.0 + rel)  # the fallback's bound, over the rounding of its sum
-    if low1 > cancel * total1 and low2 > cancel * total2:
-        if gap_high <= tol.eps * max(low1, low2) * (1.0 - rel) or gap_low > tol.eps * max(high1, high2) * (1.0 + rel):
-            return gap, norm1, norm2
-    return None
+    clear = norm1[1] > cancel * total1 and norm2[1] > cancel * total2  # so the fallback would not refuse
+    return _decided(gap, norm1, norm2, tol, rel) if clear else None
 
 
 def match_tridecomposition(
@@ -714,7 +718,7 @@ def _leading_left(slices: np.ndarray) -> np.ndarray:
 
 def _residual_bounds(
     x: np.ndarray, a: np.ndarray, b: np.ndarray, slices: np.ndarray, ratio: np.ndarray, gram: np.ndarray
-) -> tuple[tuple[float, float, float], ...]:
+) -> tuple[_Interval, _Interval, _Interval]:
     """(value, low, high) of ||rho - rho_hat||_F, ||rho||_F and ||rho_hat||_F for a factored
     extraction, in the units of ``x``, read off what the construction holds.
 
@@ -737,8 +741,7 @@ def _residual_bounds(
     C^H C - D are rounding-sized, so no term cancels as the plain Gram expansion of
     the gap does.
 
-    Bounds (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
-    3.1, with nu_i = sqrt(G_ii), s = n + k, N = d_a d_b and tau = tr(gram)): the
+    Bounds (nu_i = sqrt(G_ii), s = n + k, N = d_a d_b and tau = tr(gram)): the
     squared gap is within 2 gamma_L (nu^T |M| nu)^2, L = s^2 + 2(s + N) + 64, of that
     of the operator Q M Q^H that the computed Q and M represent, and that
     operator lies within the sum of four terms of rho - rho_hat:
@@ -793,11 +796,8 @@ def _residual_bounds(
     p_norm2 = min(float(mags.sum(1).max()), math.sqrt(float(mags2.sum())))
     diag = _gamma(k + 4) * float(c_norms2.sum()) + _gamma(2) * float(ratio.max())
     slack = rounding_x + delta * (2.0 * root + 3.0 * delta) + diag * p_norm2 + phasing
-    return (
-        (math.sqrt(max(gap2, 0.0)), math.sqrt(max(gap2 - slack2, 0.0)) - slack, math.sqrt(gap2 + slack2) + slack),
-        (norm, norm - norm_err, norm + norm_err),
-        (norm_hat, norm_hat - hat_err, norm_hat + hat_err),
-    )
+    hat = (norm_hat, norm_hat - hat_err, norm_hat + hat_err)
+    return _root_interval(gap2, slack2, slack, 0.0), (norm, norm - norm_err, norm + norm_err), hat
 
 
 def _residual_gap(
@@ -810,22 +810,11 @@ def _residual_gap(
     tol: ToleranceConfig,
 ) -> tuple[float, float, float] | None:
     """||rho - rho_hat||_F, ||rho||_F and ||rho_hat||_F of a factored extraction, in the
-    units of ``x``, when their rounding intervals (:func:`_residual_bounds`, on the
-    same arguments) decide the Equal rule at ``tol``; None when they do not.
-
-    The gap is returned only when its whole interval lies on one side of
-    eps * max(||rho||_F, ||rho_hat||_F) over the norms' intervals, so
-    :func:`~proddecomp.subspace._equal` of the result is the exact decision, in
-    the caller's units too, since x is 2^-e W exactly.  The bound is a rounding
-    bound, not a tolerance: where it straddles eps, :func:`_factored_gap` decides.
-    """
-    (gap, gap_low, gap_high), (norm, low1, high1), (norm_hat, low2, high2) = _residual_bounds(
-        x, a, b, slices, ratio, gram
-    )
-    rel = _gamma(4)
-    if gap_high <= tol.eps * max(low1, low2) * (1.0 - rel) or gap_low > tol.eps * max(high1, high2) * (1.0 + rel):
-        return gap, norm, norm_hat
-    return None
+    units of ``x``, where their rounding intervals (:func:`_residual_bounds`, on the
+    same arguments) decide the Equal rule at ``tol`` (:func:`_decided`, margin gamma_4);
+    None where they do not.  The decision holds in the caller's units too, since x is
+    2^-e W exactly."""
+    return _decided(*_residual_bounds(x, a, b, slices, ratio, gram), tol, _gamma(4))
 
 
 @_nonconvergence("extraction failed: a linear-algebra routine")
@@ -895,6 +884,7 @@ def extract_decomposition(rho: StateOperator, tol: ToleranceConfig = DEFAULT_TOL
     routine that does not converge raises DegenerateInput.
     """
     _expect(StateOperator, rho)
+    _expect(ToleranceConfig, tol)
     if len(rho.dims) != 2:
         raise DimensionMismatch("extraction needs an operator on exactly 2 factors")
     rng = _rng(seed)

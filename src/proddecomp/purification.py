@@ -81,6 +81,7 @@ def relating_unitary(
     square is then at rounding level in M_phi^dagger M_psi.
     """
     _expect(FactoredDims, split)
+    _expect(ToleranceConfig, tol)
     if len(split) != 2:
         raise DimensionMismatch("relating_unitary needs a two-factor split")
     if psi.dim != phi.dim or psi.dim != split.total:

@@ -46,13 +46,11 @@ class ToleranceConfig:
     generator margins         overlap <= 1 - 1e-3, condition <= 1e4, 200 draws: inside DEFAULT_TOL
     _BLOCK 8                  the verdict core pads a stack's rows to a multiple of it: array shape,
                               not a decision (zero rows change no verdict)
-    ``_paired_gap`` bound     the bipartite gate's rounding interval, not a threshold: where it
-                              straddles eps, ``_product_gap`` decides, so it decides nothing eps does not
-    ``_paired_tri_gap`` bound the tripartite gate's rounding interval, not a threshold: where it
-                              straddles eps or the _TRI_CANCEL_RTOL bound, ``_expansion_gap`` decides,
-                              so it decides nothing eps and that bound do not
-    ``_residual_gap`` bound   factored extraction's gate: a rounding interval, not a threshold; where
-                              it straddles eps, ``_factored_gap`` decides, so it decides nothing eps does not
+    gate rounding intervals   the three Equal gates' intervals, one rule (``decomp._decided``): not a
+                              threshold; where it straddles eps or the _TRI_CANCEL_RTOL bound, the gate's
+                              fallback decides (bipartite match ``_product_gap``, tripartite match
+                              ``_expansion_gap``, factored extraction ``_factored_gap``), so it decides
+                              nothing eps and that bound do not
     """
 
     eps: float = 1e-8
@@ -81,7 +79,8 @@ class SubspaceBasis:
     _columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _index(self.ambient_dim, "ambient dimension")
+        if _index(self.ambient_dim, "ambient dimension") < 1:
+            raise DimensionMismatch(f"ambient dimension must be positive, got {self.ambient_dim}")
         vecs = tuple(self.vectors)
         if len(vecs) > self.ambient_dim:
             raise DimensionMismatch(
@@ -152,6 +151,7 @@ def is_collinear(x: Ket, y: Ket, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def collinear_pairs(kets: Sequence[Ket], tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[int, int]]:
     """All unordered index pairs (i, j), i < j, that fail non-collinearity,
     in lexicographic order (:func:`_slot_verdicts` of the stacked set)."""
+    _expect(ToleranceConfig, tol)
     if len(kets) < 2:
         return []
     return [(i, j) for _, i, j in _slot_verdicts([column_stack(kets)], tol)[0]]
@@ -217,8 +217,10 @@ def _slot_verdicts(
     :func:`_support_count` of its singular values, counted in plain floats
     because the spectra are short.  It is not taken from the Gram eigenvalues,
     because a relative singular value of 1e-8 is a relative Gram eigenvalue
-    of 1e-16, below double precision.
+    of 1e-16, below double precision.  A ``tol`` that is no ToleranceConfig is
+    DimensionMismatch, for every door that reaches this core.
     """
+    _expect(ToleranceConfig, tol)
     groups: dict[tuple[int, int], list[int]] = {}
     for k, (d, n) in enumerate(a.shape for a in stacks):
         groups.setdefault((-(-d // _BLOCK) * _BLOCK, n), []).append(k)
@@ -249,6 +251,7 @@ def support_and_null(
     the remaining ones, ascending, the null space.
     """
     _expect(StateOperator, rho)
+    _expect(ToleranceConfig, tol)
     nfac, subsystem = len(rho.dims), _index(subsystem, "subsystem")
     if not 0 <= subsystem < nfac:
         raise DimensionMismatch(f"subsystem {subsystem} out of range for {nfac} factors")

@@ -952,6 +952,75 @@ class TestPairedTriGate:
             pd.match_tridecomposition(tri, _rescaled(twin, 1.0, first=1.5))
 
 
+def _handover_calls():
+    """(kind, call) for a small mixed set: bipartite twins and copies with one weight moved,
+    tripartite twins and copies with one coefficient moved, and factored extractions, one of a
+    rank-4 operator on 3 x 3 factors, which no three terms reproduce, refused by the gate."""
+    calls = []
+    for i in range(4):
+        dec = pd.generate_instance(3 + i % 2, 4, 5, seed=i, profile=pd.BI_PROFILES[i % 3])
+        twin = pd.phase_permuted_twin(dec, seed=i + 10)[0]
+        tri = pd.generate_tri_instance(3 + i % 2, 4, 4, 5, seed=i, profile=pd.TRI_PROFILES[i % 4])
+        tritwin = pd.phase_permuted_twin(tri, seed=i + 20)[0]
+        for first in (1.0, 1.0 + 10.0 ** -(3 + i)):
+            calls.append(("bi", lambda d=dec, t=_rescaled(twin, 1.0, first): pd.match_bidecomposition(d, t)))
+            calls.append(("tri", lambda d=tri, t=_rescaled(tritwin, 1.0, first): pd.match_tridecomposition(d, t)))
+        calls.append(("extract", lambda rho=pd.build_rho(dec), i=i: pd.extract_decomposition(rho, seed=i)))
+    mixed = pd.StateOperator.from_columns(pd.FactoredDims((3, 3)), np.eye(9)[:, :4], np.ones(4))
+    calls.append(("extract", lambda: pd.extract_decomposition(mixed, seed=0)))
+    return calls
+
+
+def _outcome(call):
+    """The verdict of ``call``: the permutation or the extracted stacks and weights, or the
+    refusal's class and text."""
+    try:
+        result = call()
+    except pd.ProddecompError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, decomp.MatchResult):
+        return result.permutation
+    return [a.tolist() for a in result.decomposition.stacks], result.decomposition.values.tolist()
+
+
+class TestOneDecisionRule:
+    """The three equality gates decide through one rule, ``decomp._decided``, which only hands
+    over: where it decides nothing, each gate's fallback decides, once per decision, and every
+    verdict and refusal stays the same."""
+
+    def test_the_fallbacks_decide_as_the_rule_does(self, monkeypatch):
+        calls, log = _handover_calls(), []
+
+        def counting(name, fn):
+            def spy(*args):
+                log.append(name)
+                return fn(*args)
+
+            return spy
+
+        for name in ("_product_gap", "_expansion_gap", "_factored_gap"):
+            monkeypatch.setattr(decomp, name, counting(name, getattr(decomp, name)))
+
+        def run():
+            outcomes, fallbacks = [], []
+            for _, call in calls:
+                log.clear()
+                outcomes.append(_outcome(call))
+                fallbacks.append(sorted(log))
+            return outcomes, fallbacks
+
+        decided, decided_fallbacks = run()
+        monkeypatch.setattr(decomp, "_decided", lambda *args: None)
+        handed, handed_fallbacks = run()
+        assert handed == decided
+        # the bipartite fallback takes the column QR gap of its Khatri-Rao columns
+        once = {"bi": ["_factored_gap", "_product_gap"], "tri": ["_expansion_gap"], "extract": ["_factored_gap"]}
+        assert handed_fallbacks == [once[kind] for kind, _ in calls]
+        assert decided_fallbacks == [[]] * len(calls)
+        refusals = [o[0] for o in decided if isinstance(o[0], str)]
+        assert refusals == ["OperatorMismatch"] * 8 + ["NotExtractable"]
+
+
 @st.composite
 def _ket_sets(draw):
     """Kets drawn from a small pool with random phases and tiny perturbations,

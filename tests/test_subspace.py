@@ -357,6 +357,13 @@ class TestSubspaceBasis:
         with pytest.raises(pd.DimensionMismatch):
             pd.SubspaceBasis(1, (pd.Ket((1,)), pd.Ket((1,))))
 
+    @pytest.mark.parametrize("ambient", [0, -1])
+    def test_an_ambient_dimension_below_one_is_refused(self, ambient):
+        # as FactoredDims names a factor dimension below 1; 0 reached a raw ValueError in a
+        # reshape, and -1 was refused as too small for its vectors
+        with pytest.raises(pd.DimensionMismatch, match=f"^ambient dimension must be positive, got {ambient}$"):
+            pd.SubspaceBasis(ambient, ())
+
     def test_projector_of_empty_basis_is_zero(self):
         basis = pd.SubspaceBasis(3, ())
         assert np.array_equal(basis.projector(), np.zeros((3, 3), dtype=complex))

@@ -274,3 +274,38 @@ class TestCliFlag:
                 assert err.splitlines() == [
                     f"error: {path}: --tol applies only to a 2-factor weight file or a 3-factor coefficient file"
                 ]
+
+
+def _door_calls():
+    """Each public door that takes a ``tol``, as a call of that ``tol`` on valid other arguments."""
+    dec = pd.generate_instance(2, 2, 2, seed=1)
+    tri, ket, split, rho = pd.purify(dec, 2), pd.Ket.basis(4, 0), pd.FactoredDims((2, 2)), pd.build_rho(dec)
+    third = pd.Ket.basis(2, 0)
+    return {
+        "check_product_hypotheses": lambda tol: pd.check_product_hypotheses(dec, tol),
+        "check_tri_hypotheses": lambda tol: pd.check_tri_hypotheses(tri, tol),
+        "is_factorable": lambda tol: pd.is_factorable(ket, split, tol),
+        "split_pair_terms": lambda tol: pd.split_pair_terms([1.0], [ket], [third], split, tol),
+        "match_bidecomposition": lambda tol: pd.match_bidecomposition(dec, dec, tol),
+        "match_tridecomposition": lambda tol: pd.match_tridecomposition(tri, tri, tol),
+        "extract_decomposition": lambda tol: pd.extract_decomposition(rho, tol),
+        "relating_unitary": lambda tol: pd.relating_unitary(ket, ket, split, tol),
+        "support_and_null": lambda tol: pd.support_and_null(rho, 0, tol),
+        "is_collinear": lambda tol: pd.is_collinear(ket, ket, tol),
+        "collinear_pairs": lambda tol: pd.subspace.collinear_pairs([ket], tol),
+        "is_noncollinear_set": lambda tol: pd.is_noncollinear_set([ket], tol),
+        "rank_and_independence": lambda tol: pd.rank_and_independence([ket], tol),
+    }
+
+
+class TestToleranceType:
+    """A ``tol`` that is no ToleranceConfig is refused by type at every door that takes one,
+    before anything reads it, as every other argument of the wrong type is."""
+
+    @pytest.mark.parametrize("tol", [1e-6, None, "1e-6"], ids=["float", "None", "str"])
+    @pytest.mark.parametrize("door", list(_door_calls()))
+    def test_refused_as_dimension_mismatch(self, door, tol):
+        call = _door_calls()[door]
+        call(pd.DEFAULT_TOL)  # the other arguments are valid
+        with pytest.raises(pd.DimensionMismatch, match=f"^expected ToleranceConfig, got {type(tol).__name__}$"):
+            call(tol)
